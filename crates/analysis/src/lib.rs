@@ -29,7 +29,7 @@
 //! * **Policy** — `policy-unsafe` (`#![forbid(unsafe_code)]` in every
 //!   crate root), `policy-time` (`std::time`/`Instant` outside the
 //!   bench crate), `policy-thread` (`thread::spawn`/`thread::scope`
-//!   outside the two `parallel` modules).
+//!   outside `dtr_core::parallel`).
 //!
 //! The scanner is hand-rolled (the build environment is offline, so no
 //! `syn`): it understands line/block comments (nested), string / raw
@@ -434,8 +434,8 @@ pub struct FileRole {
     pub crate_root: bool,
     /// Bench crate: wall-clock measurement is its purpose.
     pub time_allowed: bool,
-    /// One of the two `parallel` modules: the only sanctioned homes of
-    /// scoped thread fan-out.
+    /// `dtr_core::parallel`: the only sanctioned home of scoped thread
+    /// fan-out.
     pub threads_allowed: bool,
 }
 
@@ -448,8 +448,7 @@ pub fn role_of(rel: &str) -> FileRole {
     FileRole {
         crate_root,
         time_allowed: rel.starts_with("crates/bench/"),
-        threads_allowed: rel == "crates/core/src/parallel.rs"
-            || rel == "crates/mtr/src/parallel.rs",
+        threads_allowed: rel == "crates/core/src/parallel.rs",
     }
 }
 
@@ -692,8 +691,8 @@ pub fn analyze_file(
                     p,
                     "policy-thread",
                     format!(
-                        "`{pat}` outside the sanctioned parallel modules \
-                         (crates/core/src/parallel.rs, crates/mtr/src/parallel.rs)"
+                        "`{pat}` outside the sanctioned parallel module \
+                         (crates/core/src/parallel.rs)"
                     ),
                 );
             }

@@ -928,8 +928,10 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         threads: 1,
         speculation: 1,
         cutoff: false,
-        cache: false,
         phi_floors: false,
+        // The cutoff legs below run uncached: a zero cache budget keeps
+        // every scenario on the plain path.
+        cache_budget_bytes: 0,
         ..MtrParams::paper_default(11)
     };
     let cutoff = MtrParams {
@@ -943,8 +945,8 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     };
     let combined = MtrParams {
         cutoff: true,
-        cache: true,
         phi_floors: true,
+        cache_budget_bytes: usize::MAX,
         ..base
     };
     let reg = mtr_search::regular(&ev, &universe, &base);

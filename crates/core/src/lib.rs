@@ -98,6 +98,7 @@ pub mod phase1b;
 pub mod phase2;
 pub mod pipeline;
 pub mod ranking;
+pub mod robust;
 pub mod samples;
 pub mod scenario;
 pub mod search;
@@ -108,8 +109,8 @@ mod universe;
 
 pub use baselines::Selector;
 pub use params::{replica_seed, Params, PortfolioParams};
-pub use phase2::RunControl;
 pub use pipeline::{RobustOptimizer, RobustOptimizerBuilder, RobustReport};
+pub use robust::RunControl;
 pub use scenario::{DoubleLink, Probabilistic, ScenarioSet, SingleLink, SliceSet, Srlg};
 pub use search::Terminated;
 pub use universe::FailureUniverse;

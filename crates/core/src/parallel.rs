@@ -1,28 +1,33 @@
 //! Parallel failure-cost sums.
 //!
-//! Phase 2's objective `K̄fail = ⟨Σ_l Λfail,l, Σ_l Φfail,l⟩` (Eq. 7)
-//! requires one full two-class evaluation per critical scenario. The
-//! scenarios are independent, so they fan out over `std::thread::scope`
-//! workers in contiguous chunks. Each worker runs the evaluator's
-//! scenario-batched [`Evaluator::evaluate_all`] on its chunk, which
-//! checks a private workspace out of the evaluator's pool: every thread
-//! gets its own scratch buffers and no-failure baseline, and within a
-//! chunk only the destinations each failure actually touches are
-//! re-routed. Per-scenario costs land back in input order and are
-//! reduced **in scenario order**, so the floating-point sum — and
-//! therefore the whole optimization trajectory — is identical for every
-//! thread count (and bit-for-bit identical to serial per-scenario
-//! evaluation).
+//! The robust objective `K̄fail` (Eq. 7) requires one full evaluation per
+//! critical scenario. The scenarios are independent, so [`evaluate_set`]
+//! fans them out over `std::thread::scope` workers in contiguous chunks
+//! of stable scenario *indices*, materializing each `Copy` scenario
+//! inside the worker instead of allocating a scenario vector per sweep.
+//! Each worker checks a private workspace out of the engine's pool:
+//! every thread gets its own scratch buffers and no-failure baseline,
+//! and only the destinations each failure actually touches are
+//! re-routed. Per-scenario costs land back in index order and are
+//! reduced **in index order**, so the floating-point sum — and therefore
+//! the whole optimization trajectory — is identical for every thread
+//! count (and bit-for-bit identical to serial per-scenario evaluation).
 //!
-//! [`evaluate_set`] is the [`crate::scenario::ScenarioSet`]-native form:
-//! the same sharding over stable scenario *indices*, materializing each
-//! `Copy` scenario inside the worker instead of allocating a scenario
-//! vector per sweep. Since the engine handles every scenario kind
+//! [`evaluate_set`], [`sum_set_costs`] and the incumbent-bounded
+//! [`sum_set_costs_bounded`] are generic over the [`RobustEngine`]
+//! trait, so one kernel serves DTR's two-class engine and MTR's k-class
+//! engine alike; since both engines handle every scenario kind
 //! incrementally, one sharded sweep serves the single-link universe and
-//! the node / SRLG / double-link / probabilistic ensembles alike.
+//! the node / SRLG / double-link / probabilistic ensembles. The slice
+//! forms ([`failure_costs`], [`sum_failure_costs`]) ride the same kernel
+//! through a [`SliceSet`].
 
-use dtr_cost::{Evaluator, LexCost, ScenarioCache, ScenarioFloor};
+use dtr_cost::{Evaluator, LexCost};
 use dtr_routing::{Scenario, WeightSetting};
+
+use crate::robust::{RobustEngine, SweepCache};
+use crate::scenario::{ScenarioSet, SliceSet};
+use crate::search::SearchCost;
 
 /// Map `f` over `items` on up to `threads` scoped workers (contiguous
 /// chunks, results spliced back in input order — so the output is
@@ -57,7 +62,7 @@ where
 /// Fan the elements of `parts` out over scoped worker threads, one
 /// worker per element, and join them all (in spawn order) before
 /// returning. This is the only sanctioned thread fan-out primitive
-/// outside this module and `dtr_mtr::parallel` — the static pass
+/// outside this module — the static pass
 /// (`dtr-analysis`, lint `policy-thread`) rejects direct
 /// `thread::scope`/`thread::spawn` elsewhere, so sharded sweeps that
 /// live near their data (e.g. the cache capture sweeps) route through
@@ -72,42 +77,16 @@ pub fn scoped_fanout<T: Send>(parts: Vec<T>, f: impl Fn(T) + Sync) {
     });
 }
 
-/// Per-scenario costs of `w` under every scenario, in input order.
+/// Per-scenario costs of `w` under every scenario, in input order: the
+/// slice form of [`evaluate_set`], through a [`SliceSet`].
 pub fn failure_costs(
     ev: &Evaluator<'_>,
     w: &WeightSetting,
     scenarios: &[Scenario],
     threads: usize,
 ) -> Vec<LexCost> {
-    assert!(threads >= 1);
-    let workers = threads.min(scenarios.len());
-    if workers <= 1 {
-        return ev.evaluate_all(w, scenarios);
-    }
-    // Contiguous chunks, one per worker; results spliced back in order.
-    let chunk = scenarios.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(scenarios.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = scenarios
-            .chunks(chunk)
-            .enumerate()
-            .map(|(k, part)| s.spawn(move || (k * chunk, ev.evaluate_all(w, part))))
-            .collect();
-        for h in handles {
-            let (start, costs) = h.join().expect("failure-evaluation worker panicked");
-            // Order stamp: the splice must land in scenario-index order,
-            // or the scenario-order reduction (parallel == serial to the
-            // bit) silently breaks. Static counterpart: dtr-analysis
-            // determinism lints.
-            debug_assert_eq!(
-                out.len(),
-                start,
-                "failure_costs splice out of scenario order"
-            );
-            out.extend(costs);
-        }
-    });
-    out
+    let idx: Vec<usize> = (0..scenarios.len()).collect();
+    evaluate_set(ev, w, &SliceSet::new(scenarios, None), &idx, threads)
 }
 
 /// Ordered sum of [`failure_costs`]: the compound `K̄fail`.
@@ -117,9 +96,8 @@ pub fn sum_failure_costs(
     scenarios: &[Scenario],
     threads: usize,
 ) -> LexCost {
-    failure_costs(ev, w, scenarios, threads)
-        .iter()
-        .fold(LexCost::ZERO, |acc, c| acc.add(c))
+    let idx: Vec<usize> = (0..scenarios.len()).collect();
+    sum_set_costs(ev, w, &SliceSet::new(scenarios, None), &idx, threads)
 }
 
 /// Ordered weighted sum: `⟨Σ p_i·Λ_i, Σ p_i·Φ_i⟩` over the scenario batch.
@@ -132,34 +110,30 @@ pub fn weighted_sum_failure_costs(
     weights: &[f64],
     threads: usize,
 ) -> LexCost {
-    assert_eq!(weights.len(), scenarios.len(), "one weight per scenario");
-    failure_costs(ev, w, scenarios, threads)
-        .iter()
-        .zip(weights)
-        .fold(LexCost::ZERO, |acc, (c, &p)| {
-            acc.add(&LexCost::new(c.lambda * p, c.phi * p))
-        })
+    let idx: Vec<usize> = (0..scenarios.len()).collect();
+    let set = SliceSet::new(scenarios, Some(weights));
+    sum_set_costs(ev, w, &set, &idx, threads)
 }
 
-/// Sharded evaluation of a [`crate::scenario::ScenarioSet`]: the costs of
-/// `w` under the scenarios at `indices`, in index order, **without
-/// materializing** a scenario vector. Indices are partitioned into
-/// contiguous chunks, one per worker; each worker checks one workspace
-/// out of the evaluator's pool (its own scratch buffers and cached
-/// no-failure baseline) and materializes each `Copy` scenario on the fly
-/// with [`crate::scenario::ScenarioSet::scenario`]. Results are spliced
-/// back in index order, so parallel equals serial to the bit — for every
-/// scenario kind the set can hold (link, node, SRLG, double-link, and
-/// their probabilistically weighted ensembles).
-pub fn evaluate_set<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    w: &WeightSetting,
+/// Sharded evaluation of a [`ScenarioSet`]: the costs of `w` under the
+/// scenarios at `indices`, in index order, **without materializing** a
+/// scenario vector. Indices are partitioned into contiguous chunks, one
+/// per worker; each worker checks one workspace out of the engine's pool
+/// (its own scratch buffers and cached no-failure baseline) and
+/// materializes each `Copy` scenario on the fly with
+/// [`ScenarioSet::scenario`]. Results are spliced back in index order,
+/// so parallel equals serial to the bit — for every scenario kind the
+/// set can hold (link, node, SRLG, double-link, and their
+/// probabilistically weighted ensembles) and for either engine.
+pub fn evaluate_set<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
+    ev: &E,
+    w: &E::Weights,
     set: &S,
     indices: &[usize],
     threads: usize,
-) -> Vec<LexCost> {
+) -> Vec<E::Cost> {
     assert!(threads >= 1);
-    let mut out = vec![LexCost::ZERO; indices.len()];
+    let mut out = vec![E::Cost::zeros(ev.num_classes()); indices.len()];
     let workers = threads.min(indices.len());
     if workers <= 1 {
         sweep_chunk(ev, w, set, indices, &mut out);
@@ -197,12 +171,12 @@ pub fn evaluate_set<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
 /// kernel is allocation-free in steady state (registered in
 /// `crates/analysis/hot_paths.toml`; `tests/alloc_free.rs` proves the
 /// sweep around it) — callers own the output buffer.
-fn sweep_chunk<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    w: &WeightSetting,
+fn sweep_chunk<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
+    ev: &E,
+    w: &E::Weights,
     set: &S,
     part: &[usize],
-    dst: &mut [LexCost],
+    dst: &mut [E::Cost],
 ) {
     debug_assert_eq!(part.len(), dst.len());
     let mut ws = ev.acquire_workspace();
@@ -212,43 +186,39 @@ fn sweep_chunk<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
     ev.release_workspace(ws);
 }
 
-/// Per-scenario costs of `w` over a [`crate::scenario::ScenarioSet`]'s
-/// selected indices, in index order (alias of [`evaluate_set`], kept for
-/// the original slice-era name).
-pub fn set_failure_costs<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    w: &WeightSetting,
-    set: &S,
-    indices: &[usize],
-    threads: usize,
-) -> Vec<LexCost> {
-    evaluate_set(ev, w, set, indices, threads)
-}
-
 /// Reusable buffers of the incumbent-bounded sweep
 /// ([`sum_set_costs_bounded`]); one per search run, warmed after the
 /// first sweep (no steady-state allocation).
-#[derive(Clone, Debug, Default)]
-pub struct SweepScratch {
+#[derive(Clone, Debug)]
+pub struct SweepScratch<C = LexCost> {
     /// Per-*position* raw scenario costs (aligned with the `indices`
     /// slice of the sweep); fully populated on [`SetSweep::Complete`].
-    pub costs: Vec<LexCost>,
+    pub costs: Vec<C>,
     done: Vec<bool>,
 }
 
-impl SweepScratch {
+impl<C> SweepScratch<C> {
     /// Fresh, empty scratch.
     pub fn new() -> Self {
-        Self::default()
+        SweepScratch {
+            costs: Vec::new(),
+            done: Vec::new(),
+        }
+    }
+}
+
+impl<C> Default for SweepScratch<C> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 /// Outcome of an incumbent-bounded set sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SetSweep {
+pub enum SetSweep<C = LexCost> {
     /// All scenarios evaluated; the compound cost is bit-for-bit the
     /// [`sum_set_costs`] index-order weighted fold.
-    Complete(LexCost),
+    Complete(C),
     /// The partial fold proved the candidate cannot beat the incumbent;
     /// `evaluated` scenarios were evaluated before the sweep was
     /// abandoned (the rest are the caller's `scenario_evals_skipped`).
@@ -264,45 +234,36 @@ pub enum SetSweep {
     },
 }
 
-/// Index-order weighted fold over a sweep's evaluated subset, with each
-/// not-yet-evaluated position standing in at its [`ScenarioFloor`]
-/// (zero when no floors are supplied). Every stand-in bounds its
+/// Index-order weighted fold over a sweep's evaluated subset into
+/// `acc`, with each not-yet-evaluated position standing in at its floor
+/// (skipped when no floors are supplied). Every stand-in bounds its
 /// scenario's contribution from below **componentwise** and IEEE
-/// addition is monotone in each addend, so the fold bounds the completed
-/// compound cost from below in both components — and equals it exactly,
-/// bit-for-bit, once every position is done (floors are then never
-/// read). The componentwise bound carries through the lexicographic
-/// `better_than` (see the antitone lemma on [`LexCost::better_than`]).
-fn fold_bound<S: crate::scenario::ScenarioSet + ?Sized>(
+/// addition is monotone in each addend, so the fold bounds the
+/// completed compound cost from below in every component — and equals
+/// it exactly, bit-for-bit, once every position is done (floors are
+/// then never read). The componentwise bound carries through the
+/// lexicographic `better_than` of either cost type (see the antitone
+/// lemma on [`LexCost::better_than`]). A zero floor adds `+0.0`, which
+/// leaves the non-negative partial sum's bits unchanged, and a uniform
+/// set's unit weights scale every term exactly.
+fn fold_bound<C: SearchCost, S: ScenarioSet + ?Sized>(
     set: &S,
     indices: &[usize],
-    scratch: &SweepScratch,
-    floors: Option<&[ScenarioFloor]>,
-) -> LexCost {
-    let weighted = set.weighted();
-    let mut acc = LexCost::ZERO;
+    scratch: &SweepScratch<C>,
+    floors: Option<&[C]>,
+    acc: &mut C,
+) {
+    acc.reset();
     for (pos, &i) in indices.iter().enumerate() {
-        if scratch.done[pos] {
-            let c = &scratch.costs[pos];
-            acc = if weighted {
-                let p = set.weight(i);
-                acc.add(&LexCost::new(c.lambda * p, c.phi * p))
-            } else {
-                acc.add(c)
-            };
+        let c = if scratch.done[pos] {
+            &scratch.costs[pos]
         } else if let Some(f) = floors {
-            let fl = f[pos];
-            if fl.lambda > 0.0 || fl.phi > 0.0 {
-                acc = if weighted {
-                    let p = set.weight(i);
-                    acc.add(&LexCost::new(fl.lambda * p, fl.phi * p))
-                } else {
-                    acc.add(&LexCost::new(fl.lambda, fl.phi))
-                };
-            }
-        }
+            &f[pos]
+        } else {
+            continue;
+        };
+        acc.add_scaled_assign(c, set.weight(i));
     }
-    acc
 }
 
 /// Incumbent-bounded compound sweep: evaluates the scenarios at
@@ -310,9 +271,13 @@ fn fold_bound<S: crate::scenario::ScenarioSet + ?Sized>(
 /// `0..indices.len()`, typically costliest-under-the-incumbent first)
 /// and abandons the sweep as soon as the index-order fold over the
 /// evaluated subset — with every unevaluated scenario standing in at
-/// its [`ScenarioFloor`] (`floors`, aligned with `indices`; see
-/// `Evaluator::scenario_floor` for the Λ + load-aware Φ bound) — proves
-/// the candidate cannot be lexicographically better than `incumbent`.
+/// its floor (`floors`, aligned with `indices`; see
+/// [`RobustEngine::floor`]) — proves the candidate cannot be
+/// lexicographically better than `incumbent`. When a delta-state
+/// `cache` (pointed at the incumbent via [`RobustEngine::cache_begin`])
+/// is supplied, resident positions run through
+/// [`RobustEngine::cost_cached`] instead of the plain incremental path —
+/// same bits, a fraction of the work.
 ///
 /// The proof is float-exact, not heuristic: per-scenario contributions
 /// are non-negative, IEEE addition of non-negative terms is monotone,
@@ -349,35 +314,59 @@ fn fold_bound<S: crate::scenario::ScenarioSet + ?Sized>(
 /// set — including an empty or partially wasted one — yields the
 /// identical result; seeds only move work onto the speculative fan-out.
 #[allow(clippy::too_many_arguments)]
-pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    w: &WeightSetting,
+pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
+    ev: &E,
+    w: &E::Weights,
     set: &S,
     indices: &[usize],
     threads: usize,
-    incumbent: &LexCost,
+    incumbent: &E::Cost,
     order: &[u32],
-    seeds: &[(u32, LexCost)],
-    floors: Option<&[ScenarioFloor]>,
-    cache: Option<&ScenarioCache>,
-    scratch: &mut SweepScratch,
-) -> SetSweep {
+    seeds: &[(u32, E::Cost)],
+    floors: Option<&[E::Cost]>,
+    cache: Option<&E::Cache>,
+    scratch: &mut SweepScratch<E::Cost>,
+) -> SetSweep<E::Cost> {
     assert!(threads >= 1);
     let n = indices.len();
     assert_eq!(order.len(), n, "order must be a permutation of positions");
     if let Some(f) = floors {
         assert_eq!(f.len(), n, "one floor per scenario position");
     }
-    scratch.costs.clear();
-    scratch.costs.resize(n, LexCost::ZERO);
+    let k = ev.num_classes();
+    // Only reshape on arity/size changes: the per-position costs are
+    // overwritten before any read (the `done` flags gate the fold), so
+    // a warm scratch re-sweeps without touching its allocations.
+    if scratch.costs.len() != n || scratch.costs.iter().any(|c| c.arity() != k) {
+        scratch.costs.clear();
+        scratch.costs.resize(n, E::Cost::zeros(k));
+    }
     scratch.done.clear();
     scratch.done.resize(n, false);
+    let mut acc = E::Cost::zeros(k);
+    // The cutoff check: `Some(Cut)` once the floored partial fold no
+    // longer beats the incumbent. The cut is floor-attributed iff the
+    // evaluated subset alone (floor-less fold) would *not* have proven it.
+    let proven_cut = |scratch: &SweepScratch<E::Cost>, acc: &mut E::Cost, evaluated| {
+        fold_bound(set, indices, scratch, floors, acc);
+        if acc.better_than(incumbent) {
+            return None;
+        }
+        let floor_cut = floors.is_some() && {
+            fold_bound(set, indices, scratch, None, acc);
+            acc.better_than(incumbent)
+        };
+        Some(SetSweep::Cut {
+            evaluated,
+            floor_cut,
+        })
+    };
 
     let workers = threads.min(n);
     if workers <= 1 {
         // Serial: evaluate in priority order, prove-or-continue after
-        // every scenario (re-folding the evaluated subset costs O(n) LexCost
-        // adds — noise next to one scenario evaluation).
+        // every scenario (re-folding the evaluated subset costs O(n)
+        // cost adds — noise next to one scenario evaluation).
         let check_every = (n / 128).max(1);
         let mut ws = ev.acquire_workspace();
         for (e, &pos) in order.iter().enumerate() {
@@ -385,35 +374,28 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
             // Non-resident positions of a budget-bounded cache take the
             // plain repair-seeded path — the same bits, just uncached;
             // seeded positions reuse the speculative fan-out's bits.
-            scratch.costs[pos] = match seeds.iter().find(|s| s.0 as usize == pos) {
-                Some(&(_, c)) => c,
+            match seeds.iter().find(|s| s.0 as usize == pos) {
+                Some(s) => scratch.costs[pos].clone_from(&s.1),
                 None => {
                     let sc = set.scenario(indices[pos]);
-                    match cache {
+                    scratch.costs[pos] = match cache {
                         Some(c) if c.is_resident(pos) => ev.cost_cached(&mut ws, w, sc, c, pos),
                         _ => ev.cost_with(&mut ws, w, sc),
-                    }
+                    };
                 }
-            };
+            }
             scratch.done[pos] = true;
             let evaluated = e + 1;
-            if evaluated < n
-                && evaluated % check_every == 0
-                && !fold_bound(set, indices, scratch, floors).better_than(incumbent)
-            {
-                ev.release_workspace(ws);
-                // The cut is floor-attributed iff the evaluated subset
-                // alone (floor-less fold) would *not* have proven it.
-                let floor_cut = floors.is_some()
-                    && fold_bound(set, indices, scratch, None).better_than(incumbent);
-                return SetSweep::Cut {
-                    evaluated,
-                    floor_cut,
-                };
+            if evaluated < n && evaluated % check_every == 0 {
+                if let Some(cut) = proven_cut(scratch, &mut acc, evaluated) {
+                    ev.release_workspace(ws);
+                    return cut;
+                }
             }
         }
         ev.release_workspace(ws);
-        return SetSweep::Complete(fold_bound(set, indices, scratch, floors));
+        fold_bound(set, indices, scratch, floors, &mut acc);
+        return SetSweep::Complete(acc);
     }
 
     // Parallel: fixed rounds over the priority order; sharded evaluation
@@ -429,11 +411,11 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
                 .map(|part| {
                     s.spawn(move || {
                         let mut ws = ev.acquire_workspace();
-                        let costs: Vec<(u32, LexCost)> = part
+                        let costs: Vec<(u32, E::Cost)> = part
                             .iter()
                             .map(|&pos| {
                                 if let Some(s) = seeds.iter().find(|s| s.0 == pos) {
-                                    return (pos, s.1);
+                                    return (pos, s.1.clone());
                                 }
                                 let sc = set.scenario(indices[pos as usize]);
                                 let c = match cache {
@@ -458,41 +440,34 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
             }
         });
         evaluated += batch.len();
-        if evaluated < n && !fold_bound(set, indices, scratch, floors).better_than(incumbent) {
-            let floor_cut =
-                floors.is_some() && fold_bound(set, indices, scratch, None).better_than(incumbent);
-            return SetSweep::Cut {
-                evaluated,
-                floor_cut,
-            };
+        if evaluated < n {
+            if let Some(cut) = proven_cut(scratch, &mut acc, evaluated) {
+                return cut;
+            }
         }
     }
-    SetSweep::Complete(fold_bound(set, indices, scratch, floors))
+    fold_bound(set, indices, scratch, floors, &mut acc);
+    SetSweep::Complete(acc)
 }
 
 /// Compound (weight-aware) cost of `w` over a scenario set's indices:
-/// the plain ordered sum for uniform sets, the probability-weighted sum
-/// for weighted ones. Both reductions run in index order — the exact
-/// float-add sequence of the seed's per-scenario accumulation.
-pub fn sum_set_costs<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    w: &WeightSetting,
+/// the probability-weighted sum, which for a uniform set (unit weights,
+/// exact multiplications) is the plain ordered sum. The reduction runs
+/// in index order — the exact float-add sequence of the seed's
+/// per-scenario accumulation.
+pub fn sum_set_costs<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
+    ev: &E,
+    w: &E::Weights,
     set: &S,
     indices: &[usize],
     threads: usize,
-) -> LexCost {
+) -> E::Cost {
     let costs = evaluate_set(ev, w, set, indices, threads);
-    if set.weighted() {
-        costs
-            .iter()
-            .zip(indices)
-            .fold(LexCost::ZERO, |acc, (c, &i)| {
-                let p = set.weight(i);
-                acc.add(&LexCost::new(c.lambda * p, c.phi * p))
-            })
-    } else {
-        costs.iter().fold(LexCost::ZERO, |acc, c| acc.add(c))
+    let mut acc = E::Cost::zeros(ev.num_classes());
+    for (c, &i) in costs.iter().zip(indices) {
+        acc.add_scaled_assign(c, set.weight(i));
     }
+    acc
 }
 
 #[cfg(test)]
@@ -682,9 +657,9 @@ mod tests {
         let set = crate::universe::FailureUniverse::of(&net);
         let indices: Vec<usize> = crate::scenario::ScenarioSet::all_indices(&set);
         let mut ws = ev.acquire_workspace();
-        let floors: Vec<ScenarioFloor> = indices
+        let floors: Vec<LexCost> = indices
             .iter()
-            .map(|&i| ev.scenario_floor(&mut ws, crate::scenario::ScenarioSet::scenario(&set, i)))
+            .map(|&i| RobustEngine::floor(&ev, &mut ws, set.scenario(i), true))
             .collect();
         ev.release_workspace(ws);
         let total = sum_set_costs(&ev, &w, &set, &indices, 1);

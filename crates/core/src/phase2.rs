@@ -1,5 +1,6 @@
-//! Phase 2 — robust optimization over the critical set (Eqs. 4–7),
-//! restructured as a speculative, cutoff-aware batched kernel.
+//! Phase 2 — robust optimization over the critical set (Eqs. 4–7): the
+//! two-class instantiation of the generic robust search in
+//! [`crate::robust`].
 //!
 //! Minimizes the compound failure cost
 //! `K̄fail = ⟨Σ_{l∈Ec} Λfail,l, Σ_{l∈Ec} Φfail,l⟩` subject to the
@@ -9,39 +10,13 @@
 //! tolerates some slack in exchange for robustness).
 //!
 //! The search starts from, and diversifies back to, the Phase-1 archive of
-//! acceptable settings ("each diversification round starts with a weight
-//! setting close to one that already satisfies the constraints", §V-A3).
-//!
-//! # The batched + cutoff kernel
-//!
-//! The hill climber itself — not the per-evaluation engine — is the hot
-//! loop at paper scale, so both of its costs are restructured around the
-//! facts that the RNG move stream is deterministic and that `K̄fail` is a
-//! non-negative weighted sum:
-//!
-//! * **Speculative batched moves** — the next `K` candidate moves of a
-//!   sweep are pre-drawn and their normal-conditions costs evaluated
-//!   concurrently on pooled workspaces
-//!   ([`crate::search::speculative_sweep`]); acceptance is replayed
-//!   serially in draw order and speculation past the first accepted move
-//!   is discarded. Most moves die at the Eq. 5–6 constraint gate, so the
-//!   speculated costs are almost never wasted.
-//! * **Monotone early-cutoff sweeps** — a candidate that survives the
-//!   gate pays the `|Ec|`-scenario failure sweep through
-//!   [`parallel::sum_set_costs_bounded`], which abandons the sweep as
-//!   soon as the partial fold *proves* the candidate cannot beat the
-//!   incumbent `K̄fail` (scenarios are evaluated
-//!   costliest-under-the-incumbent first to make that proof fire early).
-//!   Skipped evaluations land in
-//!   [`SearchStats::scenario_evals_skipped`].
-//!
-//! Both mechanisms are float-exact: accepted moves always complete their
-//! sweep (whose index-order reduction is bit-for-bit the plain
-//! [`parallel::sum_set_costs`] fold), and the cutoff only fires on moves
-//! the full sweep would reject. The best setting, its costs, and the
-//! full accept/reject sequence are therefore identical for every
-//! speculation window, thread count, and cutoff setting — pinned by
-//! `tests/search_equivalence.rs`.
+//! acceptable settings. The speculative batched moves, incumbent-bounded
+//! cutoff sweeps, portfolio replicas and checkpoints are the shared
+//! search's (see [`crate::robust`]); this module supplies what is DTR's
+//! own:
+//! the [`RobustEngine`] implementation of `dtr_cost::Evaluator` — a move
+//! re-draws one duplex link's `(delay, throughput)` weight pair, costs
+//! are [`LexCost`], and the gate is [`feasible`].
 //!
 //! Both evaluation kinds ride the incremental engine in
 //! `dtr_cost::engine`: a neighbor move changes one duplex link's weights,
@@ -54,54 +29,22 @@
 //! destinations re-run the SLA DP — for **every** scenario kind the set
 //! holds (link, node, SRLG, double-link, probabilistically weighted).
 
-use std::time::{Duration, Instant};
-
-use dtr_cost::{Evaluator, LexCost};
-use dtr_persist::{CheckpointSink, SnapshotError};
-use dtr_routing::{Class, Scenario, WeightSetting};
+use dtr_cost::engine::RefreshCtx;
+use dtr_cost::{EvalWorkspace, Evaluator, LexCost, ScenarioCache, ScenarioEntry};
+use dtr_net::{LinkId, Network};
+use dtr_persist::{Decoder, Encoder, SnapshotError};
+use dtr_routing::workspace::DestRouting;
+use dtr_routing::{Scenario, WeightSetting};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-use dtr_net::LinkId;
-
-use crate::parallel::{self, SetSweep, SweepScratch};
-use crate::params::{replica_seed, Params};
+use crate::params::Params;
 use crate::phase1::Phase1Output;
+use crate::robust::{self, RobustEngine, RobustKnobs, RobustOutput, RunControl, SweepCache};
 use crate::scenario::{ScenarioSet, SliceSet};
-use crate::search::{
-    duplex_weights, random_weight_pair, set_duplex_weights, speculative_sweep, Archive, Decision,
-    MoveOutcome, SearchStats, SpecBuffers, StopRule, Terminated,
-};
+use crate::search::{duplex_weights, random_weight_pair, set_duplex_weights};
 
 /// Result of the robust search.
-#[derive(Clone, Debug)]
-pub struct Phase2Output {
-    /// The robust weight setting `W`.
-    pub best: WeightSetting,
-    /// Its compound failure cost over the critical set.
-    pub best_kfail: LexCost,
-    /// Its normal-conditions cost (satisfies Eqs. 5–6 w.r.t. Phase 1).
-    pub best_normal: LexCost,
-    /// Moves rejected by the normal-conditions constraints (cheap
-    /// rejections — they skip the failure sweep).
-    pub constraint_rejections: usize,
-    /// Per-proposal accept/reject sequence (empty unless
-    /// `params.record_trace`). In a portfolio run this is the winning
-    /// replica's trace.
-    pub trace: Vec<MoveOutcome>,
-    /// Per-replica accept/reject traces of a portfolio run, in replica
-    /// index order (empty unless `params.record_trace` and
-    /// `params.portfolio.replicas > 1`). Bit-for-bit reproducible for a
-    /// given `(seed, replicas, rendezvous_period)` at any thread count —
-    /// the parallel-search contract in `DETERMINISM.md`.
-    pub replica_traces: Vec<Vec<MoveOutcome>>,
-    pub stats: SearchStats,
-    /// Why the run returned (convergence, deadline/kill, or an
-    /// already-terminal restored snapshot). Never affects *what* is
-    /// returned — see "The checkpoint contract" in `DETERMINISM.md`.
-    pub terminated: Terminated,
-}
+pub type Phase2Output = RobustOutput<WeightSetting, LexCost>;
 
 /// Eq. (5)–(6) feasibility of a candidate's normal-conditions cost against
 /// the Phase-1 benchmarks. Λ must not degrade (ε-equality; improving on
@@ -110,1136 +53,201 @@ pub fn feasible(normal: &LexCost, lambda_star: f64, phi_star: f64, chi: f64) -> 
     normal.lambda <= lambda_star + dtr_cost::LAMBDA_EPS && normal.phi <= (1.0 + chi) * phi_star
 }
 
-/// Evaluation-order state of the cutoff sweeps: positions into the
-/// `indices` slice, costliest-under-the-incumbent first, the shared
-/// per-position cost scratch, the per-position Λ/Φ floors that stand in
-/// for scenarios a bounded sweep has not reached yet, and the
-/// delta-state scenario cache.
-struct SweepState {
-    order: Vec<u32>,
-    scratch: SweepScratch,
-    floors: Vec<dtr_cost::ScenarioFloor>,
-    cache: dtr_cost::ScenarioCache,
+impl SweepCache for ScenarioCache {
+    type Base = [Vec<DestRouting>; 2];
+    type Entry = ScenarioEntry;
+    type Ctx<'a> = RefreshCtx<'a>;
+
+    fn with_budget(bytes: usize) -> Self {
+        ScenarioCache::with_budget(bytes)
+    }
+
+    fn budget_bytes(&self) -> usize {
+        ScenarioCache::budget_bytes(self)
+    }
+
+    fn resident_scenarios(&self) -> usize {
+        ScenarioCache::resident_scenarios(self)
+    }
+
+    fn full_resident_scenarios(&self) -> usize {
+        ScenarioCache::full_resident_scenarios(self)
+    }
+
+    fn is_resident(&self, pos: usize) -> bool {
+        ScenarioCache::is_resident(self, pos)
+    }
+
+    fn plan_residency(&mut self, positions: usize) {
+        ScenarioCache::plan_residency(self, positions)
+    }
+
+    fn capture_split(&mut self) -> (&Self::Base, &mut [ScenarioEntry]) {
+        ScenarioCache::capture_split(self)
+    }
+
+    fn refresh_split(&mut self) -> (RefreshCtx<'_>, &mut [ScenarioEntry]) {
+        ScenarioCache::refresh_split(self)
+    }
+
+    fn demote(entry: &mut ScenarioEntry) {
+        entry.demote();
+    }
 }
 
-impl SweepState {
-    /// Build the sweep state; the floors (one SPF per demand
-    /// destination per scenario, see [`Evaluator::lambda_floor`] and
-    /// [`Evaluator::phi_floor`]) are only computed when the cutoff will
-    /// actually read them — their one-off cost is on the order of a
-    /// single failure sweep. Floors depend only on (topology, traffic,
-    /// mask, cost parameters) — never on the weights under search — so
-    /// this single computation stays valid for the whole run.
-    fn new<S: ScenarioSet + ?Sized>(
-        ev: &Evaluator<'_>,
-        set: &S,
-        indices: &[usize],
-        params: &Params,
-    ) -> Self {
-        let floors = if params.cutoff {
-            let mut ws = ev.acquire_workspace();
-            let floors = indices
-                .iter()
-                .map(|&i| {
-                    let sc = set.scenario(i);
-                    if params.phi_floors {
-                        ev.scenario_floor(&mut ws, sc)
-                    } else {
-                        dtr_cost::ScenarioFloor {
-                            lambda: ev.lambda_floor(sc),
-                            phi: 0.0,
-                        }
-                    }
-                })
-                .collect();
-            ev.release_workspace(ws);
-            floors
+/// DTR's robust engine: the two-class delta-state evaluator, moves that
+/// re-draw a duplex link's `(delay, throughput)` pair, and the Eq. 5–6
+/// gate with Phase 1's `⟨Λ*, Φ*⟩` as benchmark and χ as its parameter.
+impl RobustEngine for Evaluator<'_> {
+    type Weights = WeightSetting;
+    type Cost = LexCost;
+    type Move = (u32, u32);
+    type GateParams = f64;
+    type Workspace = EvalWorkspace;
+    type Cache = ScenarioCache;
+
+    const SNAPSHOT_KIND: u32 = dtr_persist::KIND_DTR_PHASE2;
+    const SET_SIZE_MISMATCH: &'static str = "critical-set size differs";
+    const PROMOTE_RESTART: bool = false;
+
+    fn net(&self) -> &Network {
+        Evaluator::net(self)
+    }
+
+    fn num_classes(&self) -> usize {
+        2
+    }
+
+    fn acquire_workspace(&self) -> EvalWorkspace {
+        Evaluator::acquire_workspace(self)
+    }
+
+    fn release_workspace(&self, ws: EvalWorkspace) {
+        Evaluator::release_workspace(self, ws)
+    }
+
+    fn cost_with(&self, ws: &mut EvalWorkspace, w: &WeightSetting, scenario: Scenario) -> LexCost {
+        Evaluator::cost_with(self, ws, w, scenario)
+    }
+
+    fn cost_cached(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &WeightSetting,
+        scenario: Scenario,
+        cache: &ScenarioCache,
+        pos: usize,
+    ) -> LexCost {
+        Evaluator::cost_cached(self, ws, w, scenario, cache, pos)
+    }
+
+    fn floor(&self, ws: &mut EvalWorkspace, scenario: Scenario, phi_floors: bool) -> LexCost {
+        if phi_floors {
+            let f = self.scenario_floor(ws, scenario);
+            LexCost::new(f.lambda, f.phi)
         } else {
-            Vec::new()
-        };
-        SweepState {
-            order: (0..indices.len() as u32).collect(),
-            scratch: SweepScratch::new(),
-            floors,
-            cache: dtr_cost::ScenarioCache::with_budget(params.cache_budget_bytes),
+            LexCost::new(self.lambda_floor(scenario), 0.0)
         }
     }
 
-    /// Re-sort the evaluation order by the incumbent's per-scenario
-    /// **excess over the Λ floor** (excess over the Φ floor as
-    /// tie-break), descending, ties by position — so the order, and
-    /// therefore the deterministic skip accounting, is fully pinned. The
-    /// floors already stand in for unevaluated scenarios, so what
-    /// advances a bounded sweep's partial fold toward the incumbent is
-    /// exactly each evaluated scenario's excess; front-loading the
-    /// scenarios where the incumbent's excess is largest makes a losing
-    /// candidate's proof fire as early as possible.
-    fn refresh<S: ScenarioSet + ?Sized>(&mut self, set: &S, indices: &[usize]) {
-        let costs = &self.scratch.costs;
-        let floors = &self.floors;
-        let weighted = set.weighted();
-        let key = |pos: u32| -> (f64, f64) {
-            let c = &costs[pos as usize];
-            let fl = &floors[pos as usize];
-            let excess = c.lambda - fl.lambda;
-            let excess_phi = c.phi - fl.phi;
-            if weighted {
-                let p = set.weight(indices[pos as usize]);
-                (excess * p, excess_phi * p)
-            } else {
-                (excess, excess_phi)
-            }
-        };
-        self.order.sort_by(|&a, &b| {
-            let (la, pa) = key(a);
-            let (lb, pb) = key(b);
-            lb.total_cmp(&la).then(pb.total_cmp(&pa)).then(a.cmp(&b))
-        });
+    fn cache_begin(&self, cache: &mut ScenarioCache, w: &WeightSetting) {
+        Evaluator::cache_begin(self, cache, w);
     }
-}
 
-/// Full compound sweep (init, diversification restarts, cache rebuilds,
-/// and the cutoff-off path): bit-for-bit [`parallel::sum_set_costs`].
-/// With the cutoff enabled it runs serially through
-/// [`Evaluator::cost_capture`], rebuilding the delta-state scenario cache
-/// on `w` and refreshing the per-position costs and evaluation order as
-/// it goes (the index-order weighted fold is exactly the seed's
-/// float-add sequence).
-fn full_sweep<S: ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    set: &S,
-    indices: &[usize],
-    params: &Params,
-    w: &WeightSetting,
-    stats: &mut SearchStats,
-    st: &mut SweepState,
-) -> LexCost {
-    stats.evaluations += indices.len();
-    if params.cutoff {
-        rebuild_cache(ev, set, indices, w, params.threads, st);
-        let resident = st.cache.resident_scenarios();
-        stats.cache_resident_scenarios = stats.cache_resident_scenarios.max(resident);
-        stats.cache_fallback_evals += indices.len() - resident;
-        let weighted = set.weighted();
-        let mut acc = LexCost::ZERO;
-        for (pos, &i) in indices.iter().enumerate() {
-            let c = &st.scratch.costs[pos];
-            acc = if weighted {
-                let p = set.weight(i);
-                acc.add(&LexCost::new(c.lambda * p, c.phi * p))
-            } else {
-                acc.add(c)
-            };
+    fn cache_rebuild_begin(
+        &self,
+        ws: &mut EvalWorkspace,
+        cache: &mut ScenarioCache,
+        w: &WeightSetting,
+        positions: usize,
+    ) {
+        Evaluator::cache_rebuild_begin(self, ws, cache, w, positions)
+    }
+
+    fn cost_capture_into(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &WeightSetting,
+        scenario: Scenario,
+        base: &[Vec<DestRouting>; 2],
+        entry: &mut ScenarioEntry,
+    ) -> LexCost {
+        Evaluator::cost_capture_into(self, ws, w, scenario, base, entry)
+    }
+
+    fn cache_refresh_begin(
+        &self,
+        ws: &mut EvalWorkspace,
+        cache: &mut ScenarioCache,
+        w: &WeightSetting,
+    ) {
+        Evaluator::cache_refresh_begin(self, ws, cache, w)
+    }
+
+    fn cache_refresh_entry(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &WeightSetting,
+        ctx: &RefreshCtx<'_>,
+        scenario: Scenario,
+        entry: &mut ScenarioEntry,
+    ) {
+        Evaluator::cache_refresh_entry(self, ws, w, ctx, scenario, entry)
+    }
+
+    fn cache_refresh_finish(&self, cache: &mut ScenarioCache, w: &WeightSetting) {
+        Evaluator::cache_refresh_finish(self, cache, w)
+    }
+
+    fn draw_move(&self, wmax: u32, rng: &mut StdRng) -> (u32, u32) {
+        random_weight_pair(wmax, rng)
+    }
+
+    fn read_move(&self, w: &WeightSetting, rep: LinkId) -> (u32, u32) {
+        duplex_weights(w, rep)
+    }
+
+    fn apply_move(&self, w: &mut WeightSetting, rep: LinkId, &(wd, wt): &(u32, u32)) {
+        set_duplex_weights(w, Evaluator::net(self), rep, wd, wt)
+    }
+
+    fn feasible(&self, normal: &LexCost, benchmark: &LexCost, chi: &f64) -> bool {
+        feasible(normal, benchmark.lambda, benchmark.phi, *chi)
+    }
+
+    fn put_gate(chi: &f64, enc: &mut Encoder) {
+        enc.put_f64(*chi);
+    }
+
+    fn check_gate(chi: &f64, rd: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        if rd.take_f64()?.to_bits() != chi.to_bits() {
+            return Err(SnapshotError::Mismatch("chi differs"));
         }
-        st.refresh(set, indices);
-        acc
-    } else {
-        parallel::sum_set_costs(ev, w, set, indices, params.threads)
+        Ok(())
     }
 }
 
-/// Capture sweep over `w`: rebuilds the delta-state scenario cache (the
-/// incumbent baseline plus every scenario's resident folded state) and
-/// refreshes the per-position cost scratch, sharding across `threads`
-/// workers (cache entries and cost slots are position-disjoint, so each
-/// worker owns a contiguous chunk of both; the captured baseline is
-/// shared read-only).
-///
-/// Budget-bounded caches first capture position 0 serially as a
-/// calibration probe, plan the resident prefix from its measured
-/// footprint ([`dtr_cost::ScenarioCache::plan_residency`]), then capture
-/// only positions inside that prefix; the non-resident tail is evaluated
-/// on the plain repair-seeded path, which returns the same bits (pinned
-/// by `tests/scenario_engine_equivalence.rs`). A budget below one entry
-/// keeps the calibration probe allocated but marks nothing resident —
-/// at most one entry of slack over the configured budget.
-fn rebuild_cache<S: ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    set: &S,
-    indices: &[usize],
-    w: &WeightSetting,
-    threads: usize,
-    st: &mut SweepState,
-) {
-    let mut ws = ev.acquire_workspace();
-    ev.cache_rebuild_begin(&mut ws, &mut st.cache, w, indices.len());
-    st.scratch.costs.clear();
-    st.scratch.costs.resize(indices.len(), LexCost::ZERO);
-    let mut captured = 0usize;
-    if st.cache.budget_bytes() != usize::MAX && !indices.is_empty() {
-        let (base, entries) = st.cache.capture_split();
-        st.scratch.costs[0] =
-            ev.cost_capture_into(&mut ws, w, set.scenario(indices[0]), base, &mut entries[0]);
-        captured = 1;
-    }
-    st.cache.plan_residency(indices.len());
-    // Positions still to capture sit in `captured..cap_hi`; everything
-    // past the resident prefix takes the plain path into the same cost
-    // slots (position 0 is already exact even when non-resident — the
-    // capture eval and the plain eval are bit-identical).
-    let cap_hi = st.cache.resident_scenarios().max(captured);
-    let full = st.cache.full_resident_scenarios();
-    let workers = threads.min(indices.len().max(1));
-    if workers <= 1 {
-        let (base, entries) = st.cache.capture_split();
-        for pos in captured..cap_hi {
-            st.scratch.costs[pos] = ev.cost_capture_into(
-                &mut ws,
-                w,
-                set.scenario(indices[pos]),
-                base,
-                &mut entries[pos],
-            );
+impl From<&Params> for RobustKnobs {
+    fn from(p: &Params) -> Self {
+        RobustKnobs {
+            seed: p.seed,
+            wmax: p.wmax,
+            c: p.c,
+            p2: p.p2,
+            div_interval_2: p.div_interval_2,
+            archive_size: p.archive_size,
+            max_iterations: p.max_iterations,
+            threads: p.threads,
+            speculation: p.speculation,
+            eager_min_batch: p.eager_min_batch,
+            cutoff: p.cutoff,
+            phi_floors: p.phi_floors,
+            record_trace: p.record_trace,
+            cache_budget_bytes: p.cache_budget_bytes,
+            portfolio: p.portfolio,
+            deadline_ms: p.deadline_ms,
+            checkpoint_every: p.checkpoint_every,
         }
-        // Partial-tier positions capture fully (the capture eval *is*
-        // the exact cost) and immediately demote to the planned
-        // routings + loads footprint.
-        for entry in &mut entries[full..cap_hi] {
-            entry.demote();
-        }
-        for (c, &i) in st.scratch.costs[cap_hi..]
-            .iter_mut()
-            .zip(&indices[cap_hi..])
-        {
-            *c = ev.cost_with(&mut ws, w, set.scenario(i));
-        }
-        ev.release_workspace(ws);
-        return;
-    }
-    ev.release_workspace(ws);
-    {
-        let (base, entries) = st.cache.capture_split();
-        let idx = &indices[captured..cap_hi];
-        let ents = &mut entries[captured..cap_hi];
-        let csts = &mut st.scratch.costs[captured..cap_hi];
-        if !idx.is_empty() {
-            let chunk = idx.len().div_ceil(workers);
-            let parts: Vec<_> = idx
-                .chunks(chunk)
-                .zip(ents.chunks_mut(chunk))
-                .zip(csts.chunks_mut(chunk))
-                .collect();
-            parallel::scoped_fanout(parts, |((idx, ents), cst)| {
-                let mut ws = ev.acquire_workspace();
-                for ((&i, entry), c) in idx.iter().zip(ents).zip(cst) {
-                    *c = ev.cost_capture_into(&mut ws, w, set.scenario(i), base, entry);
-                }
-                ev.release_workspace(ws);
-            });
-        }
-        // See the serial branch: demote the partial-tier band.
-        for entry in &mut entries[full..cap_hi] {
-            entry.demote();
-        }
-    }
-    let tail = &indices[cap_hi..];
-    if !tail.is_empty() {
-        let csts = &mut st.scratch.costs[cap_hi..];
-        let chunk = tail.len().div_ceil(workers);
-        let parts: Vec<_> = tail.chunks(chunk).zip(csts.chunks_mut(chunk)).collect();
-        parallel::scoped_fanout(parts, |(idx, cst)| {
-            let mut ws = ev.acquire_workspace();
-            for (&i, c) in idx.iter().zip(cst) {
-                *c = ev.cost_with(&mut ws, w, set.scenario(i));
-            }
-            ev.release_workspace(ws);
-        });
-    }
-}
-
-/// Re-point the delta-state cache at the accepted incumbent `w`,
-/// sharding the per-entry refresh across `threads` workers: after the
-/// serial [`Evaluator::cache_refresh_begin`] baseline stage, resident
-/// entries are position-disjoint and the refresh context is shared
-/// read-only, so each worker owns a contiguous chunk and the spliced
-/// result is bit-identical to the serial
-/// [`Evaluator::cache_refresh`] at any thread count (the parallel-search
-/// contract in `DETERMINISM.md`; pinned by `tests/search_equivalence.rs`).
-fn refresh_cache<S: ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    set: &S,
-    indices: &[usize],
-    w: &WeightSetting,
-    threads: usize,
-    cache: &mut dtr_cost::ScenarioCache,
-) {
-    let resident = cache.resident_scenarios();
-    let workers = threads.min(resident.max(1));
-    let mut ws = ev.acquire_workspace();
-    ev.cache_refresh_begin(&mut ws, cache, w);
-    if workers <= 1 {
-        let (ctx, entries) = cache.refresh_split();
-        for (pos, entry) in entries.iter_mut().enumerate().take(resident) {
-            ev.cache_refresh_entry(&mut ws, w, &ctx, set.scenario(indices[pos]), entry);
-        }
-        ev.release_workspace(ws);
-    } else {
-        ev.release_workspace(ws);
-        let (ctx, entries) = cache.refresh_split();
-        let chunk = resident.div_ceil(workers);
-        let parts: Vec<_> = indices[..resident]
-            .chunks(chunk)
-            .zip(entries[..resident].chunks_mut(chunk))
-            .collect();
-        parallel::scoped_fanout(parts, |(idx, ents)| {
-            let mut ws = ev.acquire_workspace();
-            for (&i, entry) in idx.iter().zip(ents) {
-                ev.cache_refresh_entry(&mut ws, w, &ctx, set.scenario(i), entry);
-            }
-            ev.release_workspace(ws);
-        });
-    }
-    ev.cache_refresh_finish(cache, w);
-}
-
-/// The candidate cost the speculative fan-out hands back: the
-/// normal-conditions cost plus the eager failure-sweep seed prefix
-/// (empty for gate-failing candidates and for serial or cutoff-off
-/// runs — see `sum_set_costs_bounded`'s seed contract).
-type SpecCost = (LexCost, Vec<(u32, LexCost)>);
-
-/// One replica's persistent search state: everything the classic
-/// single-chain Phase-2 loop keeps across sweeps, owned per replica so
-/// portfolio chains can run concurrently between rendezvous (the
-/// parallel-search contract in `DETERMINISM.md`). `params` is the
-/// replica-local copy — derived master seed, `1/replicas` share of the
-/// worker threads; every other knob matches the run's. With
-/// `replicas == 1` the chain *is* the classic search, bit for bit.
-struct Chain {
-    params: Params,
-    rng: StdRng,
-    stats: SearchStats,
-    constraint_rejections: usize,
-    trace: Vec<MoveOutcome>,
-    st: SweepState,
-    current: WeightSetting,
-    current_kfail: LexCost,
-    best: WeightSetting,
-    best_kfail: LexCost,
-    best_normal: LexCost,
-    stop: StopRule,
-    reps: Vec<LinkId>,
-    stale_sweeps: usize,
-    spec: SpecBuffers<WeightSetting, (u32, u32), SpecCost>,
-    seed_prefix: Vec<u32>,
-    /// Replica-local archive (a clone of Phase 1's): diversification
-    /// restarts sample from it, and rendezvous merges offer the other
-    /// replicas' elites into it in replica-index order.
-    archive: Archive,
-    done: bool,
-}
-
-impl Chain {
-    /// Start a chain from the best archived setting — the classic
-    /// Phase-2 prologue (initial full sweep included).
-    fn new<S: ScenarioSet + Sync + ?Sized>(
-        ev: &Evaluator<'_>,
-        set: &S,
-        indices: &[usize],
-        params: Params,
-        phase1: &Phase1Output,
-    ) -> Self {
-        let rng = StdRng::seed_from_u64(params.seed ^ 0x2545_f491_4f6c_dd1d);
-        let mut stats = SearchStats::default();
-        let mut st = SweepState::new(ev, set, indices, &params);
-        let archive = phase1.archive.clone();
-        let (current, start_normal) = archive
-            .best()
-            .cloned()
-            .expect("phase 1 archives at least its best setting");
-        let current_kfail = full_sweep(ev, set, indices, &params, &current, &mut stats, &mut st);
-        Chain {
-            rng,
-            stats,
-            constraint_rejections: 0,
-            trace: Vec::new(),
-            st,
-            best: current.clone(),
-            best_kfail: current_kfail,
-            best_normal: start_normal,
-            current,
-            current_kfail,
-            stop: StopRule::new(params.p2, params.c),
-            reps: ev.net().duplex_representatives(),
-            stale_sweeps: 0,
-            spec: SpecBuffers::new(),
-            seed_prefix: Vec::new(),
-            archive,
-            done: false,
-            params,
-        }
-    }
-
-    /// Finish a single-chain run (no portfolio): the classic output.
-    fn into_output(self, terminated: Terminated) -> Phase2Output {
-        Phase2Output {
-            best: self.best,
-            best_kfail: self.best_kfail,
-            best_normal: self.best_normal,
-            constraint_rejections: self.constraint_rejections,
-            trace: self.trace,
-            replica_traces: Vec::new(),
-            stats: self.stats,
-            terminated,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Snapshot codec ("The checkpoint contract", DETERMINISM.md).
-//
-// A snapshot captures every bit of chain state the trajectory depends
-// on: the RNG stream position, current/best settings and costs, the
-// stop-rule trailing history, the shuffled representative order, the
-// replica-local archive, stats and trace. The delta-state scenario
-// cache is NOT serialized: its entries are a pure function of the
-// current incumbent, so restore rebuilds them with a capture sweep
-// that is bit-identical to the refreshed cache it replaces (pinned by
-// the cache equivalence suites); the per-position cost scratch and the
-// evaluation order fall out of the same sweep, and the floors are
-// weight-independent and recomputed.
-
-const SEC_CONFIG: u32 = 0x10;
-const SEC_CHAIN: u32 = 0x20;
-
-fn put_lex(enc: &mut dtr_persist::Encoder, c: &LexCost) {
-    enc.put_f64(c.lambda);
-    enc.put_f64(c.phi);
-}
-
-fn take_lex(rd: &mut dtr_persist::Decoder<'_>) -> Result<LexCost, SnapshotError> {
-    Ok(LexCost::new(rd.take_f64()?, rd.take_f64()?))
-}
-
-fn put_weights(enc: &mut dtr_persist::Encoder, w: &WeightSetting) {
-    enc.put_slice_u32(w.weights(Class::Delay));
-    enc.put_slice_u32(w.weights(Class::Throughput));
-}
-
-fn take_weights(
-    rd: &mut dtr_persist::Decoder<'_>,
-    wmax: u32,
-    num_links: usize,
-) -> Result<WeightSetting, SnapshotError> {
-    let delay = rd.take_vec_u32()?;
-    let throughput = rd.take_vec_u32()?;
-    if delay.len() != num_links || throughput.len() != num_links {
-        return Err(SnapshotError::Corrupt("weight vector length differs"));
-    }
-    if delay.iter().chain(&throughput).any(|&w| w < 1 || w > wmax) {
-        return Err(SnapshotError::Corrupt("weight outside [1, wmax]"));
-    }
-    Ok(WeightSetting::from_vecs(delay, throughput, wmax))
-}
-
-fn put_stats(enc: &mut dtr_persist::Encoder, s: &SearchStats) {
-    enc.put_usize(s.iterations);
-    enc.put_usize(s.evaluations);
-    enc.put_usize(s.diversifications);
-    enc.put_usize(s.scenario_evals_skipped);
-    enc.put_usize(s.skipped_floor);
-    enc.put_usize(s.skipped_cache);
-    enc.put_usize(s.skipped_cutoff);
-    enc.put_usize(s.speculative_wasted);
-    enc.put_usize(s.cache_rebuild_evals);
-    enc.put_usize(s.cache_resident_scenarios);
-    enc.put_usize(s.cache_fallback_evals);
-}
-
-fn take_stats(rd: &mut dtr_persist::Decoder<'_>) -> Result<SearchStats, SnapshotError> {
-    Ok(SearchStats {
-        iterations: rd.take_usize()?,
-        evaluations: rd.take_usize()?,
-        diversifications: rd.take_usize()?,
-        scenario_evals_skipped: rd.take_usize()?,
-        skipped_floor: rd.take_usize()?,
-        skipped_cache: rd.take_usize()?,
-        skipped_cutoff: rd.take_usize()?,
-        speculative_wasted: rd.take_usize()?,
-        cache_rebuild_evals: rd.take_usize()?,
-        cache_resident_scenarios: rd.take_usize()?,
-        cache_fallback_evals: rd.take_usize()?,
-    })
-}
-
-/// Serialize one chain into an open snapshot. Steady-state
-/// allocation-free: every write appends into the encoder's reusable
-/// buffer, which stops growing once it has seen the largest snapshot
-/// (registered in `crates/analysis/hot_paths.toml`, proven by
-/// `tests/alloc_free.rs`).
-fn encode_chain(enc: &mut dtr_persist::Encoder, ch: &Chain) {
-    enc.begin_section(SEC_CHAIN);
-    for word in ch.rng.state() {
-        enc.put_u64(word);
-    }
-    put_stats(enc, &ch.stats);
-    enc.put_usize(ch.constraint_rejections);
-    enc.put_usize(ch.trace.len());
-    for m in &ch.trace {
-        enc.put_u8(match m {
-            MoveOutcome::ConstraintReject => 0,
-            MoveOutcome::Reject => 1,
-            MoveOutcome::Accept => 2,
-        });
-    }
-    put_weights(enc, &ch.current);
-    put_lex(enc, &ch.current_kfail);
-    put_weights(enc, &ch.best);
-    put_lex(enc, &ch.best_kfail);
-    put_lex(enc, &ch.best_normal);
-    enc.put_usize(ch.stop.history().len());
-    for c in ch.stop.history() {
-        put_lex(enc, c);
-    }
-    enc.put_usize(ch.reps.len());
-    for r in &ch.reps {
-        enc.put_u32(r.index() as u32);
-    }
-    enc.put_usize(ch.stale_sweeps);
-    enc.put_usize(ch.archive.len());
-    for (w, normal) in ch.archive.entries() {
-        put_weights(enc, w);
-        put_lex(enc, normal);
-    }
-    enc.put_bool(ch.done);
-    enc.end_section();
-}
-
-/// Rebuild one chain from an open snapshot. `params` is the
-/// replica-local parameter block (derived seed, thread share) the
-/// resumed run would hand a fresh chain. Decoding allocates freely —
-/// restore runs once, outside every sweep kernel.
-fn decode_chain<S: ScenarioSet + Sync + ?Sized>(
-    rd: &mut dtr_persist::Decoder<'_>,
-    ev: &Evaluator<'_>,
-    set: &S,
-    indices: &[usize],
-    params: Params,
-) -> Result<Chain, SnapshotError> {
-    rd.section(SEC_CHAIN)?;
-    let mut state = [0u64; 4];
-    for word in &mut state {
-        *word = rd.take_u64()?;
-    }
-    let rng = StdRng::from_state(state);
-    let mut stats = take_stats(rd)?;
-    let constraint_rejections = rd.take_usize()?;
-    let trace_len = rd.take_len(1)?;
-    let mut trace = Vec::with_capacity(trace_len);
-    for _ in 0..trace_len {
-        trace.push(match rd.take_u8()? {
-            0 => MoveOutcome::ConstraintReject,
-            1 => MoveOutcome::Reject,
-            2 => MoveOutcome::Accept,
-            _ => return Err(SnapshotError::Corrupt("move outcome out of range")),
-        });
-    }
-    let num_links = ev.net().num_links();
-    let current = take_weights(rd, params.wmax, num_links)?;
-    let current_kfail = take_lex(rd)?;
-    let best = take_weights(rd, params.wmax, num_links)?;
-    let best_kfail = take_lex(rd)?;
-    let best_normal = take_lex(rd)?;
-    let hist_len = rd.take_len(16)?;
-    let mut history = Vec::with_capacity(hist_len);
-    for _ in 0..hist_len {
-        history.push(take_lex(rd)?);
-    }
-    let mut stop = StopRule::new(params.p2, params.c);
-    stop.restore_history(history);
-    let reps_len = rd.take_len(4)?;
-    let mut reps = Vec::with_capacity(reps_len);
-    for _ in 0..reps_len {
-        let x = rd.take_u32()? as usize;
-        if x >= num_links {
-            return Err(SnapshotError::Corrupt("representative link out of range"));
-        }
-        reps.push(LinkId::new(x));
-    }
-    let stale_sweeps = rd.take_usize()?;
-    let arch_len = rd.take_len(16)?;
-    let mut archive = Archive::new(params.archive_size);
-    for _ in 0..arch_len {
-        let w = take_weights(rd, params.wmax, num_links)?;
-        let normal = take_lex(rd)?;
-        // Entries were stored best-first, so re-offering in order
-        // reproduces the archive exactly (each entry appends; the
-        // fingerprints are recomputed).
-        archive.offer(&w, normal);
-    }
-    let done = rd.take_bool()?;
-
-    // Rebuild the evaluation-order state. The delta-state cache is a
-    // pure function of the restored incumbent: a capture sweep over
-    // `current` reproduces, bit for bit, the entries and per-position
-    // costs the refreshed cache held at the checkpoint, and the floors
-    // are weight-independent. The physical re-evaluations are
-    // attributed to `cache_rebuild_evals`, never to the logical
-    // `evaluations`.
-    let mut st = SweepState::new(ev, set, indices, &params);
-    if params.cutoff && !indices.is_empty() {
-        rebuild_cache(ev, set, indices, &current, params.threads, &mut st);
-        stats.cache_rebuild_evals += indices.len();
-        stats.cache_resident_scenarios = stats
-            .cache_resident_scenarios
-            .max(st.cache.resident_scenarios());
-        st.refresh(set, indices);
-    }
-    Ok(Chain {
-        params,
-        rng,
-        stats,
-        constraint_rejections,
-        trace,
-        st,
-        current,
-        current_kfail,
-        best,
-        best_kfail,
-        best_normal,
-        stop,
-        reps,
-        stale_sweeps,
-        spec: SpecBuffers::new(),
-        seed_prefix: Vec::new(),
-        archive,
-        done,
-    })
-}
-
-/// Write the whole run state (config fingerprint + every chain) into
-/// `enc`, leaving it ready for `finish()`. Steady-state
-/// allocation-free like [`encode_chain`].
-#[allow(clippy::too_many_arguments)]
-fn encode_snapshot(
-    enc: &mut dtr_persist::Encoder,
-    params: &Params,
-    indices_len: usize,
-    num_links: usize,
-    lambda_star: f64,
-    phi_star: f64,
-    boundary: u64,
-    chains: &[Chain],
-) {
-    enc.begin(dtr_persist::KIND_DTR_PHASE2);
-    enc.begin_section(SEC_CONFIG);
-    enc.put_u64(params.seed);
-    enc.put_usize(params.portfolio.replicas);
-    enc.put_usize(params.portfolio.rendezvous_period);
-    enc.put_usize(indices_len);
-    enc.put_usize(num_links);
-    enc.put_u32(params.wmax);
-    enc.put_f64(params.chi);
-    enc.put_usize(params.p2);
-    enc.put_f64(params.c);
-    enc.put_usize(params.div_interval_2);
-    enc.put_usize(params.max_iterations);
-    enc.put_usize(params.archive_size);
-    enc.put_f64(lambda_star);
-    enc.put_f64(phi_star);
-    enc.put_u64(boundary);
-    enc.put_usize(chains.len());
-    enc.end_section();
-    for ch in chains {
-        encode_chain(enc, ch);
-    }
-}
-
-/// Config fingerprint + Phase-1 benchmarks recovered from a snapshot.
-struct SnapshotHeader {
-    lambda_star: f64,
-    phi_star: f64,
-    boundary: u64,
-}
-
-/// Check the stored config fingerprint against the resuming run.
-/// Only trajectory-determining knobs are fingerprinted: `threads`,
-/// `speculation`, `cutoff`, the cache budget and the eager batch size
-/// may all legally differ between the saving and the resuming process —
-/// the determinism contract makes the continued trajectory identical
-/// regardless.
-fn decode_config(
-    rd: &mut dtr_persist::Decoder<'_>,
-    params: &Params,
-    indices_len: usize,
-    num_links: usize,
-) -> Result<SnapshotHeader, SnapshotError> {
-    rd.section(SEC_CONFIG)?;
-    if rd.take_u64()? != params.seed {
-        return Err(SnapshotError::Mismatch("seed differs"));
-    }
-    if rd.take_usize()? != params.portfolio.replicas {
-        return Err(SnapshotError::Mismatch("replica count differs"));
-    }
-    if rd.take_usize()? != params.portfolio.rendezvous_period {
-        return Err(SnapshotError::Mismatch("rendezvous period differs"));
-    }
-    if rd.take_usize()? != indices_len {
-        return Err(SnapshotError::Mismatch("critical-set size differs"));
-    }
-    if rd.take_usize()? != num_links {
-        return Err(SnapshotError::Mismatch("link count differs"));
-    }
-    if rd.take_u32()? != params.wmax {
-        return Err(SnapshotError::Mismatch("wmax differs"));
-    }
-    if rd.take_f64()?.to_bits() != params.chi.to_bits() {
-        return Err(SnapshotError::Mismatch("chi differs"));
-    }
-    if rd.take_usize()? != params.p2 {
-        return Err(SnapshotError::Mismatch("stop window differs"));
-    }
-    if rd.take_f64()?.to_bits() != params.c.to_bits() {
-        return Err(SnapshotError::Mismatch("stop threshold differs"));
-    }
-    if rd.take_usize()? != params.div_interval_2 {
-        return Err(SnapshotError::Mismatch("diversification interval differs"));
-    }
-    if rd.take_usize()? != params.max_iterations {
-        return Err(SnapshotError::Mismatch("iteration cap differs"));
-    }
-    if rd.take_usize()? != params.archive_size {
-        return Err(SnapshotError::Mismatch("archive size differs"));
-    }
-    let lambda_star = rd.take_f64()?;
-    let phi_star = rd.take_f64()?;
-    let boundary = rd.take_u64()?;
-    if rd.take_usize()? != params.portfolio.replicas {
-        return Err(SnapshotError::Corrupt("chain count differs from replicas"));
-    }
-    Ok(SnapshotHeader {
-        lambda_star,
-        phi_star,
-        boundary,
-    })
-}
-
-/// External control of a robust search run: an optional checkpoint
-/// sink fed every [`Params::checkpoint_every`] boundaries, and a
-/// deterministic kill-point for the fault-injection harness.
-///
-/// A *boundary* is one chain sweep for a single-chain run and one
-/// rendezvous (fan-out + elite merge) for a portfolio run — the only
-/// points where all chain state is consistent, hence the only points
-/// where snapshots are taken and termination is decided.
-pub struct RunControl<'a> {
-    /// Where checkpoints go. `None` disables checkpointing even when
-    /// `Params::checkpoint_every` is set.
-    pub sink: Option<&'a mut dyn CheckpointSink>,
-    /// Deterministic kill-point: stop (as if the deadline fired) once
-    /// this many boundaries have completed, counted across restores —
-    /// so a resumed run's kill indices stay globally aligned with an
-    /// uninterrupted run's.
-    pub kill_after: Option<u64>,
-}
-
-impl<'a> RunControl<'a> {
-    /// No checkpointing, no kill-point: plain [`run`] behaviour.
-    pub fn none() -> Self {
-        RunControl {
-            sink: None,
-            kill_after: None,
-        }
-    }
-
-    /// Checkpoint into `sink` every `Params::checkpoint_every`
-    /// boundaries.
-    pub fn with_sink(sink: &'a mut dyn CheckpointSink) -> Self {
-        RunControl {
-            sink: Some(sink),
-            kill_after: None,
-        }
-    }
-}
-
-/// Boundary bookkeeping shared by both drivers: checkpoint when the
-/// cadence is due, then decide whether the run ends here (injected
-/// kill-point or wall-clock deadline). The decision only reads *whether*
-/// to stop — never which move to accept — so every prefix of the
-/// trajectory matches an uncontrolled run's bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn at_boundary(
-    enc: &mut dtr_persist::Encoder,
-    params: &Params,
-    indices_len: usize,
-    num_links: usize,
-    lambda_star: f64,
-    phi_star: f64,
-    boundary: u64,
-    chains: &[Chain],
-    deadline: Option<Instant>,
-    ctl: &mut RunControl<'_>,
-) -> Result<Option<Terminated>, SnapshotError> {
-    if params.checkpoint_every != 0 && boundary.is_multiple_of(params.checkpoint_every as u64) {
-        if let Some(sink) = ctl.sink.as_mut() {
-            encode_snapshot(
-                enc,
-                params,
-                indices_len,
-                num_links,
-                lambda_star,
-                phi_star,
-                boundary,
-                chains,
-            );
-            sink.store(enc.finish())?;
-        }
-    }
-    if ctl.kill_after.is_some_and(|k| boundary >= k) {
-        return Ok(Some(Terminated::Deadline));
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Ok(Some(Terminated::Deadline));
-    }
-    Ok(None)
-}
-
-/// Boundary-driven driver behind [`run`], [`run_controlled`] and
-/// [`resume`]: sweeps chains between boundaries, checkpoints and
-/// decides termination only at boundaries, and assembles the output.
-#[allow(clippy::too_many_arguments)]
-fn drive<S: ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    set: &S,
-    indices: &[usize],
-    params: &Params,
-    lambda_star: f64,
-    phi_star: f64,
-    mut chains: Vec<Chain>,
-    start_boundary: u64,
-    restored: bool,
-    ctl: &mut RunControl<'_>,
-) -> Result<Phase2Output, SnapshotError> {
-    let deadline = params
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut enc = dtr_persist::Encoder::new();
-    let num_links = ev.net().num_links();
-    let mut boundary = start_boundary;
-    let mut terminated = if restored && chains.iter().all(|c| c.done) {
-        Terminated::Restored
-    } else {
-        Terminated::Converged
-    };
-
-    if params.portfolio.replicas == 1 {
-        let mut ch = chains.pop().expect("exactly one chain");
-        if !indices.is_empty() {
-            while !ch.done {
-                chain_sweep(ev, set, indices, lambda_star, phi_star, &mut ch);
-                boundary += 1;
-                if let Some(t) = at_boundary(
-                    &mut enc,
-                    params,
-                    indices.len(),
-                    num_links,
-                    lambda_star,
-                    phi_star,
-                    boundary,
-                    std::slice::from_ref(&ch),
-                    deadline,
-                    ctl,
-                )? {
-                    terminated = t;
-                    break;
-                }
-            }
-        }
-        return Ok(ch.into_output(terminated));
-    }
-
-    // Portfolio search (parallel-search contract, `DETERMINISM.md`):
-    // independent chains from distinct derived seeds, each granted an
-    // equal share of the worker threads, exchanging archive elites at
-    // fixed rendezvous points. Every cross-replica step — elite
-    // collection, archive offers, the final winner pick and stat
-    // merge — happens in replica index order on the coordinating
-    // thread, so the output depends only on
-    // `(seed, replicas, rendezvous_period)`, never on thread count.
-    if !indices.is_empty() {
-        let mut elites: Vec<(WeightSetting, LexCost)> = Vec::new();
-        while chains.iter().any(|c| !c.done) {
-            parallel::scoped_fanout(
-                chains.iter_mut().filter(|c| !c.done).collect(),
-                |ch: &mut Chain| {
-                    for _ in 0..params.portfolio.rendezvous_period {
-                        chain_sweep(ev, set, indices, lambda_star, phi_star, ch);
-                        if ch.done {
-                            break;
-                        }
-                    }
-                },
-            );
-            // Rendezvous: collect every replica's elite in index order,
-            // then offer the batch into every archive in that same
-            // order. `Archive::offer` dedups by fingerprint, so repeat
-            // offers across rendezvous are no-ops and the merge is
-            // idempotent.
-            elites.clear();
-            elites.extend(chains.iter().map(|c| (c.best.clone(), c.best_normal)));
-            for ch in chains.iter_mut() {
-                for (w, normal) in &elites {
-                    ch.archive.offer(w, *normal);
-                }
-            }
-            boundary += 1;
-            if let Some(t) = at_boundary(
-                &mut enc,
-                params,
-                indices.len(),
-                num_links,
-                lambda_star,
-                phi_star,
-                boundary,
-                &chains,
-                deadline,
-                ctl,
-            )? {
-                terminated = t;
-                break;
-            }
-        }
-    }
-
-    // Winner: best k-failure cost, lowest replica index on ties.
-    let mut win = 0usize;
-    for r in 1..chains.len() {
-        if chains[r].best_kfail.better_than(&chains[win].best_kfail) {
-            win = r;
-        }
-    }
-    let mut stats = SearchStats::default();
-    let mut constraint_rejections = 0usize;
-    for c in &chains {
-        stats.merge(&c.stats);
-        constraint_rejections += c.constraint_rejections;
-    }
-    let mut replica_traces: Vec<Vec<MoveOutcome>> = Vec::new();
-    if params.record_trace {
-        replica_traces.extend(chains.iter_mut().map(|c| std::mem::take(&mut c.trace)));
-    }
-    let trace = replica_traces.get(win).cloned().unwrap_or_default();
-    let winner = chains.swap_remove(win);
-    Ok(Phase2Output {
-        best: winner.best,
-        best_kfail: winner.best_kfail,
-        best_normal: winner.best_normal,
-        constraint_rejections,
-        trace,
-        replica_traces,
-        stats,
-        terminated,
-    })
-}
-
-/// One sweep of one chain — the classic Phase-2 loop body (speculative
-/// batched moves, Eq. 5–6 gate, bounded failure sweeps, diversification
-/// and the stop rule). Sets `ch.done` when the chain's stop rule or the
-/// iteration backstop fires; a done chain is never swept again.
-fn chain_sweep<S: ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    set: &S,
-    indices: &[usize],
-    lambda_star: f64,
-    phi_star: f64,
-    ch: &mut Chain,
-) {
-    if ch.done {
-        return;
-    }
-    if ch.stats.iterations >= ch.params.max_iterations {
-        ch.done = true;
-        return;
-    }
-    let params = ch.params;
-    let net = ev.net();
-    let Chain {
-        rng,
-        stats,
-        constraint_rejections,
-        trace,
-        st,
-        current,
-        current_kfail,
-        best,
-        best_kfail,
-        best_normal,
-        stop,
-        reps,
-        stale_sweeps,
-        spec,
-        seed_prefix,
-        archive,
-        done,
-        ..
-    } = ch;
-
-    stats.iterations += 1;
-    reps.shuffle(rng);
-    let mut improved = false;
-    let mut wasted = 0usize;
-
-    // Eager failure-sweep prefix (parallel-search contract,
-    // `DETERMINISM.md`): alongside each gate-passing candidate's
-    // normal-conditions cost, the speculative fan-out pre-computes
-    // the first few scenarios of the bounded sweep's priority order
-    // on the worker threads. The seeds substitute bit-identical
-    // values in `sum_set_costs_bounded`, so a stale snapshot (the
-    // order re-sorts after an accept) wastes at most the seed work,
-    // never changes bits.
-    seed_prefix.clear();
-    if params.threads > 1 && params.cutoff {
-        let l = params.threads.min(st.order.len());
-        seed_prefix.extend_from_slice(&st.order[..l]);
-    }
-    let seed_prefix: &[u32] = seed_prefix;
-
-    speculative_sweep(
-        reps,
-        rng,
-        params.speculation,
-        params.threads,
-        params.eager_min_batch,
-        current,
-        spec,
-        &mut wasted,
-        |rng| random_weight_pair(params.wmax, rng),
-        duplex_weights,
-        |w: &mut WeightSetting, rep, &(wd, wt): &(u32, u32)| {
-            set_duplex_weights(w, net, rep, wd, wt)
-        },
-        |w| {
-            let normal = ev.cost(w, Scenario::Normal);
-            let mut seeds: Vec<(u32, LexCost)> = Vec::new();
-            if !seed_prefix.is_empty() && feasible(&normal, lambda_star, phi_star, params.chi) {
-                let mut ws = ev.acquire_workspace();
-                seeds.extend(seed_prefix.iter().map(|&p| {
-                    (
-                        p,
-                        ev.cost_with(&mut ws, w, set.scenario(indices[p as usize])),
-                    )
-                }));
-                ev.release_workspace(ws);
-            }
-            (normal, seeds)
-        },
-        |cand_w, _rep, cost: &SpecCost| {
-            let (normal, seeds) = cost;
-            stats.evaluations += 1;
-            if !feasible(normal, lambda_star, phi_star, params.chi) {
-                *constraint_rejections += 1;
-                if params.record_trace {
-                    trace.push(MoveOutcome::ConstraintReject);
-                }
-                return Decision::Reject;
-            }
-            stats.evaluations += indices.len();
-            let outcome = if params.cutoff {
-                ev.cache_begin(&mut st.cache, cand_w);
-                parallel::sum_set_costs_bounded(
-                    ev,
-                    cand_w,
-                    set,
-                    indices,
-                    params.threads,
-                    current_kfail,
-                    &st.order,
-                    seeds,
-                    Some(&st.floors),
-                    Some(&st.cache),
-                    &mut st.scratch,
-                )
-            } else {
-                SetSweep::Complete(parallel::sum_set_costs(
-                    ev,
-                    cand_w,
-                    set,
-                    indices,
-                    params.threads,
-                ))
-            };
-            if params.cutoff {
-                // Attribute plain-path (non-resident) evaluations of
-                // this bounded sweep. The canonical evaluation set is
-                // the `evaluated`-long prefix of the deterministic
-                // order, so the counter is thread-invariant.
-                let resident = st.cache.resident_scenarios();
-                stats.cache_fallback_evals += match &outcome {
-                    SetSweep::Complete(_) => indices.len() - resident,
-                    SetSweep::Cut { evaluated, .. } => st.order[..*evaluated]
-                        .iter()
-                        .filter(|&&p| p as usize >= resident)
-                        .count(),
-                };
-            }
-            match outcome {
-                SetSweep::Complete(kfail) if kfail.better_than(current_kfail) => {
-                    *current_kfail = kfail;
-                    if params.cutoff {
-                        // Re-point the cache at the new incumbent so
-                        // the next candidate's diff is again a single
-                        // duplex move. The delta-state refresh keeps
-                        // affected-set coverage *exact*, so no
-                        // periodic full rebuild is needed.
-                        refresh_cache(ev, set, indices, cand_w, params.threads, &mut st.cache);
-                        st.refresh(set, indices);
-                    }
-                    improved = true;
-                    if kfail.better_than(best_kfail) {
-                        best.clone_from(cand_w);
-                        *best_kfail = kfail;
-                        *best_normal = *normal;
-                    }
-                    if params.record_trace {
-                        trace.push(MoveOutcome::Accept);
-                    }
-                    Decision::Accept
-                }
-                SetSweep::Complete(_) => {
-                    if params.record_trace {
-                        trace.push(MoveOutcome::Reject);
-                    }
-                    Decision::Reject
-                }
-                SetSweep::Cut {
-                    evaluated,
-                    floor_cut,
-                } => {
-                    let skips = indices.len() - evaluated;
-                    stats.scenario_evals_skipped += skips;
-                    if floor_cut {
-                        stats.skipped_floor += skips;
-                    } else {
-                        // Phase 2's bounded sweeps always run through
-                        // the delta-state cache when the cutoff is on.
-                        stats.skipped_cache += skips;
-                    }
-                    if params.record_trace {
-                        trace.push(MoveOutcome::Reject);
-                    }
-                    Decision::Reject
-                }
-            }
-        },
-    );
-    stats.speculative_wasted += wasted;
-
-    *stale_sweeps = if improved { 0 } else { *stale_sweeps + 1 };
-    if *stale_sweeps >= params.div_interval_2 {
-        stats.diversifications += 1;
-        *stale_sweeps = 0;
-        if stop.record(*best_kfail) {
-            *done = true;
-            return;
-        }
-        // Restart from a random archived setting. An archive entry may
-        // violate Eq. 5 slightly (accepted under the z·B1 slack); it
-        // still serves as a diversification point — only *accepted
-        // moves* must be feasible, and the best tracker only advances
-        // on feasible candidates.
-        let (w, _normal) = archive.sample(rng).cloned().expect("archive is non-empty");
-        *current = w;
-        *current_kfail = full_sweep(ev, set, indices, &params, current, stats, st);
     }
 }
 
@@ -1251,11 +259,11 @@ fn chain_sweep<S: ScenarioSet + Sync + ?Sized>(
 /// same path through [`SliceSet`] (see [`run_scenarios`]).
 ///
 /// All failure sweeps run through the set-native sharded kernels in
-/// [`parallel`]: no scenario vector is materialized per sweep, every
-/// worker reuses a pooled incremental workspace, and the weighted
+/// [`crate::parallel`]: no scenario vector is materialized per sweep,
+/// every worker reuses a pooled incremental workspace, and the weighted
 /// reduction folds in index order — so the trajectory is bit-for-bit
 /// identical for every `params.threads`, `params.speculation`, and
-/// `params.cutoff` (see the module docs).
+/// `params.cutoff` (see [`crate::robust`]).
 pub fn run<S: ScenarioSet + Sync + ?Sized>(
     ev: &Evaluator<'_>,
     set: &S,
@@ -1280,28 +288,14 @@ pub fn run_controlled<S: ScenarioSet + Sync + ?Sized>(
     ctl: &mut RunControl<'_>,
 ) -> Result<Phase2Output, SnapshotError> {
     params.validate();
-    if set.weighted() {
-        for &i in indices {
-            let p = set.weight(i);
-            assert!(
-                p >= 0.0 && p.is_finite(),
-                "scenario {i} has invalid weight {p}"
-            );
-        }
-    }
-    let lambda_star = phase1.best_cost.lambda;
-    let phi_star = phase1.best_cost.phi;
-    let chains = build_chains(ev, set, indices, params, phase1);
-    drive(
+    robust::run_controlled(
         ev,
         set,
         indices,
-        params,
-        lambda_star,
-        phi_star,
-        chains,
-        0,
-        false,
+        &params.into(),
+        &phase1.best_cost,
+        &params.chi,
+        &phase1.archive,
         ctl,
     )
 }
@@ -1326,83 +320,23 @@ pub fn resume<S: ScenarioSet + Sync + ?Sized>(
     ctl: &mut RunControl<'_>,
 ) -> Result<Phase2Output, SnapshotError> {
     params.validate();
-    let mut rd = dtr_persist::open(snapshot, dtr_persist::KIND_DTR_PHASE2)?;
-    let hdr = decode_config(&mut rd, params, indices.len(), ev.net().num_links())?;
-    let replicas = params.portfolio.replicas;
-    let mut chains = Vec::with_capacity(replicas);
-    if replicas == 1 {
-        chains.push(decode_chain(&mut rd, ev, set, indices, *params)?);
-    } else {
-        let inner = Params {
-            threads: (params.threads / replicas).max(1),
-            ..*params
-        };
-        for r in 0..replicas {
-            let p = Params {
-                seed: replica_seed(params.seed, r),
-                ..inner
-            };
-            chains.push(decode_chain(&mut rd, ev, set, indices, p)?);
-        }
-    }
-    rd.finish()?;
-    drive(
+    robust::resume(
         ev,
         set,
         indices,
-        params,
-        hdr.lambda_star,
-        hdr.phi_star,
-        chains,
-        hdr.boundary,
-        true,
+        &params.into(),
+        None,
+        &params.chi,
+        snapshot,
         ctl,
     )
-}
-
-/// Build the chain vector [`drive`] runs: one classic chain, or
-/// `replicas` portfolio chains from distinct derived seeds, each with
-/// an equal share of the worker threads (initial full sweeps fan out
-/// across replicas exactly as before).
-fn build_chains<S: ScenarioSet + Sync + ?Sized>(
-    ev: &Evaluator<'_>,
-    set: &S,
-    indices: &[usize],
-    params: &Params,
-    phase1: &Phase1Output,
-) -> Vec<Chain> {
-    let replicas = params.portfolio.replicas;
-    if replicas == 1 {
-        return vec![Chain::new(ev, set, indices, *params, phase1)];
-    }
-    let inner = Params {
-        threads: (params.threads / replicas).max(1),
-        ..*params
-    };
-    let mut slots: Vec<Option<Chain>> = Vec::new();
-    slots.resize_with(replicas, || None);
-    parallel::scoped_fanout(
-        slots.iter_mut().enumerate().collect(),
-        |(r, slot): (usize, &mut Option<Chain>)| {
-            let p = Params {
-                seed: replica_seed(params.seed, r),
-                ..inner
-            };
-            *slot = Some(Chain::new(ev, set, indices, p, phase1));
-        },
-    );
-    slots
-        .into_iter()
-        .map(|s| s.expect("every replica slot is initialised"))
-        .collect()
 }
 
 /// Run Phase 2 against an arbitrary scenario slice — e.g. all single node
 /// failures for the §V-F comparison routing, or sampled double-link
 /// failures. The slice rides the set-native path through a [`SliceSet`]
 /// adapter, so it gets the same sharded, speculative, cutoff-aware
-/// kernel as [`run`] — and the same float behaviour as the historical
-/// slice-specific sweep (weights, when given, multiply each scenario's
+/// kernel as [`run`] (weights, when given, multiply each scenario's
 /// cost before the index-order fold).
 pub fn run_scenarios(
     ev: &Evaluator<'_>,
@@ -1419,13 +353,14 @@ pub fn run_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel;
     use crate::phase1;
     use crate::universe::FailureUniverse;
     use dtr_cost::CostParams;
     use dtr_net::{Network, NetworkBuilder, Point};
     use dtr_traffic::{gravity, ClassMatrices};
 
-    fn testbed() -> (Network, ClassMatrices) {
+    fn setup() -> (Network, ClassMatrices) {
         let mut b = NetworkBuilder::new();
         let n: Vec<_> = (0..6)
             .map(|i| b.add_node(Point::new(i as f64, (i * i % 3) as f64)))
@@ -1441,10 +376,6 @@ mod tests {
             ..gravity::GravityConfig::paper_default(6, 9)
         });
         (net, tm)
-    }
-
-    fn setup() -> (Network, ClassMatrices) {
-        testbed()
     }
 
     #[test]
@@ -1529,10 +460,17 @@ mod tests {
                 bounded.constraint_rejections, unbounded.constraint_rejections,
                 "budget {budget}"
             );
-            // Every stat except the two residency counters matches.
+            // Every stat except the two residency counters matches. A
+            // budget that keeps nothing resident runs every sweep on the
+            // plain path, so its cuts count as `skipped_cutoff`, not
+            // `skipped_cache`; their sum still matches.
             let mut masked = bounded.stats;
             masked.cache_resident_scenarios = unbounded.stats.cache_resident_scenarios;
             masked.cache_fallback_evals = unbounded.stats.cache_fallback_evals;
+            if bounded.stats.cache_resident_scenarios == 0 {
+                masked.skipped_cache += masked.skipped_cutoff;
+                masked.skipped_cutoff = 0;
+            }
             assert_eq!(masked, unbounded.stats, "budget {budget}");
             assert!(
                 bounded.stats.cache_resident_scenarios <= all.len(),

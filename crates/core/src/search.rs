@@ -115,10 +115,12 @@ pub struct SearchStats {
     /// (`SetSweep::Cut::floor_cut`).
     pub skipped_floor: usize,
     /// Skips from cuts the evaluated subset proved on its own, on a
-    /// sweep running through the delta-state scenario cache.
+    /// sweep whose delta-state scenario cache held at least one resident
+    /// scenario.
     pub skipped_cache: usize,
-    /// Skips from cuts the evaluated subset proved on its own, on an
-    /// uncached bounded sweep.
+    /// Skips from cuts the evaluated subset proved on its own, on a
+    /// sweep whose cache held no resident scenario (every evaluation on
+    /// the plain path, e.g. `cache_budget_bytes: 0`).
     pub skipped_cutoff: usize,
     /// Speculative normal-conditions evaluations discarded because an
     /// earlier move in the window was accepted (re-evaluated against the
@@ -126,11 +128,10 @@ pub struct SearchStats {
     /// `evaluations`).
     pub speculative_wasted: usize,
     /// Extra scenario evaluations spent rebuilding the delta-state
-    /// scenario cache outside a logical full sweep (physical overhead of
-    /// the cutoff kernel, never counted in `evaluations`). Since the
-    /// delta-state refresh maintains cache coverage exactly on every
-    /// accept, drift rebuilds no longer exist and this stays 0 in the
-    /// shipped phases; the counter is kept for custom drivers.
+    /// scenario cache outside a logical full sweep — the capture sweep
+    /// of a run restored from a snapshot (physical overhead, never
+    /// counted in `evaluations`). The delta-state refresh keeps cache
+    /// coverage exact on every accept, so an uninterrupted run reports 0.
     pub cache_rebuild_evals: usize,
     /// Gauge: how many scenarios the delta-state cache held resident
     /// under its byte budget (`Params::cache_budget_bytes`) at the last
@@ -401,6 +402,111 @@ pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
     }
 }
 
+/// A cost vector the search minimizes: `K = ⟨Λ, Φ⟩` for DTR
+/// ([`LexCost`]), the k-component `VecCost` for MTR. Everything the
+/// shared search machinery — [`StopRule`], [`Archive`], the bounded
+/// sweeps of [`crate::parallel`] and the robust search of
+/// [`crate::robust`] — does with a cost goes through these operations.
+///
+/// Each instantiation keeps its own order: [`LexCost::better_than`]
+/// compares Φ strictly once Λ ties within `LAMBDA_EPS`, while `VecCost`
+/// compares every component within `COMPONENT_EPS`. The fold
+/// ([`add_scaled_assign`](Self::add_scaled_assign)) multiplies each
+/// component before adding it (`acc + c·p`, never a fused multiply-add),
+/// so a uniform set's unit weights add each cost exactly and every
+/// index-order sum is bit-for-bit the plain one.
+pub trait SearchCost: Clone + PartialEq + std::fmt::Debug + Send + Sync {
+    /// The zero cost with `k` components.
+    fn zeros(k: usize) -> Self;
+    /// Number of components.
+    fn arity(&self) -> usize;
+    /// Component `i`, in precedence order.
+    fn component(&self, i: usize) -> f64;
+    /// Rebuild a cost from its components (snapshot decoding); `None`
+    /// when the components cannot form a cost of this type.
+    fn from_components(components: Vec<f64>) -> Option<Self>;
+    /// Set every component to zero, keeping any allocation.
+    fn reset(&mut self);
+    /// `self += other·p`, multiplying each component before the add.
+    fn add_scaled_assign(&mut self, other: &Self, p: f64);
+    /// Strictly better than `other` in the type's lexicographic order.
+    fn better_than(&self, other: &Self) -> bool;
+    /// Relative improvement over `other` on the dominant component
+    /// (drives the `c%` stopping rule).
+    fn relative_improvement_over(&self, other: &Self) -> f64;
+}
+
+impl SearchCost for LexCost {
+    fn zeros(k: usize) -> Self {
+        debug_assert_eq!(k, 2, "a LexCost has two components");
+        LexCost::ZERO
+    }
+
+    fn arity(&self) -> usize {
+        2
+    }
+
+    fn component(&self, i: usize) -> f64 {
+        match i {
+            0 => self.lambda,
+            1 => self.phi,
+            _ => panic!("LexCost has two components, asked for {i}"),
+        }
+    }
+
+    fn from_components(components: Vec<f64>) -> Option<Self> {
+        match components[..] {
+            [lambda, phi] => Some(LexCost::new(lambda, phi)),
+            _ => None,
+        }
+    }
+
+    fn reset(&mut self) {
+        *self = LexCost::ZERO;
+    }
+
+    fn add_scaled_assign(&mut self, other: &Self, p: f64) {
+        *self = self.add(&LexCost::new(other.lambda * p, other.phi * p));
+    }
+
+    fn better_than(&self, other: &Self) -> bool {
+        LexCost::better_than(self, other)
+    }
+
+    fn relative_improvement_over(&self, other: &Self) -> f64 {
+        LexCost::relative_improvement_over(self, other)
+    }
+}
+
+/// A weight setting viewed as one integer weight vector per traffic
+/// class — what the archive fingerprints and the snapshot codec stores.
+pub trait ClassWeights: Clone + PartialEq + std::fmt::Debug + Send + Sync {
+    /// Number of classes.
+    fn num_classes(&self) -> usize;
+    /// Per-link weights of class `k`.
+    fn class_weights(&self, k: usize) -> &[u32];
+    /// Rebuild a setting from per-class vectors (snapshot decoding; the
+    /// caller has checked their lengths and range).
+    fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self;
+}
+
+impl ClassWeights for WeightSetting {
+    fn num_classes(&self) -> usize {
+        Class::ALL.len()
+    }
+
+    fn class_weights(&self, k: usize) -> &[u32] {
+        self.weights(Class::ALL[k])
+    }
+
+    fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self {
+        let [delay, throughput]: [Vec<u32>; 2] = vecs
+            .try_into()
+            .expect("a DTR weight setting has two classes");
+        WeightSetting::from_vecs(delay, throughput, wmax)
+    }
+}
+
 /// The paper's stopping rule: after each diversification, stop once the
 /// relative improvement of the global best over the trailing `window`
 /// diversifications drops below `c`.
@@ -409,13 +515,13 @@ pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
 /// looks further back, and long runs diversify tens of thousands of
 /// times.
 #[derive(Clone, Debug)]
-pub struct StopRule {
+pub struct StopRule<C = LexCost> {
     window: usize,
     c: f64,
-    history: Vec<LexCost>,
+    history: Vec<C>,
 }
 
-impl StopRule {
+impl<C: SearchCost> StopRule<C> {
     pub fn new(window: usize, c: f64) -> Self {
         assert!(window >= 1);
         StopRule {
@@ -427,7 +533,7 @@ impl StopRule {
 
     /// Record the global best at the end of a diversification; returns
     /// `true` when the search should stop.
-    pub fn record(&mut self, global_best: LexCost) -> bool {
+    pub fn record(&mut self, global_best: C) -> bool {
         self.history.push(global_best);
         if self.history.len() <= self.window {
             return false;
@@ -438,34 +544,34 @@ impl StopRule {
             let excess = self.history.len() - (self.window + 1);
             self.history.drain(..excess);
         }
-        let reference = self.history[self.history.len() - 1 - self.window];
-        let improvement = global_best.relative_improvement_over(&reference);
-        improvement < self.c
+        let newest = &self.history[self.history.len() - 1];
+        let reference = &self.history[self.history.len() - 1 - self.window];
+        newest.relative_improvement_over(reference) < self.c
     }
 
     /// Trailing history records, oldest first — exactly what a snapshot
     /// must carry so a restored search makes the same stop decision as
     /// an uninterrupted one (see "The checkpoint contract" in
     /// `DETERMINISM.md`).
-    pub fn history(&self) -> &[LexCost] {
+    pub fn history(&self) -> &[C] {
         &self.history
     }
 
     /// Replace the trailing history (snapshot restore).
-    pub fn restore_history(&mut self, records: Vec<LexCost>) {
+    pub fn restore_history(&mut self, records: Vec<C>) {
         self.history = records;
     }
 }
 
-/// Cheap 64-bit fingerprint of a weight setting (FNV-1a over both class
-/// weight vectors). Used by [`Archive::offer`] to reject duplicates with
-/// one integer compare per entry instead of an O(links) vector scan;
-/// equal fingerprints fall back to full equality, so dedup behaviour is
-/// *identical* to the exact scan.
-pub fn weight_fingerprint(w: &WeightSetting) -> u64 {
+/// Cheap 64-bit fingerprint of a weight setting (FNV-1a over every
+/// class weight vector, in class order). Used by [`Archive::offer`] to
+/// reject duplicates with one integer compare per entry instead of an
+/// O(links) vector scan; equal fingerprints fall back to full equality,
+/// so dedup behaviour is *identical* to the exact scan.
+pub fn weight_fingerprint<W: ClassWeights>(w: &W) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for class in Class::ALL {
-        for &x in w.weights(class) {
+    for k in 0..w.num_classes() {
+        for &x in w.class_weights(k) {
             h ^= u64::from(x);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -474,17 +580,17 @@ pub fn weight_fingerprint(w: &WeightSetting) -> u64 {
 }
 
 /// Bounded archive of good weight settings, ordered best-first by
-/// lexicographic cost. Phase 1 feeds it with acceptable settings; Phase 2
-/// diversifies from it.
+/// lexicographic cost. Phase 1 (and MTR's regular phase) feeds it with
+/// acceptable settings; the robust phase diversifies from it.
 #[derive(Clone, Debug)]
-pub struct Archive {
-    entries: Vec<(WeightSetting, LexCost)>,
+pub struct Archive<W = WeightSetting, C = LexCost> {
+    entries: Vec<(W, C)>,
     /// Per-entry [`weight_fingerprint`], aligned with `entries`.
     fingerprints: Vec<u64>,
     cap: usize,
 }
 
-impl Archive {
+impl<W: ClassWeights, C: SearchCost> Archive<W, C> {
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 1);
         Archive {
@@ -497,7 +603,7 @@ impl Archive {
     /// Offer a setting; kept if among the `cap` best seen (duplicates by
     /// exact weight equality are ignored — screened by fingerprint, so
     /// the common miss costs one integer compare per entry).
-    pub fn offer(&mut self, w: &WeightSetting, cost: LexCost) {
+    pub fn offer(&mut self, w: &W, cost: C) {
         let f = weight_fingerprint(w);
         if self
             .fingerprints
@@ -529,12 +635,12 @@ impl Archive {
         self.entries.is_empty()
     }
 
-    pub fn entries(&self) -> &[(WeightSetting, LexCost)] {
+    pub fn entries(&self) -> &[(W, C)] {
         &self.entries
     }
 
     /// Uniformly random entry.
-    pub fn sample(&self, rng: &mut StdRng) -> Option<&(WeightSetting, LexCost)> {
+    pub fn sample(&self, rng: &mut StdRng) -> Option<&(W, C)> {
         if self.entries.is_empty() {
             None
         } else {
@@ -543,7 +649,7 @@ impl Archive {
     }
 
     /// Best entry.
-    pub fn best(&self) -> Option<&(WeightSetting, LexCost)> {
+    pub fn best(&self) -> Option<&(W, C)> {
         self.entries.first()
     }
 }

@@ -102,22 +102,6 @@ impl VecCost {
         }
     }
 
-    /// In-place scaled accumulation: `self += other·p`, multiplying each
-    /// component before the add — bit-for-bit the float sequence of
-    /// `self.add(&other.scale(p))`, without the intermediate allocation.
-    pub fn add_scaled_assign(&mut self, other: &VecCost, p: f64) {
-        assert!(p >= 0.0 && p.is_finite());
-        assert_eq!(self.len(), other.len(), "cost arity mismatch");
-        for (a, b) in self.components.iter_mut().zip(&other.components) {
-            *a += b * p;
-        }
-    }
-
-    /// Reset every component to zero, keeping the allocation.
-    pub fn reset(&mut self) {
-        self.components.fill(0.0);
-    }
-
     /// Component-wise scaling by a non-negative factor — used by the
     /// probability-weighted failure objective.
     pub fn scale(&self, factor: f64) -> VecCost {
@@ -126,12 +110,48 @@ impl VecCost {
             components: self.components.iter().map(|c| c * factor).collect(),
         }
     }
+}
 
-    /// Relative improvement of `self` over `other` on the dominant
-    /// component (the first that differs beyond ε; the last component if
-    /// none do) — drives the `c%` stopping rule, mirroring
-    /// `LexCost::relative_improvement_over`.
-    pub fn relative_improvement_over(&self, other: &VecCost) -> f64 {
+impl dtr_core::search::SearchCost for VecCost {
+    fn zeros(k: usize) -> Self {
+        VecCost::zeros(k)
+    }
+
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    fn component(&self, i: usize) -> f64 {
+        self.components[i]
+    }
+
+    fn from_components(components: Vec<f64>) -> Option<Self> {
+        (!components.is_empty() && components.iter().all(|c| c.is_finite()))
+            .then(|| VecCost::new(components))
+    }
+
+    fn reset(&mut self) {
+        self.components.fill(0.0);
+    }
+
+    /// `self += other·p`, multiplying each component before the add —
+    /// bit-for-bit the float sequence of `self.add(&other.scale(p))`,
+    /// without the intermediate allocation.
+    fn add_scaled_assign(&mut self, other: &Self, p: f64) {
+        assert!(p >= 0.0 && p.is_finite());
+        assert_eq!(self.len(), other.len(), "cost arity mismatch");
+        for (a, b) in self.components.iter_mut().zip(&other.components) {
+            *a += b * p;
+        }
+    }
+
+    fn better_than(&self, other: &Self) -> bool {
+        VecCost::better_than(self, other)
+    }
+
+    /// On the dominant component: the first that differs beyond ε, or
+    /// the last if none do — mirroring `LexCost::relative_improvement_over`.
+    fn relative_improvement_over(&self, other: &Self) -> f64 {
         assert_eq!(self.len(), other.len(), "cost arity mismatch");
         for (i, (a, b)) in self.components.iter().zip(&other.components).enumerate() {
             let last = i + 1 == self.len();
@@ -162,6 +182,7 @@ impl std::fmt::Display for VecCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtr_core::search::SearchCost;
 
     #[test]
     fn first_component_dominates() {

@@ -36,7 +36,7 @@
 //!   classes the load-aware cut bound of `Evaluator::phi_floor`
 //!   (per-source out-cut / per-destination in-cut / min-hop volume,
 //!   max-combined) applied to the class's own matrix. Both feed the
-//!   incumbent-bounded sweep in [`crate::parallel`] so the MTR cutoff
+//!   incumbent-bounded sweep `dtr_core::parallel::sum_set_costs_bounded` so the MTR cutoff
 //!   fires as early as DTR's. Weight-independent: computed once per
 //!   search.
 //! * **Repair-seeded routing everywhere**: the plain scenario path
@@ -467,8 +467,7 @@ impl<'a> MtrEvaluator<'a> {
 
     /// Scenario-batched costs of `w`, in input order — bit-for-bit what
     /// per-scenario [`cost`](Self::cost) reports, sharing one pooled
-    /// workspace across the whole batch. This is the serial kernel the
-    /// sharded sweep in [`crate::parallel`] runs per worker.
+    /// workspace across the whole batch.
     pub fn evaluate_all(&self, w: &MtrWeightSetting, scenarios: &[Scenario]) -> Vec<VecCost> {
         let mut ws = self.pool.acquire();
         let out = scenarios

@@ -70,7 +70,6 @@ pub mod cost;
 pub mod criticality;
 pub mod engine;
 pub mod evaluator;
-pub mod parallel;
 pub mod params;
 pub mod pipeline;
 pub mod robust;
@@ -88,5 +87,5 @@ pub use params::MtrParams;
 pub use pipeline::{MtrOptimizer, MtrOptimizerBuilder, MtrReport};
 pub use robust::MtrRobustOutput;
 pub use samples::MtrSampleStore;
-pub use search::{MtrArchive, MtrRegularOutput, MtrStopRule};
+pub use search::MtrRegularOutput;
 pub use weights::MtrWeightSetting;

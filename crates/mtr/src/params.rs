@@ -50,7 +50,7 @@ pub struct MtrParams {
     /// Worker threads for the robust-phase failure sweeps and the
     /// speculative move batches (1 = serial). Results are bit-for-bit
     /// identical for every thread count — the sharded sweep reduces in
-    /// scenario order (see [`crate::parallel::failure_costs`]).
+    /// scenario order (see `dtr_core::parallel::evaluate_set`).
     pub threads: usize,
     /// Speculation window `K`: candidate moves pre-drawn and evaluated
     /// ahead of the replay cursor (1 = plain serial loop; the trajectory
@@ -58,16 +58,12 @@ pub struct MtrParams {
     /// `dtr_core::search::speculative_sweep`).
     pub speculation: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
-    /// robust phase (float-exact rejection proof, see
-    /// [`crate::parallel::sum_failure_costs_bounded`]; the trajectory is
-    /// identical with it on or off).
+    /// robust phase, run through the delta-state scenario cache
+    /// ([`crate::MtrScenarioCache`]; float-exact rejection proof, see
+    /// `dtr_core::parallel::sum_set_costs_bounded`; the trajectory is
+    /// identical with it on or off). A `cache_budget_bytes` of 0 keeps
+    /// the cutoff and drops the cache.
     pub cutoff: bool,
-    /// Enable the delta-state per-scenario routing/load cache of the
-    /// robust phase's cutoff sweeps ([`crate::MtrScenarioCache`]; only
-    /// read when `cutoff` is on). Float-exact — the trajectory is
-    /// identical with it on or off; the flag exists so benchmarks can
-    /// attribute the cutoff and the cache separately.
-    pub cache: bool,
     /// Include the load-aware congestion Φ component in the per-class
     /// floors of the bounded sweeps
     /// ([`MtrEvaluator::scenario_floor`](crate::MtrEvaluator::scenario_floor));
@@ -91,10 +87,11 @@ pub struct MtrParams {
     pub portfolio: PortfolioParams,
     /// Residency budget in bytes for the delta-state scenario cache of
     /// the robust-phase cutoff sweeps ([`crate::MtrScenarioCache`]; only
-    /// read when `cutoff` and `cache` are on). Scenarios past the budget
-    /// fall back to the plain per-class path, which returns the same
-    /// bits — the trajectory is identical for every budget, only
-    /// wall-clock and memory change. `usize::MAX` = unbounded.
+    /// read when `cutoff` is on). Scenarios past the budget fall back to
+    /// the plain per-class path, which returns the same bits — the
+    /// trajectory is identical for every budget, only wall-clock and
+    /// memory change. `usize::MAX` = unbounded; 0 keeps nothing
+    /// resident, and the cutoff then runs uncached.
     pub cache_budget_bytes: usize,
     /// Wall-clock deadline for the robust phase in milliseconds
     /// (`None` = run to convergence). Checked only at sweep/rendezvous
@@ -135,7 +132,6 @@ impl MtrParams {
             threads: 1,
             speculation: 8,
             cutoff: true,
-            cache: true,
             phi_floors: true,
             record_trace: false,
             eager_min_batch: dtr_core::search::EAGER_MIN_BATCH,

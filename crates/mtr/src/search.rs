@@ -15,7 +15,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use dtr_core::ranking::weighted_rank_change;
-use dtr_core::search::{speculative_sweep, Decision, MoveOutcome, SpecBuffers};
+use dtr_core::robust::RobustEngine;
+use dtr_core::search::{
+    speculative_sweep, Archive, Decision, MoveOutcome, SearchStats, SpecBuffers, StopRule,
+};
 use dtr_core::FailureUniverse;
 
 use crate::class::ClassSpec;
@@ -25,213 +28,6 @@ use crate::evaluator::MtrEvaluator;
 use crate::params::MtrParams;
 use crate::samples::MtrSampleStore;
 use crate::weights::MtrWeightSetting;
-
-/// Effort accounting of one search phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MtrSearchStats {
-    /// Full sweeps over all physical links.
-    pub iterations: usize,
-    /// *Logical* cost evaluations — what the serial, cutoff-free loop
-    /// would perform. Invariant across batch size, thread count and
-    /// cutoff setting.
-    pub evaluations: usize,
-    /// Diversification restarts.
-    pub diversifications: usize,
-    /// Failure-scenario evaluations (already counted in `evaluations`)
-    /// skipped by the incumbent-bounded sweeps. Always the exact sum of
-    /// the three per-cause counters below.
-    pub scenario_evals_skipped: usize,
-    /// Skips whose cutoff proof needed the per-class floors: without
-    /// them, the sweep would have kept evaluating at the point it cut.
-    pub skipped_floor: usize,
-    /// Skips proved by the partial fold alone on a cached sweep (the
-    /// delta-state scenario cache was active when the cut fired).
-    pub skipped_cache: usize,
-    /// Skips proved by the partial fold alone on an uncached sweep.
-    pub skipped_cutoff: usize,
-    /// Speculative normal-conditions evaluations discarded because an
-    /// earlier move in the window was accepted.
-    pub speculative_wasted: usize,
-    /// Gauge: how many scenarios the delta-state cache held resident
-    /// under its byte budget (`MtrParams::cache_budget_bytes`) at the
-    /// last rebuild. Equals the critical-set size when the budget never
-    /// binds; 0 when the cache is off.
-    pub cache_resident_scenarios: usize,
-    /// Scenario evaluations a budget-bounded cache routed through the
-    /// plain per-class path because their position was not resident
-    /// (bit-identical results, attributed for the benches). Stays 0
-    /// while the budget never binds.
-    pub cache_fallback_evals: usize,
-}
-
-impl MtrSearchStats {
-    /// Fold `other` into `self`: counters sum, the cache-residency
-    /// gauge takes the max. Used by the portfolio search to merge
-    /// per-replica stats in replica index order (the parallel-search
-    /// contract in `DETERMINISM.md`), mirroring
-    /// `dtr_core::search::SearchStats::merge`.
-    pub fn merge(&mut self, other: &MtrSearchStats) {
-        self.iterations += other.iterations;
-        self.evaluations += other.evaluations;
-        self.diversifications += other.diversifications;
-        self.scenario_evals_skipped += other.scenario_evals_skipped;
-        self.skipped_floor += other.skipped_floor;
-        self.skipped_cache += other.skipped_cache;
-        self.skipped_cutoff += other.skipped_cutoff;
-        self.speculative_wasted += other.speculative_wasted;
-        self.cache_resident_scenarios = self
-            .cache_resident_scenarios
-            .max(other.cache_resident_scenarios);
-        self.cache_fallback_evals += other.cache_fallback_evals;
-    }
-}
-
-/// The `c%`-improvement stopping rule over a trailing window of
-/// diversifications, on k-vector costs.
-///
-/// Like `dtr_core::search::StopRule`, only the trailing `window + 1`
-/// records are retained — the rule never looks further back.
-#[derive(Clone, Debug)]
-pub struct MtrStopRule {
-    window: usize,
-    c: f64,
-    history: Vec<VecCost>,
-}
-
-impl MtrStopRule {
-    /// Rule with the given trailing `window` and threshold `c`.
-    pub fn new(window: usize, c: f64) -> Self {
-        assert!(window >= 1);
-        MtrStopRule {
-            window,
-            c,
-            history: Vec::new(),
-        }
-    }
-
-    /// Record the global best at the end of a diversification; `true`
-    /// when the search should stop.
-    pub fn record(&mut self, global_best: VecCost) -> bool {
-        self.history.push(global_best);
-        if self.history.len() <= self.window {
-            return false;
-        }
-        if self.history.len() > self.window + 1 {
-            let excess = self.history.len() - (self.window + 1);
-            self.history.drain(..excess);
-        }
-        let reference = &self.history[self.history.len() - 1 - self.window];
-        let improvement = self
-            .history
-            .last()
-            .unwrap()
-            .relative_improvement_over(reference);
-        improvement < self.c
-    }
-
-    /// Trailing history records, oldest first — what a snapshot must
-    /// carry so a restored search makes the same stop decision as an
-    /// uninterrupted one ("The checkpoint contract", `DETERMINISM.md`).
-    pub fn history(&self) -> &[VecCost] {
-        &self.history
-    }
-
-    /// Replace the trailing history (snapshot restore).
-    pub fn restore_history(&mut self, records: Vec<VecCost>) {
-        self.history = records;
-    }
-}
-
-/// Cheap 64-bit fingerprint of a k-class setting (FNV-1a over every
-/// class weight vector) — the [`MtrArchive`] dedup screen, mirroring
-/// `dtr_core::search::weight_fingerprint`.
-pub fn mtr_weight_fingerprint(w: &MtrWeightSetting) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for k in 0..w.num_classes() {
-        for &x in w.weights(k) {
-            h ^= u64::from(x);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Bounded best-first archive of k-class settings.
-#[derive(Clone, Debug)]
-pub struct MtrArchive {
-    entries: Vec<(MtrWeightSetting, VecCost)>,
-    /// Per-entry [`mtr_weight_fingerprint`], aligned with `entries`.
-    fingerprints: Vec<u64>,
-    cap: usize,
-}
-
-impl MtrArchive {
-    /// Archive keeping at most `cap` entries.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap >= 1);
-        MtrArchive {
-            entries: Vec::new(),
-            fingerprints: Vec::new(),
-            cap,
-        }
-    }
-
-    /// Offer a setting; kept if among the `cap` best seen (duplicates by
-    /// exact weight equality are ignored — screened by fingerprint, so
-    /// the common miss costs one integer compare per entry).
-    pub fn offer(&mut self, w: &MtrWeightSetting, cost: VecCost) {
-        let f = mtr_weight_fingerprint(w);
-        if self
-            .fingerprints
-            .iter()
-            .zip(&self.entries)
-            .any(|(&g, (e, _))| g == f && e == w)
-        {
-            return;
-        }
-        let pos = self
-            .entries
-            .iter()
-            .position(|(_, c)| cost.better_than(c))
-            .unwrap_or(self.entries.len());
-        if pos >= self.cap {
-            return;
-        }
-        self.entries.insert(pos, (w.clone(), cost));
-        self.fingerprints.insert(pos, f);
-        self.entries.truncate(self.cap);
-        self.fingerprints.truncate(self.cap);
-    }
-
-    /// Number of archived settings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is archived yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// All entries, best-first.
-    pub fn entries(&self) -> &[(MtrWeightSetting, VecCost)] {
-        &self.entries
-    }
-
-    /// Uniformly random entry.
-    pub fn sample(&self, rng: &mut StdRng) -> Option<&(MtrWeightSetting, VecCost)> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some(&self.entries[rng.gen_range(0..self.entries.len())])
-        }
-    }
-
-    /// Best entry.
-    pub fn best(&self) -> Option<&(MtrWeightSetting, VecCost)> {
-        self.entries.first()
-    }
-}
 
 /// Rank-convergence tracker over k class rankings (§IV-D1 generalized):
 /// converged when the weighted rank-change index of *every* class is at
@@ -291,7 +87,7 @@ pub struct MtrRegularOutput {
     /// Its cost — the per-class benchmarks of the robust phase.
     pub best_cost: VecCost,
     /// Acceptable settings collected along the way.
-    pub archive: MtrArchive,
+    pub archive: Archive<MtrWeightSetting, VecCost>,
     /// Failure-cost samples per (class, failable link).
     pub store: MtrSampleStore,
     /// Rank tracker (carried into the top-up step).
@@ -302,12 +98,7 @@ pub struct MtrRegularOutput {
     /// `params.record_trace`).
     pub trace: Vec<MoveOutcome>,
     /// Effort spent.
-    pub stats: MtrSearchStats,
-}
-
-/// Draw k independent weights uniform in `[1, wmax]`.
-fn random_class_weights(k: usize, wmax: u32, rng: &mut StdRng) -> Vec<u32> {
-    (0..k).map(|_| rng.gen_range(1..=wmax)).collect()
+    pub stats: SearchStats,
 }
 
 /// Draw k weights in the failure-emulation band `[⌈q·wmax⌉, wmax]`.
@@ -333,9 +124,9 @@ pub fn regular(
     let mut converged = false;
     let mut next_checkpoint = params.tau * universe.len().max(1);
 
-    let mut stats = MtrSearchStats::default();
-    let mut stop = MtrStopRule::new(params.p1, params.c);
-    let mut archive = MtrArchive::new(params.archive_size);
+    let mut stats = SearchStats::default();
+    let mut stop = StopRule::new(params.p1, params.c);
+    let mut archive = Archive::new(params.archive_size);
 
     let mut current = MtrWeightSetting::random_symmetric(k, net, params.wmax, &mut rng);
     let mut current_cost = ev.cost(&current, Scenario::Normal);
@@ -364,13 +155,9 @@ pub fn regular(
             &mut current,
             &mut spec,
             &mut wasted,
-            |rng| random_class_weights(k, params.wmax, rng),
-            |w: &MtrWeightSetting, rep| (0..k).map(|c| w.get(c, rep)).collect::<Vec<u32>>(),
-            |w: &mut MtrWeightSetting, rep, m: &Vec<u32>| {
-                for (c, &v) in m.iter().enumerate() {
-                    w.set_duplex(net, c, rep, v);
-                }
-            },
+            |rng| ev.draw_move(params.wmax, rng),
+            |w, rep| ev.read_move(w, rep),
+            |w, rep, mv| ev.apply_move(w, rep, mv),
             |w| ev.cost(w, Scenario::Normal),
             |cand_w, rep, cand: &VecCost| {
                 stats.evaluations += 1;
@@ -625,103 +412,6 @@ mod tests {
             assert_eq!(*c, ev.cost(w, Scenario::Normal));
             assert!(acceptable(c, &out.best_cost, &ev.config().specs, params.z));
         }
-    }
-
-    #[test]
-    fn stop_rule_stops_on_stagnation() {
-        let mut rule = MtrStopRule::new(2, 0.001);
-        let c = VecCost::new(vec![5.0, 1.0]);
-        assert!(!rule.record(c.clone()));
-        assert!(!rule.record(c.clone()));
-        assert!(rule.record(c));
-    }
-
-    #[test]
-    fn stop_rule_keeps_going_while_improving() {
-        let mut rule = MtrStopRule::new(1, 0.001);
-        assert!(!rule.record(VecCost::new(vec![100.0, 1.0])));
-        assert!(!rule.record(VecCost::new(vec![50.0, 1.0])));
-        assert!(!rule.record(VecCost::new(vec![25.0, 1.0])));
-        assert!(rule.record(VecCost::new(vec![25.0, 1.0])));
-    }
-
-    #[test]
-    fn stop_rule_history_is_bounded_to_its_window() {
-        let mut rule = MtrStopRule::new(2, 1e-9);
-        for i in 0..500 {
-            assert!(!rule.record(VecCost::new(vec![1e9 / (i + 1) as f64, 0.0])));
-            assert!(rule.history.len() <= rule.window + 1);
-        }
-    }
-
-    /// The fingerprint screen must dedup exactly like the historical full
-    /// weight-vector scan.
-    #[test]
-    fn archive_fingerprint_dedup_matches_exact_scan() {
-        struct RefArchive {
-            entries: Vec<(MtrWeightSetting, VecCost)>,
-            cap: usize,
-        }
-        impl RefArchive {
-            fn offer(&mut self, w: &MtrWeightSetting, cost: VecCost) {
-                if self.entries.iter().any(|(e, _)| e == w) {
-                    return;
-                }
-                let pos = self
-                    .entries
-                    .iter()
-                    .position(|(_, c)| cost.better_than(c))
-                    .unwrap_or(self.entries.len());
-                if pos >= self.cap {
-                    return;
-                }
-                self.entries.insert(pos, (w.clone(), cost));
-                self.entries.truncate(self.cap);
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut fast = MtrArchive::new(3);
-        let mut slow = RefArchive {
-            entries: Vec::new(),
-            cap: 3,
-        };
-        let mut seen: Vec<MtrWeightSetting> = Vec::new();
-        for i in 0..150 {
-            let w = if i % 4 == 0 && !seen.is_empty() {
-                seen[i % seen.len()].clone()
-            } else {
-                let w = MtrWeightSetting::random(2, 6, 20, &mut rng);
-                seen.push(w.clone());
-                w
-            };
-            let cost = VecCost::new(vec![(i * 31 % 17) as f64, (i * 13 % 7) as f64]);
-            fast.offer(&w, cost.clone());
-            slow.offer(&w, cost);
-            assert_eq!(
-                fast.entries(),
-                slow.entries.as_slice(),
-                "diverged at offer {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn archive_orders_best_first_and_caps() {
-        let mut a = MtrArchive::new(2);
-        let w1 = MtrWeightSetting::uniform(2, 4, 20);
-        let mut w2 = w1.clone();
-        w2.set(0, dtr_net::LinkId::new(0), 2);
-        let mut w3 = w1.clone();
-        w3.set(0, dtr_net::LinkId::new(1), 3);
-        a.offer(&w1, VecCost::new(vec![10.0, 0.0]));
-        a.offer(&w2, VecCost::new(vec![5.0, 0.0]));
-        a.offer(&w3, VecCost::new(vec![7.0, 0.0]));
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.best().unwrap().1, VecCost::new(vec![5.0, 0.0]));
-        // Duplicate weights ignored.
-        a.offer(&w2, VecCost::new(vec![1.0, 0.0]));
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -32,6 +32,20 @@ impl Clone for MtrWeightSetting {
     }
 }
 
+impl dtr_core::search::ClassWeights for MtrWeightSetting {
+    fn num_classes(&self) -> usize {
+        self.per_class.len()
+    }
+
+    fn class_weights(&self, k: usize) -> &[u32] {
+        &self.per_class[k]
+    }
+
+    fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self {
+        MtrWeightSetting::from_vecs(vecs, wmax)
+    }
+}
+
 impl MtrWeightSetting {
     /// All weights 1 (hop-count routing in every topology).
     pub fn uniform(num_classes: usize, num_links: usize, wmax: u32) -> Self {

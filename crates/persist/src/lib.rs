@@ -32,8 +32,11 @@ use std::path::{Path, PathBuf};
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DTRSNAP\0";
-/// Current (and only supported) snapshot format version.
-pub const VERSION: u32 = 1;
+/// Current (and only supported) snapshot format version. Version 2 is
+/// the one layout both robust-search kinds share (`dtr_core::robust`);
+/// version-1 snapshots, written by the two per-kind layouts before it,
+/// are refused with [`SnapshotError::UnsupportedVersion`].
+pub const VERSION: u32 = 2;
 /// Snapshot kind: DTR phase-2 robust search state.
 pub const KIND_DTR_PHASE2: u32 = 1;
 /// Snapshot kind: MTR robust search state.

@@ -5,10 +5,15 @@
 //!
 //! A counting wrapper around the system allocator measures this
 //! directly; the test binary has its own `#[global_allocator]`, so the
-//! count covers everything the evaluation touches.
+//! count covers everything the evaluation touches. Every measured kernel
+//! runs on the test's own thread, so each window counts that thread's
+//! allocations only: libtest's harness thread and concurrently running
+//! tests allocate at any time. Each test also holds [`serial`] from
+//! warm-up through measurement, so no two windows ever overlap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
 use dtr::net::Network;
 use dtr::prelude::*;
@@ -20,11 +25,33 @@ use rand::SeedableRng;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations (and reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread tearing down its locals may still free and
+    // allocate; those calls are simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Held by every test across warm-up and measurement.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next one may still measure.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -33,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -71,6 +98,7 @@ fn assert_steady_state_sweep_allocates_nothing(
     kind: &str,
     make_scenarios: impl Fn(&Network) -> Vec<Scenario>,
 ) {
+    let _serial = serial();
     let (net, tm) = testbed();
     let scenarios = &make_scenarios(&net);
     let ev = Evaluator::new(&net, &tm, CostParams::default());
@@ -87,12 +115,12 @@ fn assert_steady_state_sweep_allocates_nothing(
         }
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for &sc in scenarios {
         let c = ev.cost_with(&mut ws, &w, sc);
         checksum += c.lambda + c.phi;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     ev.release_workspace(ws);
 
     assert!(checksum.is_finite());
@@ -157,8 +185,8 @@ fn steady_state_node_failure_sweep_allocates_nothing() {
 fn steady_state_floored_bounded_sweep_allocates_nothing() {
     use dtr::core::parallel::{self, SetSweep, SweepScratch};
     use dtr::core::scenario::ScenarioSet;
-    use dtr::cost::ScenarioFloor;
 
+    let _serial = serial();
     let (net, tm) = testbed();
     let ev = Evaluator::new(&net, &tm, CostParams::default());
     let mut rng = StdRng::seed_from_u64(11);
@@ -166,7 +194,7 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
     let universe = FailureUniverse::of(&net);
     let indices = universe.all_indices();
     let order: Vec<u32> = (0..indices.len() as u32).collect();
-    let mut floors = vec![ScenarioFloor::default(); indices.len()];
+    let mut floors = vec![LexCost::ZERO; indices.len()];
     let mut scratch = SweepScratch::new();
     let never = LexCost::new(f64::MAX, f64::MAX);
 
@@ -175,10 +203,11 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
     // allocating); only the Φ kernel and the sweep itself must hold the
     // steady-state zero-allocation bar.
     for (pos, &i) in indices.iter().enumerate() {
-        floors[pos] = ev.scenario_floor(&mut ws, universe.scenario(i));
+        let f = ev.scenario_floor(&mut ws, universe.scenario(i));
+        floors[pos] = LexCost::new(f.lambda, f.phi);
     }
     let run = |ws: &mut dtr::cost::EvalWorkspace,
-               floors: &mut [ScenarioFloor],
+               floors: &mut [LexCost],
                scratch: &mut SweepScratch|
      -> f64 {
         let mut checksum = 0.0f64;
@@ -230,9 +259,9 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
         checksum += run(&mut ws, &mut floors, &mut scratch);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     checksum += run(&mut ws, &mut floors, &mut scratch);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     ev.release_workspace(ws);
 
     assert!(checksum.is_finite());
@@ -250,8 +279,8 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
 /// kernel sequence — serial `cache_refresh_begin`, then
 /// `cache_refresh_entry` for every resident entry on a pooled
 /// workspace, then `cache_refresh_finish` — performs **zero** heap
-/// allocations. The sharded refresh in `dtr_core::phase2` /
-/// `dtr_mtr::robust` runs exactly this per-entry kernel on each
+/// allocations. The sharded refresh of the robust search
+/// (`dtr_core::robust`) runs exactly this per-entry kernel on each
 /// worker's chunk (position-disjoint entries, pooled workspaces), so
 /// an allocation-free serial pass proves each worker's steady state is
 /// allocation-free too (all three kernels are registered in
@@ -260,6 +289,7 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
 fn steady_state_sharded_cache_refresh_allocates_nothing() {
     use rand::Rng;
 
+    let _serial = serial();
     let (net, tm) = testbed();
     let scenarios: Vec<Scenario> = {
         let mut s: Vec<Scenario> = Scenario::all_link_failures(&net);
@@ -321,12 +351,12 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
     }
 
     // Steady state: repeating the warmed cycle must not allocate.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for cand in &cands {
         ev.cache_begin(&mut cache, cand);
         refresh(&mut ws, &mut cache, cand);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     ev.release_workspace(ws);
 
     assert_eq!(
@@ -353,6 +383,7 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
 fn steady_state_checkpoint_encoding_allocates_nothing() {
     use dtr::persist::{Encoder, KIND_DTR_PHASE2};
 
+    let _serial = serial();
     // Chain-shaped payload at the paper-scale operating point: 300
     // directed links, a 500-proposal trace, a 16-entry archive.
     let weights: Vec<u32> = (0..300u32).map(|i| (i % 20) + 1).collect();
@@ -398,9 +429,9 @@ fn steady_state_checkpoint_encoding_allocates_nothing() {
     // First encode grows the buffer to its high-water size.
     let n1 = encode(&mut enc);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let n2 = encode(&mut enc);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(n1, n2, "same state must encode to the same size");
     assert_eq!(
@@ -422,6 +453,7 @@ fn steady_state_checkpoint_encoding_allocates_nothing() {
 fn steady_state_delta_state_candidate_sweep_allocates_nothing() {
     use rand::Rng;
 
+    let _serial = serial();
     let (net, tm) = testbed();
     let scenarios: Vec<Scenario> = {
         let mut s: Vec<Scenario> = Scenario::all_link_failures(&net);
@@ -469,13 +501,13 @@ fn steady_state_delta_state_candidate_sweep_allocates_nothing() {
 
     // Steady state: a fresh candidate's full sweep must not allocate.
     let cand = candidate(&mut rng);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     ev.cache_begin(&mut cache, &cand);
     for (pos, &sc) in scenarios.iter().enumerate() {
         let c = ev.cost_cached(&mut ws, &cand, sc, &cache, pos);
         checksum += c.lambda + c.phi;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     ev.release_workspace(ws);
 
     assert!(checksum.is_finite());

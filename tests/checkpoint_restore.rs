@@ -141,6 +141,16 @@ fn corrupt_snapshots_report_typed_errors() {
         dtr.resume(&p, &bad),
         Err(SnapshotError::UnsupportedVersion { found: 99, .. })
     ));
+    // Version 1, an older layout, is refused the same way.
+    let mut old = snap.clone();
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(
+        dtr.resume(&p, &old),
+        Err(SnapshotError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
+    ));
 
     // Truncation — mid-payload and inside the bare header.
     assert!(matches!(

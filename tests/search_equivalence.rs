@@ -3,8 +3,8 @@
 //!
 //! The batched-move kernel (`dtr_core::search::speculative_sweep`) and
 //! the incumbent-bounded failure sweeps
-//! (`dtr_core::parallel::sum_set_costs_bounded`,
-//! `dtr_mtr::parallel::sum_failure_costs_bounded`) promise that the
+//! (`dtr_core::parallel::sum_set_costs_bounded`, shared by the DTR and
+//! MTR instantiations of the robust search) promise that the
 //! search trajectory is **bit-for-bit** the serial, cutoff-free one:
 //! same best setting, same best costs, and the same full accept/reject
 //! sequence — for every speculation window `K`, every thread count, and
@@ -539,9 +539,10 @@ fn mtr_testbed() -> (Network, Vec<TrafficMatrix>) {
     (net, tms)
 }
 
-/// The MTR grid adds the delta-state cache flag:
-/// `(speculation, threads, cutoff, cache, phi_floors)`. The cache-off
-/// cutoff legs pin the uncached bounded sweep (whose skips land in
+/// The MTR grid adds the delta-state cache:
+/// `(speculation, threads, cutoff, cached, phi_floors)`, where an
+/// uncached leg runs the cutoff with `cache_budget_bytes: 0`. Those legs
+/// pin the all-plain-path bounded sweep (whose skips land in
 /// `skipped_cutoff` instead of `skipped_cache`).
 const MTR_CONFIGS: [(usize, usize, bool, bool, bool); 8] = [
     (1, 1, false, false, false),
@@ -556,13 +557,13 @@ const MTR_CONFIGS: [(usize, usize, bool, bool, bool); 8] = [
 
 fn mtr_params_for(
     seed: u64,
-    (speculation, threads, cutoff, cache, phi_floors): (usize, usize, bool, bool, bool),
+    (speculation, threads, cutoff, cached, phi_floors): (usize, usize, bool, bool, bool),
 ) -> MtrParams {
     MtrParams {
         speculation,
         threads,
         cutoff,
-        cache,
+        cache_budget_bytes: if cached { usize::MAX } else { 0 },
         phi_floors,
         record_trace: true,
         ..MtrParams::quick(seed)
@@ -613,8 +614,14 @@ fn mtr_robust_trajectory_is_invariant() {
     let anchor = run(MTR_CONFIGS[0]);
     assert_eq!(anchor.stats.scenario_evals_skipped, 0);
     let mut saw_skip = false;
+    let mut saw_uncached_skip = false;
     for cfg in &MTR_CONFIGS[1..] {
         let out = run(*cfg);
+        if !cfg.3 {
+            // Nothing is resident, so no cut is the cache's.
+            assert_eq!(out.stats.skipped_cache, 0, "{cfg:?}");
+            saw_uncached_skip |= out.stats.skipped_cutoff > 0;
+        }
         let cfg = format!("{cfg:?}");
         assert_eq!(anchor.best, out.best, "{cfg}");
         assert_eq!(anchor.best_kfail, out.best_kfail, "{cfg}");
@@ -635,6 +642,10 @@ fn mtr_robust_trajectory_is_invariant() {
     assert!(
         saw_skip,
         "the MTR cutoff never skipped a scenario evaluation"
+    );
+    assert!(
+        saw_uncached_skip,
+        "no uncached leg attributed a skip to the plain cutoff"
     );
 }
 
@@ -702,18 +713,20 @@ fn mtr_robust_portfolio_is_thread_invariant() {
 }
 
 /// MTR mirror of the restore-gauge mask: the only counters a restore
-/// may disturb are the physical cache residency/fallback gauges touched
-/// while the scratch state is rebuilt from the snapshot's incumbent.
-fn masked_mtr_stats(s: &mtr_search::MtrSearchStats) -> mtr_search::MtrSearchStats {
+/// may disturb are the physical cache counters touched while the
+/// scratch state is rebuilt from the snapshot's incumbent — including
+/// the capture sweep a restore charges to `cache_rebuild_evals`.
+fn masked_mtr_stats(s: &dtr::core::search::SearchStats) -> dtr::core::search::SearchStats {
     let mut m = *s;
+    m.cache_rebuild_evals = 0;
     m.cache_resident_scenarios = 0;
     m.cache_fallback_evals = 0;
     m
 }
 
 /// Kill/restore/continue bit-identity for the MTR robust search, over
-/// the cache on/off × cutoff grid (the cache-off restore leg exercises
-/// the bounded-kernel scratch refill) and for a 3-replica portfolio
+/// the cache on/off × cutoff grid (the zero-budget restore leg rebuilds
+/// a cache that keeps nothing resident) and for a 3-replica portfolio
 /// killed at a rendezvous boundary.
 #[test]
 fn mtr_robust_kill_restore_continue_is_bit_identical() {
@@ -849,5 +862,309 @@ fn mtr_portfolio_kill_restore_continue_is_bit_identical() {
             masked_mtr_stats(&resumed.stats),
             "{label}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Absolute trajectory pins.
+//
+// Every other assertion in this suite compares runs of one build against
+// an anchor of the same build, so a change that moved every
+// configuration the same way would pass them all. The pins below fold
+// each run's complete output — best weights, the bit patterns of its
+// costs, the accept/reject trace (and every replica's), the constraint
+// rejections and the iteration/evaluation/diversification counts — into
+// a 64-bit FNV-1a hash and compare it against a constant recorded once.
+// The inputs avoid libm transcendentals (integer node coordinates,
+// `gen_range` traffic, explicit probabilities), so the constants hold on
+// any IEEE-754 host. Never edit a constant to make a change pass: a
+// moved pin means the trajectory moved.
+
+/// 64-bit FNV-1a over a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn slice_u32(&mut self, xs: &[u32]) {
+        self.word(xs.len() as u64);
+        for &x in xs {
+            self.word(u64::from(x));
+        }
+    }
+
+    fn f64s(&mut self, xs: &[f64]) {
+        self.word(xs.len() as u64);
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+
+    fn trace(&mut self, t: &[MoveOutcome]) {
+        self.word(t.len() as u64);
+        for m in t {
+            self.word(match m {
+                MoveOutcome::ConstraintReject => 0,
+                MoveOutcome::Reject => 1,
+                MoveOutcome::Accept => 2,
+            });
+        }
+    }
+
+    fn counts(&mut self, rejections: usize, iterations: usize, evals: usize, divs: usize) {
+        for x in [rejections, iterations, evals, divs] {
+            self.word(x as u64);
+        }
+    }
+}
+
+fn dtr_pin(out: &phase2::Phase2Output) -> u64 {
+    let mut h = Fnv::new();
+    for class in Class::ALL {
+        h.slice_u32(out.best.weights(class));
+    }
+    h.f64s(&[out.best_kfail.lambda, out.best_kfail.phi]);
+    h.f64s(&[out.best_normal.lambda, out.best_normal.phi]);
+    h.trace(&out.trace);
+    h.word(out.replica_traces.len() as u64);
+    for t in &out.replica_traces {
+        h.trace(t);
+    }
+    let s = &out.stats;
+    h.counts(
+        out.constraint_rejections,
+        s.iterations,
+        s.evaluations,
+        s.diversifications,
+    );
+    h.0
+}
+
+fn mtr_pin(out: &dtr::mtr::robust::MtrRobustOutput) -> u64 {
+    let mut h = Fnv::new();
+    for k in 0..out.best.num_classes() {
+        h.slice_u32(out.best.weights(k));
+    }
+    h.f64s(out.best_kfail.components());
+    h.f64s(out.best_normal.components());
+    h.trace(&out.trace);
+    h.word(out.replica_traces.len() as u64);
+    for t in &out.replica_traces {
+        h.trace(t);
+    }
+    let s = &out.stats;
+    h.counts(
+        out.constraint_rejections,
+        s.iterations,
+        s.evaluations,
+        s.diversifications,
+    );
+    h.0
+}
+
+/// The suite's 8-ring with three chords, rebuilt from exact inputs:
+/// integer coordinates, three propagation delays, uniform `gen_range`
+/// demand.
+fn pin_net() -> Network {
+    let mut b = NetworkBuilder::new();
+    let n: Vec<_> = (0..8)
+        .map(|i| b.add_node(Point::new((i % 4) as f64, (i / 4) as f64)))
+        .collect();
+    for i in 0..8 {
+        let delay = 1e-3 * (1 + i % 3) as f64;
+        b.add_duplex_link(n[i], n[(i + 1) % 8], 1e6, delay).unwrap();
+    }
+    b.add_duplex_link(n[0], n[4], 1e6, 2e-3).unwrap();
+    b.add_duplex_link(n[1], n[5], 1e6, 3e-3).unwrap();
+    b.add_duplex_link(n[2], n[6], 1e6, 1e-3).unwrap();
+    b.build().unwrap()
+}
+
+fn pin_matrices(nodes: usize, classes: usize, seed: u64) -> Vec<TrafficMatrix> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tms = vec![TrafficMatrix::zeros(nodes); classes];
+    for tm in tms.iter_mut() {
+        for s in 0..nodes {
+            for t in 0..nodes {
+                if s != t {
+                    tm.set(s, t, rng.gen_range(1e3..4e4));
+                }
+            }
+        }
+    }
+    tms
+}
+
+fn pin_params(seed: u64) -> Params {
+    Params {
+        record_trace: true,
+        max_iterations: 40,
+        ..Params::quick(seed)
+    }
+}
+
+fn mtr_pin_params(seed: u64) -> MtrParams {
+    MtrParams {
+        record_trace: true,
+        max_iterations: 40,
+        ..MtrParams::quick(seed)
+    }
+}
+
+#[test]
+fn absolute_trajectory_pins() {
+    let net = pin_net();
+    let mut tms = pin_matrices(8, 2, 61).into_iter();
+    let tm = ClassMatrices {
+        delay: tms.next().unwrap(),
+        throughput: tms.next().unwrap(),
+    };
+    let ev = Evaluator::new(&net, &tm, CostParams::default());
+    let universe = FailureUniverse::of(&net);
+    let p1 = phase1::run(&ev, &universe, &pin_params(3));
+    let all: Vec<usize> = (0..universe.len()).collect();
+    let mut got: Vec<(&str, u64, usize)> = Vec::new();
+    let mut dtr = |name, out: phase2::Phase2Output| {
+        got.push((name, dtr_pin(&out), out.stats.diversifications));
+    };
+
+    dtr(
+        "dtr single-link",
+        phase2::run(&ev, &universe, &all, &pin_params(7), &p1),
+    );
+    let reps = net.duplex_representatives();
+    let groups: Vec<Vec<LinkId>> = reps.chunks_exact(3).map(|g| g.to_vec()).collect();
+    let srlg = Srlg::explicit(&net, &groups);
+    dtr(
+        "dtr srlg",
+        phase2::run(&ev, &srlg, &srlg.all_indices(), &pin_params(11), &p1),
+    );
+    let mut rng = StdRng::seed_from_u64(67);
+    let model = FailureModel {
+        probabilities: (0..universe.len())
+            .map(|_| rng.gen_range(0.01..0.2))
+            .collect(),
+    };
+    let prob = Probabilistic::with_model(&net, model);
+    dtr(
+        "dtr probabilistic",
+        phase2::run(&ev, &prob, &prob.all_indices(), &pin_params(13), &p1),
+    );
+    let nodes: Vec<Scenario> = net.nodes().map(Scenario::Node).collect();
+    dtr(
+        "dtr node slice",
+        phase2::run_scenarios(&ev, &nodes, &pin_params(19), &p1, None),
+    );
+    let portfolio = Params {
+        portfolio: PortfolioParams {
+            replicas: 3,
+            rendezvous_period: 4,
+        },
+        threads: 2,
+        ..pin_params(37)
+    };
+    dtr(
+        "dtr portfolio",
+        phase2::run(&ev, &universe, &all, &portfolio, &p1),
+    );
+    let ckpt = Params {
+        checkpoint_every: 1,
+        ..pin_params(43)
+    };
+    let mut sink = MemorySink::new();
+    let mut ctl = RunControl {
+        sink: Some(&mut sink),
+        kill_after: Some(5),
+    };
+    let killed = phase2::run_controlled(&ev, &universe, &all, &ckpt, &p1, &mut ctl).unwrap();
+    assert_eq!(killed.terminated, Terminated::Deadline);
+    let snap = sink.latest().unwrap().to_vec();
+    dtr(
+        "dtr kill -> resume",
+        phase2::resume(&ev, &universe, &all, &ckpt, &snap, &mut RunControl::none()).unwrap(),
+    );
+
+    let tms = pin_matrices(8, 3, 71);
+    let config = MtrConfig::new(vec![
+        ClassSpec::sla("voice", 25e-3),
+        ClassSpec::congestion("bulk").relaxed(0.2),
+        ClassSpec::congestion("scavenger").relaxed(0.5),
+    ]);
+    let mev = MtrEvaluator::new(&net, &tms, config).unwrap();
+    let reg = mtr_search::regular(&mev, &universe, &mtr_pin_params(29));
+    let scenarios = universe.scenarios();
+    let mut mtr = |name, out: dtr::mtr::robust::MtrRobustOutput| {
+        got.push((name, mtr_pin(&out), out.stats.diversifications));
+    };
+    mtr(
+        "mtr classic",
+        mtr_robust::run(
+            &mev,
+            &scenarios,
+            &mtr_pin_params(31),
+            &reg.best_cost,
+            &reg.archive,
+            None,
+        ),
+    );
+    let portfolio = MtrParams {
+        portfolio: PortfolioParams {
+            replicas: 3,
+            rendezvous_period: 4,
+        },
+        threads: 2,
+        ..mtr_pin_params(41)
+    };
+    mtr(
+        "mtr portfolio",
+        mtr_robust::run(
+            &mev,
+            &scenarios,
+            &portfolio,
+            &reg.best_cost,
+            &reg.archive,
+            None,
+        ),
+    );
+    let mut rng = StdRng::seed_from_u64(73);
+    let slice: Vec<Scenario> = scenarios.iter().copied().step_by(2).collect();
+    let weights: Vec<f64> = slice.iter().map(|_| rng.gen_range(0.1..1.0)).collect();
+    mtr(
+        "mtr weighted slice",
+        mtr_robust::run(
+            &mev,
+            &slice,
+            &mtr_pin_params(47),
+            &reg.best_cost,
+            &reg.archive,
+            Some(&weights),
+        ),
+    );
+
+    let want: [(&str, u64); 9] = [
+        ("dtr single-link", 0x845a_7081_fef5_485b),
+        ("dtr srlg", 0xf225_967e_e51e_bfc7),
+        ("dtr probabilistic", 0x678f_a273_6f38_0222),
+        ("dtr node slice", 0x845b_f9b6_8b79_54ca),
+        ("dtr portfolio", 0x5bd5_4d73_b739_91e8),
+        ("dtr kill -> resume", 0xd250_ff89_d9a1_1ac6),
+        ("mtr classic", 0xe1db_4798_69ed_ce93),
+        ("mtr portfolio", 0x4d0a_2c41_e14d_024e),
+        ("mtr weighted slice", 0x7c01_665b_25be_11f4),
+    ];
+    assert_eq!(got.len(), want.len());
+    for ((name, pin, divs), (want_name, want_pin)) in got.iter().zip(want) {
+        assert_eq!(*name, want_name);
+        assert!(*divs >= 1, "{name}: the run never diversified");
+        assert_eq!(*pin, want_pin, "{name}: trajectory moved");
     }
 }
