@@ -23,9 +23,9 @@
 //! * **Hot-path allocation** — `hot-alloc`: the registry
 //!   `crates/analysis/hot_paths.toml` lists functions the counting
 //!   allocator already proves allocation-free; their bodies must stay
-//!   textually free of `Vec::new`, `vec!`, `collect`, `to_vec`,
-//!   `.clone()`, `format!`, `String::`, `to_string`, `to_owned` and
-//!   `Box::new`.
+//!   textually free of `Vec::new`, `with_capacity`, `vec!`, `collect`,
+//!   `to_vec`, `.clone()`, `format!`, `String::`, `to_string`,
+//!   `to_owned` and `Box::new`.
 //! * **Policy** — `policy-unsafe` (`#![forbid(unsafe_code)]` in every
 //!   crate root), `policy-time` (`std::time`/`Instant` outside the
 //!   bench crate), `policy-thread` (`thread::spawn`/`thread::scope`
@@ -467,6 +467,7 @@ const HASH_ITER_METHODS: &[&str] = &[
 
 const HOT_ALLOC_PATTERNS: &[&str] = &[
     "Vec::new",
+    "with_capacity",
     "vec!",
     "collect",
     "to_vec",

@@ -38,6 +38,7 @@ fn every_lint_family_fires_exactly_at_its_fixture_site() {
         ("crates/fx/src/float_fold.rs", 7, "det-hash-iter"),
         ("crates/fx/src/hash_iter.rs", 8, "det-hash-iter"),
         ("crates/fx/src/hot_alloc.rs", 5, "hot-alloc"),
+        ("crates/fx/src/hot_alloc.rs", 6, "hot-alloc"),
         ("crates/fx/src/lib.rs", 1, "policy-unsafe"),
         ("crates/fx/src/partial_sort.rs", 5, "det-partial-sort"),
         ("crates/fx/src/policy.rs", 5, "policy-time"),

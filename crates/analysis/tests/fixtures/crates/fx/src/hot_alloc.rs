@@ -3,8 +3,10 @@
 
 pub fn hot_kernel(dst: &mut [u32], src: &[u32]) {
     let staged = src.to_vec();
+    let mut spare = Vec::with_capacity(src.len());
     for (d, s) in dst.iter_mut().zip(&staged) {
         *d = *s;
+        spare.push(*s);
     }
 }
 

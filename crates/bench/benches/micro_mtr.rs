@@ -1,14 +1,13 @@
-//! Micro-benchmarks of the generalized k-class MTR evaluator: how does
-//! the cost of one evaluation scale with the class count k? The DTR
-//! engine (k = 2, specialized) is included as the baseline — the
-//! generalization's overhead at k = 2 should be negligible, and cost
-//! should grow roughly linearly in k (one SPF sweep per class).
+//! Micro-benchmarks of the k-class MTR reference evaluator: how does the
+//! cost of one from-scratch evaluation scale with the class count k? It
+//! should grow roughly linearly in k (one SPF sweep per class). There is
+//! no separate DTR baseline: DTR's fast paths are the k = 2
+//! instantiation of the same `dtr_cost::Engine`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dtr_cost::{CostParams, Evaluator};
 use dtr_mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
 use dtr_net::Network;
-use dtr_routing::{Scenario, WeightSetting};
+use dtr_routing::Scenario;
 use dtr_topogen::{rand_topo, SynthConfig};
 use dtr_traffic::{gravity, ClassMatrices, TrafficMatrix};
 use rand::rngs::StdRng;
@@ -64,13 +63,6 @@ fn bench_micro_mtr(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("micro_mtr");
     g.sample_size(30);
-
-    // Baseline: the specialized DTR evaluator.
-    let dtr_ev = Evaluator::new(&net, &tm, CostParams::default());
-    let dtr_w = WeightSetting::random(net.num_links(), 20, &mut rng);
-    g.bench_function("dtr_evaluate_normal_30n", |b| {
-        b.iter(|| dtr_ev.evaluate(&dtr_w, Scenario::Normal))
-    });
 
     for k in [1usize, 2, 3, 4] {
         let tms = matrices(&tm, k);

@@ -15,17 +15,17 @@
 //!
 //! [`evaluate_set`], [`sum_set_costs`] and the incumbent-bounded
 //! [`sum_set_costs_bounded`] are generic over the [`RobustEngine`]
-//! trait, so one kernel serves DTR's two-class engine and MTR's k-class
-//! engine alike; since both engines handle every scenario kind
-//! incrementally, one sharded sweep serves the single-link universe and
-//! the node / SRLG / double-link / probabilistic ensembles. The slice
-//! forms ([`failure_costs`], [`sum_failure_costs`]) ride the same kernel
-//! through a [`SliceSet`].
+//! trait and call its delta-state [`Engine`] directly, so one kernel
+//! serves DTR (k = 2) and MTR (any k) alike; since the engine handles
+//! every scenario kind incrementally, one sharded sweep serves the
+//! single-link universe and the node / SRLG / double-link /
+//! probabilistic ensembles. The slice forms ([`failure_costs`],
+//! [`sum_failure_costs`]) ride the same kernel through a [`SliceSet`].
 
-use dtr_cost::{Evaluator, LexCost};
-use dtr_routing::{Scenario, WeightSetting};
+use dtr_cost::{Engine, EvalWorkspace, Evaluator, LexCost, ScenarioCache};
+use dtr_routing::{ClassWeights, Scenario, WeightSetting};
 
-use crate::robust::{RobustEngine, SweepCache};
+use crate::robust::RobustEngine;
 use crate::scenario::{ScenarioSet, SliceSet};
 use crate::search::SearchCost;
 
@@ -77,6 +77,14 @@ pub fn scoped_fanout<T: Send>(parts: Vec<T>, f: impl Fn(T) + Sync) {
     });
 }
 
+/// A cost built from an engine's component slice (see
+/// [`SearchCost::assign`]; allocation-free for `LexCost`).
+pub(crate) fn cost_of<C: SearchCost>(components: &[f64]) -> C {
+    let mut c = C::zeros(components.len());
+    c.assign(components);
+    c
+}
+
 /// Per-scenario costs of `w` under every scenario, in input order: the
 /// slice form of [`evaluate_set`], through a [`SliceSet`].
 pub fn failure_costs(
@@ -124,7 +132,7 @@ pub fn weighted_sum_failure_costs(
 /// [`ScenarioSet::scenario`]. Results are spliced back in index order,
 /// so parallel equals serial to the bit — for every scenario kind the
 /// set can hold (link, node, SRLG, double-link, and their
-/// probabilistically weighted ensembles) and for either engine.
+/// probabilistically weighted ensembles) and at any class count.
 pub fn evaluate_set<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
     w: &E::Weights,
@@ -133,7 +141,7 @@ pub fn evaluate_set<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     threads: usize,
 ) -> Vec<E::Cost> {
     assert!(threads >= 1);
-    let mut out = vec![E::Cost::zeros(ev.num_classes()); indices.len()];
+    let mut out = vec![E::Cost::zeros(ev.engine().num_classes()); indices.len()];
     let workers = threads.min(indices.len());
     if workers <= 1 {
         sweep_chunk(ev, w, set, indices, &mut out);
@@ -179,11 +187,12 @@ fn sweep_chunk<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     dst: &mut [E::Cost],
 ) {
     debug_assert_eq!(part.len(), dst.len());
-    let mut ws = ev.acquire_workspace();
+    let eng = ev.engine();
+    let mut ws = eng.acquire_workspace();
     for (d, &i) in dst.iter_mut().zip(part) {
-        *d = ev.cost_with(&mut ws, w, set.scenario(i));
+        d.assign(eng.cost_with(&mut ws, w, set.scenario(i)));
     }
-    ev.release_workspace(ws);
+    eng.release_workspace(ws);
 }
 
 /// Reusable buffers of the incumbent-bounded sweep
@@ -272,12 +281,12 @@ fn fold_bound<C: SearchCost, S: ScenarioSet + ?Sized>(
 /// and abandons the sweep as soon as the index-order fold over the
 /// evaluated subset — with every unevaluated scenario standing in at
 /// its floor (`floors`, aligned with `indices`; see
-/// [`RobustEngine::floor`]) — proves the candidate cannot be
+/// [`Engine::scenario_floor`]) — proves the candidate cannot be
 /// lexicographically better than `incumbent`. When a delta-state
-/// `cache` (pointed at the incumbent via [`RobustEngine::cache_begin`])
-/// is supplied, resident positions run through
-/// [`RobustEngine::cost_cached`] instead of the plain incremental path —
-/// same bits, a fraction of the work.
+/// `cache` (pointed at the incumbent via [`Engine::cache_begin`]) is
+/// supplied, resident positions run through [`Engine::cost_cached`]
+/// instead of the plain incremental path — same bits, a fraction of the
+/// work.
 ///
 /// The proof is float-exact, not heuristic: per-scenario contributions
 /// are non-negative, IEEE addition of non-negative terms is monotone,
@@ -324,7 +333,7 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     order: &[u32],
     seeds: &[(u32, E::Cost)],
     floors: Option<&[E::Cost]>,
-    cache: Option<&E::Cache>,
+    cache: Option<&ScenarioCache>,
     scratch: &mut SweepScratch<E::Cost>,
 ) -> SetSweep<E::Cost> {
     assert!(threads >= 1);
@@ -333,7 +342,8 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     if let Some(f) = floors {
         assert_eq!(f.len(), n, "one floor per scenario position");
     }
-    let k = ev.num_classes();
+    let eng = ev.engine();
+    let k = eng.num_classes();
     // Only reshape on arity/size changes: the per-position costs are
     // overwritten before any read (the `done` flags gate the fold), so
     // a warm scratch re-sweeps without touching its allocations.
@@ -368,7 +378,7 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         // every scenario (re-folding the evaluated subset costs O(n)
         // cost adds — noise next to one scenario evaluation).
         let check_every = (n / 128).max(1);
-        let mut ws = ev.acquire_workspace();
+        let mut ws = eng.acquire_workspace();
         for (e, &pos) in order.iter().enumerate() {
             let pos = pos as usize;
             // Non-resident positions of a budget-bounded cache take the
@@ -378,22 +388,19 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                 Some(s) => scratch.costs[pos].clone_from(&s.1),
                 None => {
                     let sc = set.scenario(indices[pos]);
-                    scratch.costs[pos] = match cache {
-                        Some(c) if c.is_resident(pos) => ev.cost_cached(&mut ws, w, sc, c, pos),
-                        _ => ev.cost_with(&mut ws, w, sc),
-                    };
+                    scratch.costs[pos].assign(scenario_cost(eng, &mut ws, w, sc, cache, pos));
                 }
             }
             scratch.done[pos] = true;
             let evaluated = e + 1;
             if evaluated < n && evaluated % check_every == 0 {
                 if let Some(cut) = proven_cut(scratch, &mut acc, evaluated) {
-                    ev.release_workspace(ws);
+                    eng.release_workspace(ws);
                     return cut;
                 }
             }
         }
-        ev.release_workspace(ws);
+        eng.release_workspace(ws);
         fold_bound(set, indices, scratch, floors, &mut acc);
         return SetSweep::Complete(acc);
     }
@@ -410,7 +417,7 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                 .chunks(chunk)
                 .map(|part| {
                     s.spawn(move || {
-                        let mut ws = ev.acquire_workspace();
+                        let mut ws = eng.acquire_workspace();
                         let costs: Vec<(u32, E::Cost)> = part
                             .iter()
                             .map(|&pos| {
@@ -418,16 +425,11 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                                     return (pos, s.1.clone());
                                 }
                                 let sc = set.scenario(indices[pos as usize]);
-                                let c = match cache {
-                                    Some(c) if c.is_resident(pos as usize) => {
-                                        ev.cost_cached(&mut ws, w, sc, c, pos as usize)
-                                    }
-                                    _ => ev.cost_with(&mut ws, w, sc),
-                                };
-                                (pos, c)
+                                let c = scenario_cost(eng, &mut ws, w, sc, cache, pos as usize);
+                                (pos, cost_of(c))
                             })
                             .collect();
-                        ev.release_workspace(ws);
+                        eng.release_workspace(ws);
                         costs
                     })
                 })
@@ -450,6 +452,23 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     SetSweep::Complete(acc)
 }
 
+/// The components of `w` under the scenario at sweep position `pos`:
+/// through the delta-state `cache` when the position is resident, on the
+/// plain repair-seeded path otherwise — the same bits either way.
+fn scenario_cost<'w, W: ClassWeights>(
+    eng: &Engine<'_>,
+    ws: &'w mut EvalWorkspace,
+    w: &W,
+    sc: Scenario,
+    cache: Option<&ScenarioCache>,
+    pos: usize,
+) -> &'w [f64] {
+    match cache {
+        Some(c) if c.is_resident(pos) => eng.cost_cached(ws, w, sc, c, pos),
+        _ => eng.cost_with(ws, w, sc),
+    }
+}
+
 /// Compound (weight-aware) cost of `w` over a scenario set's indices:
 /// the probability-weighted sum, which for a uniform set (unit weights,
 /// exact multiplications) is the plain ordered sum. The reduction runs
@@ -463,7 +482,7 @@ pub fn sum_set_costs<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     threads: usize,
 ) -> E::Cost {
     let costs = evaluate_set(ev, w, set, indices, threads);
-    let mut acc = E::Cost::zeros(ev.num_classes());
+    let mut acc = E::Cost::zeros(ev.engine().num_classes());
     for (c, &i) in costs.iter().zip(indices) {
         acc.add_scaled_assign(c, set.weight(i));
     }
@@ -659,7 +678,7 @@ mod tests {
         let mut ws = ev.acquire_workspace();
         let floors: Vec<LexCost> = indices
             .iter()
-            .map(|&i| RobustEngine::floor(&ev, &mut ws, set.scenario(i), true))
+            .map(|&i| ev.scenario_floor(&mut ws, set.scenario(i)))
             .collect();
         ev.release_workspace(ws);
         let total = sum_set_costs(&ev, &w, &set, &indices, 1);

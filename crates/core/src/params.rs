@@ -120,8 +120,8 @@ pub struct Params {
     /// identical with it on or off; only losing sweeps get cheaper.
     pub cutoff: bool,
     /// Include the load-aware congestion Φ component in the per-scenario
-    /// floors of the bounded sweeps (`Evaluator::phi_floor`); off, the
-    /// floors fall back to the propagation-only Λ bound. Only read when
+    /// floors of the bounded sweeps (`dtr_cost::Engine::phi_floor`); off,
+    /// the floors fall back to the propagation-only Λ bound. Only read when
     /// `cutoff` is on. Like the cutoff itself, the Φ floors are a
     /// float-exact rejection proof: results and traces are identical
     /// either way, only losing sweeps cut earlier.

@@ -18,10 +18,11 @@
 //! re-draws one duplex link's `(delay, throughput)` weight pair, costs
 //! are [`LexCost`], and the gate is [`feasible`].
 //!
-//! Both evaluation kinds ride the incremental engine in
-//! `dtr_cost::engine`: a neighbor move changes one duplex link's weights,
-//! so the normal-conditions check re-routes only the destinations whose
-//! distance field that change can provably touch, and the failure sweep
+//! Both evaluation kinds ride the two-class instantiation of the
+//! incremental engine in `dtr_cost::engine`: a neighbor move changes one
+//! duplex link's weights, so the normal-conditions check re-routes only
+//! the destinations whose distance field that change can provably
+//! touch, and the failure sweep
 //! runs through the **delta-state scenario cache** — per scenario, only
 //! destinations whose effective routing the candidate diff really moves
 //! are repaired from the resident incumbent state, only
@@ -29,17 +30,15 @@
 //! destinations re-run the SLA DP — for **every** scenario kind the set
 //! holds (link, node, SRLG, double-link, probabilistically weighted).
 
-use dtr_cost::engine::RefreshCtx;
-use dtr_cost::{EvalWorkspace, Evaluator, LexCost, ScenarioCache, ScenarioEntry};
-use dtr_net::{LinkId, Network};
+use dtr_cost::{Engine, Evaluator, LexCost};
+use dtr_net::LinkId;
 use dtr_persist::{Decoder, Encoder, SnapshotError};
-use dtr_routing::workspace::DestRouting;
 use dtr_routing::{Scenario, WeightSetting};
 use rand::rngs::StdRng;
 
 use crate::params::Params;
 use crate::phase1::Phase1Output;
-use crate::robust::{self, RobustEngine, RobustKnobs, RobustOutput, RunControl, SweepCache};
+use crate::robust::{self, RobustEngine, RobustKnobs, RobustOutput, RunControl};
 use crate::scenario::{ScenarioSet, SliceSet};
 use crate::search::{duplex_weights, random_weight_pair, set_duplex_weights};
 
@@ -53,150 +52,22 @@ pub fn feasible(normal: &LexCost, lambda_star: f64, phi_star: f64, chi: f64) -> 
     normal.lambda <= lambda_star + dtr_cost::LAMBDA_EPS && normal.phi <= (1.0 + chi) * phi_star
 }
 
-impl SweepCache for ScenarioCache {
-    type Base = [Vec<DestRouting>; 2];
-    type Entry = ScenarioEntry;
-    type Ctx<'a> = RefreshCtx<'a>;
-
-    fn with_budget(bytes: usize) -> Self {
-        ScenarioCache::with_budget(bytes)
-    }
-
-    fn budget_bytes(&self) -> usize {
-        ScenarioCache::budget_bytes(self)
-    }
-
-    fn resident_scenarios(&self) -> usize {
-        ScenarioCache::resident_scenarios(self)
-    }
-
-    fn full_resident_scenarios(&self) -> usize {
-        ScenarioCache::full_resident_scenarios(self)
-    }
-
-    fn is_resident(&self, pos: usize) -> bool {
-        ScenarioCache::is_resident(self, pos)
-    }
-
-    fn plan_residency(&mut self, positions: usize) {
-        ScenarioCache::plan_residency(self, positions)
-    }
-
-    fn capture_split(&mut self) -> (&Self::Base, &mut [ScenarioEntry]) {
-        ScenarioCache::capture_split(self)
-    }
-
-    fn refresh_split(&mut self) -> (RefreshCtx<'_>, &mut [ScenarioEntry]) {
-        ScenarioCache::refresh_split(self)
-    }
-
-    fn demote(entry: &mut ScenarioEntry) {
-        entry.demote();
-    }
-}
-
-/// DTR's robust engine: the two-class delta-state evaluator, moves that
-/// re-draw a duplex link's `(delay, throughput)` pair, and the Eq. 5–6
-/// gate with Phase 1's `⟨Λ*, Φ*⟩` as benchmark and χ as its parameter.
+/// DTR's robust engine: the two-class instantiation of the delta-state
+/// engine, moves that re-draw a duplex link's `(delay, throughput)`
+/// pair, and the Eq. 5–6 gate with Phase 1's `⟨Λ*, Φ*⟩` as benchmark
+/// and χ as its parameter.
 impl RobustEngine for Evaluator<'_> {
     type Weights = WeightSetting;
     type Cost = LexCost;
     type Move = (u32, u32);
     type GateParams = f64;
-    type Workspace = EvalWorkspace;
-    type Cache = ScenarioCache;
 
     const SNAPSHOT_KIND: u32 = dtr_persist::KIND_DTR_PHASE2;
     const SET_SIZE_MISMATCH: &'static str = "critical-set size differs";
     const PROMOTE_RESTART: bool = false;
 
-    fn net(&self) -> &Network {
-        Evaluator::net(self)
-    }
-
-    fn num_classes(&self) -> usize {
-        2
-    }
-
-    fn acquire_workspace(&self) -> EvalWorkspace {
-        Evaluator::acquire_workspace(self)
-    }
-
-    fn release_workspace(&self, ws: EvalWorkspace) {
-        Evaluator::release_workspace(self, ws)
-    }
-
-    fn cost_with(&self, ws: &mut EvalWorkspace, w: &WeightSetting, scenario: Scenario) -> LexCost {
-        Evaluator::cost_with(self, ws, w, scenario)
-    }
-
-    fn cost_cached(
-        &self,
-        ws: &mut EvalWorkspace,
-        w: &WeightSetting,
-        scenario: Scenario,
-        cache: &ScenarioCache,
-        pos: usize,
-    ) -> LexCost {
-        Evaluator::cost_cached(self, ws, w, scenario, cache, pos)
-    }
-
-    fn floor(&self, ws: &mut EvalWorkspace, scenario: Scenario, phi_floors: bool) -> LexCost {
-        if phi_floors {
-            let f = self.scenario_floor(ws, scenario);
-            LexCost::new(f.lambda, f.phi)
-        } else {
-            LexCost::new(self.lambda_floor(scenario), 0.0)
-        }
-    }
-
-    fn cache_begin(&self, cache: &mut ScenarioCache, w: &WeightSetting) {
-        Evaluator::cache_begin(self, cache, w);
-    }
-
-    fn cache_rebuild_begin(
-        &self,
-        ws: &mut EvalWorkspace,
-        cache: &mut ScenarioCache,
-        w: &WeightSetting,
-        positions: usize,
-    ) {
-        Evaluator::cache_rebuild_begin(self, ws, cache, w, positions)
-    }
-
-    fn cost_capture_into(
-        &self,
-        ws: &mut EvalWorkspace,
-        w: &WeightSetting,
-        scenario: Scenario,
-        base: &[Vec<DestRouting>; 2],
-        entry: &mut ScenarioEntry,
-    ) -> LexCost {
-        Evaluator::cost_capture_into(self, ws, w, scenario, base, entry)
-    }
-
-    fn cache_refresh_begin(
-        &self,
-        ws: &mut EvalWorkspace,
-        cache: &mut ScenarioCache,
-        w: &WeightSetting,
-    ) {
-        Evaluator::cache_refresh_begin(self, ws, cache, w)
-    }
-
-    fn cache_refresh_entry(
-        &self,
-        ws: &mut EvalWorkspace,
-        w: &WeightSetting,
-        ctx: &RefreshCtx<'_>,
-        scenario: Scenario,
-        entry: &mut ScenarioEntry,
-    ) {
-        Evaluator::cache_refresh_entry(self, ws, w, ctx, scenario, entry)
-    }
-
-    fn cache_refresh_finish(&self, cache: &mut ScenarioCache, w: &WeightSetting) {
-        Evaluator::cache_refresh_finish(self, cache, w)
+    fn engine(&self) -> &Engine<'_> {
+        Evaluator::engine(self)
     }
 
     fn draw_move(&self, wmax: u32, rng: &mut StdRng) -> (u32, u32) {

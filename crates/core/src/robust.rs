@@ -9,13 +9,14 @@
 //! weight setting close to one that already satisfies the constraints",
 //! §V-A3).
 //!
-//! DTR is the k = 2 case of MTR (the paper's "most basic setting"), and
-//! the two robust phases differ only in the engine they evaluate with.
-//! The search here is generic over [`RobustEngine`], which names exactly
-//! the operations the search performs; `dtr_core::phase2` instantiates
-//! it with `dtr_cost::Evaluator` and `dtr_mtr::robust` with
-//! `MtrEvaluator`. Dispatch is static: each instantiation compiles to
-//! its own monomorphic kernels, with no `dyn` on the sweep path.
+//! DTR is the k = 2 case of MTR (the paper's "most basic setting"):
+//! both robust phases evaluate on the one delta-state engine
+//! (`dtr_cost::Engine`) and differ only in their cost order, move
+//! encoding and gate. The search here is generic over [`RobustEngine`],
+//! which names exactly those; `dtr_core::phase2` instantiates it with
+//! `dtr_cost::Evaluator` and `dtr_mtr::robust` with `MtrEvaluator`.
+//! Dispatch is static: each instantiation compiles to its own
+//! monomorphic kernels, with no `dyn` on the sweep path.
 //!
 //! # The batched + cutoff kernel
 //!
@@ -60,14 +61,15 @@
 
 use std::time::{Duration, Instant};
 
-use dtr_net::{LinkId, Network};
+use dtr_cost::{Engine, ScenarioCache};
+use dtr_net::LinkId;
 use dtr_persist::{CheckpointSink, Decoder, Encoder, SnapshotError};
 use dtr_routing::Scenario;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::parallel::{self, SetSweep, SweepScratch};
+use crate::parallel::{self, cost_of, SetSweep, SweepScratch};
 use crate::params::{replica_seed, PortfolioParams};
 use crate::scenario::ScenarioSet;
 use crate::search::{
@@ -75,52 +77,16 @@ use crate::search::{
     SpecBuffers, StopRule, Terminated,
 };
 
-/// The delta-state scenario cache of a [`RobustEngine`]: a per-position
-/// evaluation state pointed at the incumbent, under a byte budget. The
-/// capture and refresh sweeps shard over its position-disjoint entries.
-pub trait SweepCache: Send + Sync + Sized {
-    /// Shared read-only incumbent baseline handed to every capture.
-    type Base: ?Sized + Sync;
-    /// One position's resident state.
-    type Entry: Send;
-    /// Shared read-only context of a sharded refresh.
-    type Ctx<'a>: Sync
-    where
-        Self: 'a;
-
-    /// An empty cache holding at most `bytes` of resident state.
-    fn with_budget(bytes: usize) -> Self;
-    /// The configured byte budget (`usize::MAX` = unbounded).
-    fn budget_bytes(&self) -> usize;
-    /// Positions holding resident state (full and partial tiers).
-    fn resident_scenarios(&self) -> usize;
-    /// Positions holding the full resident state.
-    fn full_resident_scenarios(&self) -> usize;
-    /// Whether position `pos` evaluates through the cache.
-    fn is_resident(&self, pos: usize) -> bool;
-    /// Plan the resident prefix from the first captured entry.
-    fn plan_residency(&mut self, positions: usize);
-    /// Split into the shared baseline and the per-position entries.
-    fn capture_split(&mut self) -> (&Self::Base, &mut [Self::Entry]);
-    /// Split into the shared refresh context and the entries.
-    fn refresh_split(&mut self) -> (Self::Ctx<'_>, &mut [Self::Entry]);
-    /// Demote a fully captured entry to the partial tier.
-    fn demote(entry: &mut Self::Entry);
-}
-
-/// The evaluation engine the robust search runs on: everything
-/// [`run_controlled`] and [`resume`] call, with identical shapes for
-/// both instantiations.
+/// What an instantiation of the robust search supplies besides the
+/// shared delta-state [`Engine`] it evaluates on: the cost type and its
+/// order, the move encoding, the normal-conditions gate and its snapshot
+/// parameters, the snapshot tags and one control-flow difference.
 ///
-/// * **Engine** — the workspace pool, the plain
-///   [`cost_with`](Self::cost_with) and cached
-///   [`cost_cached`](Self::cost_cached) scenario evaluations, the
-///   per-scenario [`floor`](Self::floor), and the cache capture/refresh
-///   calls.
 /// * **Cost** — [`SearchCost`]. The two instantiations keep their own
 ///   order: `LexCost::better_than` compares Φ strictly once Λ ties
 ///   within `LAMBDA_EPS`, while `VecCost` compares every component
-///   within `COMPONENT_EPS`.
+///   within `COMPONENT_EPS`. The engine's components become a cost in
+///   one place, [`SearchCost::assign`].
 /// * **Move** — [`draw_move`](Self::draw_move),
 ///   [`read_move`](Self::read_move), [`apply_move`](Self::apply_move):
 ///   DTR re-draws a duplex link's `(delay, throughput)` pair, MTR its k
@@ -143,10 +109,6 @@ pub trait RobustEngine: Sync {
     /// Gate parameters beyond the benchmark (DTR's χ; MTR's constraints
     /// live in its evaluator's class specs).
     type GateParams: Copy + Sync;
-    /// A pooled evaluation workspace.
-    type Workspace;
-    /// The delta-state scenario cache.
-    type Cache: SweepCache;
 
     /// Snapshot kind tag written by this instantiation.
     const SNAPSHOT_KIND: u32;
@@ -157,71 +119,8 @@ pub trait RobustEngine: Sync {
     /// DTR never does (its best only advances on accepted moves).
     const PROMOTE_RESTART: bool;
 
-    /// The topology.
-    fn net(&self) -> &Network;
-    /// Number of traffic classes (cost components).
-    fn num_classes(&self) -> usize;
-    /// Check a workspace out of the pool.
-    fn acquire_workspace(&self) -> Self::Workspace;
-    /// Return a workspace to the pool.
-    fn release_workspace(&self, ws: Self::Workspace);
-    /// Plain incremental cost of `w` under `scenario`.
-    fn cost_with(
-        &self,
-        ws: &mut Self::Workspace,
-        w: &Self::Weights,
-        scenario: Scenario,
-    ) -> Self::Cost;
-    /// Delta-state cost of `w` under the scenario at resident `pos`.
-    fn cost_cached(
-        &self,
-        ws: &mut Self::Workspace,
-        w: &Self::Weights,
-        scenario: Scenario,
-        cache: &Self::Cache,
-        pos: usize,
-    ) -> Self::Cost;
-    /// Weight-independent componentwise lower bound of any setting's
-    /// cost under `scenario`: the Λ floors, plus the load-aware Φ floors
-    /// when `phi_floors`.
-    fn floor(&self, ws: &mut Self::Workspace, scenario: Scenario, phi_floors: bool) -> Self::Cost;
-    /// Point the cache's move diff at candidate `w`.
-    fn cache_begin(&self, cache: &mut Self::Cache, w: &Self::Weights);
-    /// Start a capture sweep over `positions` entries on incumbent `w`.
-    fn cache_rebuild_begin(
-        &self,
-        ws: &mut Self::Workspace,
-        cache: &mut Self::Cache,
-        w: &Self::Weights,
-        positions: usize,
-    );
-    /// Evaluate `scenario` on the incumbent, capturing its entry.
-    fn cost_capture_into(
-        &self,
-        ws: &mut Self::Workspace,
-        w: &Self::Weights,
-        scenario: Scenario,
-        base: &<Self::Cache as SweepCache>::Base,
-        entry: &mut <Self::Cache as SweepCache>::Entry,
-    ) -> Self::Cost;
-    /// Refresh stage 1: diff and baseline update toward `w`.
-    fn cache_refresh_begin(
-        &self,
-        ws: &mut Self::Workspace,
-        cache: &mut Self::Cache,
-        w: &Self::Weights,
-    );
-    /// Refresh stage 2: one entry (shardable).
-    fn cache_refresh_entry(
-        &self,
-        ws: &mut Self::Workspace,
-        w: &Self::Weights,
-        ctx: &<Self::Cache as SweepCache>::Ctx<'_>,
-        scenario: Scenario,
-        entry: &mut <Self::Cache as SweepCache>::Entry,
-    );
-    /// Refresh stage 3: adopt `w` as the incumbent.
-    fn cache_refresh_finish(&self, cache: &mut Self::Cache, w: &Self::Weights);
+    /// The delta-state engine every evaluation of the search runs on.
+    fn engine(&self) -> &Engine<'_>;
     /// Draw a fresh move in `[1, wmax]` per class.
     fn draw_move(&self, wmax: u32, rng: &mut StdRng) -> Self::Move;
     /// The move currently applied on `rep`.
@@ -378,7 +277,7 @@ struct SweepState<E: RobustEngine> {
     order: Vec<u32>,
     scratch: SweepScratch<E::Cost>,
     floors: Vec<E::Cost>,
-    cache: E::Cache,
+    cache: ScenarioCache,
 }
 
 impl<E: RobustEngine> SweepState<E> {
@@ -395,12 +294,16 @@ impl<E: RobustEngine> SweepState<E> {
         knobs: &RobustKnobs,
     ) -> Self {
         let floors = if knobs.cutoff {
-            let mut ws = ev.acquire_workspace();
+            let eng = ev.engine();
+            let mut ws = eng.acquire_workspace();
             let floors = indices
                 .iter()
-                .map(|&i| ev.floor(&mut ws, set.scenario(i), knobs.phi_floors))
+                .map(|&i| {
+                    let floor = eng.scenario_floor(&mut ws, set.scenario(i), knobs.phi_floors);
+                    cost_of(floor)
+                })
                 .collect();
-            ev.release_workspace(ws);
+            eng.release_workspace(ws);
             floors
         } else {
             Vec::new()
@@ -409,7 +312,7 @@ impl<E: RobustEngine> SweepState<E> {
             order: (0..indices.len() as u32).collect(),
             scratch: SweepScratch::new(),
             floors,
-            cache: E::Cache::with_budget(knobs.cache_budget_bytes),
+            cache: ScenarioCache::with_budget(knobs.cache_budget_bytes),
         }
     }
 
@@ -466,7 +369,7 @@ fn full_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     let resident = st.cache.resident_scenarios();
     stats.cache_resident_scenarios = stats.cache_resident_scenarios.max(resident);
     stats.cache_fallback_evals += indices.len() - resident;
-    let mut acc = E::Cost::zeros(ev.num_classes());
+    let mut acc = E::Cost::zeros(ev.engine().num_classes());
     for (c, &i) in st.scratch.costs.iter().zip(indices) {
         acc.add_scaled_assign(c, set.weight(i));
     }
@@ -497,16 +400,19 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     threads: usize,
     st: &mut SweepState<E>,
 ) {
+    let eng = ev.engine();
     let n = indices.len();
-    let mut ws = ev.acquire_workspace();
-    ev.cache_rebuild_begin(&mut ws, &mut st.cache, w, n);
+    let mut ws = eng.acquire_workspace();
+    eng.cache_rebuild_begin(&mut ws, &mut st.cache, w, n);
     st.scratch.costs.clear();
-    st.scratch.costs.resize(n, E::Cost::zeros(ev.num_classes()));
+    st.scratch
+        .costs
+        .resize(n, E::Cost::zeros(eng.num_classes()));
     let mut captured = 0usize;
     if st.cache.budget_bytes() != usize::MAX && n > 0 {
         let (base, entries) = st.cache.capture_split();
-        st.scratch.costs[0] =
-            ev.cost_capture_into(&mut ws, w, set.scenario(indices[0]), base, &mut entries[0]);
+        let sc = set.scenario(indices[0]);
+        st.scratch.costs[0].assign(eng.cost_capture_into(&mut ws, w, sc, base, &mut entries[0]));
         captured = 1;
     }
     st.cache.plan_residency(n);
@@ -520,30 +426,31 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     if workers <= 1 {
         let (base, entries) = st.cache.capture_split();
         for pos in captured..cap_hi {
-            st.scratch.costs[pos] = ev.cost_capture_into(
+            let sc = set.scenario(indices[pos]);
+            st.scratch.costs[pos].assign(eng.cost_capture_into(
                 &mut ws,
                 w,
-                set.scenario(indices[pos]),
+                sc,
                 base,
                 &mut entries[pos],
-            );
+            ));
         }
         // Partial-tier positions capture fully (the capture eval *is*
         // the exact cost) and immediately demote to the planned
         // routings + loads footprint.
         for entry in &mut entries[full..cap_hi] {
-            E::Cache::demote(entry);
+            entry.demote();
         }
         for (c, &i) in st.scratch.costs[cap_hi..]
             .iter_mut()
             .zip(&indices[cap_hi..])
         {
-            *c = ev.cost_with(&mut ws, w, set.scenario(i));
+            c.assign(eng.cost_with(&mut ws, w, set.scenario(i)));
         }
-        ev.release_workspace(ws);
+        eng.release_workspace(ws);
         return;
     }
-    ev.release_workspace(ws);
+    eng.release_workspace(ws);
     {
         let (base, entries) = st.cache.capture_split();
         let idx = &indices[captured..cap_hi];
@@ -557,16 +464,16 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                 .zip(csts.chunks_mut(chunk))
                 .collect();
             parallel::scoped_fanout(parts, |((idx, ents), cst)| {
-                let mut ws = ev.acquire_workspace();
+                let mut ws = eng.acquire_workspace();
                 for ((&i, entry), c) in idx.iter().zip(ents).zip(cst) {
-                    *c = ev.cost_capture_into(&mut ws, w, set.scenario(i), base, entry);
+                    c.assign(eng.cost_capture_into(&mut ws, w, set.scenario(i), base, entry));
                 }
-                ev.release_workspace(ws);
+                eng.release_workspace(ws);
             });
         }
         // See the serial branch: demote the partial-tier band.
         for entry in &mut entries[full..cap_hi] {
-            E::Cache::demote(entry);
+            entry.demote();
         }
     }
     let tail = &indices[cap_hi..];
@@ -575,18 +482,18 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         let chunk = tail.len().div_ceil(workers);
         let parts: Vec<_> = tail.chunks(chunk).zip(csts.chunks_mut(chunk)).collect();
         parallel::scoped_fanout(parts, |(idx, cst)| {
-            let mut ws = ev.acquire_workspace();
+            let mut ws = eng.acquire_workspace();
             for (&i, c) in idx.iter().zip(cst) {
-                *c = ev.cost_with(&mut ws, w, set.scenario(i));
+                c.assign(eng.cost_with(&mut ws, w, set.scenario(i)));
             }
-            ev.release_workspace(ws);
+            eng.release_workspace(ws);
         });
     }
 }
 
 /// Re-point the delta-state cache at the accepted incumbent `w`,
 /// sharding the per-entry refresh across `threads` workers: after the
-/// serial [`RobustEngine::cache_refresh_begin`] baseline stage, resident
+/// serial [`Engine::cache_refresh_begin`] baseline stage, resident
 /// entries are position-disjoint and the refresh context is shared
 /// read-only, so each worker owns a contiguous chunk and the spliced
 /// result is bit-identical to the serial refresh at any thread count
@@ -598,20 +505,21 @@ fn refresh_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     indices: &[usize],
     w: &E::Weights,
     threads: usize,
-    cache: &mut E::Cache,
+    cache: &mut ScenarioCache,
 ) {
+    let eng = ev.engine();
     let resident = cache.resident_scenarios();
     let workers = threads.min(resident.max(1));
-    let mut ws = ev.acquire_workspace();
-    ev.cache_refresh_begin(&mut ws, cache, w);
+    let mut ws = eng.acquire_workspace();
+    eng.cache_refresh_begin(&mut ws, cache, w);
     if workers <= 1 {
         let (ctx, entries) = cache.refresh_split();
         for (pos, entry) in entries.iter_mut().enumerate().take(resident) {
-            ev.cache_refresh_entry(&mut ws, w, &ctx, set.scenario(indices[pos]), entry);
+            eng.cache_refresh_entry(&mut ws, w, &ctx, set.scenario(indices[pos]), entry);
         }
-        ev.release_workspace(ws);
+        eng.release_workspace(ws);
     } else {
-        ev.release_workspace(ws);
+        eng.release_workspace(ws);
         let (ctx, entries) = cache.refresh_split();
         let chunk = resident.div_ceil(workers);
         let parts: Vec<_> = indices[..resident]
@@ -619,14 +527,14 @@ fn refresh_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
             .zip(entries[..resident].chunks_mut(chunk))
             .collect();
         parallel::scoped_fanout(parts, |(idx, ents)| {
-            let mut ws = ev.acquire_workspace();
+            let mut ws = eng.acquire_workspace();
             for (&i, entry) in idx.iter().zip(ents) {
-                ev.cache_refresh_entry(&mut ws, w, &ctx, set.scenario(i), entry);
+                eng.cache_refresh_entry(&mut ws, w, &ctx, set.scenario(i), entry);
             }
-            ev.release_workspace(ws);
+            eng.release_workspace(ws);
         });
     }
-    ev.cache_refresh_finish(cache, w);
+    eng.cache_refresh_finish(cache, w);
 }
 
 /// The candidate cost the speculative fan-out hands back: the
@@ -699,7 +607,7 @@ impl<E: RobustEngine> Chain<E> {
             current_normal,
             current_kfail,
             stop: StopRule::new(knobs.p2, knobs.c),
-            reps: ev.net().duplex_representatives(),
+            reps: ev.engine().net().duplex_representatives(),
             stale_sweeps: 0,
             spec: SpecBuffers::new(),
             seed_prefix: Vec::new(),
@@ -872,8 +780,8 @@ fn decode_chain<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
             _ => return Err(SnapshotError::Corrupt("move outcome out of range")),
         });
     }
-    let k = ev.num_classes();
-    let num_links = ev.net().num_links();
+    let k = ev.engine().num_classes();
+    let num_links = ev.engine().net().num_links();
     let current = take_weights(rd, k, knobs.wmax, num_links)?;
     let current_normal = take_cost(rd, k)?;
     let current_kfail = take_cost(rd, k)?;
@@ -964,8 +872,8 @@ fn encode_snapshot<E: RobustEngine>(
     enc.put_usize(knobs.portfolio.replicas);
     enc.put_usize(knobs.portfolio.rendezvous_period);
     enc.put_usize(run.set_len);
-    enc.put_usize(run.ev.net().num_links());
-    enc.put_usize(run.ev.num_classes());
+    enc.put_usize(run.ev.engine().net().num_links());
+    enc.put_usize(run.ev.engine().num_classes());
     enc.put_u32(knobs.wmax);
     enc.put_usize(knobs.p2);
     enc.put_f64(knobs.c);
@@ -1000,7 +908,7 @@ fn decode_config<E: RobustEngine>(
     gate: &E::GateParams,
 ) -> Result<(E::Cost, u64), SnapshotError> {
     rd.section(SEC_CONFIG)?;
-    let k = ev.num_classes();
+    let k = ev.engine().num_classes();
     if rd.take_u64()? != knobs.seed {
         return Err(SnapshotError::Mismatch("seed differs"));
     }
@@ -1013,7 +921,7 @@ fn decode_config<E: RobustEngine>(
     if rd.take_usize()? != set_len {
         return Err(SnapshotError::Mismatch(E::SET_SIZE_MISMATCH));
     }
-    if rd.take_usize()? != ev.net().num_links() {
+    if rd.take_usize()? != ev.engine().net().num_links() {
         return Err(SnapshotError::Mismatch("link count differs"));
     }
     if rd.take_usize()? != k {
@@ -1225,6 +1133,7 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         return;
     }
     let ev = run.ev;
+    let eng = ev.engine();
     let knobs = ch.knobs;
     let Chain {
         rng,
@@ -1280,16 +1189,16 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         |w, rep| ev.read_move(w, rep),
         |w, rep, mv| ev.apply_move(w, rep, mv),
         |w| {
-            let mut ws = ev.acquire_workspace();
-            let normal = ev.cost_with(&mut ws, w, Scenario::Normal);
+            let mut ws = eng.acquire_workspace();
+            let normal: E::Cost = cost_of(eng.cost_with(&mut ws, w, Scenario::Normal));
             let mut seeds = Vec::new();
             if !seed_prefix.is_empty() && run.feasible(&normal) {
                 seeds.extend(seed_prefix.iter().map(|&p| {
                     let sc = set.scenario(indices[p as usize]);
-                    (p, ev.cost_with(&mut ws, w, sc))
+                    (p, cost_of(eng.cost_with(&mut ws, w, sc)))
                 }));
             }
-            ev.release_workspace(ws);
+            eng.release_workspace(ws);
             (normal, seeds)
         },
         |cand_w, _rep, (cand_normal, seeds): &SpecCost<E::Cost>| {
@@ -1305,7 +1214,7 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
             }
             stats.evaluations += indices.len();
             let outcome = if knobs.cutoff {
-                ev.cache_begin(&mut st.cache, cand_w);
+                eng.cache_begin(&mut st.cache, cand_w);
                 let outcome = parallel::sum_set_costs_bounded(
                     ev,
                     cand_w,

@@ -28,6 +28,7 @@
 
 use dtr_cost::LexCost;
 use dtr_net::{LinkId, Network};
+pub use dtr_routing::ClassWeights;
 use dtr_routing::{Class, WeightSetting};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -427,6 +428,10 @@ pub trait SearchCost: Clone + PartialEq + std::fmt::Debug + Send + Sync {
     fn from_components(components: Vec<f64>) -> Option<Self>;
     /// Set every component to zero, keeping any allocation.
     fn reset(&mut self);
+    /// Overwrite every component from an evaluation engine's component
+    /// slice (in precedence order), keeping any allocation — the one
+    /// place engine output becomes a cost.
+    fn assign(&mut self, components: &[f64]);
     /// `self += other·p`, multiplying each component before the add.
     fn add_scaled_assign(&mut self, other: &Self, p: f64);
     /// Strictly better than `other` in the type's lexicographic order.
@@ -465,6 +470,11 @@ impl SearchCost for LexCost {
         *self = LexCost::ZERO;
     }
 
+    fn assign(&mut self, components: &[f64]) {
+        debug_assert_eq!(components.len(), 2, "a LexCost has two components");
+        *self = LexCost::new(components[0], components[1]);
+    }
+
     fn add_scaled_assign(&mut self, other: &Self, p: f64) {
         *self = self.add(&LexCost::new(other.lambda * p, other.phi * p));
     }
@@ -475,35 +485,6 @@ impl SearchCost for LexCost {
 
     fn relative_improvement_over(&self, other: &Self) -> f64 {
         LexCost::relative_improvement_over(self, other)
-    }
-}
-
-/// A weight setting viewed as one integer weight vector per traffic
-/// class — what the archive fingerprints and the snapshot codec stores.
-pub trait ClassWeights: Clone + PartialEq + std::fmt::Debug + Send + Sync {
-    /// Number of classes.
-    fn num_classes(&self) -> usize;
-    /// Per-link weights of class `k`.
-    fn class_weights(&self, k: usize) -> &[u32];
-    /// Rebuild a setting from per-class vectors (snapshot decoding; the
-    /// caller has checked their lengths and range).
-    fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self;
-}
-
-impl ClassWeights for WeightSetting {
-    fn num_classes(&self) -> usize {
-        Class::ALL.len()
-    }
-
-    fn class_weights(&self, k: usize) -> &[u32] {
-        self.weights(Class::ALL[k])
-    }
-
-    fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self {
-        let [delay, throughput]: [Vec<u32>; 2] = vecs
-            .try_into()
-            .expect("a DTR weight setting has two classes");
-        WeightSetting::from_vecs(delay, throughput, wmax)
     }
 }
 

@@ -1,19 +1,25 @@
-//! The allocation-free, incremental, delta-state evaluation engine.
+//! The allocation-free, incremental, delta-state evaluation engine — one
+//! engine for any number of traffic classes.
 //!
-//! [`crate::Evaluator::evaluate`] is the readable reference
-//! implementation: it recomputes everything from scratch and allocates
-//! its full [`crate::CostBreakdown`]. The local search does not need the
-//! breakdown — it needs millions of scalar [`crate::LexCost`] answers —
-//! so this module provides the machinery that produces *the same bits*
-//! without the per-evaluation work:
+//! The reference evaluators ([`crate::Evaluator::evaluate`] for DTR,
+//! `MtrEvaluator::evaluate` in `dtr-mtr` for k classes) recompute
+//! everything from scratch and allocate their full breakdowns. The local
+//! search does not need the breakdown — it needs millions of scalar cost
+//! answers — so this module provides the machinery that produces *the
+//! same bits* without the per-evaluation work. An [`Engine`] is built
+//! from an ordered class list (a traffic matrix plus a [`CostModel`] per
+//! class) and writes the k cost components of every evaluation into its
+//! workspace, returning them as a slice. DTR is its k = 2 instantiation:
+//! an SLA class followed by a congestion class.
 //!
 //! 1. **Workspaces** ([`EvalWorkspace`]): every scratch vector an
 //!    evaluation needs (Dijkstra heap, distance fields, load buffers,
-//!    the scenario mask, per-pair delays) lives in a per-thread workspace
-//!    drawn from the evaluator's pool. After warm-up, an evaluation of
-//!    **any** scenario kind performs **zero** heap allocations
-//!    (`tests/alloc_free.rs` pins this for link, SRLG and node sweeps,
-//!    and for the delta-state cached path).
+//!    the scenario mask, per-pair delays, the cost components) lives in a
+//!    per-thread workspace drawn from the engine's pool. After warm-up,
+//!    an evaluation of **any** scenario kind performs **zero** heap
+//!    allocations at any k (`tests/alloc_free.rs` pins this for link,
+//!    SRLG and node sweeps, the delta-state cached path and the sharded
+//!    refresh, at k = 2 and k = 3).
 //! 2. **Baseline caching**: the workspace keeps, per traffic class, the
 //!    full no-failure routing of the *current* weight setting as
 //!    replayable [`DestRouting`] records (one per demand destination).
@@ -28,35 +34,33 @@
 //!    the caller in scenario-index order, so the weighted sum is also
 //!    bit-stable.
 //! 4. **Incremental SPF across search moves**: when the weight setting
-//!    changes (a Phase-1/Phase-2 neighbor move re-draws one duplex
-//!    link's weights), the baseline is diffed against the new weights
-//!    and only destinations whose distance field is provably affected
+//!    changes (a neighbor move re-draws one duplex link's class
+//!    weights), the baseline is diffed against the new weights and only
+//!    destinations whose distance field is provably affected
 //!    ([`weight_change_affects`]) are re-routed.
 //! 5. **Delta-state scenario cache across moves × scenarios**
 //!    ([`ScenarioCache`]): the robust phase's sweep evaluates the *same
 //!    scenarios* for a stream of candidates that differ from the
 //!    incumbent by one duplex link. The cache keeps **persistent
 //!    per-scenario state** of the incumbent — see the next section — so
-//!    a candidate's per-scenario cost ([`Evaluator::cost_cached`])
+//!    a candidate's per-scenario cost ([`Engine::cost_cached`])
 //!    re-routes only the mask ∩ move-affected destinations, refolds only
-//!    the links whose contributor set changed, and re-runs the SLA delay
-//!    DP only for destinations whose routing or on-DAG link delays
-//!    changed. The accept path re-points the cache at the new incumbent
-//!    incrementally ([`Evaluator::cache_refresh`]).
-//! 6. **Incumbent-bounded sweeps**
-//!    ([`Evaluator::evaluate_all_bounded`], and the set-native
-//!    `dtr_core::parallel::sum_set_costs_bounded` with per-scenario
-//!    [`ScenarioFloor`]s — the propagation Λ floor from
-//!    [`Evaluator::lambda_floor`] paired with the load-aware congestion
-//!    Φ floor from [`Evaluator::phi_floor`]): compound failure costs
-//!    are non-negative sums, so a partial fold that stops beating the
-//!    search's incumbent *proves* the candidate will be rejected — the
-//!    rest of the sweep is skipped without perturbing the trajectory.
-//!    Floors are weight-independent, so they are computed once per
-//!    search and stand in for every scenario a bounded sweep has not
-//!    reached yet.
+//!    the links whose contributor set changed, and re-runs each SLA
+//!    class's delay DP only for destinations whose routing or on-DAG
+//!    link delays changed. The accept path re-points the cache at the
+//!    new incumbent incrementally ([`Engine::cache_refresh`]).
+//! 6. **Per-class floors** ([`Engine::scenario_floor`]): routing-
+//!    independent lower bounds of every cost component under a scenario
+//!    — the propagation-delay Λ floor for SLA classes, the load-aware Φ
+//!    floor for congestion classes. Compound failure costs are
+//!    non-negative sums, so the incumbent-bounded sweep
+//!    `dtr_core::parallel::sum_set_costs_bounded` can stand a floor in
+//!    for every scenario it has not reached yet: a partial fold that
+//!    stops beating the incumbent *proves* the candidate will be
+//!    rejected. Floors are weight-independent, so they are computed once
+//!    per search.
 //! 7. **Repair-seeded routing everywhere**: the plain
-//!    [`Evaluator::cost_with`]/`cost_scenario` path — capture sweeps,
+//!    [`Engine::cost_with`]/`cost_scenario` path — capture sweeps,
 //!    reference anchors, every uncached failure sweep — seeds
 //!    [`route_destination_repair`] from the workspace's resident
 //!    no-failure baseline (orphan detection + boundary Dijkstra),
@@ -74,27 +78,27 @@
 //!
 //! # The delta-state model
 //!
-//! Before this engine, a fully cached scenario evaluation still paid a
-//! *replay floor*: every destination's recorded load-adds were re-issued
-//! into a zeroed load vector, the per-link delays recomputed from
-//! scratch, and the end-to-end delay DP re-run for every delay
-//! destination — even when the candidate's one-duplex-link diff provably
-//! touched none of them. The [`ScenarioCache`] now keeps, per scenario,
-//! the *folded* state of the incumbent, and candidates pay only for
-//! their diff:
+//! A plain cached scenario evaluation would still pay a *replay floor*:
+//! every destination's recorded load-adds re-issued into a zeroed load
+//! vector, the per-link delays recomputed from scratch, and the
+//! end-to-end delay DP re-run for every SLA destination — even when the
+//! candidate's one-duplex-link diff provably touched none of them. The
+//! [`ScenarioCache`] keeps, per scenario, the *folded* state of the
+//! incumbent, and candidates pay only for their diff:
 //!
-//! * **What persists per scenario**: the recomputed routings of every
-//!   mask-affected destination (exactly the affected set — maintained
-//!   exactly by capture and refresh), the resident per-class per-link
-//!   **load vectors**, per-class **per-link contributor lists**
-//!   ([`LinkContrib`]: `(destination, share)` pairs in destination-index
-//!   order), the resident **per-link delays**, and the resident **SLA
-//!   pair-delay triples** segmented by destination. The cache also holds
-//!   the incumbent's no-failure **baseline** routings per class (the
-//!   effective routing of every destination the mask does not touch).
+//! * **What persists per scenario**: per class, the recomputed routings
+//!   of every mask-affected destination (exactly the affected set —
+//!   maintained exactly by capture and refresh), the resident per-link
+//!   **load vectors** and **per-link contributor lists**
+//!   (`LinkContrib`: `(destination, share)` pairs in destination-index
+//!   order); the resident **per-link delays** of the total loads; and,
+//!   per SLA class, the resident **pair-delay triples** segmented by
+//!   destination. The cache also holds the incumbent's no-failure
+//!   **baseline** routings per class (the effective routing of every
+//!   destination the mask does not touch).
 //! * **When a destination is changed**: the conservative
 //!   [`weight_change_affects`] pre-screen is sharpened into an *exact*
-//!   per-candidate baseline diff ([`baseline_unchanged`], computed once
+//!   per-candidate baseline diff (`baseline_unchanged`, computed once
 //!   per candidate against the workspace's maintained candidate
 //!   baseline and shared by the whole scenario sweep): a destination is
 //!   baseline-changed only when its distance field or DAG really moved.
@@ -115,17 +119,19 @@
 //!   destination's pair-delay segment, is read back from the resident
 //!   state.
 //! * **Why the per-link destination-ordered fold is bit-exact**: a
-//!   from-scratch evaluation accumulates `loads[l]` by iterating
-//!   destinations in index order and replaying each destination's adds;
-//!   the sub-sequence of adds landing on link `l` is therefore "one
-//!   share per contributing destination, in destination-index order"
-//!   (the ECMP push emits at most one add per (destination, link) pair —
-//!   see [`DestRouting::load_adds`]). Refolding link `l` as a merge of
-//!   the stored contributor list (minus changed destinations) with the
-//!   changed destinations' fresh shares, in destination-index order,
-//!   performs the **exact same float additions in the exact same
-//!   order** — so a clean link's resident load and a dirty link's
-//!   refolded load are both bit-for-bit the from-scratch value.
+//!   from-scratch evaluation accumulates a class's `loads[l]` by
+//!   iterating destinations in index order and replaying each
+//!   destination's adds; the sub-sequence of adds landing on link `l` is
+//!   therefore "one share per contributing destination, in
+//!   destination-index order" (the ECMP push emits at most one add per
+//!   (destination, link) pair — see [`DestRouting::load_adds`]).
+//!   Refolding link `l` as a merge of the stored contributor list (minus
+//!   changed destinations) with the changed destinations' fresh shares,
+//!   in destination-index order, performs the **exact same float
+//!   additions in the exact same order** — so a clean link's resident
+//!   load and a dirty link's refolded load are both bit-for-bit the
+//!   from-scratch value. Classes fold independently into the shared
+//!   total-load vector in class order, exactly as the references do.
 //!   Downstream, per-link delays are a per-link pure function of the
 //!   total load (patched only where a refold ran; a patched delay that
 //!   comes out bit-identical is pruned), and a destination's pair-delay
@@ -133,7 +139,7 @@
 //!   lies on its DAG ([`dag_uses_any`] over the changed-delay links —
 //!   a conservative superset of the DP's on-DAG reads). The final Λ and
 //!   Φ folds run over the assembled per-pair and per-link values in the
-//!   reference order, so they reproduce [`Evaluator::cost_with`] — and
+//!   reference order, so they reproduce [`Engine::cost_with`] — and
 //!   therefore the reference path — bit for bit.
 //!
 //! # Node failures: masks that also remove traffic
@@ -160,49 +166,46 @@
 //! The only reference quantity the engine does not reproduce for node
 //! scenarios is the `dropped` accounting (the reference removes the dead
 //! node's demand before routing; the engine records it as dropped) —
-//! `dropped` is diagnostic and never part of [`crate::LexCost`].
+//! `dropped` is diagnostic and never part of a cost.
 //!
 //! # Equivalence guarantees
 //!
-//! Bit-for-bit equivalence with the reference path is not best-effort —
+//! Bit-for-bit equivalence with the reference paths is not best-effort —
 //! it is load-bearing (the optimization trajectory must not depend on
 //! which engine evaluated a candidate) and pinned for **every**
-//! `Scenario` kind by `tests/engine_equivalence.rs` and the randomized
-//! differential harness `tests/scenario_engine_equivalence.rs`
-//! (including randomized move/accept chains through the delta-state
-//! cache, its refreshes, and full rebuilds). It holds because a replayed
-//! destination re-issues the exact floating-point additions, in the
-//! exact order, that a fresh computation would perform; a re-routed
+//! `Scenario` kind by `tests/engine_equivalence.rs`,
+//! `tests/mtr_scenarios.rs` and the randomized differential harness
+//! `tests/scenario_engine_equivalence.rs` (including randomized
+//! move/accept chains through the delta-state cache, its refreshes, and
+//! full rebuilds, under non-default cost parameters). It holds because a
+//! replayed destination re-issues the exact floating-point additions, in
+//! the exact order, that a fresh computation would perform; a re-routed
 //! destination runs the exact same [`route_destination`] kernel the
-//! reference path is built on; and the delta-state folds preserve the
+//! reference paths are built on; and the delta-state folds preserve the
 //! reference accumulation order per link and per pair (see above).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Source of unique per-[`Evaluator`] identities (see
-/// [`EvalWorkspace::owner`]); 0 is reserved for "never owned".
-static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// A fresh evaluator identity — shared across every evaluator family
-/// that pools owner-gated workspaces (`dtr-cost` and `dtr-mtr`), so an
-/// id can never collide between them.
-pub fn next_engine_id() -> u64 {
-    NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-use dtr_net::{LinkId, LinkMask};
+use dtr_net::{LinkId, LinkMask, Network, NodeId};
 use dtr_routing::workspace::{
     dag_uses_any, route_destination, route_destination_repair, weight_change_affects, DestRouting,
     WeightChange,
 };
-use dtr_routing::{delay, Class, Scenario, SpfWorkspace, WeightSetting};
+use dtr_routing::{delay, ClassWeights, Scenario, SpfWorkspace};
 use dtr_traffic::TrafficMatrix;
 
-use crate::delay_model;
-use crate::lexico::LexCost;
-use crate::params::DelayAggregation;
-use crate::{congestion, sla, Evaluator};
+use crate::params::{CostModel, CostParams, DelayAggregation};
+use crate::{congestion, delay_model, sla};
+
+/// Source of unique per-[`Engine`] identities (see
+/// [`EvalWorkspace::owner`]); 0 is reserved for "never owned". Also
+/// stamps cache generations.
+static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_engine_id() -> u64 {
+    NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Marker for "this destination was replayed from the baseline".
 /// Deliberately outside the [`CACHED_BIT`] range (high bit clear) so the
@@ -219,17 +222,17 @@ const CACHED_BIT: u32 = 0x8000_0000;
 /// not affect) on the delta-state path.
 const WS_BASE: u32 = 0x7fff_ffff;
 
-/// Per-link contributor lists of one scenario's effective routing state
-/// (CSR over directed links): for every link, the `(destination index,
-/// share)` pairs that fold into its load, sorted by destination index.
+/// Per-link contributor lists of one class's effective routing state
+/// under one scenario (CSR over directed links): for every link, the
+/// `(destination index, share)` pairs that fold into its load, sorted by
+/// destination index.
 ///
 /// Because the ECMP push emits at most one add per (destination, link)
 /// pair, a link's row holds one entry per contributing destination, and
 /// folding the row in order reproduces the from-scratch accumulation of
-/// that link's load bit for bit (see the module docs). Shared with the
-/// `dtr-mtr` delta-state cache.
+/// that link's load bit for bit (see the module docs).
 #[derive(Clone, Debug, Default)]
-pub struct LinkContrib {
+struct LinkContrib {
     /// `off[l]..off[l+1]` indexes `entries` for link `l`.
     off: Vec<u32>,
     /// `(destination index, share)` pairs, destination-ascending per link.
@@ -241,7 +244,7 @@ pub struct LinkContrib {
 impl LinkContrib {
     /// The contributor row of link `l`, destination-ascending.
     #[inline]
-    pub fn row(&self, l: usize) -> &[(u32, f64)] {
+    fn row(&self, l: usize) -> &[(u32, f64)] {
         &self.entries[self.off[l] as usize..self.off[l + 1] as usize]
     }
 
@@ -249,7 +252,7 @@ impl LinkContrib {
     /// `adds_of(di)` yields destination `di`'s effective `(link, share)`
     /// adds. Destinations are scanned in ascending index order, so every
     /// link's row comes out sorted by destination.
-    pub fn rebuild<'a, F>(&mut self, num_links: usize, num_dests: usize, mut adds_of: F)
+    fn rebuild<'a, F>(&mut self, num_links: usize, num_dests: usize, mut adds_of: F)
     where
         F: FnMut(usize) -> &'a [(u32, f64)],
     {
@@ -286,7 +289,7 @@ impl LinkContrib {
 
     /// Bytes of resident CSR state, from element counts (see
     /// [`ScenarioEntry::resident_bytes`]).
-    pub fn resident_bytes(&self) -> usize {
+    fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.off.len() + self.cursor.len()) * size_of::<u32>()
             + self.entries.len() * size_of::<(u32, f64)>()
@@ -311,8 +314,8 @@ impl LinkContrib {
 /// "changed" (e.g. a lowered weight that fails to create a shortcut),
 /// and every such false positive would otherwise re-run the per-scenario
 /// delay DP for nothing.
-pub fn baseline_unchanged(
-    net: &dtr_net::Network,
+fn baseline_unchanged(
+    net: &Network,
     cand_dist: &[u64],
     inc_dist: &[u64],
     diff: &[WeightChange],
@@ -339,7 +342,7 @@ pub fn baseline_unchanged(
 /// this link. `fresh` must be destination-ascending and disjoint from
 /// the unchanged row entries (fresh destinations are changed by
 /// definition).
-pub fn refold_link(
+fn refold_link(
     row: &[(u32, f64)],
     fresh: &[(u32, u32, f64)],
     is_changed: impl Fn(u32) -> bool,
@@ -395,29 +398,45 @@ fn effective_adds<'a>(
     }
 }
 
-/// Persistent per-scenario state of the cached incumbent: the recomputed
-/// routings of exactly the mask-affected destinations, plus the folded
-/// residents a candidate evaluation diffs against (see the module docs).
+/// The `old → new` per-link weight changes of one class, into `out`.
+fn weight_diff(old: &[u32], new: &[u32], out: &mut Vec<WeightChange>) {
+    out.clear();
+    out.extend(
+        old.iter()
+            .zip(new)
+            .enumerate()
+            .filter(|(_, (o, n))| o != n)
+            .map(|(l, (&o, &n))| WeightChange {
+                link: LinkId::new(l),
+                old: o,
+                new: n,
+            }),
+    );
+}
+
+/// Persistent per-scenario state of the cached incumbent: per class, the
+/// recomputed routings of exactly the mask-affected destinations, plus
+/// the folded residents a candidate evaluation diffs against (see the
+/// module docs).
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioEntry {
-    /// `(slot into the delay class's demand-destination list, routing)` —
-    /// exactly the mask-affected destinations, ascending.
-    delay: Vec<(u32, DestRouting)>,
-    /// Same for the throughput class.
-    tput: Vec<(u32, DestRouting)>,
-    /// Resident per-class per-link loads of the incumbent (`[delay,
-    /// tput]`).
-    loads: [Vec<f64>; 2],
-    /// Per-class per-link contributor lists, destination-ordered.
-    contrib: [LinkContrib; 2],
+    /// Per class: `(slot into the class's demand-destination list,
+    /// routing)` — exactly the mask-affected destinations, ascending.
+    routed: Vec<Vec<(u32, DestRouting)>>,
+    /// Per class: resident per-link loads of the incumbent.
+    loads: Vec<Vec<f64>>,
+    /// Per class: per-link contributor lists, destination-ordered.
+    contrib: Vec<LinkContrib>,
     /// Resident per-link delays of the incumbent's total loads.
     link_delays: Vec<f64>,
-    /// Resident SLA `(s, t, ξ)` triples of the incumbent, in reference
-    /// emission order (delay destinations ascending, senders ascending).
-    pairs: Vec<(usize, usize, f64)>,
-    /// `pair_off[di]..pair_off[di+1]` indexes `pairs` for delay
-    /// destination `di` (length = delay destinations + 1).
-    pair_off: Vec<u32>,
+    /// Per SLA class: resident `(s, t, ξ)` triples of the incumbent, in
+    /// reference emission order (destinations ascending, senders
+    /// ascending); empty for congestion classes.
+    pairs: Vec<Vec<(usize, usize, f64)>>,
+    /// Per SLA class: `pair_off[k][di]..pair_off[k][di+1]` indexes
+    /// `pairs[k]` for destination `di` (length = destinations + 1);
+    /// empty for congestion classes.
+    pair_off: Vec<Vec<u32>>,
     /// `true` when the SLA segments (`link_delays`, `pairs`, `pair_off`)
     /// are resident. Partially resident entries (see
     /// [`ScenarioCache::plan_residency`]) keep only the routing/load
@@ -433,22 +452,15 @@ impl ScenarioEntry {
     /// divides the cache budget by it.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let routing_bytes = |list: &[(u32, DestRouting)]| {
-            list.iter()
-                .map(|(_, r)| size_of::<(u32, DestRouting)>() + r.resident_bytes())
-                .sum::<usize>()
-        };
-        routing_bytes(&self.delay)
-            + routing_bytes(&self.tput)
-            + self.loads.iter().map(|l| l.len()).sum::<usize>() * size_of::<f64>()
-            + self
-                .contrib
-                .iter()
-                .map(LinkContrib::resident_bytes)
-                .sum::<usize>()
-            + self.link_delays.len() * size_of::<f64>()
-            + self.pairs.len() * size_of::<(usize, usize, f64)>()
-            + self.pair_off.len() * size_of::<u32>()
+        let routed: usize = self
+            .routed
+            .iter()
+            .flatten()
+            .map(|(_, r)| size_of::<(u32, DestRouting)>() + r.resident_bytes())
+            .sum();
+        let loads: usize = self.loads.iter().map(Vec::len).sum();
+        let contrib: usize = self.contrib.iter().map(LinkContrib::resident_bytes).sum();
+        routed + loads * size_of::<f64>() + contrib + self.sla_bytes()
     }
 
     /// Bytes this entry would hold after [`demote`](Self::demote): the
@@ -456,20 +468,28 @@ impl ScenarioEntry {
     /// the (fully captured) calibration entry, this prices the
     /// partial-residency tier of [`ScenarioCache::plan_residency`].
     pub fn partial_bytes(&self) -> usize {
+        self.resident_bytes() - self.sla_bytes()
+    }
+
+    /// Bytes of the SLA segments (link delays, pair triples, offsets).
+    fn sla_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.resident_bytes()
-            - self.link_delays.len() * size_of::<f64>()
-            - self.pairs.len() * size_of::<(usize, usize, f64)>()
-            - self.pair_off.len() * size_of::<u32>()
+        let pairs: usize = self.pairs.iter().map(Vec::len).sum();
+        let offs: usize = self.pair_off.iter().map(Vec::len).sum();
+        self.link_delays.len() * size_of::<f64>()
+            + pairs * size_of::<(usize, usize, f64)>()
+            + offs * size_of::<u32>()
     }
 
     /// Drop the SLA segments (link delays, pair triples, segment
     /// offsets), turning a fully captured entry into a partially
     /// resident one. The freed state is recomputed on demand by
-    /// [`Evaluator::cost_cached`] with bit-identical results, so
-    /// demotion never changes any evaluation — only its speed.
+    /// [`Engine::cost_cached`] with bit-identical results, so demotion
+    /// never changes any evaluation — only its speed.
     pub fn demote(&mut self) {
         self.sla_resident = false;
+        // Assign fresh vectors (not `clear`) so the memory is actually
+        // returned — that is the point of the partial tier.
         self.link_delays = Vec::new();
         self.pairs = Vec::new();
         self.pair_off = Vec::new();
@@ -479,16 +499,15 @@ impl ScenarioEntry {
 /// Delta-state scenario cache: the persistent per-scenario evaluation
 /// state of an *incumbent* weight setting, enabling candidate sweeps
 /// that pay only for their diff (see the module docs and
-/// [`Evaluator::cost_cached`]).
+/// [`Engine::cost_cached`]).
 ///
-/// Build it with [`Evaluator::cache_rebuild_begin`] +
-/// [`Evaluator::cost_capture`] sweeps over the incumbent, point
-/// candidates at it with [`Evaluator::cache_begin`] (which computes the
-/// per-class weight diff), evaluate through
-/// [`Evaluator::cost_cached`], and re-point it at an accepted candidate
-/// with [`Evaluator::cache_refresh`] — which maintains the affected-set
-/// coverage *exactly*, so no periodic full rebuild is needed for
-/// correctness or freshness.
+/// Build it with [`Engine::cache_rebuild_begin`] +
+/// [`Engine::cost_capture`] sweeps over the incumbent, point candidates
+/// at it with [`Engine::cache_begin`] (which computes the per-class
+/// weight diff), evaluate through [`Engine::cost_cached`], and re-point
+/// it at an accepted candidate with [`Engine::cache_refresh`] — which
+/// maintains the affected-set coverage *exactly*, so no periodic full
+/// rebuild is needed for correctness or freshness.
 ///
 /// ## Residency budget
 ///
@@ -501,24 +520,24 @@ impl ScenarioEntry {
 /// [`plan_residency`](Self::plan_residency) divides the byte budget by
 /// the measured entry size, and positions past the resident count are
 /// never captured — callers evaluate them through the plain
-/// (repair-seeded) `cost_scenario` path instead, which is bit-for-bit
-/// identical (determinism invariant 2), just slower. The eviction order
-/// is deterministic by construction: always the positions `resident..`,
-/// i.e. the tail of the caller's fixed position order, independent of
-/// thread count and wall clock.
+/// (repair-seeded) [`Engine::cost_with`] path instead, which is
+/// bit-for-bit identical (determinism invariant 2), just slower. The
+/// eviction order is deterministic by construction: always the positions
+/// `resident..`, i.e. the tail of the caller's fixed position order,
+/// independent of thread count and wall clock.
 #[derive(Debug)]
 pub struct ScenarioCache {
-    /// Per-class weights of the cached incumbent (`[delay, tput]`).
-    weights: [Vec<u32>; 2],
+    /// Per-class weights of the cached incumbent.
+    weights: Vec<Vec<u32>>,
     /// The incumbent's no-failure baseline routing per class, aligned
-    /// with the evaluator's demand-destination lists.
-    base: [Vec<DestRouting>; 2],
+    /// with the engine's demand-destination lists.
+    base: Vec<Vec<DestRouting>>,
     /// Per-position scenario entries (positions are caller-defined and
     /// must match the `pos` arguments of capture/evaluate calls).
     entries: Vec<ScenarioEntry>,
     /// Per-class weight diff of the current candidate vs `weights`,
-    /// refreshed by [`Evaluator::cache_begin`].
-    diff: [Vec<WeightChange>; 2],
+    /// refreshed by [`Engine::cache_begin`].
+    diff: Vec<Vec<WeightChange>>,
     /// Globally unique stamp of the current (incumbent, candidate diff)
     /// pair, advanced by every rebuild / begin / refresh. Workspaces use
     /// it to compute their per-candidate exact baseline diff flags once
@@ -534,10 +553,9 @@ pub struct ScenarioCache {
     /// Number of partially resident positions after the full prefix.
     partial: usize,
     /// Per-class "the incumbent baseline really moved under the pending
-    /// refresh diff" flags, filled by
-    /// [`Evaluator::cache_refresh_begin`] and read (shared, read-only)
-    /// by the per-entry refresh kernels.
-    refresh_changed: [Vec<bool>; 2],
+    /// refresh diff" flags, filled by [`Engine::cache_refresh_begin`]
+    /// and read (shared, read-only) by the per-entry refresh kernels.
+    refresh_changed: Vec<Vec<bool>>,
 }
 
 impl Default for ScenarioCache {
@@ -550,15 +568,15 @@ impl ScenarioCache {
     /// Fresh, empty, unbounded cache: every position is resident.
     pub fn new() -> Self {
         ScenarioCache {
-            weights: Default::default(),
-            base: Default::default(),
+            weights: Vec::new(),
+            base: Vec::new(),
             entries: Vec::new(),
-            diff: Default::default(),
+            diff: Vec::new(),
             generation: 0,
             budget: usize::MAX,
             resident: 0,
             partial: 0,
-            refresh_changed: Default::default(),
+            refresh_changed: Vec::new(),
         }
     }
 
@@ -647,18 +665,18 @@ impl ScenarioCache {
     /// Split the cache into its shared incumbent baseline and the
     /// per-position entries, for sharded capture sweeps (entries are
     /// position-disjoint, so each worker takes a contiguous chunk; see
-    /// [`Evaluator::cost_capture_into`]).
-    pub fn capture_split(&mut self) -> (&[Vec<DestRouting>; 2], &mut [ScenarioEntry]) {
+    /// [`Engine::cost_capture_into`]).
+    pub fn capture_split(&mut self) -> (&[Vec<DestRouting>], &mut [ScenarioEntry]) {
         (&self.base, &mut self.entries)
     }
 
     /// Split the cache into the shared read-only refresh context and
     /// the per-position entries, for sharded refresh sweeps between
-    /// [`Evaluator::cache_refresh_begin`] and
-    /// [`Evaluator::cache_refresh_finish`]. Entries are
-    /// position-disjoint, so each worker takes a contiguous chunk; see
-    /// [`Evaluator::cache_refresh_entry`] and the parallel-search
-    /// contract in `DETERMINISM.md`.
+    /// [`Engine::cache_refresh_begin`] and
+    /// [`Engine::cache_refresh_finish`]. Entries are position-disjoint,
+    /// so each worker takes a contiguous chunk; see
+    /// [`Engine::cache_refresh_entry`] and the parallel-search contract
+    /// in `DETERMINISM.md`.
     pub fn refresh_split(&mut self) -> (RefreshCtx<'_>, &mut [ScenarioEntry]) {
         (
             RefreshCtx {
@@ -674,45 +692,13 @@ impl ScenarioCache {
 /// Shared read-only inputs of a sharded refresh sweep: the (already
 /// updated) incumbent baseline, the pending weight diff, and the exact
 /// per-destination "baseline really moved" flags — everything a
-/// [`Evaluator::cache_refresh_entry`] call reads besides its own entry.
+/// [`Engine::cache_refresh_entry`] call reads besides its own entry.
 /// Obtained from [`ScenarioCache::refresh_split`].
 #[derive(Clone, Copy, Debug)]
 pub struct RefreshCtx<'a> {
-    base: &'a [Vec<DestRouting>; 2],
-    diff: &'a [Vec<WeightChange>; 2],
-    changed: &'a [Vec<bool>; 2],
-}
-
-/// Outcome of an incumbent-bounded batch evaluation
-/// ([`Evaluator::evaluate_all_bounded`]).
-#[derive(Clone, Debug, PartialEq)]
-pub enum BoundedCosts {
-    /// Every scenario was evaluated; per-scenario costs in input order,
-    /// bit-for-bit those of [`Evaluator::evaluate_all`].
-    Complete(Vec<LexCost>),
-    /// The input-order partial sum proved the total cannot beat the
-    /// incumbent; the sweep was abandoned after `evaluated` scenarios.
-    Cut {
-        /// Scenarios evaluated before the proof fired.
-        evaluated: usize,
-    },
-}
-
-/// Routing-independent per-scenario lower bound of [`LexCost`]: the
-/// propagation-delay Λ floor ([`Evaluator::lambda_floor`]) paired with
-/// the load-aware congestion Φ floor ([`Evaluator::phi_floor`]). Both
-/// components bound their cost component from below for **every** weight
-/// setting under the scenario mask, so incumbent-bounded sweeps can use
-/// them as stand-ins for scenarios not yet evaluated (see the soundness
-/// lemma on [`Evaluator::phi_floor`]). Floors depend only on the
-/// topology, traffic, mask and cost parameters — never on weights — so
-/// one computation per search is valid for its whole lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ScenarioFloor {
-    /// Lower bound on the scenario's `Λ` component.
-    pub lambda: f64,
-    /// Lower bound on the scenario's `Φ` component.
-    pub phi: f64,
+    base: &'a [Vec<DestRouting>],
+    diff: &'a [Vec<WeightChange>],
+    changed: &'a [Vec<bool>],
 }
 
 /// The cached no-failure routing of one traffic class under the
@@ -722,21 +708,20 @@ struct ClassBaseline {
     /// Weights this baseline was computed with (diffed on every reuse).
     weights: Vec<u32>,
     /// One replayable record per demand destination, aligned with the
-    /// evaluator's per-class demand-destination list.
+    /// engine's per-class demand-destination list.
     state: Vec<DestRouting>,
     valid: bool,
 }
 
-/// Per-thread scratch for the incremental engine. Acquire one from
-/// [`Evaluator::acquire_workspace`] (or implicitly via
-/// [`Evaluator::cost`] / [`Evaluator::evaluate_all`]) and reuse it: all
-/// buffers reach steady-state capacity after the first evaluation.
+/// Per-thread scratch for the engine. Acquire one from
+/// [`Engine::acquire_workspace`] and reuse it: all buffers reach
+/// steady-state capacity after the first evaluation.
 #[derive(Debug, Default)]
 pub struct EvalWorkspace {
-    /// [`Evaluator::engine_id`] of the evaluator whose baseline this
-    /// workspace holds; 0 = none yet. Two evaluators can share a link
-    /// count while disagreeing on traffic or parameters, so baseline
-    /// reuse is gated on identity, not on buffer sizes.
+    /// Identity of the engine whose baselines this workspace holds; 0 =
+    /// none yet. Two engines can share a link count while disagreeing
+    /// on traffic or parameters, so baseline reuse is gated on
+    /// identity, not on buffer sizes.
     owner: u64,
     spf: SpfWorkspace,
     mask: LinkMask,
@@ -747,26 +732,27 @@ pub struct EvalWorkspace {
     down: Vec<u32>,
     /// Weight diffs of the current `ensure_baseline` call.
     diff: Vec<WeightChange>,
-    base: [ClassBaseline; 2],
-    /// Recomputed per-destination routings of the current scenario
-    /// (delay class only — their distance fields feed the delay DP).
+    base: Vec<ClassBaseline>,
+    /// Recomputed per-destination routings of the current evaluation
+    /// (all classes share the pool; SLA classes read them in the DP).
     scratch: Vec<DestRouting>,
     /// Per-class destination index → resolution code: slot in
     /// `scratch`, [`NOT_RECOMPUTED`], [`WS_BASE`], or
     /// [`CACHED_BIT`]`| entry slot`.
-    scratch_map: [Vec<u32>; 2],
-    /// Throughput-class recompute scratch (result replayed immediately).
-    tput_scratch: DestRouting,
-    class_loads: [Vec<f64>; 2],
+    scratch_map: Vec<Vec<u32>>,
+    class_loads: Vec<Vec<f64>>,
     total_loads: Vec<f64>,
     link_delays: Vec<f64>,
     node_delay: Vec<f64>,
     pair_delays: Vec<(usize, usize, f64)>,
+    /// The k cost components (or floors) of the last evaluation — what
+    /// the kernels return a slice of.
+    costs: Vec<f64>,
     /// Delta-state epoch: stamps below are valid iff equal to this.
     epoch: u32,
     /// Per-class per-destination "changed under the candidate diff"
     /// stamps.
-    changed: [Vec<u32>; 2],
+    changed: Vec<Vec<u32>>,
     /// Per-link dirty stamps.
     link_mark: Vec<u32>,
     /// Links whose contributor set changed (union over classes).
@@ -775,7 +761,7 @@ pub struct EvalWorkspace {
     pair_dirty: Vec<u32>,
     /// Fresh `(link, dest, share)` adds of changed destinations, per
     /// class, sorted by `(link, dest)` before refolding.
-    new_adds: [Vec<(u32, u32, f64)>; 2],
+    new_adds: Vec<Vec<(u32, u32, f64)>>,
     /// Refresh scratch: rebuilt pair-segment offsets of one scenario.
     off_scratch: Vec<u32>,
     /// Refresh scratch: re-route target of the entry kernel (swapped
@@ -794,14 +780,14 @@ pub struct EvalWorkspace {
     /// Per-class per-destination exact baseline diff of the current
     /// candidate vs the cache incumbent ([`baseline_unchanged`]),
     /// computed once per candidate and shared by its scenario sweep.
-    base_same: [Vec<bool>; 2],
+    base_same: Vec<Vec<bool>>,
     /// Φ-floor scratch: per-node min hop counts of one destination.
     floor_hops: Vec<u64>,
     /// Φ-floor scratch: hop-Dijkstra heap.
     floor_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-    /// Φ-floor scratch: per-node surviving throughput demand sourced.
+    /// Φ-floor scratch: per-node surviving class demand sourced.
     floor_tput_out: Vec<f64>,
-    /// Φ-floor scratch: per-node surviving throughput demand sunk.
+    /// Φ-floor scratch: per-node surviving class demand sunk.
     floor_tput_in: Vec<f64>,
     /// Φ-floor scratch: per-node surviving out-cut capacity.
     floor_cap_out: Vec<f64>,
@@ -810,37 +796,34 @@ pub struct EvalWorkspace {
 }
 
 impl EvalWorkspace {
-    /// Fresh workspace; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop any cached baseline (forces the next evaluation to rebuild
-    /// it from scratch). Only needed by tests and diagnostics.
-    pub fn invalidate(&mut self) {
-        self.base[0].valid = false;
-        self.base[1].valid = false;
-    }
-
-    /// Bind the workspace to an evaluator identity, (re)sizing the masks
-    /// and dropping stale baselines when it changes hands.
-    fn bind(&mut self, owner: u64, num_links: usize) {
+    /// Bind the workspace to an engine identity with `k` classes,
+    /// (re)sizing the masks and per-class buffers and dropping stale
+    /// baselines when it changes hands.
+    fn bind(&mut self, owner: u64, num_links: usize, k: usize) {
         if self.owner != owner {
             self.owner = owner;
             self.mask = LinkMask::all_up(num_links);
             self.up_mask = LinkMask::all_up(num_links);
-            self.invalidate();
+            self.base.clear();
         } else if self.up_mask.len() != num_links {
             self.up_mask = LinkMask::all_up(num_links);
         }
+        self.base.resize_with(k, ClassBaseline::default);
+        self.scratch_map.resize_with(k, Vec::new);
+        self.class_loads.resize_with(k, Vec::new);
+        self.changed.resize_with(k, Vec::new);
+        self.new_adds.resize_with(k, Vec::new);
+        self.base_same.resize_with(k, Vec::new);
+        self.costs.resize(k, 0.0);
     }
 
     /// Advance the delta-state epoch, clearing stamps on wrap-around.
     fn next_epoch(&mut self) -> u32 {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.changed[0].clear();
-            self.changed[1].clear();
+            for ch in &mut self.changed {
+                ch.clear();
+            }
             self.link_mark.clear();
             self.epoch = 1;
         }
@@ -848,27 +831,125 @@ impl EvalWorkspace {
     }
 }
 
-/// A shared pool of per-thread workspaces owned by an evaluator (the
-/// [`Evaluator`] pools [`EvalWorkspace`]s; the MTR evaluator reuses the
-/// same type for its own workspace). Lock contention is negligible: one
-/// lock per *batch* of evaluations (or per single evaluation on the
-/// compatibility path), against milliseconds of routing work.
-#[derive(Debug)]
-pub struct WorkspacePool<T = EvalWorkspace> {
-    pool: Mutex<Vec<T>>,
+/// The k-class delta-state evaluation engine: the network, one traffic
+/// matrix and [`CostModel`] per class in precedence order, the shared
+/// delay-model parameters, and a pool of per-thread workspaces. See the
+/// module docs.
+pub struct Engine<'a> {
+    net: &'a Network,
+    matrices: Vec<&'a TrafficMatrix>,
+    models: Vec<CostModel>,
+    /// Shared delay-model parameters (µ, κ, knee, ECMP aggregation).
+    delay_params: CostParams,
+    /// Per class: `delay_params` with the SLA class's θ/B1/B2 patched in
+    /// (congestion classes keep `delay_params`).
+    class_params: Vec<CostParams>,
+    capacities: Vec<f64>,
+    prop_delays: Vec<f64>,
+    /// Per-class demand destinations (nodes that sink positive demand),
+    /// ascending.
+    demand_dests: Vec<Vec<u32>>,
+    /// Lock contention is negligible: one lock per *batch* of
+    /// evaluations, against milliseconds of routing work.
+    pool: Mutex<Vec<EvalWorkspace>>,
+    /// Unique identity gating workspace-baseline reuse.
+    engine_id: u64,
+    /// Seed `route_destination_repair` from the workspace baseline on
+    /// the plain path (default). Off = from-scratch Dijkstra per
+    /// mask-affected destination; results are bit-identical either way,
+    /// so this exists only for A/B benchmarking.
+    plain_repair: bool,
 }
 
-impl<T> Default for WorkspacePool<T> {
-    fn default() -> Self {
-        WorkspacePool {
+fn demand_dests(tm: &TrafficMatrix) -> Vec<u32> {
+    let n = tm.num_nodes();
+    (0..n as u32)
+        .filter(|&t| (0..n).any(|s| s != t as usize && tm.demand(s, t as usize) > 0.0))
+        .collect()
+}
+
+impl<'a> Engine<'a> {
+    /// Build an engine over `classes` — one `(traffic matrix, cost
+    /// model)` pair per class, in precedence order — with the shared
+    /// delay-model parameters `delay_params` (their θ/B1/B2 are ignored;
+    /// each SLA class brings its own). Callers validate the parameters
+    /// and the matrix sizes.
+    pub fn new(
+        net: &'a Network,
+        classes: Vec<(&'a TrafficMatrix, CostModel)>,
+        delay_params: CostParams,
+    ) -> Self {
+        assert!(!classes.is_empty(), "at least one traffic class");
+        let class_params = classes
+            .iter()
+            .map(|&(_, model)| match model {
+                CostModel::SlaDelay {
+                    theta,
+                    b1,
+                    b2_per_ms,
+                } => CostParams {
+                    theta,
+                    b1,
+                    b2_per_ms,
+                    ..delay_params
+                },
+                CostModel::Congestion => delay_params,
+            })
+            .collect();
+        Engine {
+            net,
+            demand_dests: classes.iter().map(|&(tm, _)| demand_dests(tm)).collect(),
+            matrices: classes.iter().map(|&(tm, _)| tm).collect(),
+            models: classes.iter().map(|&(_, model)| model).collect(),
+            delay_params,
+            class_params,
+            capacities: net.links().map(|l| net.link(l).capacity).collect(),
+            prop_delays: net.links().map(|l| net.link(l).prop_delay).collect(),
             pool: Mutex::new(Vec::new()),
+            engine_id: next_engine_id(),
+            plain_repair: true,
         }
     }
-}
 
-impl<T: Default> WorkspacePool<T> {
-    /// Pop a pooled workspace, or create a fresh one if the pool is dry.
-    pub fn acquire(&self) -> T {
+    /// The network under evaluation.
+    pub fn net(&self) -> &'a Network {
+        self.net
+    }
+
+    /// Number of classes `k` (cost components).
+    pub fn num_classes(&self) -> usize {
+        self.models.len()
+    }
+
+    /// Per-link capacities, indexed by link id.
+    pub fn capacities(&self) -> &[f64] {
+        &self.capacities
+    }
+
+    /// Per-link propagation delays, indexed by link id.
+    pub fn prop_delays(&self) -> &[f64] {
+        &self.prop_delays
+    }
+
+    /// The cost parameters class `k` is scored with: the shared delay
+    /// model, plus the class's own θ/B1/B2 for SLA classes.
+    pub fn class_params(&self, k: usize) -> &CostParams {
+        &self.class_params[k]
+    }
+
+    /// Toggle baseline-seeded repair on the plain scenario path (on by
+    /// default). Repair is bit-equal to a from-scratch route (integer
+    /// distances; pinned by `tests/spf_incremental.rs`), so this changes
+    /// timing only — it exists for the repair-ablation bench legs.
+    pub fn set_plain_repair(&mut self, on: bool) {
+        self.plain_repair = on;
+    }
+
+    /// Check a workspace out of the engine's pool (creating one if the
+    /// pool is dry). Return it with
+    /// [`release_workspace`](Self::release_workspace) so its warmed-up
+    /// buffers and cached baselines benefit later evaluations.
+    pub fn acquire_workspace(&self) -> EvalWorkspace {
         self.pool
             .lock()
             .expect("workspace pool poisoned")
@@ -876,316 +957,44 @@ impl<T: Default> WorkspacePool<T> {
             .unwrap_or_default()
     }
 
-    /// Return a workspace so its warmed-up buffers get reused.
-    pub fn release(&self, ws: T) {
-        self.pool.lock().expect("workspace pool poisoned").push(ws);
-    }
-}
-
-impl<'a> Evaluator<'a> {
-    /// Check a workspace out of the evaluator's pool (creating one if
-    /// the pool is dry). Return it with
-    /// [`release_workspace`](Self::release_workspace) so its warmed-up
-    /// buffers and cached baseline benefit later evaluations.
-    pub fn acquire_workspace(&self) -> EvalWorkspace {
-        self.pool.acquire()
-    }
-
     /// Return a workspace to the pool.
     pub fn release_workspace(&self, ws: EvalWorkspace) {
-        self.pool.release(ws);
+        self.pool.lock().expect("workspace pool poisoned").push(ws);
     }
 
-    /// Scenario-batched evaluation: the costs of `w` under every
-    /// scenario, in input order — bit-for-bit what per-scenario
-    /// [`Evaluator::evaluate`] would report, computed incrementally (one
-    /// no-failure baseline, per-scenario recomputation only of the
-    /// destinations each failure actually touches).
-    pub fn evaluate_all(&self, w: &WeightSetting, scenarios: &[Scenario]) -> Vec<LexCost> {
-        let mut ws = self.acquire_workspace();
-        let out = scenarios
-            .iter()
-            .map(|&sc| self.cost_with(&mut ws, w, sc))
-            .collect();
-        self.release_workspace(ws);
-        out
+    fn bind(&self, ws: &mut EvalWorkspace) {
+        ws.bind(self.engine_id, self.net.num_links(), self.num_classes());
     }
 
-    /// Incumbent-bounded batch evaluation: like
-    /// [`evaluate_all`](Self::evaluate_all), but abandons the sweep as
-    /// soon as the running input-order partial sum proves the batch's
-    /// total cannot be lexicographically better than `incumbent`.
-    ///
-    /// Per-scenario costs are non-negative and IEEE addition of
-    /// non-negative terms is monotone, so every prefix sum is a true
-    /// lower bound of the completed sum; `better_than` is antitone in
-    /// its left argument (see the lemma on [`LexCost::better_than`]), so
-    /// `!prefix.better_than(incumbent)` proves that **no completion** of
-    /// the sweep can beat the incumbent. Hill climbers that accept a
-    /// candidate only when its compound cost beats the incumbent can
-    /// therefore cut losing sweeps early without perturbing the search
-    /// trajectory: a [`BoundedCosts::Complete`] result is bit-for-bit
-    /// what `evaluate_all` returns, and a [`BoundedCosts::Cut`] result
-    /// only ever replaces a sweep whose candidate would have been
-    /// rejected anyway.
-    ///
-    /// `floors`, when given (one [`ScenarioFloor`] per scenario, e.g.
-    /// from [`scenario_floor`](Self::scenario_floor)), tightens the
-    /// rejection proof: the partial sum is extended by the summed floors
-    /// of the scenarios not yet evaluated, which is still a lower bound
-    /// of the completed sum (each floor bounds its scenario's cost from
-    /// below componentwise, and the componentwise antitone lemma on
-    /// [`LexCost::better_than`] carries the proof through the
-    /// lexicographic comparison). Floors never change *whether* a sweep
-    /// completes with a winning total — only how early a losing sweep is
-    /// recognized.
-    pub fn evaluate_all_bounded(
+    /// The k cost components of one (weight setting, scenario) pair
+    /// through the incremental engine, using the caller's workspace —
+    /// bit-for-bit the reference evaluation's, for every scenario kind.
+    pub fn cost_with<'w, W: ClassWeights>(
         &self,
-        w: &WeightSetting,
-        scenarios: &[Scenario],
-        incumbent: &LexCost,
-        floors: Option<&[ScenarioFloor]>,
-    ) -> BoundedCosts {
-        if let Some(fl) = floors {
-            assert_eq!(fl.len(), scenarios.len(), "one floor per scenario");
-        }
-        // Suffix-summed floors: `suffix[i]` bounds the total cost of
-        // scenarios `i..` from below for any weight setting.
-        let mut suffix = vec![LexCost::ZERO; scenarios.len() + 1];
-        if let Some(fl) = floors {
-            for i in (0..scenarios.len()).rev() {
-                suffix[i] = suffix[i + 1].add(&LexCost::new(fl[i].lambda, fl[i].phi));
-            }
-        }
-        let mut ws = self.acquire_workspace();
-        let mut costs = Vec::with_capacity(scenarios.len());
-        let mut prefix = LexCost::ZERO;
-        for &sc in scenarios {
-            let c = self.cost_with(&mut ws, w, sc);
-            prefix = prefix.add(&c);
-            costs.push(c);
-            if costs.len() < scenarios.len()
-                && !prefix.add(&suffix[costs.len()]).better_than(incumbent)
-            {
-                self.release_workspace(ws);
-                return BoundedCosts::Cut {
-                    evaluated: costs.len(),
-                };
-            }
-        }
-        self.release_workspace(ws);
-        BoundedCosts::Complete(costs)
-    }
-
-    /// Load- and routing-independent lower bound of the delay-class cost
-    /// `Λ` under `scenario`: for every delay pair, any routing's
-    /// end-to-end delay is at least the propagation-delay-shortest path
-    /// under the scenario mask (Eq. 1 gives `D_l ≥ p_l`, queueing only
-    /// adds), the SLA penalty (Eq. 2) is monotone in the pair delay, and
-    /// pairs the mask disconnects pay the same disconnection penalty
-    /// under every routing. Summing those per-pair floors therefore
-    /// bounds `Λ` from below for **every** weight setting.
-    ///
-    /// Incumbent-bounded sweeps use these floors as stand-ins for
-    /// scenarios not yet evaluated, which tightens the rejection proof
-    /// from "the remaining scenarios cost at least nothing" to "at least
-    /// their physical minimum" — on SLA-stressed workloads that is most
-    /// of the incumbent's cost, so losing candidates are cut after a
-    /// handful of scenarios instead of nearly all of them.
-    ///
-    /// The returned value is shaved by a relative `1e-9` guard so that
-    /// floating-point evaluation-order effects (the floor and the real
-    /// evaluation accumulate in different expression orders) can never
-    /// lift the floor above an achievable `Λ`; the guard is orders of
-    /// magnitude above the worst-case rounding slop and orders of
-    /// magnitude below [`crate::LAMBDA_EPS`]'s resolution of genuine
-    /// cost differences.
-    pub fn lambda_floor(&self, scenario: Scenario) -> f64 {
-        let mask = scenario.mask(self.net);
-        let excluded = scenario.excluded_node().map(|v| v.index());
-        let mut lambda = 0.0f64;
-        for &t in &self.demand_dests[0] {
-            let t = t as usize;
-            if Some(t) == excluded {
-                continue;
-            }
-            let dmin = dtr_routing::spf::min_cost_to(
-                self.net,
-                dtr_net::NodeId::new(t),
-                &self.prop_delays,
-                &mask,
-            );
-            for (s, &d) in dmin.iter().enumerate() {
-                if s == t || Some(s) == excluded || self.traffic.delay.demand(s, t) <= 0.0 {
-                    continue;
-                }
-                lambda += sla::pair_penalty(d, &self.params);
-            }
-        }
-        lambda * (1.0 - 1e-9)
-    }
-
-    /// Load-aware, routing-independent lower bound of the congestion
-    /// cost `Φ` under `scenario` — the congestion counterpart of
-    /// [`lambda_floor`](Self::lambda_floor), computed entirely from
-    /// workspace scratch (allocation-free after warm-up; registered in
-    /// `crates/analysis/hot_paths.toml`).
-    ///
-    /// # Soundness
-    ///
-    /// `Φ` (see [`congestion::phi`]) sums `c_l · g(x_l / c_l)` over the
-    /// links whose **throughput** load is positive, where `x_l` is the
-    /// *total* load and `g` is the convex, non-decreasing Fortz–Thorup
-    /// utilization cost with `g(0) = 0`. Three facts make cut-style
-    /// floors sound for every weight setting:
-    ///
-    /// 1. **Jensen exactness over a cut.** Spreading a mandatory volume
-    ///    `D` over links of total capacity `C` costs at least
-    ///    `C · g(D / C)` = [`congestion::link_cost`]`(D, C)` — the convex
-    ///    sum `Σ c_i g(x_i / c_i)` with `Σ x_i = D` is minimized by
-    ///    loading every link to the same utilization `D / C`.
-    /// 2. **Monotone in the volume, antitone in the capacity.** Counting
-    ///    only part of the demand, or crediting the cut with *more*
-    ///    capacity than survives, only lowers the bound — so restricting
-    ///    to surviving (up-mask) links and throughput demand whose
-    ///    destination is reachable is conservative.
-    /// 3. **Every unit of throughput demand really crosses the cut, on
-    ///    links Φ counts.** A routed unit from `s` to `t` crosses the
-    ///    surviving out-cut of `s` at least once, the surviving in-cut
-    ///    of `t` at least once, and traverses at least `minhop(s, t)`
-    ///    links in total; each link it touches carries positive
-    ///    throughput load, so Φ's per-link term applies — with
-    ///    `x_l ≥` its throughput load (total load only adds).
-    ///
-    /// The three resulting bounds — per-source out-cuts, per-destination
-    /// in-cuts, and the global min-hop volume over the whole surviving
-    /// capacity — each bound the same Φ, but share links with one
-    /// another, so they combine by **max**, not by sum. (The out-cuts are
-    /// pairwise link-disjoint across sources, hence their *sum* is one
-    /// bound; likewise the in-cuts.)
-    ///
-    /// Demand the mask disconnects is dropped from the bound (the
-    /// reference evaluation routes none of it), and the excluded node of
-    /// a node scenario sources and sinks nothing. Like `lambda_floor`,
-    /// the result is shaved by a relative `1e-9` so cross-expression
-    /// rounding can never lift the floor above an achievable Φ.
-    pub fn phi_floor(&self, ws: &mut EvalWorkspace, scenario: Scenario) -> f64 {
-        ws.bind(self.engine_id, self.net.num_links());
-        let n = self.net.num_nodes();
-        let EvalWorkspace {
-            mask,
-            floor_hops,
-            floor_heap,
-            floor_tput_out,
-            floor_tput_in,
-            floor_cap_out,
-            floor_cap_in,
-            ..
-        } = ws;
-        scenario.mask_into(self.net, mask);
-        let excluded = scenario.excluded_node().map(|v| v.index());
-
-        // Surviving cut capacities: per-node out/in and network-wide.
-        floor_cap_out.clear();
-        floor_cap_out.resize(n, 0.0);
-        floor_cap_in.clear();
-        floor_cap_in.resize(n, 0.0);
-        let mut cap_net = 0.0f64;
-        for l in 0..self.net.num_links() {
-            if mask.is_down(l) {
-                continue;
-            }
-            let link = self.net.link(LinkId::new(l));
-            let c = self.capacities[l];
-            floor_cap_out[link.src.index()] += c;
-            floor_cap_in[link.dst.index()] += c;
-            cap_net += c;
-        }
-
-        // Surviving throughput demand per source / destination, and the
-        // min-hop volume (each unit occupies at least `hops` links).
-        floor_tput_out.clear();
-        floor_tput_out.resize(n, 0.0);
-        floor_tput_in.clear();
-        floor_tput_in.resize(n, 0.0);
-        let mut volume = 0.0f64;
-        let tm = &self.traffic.throughput;
-        for &t in &self.demand_dests[1] {
-            let t = t as usize;
-            if Some(t) == excluded {
-                continue;
-            }
-            dtr_routing::spf::hops_to_into(
-                self.net,
-                dtr_net::NodeId::new(t),
-                mask,
-                floor_hops,
-                floor_heap,
-            );
-            for s in 0..n {
-                if s == t || Some(s) == excluded || floor_hops[s] == dtr_routing::UNREACHABLE {
-                    continue;
-                }
-                let d = tm.demand(s, t);
-                if d <= 0.0 {
-                    continue;
-                }
-                floor_tput_out[s] += d;
-                floor_tput_in[t] += d;
-                volume += d * floor_hops[s] as f64;
-            }
-        }
-
-        // Reachable demand leaving (entering) a node implies a surviving
-        // out (in) link, so the cut capacities below are positive where
-        // read — satisfying `link_cost`'s `c > 0` contract.
-        let mut out_cut = 0.0f64;
-        let mut in_cut = 0.0f64;
-        for v in 0..n {
-            if floor_tput_out[v] > 0.0 {
-                out_cut += congestion::link_cost(floor_tput_out[v], floor_cap_out[v]);
-            }
-            if floor_tput_in[v] > 0.0 {
-                in_cut += congestion::link_cost(floor_tput_in[v], floor_cap_in[v]);
-            }
-        }
-        let volume_bound = if volume > 0.0 {
-            congestion::link_cost(volume, cap_net)
-        } else {
-            0.0
-        };
-        out_cut.max(in_cut).max(volume_bound) * (1.0 - 1e-9)
-    }
-
-    /// Both components of the routing-independent per-scenario lower
-    /// bound ([`lambda_floor`](Self::lambda_floor) +
-    /// [`phi_floor`](Self::phi_floor)) as a [`ScenarioFloor`].
-    pub fn scenario_floor(&self, ws: &mut EvalWorkspace, scenario: Scenario) -> ScenarioFloor {
-        ScenarioFloor {
-            lambda: self.lambda_floor(scenario),
-            phi: self.phi_floor(ws, scenario),
-        }
-    }
-
-    /// Scalar cost of one (weight setting, scenario) pair through the
-    /// incremental engine, using the caller's workspace. Equals
-    /// `self.evaluate(w, scenario).cost` bit-for-bit.
-    pub fn cost_with(
-        &self,
-        ws: &mut EvalWorkspace,
-        w: &WeightSetting,
+        ws: &'w mut EvalWorkspace,
+        w: &W,
         scenario: Scenario,
-    ) -> LexCost {
-        assert_eq!(w.num_links(), self.net.num_links(), "weight size mismatch");
+    ) -> &'w [f64] {
         self.ensure_baseline(ws, w);
-        self.cost_scenario(ws, w, scenario, None)
+        self.cost_scenario(ws, w, scenario, None);
+        &ws.costs
     }
 
     /// Make `ws`'s per-class baselines describe the no-failure routing of
     /// `w`, re-routing only destinations whose distance field the weight
     /// diff can actually touch.
-    fn ensure_baseline(&self, ws: &mut EvalWorkspace, w: &WeightSetting) {
-        ws.bind(self.engine_id, self.net.num_links());
+    fn ensure_baseline<W: ClassWeights>(&self, ws: &mut EvalWorkspace, w: &W) {
+        assert_eq!(
+            w.num_classes(),
+            self.num_classes(),
+            "weight setting class count mismatch"
+        );
+        assert_eq!(
+            w.class_weights(0).len(),
+            self.net.num_links(),
+            "weight size mismatch"
+        );
+        self.bind(ws);
         ws.mask.reset_all_up();
         let EvalWorkspace {
             spf,
@@ -1194,25 +1003,12 @@ impl<'a> Evaluator<'a> {
             base,
             ..
         } = ws;
-        for (ci, class) in Class::ALL.iter().enumerate() {
-            let weights = w.weights(*class);
-            let tm = self.class_matrix(*class);
-            let dests = &self.demand_dests[ci];
-            let b = &mut base[ci];
+        for (k, b) in base.iter_mut().enumerate() {
+            let weights = w.class_weights(k);
+            let tm = self.matrices[k];
+            let dests = &self.demand_dests[k];
             if b.valid && b.weights.len() == weights.len() {
-                diff.clear();
-                diff.extend(
-                    b.weights
-                        .iter()
-                        .zip(weights)
-                        .enumerate()
-                        .filter(|(_, (o, n))| o != n)
-                        .map(|(l, (&o, &n))| WeightChange {
-                            link: LinkId::new(l),
-                            old: o,
-                            new: n,
-                        }),
-                );
+                weight_diff(&b.weights, weights, diff);
                 if diff.is_empty() {
                     continue;
                 }
@@ -1250,36 +1046,404 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    #[inline]
+    fn take_max(&self) -> bool {
+        matches!(self.delay_params.aggregation, DelayAggregation::Max)
+    }
+
+    /// Evaluate one scenario (any kind) against valid workspace
+    /// baselines into `ws.costs`, optionally capturing the recomputed
+    /// routings and SLA segments into a scenario-cache entry.
+    fn cost_scenario<W: ClassWeights>(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &W,
+        scenario: Scenario,
+        mut capture: Option<&mut ScenarioEntry>,
+    ) {
+        // Node failures also remove the dead node's traffic; the mask
+        // makes that self-enforcing for loads (see the module docs), and
+        // the routing/SLA loops below skip the node explicitly where the
+        // base matrices still mention it.
+        let excluded = scenario.excluded_node().map(|v| v.index());
+        let num_links = self.net.num_links();
+        let kn = self.num_classes();
+        let EvalWorkspace {
+            spf,
+            mask,
+            down,
+            base,
+            scratch,
+            scratch_map,
+            class_loads,
+            total_loads,
+            link_delays,
+            node_delay,
+            pair_delays,
+            costs,
+            ..
+        } = ws;
+        scenario.mask_into(self.net, mask);
+        down.clear();
+        down.extend(mask.down_links().map(|i| i as u32));
+
+        // Route (or replay) every class. Recomputed destinations stay in
+        // the scratch pool: SLA classes read their distance fields in
+        // the end-to-end delay DP below.
+        let mut scratch_used = 0usize;
+        let mut dropped = 0.0f64; // diagnostic only; never in the cost
+        for k in 0..kn {
+            let weights = w.class_weights(k);
+            let tm = self.matrices[k];
+            let dests = &self.demand_dests[k];
+            let loads = &mut class_loads[k];
+            loads.clear();
+            loads.resize(num_links, 0.0);
+            let map = &mut scratch_map[k];
+            map.clear();
+            map.resize(dests.len(), NOT_RECOMPUTED);
+            for (di, &t) in dests.iter().enumerate() {
+                if Some(t as usize) == excluded {
+                    // The dead node sinks nothing under its own failure;
+                    // the reference path (zeroed column) never routes it.
+                    continue;
+                }
+                let b = &base[k].state[di];
+                let affected = !down.is_empty() && dag_uses_any(self.net, &b.dist, weights, down);
+                if !affected {
+                    b.replay(loads, &mut dropped);
+                    continue;
+                }
+                if scratch.len() == scratch_used {
+                    scratch.push(DestRouting::default());
+                }
+                let dest = &mut scratch[scratch_used];
+                // A mask-affected destination is *repaired* from the
+                // resident no-failure baseline (orphan detection plus a
+                // boundary Dijkstra — bit-equal to a from-scratch route,
+                // see `route_destination_repair`) instead of paying a
+                // full Dijkstra; `ensure_baseline` guarantees `b` is the
+                // all-up routing of these exact weights.
+                if self.plain_repair {
+                    route_destination_repair(self.net, weights, tm, mask, t as usize, b, spf, dest);
+                } else {
+                    route_destination(self.net, weights, tm, mask, t as usize, spf, dest);
+                }
+                dest.replay(loads, &mut dropped);
+                map[di] = scratch_used as u32;
+                scratch_used += 1;
+                if let Some(entry) = capture.as_mut() {
+                    entry.routed[k].push((di as u32, scratch[scratch_used - 1].clone()));
+                }
+            }
+        }
+
+        // Shared FIFO total loads: the references' class-order
+        // accumulation, verbatim.
+        total_loads.clear();
+        total_loads.resize(num_links, 0.0);
+        for loads in class_loads.iter() {
+            for (t, &x) in total_loads.iter_mut().zip(loads) {
+                *t += x;
+            }
+        }
+        delay_model::link_delays_into(
+            total_loads,
+            &self.capacities,
+            &self.prop_delays,
+            &self.delay_params,
+            link_delays,
+        );
+
+        // Per-class components: per-pair end-to-end delays over the
+        // class's own routing for SLA classes (shared kernel; the order
+        // field is cached, not recomputed), Φ over the total loads for
+        // congestion classes.
+        let take_max = self.take_max();
+        for (k, model) in self.models.iter().enumerate() {
+            costs[k] = match model {
+                CostModel::SlaDelay { .. } => {
+                    let weights = w.class_weights(k);
+                    pair_delays.clear();
+                    for (di, &t) in self.demand_dests[k].iter().enumerate() {
+                        if Some(t as usize) == excluded {
+                            continue;
+                        }
+                        let dest = match scratch_map[k][di] {
+                            NOT_RECOMPUTED => &base[k].state[di],
+                            slot => &scratch[slot as usize],
+                        };
+                        delay::pair_delays_into(
+                            self.net,
+                            &dest.dist,
+                            &dest.order,
+                            weights,
+                            mask,
+                            link_delays,
+                            take_max,
+                            self.matrices[k],
+                            t as usize,
+                            excluded,
+                            node_delay,
+                            pair_delays,
+                        );
+                    }
+                    if let Some(entry) = capture.as_mut() {
+                        // Segment offsets: triples carry their
+                        // destination, and the emission loop walked
+                        // destinations ascending.
+                        entry.pairs[k].clone_from(pair_delays);
+                        let offs = &mut entry.pair_off[k];
+                        offs.clear();
+                        offs.push(0);
+                        let mut p = 0usize;
+                        for &t in &self.demand_dests[k] {
+                            while p < pair_delays.len() && pair_delays[p].1 == t as usize {
+                                p += 1;
+                            }
+                            offs.push(p as u32);
+                        }
+                        debug_assert_eq!(p, pair_delays.len(), "segments cover all triples");
+                    }
+                    sla::summarize(&*pair_delays, &self.class_params[k]).lambda
+                }
+                CostModel::Congestion => {
+                    congestion::phi(total_loads, &class_loads[k], &self.capacities)
+                }
+            };
+        }
+    }
+
+    /// Load- and routing-independent lower bound of SLA class `k`'s cost
+    /// `Λ_k` under `scenario`: for every class pair, any routing's
+    /// end-to-end delay is at least the propagation-delay-shortest path
+    /// under the scenario mask (Eq. 1 gives `D_l ≥ p_l`, queueing only
+    /// adds), the SLA penalty (Eq. 2) is monotone in the pair delay, and
+    /// pairs the mask disconnects pay the same disconnection penalty
+    /// under every routing. Summing those per-pair floors therefore
+    /// bounds `Λ_k` from below for **every** weight setting.
+    ///
+    /// Incumbent-bounded sweeps use these floors as stand-ins for
+    /// scenarios not yet evaluated, which tightens the rejection proof
+    /// from "the remaining scenarios cost at least nothing" to "at least
+    /// their physical minimum" — on SLA-stressed workloads that is most
+    /// of the incumbent's cost, so losing candidates are cut after a
+    /// handful of scenarios instead of nearly all of them.
+    ///
+    /// The returned value is shaved by a relative `1e-9` guard so that
+    /// floating-point evaluation-order effects (the floor and the real
+    /// evaluation accumulate in different expression orders) can never
+    /// lift the floor above an achievable `Λ_k`; the guard is orders of
+    /// magnitude above the worst-case rounding slop and orders of
+    /// magnitude below [`crate::LAMBDA_EPS`]'s resolution of genuine
+    /// cost differences. Cold path (once per search): allocates.
+    fn lambda_floor(&self, scenario: Scenario, k: usize) -> f64 {
+        let mask = scenario.mask(self.net);
+        let excluded = scenario.excluded_node().map(|v| v.index());
+        let mut lambda = 0.0f64;
+        for &t in &self.demand_dests[k] {
+            let t = t as usize;
+            if Some(t) == excluded {
+                continue;
+            }
+            let dmin =
+                dtr_routing::spf::min_cost_to(self.net, NodeId::new(t), &self.prop_delays, &mask);
+            for (s, &d) in dmin.iter().enumerate() {
+                if s == t || Some(s) == excluded || self.matrices[k].demand(s, t) <= 0.0 {
+                    continue;
+                }
+                lambda += sla::pair_penalty(d, &self.class_params[k]);
+            }
+        }
+        lambda * (1.0 - 1e-9)
+    }
+
+    /// Load-aware, routing-independent lower bound of congestion class
+    /// `k`'s cost `Φ_k` under `scenario` — the congestion counterpart of
+    /// the Λ floor, computed entirely from workspace scratch
+    /// (allocation-free after warm-up; registered in
+    /// `crates/analysis/hot_paths.toml`).
+    ///
+    /// # Soundness
+    ///
+    /// `Φ_k` (see [`congestion::phi`]) sums `c_l · g(x_l / c_l)` over the
+    /// links whose **class-k** load is positive, where `x_l` is the
+    /// *total* load and `g` is the convex, non-decreasing Fortz–Thorup
+    /// utilization cost with `g(0) = 0`. Three facts make cut-style
+    /// floors sound for every weight setting:
+    ///
+    /// 1. **Jensen exactness over a cut.** Spreading a mandatory volume
+    ///    `D` over links of total capacity `C` costs at least
+    ///    `C · g(D / C)` = [`congestion::link_cost`]`(D, C)` — the convex
+    ///    sum `Σ c_i g(x_i / c_i)` with `Σ x_i = D` is minimized by
+    ///    loading every link to the same utilization `D / C`.
+    /// 2. **Monotone in the volume, antitone in the capacity.** Counting
+    ///    only part of the demand, or crediting the cut with *more*
+    ///    capacity than survives, only lowers the bound — so restricting
+    ///    to surviving (up-mask) links and class demand whose destination
+    ///    is reachable is conservative.
+    /// 3. **Every unit of class demand really crosses the cut, on links
+    ///    Φ_k counts.** A routed unit from `s` to `t` crosses the
+    ///    surviving out-cut of `s` at least once, the surviving in-cut of
+    ///    `t` at least once, and traverses at least `minhop(s, t)` links
+    ///    in total; each link it touches carries positive class-k load,
+    ///    so Φ_k's per-link term applies — with `x_l ≥` its class-k load
+    ///    (other classes' load only adds).
+    ///
+    /// The three resulting bounds — per-source out-cuts, per-destination
+    /// in-cuts, and the global min-hop volume over the whole surviving
+    /// capacity — each bound the same Φ_k, but share links with one
+    /// another, so they combine by **max**, not by sum. (The out-cuts are
+    /// pairwise link-disjoint across sources, hence their *sum* is one
+    /// bound; likewise the in-cuts.)
+    ///
+    /// Demand the mask disconnects is dropped from the bound (the
+    /// reference evaluation routes none of it), and the excluded node of
+    /// a node scenario sources and sinks nothing. Like the Λ floor, the
+    /// result is shaved by a relative `1e-9` so cross-expression
+    /// rounding can never lift the floor above an achievable Φ_k.
+    pub fn phi_floor(&self, ws: &mut EvalWorkspace, scenario: Scenario, k: usize) -> f64 {
+        self.bind(ws);
+        let n = self.net.num_nodes();
+        let EvalWorkspace {
+            mask,
+            floor_hops,
+            floor_heap,
+            floor_tput_out,
+            floor_tput_in,
+            floor_cap_out,
+            floor_cap_in,
+            ..
+        } = ws;
+        scenario.mask_into(self.net, mask);
+        let excluded = scenario.excluded_node().map(|v| v.index());
+
+        // Surviving cut capacities: per-node out/in and network-wide.
+        floor_cap_out.clear();
+        floor_cap_out.resize(n, 0.0);
+        floor_cap_in.clear();
+        floor_cap_in.resize(n, 0.0);
+        let mut cap_net = 0.0f64;
+        for l in 0..self.net.num_links() {
+            if mask.is_down(l) {
+                continue;
+            }
+            let link = self.net.link(LinkId::new(l));
+            let c = self.capacities[l];
+            floor_cap_out[link.src.index()] += c;
+            floor_cap_in[link.dst.index()] += c;
+            cap_net += c;
+        }
+
+        // Surviving class demand per source / destination, and the
+        // min-hop volume (each unit occupies at least `hops` links).
+        floor_tput_out.clear();
+        floor_tput_out.resize(n, 0.0);
+        floor_tput_in.clear();
+        floor_tput_in.resize(n, 0.0);
+        let mut volume = 0.0f64;
+        let tm = self.matrices[k];
+        for &t in &self.demand_dests[k] {
+            let t = t as usize;
+            if Some(t) == excluded {
+                continue;
+            }
+            dtr_routing::spf::hops_to_into(self.net, NodeId::new(t), mask, floor_hops, floor_heap);
+            for s in 0..n {
+                if s == t || Some(s) == excluded || floor_hops[s] == dtr_routing::UNREACHABLE {
+                    continue;
+                }
+                let d = tm.demand(s, t);
+                if d <= 0.0 {
+                    continue;
+                }
+                floor_tput_out[s] += d;
+                floor_tput_in[t] += d;
+                volume += d * floor_hops[s] as f64;
+            }
+        }
+
+        // Reachable demand leaving (entering) a node implies a surviving
+        // out (in) link, so the cut capacities below are positive where
+        // read — satisfying `link_cost`'s `c > 0` contract.
+        let mut out_cut = 0.0f64;
+        let mut in_cut = 0.0f64;
+        for v in 0..n {
+            if floor_tput_out[v] > 0.0 {
+                out_cut += congestion::link_cost(floor_tput_out[v], floor_cap_out[v]);
+            }
+            if floor_tput_in[v] > 0.0 {
+                in_cut += congestion::link_cost(floor_tput_in[v], floor_cap_in[v]);
+            }
+        }
+        let volume_bound = if volume > 0.0 {
+            congestion::link_cost(volume, cap_net)
+        } else {
+            0.0
+        };
+        out_cut.max(in_cut).max(volume_bound) * (1.0 - 1e-9)
+    }
+
+    /// The routing-independent per-scenario lower bound of every cost
+    /// component: the Λ floor of each SLA class, and for each congestion
+    /// class the load-aware Φ floor ([`phi_floor`](Self::phi_floor))
+    /// when `phi_floors`, 0 otherwise. Each component bounds its cost
+    /// component from below for **every** weight setting, so
+    /// incumbent-bounded sweeps can stand the floors in for scenarios
+    /// not yet evaluated. Floors depend only on the topology, traffic,
+    /// mask and cost parameters — never on weights — so one computation
+    /// per search is valid for its whole lifetime.
+    pub fn scenario_floor<'w>(
+        &self,
+        ws: &'w mut EvalWorkspace,
+        scenario: Scenario,
+        phi_floors: bool,
+    ) -> &'w [f64] {
+        self.bind(ws);
+        for (k, model) in self.models.iter().enumerate() {
+            ws.costs[k] = match model {
+                CostModel::SlaDelay { .. } => self.lambda_floor(scenario, k),
+                CostModel::Congestion if phi_floors => self.phi_floor(ws, scenario, k),
+                CostModel::Congestion => 0.0,
+            };
+        }
+        &ws.costs
+    }
+
     /// Reset the cache to describe incumbent `w` with `positions`
     /// scenario slots (keeping allocations) and capture the incumbent's
     /// no-failure baseline routing per class. Every entry must then be
     /// (re-)captured with [`cost_capture`](Self::cost_capture) /
     /// [`cost_capture_into`](Self::cost_capture_into) before candidates
     /// evaluate through [`cost_cached`](Self::cost_cached).
-    pub fn cache_rebuild_begin(
+    pub fn cache_rebuild_begin<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
         cache: &mut ScenarioCache,
-        w: &WeightSetting,
+        w: &W,
         positions: usize,
     ) {
-        assert_eq!(w.num_links(), self.net.num_links(), "weight size mismatch");
         // Route (or diff-update) the workspace baseline, then copy it
         // into the cache: both are the same `route_destination` bits.
         self.ensure_baseline(ws, w);
-        for (ci, class) in Class::ALL.iter().enumerate() {
-            cache.weights[ci].clear();
-            cache.weights[ci].extend_from_slice(w.weights(*class));
-            let dests = &self.demand_dests[ci];
-            cache.base[ci].resize_with(dests.len(), DestRouting::default);
-            for (di, slot) in cache.base[ci].iter_mut().enumerate() {
-                slot.clone_from(&ws.base[ci].state[di]);
+        let kn = self.num_classes();
+        cache.weights.resize_with(kn, Vec::new);
+        cache.base.resize_with(kn, Vec::new);
+        cache.diff.resize_with(kn, Vec::new);
+        for k in 0..kn {
+            cache.weights[k].clear();
+            cache.weights[k].extend_from_slice(w.class_weights(k));
+            let dests = &self.demand_dests[k];
+            cache.base[k].resize_with(dests.len(), DestRouting::default);
+            for (di, slot) in cache.base[k].iter_mut().enumerate() {
+                slot.clone_from(&ws.base[k].state[di]);
             }
         }
         cache.entries.resize_with(positions, ScenarioEntry::default);
         for e in &mut cache.entries {
-            e.delay.clear();
-            e.tput.clear();
+            for list in &mut e.routed {
+                list.clear();
+            }
         }
         // Unbounded caches are fully resident up front; bounded ones
         // start at zero until `plan_residency` measures the first
@@ -1297,29 +1461,17 @@ impl<'a> Evaluator<'a> {
     /// cache's incumbent, preparing [`cost_cached`](Self::cost_cached)
     /// calls. Returns the total number of changed directed (class, link)
     /// slots.
-    pub fn cache_begin(&self, cache: &mut ScenarioCache, w: &WeightSetting) -> usize {
+    pub fn cache_begin<W: ClassWeights>(&self, cache: &mut ScenarioCache, w: &W) -> usize {
         let mut changed = 0;
-        for (ci, class) in Class::ALL.iter().enumerate() {
-            let weights = w.weights(*class);
+        for (k, diffk) in cache.diff.iter_mut().enumerate() {
+            let weights = w.class_weights(k);
             assert_eq!(
-                cache.weights[ci].len(),
+                cache.weights[k].len(),
                 weights.len(),
                 "cache incumbent and candidate disagree on link count"
             );
-            cache.diff[ci].clear();
-            cache.diff[ci].extend(
-                cache.weights[ci]
-                    .iter()
-                    .zip(weights)
-                    .enumerate()
-                    .filter(|(_, (o, n))| o != n)
-                    .map(|(l, (&o, &n))| WeightChange {
-                        link: LinkId::new(l),
-                        old: o,
-                        new: n,
-                    }),
-            );
-            changed += cache.diff[ci].len();
+            weight_diff(&cache.weights[k], weights, diffk);
+            changed += diffk.len();
         }
         cache.generation = next_engine_id();
         changed
@@ -1327,19 +1479,18 @@ impl<'a> Evaluator<'a> {
 
     /// [`cost_with`](Self::cost_with) that also captures the scenario's
     /// full delta-state into `cache.entries[pos]` — the cache (re)build
-    /// path, run over the incumbent setting. The returned cost is
+    /// path, run over the incumbent setting. The returned components are
     /// bit-for-bit the plain evaluation's.
-    pub fn cost_capture(
+    pub fn cost_capture<'w, W: ClassWeights>(
         &self,
-        ws: &mut EvalWorkspace,
-        w: &WeightSetting,
+        ws: &'w mut EvalWorkspace,
+        w: &W,
         scenario: Scenario,
         cache: &mut ScenarioCache,
         pos: usize,
-    ) -> LexCost {
-        debug_assert_eq!(
-            cache.weights[0],
-            w.weights(Class::Delay),
+    ) -> &'w [f64] {
+        debug_assert!(
+            (0..self.num_classes()).all(|k| cache.weights[k] == w.class_weights(k)),
             "capture must run on the cache incumbent"
         );
         let (base, entries) = cache.capture_split();
@@ -1352,79 +1503,71 @@ impl<'a> Evaluator<'a> {
     /// [`ScenarioCache::capture_split`]. Entries are position-disjoint,
     /// so a cache rebuild can shard its capture sweep across workers,
     /// each holding a disjoint slice of the entries.
-    pub fn cost_capture_into(
+    pub fn cost_capture_into<'w, W: ClassWeights>(
         &self,
-        ws: &mut EvalWorkspace,
-        w: &WeightSetting,
+        ws: &'w mut EvalWorkspace,
+        w: &W,
         scenario: Scenario,
-        base: &[Vec<DestRouting>; 2],
+        base: &[Vec<DestRouting>],
         entry: &mut ScenarioEntry,
-    ) -> LexCost {
-        assert_eq!(w.num_links(), self.net.num_links(), "weight size mismatch");
-        entry.delay.clear();
-        entry.tput.clear();
+    ) -> &'w [f64] {
+        let kn = self.num_classes();
+        entry.routed.resize_with(kn, Vec::new);
+        entry.loads.resize_with(kn, Vec::new);
+        entry.contrib.resize_with(kn, LinkContrib::default);
+        entry.pairs.resize_with(kn, Vec::new);
+        entry.pair_off.resize_with(kn, Vec::new);
+        for k in 0..kn {
+            entry.routed[k].clear();
+            entry.pairs[k].clear();
+            entry.pair_off[k].clear();
+        }
         entry.sla_resident = true;
         self.ensure_baseline(ws, w);
-        let cost = self.cost_scenario(ws, w, scenario, Some(entry));
+        self.cost_scenario(ws, w, scenario, Some(entry));
         let excluded = scenario.excluded_node().map(|v| v.index());
 
         // Resident state: the folded incumbent evaluation, verbatim.
-        for ci in 0..2 {
-            entry.loads[ci].clone_from(&ws.class_loads[ci]);
+        for k in 0..kn {
+            entry.loads[k].clone_from(&ws.class_loads[k]);
         }
         entry.link_delays.clone_from(&ws.link_delays);
-        entry.pairs.clone_from(&ws.pair_delays);
-        // Segment offsets: triples carry their destination, and the
-        // emission loop walked delay destinations ascending.
-        entry.pair_off.clear();
-        entry.pair_off.push(0);
-        let mut k = 0usize;
-        for &t in &self.demand_dests[0] {
-            while k < entry.pairs.len() && entry.pairs[k].1 == t as usize {
-                k += 1;
-            }
-            entry.pair_off.push(k as u32);
-        }
-        debug_assert_eq!(k, entry.pairs.len(), "pair segments must cover all triples");
         // Contributor lists from the effective routing of every
         // destination: the entry's recomputed routing where the mask
         // affected it, the incumbent baseline elsewhere, nothing for the
         // excluded node.
         let ScenarioEntry {
-            delay,
-            tput,
-            contrib,
-            ..
+            routed, contrib, ..
         } = entry;
-        for (ci, cb) in contrib.iter_mut().enumerate() {
-            let list: &[(u32, DestRouting)] = if ci == 0 { delay } else { tput };
-            let dests = &self.demand_dests[ci];
+        for (k, cb) in contrib.iter_mut().enumerate() {
+            let list: &[(u32, DestRouting)] = &routed[k];
+            let dests = &self.demand_dests[k];
             cb.rebuild(self.net.num_links(), dests.len(), |di| {
-                effective_adds(list, &base[ci], dests, excluded, di)
+                effective_adds(list, &base[k], dests, excluded, di)
             });
         }
-        cost
+        &ws.costs
     }
 
     /// Delta-state candidate evaluation through the scenario cache:
     /// re-routes only destinations the candidate diff can touch, refolds
-    /// only the links whose contributor set changed, and re-runs the SLA
-    /// delay DP only where the routing or an on-DAG link delay changed —
-    /// everything else is read back from the resident incumbent state.
-    /// Requires a preceding [`cache_begin`](Self::cache_begin) for this
-    /// exact `w`; the result is bit-for-bit
-    /// [`cost_with`](Self::cost_with)'s (see the module docs for the
-    /// exactness argument).
-    pub fn cost_cached(
+    /// only the links whose contributor set changed, and re-runs each SLA
+    /// class's delay DP only where the routing or an on-DAG link delay
+    /// changed — everything else is read back from the resident
+    /// incumbent state. Requires a preceding
+    /// [`cache_begin`](Self::cache_begin) for this exact `w`; the result
+    /// is bit-for-bit [`cost_with`](Self::cost_with)'s (see the module
+    /// docs for the exactness argument).
+    pub fn cost_cached<'w, W: ClassWeights>(
         &self,
-        ws: &mut EvalWorkspace,
-        w: &WeightSetting,
+        ws: &'w mut EvalWorkspace,
+        w: &W,
         scenario: Scenario,
         cache: &ScenarioCache,
         pos: usize,
-    ) -> LexCost {
+    ) -> &'w [f64] {
         let num_links = self.net.num_links();
-        assert_eq!(w.num_links(), num_links, "weight size mismatch");
+        let kn = self.num_classes();
         // The workspace baseline tracks the *candidate*: within one
         // candidate's sweep every scenario shares it, so move-touched
         // destinations pay their baseline re-route once per candidate,
@@ -1439,25 +1582,25 @@ impl<'a> Evaluator<'a> {
         // delay DPs for bit-identical routings.
         if ws.cand_gen != cache.generation {
             ws.cand_gen = cache.generation;
-            for ci in 0..2 {
-                let dests = &self.demand_dests[ci];
-                let basec = &cache.base[ci];
+            for k in 0..kn {
+                let dests = &self.demand_dests[k];
+                let basec = &cache.base[k];
                 assert_eq!(
                     basec.len(),
                     dests.len(),
                     "cache baseline missing; run cache_rebuild_begin first"
                 );
-                let diffc = &cache.diff[ci];
-                let flags = &mut ws.base_same[ci];
+                let diffk = &cache.diff[k];
+                let flags = &mut ws.base_same[k];
                 flags.clear();
                 flags.resize(dests.len(), false);
                 for (di, flag) in flags.iter_mut().enumerate() {
-                    *flag = diffc.is_empty()
+                    *flag = diffk.is_empty()
                         || baseline_unchanged(
                             self.net,
-                            &ws.base[ci].state[di].dist,
+                            &ws.base[k].state[di].dist,
                             &basec[di].dist,
-                            diffc,
+                            diffk,
                         );
                 }
             }
@@ -1465,9 +1608,8 @@ impl<'a> Evaluator<'a> {
         let epoch = ws.next_epoch();
         let entry = &cache.entries[pos];
         let full = entry.sla_resident;
-        debug_assert_eq!(
-            entry.loads[0].len(),
-            num_links,
+        debug_assert!(
+            entry.loads.len() == kn && entry.loads[0].len() == num_links,
             "cost_cached requires a captured entry"
         );
         debug_assert!(
@@ -1487,6 +1629,7 @@ impl<'a> Evaluator<'a> {
             link_delays,
             node_delay,
             pair_delays,
+            costs,
             changed,
             link_mark,
             dirty,
@@ -1509,19 +1652,19 @@ impl<'a> Evaluator<'a> {
         // Pass 1 per class: classify every destination against the
         // candidate diff, re-route the ones whose effective routing
         // really moved, and collect their old/new contribution links
-        // (dirty set) and fresh shares. Fresh routings of both classes
+        // (dirty set) and fresh shares. Fresh routings of every class
         // persist in the scratch pool so pass 2 can replay them.
-        for (ci, class) in Class::ALL.iter().enumerate() {
-            let weights = w.weights(*class);
-            let tm = self.class_matrix(*class);
-            let dests = &self.demand_dests[ci];
-            let base = &cache.base[ci];
-            let diffc = &cache.diff[ci];
-            let list: &[(u32, DestRouting)] = if ci == 0 { &entry.delay } else { &entry.tput };
-            let ch = &mut changed[ci];
+        for k in 0..kn {
+            let weights = w.class_weights(k);
+            let tm = self.matrices[k];
+            let dests = &self.demand_dests[k];
+            let basec = &cache.base[k];
+            let diffk = &cache.diff[k];
+            let list: &[(u32, DestRouting)] = &entry.routed[k];
+            let ch = &mut changed[k];
             ch.resize(dests.len(), 0);
-            new_adds[ci].clear();
-            let map = &mut scratch_map[ci];
+            new_adds[k].clear();
+            let map = &mut scratch_map[k];
             map.clear();
             map.resize(dests.len(), NOT_RECOMPUTED);
             let mut cursor = 0usize;
@@ -1536,14 +1679,14 @@ impl<'a> Evaluator<'a> {
                 // Resolve this destination's candidate-effective routing,
                 // without a fresh route where a cached one provably
                 // survives the diff.
-                let (old_r, fresh_code): (Option<&DestRouting>, u32) = if base_same[ci][di] {
+                let (old_r, fresh_code): (&DestRouting, u32) = if base_same[k][di] {
                     if !hit {
                         // Baseline destination, baseline provably
                         // bit-identical to the incumbent's.
                         continue;
                     }
                     let hr = &list[cursor].1;
-                    if diffc.is_empty() || !weight_change_affects(self.net, &hr.dist, diffc) {
+                    if diffk.is_empty() || !weight_change_affects(self.net, &hr.dist, diffk) {
                         // Mask-affected but the cached scenario routing
                         // survives the diff: resident state covers it.
                         map[di] = CACHED_BIT | cursor as u32;
@@ -1563,15 +1706,15 @@ impl<'a> Evaluator<'a> {
                         tm,
                         mask,
                         t as usize,
-                        &ws_base[ci].state[di],
+                        &ws_base[k].state[di],
                         spf,
                         &mut scratch[scratch_used],
                     );
-                    if baseline_unchanged(self.net, &scratch[scratch_used].dist, &hr.dist, diffc) {
+                    if baseline_unchanged(self.net, &scratch[scratch_used].dist, &hr.dist, diffk) {
                         map[di] = CACHED_BIT | cursor as u32;
                         continue;
                     }
-                    (Some(hr), scratch_used as u32)
+                    (hr, scratch_used as u32)
                 } else {
                     // The diff really moved this destination's baseline.
                     // Its *scenario* routing may still survive: when it
@@ -1580,20 +1723,19 @@ impl<'a> Evaluator<'a> {
                     // provably cannot change it — the predicate's
                     // false-contract holds for any distance field.
                     let affected = !down.is_empty()
-                        && dag_uses_any(self.net, &ws_base[ci].state[di].dist, weights, down);
+                        && dag_uses_any(self.net, &ws_base[k].state[di].dist, weights, down);
+                    let old: &DestRouting = if hit { &list[cursor].1 } else { &basec[di] };
                     if !affected {
                         // Effective routing is the candidate baseline —
                         // already maintained, no route needed.
-                        let old: &DestRouting = if hit { &list[cursor].1 } else { &base[di] };
-                        (Some(old), WS_BASE)
+                        (old, WS_BASE)
                     } else {
-                        if hit {
-                            let hr = &list[cursor].1;
-                            if diffc.is_empty() || !weight_change_affects(self.net, &hr.dist, diffc)
-                            {
-                                map[di] = CACHED_BIT | cursor as u32;
-                                continue;
-                            }
+                        if hit
+                            && (diffk.is_empty()
+                                || !weight_change_affects(self.net, &old.dist, diffk))
+                        {
+                            map[di] = CACHED_BIT | cursor as u32;
+                            continue;
                         }
                         if scratch.len() == scratch_used {
                             scratch.push(DestRouting::default());
@@ -1604,24 +1746,22 @@ impl<'a> Evaluator<'a> {
                             tm,
                             mask,
                             t as usize,
-                            &ws_base[ci].state[di],
+                            &ws_base[k].state[di],
                             spf,
                             &mut scratch[scratch_used],
                         );
-                        if hit {
-                            let hr = &list[cursor].1;
-                            if baseline_unchanged(
+                        if hit
+                            && baseline_unchanged(
                                 self.net,
                                 &scratch[scratch_used].dist,
-                                &hr.dist,
-                                diffc,
-                            ) {
-                                map[di] = CACHED_BIT | cursor as u32;
-                                continue;
-                            }
+                                &old.dist,
+                                diffk,
+                            )
+                        {
+                            map[di] = CACHED_BIT | cursor as u32;
+                            continue;
                         }
-                        let old: &DestRouting = if hit { &list[cursor].1 } else { &base[di] };
-                        (Some(old), scratch_used as u32)
+                        (old, scratch_used as u32)
                     }
                 };
                 // Genuine change: mark it, collect old and fresh adds.
@@ -1630,16 +1770,14 @@ impl<'a> Evaluator<'a> {
                 if fresh_code != WS_BASE {
                     scratch_used += 1;
                 }
-                if let Some(old) = old_r {
-                    for &(l, _) in old.load_adds() {
-                        if link_mark[l as usize] != epoch {
-                            link_mark[l as usize] = epoch;
-                            dirty.push(l);
-                        }
+                for &(l, _) in old_r.load_adds() {
+                    if link_mark[l as usize] != epoch {
+                        link_mark[l as usize] = epoch;
+                        dirty.push(l);
                     }
                 }
                 let fresh: &DestRouting = if fresh_code == WS_BASE {
-                    &ws_base[ci].state[di]
+                    &ws_base[k].state[di]
                 } else {
                     &scratch[fresh_code as usize]
                 };
@@ -1648,10 +1786,11 @@ impl<'a> Evaluator<'a> {
                         link_mark[l as usize] = epoch;
                         dirty.push(l);
                     }
-                    new_adds[ci].push((l, di as u32, share));
+                    new_adds[k].push((l, di as u32, share));
                 }
             }
         }
+
         // Pass 2: per-class candidate loads. When few links are dirty,
         // read the residents and refold only the dirty links in
         // destination-index order over the stored contributions; when a
@@ -1660,19 +1799,19 @@ impl<'a> Evaluator<'a> {
         // float sequence) is cheaper than per-link merges — both produce
         // the reference accumulation bit for bit.
         let use_refold = dirty.len() * 4 < num_links;
-        for (ci, _class) in Class::ALL.iter().enumerate() {
-            let loads = &mut class_loads[ci];
+        for k in 0..kn {
+            let loads = &mut class_loads[k];
             if use_refold {
                 loads.clear();
-                loads.extend_from_slice(&entry.loads[ci]);
-                new_adds[ci].sort_unstable_by_key(|&(l, d, _)| (l, d));
-                let adds = &new_adds[ci];
-                let ch = &changed[ci];
+                loads.extend_from_slice(&entry.loads[k]);
+                new_adds[k].sort_unstable_by_key(|&(l, d, _)| (l, d));
+                let adds = &new_adds[k];
+                let ch = &changed[k];
                 for &l in dirty.iter() {
                     let lo = adds.partition_point(|&(al, _, _)| al < l);
                     let hi = lo + adds[lo..].partition_point(|&(al, _, _)| al == l);
                     loads[l as usize] =
-                        refold_link(entry.contrib[ci].row(l as usize), &adds[lo..hi], |d| {
+                        refold_link(entry.contrib[k].row(l as usize), &adds[lo..hi], |d| {
                             ch[d as usize] == epoch
                         });
                 }
@@ -1680,15 +1819,14 @@ impl<'a> Evaluator<'a> {
                 loads.clear();
                 loads.resize(num_links, 0.0);
                 let mut dropped = 0.0f64;
-                let dests = &self.demand_dests[ci];
-                let list: &[(u32, DestRouting)] = if ci == 0 { &entry.delay } else { &entry.tput };
-                for (di, &t) in dests.iter().enumerate() {
+                let list: &[(u32, DestRouting)] = &entry.routed[k];
+                for (di, &t) in self.demand_dests[k].iter().enumerate() {
                     if Some(t as usize) == excluded {
                         continue;
                     }
-                    let r: &DestRouting = match scratch_map[ci][di] {
-                        NOT_RECOMPUTED => &cache.base[ci][di],
-                        WS_BASE => &ws_base[ci].state[di],
+                    let r: &DestRouting = match scratch_map[k][di] {
+                        NOT_RECOMPUTED => &cache.base[k][di],
+                        WS_BASE => &ws_base[k].state[di],
                         code if code & CACHED_BIT != 0 => &list[(code & !CACHED_BIT) as usize].1,
                         slot => &scratch[slot as usize],
                     };
@@ -1697,18 +1835,17 @@ impl<'a> Evaluator<'a> {
             }
         }
 
-        // Totals and per-link delays: elementwise totals as in
-        // `cost_with` (identical inputs ⇒ identical bits); delays read
+        // Totals (reference class-order fold) and per-link delays: read
         // back from the resident state and recomputed only at dirty
         // links — keeping only the ones that actually changed bitwise
         // for the pair-delay reuse decision below.
         total_loads.clear();
-        total_loads.extend(
-            class_loads[0]
-                .iter()
-                .zip(&class_loads[1])
-                .map(|(x, y)| x + y),
-        );
+        total_loads.resize(num_links, 0.0);
+        for loads in class_loads.iter() {
+            for (t, &x) in total_loads.iter_mut().zip(loads) {
+                *t += x;
+            }
+        }
         link_delays.clear();
         if full {
             link_delays.extend_from_slice(&entry.link_delays);
@@ -1718,7 +1855,7 @@ impl<'a> Evaluator<'a> {
                     total_loads[li],
                     self.capacities[li],
                     self.prop_delays[li],
-                    &self.params,
+                    &self.delay_params,
                 );
                 if d.to_bits() != link_delays[li].to_bits() {
                     link_delays[li] = d;
@@ -1734,59 +1871,72 @@ impl<'a> Evaluator<'a> {
             // pair segments to splice, every destination below re-runs
             // the DP regardless.
             link_delays.extend(total_loads.iter().enumerate().map(|(li, &t)| {
-                delay_model::link_delay(t, self.capacities[li], self.prop_delays[li], &self.params)
+                delay_model::link_delay(
+                    t,
+                    self.capacities[li],
+                    self.prop_delays[li],
+                    &self.delay_params,
+                )
             }));
         }
 
-        // Pass 3: SLA pairs — resident segments for destinations whose
-        // routing is unchanged and whose DAG sees no changed delay; the
-        // shared DP kernel for the rest.
-        let weights_d = w.weights(Class::Delay);
-        let take_max = matches!(self.params.aggregation, DelayAggregation::Max);
-        pair_delays.clear();
-        for (di, &t) in self.demand_dests[0].iter().enumerate() {
-            if Some(t as usize) == excluded {
-                continue;
-            }
-            let code = scratch_map[0][di];
-            let dest: &DestRouting = if code == NOT_RECOMPUTED {
-                &cache.base[0][di]
-            } else if code == WS_BASE {
-                &ws_base[0].state[di]
-            } else if code & CACHED_BIT != 0 {
-                &entry.delay[(code & !CACHED_BIT) as usize].1
-            } else {
-                &scratch[code as usize]
+        // Pass 3: per-class components. SLA pairs come from resident
+        // segments for destinations whose routing is unchanged and whose
+        // DAG sees no changed delay, from the shared DP kernel for the
+        // rest.
+        let take_max = self.take_max();
+        for (k, model) in self.models.iter().enumerate() {
+            costs[k] = match model {
+                CostModel::SlaDelay { .. } => {
+                    let weights = w.class_weights(k);
+                    pair_delays.clear();
+                    for (di, &t) in self.demand_dests[k].iter().enumerate() {
+                        if Some(t as usize) == excluded {
+                            continue;
+                        }
+                        let code = scratch_map[k][di];
+                        let dest: &DestRouting = if code == NOT_RECOMPUTED {
+                            &cache.base[k][di]
+                        } else if code == WS_BASE {
+                            &ws_base[k].state[di]
+                        } else if code & CACHED_BIT != 0 {
+                            &entry.routed[k][(code & !CACHED_BIT) as usize].1
+                        } else {
+                            &scratch[code as usize]
+                        };
+                        if full
+                            && (code == NOT_RECOMPUTED || code & CACHED_BIT != 0)
+                            && (pair_dirty.is_empty()
+                                || !dag_uses_any(self.net, &dest.dist, weights, pair_dirty))
+                        {
+                            let s = entry.pair_off[k][di] as usize;
+                            let e = entry.pair_off[k][di + 1] as usize;
+                            pair_delays.extend_from_slice(&entry.pairs[k][s..e]);
+                            continue;
+                        }
+                        delay::pair_delays_into(
+                            self.net,
+                            &dest.dist,
+                            &dest.order,
+                            weights,
+                            mask,
+                            link_delays,
+                            take_max,
+                            self.matrices[k],
+                            t as usize,
+                            excluded,
+                            node_delay,
+                            pair_delays,
+                        );
+                    }
+                    sla::summarize(&*pair_delays, &self.class_params[k]).lambda
+                }
+                CostModel::Congestion => {
+                    congestion::phi(total_loads, &class_loads[k], &self.capacities)
+                }
             };
-            if full
-                && (code == NOT_RECOMPUTED || code & CACHED_BIT != 0)
-                && (pair_dirty.is_empty()
-                    || !dag_uses_any(self.net, &dest.dist, weights_d, pair_dirty))
-            {
-                let s = entry.pair_off[di] as usize;
-                let e = entry.pair_off[di + 1] as usize;
-                pair_delays.extend_from_slice(&entry.pairs[s..e]);
-                continue;
-            }
-            delay::pair_delays_into(
-                self.net,
-                &dest.dist,
-                &dest.order,
-                weights_d,
-                mask,
-                link_delays,
-                take_max,
-                &self.traffic.delay,
-                t as usize,
-                excluded,
-                node_delay,
-                pair_delays,
-            );
         }
-
-        let sla = sla::summarize(&*pair_delays, &self.params);
-        let phi = congestion::phi(total_loads, &class_loads[1], &self.capacities);
-        LexCost::new(sla.lambda, phi)
+        costs
     }
 
     /// Re-point the cache at a new incumbent `w` incrementally: the
@@ -1795,10 +1945,11 @@ impl<'a> Evaluator<'a> {
     /// cannot change (see [`weight_change_affects`]) are kept as-is; the
     /// rest are re-routed under `w`, and the resident folded state
     /// (loads, contributor lists, link delays, pair segments) is updated
-    /// to describe `w` exactly. Unlike the pre-delta cache, coverage is
-    /// maintained **exactly**: destinations entering or leaving a
-    /// scenario's mask-affected set are spliced into or out of its entry,
-    /// so no periodic full rebuild is needed.
+    /// to describe `w` exactly. Coverage is maintained **exactly**:
+    /// destinations entering or leaving a scenario's mask-affected set
+    /// are spliced into or out of its entry, so no periodic full rebuild
+    /// is needed.
+    ///
     /// This serial form wraps the three-stage refresh —
     /// [`cache_refresh_begin`](Self::cache_refresh_begin), one
     /// [`cache_refresh_entry`](Self::cache_refresh_entry) per resident
@@ -1806,15 +1957,15 @@ impl<'a> Evaluator<'a> {
     /// which multicore accept paths shard across workers with
     /// bit-identical results (see the parallel-search contract in
     /// `DETERMINISM.md`).
-    pub fn cache_refresh(
+    pub fn cache_refresh<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
         cache: &mut ScenarioCache,
-        w: &WeightSetting,
+        w: &W,
         scenario_at: impl Fn(usize) -> Scenario,
     ) {
         self.cache_refresh_begin(ws, cache, w);
-        let resident = cache.resident + cache.partial;
+        let resident = cache.resident_scenarios();
         let (ctx, entries) = cache.refresh_split();
         for (pos, entry) in entries.iter_mut().enumerate().take(resident) {
             self.cache_refresh_entry(ws, w, &ctx, scenario_at(pos), entry);
@@ -1829,15 +1980,14 @@ impl<'a> Evaluator<'a> {
     /// once per accepted candidate; the per-entry stage it feeds
     /// ([`cache_refresh_entry`](Self::cache_refresh_entry)) is the
     /// shardable part.
-    pub fn cache_refresh_begin(
+    pub fn cache_refresh_begin<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
         cache: &mut ScenarioCache,
-        w: &WeightSetting,
+        w: &W,
     ) {
-        let num_links = self.net.num_links();
-        assert_eq!(w.num_links(), num_links, "weight size mismatch");
-        ws.bind(self.engine_id, num_links);
+        self.bind(ws);
+        let kn = self.num_classes();
         let ScenarioCache {
             weights,
             base,
@@ -1845,22 +1995,11 @@ impl<'a> Evaluator<'a> {
             refresh_changed,
             ..
         } = cache;
-        for (ci, class) in Class::ALL.iter().enumerate() {
-            let new = w.weights(*class);
-            assert_eq!(weights[ci].len(), new.len(), "link count mismatch");
-            diff[ci].clear();
-            diff[ci].extend(
-                weights[ci]
-                    .iter()
-                    .zip(new)
-                    .enumerate()
-                    .filter(|(_, (o, n))| o != n)
-                    .map(|(l, (&o, &n))| WeightChange {
-                        link: LinkId::new(l),
-                        old: o,
-                        new: n,
-                    }),
-            );
+        assert_eq!(base.len(), kn, "cache baseline missing");
+        for (k, diffk) in diff.iter_mut().enumerate() {
+            let new = w.class_weights(k);
+            assert_eq!(weights[k].len(), new.len(), "link count mismatch");
+            weight_diff(&weights[k], new, diffk);
         }
 
         // Baseline update: re-route the destinations the diff can
@@ -1869,21 +2008,22 @@ impl<'a> Evaluator<'a> {
         // predicate's false positives are filtered with the exact
         // [`baseline_unchanged`] diff so bit-identical re-routes don't
         // churn entries or re-run delay DPs downstream.
+        refresh_changed.resize_with(kn, Vec::new);
         let mut tmp = std::mem::take(&mut ws.refresh_tmp);
-        for (ci, class) in Class::ALL.iter().enumerate() {
-            let class_weights = w.weights(*class);
-            let tm = self.class_matrix(*class);
-            let dests = &self.demand_dests[ci];
+        for k in 0..kn {
+            let class_weights = w.class_weights(k);
+            let tm = self.matrices[k];
+            let dests = &self.demand_dests[k];
             assert_eq!(
-                base[ci].len(),
+                base[k].len(),
                 dests.len(),
                 "cache baseline missing; run cache_rebuild_begin first"
             );
-            refresh_changed[ci].clear();
-            refresh_changed[ci].resize(dests.len(), false);
+            refresh_changed[k].clear();
+            refresh_changed[k].resize(dests.len(), false);
             for (di, &t) in dests.iter().enumerate() {
-                if diff[ci].is_empty()
-                    || !weight_change_affects(self.net, &base[ci][di].dist, &diff[ci])
+                if diff[k].is_empty()
+                    || !weight_change_affects(self.net, &base[k][di].dist, &diff[k])
                 {
                     continue;
                 }
@@ -1896,9 +2036,9 @@ impl<'a> Evaluator<'a> {
                     &mut ws.spf,
                     &mut tmp,
                 );
-                if !baseline_unchanged(self.net, &tmp.dist, &base[ci][di].dist, &diff[ci]) {
-                    std::mem::swap(&mut base[ci][di], &mut tmp);
-                    refresh_changed[ci][di] = true;
+                if !baseline_unchanged(self.net, &tmp.dist, &base[k][di].dist, &diff[k]) {
+                    std::mem::swap(&mut base[k][di], &mut tmp);
+                    refresh_changed[k][di] = true;
                 }
             }
         }
@@ -1919,16 +2059,16 @@ impl<'a> Evaluator<'a> {
     /// move, leavers park in the routing pool, and newcomers reuse
     /// pooled buffers (pool contents are never read — re-routes fully
     /// overwrite them).
-    pub fn cache_refresh_entry(
+    pub fn cache_refresh_entry<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
-        w: &WeightSetting,
+        w: &W,
         ctx: &RefreshCtx<'_>,
         scenario: Scenario,
         entry: &mut ScenarioEntry,
     ) {
         let num_links = self.net.num_links();
-        ws.bind(self.engine_id, num_links);
+        self.bind(ws);
         let RefreshCtx {
             base,
             diff,
@@ -1943,19 +2083,14 @@ impl<'a> Evaluator<'a> {
         let mut spare = std::mem::take(&mut ws.refresh_list);
         let mut pool = std::mem::take(&mut ws.routing_pool);
 
-        for (ci, class) in Class::ALL.iter().enumerate() {
-            let class_weights = w.weights(*class);
-            let tm = self.class_matrix(*class);
-            let dests = &self.demand_dests[ci];
-            let ch = &mut ws.changed[ci];
+        for (k, dests) in self.demand_dests.iter().enumerate() {
+            let class_weights = w.class_weights(k);
+            let tm = self.matrices[k];
+            let ch = &mut ws.changed[k];
             ch.resize(dests.len(), 0);
-            let list = if ci == 0 {
-                &mut entry.delay
-            } else {
-                &mut entry.tput
-            };
             // Rebuild the affected list, moving surviving routings:
             // membership only moves where the baseline moved.
+            let list = &mut entry.routed[k];
             std::mem::swap(list, &mut spare);
             list.clear();
             let mut it = spare.drain(..).peekable();
@@ -1964,26 +2099,21 @@ impl<'a> Evaluator<'a> {
                     .peek()
                     .is_some_and(|(d, _)| *d == di as u32)
                     .then(|| it.next().unwrap().1);
-                while it.peek().is_some_and(|(d, _)| *d < di as u32) {
-                    // Cannot happen (lists are ascending and dense in
-                    // di), but stay robust.
-                    pool.push(it.next().unwrap().1);
-                }
                 if Some(t as usize) == excluded {
                     if let Some(r) = hit {
                         pool.push(r);
                     }
                     continue;
                 }
-                if base_changed[ci][di] {
+                if base_changed[k][di] {
                     let affected = !ws.down.is_empty()
-                        && dag_uses_any(self.net, &base[ci][di].dist, class_weights, &ws.down);
+                        && dag_uses_any(self.net, &base[k][di].dist, class_weights, &ws.down);
                     if affected {
                         // The cached scenario routing survives when
                         // the diff provably cannot change it.
                         if let Some(routing) = hit {
-                            if diff[ci].is_empty()
-                                || !weight_change_affects(self.net, &routing.dist, &diff[ci])
+                            if diff[k].is_empty()
+                                || !weight_change_affects(self.net, &routing.dist, &diff[k])
                             {
                                 list.push((di as u32, routing));
                                 continue;
@@ -1995,11 +2125,11 @@ impl<'a> Evaluator<'a> {
                                 tm,
                                 &ws.mask,
                                 t as usize,
-                                &base[ci][di],
+                                &base[k][di],
                                 &mut ws.spf,
                                 &mut tmp,
                             );
-                            if !baseline_unchanged(self.net, &tmp.dist, &routing.dist, &diff[ci]) {
+                            if !baseline_unchanged(self.net, &tmp.dist, &routing.dist, &diff[k]) {
                                 ch[di] = epoch;
                                 std::mem::swap(&mut routing, &mut tmp);
                             }
@@ -2014,7 +2144,7 @@ impl<'a> Evaluator<'a> {
                             tm,
                             &ws.mask,
                             t as usize,
-                            &base[ci][di],
+                            &base[k][di],
                             &mut ws.spf,
                             &mut routing,
                         );
@@ -2029,8 +2159,8 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                 } else if let Some(mut routing) = hit {
-                    if !diff[ci].is_empty()
-                        && weight_change_affects(self.net, &routing.dist, &diff[ci])
+                    if !diff[k].is_empty()
+                        && weight_change_affects(self.net, &routing.dist, &diff[k])
                     {
                         route_destination_repair(
                             self.net,
@@ -2038,11 +2168,11 @@ impl<'a> Evaluator<'a> {
                             tm,
                             &ws.mask,
                             t as usize,
-                            &base[ci][di],
+                            &base[k][di],
                             &mut ws.spf,
                             &mut tmp,
                         );
-                        if !baseline_unchanged(self.net, &tmp.dist, &routing.dist, &diff[ci]) {
+                        if !baseline_unchanged(self.net, &tmp.dist, &routing.dist, &diff[k]) {
                             ch[di] = epoch;
                             std::mem::swap(&mut routing, &mut tmp);
                         }
@@ -2054,21 +2184,21 @@ impl<'a> Evaluator<'a> {
                 pool.push(r);
             }
 
-            // Contributor lists + full refold (cheap: one pass over
-            // the effective adds — the per-link fold in destination
-            // order gives bit-for-bit the reference accumulation for
-            // *every* link, dirty or not).
+            // Contributor lists + full refold (cheap: one pass over the
+            // effective adds — the per-link fold in destination order
+            // gives bit-for-bit the reference accumulation for *every*
+            // link, dirty or not).
             let list: &[(u32, DestRouting)] = list;
-            let basec = &base[ci];
-            entry.contrib[ci].rebuild(num_links, dests.len(), |di| {
+            let basec = &base[k];
+            entry.contrib[k].rebuild(num_links, dests.len(), |di| {
                 effective_adds(list, basec, dests, excluded, di)
             });
-            let loads = &mut entry.loads[ci];
+            let loads = &mut entry.loads[k];
             loads.clear();
             loads.resize(num_links, 0.0);
             for (l, load) in loads.iter_mut().enumerate() {
                 let mut acc = 0.0f64;
-                for &(_, share) in entry.contrib[ci].row(l) {
+                for &(_, share) in entry.contrib[k].row(l) {
                     acc += share;
                 }
                 *load = acc;
@@ -2086,19 +2216,19 @@ impl<'a> Evaluator<'a> {
 
         // Delays: recompute, remembering which changed bitwise.
         ws.total_loads.clear();
-        ws.total_loads.extend(
-            entry.loads[0]
-                .iter()
-                .zip(&entry.loads[1])
-                .map(|(x, y)| x + y),
-        );
+        ws.total_loads.resize(num_links, 0.0);
+        for loads in &entry.loads {
+            for (t, &x) in ws.total_loads.iter_mut().zip(loads) {
+                *t += x;
+            }
+        }
         ws.pair_dirty.clear();
         for (l, old) in entry.link_delays.iter_mut().enumerate() {
             let d = delay_model::link_delay(
                 ws.total_loads[l],
                 self.capacities[l],
                 self.prop_delays[l],
-                &self.params,
+                &self.delay_params,
             );
             if d.to_bits() != old.to_bits() {
                 *old = d;
@@ -2106,243 +2236,70 @@ impl<'a> Evaluator<'a> {
             }
         }
 
-        // Pair segments: recompute only destinations whose routing
-        // changed or whose DAG sees a changed delay; splice the rest
-        // from the old resident list.
-        let weights_d = w.weights(Class::Delay);
-        let take_max = matches!(self.params.aggregation, DelayAggregation::Max);
-        ws.pair_delays.clear();
-        let mut cursor = 0usize;
-        let list = &entry.delay;
-        let new_offs = &mut ws.off_scratch;
-        new_offs.clear();
-        new_offs.push(0);
-        for (di, &t) in self.demand_dests[0].iter().enumerate() {
-            if Some(t as usize) != excluded {
-                while cursor < list.len() && list[cursor].0 < di as u32 {
-                    cursor += 1;
-                }
-                let hit = cursor < list.len() && list[cursor].0 == di as u32;
-                let dest: &DestRouting = if hit { &list[cursor].1 } else { &base[0][di] };
-                let routing_changed = ws.changed[0][di] == epoch;
-                if !routing_changed
-                    && (ws.pair_dirty.is_empty()
-                        || !dag_uses_any(self.net, &dest.dist, weights_d, &ws.pair_dirty))
-                {
-                    let s = entry.pair_off[di] as usize;
-                    let e = entry.pair_off[di + 1] as usize;
-                    ws.pair_delays.extend_from_slice(&entry.pairs[s..e]);
-                } else {
-                    delay::pair_delays_into(
-                        self.net,
-                        &dest.dist,
-                        &dest.order,
-                        weights_d,
-                        &ws.mask,
-                        &entry.link_delays,
-                        take_max,
-                        &self.traffic.delay,
-                        t as usize,
-                        excluded,
-                        &mut ws.node_delay,
-                        &mut ws.pair_delays,
-                    );
-                }
+        // Pair segments per SLA class: recompute only destinations whose
+        // routing changed or whose DAG sees a changed delay; splice the
+        // rest from the old resident list.
+        let take_max = self.take_max();
+        for (k, model) in self.models.iter().enumerate() {
+            if matches!(model, CostModel::Congestion) {
+                continue;
             }
-            new_offs.push(ws.pair_delays.len() as u32);
+            let class_weights = w.class_weights(k);
+            ws.pair_delays.clear();
+            let mut cursor = 0usize;
+            let list = &entry.routed[k];
+            let new_offs = &mut ws.off_scratch;
+            new_offs.clear();
+            new_offs.push(0);
+            for (di, &t) in self.demand_dests[k].iter().enumerate() {
+                if Some(t as usize) != excluded {
+                    while cursor < list.len() && list[cursor].0 < di as u32 {
+                        cursor += 1;
+                    }
+                    let hit = cursor < list.len() && list[cursor].0 == di as u32;
+                    let dest: &DestRouting = if hit { &list[cursor].1 } else { &base[k][di] };
+                    let routing_changed = ws.changed[k][di] == epoch;
+                    if !routing_changed
+                        && (ws.pair_dirty.is_empty()
+                            || !dag_uses_any(self.net, &dest.dist, class_weights, &ws.pair_dirty))
+                    {
+                        let s = entry.pair_off[k][di] as usize;
+                        let e = entry.pair_off[k][di + 1] as usize;
+                        ws.pair_delays.extend_from_slice(&entry.pairs[k][s..e]);
+                    } else {
+                        delay::pair_delays_into(
+                            self.net,
+                            &dest.dist,
+                            &dest.order,
+                            class_weights,
+                            &ws.mask,
+                            &entry.link_delays,
+                            take_max,
+                            self.matrices[k],
+                            t as usize,
+                            excluded,
+                            &mut ws.node_delay,
+                            &mut ws.pair_delays,
+                        );
+                    }
+                }
+                new_offs.push(ws.pair_delays.len() as u32);
+            }
+            entry.pairs[k].clone_from(&ws.pair_delays);
+            entry.pair_off[k].clone_from(new_offs);
         }
-        entry.pairs.clone_from(&ws.pair_delays);
-        entry.pair_off.clone_from(new_offs);
     }
 
     /// Stage 3 of the incremental refresh: adopt `w` as the cache's
     /// incumbent and advance the generation stamp. Call exactly once,
     /// after every [`cache_refresh_entry`](Self::cache_refresh_entry)
     /// of the refresh has completed.
-    pub fn cache_refresh_finish(&self, cache: &mut ScenarioCache, w: &WeightSetting) {
-        for (buf, class) in cache.weights.iter_mut().zip(Class::ALL) {
+    pub fn cache_refresh_finish<W: ClassWeights>(&self, cache: &mut ScenarioCache, w: &W) {
+        for (k, buf) in cache.weights.iter_mut().enumerate() {
             buf.clear();
-            buf.extend_from_slice(w.weights(class));
+            buf.extend_from_slice(w.class_weights(k));
         }
         cache.generation = next_engine_id();
-    }
-
-    /// Evaluate one scenario (any kind) against a valid workspace
-    /// baseline, optionally capturing the recomputed routings into a
-    /// scenario-cache entry.
-    fn cost_scenario(
-        &self,
-        ws: &mut EvalWorkspace,
-        w: &WeightSetting,
-        scenario: Scenario,
-        mut capture: Option<&mut ScenarioEntry>,
-    ) -> LexCost {
-        // Node failures also remove the dead node's traffic; the mask
-        // makes that self-enforcing for loads (see the module docs), and
-        // the routing/SLA loops below skip the node explicitly where the
-        // base matrices still mention it.
-        let excluded = scenario.excluded_node().map(|v| v.index());
-        let EvalWorkspace {
-            spf,
-            mask,
-            down,
-            base,
-            scratch,
-            scratch_map,
-            tput_scratch,
-            class_loads,
-            total_loads,
-            link_delays,
-            node_delay,
-            pair_delays,
-            ..
-        } = ws;
-        scenario.mask_into(self.net, mask);
-        down.clear();
-        down.extend(mask.down_links().map(|i| i as u32));
-
-        // Route (or replay) both classes. The delay class keeps its
-        // recomputed destinations around: their distance fields feed the
-        // end-to-end delay DP below.
-        let mut scratch_used = 0usize;
-        let mut dropped = 0.0f64; // diagnostic only; never in the cost
-        for (ci, class) in Class::ALL.iter().enumerate() {
-            let weights = w.weights(*class);
-            let tm = self.class_matrix(*class);
-            let dests = &self.demand_dests[ci];
-            let loads = &mut class_loads[ci];
-            loads.clear();
-            loads.resize(self.net.num_links(), 0.0);
-            if ci == 0 {
-                scratch_map[0].clear();
-                scratch_map[0].resize(dests.len(), NOT_RECOMPUTED);
-            }
-            for (di, &t) in dests.iter().enumerate() {
-                if Some(t as usize) == excluded {
-                    // The dead node sinks nothing under its own failure;
-                    // the reference path (zeroed column) never routes it.
-                    continue;
-                }
-                let b = &base[ci].state[di];
-                let affected = !down.is_empty() && dag_uses_any(self.net, &b.dist, weights, down);
-                if !affected {
-                    b.replay(loads, &mut dropped);
-                    continue;
-                }
-                // A mask-affected destination is *repaired* from the
-                // resident no-failure baseline (orphan detection plus a
-                // boundary Dijkstra — bit-equal to a from-scratch route,
-                // see `route_destination_repair`) instead of paying a
-                // full Dijkstra; `ensure_baseline` guarantees `b` is the
-                // all-up routing of these exact weights.
-                if ci == 0 {
-                    if scratch.len() == scratch_used {
-                        scratch.push(DestRouting::default());
-                    }
-                    let dest = &mut scratch[scratch_used];
-                    if self.plain_repair {
-                        route_destination_repair(
-                            self.net, weights, tm, mask, t as usize, b, spf, dest,
-                        );
-                    } else {
-                        route_destination(self.net, weights, tm, mask, t as usize, spf, dest);
-                    }
-                    dest.replay(loads, &mut dropped);
-                    scratch_map[0][di] = scratch_used as u32;
-                    scratch_used += 1;
-                    if let Some(entry) = capture.as_mut() {
-                        entry
-                            .delay
-                            .push((di as u32, scratch[scratch_used - 1].clone()));
-                    }
-                } else {
-                    if self.plain_repair {
-                        route_destination_repair(
-                            self.net,
-                            weights,
-                            tm,
-                            mask,
-                            t as usize,
-                            b,
-                            spf,
-                            tput_scratch,
-                        );
-                    } else {
-                        route_destination(
-                            self.net,
-                            weights,
-                            tm,
-                            mask,
-                            t as usize,
-                            spf,
-                            tput_scratch,
-                        );
-                    }
-                    tput_scratch.replay(loads, &mut dropped);
-                    if let Some(entry) = capture.as_mut() {
-                        entry.tput.push((di as u32, tput_scratch.clone()));
-                    }
-                }
-            }
-        }
-
-        // Total loads, link delays (same element-wise operations as the
-        // reference path).
-        total_loads.clear();
-        total_loads.extend(
-            class_loads[0]
-                .iter()
-                .zip(&class_loads[1])
-                .map(|(x, y)| x + y),
-        );
-        delay_model::link_delays_into(
-            total_loads,
-            &self.capacities,
-            &self.prop_delays,
-            &self.params,
-            link_delays,
-        );
-
-        // Per-pair end-to-end delays of the delay class (shared kernel;
-        // the order field is cached, not recomputed).
-        let weights_d = w.weights(Class::Delay);
-        let take_max = matches!(self.params.aggregation, DelayAggregation::Max);
-        pair_delays.clear();
-        for (di, &t) in self.demand_dests[0].iter().enumerate() {
-            if Some(t as usize) == excluded {
-                continue;
-            }
-            let dest = match scratch_map[0][di] {
-                NOT_RECOMPUTED => &base[0].state[di],
-                slot => &scratch[slot as usize],
-            };
-            delay::pair_delays_into(
-                self.net,
-                &dest.dist,
-                &dest.order,
-                weights_d,
-                mask,
-                link_delays,
-                take_max,
-                &self.traffic.delay,
-                t as usize,
-                excluded,
-                node_delay,
-                pair_delays,
-            );
-        }
-
-        let sla = sla::summarize(&*pair_delays, &self.params);
-        let phi = congestion::phi(total_loads, &class_loads[1], &self.capacities);
-        LexCost::new(sla.lambda, phi)
-    }
-
-    #[inline]
-    fn class_matrix(&self, class: Class) -> &TrafficMatrix {
-        match class {
-            Class::Delay => &self.traffic.delay,
-            Class::Throughput => &self.traffic.throughput,
-        }
     }
 }
 

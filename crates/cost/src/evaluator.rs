@@ -23,8 +23,9 @@ use dtr_traffic::ClassMatrices;
 
 use crate::congestion;
 use crate::delay_model;
+use crate::engine::{Engine, EvalWorkspace, ScenarioCache};
 use crate::lexico::LexCost;
-use crate::params::{CostParams, DelayAggregation};
+use crate::params::{CostModel, CostParams, DelayAggregation};
 use crate::sla::{self, SlaSummary};
 
 /// Everything one evaluation produces. The scalar cost drives the search;
@@ -80,36 +81,22 @@ impl CostBreakdown {
 }
 
 /// Reusable evaluation context: network + base traffic + cost parameters.
-/// Cheap to construct; capacities and propagation delays are cached as
-/// flat vectors for the hot loop, and a pool of
-/// [`EvalWorkspace`](crate::EvalWorkspace)s (one per thread in practice)
-/// backs the allocation-free incremental engine in [`crate::engine`].
+/// Cheap to construct. [`evaluate`](Self::evaluate) is the readable
+/// reference path; everything else runs on the two-class instantiation
+/// of the delta-state [`Engine`] — an SLA class scored with the caller's
+/// θ, B1 and B2, then a congestion class, under the caller's delay model
+/// and ECMP aggregation — and reads its two components into a
+/// [`LexCost`].
 pub struct Evaluator<'a> {
-    pub(crate) net: &'a Network,
-    pub(crate) traffic: &'a ClassMatrices,
-    pub(crate) params: CostParams,
-    pub(crate) capacities: Vec<f64>,
-    pub(crate) prop_delays: Vec<f64>,
-    /// Per-class demand destinations (nodes that sink positive demand),
-    /// ascending — `[delay, throughput]`, indexed like [`Class::ALL`].
-    pub(crate) demand_dests: [Vec<u32>; 2],
-    pub(crate) pool: crate::engine::WorkspacePool,
-    /// Unique identity gating workspace-baseline reuse (see
-    /// `EvalWorkspace::owner`).
-    pub(crate) engine_id: u64,
-    /// Seed `route_destination_repair` from the workspace baseline on
-    /// the plain `cost_with` path (default). Off = from-scratch Dijkstra
-    /// per mask-affected destination; results are bit-identical either
-    /// way (see [`Self::set_plain_repair`]), so this exists only for
-    /// A/B benchmarking.
-    pub(crate) plain_repair: bool,
+    net: &'a Network,
+    traffic: &'a ClassMatrices,
+    params: CostParams,
+    engine: Engine<'a>,
 }
 
-fn demand_dests(tm: &dtr_traffic::TrafficMatrix) -> Vec<u32> {
-    let n = tm.num_nodes();
-    (0..n as u32)
-        .filter(|&t| (0..n).any(|s| s != t as usize && tm.demand(s, t as usize) > 0.0))
-        .collect()
+/// The two engine components of a DTR evaluation as `⟨Λ, Φ⟩`.
+fn lex(c: &[f64]) -> LexCost {
+    LexCost::new(c[0], c[1])
 }
 
 impl<'a> Evaluator<'a> {
@@ -122,30 +109,32 @@ impl<'a> Evaluator<'a> {
             net.num_nodes(),
             "traffic matrices must match the network size"
         );
-        let capacities = net.links().map(|l| net.link(l).capacity).collect();
-        let prop_delays = net.links().map(|l| net.link(l).prop_delay).collect();
+        let sla = CostModel::SlaDelay {
+            theta: params.theta,
+            b1: params.b1,
+            b2_per_ms: params.b2_per_ms,
+        };
+        let classes = vec![
+            (&traffic.delay, sla),
+            (&traffic.throughput, CostModel::Congestion),
+        ];
         Evaluator {
             net,
             traffic,
             params,
-            capacities,
-            prop_delays,
-            demand_dests: [
-                demand_dests(&traffic.delay),
-                demand_dests(&traffic.throughput),
-            ],
-            pool: crate::engine::WorkspacePool::default(),
-            engine_id: crate::engine::next_engine_id(),
-            plain_repair: true,
+            engine: Engine::new(net, classes, params),
         }
     }
 
-    /// Toggle baseline-seeded repair on the plain `cost_with` path.
-    /// Repair is bit-equal to a from-scratch route (integer distances;
-    /// pinned by `tests/spf_incremental.rs`), so this changes timing
-    /// only — it exists for the repair-ablation bench legs.
+    /// The delta-state engine behind the fast paths.
+    pub fn engine(&self) -> &Engine<'a> {
+        &self.engine
+    }
+
+    /// Toggle baseline-seeded repair on the plain `cost_with` path
+    /// (see [`Engine::set_plain_repair`]; timing only, same bits).
     pub fn set_plain_repair(&mut self, on: bool) {
-        self.plain_repair = on;
+        self.engine.set_plain_repair(on);
     }
 
     pub fn net(&self) -> &Network {
@@ -176,14 +165,14 @@ impl<'a> Evaluator<'a> {
         let total_loads = dtr_routing::router::total_loads(&rd, &rt);
         let link_delays = delay_model::link_delays(
             &total_loads,
-            &self.capacities,
-            &self.prop_delays,
+            self.engine.capacities(),
+            self.engine.prop_delays(),
             &self.params,
         );
 
         let pair_delays = self.delay_pair_delays(w, &mask, &rd, &offered, &link_delays);
         let sla = sla::summarize(&pair_delays, &self.params);
-        let phi = congestion::phi(&total_loads, &rt.loads, &self.capacities);
+        let phi = congestion::phi(&total_loads, &rt.loads, self.engine.capacities());
         let dropped = rd.dropped + rt.dropped;
 
         CostBreakdown {
@@ -200,15 +189,97 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Scalar-cost shortcut: bit-for-bit the cost of
-    /// [`evaluate`](Self::evaluate), but computed through the pooled
-    /// incremental engine (see [`crate::engine`]) — no per-evaluation
-    /// allocation, cached no-failure baseline, per-destination
-    /// recomputation only where a failure or weight move can matter.
+    /// [`evaluate`](Self::evaluate), computed through a pooled workspace
+    /// of the engine.
     pub fn cost(&self, w: &WeightSetting, scenario: Scenario) -> LexCost {
         let mut ws = self.acquire_workspace();
         let c = self.cost_with(&mut ws, w, scenario);
         self.release_workspace(ws);
         c
+    }
+
+    /// Scenario-batched costs of `w`, in input order — bit-for-bit what
+    /// per-scenario [`evaluate`](Self::evaluate) would report, sharing
+    /// one pooled workspace across the batch.
+    pub fn evaluate_all(&self, w: &WeightSetting, scenarios: &[Scenario]) -> Vec<LexCost> {
+        let mut ws = self.acquire_workspace();
+        let out = scenarios
+            .iter()
+            .map(|&sc| self.cost_with(&mut ws, w, sc))
+            .collect();
+        self.release_workspace(ws);
+        out
+    }
+
+    /// See [`Engine::acquire_workspace`].
+    pub fn acquire_workspace(&self) -> EvalWorkspace {
+        self.engine.acquire_workspace()
+    }
+
+    /// See [`Engine::release_workspace`].
+    pub fn release_workspace(&self, ws: EvalWorkspace) {
+        self.engine.release_workspace(ws)
+    }
+
+    /// [`Engine::cost_with`] as `⟨Λ, Φ⟩`.
+    pub fn cost_with(&self, ws: &mut EvalWorkspace, w: &WeightSetting, sc: Scenario) -> LexCost {
+        lex(self.engine.cost_with(ws, w, sc))
+    }
+
+    /// [`Engine::scenario_floor`] with the Φ floor, as `⟨Λ, Φ⟩` floors.
+    pub fn scenario_floor(&self, ws: &mut EvalWorkspace, scenario: Scenario) -> LexCost {
+        lex(self.engine.scenario_floor(ws, scenario, true))
+    }
+
+    /// See [`Engine::cache_rebuild_begin`].
+    pub fn cache_rebuild_begin(
+        &self,
+        ws: &mut EvalWorkspace,
+        cache: &mut ScenarioCache,
+        w: &WeightSetting,
+        positions: usize,
+    ) {
+        self.engine.cache_rebuild_begin(ws, cache, w, positions)
+    }
+
+    /// [`Engine::cost_capture`] as `⟨Λ, Φ⟩`.
+    pub fn cost_capture(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &WeightSetting,
+        scenario: Scenario,
+        cache: &mut ScenarioCache,
+        pos: usize,
+    ) -> LexCost {
+        lex(self.engine.cost_capture(ws, w, scenario, cache, pos))
+    }
+
+    /// See [`Engine::cache_begin`].
+    pub fn cache_begin(&self, cache: &mut ScenarioCache, w: &WeightSetting) -> usize {
+        self.engine.cache_begin(cache, w)
+    }
+
+    /// [`Engine::cost_cached`] as `⟨Λ, Φ⟩`.
+    pub fn cost_cached(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &WeightSetting,
+        scenario: Scenario,
+        cache: &ScenarioCache,
+        pos: usize,
+    ) -> LexCost {
+        lex(self.engine.cost_cached(ws, w, scenario, cache, pos))
+    }
+
+    /// See [`Engine::cache_refresh`].
+    pub fn cache_refresh(
+        &self,
+        ws: &mut EvalWorkspace,
+        cache: &mut ScenarioCache,
+        w: &WeightSetting,
+        scenario_at: impl Fn(usize) -> Scenario,
+    ) {
+        self.engine.cache_refresh(ws, cache, w, scenario_at)
     }
 
     /// Per SD pair "max utilization on its path": bottleneck total-load
@@ -227,7 +298,7 @@ impl<'a> Evaluator<'a> {
         let total = dtr_routing::router::total_loads(&rd, &rt);
         let util: Vec<f64> = total
             .iter()
-            .zip(&self.capacities)
+            .zip(self.engine.capacities())
             .map(|(&x, &c)| x / c)
             .collect();
 
@@ -421,65 +492,6 @@ mod tests {
         let mbu = ev.mean_bottleneck_utilization(&w, Scenario::Normal);
         // Single delay pair rides the direct link at 30% utilization.
         assert!((mbu - 0.30).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bounded_batch_completes_exactly_or_cuts_soundly() {
-        use crate::engine::BoundedCosts;
-        let net = net();
-        let tm = traffic();
-        let ev = Evaluator::new(&net, &tm, CostParams::default());
-        let w = WeightSetting::uniform(net.num_links(), 20);
-        let scenarios: Vec<Scenario> = net.duplex_representatives()[..4]
-            .iter()
-            .map(|&l| Scenario::Link(l))
-            .collect();
-        let full = ev.evaluate_all(&w, &scenarios);
-        let total = full.iter().fold(LexCost::ZERO, |a, c| a.add(c));
-
-        // Unbeatable incumbent: completes with the exact batch costs.
-        let inc = LexCost::new(f64::INFINITY, f64::INFINITY);
-        assert_eq!(
-            ev.evaluate_all_bounded(&w, &scenarios, &inc, None),
-            BoundedCosts::Complete(full.clone())
-        );
-
-        // Zero incumbent: nothing can be strictly better, so the sweep
-        // cuts after the first evaluation.
-        assert_eq!(
-            ev.evaluate_all_bounded(&w, &scenarios, &LexCost::ZERO, None),
-            BoundedCosts::Cut { evaluated: 1 }
-        );
-
-        // With per-scenario floors the same unbeatable incumbent still
-        // completes with the exact batch costs (floors may only hasten
-        // rejections, never manufacture one), and the zero incumbent
-        // still cuts immediately.
-        let mut ws = ev.acquire_workspace();
-        let floors: Vec<crate::engine::ScenarioFloor> = scenarios
-            .iter()
-            .map(|&sc| ev.scenario_floor(&mut ws, sc))
-            .collect();
-        ev.release_workspace(ws);
-        assert_eq!(
-            ev.evaluate_all_bounded(&w, &scenarios, &inc, Some(&floors)),
-            BoundedCosts::Complete(full)
-        );
-        assert!(matches!(
-            ev.evaluate_all_bounded(&w, &scenarios, &LexCost::ZERO, Some(&floors)),
-            BoundedCosts::Cut { .. }
-        ));
-
-        // Incumbent just above the total: must complete (the total still
-        // beats it on Φ) and agree with the plain fold.
-        let above = LexCost::new(total.lambda, total.phi * 2.0);
-        match ev.evaluate_all_bounded(&w, &scenarios, &above, Some(&floors)) {
-            BoundedCosts::Complete(costs) => {
-                let sum = costs.iter().fold(LexCost::ZERO, |a, c| a.add(c));
-                assert_eq!(sum, total);
-            }
-            BoundedCosts::Cut { .. } => panic!("cut a batch that beats the incumbent"),
-        }
     }
 
     #[test]

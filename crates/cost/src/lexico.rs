@@ -43,12 +43,10 @@ impl LexCost {
     /// partial fold `p` of non-negative per-scenario costs is a true
     /// lower bound of the completed sum `f` — so once
     /// `!p.better_than(inc)` holds, **no completion** of the sweep can
-    /// beat `inc`. This is the soundness proof behind the engine's
-    /// incumbent-bounded sweeps
-    /// ([`crate::Evaluator::evaluate_all_bounded`] and
-    /// `dtr_core::parallel::sum_set_costs_bounded`): cutting a sweep at
-    /// that point can only discard candidates the full sweep would have
-    /// rejected anyway.
+    /// beat `inc`. This is the soundness proof behind the
+    /// incumbent-bounded sweeps (`dtr_core::parallel::sum_set_costs_bounded`):
+    /// cutting a sweep at that point can only discard candidates the full
+    /// sweep would have rejected anyway.
     pub fn better_than(&self, other: &LexCost) -> bool {
         if self.lambda < other.lambda - LAMBDA_EPS {
             return true;

@@ -16,6 +16,9 @@
 //! * [`Evaluator`] — the full pipeline: weight setting + failure scenario
 //!   → two-class routing → total loads → link delays → `(Λ, Φ)` plus all
 //!   the per-link / per-pair diagnostics the experiments report.
+//! * [`Engine`] — the incremental, delta-state evaluation engine for any
+//!   number of traffic classes, each with its own [`CostModel`]; the
+//!   [`Evaluator`]'s fast paths are its two-class instantiation.
 
 #![forbid(unsafe_code)]
 
@@ -27,8 +30,8 @@ mod lexico;
 mod params;
 pub mod sla;
 
-pub use engine::{BoundedCosts, EvalWorkspace, ScenarioCache, ScenarioEntry, ScenarioFloor};
+pub use engine::{Engine, EvalWorkspace, RefreshCtx, ScenarioCache, ScenarioEntry};
 pub use evaluator::{CostBreakdown, Evaluator};
 pub use lexico::{LexCost, LAMBDA_EPS};
-pub use params::{CostParams, DelayAggregation};
+pub use params::{CostModel, CostParams, DelayAggregation};
 pub use sla::SlaSummary;

@@ -14,6 +14,26 @@ pub enum DelayAggregation {
     Mean,
 }
 
+/// Cost model of one traffic class.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum CostModel {
+    /// SLA-delay cost (Eq. 2): zero below the bound `theta` (seconds),
+    /// then `b1 + b2_per_ms · excess_ms`. The class's end-to-end delays
+    /// are computed over *its own* routing, using link delays driven by
+    /// total (all-class) load.
+    SlaDelay {
+        /// End-to-end delay bound θ in seconds.
+        theta: f64,
+        /// Fixed penalty per violated SD pair.
+        b1: f64,
+        /// Penalty per millisecond of excess delay.
+        b2_per_ms: f64,
+    },
+    /// Fortz–Thorup congestion cost \[8\]: Σ f(x_l) over links carrying this
+    /// class's traffic, where `x_l` is the *total* link load.
+    Congestion,
+}
+
 /// All §III cost-model constants. Defaults are the paper's values (§V-A3).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostParams {

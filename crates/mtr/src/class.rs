@@ -6,27 +6,8 @@
 //! model and its own normal-conditions constraint; class *order* encodes
 //! precedence (earlier = lexicographically dominant).
 
+pub use dtr_cost::CostModel;
 use dtr_cost::CostParams;
-
-/// Cost model of one traffic class.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CostModel {
-    /// SLA-delay cost (Eq. 2): zero below the bound `theta` (seconds),
-    /// then `b1 + b2_per_ms · excess_ms`. The class's end-to-end delays
-    /// are computed over *its own* routing, using link delays driven by
-    /// total (all-class) load.
-    SlaDelay {
-        /// End-to-end delay bound θ in seconds.
-        theta: f64,
-        /// Fixed penalty per violated SD pair.
-        b1: f64,
-        /// Penalty per millisecond of excess delay.
-        b2_per_ms: f64,
-    },
-    /// Fortz–Thorup congestion cost \[8\]: Σ f(x_l) over links carrying this
-    /// class's traffic, where `x_l` is the *total* link load.
-    Congestion,
-}
 
 /// Normal-conditions constraint of one class in the robust phase — the
 /// generalization of Eqs. (5)–(6).
@@ -147,8 +128,9 @@ impl MtrConfig {
 
     /// The paper's DTR setting expressed as a 2-class MTR configuration:
     /// a pinned SLA class (`theta` seconds) followed by a `Relax(chi)`
-    /// congestion class. With this config the MTR engine reproduces the
-    /// DTR evaluator exactly (asserted by differential tests).
+    /// congestion class. With this config the MTR evaluator reproduces
+    /// the DTR evaluator exactly: both run the same two-class engine
+    /// (asserted by differential tests).
     pub fn dtr(theta: f64, chi: f64) -> Self {
         MtrConfig::new(vec![
             ClassSpec::sla("delay", theta),

@@ -134,6 +134,16 @@ impl dtr_core::search::SearchCost for VecCost {
         self.components.fill(0.0);
     }
 
+    fn assign(&mut self, components: &[f64]) {
+        assert!(!components.is_empty(), "at least one component");
+        assert!(
+            components.iter().all(|c| c.is_finite()),
+            "components must be finite"
+        );
+        self.components.clear();
+        self.components.extend_from_slice(components);
+    }
+
     /// `self += other·p`, multiplying each component before the add —
     /// bit-for-bit the float sequence of `self.add(&other.scale(p))`,
     /// without the intermediate allocation.

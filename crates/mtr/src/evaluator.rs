@@ -15,19 +15,17 @@
 //! 6. assemble the k-component lexicographic cost.
 //!
 //! [`MtrEvaluator::evaluate`] is the readable reference path; the search
-//! loops run through the incremental, delta-state engine in
-//! [`crate::engine`] ([`MtrEvaluator::cost`] and the scenario-cache
-//! family), which reproduces these steps bit for bit.
+//! loops run through the k-class instantiation of `dtr-cost`'s
+//! incremental, delta-state [`Engine`] ([`MtrEvaluator::cost`] and
+//! [`MtrEvaluator::engine`]), which reproduces these steps bit for bit.
 
-use dtr_cost::engine::WorkspacePool;
-use dtr_cost::{congestion, delay_model, sla, CostParams, DelayAggregation, SlaSummary};
+use dtr_cost::{congestion, delay_model, sla, DelayAggregation, Engine, EvalWorkspace, SlaSummary};
 use dtr_net::{LinkMask, Network};
 use dtr_routing::{delay, route_class, ClassRouting, Scenario};
 use dtr_traffic::TrafficMatrix;
 
 use crate::class::{CostModel, MtrConfig};
 use crate::cost::VecCost;
-use crate::engine::MtrWorkspace;
 use crate::weights::MtrWeightSetting;
 
 /// Construction-time validation failures.
@@ -112,37 +110,14 @@ impl MtrBreakdown {
     }
 }
 
-/// Reusable k-class evaluation context.
+/// Reusable k-class evaluation context: the class configuration plus
+/// the k-class instantiation of the delta-state [`Engine`], whose
+/// components the fast paths read into a [`VecCost`].
 pub struct MtrEvaluator<'a> {
-    pub(crate) net: &'a Network,
-    pub(crate) matrices: &'a [TrafficMatrix],
-    pub(crate) config: MtrConfig,
-    /// Per-class `CostParams` with each SLA class's θ/B1/B2 patched in
-    /// (congestion classes keep the shared parameters; only the delay
-    /// model part is read for them).
-    pub(crate) class_params: Vec<CostParams>,
-    pub(crate) capacities: Vec<f64>,
-    pub(crate) prop_delays: Vec<f64>,
-    /// Per-class demand destinations (nodes that sink positive demand),
-    /// ascending — one list per class, aligned with `matrices`.
-    pub(crate) demand_dests: Vec<Vec<u32>>,
-    /// Workspace pool for the [`cost`](Self::cost) fast path (one
-    /// workspace per concurrent caller in practice).
-    pub(crate) pool: WorkspacePool<MtrWorkspace>,
-    /// Unique identity gating workspace-baseline reuse (see
-    /// `dtr_cost::engine`'s owner contract).
-    pub(crate) engine_id: u64,
-    /// Seed recomputed destinations of the plain scenario path from the
-    /// workspace baseline (`route_destination_repair`). Exists for A/B
-    /// benchmarking only — results are bit-identical either way.
-    pub(crate) plain_repair: bool,
-}
-
-fn demand_dests(tm: &TrafficMatrix) -> Vec<u32> {
-    let n = tm.num_nodes();
-    (0..n as u32)
-        .filter(|&t| (0..n).any(|s| s != t as usize && tm.demand(s, t as usize) > 0.0))
-        .collect()
+    net: &'a Network,
+    matrices: &'a [TrafficMatrix],
+    config: MtrConfig,
+    engine: Engine<'a>,
 }
 
 impl std::fmt::Debug for MtrEvaluator<'_> {
@@ -179,36 +154,16 @@ impl<'a> MtrEvaluator<'a> {
                 });
             }
         }
-        let class_params = config
-            .specs
+        let classes = matrices
             .iter()
-            .map(|spec| match spec.cost {
-                CostModel::SlaDelay {
-                    theta,
-                    b1,
-                    b2_per_ms,
-                } => CostParams {
-                    theta,
-                    b1,
-                    b2_per_ms,
-                    ..config.delay_params
-                },
-                CostModel::Congestion => config.delay_params,
-            })
+            .zip(&config.specs)
+            .map(|(tm, spec)| (tm, spec.cost))
             .collect();
-        let capacities = net.links().map(|l| net.link(l).capacity).collect();
-        let prop_delays = net.links().map(|l| net.link(l).prop_delay).collect();
         Ok(MtrEvaluator {
             net,
             matrices,
+            engine: Engine::new(net, classes, config.delay_params),
             config,
-            class_params,
-            capacities,
-            prop_delays,
-            demand_dests: matrices.iter().map(demand_dests).collect(),
-            pool: WorkspacePool::default(),
-            engine_id: dtr_cost::engine::next_engine_id(),
-            plain_repair: true,
         })
     }
 
@@ -232,11 +187,15 @@ impl<'a> MtrEvaluator<'a> {
         self.matrices
     }
 
-    /// Toggle baseline-seeded repair on the plain scenario path (on by
-    /// default). Both settings produce bit-identical costs; the toggle
-    /// exists so benches can isolate the repair speedup.
+    /// The delta-state engine behind the fast paths.
+    pub fn engine(&self) -> &Engine<'a> {
+        &self.engine
+    }
+
+    /// Toggle baseline-seeded repair on the plain scenario path (see
+    /// [`Engine::set_plain_repair`]; timing only, same bits).
     pub fn set_plain_repair(&mut self, on: bool) {
-        self.plain_repair = on;
+        self.engine.set_plain_repair(on);
     }
 
     /// Largest `B1` across SLA classes (drives the `z·B1` sample-slack of
@@ -283,8 +242,8 @@ impl<'a> MtrEvaluator<'a> {
 
         let link_delays = delay_model::link_delays(
             &total_loads,
-            &self.capacities,
-            &self.prop_delays,
+            self.engine.capacities(),
+            self.engine.prop_delays(),
             &self.config.delay_params,
         );
 
@@ -302,7 +261,7 @@ impl<'a> MtrEvaluator<'a> {
                         &offered[k],
                         &link_delays,
                     );
-                    let summary = sla::summarize(&pair_delays, &self.class_params[k]);
+                    let summary = sla::summarize(&pair_delays, self.engine.class_params(k));
                     components.push(summary.lambda);
                     slas.push(Some(summary));
                 }
@@ -310,7 +269,7 @@ impl<'a> MtrEvaluator<'a> {
                     components.push(congestion::phi(
                         &total_loads,
                         &routings[k].loads,
-                        &self.capacities,
+                        self.engine.capacities(),
                     ));
                     slas.push(None);
                 }
@@ -326,6 +285,44 @@ impl<'a> MtrEvaluator<'a> {
             dropped,
             scenario,
         }
+    }
+
+    /// Scalar-cost shortcut: bit-for-bit the cost of
+    /// [`evaluate`](Self::evaluate), computed through a pooled workspace
+    /// of the engine.
+    pub fn cost(&self, w: &MtrWeightSetting, scenario: Scenario) -> VecCost {
+        let mut ws = self.acquire_workspace();
+        let cost = self.cost_with(&mut ws, w, scenario);
+        self.release_workspace(ws);
+        cost
+    }
+
+    /// Scenario-batched costs of `w`, in input order — bit-for-bit what
+    /// per-scenario [`cost`](Self::cost) reports, sharing one pooled
+    /// workspace across the whole batch.
+    pub fn evaluate_all(&self, w: &MtrWeightSetting, scenarios: &[Scenario]) -> Vec<VecCost> {
+        let mut ws = self.acquire_workspace();
+        let out = scenarios
+            .iter()
+            .map(|&sc| self.cost_with(&mut ws, w, sc))
+            .collect();
+        self.release_workspace(ws);
+        out
+    }
+
+    /// See [`Engine::acquire_workspace`].
+    pub fn acquire_workspace(&self) -> EvalWorkspace {
+        self.engine.acquire_workspace()
+    }
+
+    /// See [`Engine::release_workspace`].
+    pub fn release_workspace(&self, ws: EvalWorkspace) {
+        self.engine.release_workspace(ws)
+    }
+
+    /// [`Engine::cost_with`] as a [`VecCost`].
+    pub fn cost_with(&self, ws: &mut EvalWorkspace, w: &MtrWeightSetting, sc: Scenario) -> VecCost {
+        VecCost::new(self.engine.cost_with(ws, w, sc).to_vec())
     }
 
     /// The traffic offered under `scenario`: node failures remove the dead

@@ -24,9 +24,10 @@
 //!   Algorithm 1 merge generalizes to a k-way merge over k descending
 //!   criticality lists ([`criticality::select_k`]).
 //!
-//! With `k = 2`, one SLA class and one congestion class, the engine is
-//! *behaviour-identical* to the DTR pipeline in `dtr-core` — a property
-//! the integration tests assert by differential testing.
+//! DTR is the k = 2 instantiation of dtr-cost's engine: every
+//! evaluation, DTR's and MTR's alike, runs on the one delta-state
+//! `dtr_cost::Engine`, built here from the class list of an
+//! [`MtrConfig`].
 //!
 //! ## Quick tour
 //!
@@ -68,7 +69,6 @@
 pub mod class;
 pub mod cost;
 pub mod criticality;
-pub mod engine;
 pub mod evaluator;
 pub mod params;
 pub mod pipeline;
@@ -81,7 +81,6 @@ pub mod weights_io;
 pub use class::{ClassSpec, CostModel, MtrConfig, NormalConstraint};
 pub use cost::{VecCost, COMPONENT_EPS};
 pub use criticality::{select_k, KWayCriticality, KWaySelection};
-pub use engine::{MtrScenarioCache, MtrWorkspace};
 pub use evaluator::{MtrBreakdown, MtrError, MtrEvaluator};
 pub use params::MtrParams;
 pub use pipeline::{MtrOptimizer, MtrOptimizerBuilder, MtrReport};

@@ -59,14 +59,14 @@ pub struct MtrParams {
     pub speculation: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
     /// robust phase, run through the delta-state scenario cache
-    /// ([`crate::MtrScenarioCache`]; float-exact rejection proof, see
+    /// (`dtr_cost::ScenarioCache`; float-exact rejection proof, see
     /// `dtr_core::parallel::sum_set_costs_bounded`; the trajectory is
     /// identical with it on or off). A `cache_budget_bytes` of 0 keeps
     /// the cutoff and drops the cache.
     pub cutoff: bool,
     /// Include the load-aware congestion Φ component in the per-class
     /// floors of the bounded sweeps
-    /// ([`MtrEvaluator::scenario_floor`](crate::MtrEvaluator::scenario_floor));
+    /// (`dtr_cost::Engine::scenario_floor`);
     /// off, the floors fall back to the per-class Λ bound. Only read
     /// when `cutoff` is on. Float-exact like the cutoff itself: results
     /// and traces are identical either way, only losing sweeps cut
@@ -86,7 +86,7 @@ pub struct MtrParams {
     /// parallel-search contract in `DETERMINISM.md`).
     pub portfolio: PortfolioParams,
     /// Residency budget in bytes for the delta-state scenario cache of
-    /// the robust-phase cutoff sweeps ([`crate::MtrScenarioCache`]; only
+    /// the robust-phase cutoff sweeps (`dtr_cost::ScenarioCache`; only
     /// read when `cutoff` is on). Scenarios past the budget fall back to
     /// the plain per-class path, which returns the same bits — the
     /// trajectory is identical for every budget, only wall-clock and

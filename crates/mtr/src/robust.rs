@@ -19,19 +19,18 @@
 //!
 //! [`NormalConstraint`]: crate::class::NormalConstraint
 
-use dtr_core::robust::{self, RobustEngine, RobustKnobs, RobustOutput, SweepCache};
+use dtr_core::robust::{self, RobustEngine, RobustKnobs, RobustOutput};
 use dtr_core::search::Archive;
 use dtr_core::{RunControl, SliceSet};
-use dtr_net::{LinkId, Network};
+use dtr_cost::Engine;
+use dtr_net::LinkId;
 use dtr_persist::{Decoder, Encoder, SnapshotError};
-use dtr_routing::workspace::DestRouting;
 use dtr_routing::Scenario;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::class::ClassSpec;
 use crate::cost::VecCost;
-use crate::engine::{MtrRefreshCtx, MtrScenarioCache, MtrScenarioEntry, MtrWorkspace};
 use crate::evaluator::MtrEvaluator;
 use crate::params::MtrParams;
 use crate::weights::MtrWeightSetting;
@@ -51,156 +50,23 @@ pub fn feasible(normal: &VecCost, benchmark: &VecCost, specs: &[ClassSpec]) -> b
         .all(|((&c, &b), spec)| spec.constraint.allows(c, b))
 }
 
-impl SweepCache for MtrScenarioCache {
-    type Base = [Vec<DestRouting>];
-    type Entry = MtrScenarioEntry;
-    type Ctx<'a> = MtrRefreshCtx<'a>;
-
-    fn with_budget(bytes: usize) -> Self {
-        MtrScenarioCache::with_budget(bytes)
-    }
-
-    fn budget_bytes(&self) -> usize {
-        MtrScenarioCache::budget_bytes(self)
-    }
-
-    fn resident_scenarios(&self) -> usize {
-        MtrScenarioCache::resident_scenarios(self)
-    }
-
-    fn full_resident_scenarios(&self) -> usize {
-        MtrScenarioCache::full_resident_scenarios(self)
-    }
-
-    fn is_resident(&self, pos: usize) -> bool {
-        MtrScenarioCache::is_resident(self, pos)
-    }
-
-    fn plan_residency(&mut self, positions: usize) {
-        MtrScenarioCache::plan_residency(self, positions)
-    }
-
-    fn capture_split(&mut self) -> (&[Vec<DestRouting>], &mut [MtrScenarioEntry]) {
-        MtrScenarioCache::capture_split(self)
-    }
-
-    fn refresh_split(&mut self) -> (MtrRefreshCtx<'_>, &mut [MtrScenarioEntry]) {
-        MtrScenarioCache::refresh_split(self)
-    }
-
-    fn demote(entry: &mut MtrScenarioEntry) {
-        entry.demote();
-    }
-}
-
-/// MTR's robust engine: the k-class delta-state evaluator, moves that
-/// re-draw every class weight of a duplex link, and the per-class
-/// constraint gate against the regular phase's benchmark (the
-/// constraints live in the evaluator's class specs, so the gate carries
-/// no further parameters).
+/// MTR's robust engine: the k-class instantiation of the delta-state
+/// engine, moves that re-draw every class weight of a duplex link, and
+/// the per-class constraint gate against the regular phase's benchmark
+/// (the constraints live in the evaluator's class specs, so the gate
+/// carries no further parameters).
 impl RobustEngine for MtrEvaluator<'_> {
     type Weights = MtrWeightSetting;
     type Cost = VecCost;
     type Move = Vec<u32>;
     type GateParams = ();
-    type Workspace = MtrWorkspace;
-    type Cache = MtrScenarioCache;
 
     const SNAPSHOT_KIND: u32 = dtr_persist::KIND_MTR_ROBUST;
     const SET_SIZE_MISMATCH: &'static str = "scenario count differs";
     const PROMOTE_RESTART: bool = true;
 
-    fn net(&self) -> &Network {
-        MtrEvaluator::net(self)
-    }
-
-    fn num_classes(&self) -> usize {
-        MtrEvaluator::num_classes(self)
-    }
-
-    fn acquire_workspace(&self) -> MtrWorkspace {
-        MtrEvaluator::acquire_workspace(self)
-    }
-
-    fn release_workspace(&self, ws: MtrWorkspace) {
-        MtrEvaluator::release_workspace(self, ws)
-    }
-
-    fn cost_with(
-        &self,
-        ws: &mut MtrWorkspace,
-        w: &MtrWeightSetting,
-        scenario: Scenario,
-    ) -> VecCost {
-        MtrEvaluator::cost_with(self, ws, w, scenario)
-    }
-
-    fn cost_cached(
-        &self,
-        ws: &mut MtrWorkspace,
-        w: &MtrWeightSetting,
-        scenario: Scenario,
-        cache: &MtrScenarioCache,
-        pos: usize,
-    ) -> VecCost {
-        MtrEvaluator::cost_cached(self, ws, w, scenario, cache, pos)
-    }
-
-    fn floor(&self, _ws: &mut MtrWorkspace, scenario: Scenario, phi_floors: bool) -> VecCost {
-        VecCost::new(if phi_floors {
-            self.scenario_floor(scenario)
-        } else {
-            self.lambda_floor(scenario)
-        })
-    }
-
-    fn cache_begin(&self, cache: &mut MtrScenarioCache, w: &MtrWeightSetting) {
-        MtrEvaluator::cache_begin(self, cache, w);
-    }
-
-    fn cache_rebuild_begin(
-        &self,
-        ws: &mut MtrWorkspace,
-        cache: &mut MtrScenarioCache,
-        w: &MtrWeightSetting,
-        positions: usize,
-    ) {
-        MtrEvaluator::cache_rebuild_begin(self, ws, cache, w, positions)
-    }
-
-    fn cost_capture_into(
-        &self,
-        ws: &mut MtrWorkspace,
-        w: &MtrWeightSetting,
-        scenario: Scenario,
-        base: &[Vec<DestRouting>],
-        entry: &mut MtrScenarioEntry,
-    ) -> VecCost {
-        MtrEvaluator::cost_capture_into(self, ws, w, scenario, base, entry)
-    }
-
-    fn cache_refresh_begin(
-        &self,
-        ws: &mut MtrWorkspace,
-        cache: &mut MtrScenarioCache,
-        w: &MtrWeightSetting,
-    ) {
-        MtrEvaluator::cache_refresh_begin(self, ws, cache, w)
-    }
-
-    fn cache_refresh_entry(
-        &self,
-        ws: &mut MtrWorkspace,
-        w: &MtrWeightSetting,
-        ctx: &MtrRefreshCtx<'_>,
-        scenario: Scenario,
-        entry: &mut MtrScenarioEntry,
-    ) {
-        MtrEvaluator::cache_refresh_entry(self, ws, w, ctx, scenario, entry)
-    }
-
-    fn cache_refresh_finish(&self, cache: &mut MtrScenarioCache, w: &MtrWeightSetting) {
-        MtrEvaluator::cache_refresh_finish(self, cache, w)
+    fn engine(&self) -> &Engine<'_> {
+        MtrEvaluator::engine(self)
     }
 
     fn draw_move(&self, wmax: u32, rng: &mut StdRng) -> Vec<u32> {
@@ -369,7 +235,7 @@ mod tests {
     use dtr_core::parallel::{SetSweep, SweepScratch};
     use dtr_core::search::{SearchCost, StopRule};
     use dtr_core::FailureUniverse;
-    use dtr_net::{NetworkBuilder, Point};
+    use dtr_net::{Network, NetworkBuilder, Point};
     use dtr_traffic::TrafficMatrix;
     use rand::SeedableRng;
 
@@ -743,10 +609,10 @@ mod tests {
         let scenarios = scenario_zoo(&net);
         let set = SliceSet::new(&scenarios, None);
         let idx = positions(scenarios.len());
-        let mut ws = MtrEvaluator::acquire_workspace(&ev);
+        let mut ws = ev.acquire_workspace();
         let floors: Vec<VecCost> = scenarios
             .iter()
-            .map(|&sc| RobustEngine::floor(&ev, &mut ws, sc, true))
+            .map(|&sc| VecCost::new(ev.engine().scenario_floor(&mut ws, sc, true).to_vec()))
             .collect();
         MtrEvaluator::release_workspace(&ev, ws);
         // Sanity: the load-aware floors are non-trivial on this testbed.

@@ -56,7 +56,7 @@ pub mod workspace;
 
 pub use failure::{LinkGroup, Scenario, MAX_GROUP_SIZE};
 pub use router::{route_class, route_class_with, ClassRouting};
-pub use weights::{Class, WeightSetting};
+pub use weights::{Class, ClassWeights, WeightSetting};
 pub use workspace::SpfWorkspace;
 
 /// Distance value marking an unreachable node (no path to the destination

@@ -78,23 +78,13 @@ pub fn dist_to_into(
     }
 }
 
-/// Minimum hop count from every node **to** `dest` over up links.
-/// Unreachable nodes get [`UNREACHABLE`].
-///
-/// Allocating convenience wrapper around [`hops_to_into`].
-pub fn hops_to(net: &Network, dest: NodeId, mask: &LinkMask) -> Vec<u64> {
-    let mut dist = Vec::new();
-    let mut heap = BinaryHeap::new();
-    hops_to_into(net, dest, mask, &mut dist, &mut heap);
-    dist
-}
-
 /// Allocation-free minimum hop count: fills `dist` (resized/overwritten
 /// to `net.num_nodes()`) with the minimum number of up links on any path
-/// from each node to `dest`. Identical to [`dist_to_into`] with every
+/// from each node to `dest` over up links ([`UNREACHABLE`] where there
+/// is none). Identical to [`dist_to_into`] with every
 /// weight equal to 1, without needing a unit-weight vector. The hop
 /// counts are the routing-independent path-length floor behind the
-/// congestion Φ lower bounds (`Evaluator::phi_floor` in `dtr-cost`):
+/// congestion Φ lower bounds (`Engine::phi_floor` in `dtr-cost`):
 /// no weight setting can carry a demand over fewer than `hops` links.
 pub fn hops_to_into(
     net: &Network,
@@ -133,8 +123,8 @@ pub fn hops_to_into(
 /// unreachable. Used with propagation delays as costs, this yields the
 /// physically best possible end-to-end delay of each pair under a
 /// failure mask — the load- and routing-independent floor behind the
-/// incumbent-bounded sweeps' Λ lower bounds (`Evaluator::lambda_floor`
-/// in `dtr-cost`).
+/// incumbent-bounded sweeps' Λ lower bounds (the engine's Λ floor in
+/// `dtr-cost`).
 ///
 /// # Panics
 /// Panics (debug) if `costs` has the wrong length or holds a negative
@@ -343,12 +333,13 @@ mod tests {
     fn hops_match_unit_weight_dijkstra() {
         let net = diamond();
         let unit = vec![1u32; net.num_links()];
+        let (mut h, mut heap) = (Vec::new(), BinaryHeap::new());
         for mask in [
             net.fresh_mask(),
             net.fail_duplex(dtr_net::LinkId::new(link_between(&net, 0, 3))),
         ] {
             for dest in net.nodes() {
-                let h = hops_to(&net, dest, &mask);
+                hops_to_into(&net, dest, &mask, &mut h, &mut heap);
                 let d = dist_to(&net, dest, &unit, &mask);
                 assert_eq!(h, d);
             }

@@ -164,6 +164,38 @@ impl WeightSetting {
     }
 }
 
+/// A weight setting viewed as one integer weight vector per traffic
+/// class: what the k-class evaluation engine routes on, the search
+/// archive fingerprints and the snapshot codec stores. DTR's
+/// [`WeightSetting`] is its two-class instance.
+pub trait ClassWeights: Clone + PartialEq + std::fmt::Debug + Send + Sync {
+    /// Number of classes.
+    fn num_classes(&self) -> usize;
+    /// Per-link weights of class `k`.
+    fn class_weights(&self, k: usize) -> &[u32];
+    /// Rebuild a setting from per-class vectors (snapshot decoding; the
+    /// caller has checked their lengths and range).
+    fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self;
+}
+
+impl ClassWeights for WeightSetting {
+    fn num_classes(&self) -> usize {
+        Class::ALL.len()
+    }
+
+    #[inline]
+    fn class_weights(&self, k: usize) -> &[u32] {
+        self.weights(Class::ALL[k])
+    }
+
+    fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self {
+        let [delay, throughput]: [Vec<u32>; 2] = vecs
+            .try_into()
+            .expect("a DTR weight setting has two classes");
+        WeightSetting::from_vecs(delay, throughput, wmax)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -173,11 +173,11 @@ fn steady_state_node_failure_sweep_allocates_nothing() {
 }
 
 /// The floored incumbent-bounded sweep stays allocation-free in steady
-/// state: after warm-up, recomputing every per-scenario floor through
-/// the warm workspace scratch ([`Evaluator::scenario_floor`], whose Φ
-/// part runs a unit-weight reverse Dijkstra per throughput
-/// destination) plus a full bounded sweep *and* a floor-hastened
-/// cutting sweep perform **zero** heap allocations. This pins the new
+/// state: after warm-up, recomputing every per-scenario Φ floor through
+/// the warm workspace scratch (`Engine::phi_floor`, which runs a
+/// unit-weight reverse Dijkstra per throughput destination) plus a full
+/// bounded sweep *and* a floor-hastened cutting sweep perform **zero**
+/// heap allocations. This pins the new
 /// `phi_floor` / `hops_to_into` kernels and the floored `fold_bound`
 /// path of `sum_set_costs_bounded` (all registered in
 /// crates/analysis/hot_paths.toml).
@@ -203,8 +203,7 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
     // allocating); only the Φ kernel and the sweep itself must hold the
     // steady-state zero-allocation bar.
     for (pos, &i) in indices.iter().enumerate() {
-        let f = ev.scenario_floor(&mut ws, universe.scenario(i));
-        floors[pos] = LexCost::new(f.lambda, f.phi);
+        floors[pos] = ev.scenario_floor(&mut ws, universe.scenario(i));
     }
     let run = |ws: &mut dtr::cost::EvalWorkspace,
                floors: &mut [LexCost],
@@ -212,7 +211,7 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
      -> f64 {
         let mut checksum = 0.0f64;
         for (pos, &i) in indices.iter().enumerate() {
-            floors[pos].phi = ev.phi_floor(ws, universe.scenario(i));
+            floors[pos].phi = ev.engine().phi_floor(ws, universe.scenario(i), 1);
             checksum += floors[pos].lambda + floors[pos].phi;
         }
         // Full sweep (unbeatable incumbent) and floor-hastened cut
@@ -326,12 +325,13 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
     let refresh = |ws: &mut dtr::cost::EvalWorkspace,
                    cache: &mut dtr::cost::ScenarioCache,
                    w: &WeightSetting| {
-        ev.cache_refresh_begin(ws, cache, w);
+        let eng = ev.engine();
+        eng.cache_refresh_begin(ws, cache, w);
         let (ctx, entries) = cache.refresh_split();
         for (pos, entry) in entries.iter_mut().enumerate().take(scenarios.len()) {
-            ev.cache_refresh_entry(ws, w, &ctx, scenarios[pos], entry);
+            eng.cache_refresh_entry(ws, w, &ctx, scenarios[pos], entry);
         }
-        ev.cache_refresh_finish(cache, w);
+        eng.cache_refresh_finish(cache, w);
     };
 
     // Warm: repeated accept cycles (candidate diff + refresh) over a
@@ -515,6 +515,131 @@ fn steady_state_delta_state_candidate_sweep_allocates_nothing() {
         after - before,
         0,
         "steady-state delta-state candidate sweep of {} scenarios performed {} heap allocations",
+        scenarios.len(),
+        after - before
+    );
+}
+
+/// The engine at k = 3: mtr3's voice SLA class, relaxed video SLA class
+/// and bulk congestion class. After warm-up, a plain sweep, a
+/// `cache_begin` + `cost_cached` candidate sweep and a sharded refresh
+/// (`cache_refresh_begin`, one `cache_refresh_entry` per resident entry,
+/// `cache_refresh_finish`) through the engine perform **zero** heap
+/// allocations — the kernels write the three components into the
+/// workspace at every k.
+#[test]
+fn steady_state_three_class_engine_allocates_nothing() {
+    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+    use rand::Rng;
+
+    let _serial = serial();
+    // mtr3's operating point: 30 nodes, three gravity matrices.
+    let nodes = 30;
+    let net = rand_topo::generate(&SynthConfig {
+        nodes,
+        duplex_links: 75,
+        seed: 7,
+    })
+    .unwrap()
+    .scaled_to_diameter(25e-3)
+    .build(500e6)
+    .unwrap();
+    let matrices = dtr::eval::experiments::mtr3::three_class_traffic(nodes, 3, nodes as f64 * 1e9);
+    let config = MtrConfig::new(vec![
+        ClassSpec::sla("voice", 25e-3),
+        ClassSpec::sla("video", 60e-3).relaxed(0.1),
+        ClassSpec::congestion("bulk"),
+    ]);
+    let ev = MtrEvaluator::new(&net, &matrices, config).unwrap();
+    let eng = ev.engine();
+    let scenarios: Vec<Scenario> = {
+        let mut s: Vec<Scenario> = Scenario::all_link_failures(&net);
+        s.truncate(12);
+        s
+    };
+    let mut rng = StdRng::seed_from_u64(17);
+    let inc = MtrWeightSetting::random_symmetric(3, &net, 20, &mut rng);
+    let reps = net.duplex_representatives();
+    let cands: Vec<MtrWeightSetting> = (0..4)
+        .map(|_| {
+            let rep = reps[rng.gen_range(0..reps.len())];
+            let mut cand = inc.clone();
+            for k in 0..3 {
+                cand.set_duplex(&net, k, rep, rng.gen_range(1..=20));
+            }
+            cand
+        })
+        .collect();
+
+    // Build the cache on the incumbent (allocates freely).
+    let mut ws = eng.acquire_workspace();
+    let mut cache = dtr::cost::ScenarioCache::new();
+    eng.cache_rebuild_begin(&mut ws, &mut cache, &inc, scenarios.len());
+    for (pos, &sc) in scenarios.iter().enumerate() {
+        eng.cost_capture(&mut ws, &inc, sc, &mut cache, pos);
+    }
+
+    // The accept path: point the cache at a one-move candidate and run
+    // the sharded refresh's kernel sequence on it.
+    let accept = |ws: &mut dtr::cost::EvalWorkspace,
+                  cache: &mut dtr::cost::ScenarioCache,
+                  w: &MtrWeightSetting| {
+        eng.cache_begin(cache, w);
+        eng.cache_refresh_begin(ws, cache, w);
+        let (ctx, entries) = cache.refresh_split();
+        for (pos, entry) in entries.iter_mut().enumerate() {
+            eng.cache_refresh_entry(ws, w, &ctx, scenarios[pos], entry);
+        }
+        eng.cache_refresh_finish(cache, w);
+    };
+    // One cycle: per candidate, a plain sweep and a cached sweep against
+    // the current incumbent, then accept the candidate.
+    let cycle = |ws: &mut dtr::cost::EvalWorkspace, cache: &mut dtr::cost::ScenarioCache| {
+        let mut checksum = 0.0f64;
+        for cand in &cands {
+            for &sc in &scenarios {
+                checksum += eng.cost_with(ws, cand, sc).iter().sum::<f64>();
+            }
+            eng.cache_begin(cache, cand);
+            for (pos, &sc) in scenarios.iter().enumerate() {
+                checksum += eng
+                    .cost_cached(ws, cand, sc, cache, pos)
+                    .iter()
+                    .sum::<f64>();
+            }
+            accept(ws, cache, cand);
+        }
+        checksum
+    };
+
+    // Warm: two full cycles see every (incumbent, candidate, scenario)
+    // triple of the measured cycle, so the sweep scratch is at its
+    // high-water mark. The refresh recycles routing buffers across
+    // destinations (LIFO pool, swaps with the re-route target), so its
+    // capacities converge only after many accept cycles. Capacities
+    // only grow and the sequence is fixed, so the count is
+    // deterministic: on this testbed the last growth happens in cycle
+    // 99 of 400, and 144 cycles leave a margin.
+    let mut checksum = 0.0f64;
+    for _ in 0..2 {
+        checksum += cycle(&mut ws, &mut cache);
+    }
+    for _ in 0..144 {
+        for cand in &cands {
+            accept(&mut ws, &mut cache, cand);
+        }
+    }
+
+    let before = allocations();
+    checksum += cycle(&mut ws, &mut cache);
+    let after = allocations();
+    eng.release_workspace(ws);
+
+    assert!(checksum.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state three-class sweeps and refresh of {} scenarios performed {} heap allocations",
         scenarios.len(),
         after - before
     );

@@ -16,6 +16,7 @@
 
 use dtr::core::ext::probabilistic::FailureModel;
 use dtr::core::parallel;
+use dtr::cost::DelayAggregation;
 use dtr::net::Network;
 use dtr::prelude::*;
 use dtr::routing::LinkGroup;
@@ -41,6 +42,24 @@ fn testbed(nodes: usize, duplex: usize, seed: u64) -> (Network, ClassMatrices) {
     });
     tm.scale(nodes as f64 * 1e9);
     (net, tm)
+}
+
+/// The cost parameters the engine differentials run under: the paper
+/// defaults, and a set with Mean ECMP aggregation and θ, B1, B2 and µ
+/// all moved off their defaults — so a fast path that read any of them
+/// from the wrong place would disagree with the reference.
+fn param_grid() -> [CostParams; 2] {
+    [
+        CostParams::default(),
+        CostParams {
+            aggregation: DelayAggregation::Mean,
+            theta: 15e-3,
+            b1: 40.0,
+            b2_per_ms: 2.5,
+            mu: 0.8,
+            ..CostParams::default()
+        },
+    ]
 }
 
 /// Every scenario kind the taxonomy knows, over one topology: normal
@@ -80,23 +99,26 @@ proptest! {
         (nodes, extra, seed) in (10usize..15, 2usize..10, 0u64..1_000_000)
     ) {
         let (net, tm) = testbed(nodes, nodes + extra, seed);
-        let ev = Evaluator::new(&net, &tm, CostParams::default());
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xd1f);
-        let scenarios = scenario_zoo(&net, &mut rng);
+        for params in param_grid() {
+            let ev = Evaluator::new(&net, &tm, params);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xd1f);
+            let scenarios = scenario_zoo(&net, &mut rng);
 
-        let mut ws = ev.acquire_workspace();
-        for round in 0..2 {
-            let w = WeightSetting::random(net.num_links(), 20, &mut rng);
-            for &sc in &scenarios {
-                let engine = ev.cost_with(&mut ws, &w, sc);
-                let reference = ev.evaluate(&w, sc).cost;
-                prop_assert_eq!(
-                    engine, reference,
-                    "round {}, scenario {}, nodes {}, seed {}", round, sc, nodes, seed
-                );
+            let mut ws = ev.acquire_workspace();
+            for round in 0..2 {
+                let w = WeightSetting::random(net.num_links(), 20, &mut rng);
+                for &sc in &scenarios {
+                    let engine = ev.cost_with(&mut ws, &w, sc);
+                    let reference = ev.evaluate(&w, sc).cost;
+                    prop_assert_eq!(
+                        engine, reference,
+                        "round {}, scenario {}, nodes {}, seed {}, params {:?}",
+                        round, sc, nodes, seed, params
+                    );
+                }
             }
+            ev.release_workspace(ws);
         }
-        ev.release_workspace(ws);
     }
 
     /// A Phase-2-style chain of single-duplex weight moves over ONE warm
@@ -148,66 +170,68 @@ proptest! {
         (nodes, extra, seed) in (10usize..14, 2usize..8, 0u64..1_000_000)
     ) {
         let (net, tm) = testbed(nodes, nodes + extra, seed);
-        let ev = Evaluator::new(&net, &tm, CostParams::default());
-        let reps = net.duplex_representatives();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1e);
-        let scenarios = scenario_zoo(&net, &mut rng);
-        let mut inc = WeightSetting::random(net.num_links(), 20, &mut rng);
+        for params in param_grid() {
+            let ev = Evaluator::new(&net, &tm, params);
+            let reps = net.duplex_representatives();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1e);
+            let scenarios = scenario_zoo(&net, &mut rng);
+            let mut inc = WeightSetting::random(net.num_links(), 20, &mut rng);
 
-        let mut ws = ev.acquire_workspace();
-        let mut cache = dtr::cost::ScenarioCache::new();
-        let capture_all = |ws: &mut dtr::cost::EvalWorkspace,
-                           cache: &mut dtr::cost::ScenarioCache,
-                           inc: &WeightSetting| {
-            ev.cache_rebuild_begin(ws, cache, inc, scenarios.len());
-            for (pos, &sc) in scenarios.iter().enumerate() {
-                let captured = ev.cost_capture(ws, inc, sc, cache, pos);
-                prop_assert_eq!(captured, ev.evaluate(inc, sc).cost, "capture {}", sc);
-            }
-        };
-        capture_all(&mut ws, &mut cache, &inc);
+            let mut ws = ev.acquire_workspace();
+            let mut cache = dtr::cost::ScenarioCache::new();
+            let capture_all = |ws: &mut dtr::cost::EvalWorkspace,
+                               cache: &mut dtr::cost::ScenarioCache,
+                               inc: &WeightSetting| {
+                ev.cache_rebuild_begin(ws, cache, inc, scenarios.len());
+                for (pos, &sc) in scenarios.iter().enumerate() {
+                    let captured = ev.cost_capture(ws, inc, sc, cache, pos);
+                    prop_assert_eq!(captured, ev.evaluate(inc, sc).cost, "capture {}", sc);
+                }
+            };
+            capture_all(&mut ws, &mut cache, &inc);
 
-        for step in 0..8 {
-            // Candidate: incumbent plus one duplex move.
-            let rep = reps[rng.gen_range(0..reps.len())];
-            let (wd, wt) = (rng.gen_range(1..=20), rng.gen_range(1..=20));
-            let mut cand = inc.clone();
-            for class in Class::ALL {
-                let v = if class == Class::Delay { wd } else { wt };
-                cand.set(class, rep, v);
-                if let Some(r) = net.reverse_link(rep) {
-                    cand.set(class, r, v);
+            for step in 0..8 {
+                // Candidate: incumbent plus one duplex move.
+                let rep = reps[rng.gen_range(0..reps.len())];
+                let (wd, wt) = (rng.gen_range(1..=20), rng.gen_range(1..=20));
+                let mut cand = inc.clone();
+                for class in Class::ALL {
+                    let v = if class == Class::Delay { wd } else { wt };
+                    cand.set(class, rep, v);
+                    if let Some(r) = net.reverse_link(rep) {
+                        cand.set(class, r, v);
+                    }
+                }
+                ev.cache_begin(&mut cache, &cand);
+                for (pos, &sc) in scenarios.iter().enumerate() {
+                    let reference = ev.evaluate(&cand, sc).cost;
+                    prop_assert_eq!(
+                        ev.cost_cached(&mut ws, &cand, sc, &cache, pos),
+                        reference,
+                        "delta step {}, scenario {}, seed {}, params {:?}", step, sc, seed, params
+                    );
+                    // The delta path must agree with the plain engine too.
+                    let mut ws2 = ev.acquire_workspace();
+                    prop_assert_eq!(
+                        ev.cost_with(&mut ws2, &cand, sc),
+                        reference,
+                        "cost_with step {}, scenario {}, seed {}, params {:?}", step, sc, seed, params
+                    );
+                    ev.release_workspace(ws2);
+                }
+                // Simulate an accept on two of every three steps (a chain of
+                // accepts stresses the exact-coverage refresh); full-rebuild
+                // once mid-chain to cover the re-capture path.
+                if step % 3 != 2 {
+                    inc = cand;
+                    ev.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
+                }
+                if step == 4 {
+                    capture_all(&mut ws, &mut cache, &inc);
                 }
             }
-            ev.cache_begin(&mut cache, &cand);
-            for (pos, &sc) in scenarios.iter().enumerate() {
-                let reference = ev.evaluate(&cand, sc).cost;
-                prop_assert_eq!(
-                    ev.cost_cached(&mut ws, &cand, sc, &cache, pos),
-                    reference,
-                    "delta step {}, scenario {}, seed {}", step, sc, seed
-                );
-                // The delta path must agree with the plain engine too.
-                let mut ws2 = ev.acquire_workspace();
-                prop_assert_eq!(
-                    ev.cost_with(&mut ws2, &cand, sc),
-                    reference,
-                    "cost_with step {}, scenario {}, seed {}", step, sc, seed
-                );
-                ev.release_workspace(ws2);
-            }
-            // Simulate an accept on two of every three steps (a chain of
-            // accepts stresses the exact-coverage refresh); full-rebuild
-            // once mid-chain to cover the re-capture path.
-            if step % 3 != 2 {
-                inc = cand;
-                ev.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
-            }
-            if step == 4 {
-                capture_all(&mut ws, &mut cache, &inc);
-            }
+            ev.release_workspace(ws);
         }
-        ev.release_workspace(ws);
     }
 
     /// The MTR delta-state cache mirrors the DTR contract: randomized
@@ -233,15 +257,16 @@ proptest! {
         let scenarios = scenario_zoo(&net, &mut rng);
         let mut inc = MtrWeightSetting::random_symmetric(2, &net, 20, &mut rng);
 
+        let eng = ev.engine();
         let mut ws = ev.acquire_workspace();
-        let mut cache = dtr::mtr::MtrScenarioCache::new();
-        let capture_all = |ws: &mut dtr::mtr::MtrWorkspace,
-                           cache: &mut dtr::mtr::MtrScenarioCache,
+        let mut cache = dtr::cost::ScenarioCache::new();
+        let capture_all = |ws: &mut dtr::cost::EvalWorkspace,
+                           cache: &mut dtr::cost::ScenarioCache,
                            inc: &MtrWeightSetting| {
-            ev.cache_rebuild_begin(ws, cache, inc, scenarios.len());
+            eng.cache_rebuild_begin(ws, cache, inc, scenarios.len());
             for (pos, &sc) in scenarios.iter().enumerate() {
-                let captured = ev.cost_capture(ws, inc, sc, cache, pos);
-                prop_assert_eq!(captured, ev.evaluate(inc, sc).cost, "capture {}", sc);
+                let captured = eng.cost_capture(ws, inc, sc, cache, pos);
+                prop_assert_eq!(captured, ev.evaluate(inc, sc).cost.components(), "capture {}", sc);
             }
         };
         capture_all(&mut ws, &mut cache, &inc);
@@ -252,12 +277,12 @@ proptest! {
             for k in 0..2 {
                 cand.set_duplex(&net, k, rep, rng.gen_range(1..=20));
             }
-            ev.cache_begin(&mut cache, &cand);
+            eng.cache_begin(&mut cache, &cand);
             for (pos, &sc) in scenarios.iter().enumerate() {
                 let reference = ev.evaluate(&cand, sc).cost;
                 prop_assert_eq!(
-                    ev.cost_cached(&mut ws, &cand, sc, &cache, pos),
-                    reference.clone(),
+                    eng.cost_cached(&mut ws, &cand, sc, &cache, pos),
+                    reference.components(),
                     "mtr delta step {}, scenario {}, seed {}", step, sc, seed
                 );
                 prop_assert_eq!(
@@ -268,7 +293,7 @@ proptest! {
             }
             if step % 3 != 2 {
                 inc = cand;
-                ev.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
+                eng.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
             }
             if step == 4 {
                 capture_all(&mut ws, &mut cache, &inc);
@@ -319,7 +344,7 @@ proptest! {
     }
 
     /// The k-class mirror: every component of
-    /// [`MtrEvaluator::scenario_floor`] (per-class Λ for SLA classes,
+    /// the engine's `scenario_floor` (per-class Λ for SLA classes,
     /// the load-aware Φ cut bound for congestion classes) bounds the
     /// exact class cost from below for every scenario kind and random
     /// weight setting.
@@ -339,11 +364,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xf1002);
         let scenarios = scenario_zoo(&net, &mut rng);
 
+        let mut ws = ev.acquire_workspace();
         let floors: Vec<Vec<f64>> = scenarios
             .iter()
-            .map(|&sc| ev.scenario_floor(sc))
+            .map(|&sc| ev.engine().scenario_floor(&mut ws, sc, true).to_vec())
             .collect();
-        let mut ws = ev.acquire_workspace();
         for round in 0..3 {
             let w = MtrWeightSetting::random_symmetric(2, &net, 20, &mut rng);
             for (&sc, fl) in scenarios.iter().zip(&floors) {
