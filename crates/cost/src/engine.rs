@@ -35,9 +35,12 @@
 //!    bit-stable.
 //! 4. **Incremental SPF across search moves**: when the weight setting
 //!    changes (a neighbor move re-draws one duplex link's class
-//!    weights), the baseline is diffed against the new weights and only
-//!    destinations whose distance field is provably affected
-//!    ([`weight_change_affects`]) are re-routed.
+//!    weights), the baseline is diffed against the new weights, and only
+//!    destinations whose distance field may be affected
+//!    ([`weight_change_affects`]) are touched. Those are *repaired* from
+//!    their previous routing ([`route_destination_reweight`]: orphans
+//!    of the rising links re-settled, then a Dijkstra from the tails of
+//!    the falling ones), not re-routed — bit-equal to a full route.
 //! 5. **Delta-state scenario cache across moves × scenarios**
 //!    ([`ScenarioCache`]): the robust phase's sweep evaluates the *same
 //!    scenarios* for a stream of candidates that differ from the
@@ -65,8 +68,13 @@
 //!    [`route_destination_repair`] from the workspace's resident
 //!    no-failure baseline (orphan detection + boundary Dijkstra),
 //!    instead of a from-scratch Dijkstra per mask-affected destination.
-//!    Integer distances make the repair bit-equal to the full route, so
-//!    this is purely a constant-factor win on the route bound.
+//!    Weight moves are repaired the same way: the workspace baseline
+//!    (`ensure_baseline`) and the cache's incumbent baseline
+//!    ([`Engine::cache_refresh_begin`]) run the weight-move kernel
+//!    ([`route_destination_reweight`]), and [`route_destination`] runs
+//!    only where no previous routing exists. Integer distances make
+//!    every repair bit-equal to the full route, so this is purely a
+//!    constant-factor win on the route bound.
 //!
 //! The "same bits" guarantee is a workspace-wide contract — parallel ==
 //! serial, cached == uncached, repair == full-route, and cross-process
@@ -189,8 +197,8 @@ use std::sync::Mutex;
 
 use dtr_net::{LinkId, LinkMask, Network, NodeId};
 use dtr_routing::workspace::{
-    dag_uses_any, route_destination, route_destination_repair, weight_change_affects, DestRouting,
-    WeightChange,
+    dag_uses_any, route_destination, route_destination_repair, route_destination_reweight,
+    weight_change_affects, DestRouting, WeightChange,
 };
 use dtr_routing::{delay, ClassWeights, Scenario, SpfWorkspace};
 use dtr_traffic::TrafficMatrix;
@@ -764,8 +772,10 @@ pub struct EvalWorkspace {
     new_adds: Vec<Vec<(u32, u32, f64)>>,
     /// Refresh scratch: rebuilt pair-segment offsets of one scenario.
     off_scratch: Vec<u32>,
-    /// Refresh scratch: re-route target of the entry kernel (swapped
-    /// with surviving routings, so its buffers recycle).
+    /// Repair target of the baseline refreshes (`ensure_baseline`,
+    /// `cache_refresh_begin`: written back with `clone_from`) and of the
+    /// entry kernel (swapped with surviving routings, so its buffers
+    /// recycle).
     refresh_tmp: DestRouting,
     /// Refresh scratch: the previous affected list of the entry being
     /// refreshed (drained back into the entry; capacity converges).
@@ -1001,6 +1011,7 @@ impl<'a> Engine<'a> {
             mask,
             diff,
             base,
+            refresh_tmp: tmp,
             ..
         } = ws;
         for (k, b) in base.iter_mut().enumerate() {
@@ -1012,17 +1023,24 @@ impl<'a> Engine<'a> {
                 if diff.is_empty() {
                     continue;
                 }
+                // Repair each flagged destination from its previous
+                // routing (bit-equal to a full route), writing back with
+                // `clone_from` so every record keeps its own buffers.
                 for (di, &t) in dests.iter().enumerate() {
                     if weight_change_affects(self.net, &b.state[di].dist, diff) {
-                        route_destination(
+                        route_destination_reweight(
                             self.net,
+                            &b.weights,
                             weights,
+                            diff,
                             tm,
                             mask,
                             t as usize,
+                            &b.state[di],
                             spf,
-                            &mut b.state[di],
+                            tmp,
                         );
+                        b.state[di].clone_from(tmp);
                     }
                 }
                 b.weights.copy_from_slice(weights);
@@ -2002,11 +2020,12 @@ impl<'a> Engine<'a> {
             weight_diff(&weights[k], new, diffk);
         }
 
-        // Baseline update: re-route the destinations the diff can
-        // touch, remembering which *really* moved (their routings may
-        // enter or leave any scenario's affected set). The conservative
+        // Baseline update: repair the destinations the diff can touch
+        // from their incumbent routing (bit-equal to a full route),
+        // remembering which *really* moved (their routings may enter or
+        // leave any scenario's affected set). The conservative
         // predicate's false positives are filtered with the exact
-        // [`baseline_unchanged`] diff so bit-identical re-routes don't
+        // [`baseline_unchanged`] diff so bit-identical repairs don't
         // churn entries or re-run delay DPs downstream.
         refresh_changed.resize_with(kn, Vec::new);
         let mut tmp = std::mem::take(&mut ws.refresh_tmp);
@@ -2027,17 +2046,20 @@ impl<'a> Engine<'a> {
                 {
                     continue;
                 }
-                route_destination(
+                route_destination_reweight(
                     self.net,
+                    &weights[k],
                     class_weights,
+                    &diff[k],
                     tm,
                     &ws.up_mask,
                     t as usize,
+                    &base[k][di],
                     &mut ws.spf,
                     &mut tmp,
                 );
                 if !baseline_unchanged(self.net, &tmp.dist, &base[k][di].dist, &diff[k]) {
-                    std::mem::swap(&mut base[k][di], &mut tmp);
+                    base[k][di].clone_from(&tmp);
                     refresh_changed[k][di] = true;
                 }
             }

@@ -81,13 +81,36 @@ pub fn from_text(text: &str) -> Result<MtrWeightSetting, ParseError> {
                 if k == 0 {
                     return Err(ParseError::Coverage("need at least one class".into()));
                 }
+                // The parsed setting holds one vector per class; refuse
+                // a count no text of this size could mean before
+                // allocating from it.
+                if k > text.len() {
+                    return Err(ParseError::Coverage(format!(
+                        "classes {k} exceeds what the text can cover"
+                    )));
+                }
                 classes = Some(k);
             }
             Some("wmax") => {
-                wmax = Some(field(&mut parts, lineno, "wmax value")?);
+                let v: u32 = field(&mut parts, lineno, "wmax value")?;
+                if v == 0 {
+                    return Err(ParseError::Malformed(
+                        lineno,
+                        "wmax must be at least 1".into(),
+                    ));
+                }
+                wmax = Some(v);
             }
             Some("links") => {
                 let n: usize = field(&mut parts, lineno, "link count")?;
+                // Each link needs a `w` line of its own, so a count past
+                // the text's line count can never be covered: refuse it
+                // before preallocating from an untrusted header.
+                if n > text.lines().count() {
+                    return Err(ParseError::Coverage(format!(
+                        "links {n} exceeds what the text can cover"
+                    )));
+                }
                 links = Some(n);
                 per_link = vec![None; n];
             }
@@ -163,6 +186,23 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn oversized_headers_are_errors_not_panics() {
+        for n in ["18446744073709551615", "1152921504606846976"] {
+            let text = format!("classes 2\nwmax 20\nlinks {n}\n");
+            assert!(
+                matches!(from_text(&text), Err(ParseError::Coverage(_))),
+                "links {n}"
+            );
+        }
+        let text = "classes 18446744073709551615\nwmax 20\nlinks 0\n";
+        assert!(matches!(from_text(text), Err(ParseError::Coverage(_))));
+        assert!(matches!(
+            from_text("classes 1\nwmax 0\nlinks 0\n"),
+            Err(ParseError::Malformed(2, _))
+        ));
+    }
 
     #[test]
     fn round_trip_three_classes() {

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use crate::error::NetError;
 use crate::geometry::Point;
-use crate::graph::Network;
+use crate::graph::{LinkArc, Network};
 use crate::ids::{LinkId, NodeId};
 use crate::link::Link;
 
@@ -93,7 +93,7 @@ impl NetworkBuilder {
         }
         // Mint the id before touching `seen_pairs` so an over-long link
         // list is a typed error with the builder left unchanged — and so
-        // `assemble`'s u32 CSR offsets (cumulative counts bounded by the
+        // `assemble`'s u32 arc offsets (cumulative counts bounded by the
         // link count) can never overflow silently.
         let id = LinkId::try_new(self.links.len())?;
         if !self.seen_pairs.insert((src.0, dst.0)) {
@@ -157,8 +157,8 @@ impl NetworkBuilder {
 
     fn assemble(self) -> Network {
         let n = self.positions.len();
-        // Flat CSR adjacency: count degrees, prefix-sum into offsets, then
-        // scatter link ids in id order (which keeps each node's slice
+        // Packed CSR arcs: count degrees, prefix-sum into offsets, then
+        // scatter arcs in link-id order (which keeps each node's slice
         // ascending by link id, as the routing code relies on).
         let mut out_offsets = vec![0u32; n + 1];
         let mut in_offsets = vec![0u32; n + 1];
@@ -170,16 +170,27 @@ impl NetworkBuilder {
             out_offsets[v + 1] += out_offsets[v];
             in_offsets[v + 1] += in_offsets[v];
         }
-        let mut links_csr_out = vec![LinkId::new(0); self.links.len()];
-        let mut links_csr_in = vec![LinkId::new(0); self.links.len()];
+        let blank = LinkArc {
+            link: LinkId::new(0),
+            far: NodeId::new(0),
+        };
+        let mut arcs_out = vec![blank; self.links.len()];
+        let mut arcs_in = vec![blank; self.links.len()];
         let mut out_cursor = out_offsets.clone();
         let mut in_cursor = in_offsets.clone();
         for (i, link) in self.links.iter().enumerate() {
+            let link_id = LinkId::new(i);
             let o = &mut out_cursor[link.src.index()];
-            links_csr_out[*o as usize] = LinkId::new(i);
+            arcs_out[*o as usize] = LinkArc {
+                link: link_id,
+                far: link.dst,
+            };
             *o += 1;
             let o = &mut in_cursor[link.dst.index()];
-            links_csr_in[*o as usize] = LinkId::new(i);
+            arcs_in[*o as usize] = LinkArc {
+                link: link_id,
+                far: link.src,
+            };
             *o += 1;
         }
         // Pair up duplex directions: reverse[l] = id of dst->src, if present.
@@ -194,9 +205,9 @@ impl NetworkBuilder {
         Network {
             positions: self.positions,
             links: self.links,
-            links_csr_out,
+            arcs_out,
             out_offsets,
-            links_csr_in,
+            arcs_in,
             in_offsets,
             reverse,
         }

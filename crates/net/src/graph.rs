@@ -6,6 +6,55 @@ use crate::ids::{LinkId, NodeId};
 use crate::link::Link;
 use crate::mask::LinkMask;
 
+/// One packed adjacency entry of a node: a link and the node at its far
+/// end — the head for an out-arc ([`Network::out_arcs`]), the tail for
+/// an in-arc ([`Network::in_arcs`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LinkArc {
+    /// The directed link.
+    pub link: LinkId,
+    /// The link's other endpoint, seen from the node the arc belongs to.
+    pub far: NodeId,
+}
+
+/// The link ids of one node's arcs, in arc order: what
+/// [`Network::out_links`] and [`Network::in_links`] return.
+#[derive(Clone, Copy, Debug)]
+pub struct LinkIds<'a>(&'a [LinkArc]);
+
+/// Iterator over a [`LinkIds`] view.
+pub type LinkIdsIter<'a> = std::iter::Map<std::slice::Iter<'a, LinkArc>, fn(&LinkArc) -> &LinkId>;
+
+impl<'a> LinkIds<'a> {
+    /// Number of links.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` if the node has no such link.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The link ids, in arc order.
+    #[inline]
+    pub fn iter(&self) -> LinkIdsIter<'a> {
+        self.0.iter().map(|a| &a.link)
+    }
+}
+
+impl<'a> IntoIterator for LinkIds<'a> {
+    type Item = &'a LinkId;
+    type IntoIter = LinkIdsIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// An immutable directed network `G = (V, E)` with per-link capacity and
 /// propagation delay (paper §III).
 ///
@@ -18,15 +67,17 @@ use crate::mask::LinkMask;
 pub struct Network {
     pub(crate) positions: Vec<Point>,
     pub(crate) links: Vec<Link>,
-    /// Flat CSR adjacency: outgoing link ids of node `v` (sorted by link
-    /// id) live at `links_csr_out[out_offsets[v] .. out_offsets[v + 1]]`.
-    /// One contiguous allocation keeps the per-destination SPF sweeps
-    /// cache-friendly — the hot loops walk these slices millions of times
-    /// per optimization run.
-    pub(crate) links_csr_out: Vec<LinkId>,
+    /// The one adjacency: packed CSR arcs. The outgoing arcs of node `v`
+    /// (sorted by link id) live at
+    /// `arcs_out[out_offsets[v] .. out_offsets[v + 1]]`, each holding the
+    /// link id and the link's head, so the per-destination routing
+    /// kernels — which walk these slices millions of times per
+    /// optimization run — never load the 32-byte [`Link`] record.
+    pub(crate) arcs_out: Vec<LinkArc>,
     pub(crate) out_offsets: Vec<u32>,
-    /// Flat CSR adjacency for incoming link ids, same layout.
-    pub(crate) links_csr_in: Vec<LinkId>,
+    /// Incoming arcs, same layout; each holds the link id and the link's
+    /// tail.
+    pub(crate) arcs_in: Vec<LinkArc>,
     pub(crate) in_offsets: Vec<u32>,
     /// For link `l`, the opposite direction of the same duplex link, if any.
     pub(crate) reverse: Vec<Option<LinkId>>,
@@ -73,18 +124,34 @@ impl Network {
         self.positions[v.index()]
     }
 
-    /// Outgoing links of `v`, ascending by link id (a CSR slice).
+    /// Outgoing arcs of `v`, ascending by link id; each arc's
+    /// [`far`](LinkArc::far) node is the link's head.
     #[inline]
-    pub fn out_links(&self, v: NodeId) -> &[LinkId] {
+    pub fn out_arcs(&self, v: NodeId) -> &[LinkArc] {
         let i = v.index();
-        &self.links_csr_out[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
+        &self.arcs_out[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
     }
 
-    /// Incoming links of `v`, ascending by link id (a CSR slice).
+    /// Incoming arcs of `v`, ascending by link id; each arc's
+    /// [`far`](LinkArc::far) node is the link's tail.
     #[inline]
-    pub fn in_links(&self, v: NodeId) -> &[LinkId] {
+    pub fn in_arcs(&self, v: NodeId) -> &[LinkArc] {
         let i = v.index();
-        &self.links_csr_in[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
+        &self.arcs_in[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
+    }
+
+    /// Outgoing link ids of `v`, ascending: a view over
+    /// [`out_arcs`](Self::out_arcs).
+    #[inline]
+    pub fn out_links(&self, v: NodeId) -> LinkIds<'_> {
+        LinkIds(self.out_arcs(v))
+    }
+
+    /// Incoming link ids of `v`, ascending: a view over
+    /// [`in_arcs`](Self::in_arcs).
+    #[inline]
+    pub fn in_links(&self, v: NodeId) -> LinkIds<'_> {
+        LinkIds(self.in_arcs(v))
     }
 
     /// The opposite direction of duplex link `l`, if the builder registered

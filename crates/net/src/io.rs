@@ -98,7 +98,8 @@ pub fn from_text(text: &str) -> Result<Network, ParseError> {
                         ),
                     ));
                 }
-                b.add_node(Point::new(x, y));
+                b.try_add_node(Point::new(x, y))
+                    .map_err(|e| ParseError::Build(e.to_string()))?;
                 seen_nodes += 1;
             }
             Some("link") => {
@@ -106,7 +107,15 @@ pub fn from_text(text: &str) -> Result<Network, ParseError> {
                 let dst: usize = parse_field(&mut parts, lineno, "destination node")?;
                 let cap: f64 = parse_field(&mut parts, lineno, "capacity")?;
                 let delay: f64 = parse_field(&mut parts, lineno, "propagation delay")?;
-                b.add_link(NodeId::new(src), NodeId::new(dst), cap, delay)
+                // Endpoints past the u32 id space are a typed error, not
+                // a panic: the text is untrusted.
+                let node = |v: usize, what: &str| {
+                    NodeId::try_new(v).map_err(|_| {
+                        ParseError::Malformed(lineno, format!("{what} {v} out of range"))
+                    })
+                };
+                let (src, dst) = (node(src, "source node")?, node(dst, "destination node")?);
+                b.add_link(src, dst, cap, delay)
                     .map_err(|e| ParseError::Build(e.to_string()))?;
             }
             Some(other) => {
@@ -153,6 +162,14 @@ mod tests {
         b.add_duplex_link(c, d, 250e6, 7.5e-3).unwrap();
         b.add_duplex_link(d, a, 500e6, 2e-3).unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn endpoint_past_the_id_space_is_an_error_not_a_panic() {
+        let text = "nodes 2\nnode 0 0 0\nnode 1 1 0\nlink 0 4294967296 1e9 0.001\n";
+        assert!(matches!(from_text(text), Err(ParseError::Malformed(4, _))));
+        let text = "nodes 2\nnode 0 0 0\nnode 1 1 0\nlink 18446744073709551615 0 1e9 0.001\n";
+        assert!(matches!(from_text(text), Err(ParseError::Malformed(4, _))));
     }
 
     #[test]

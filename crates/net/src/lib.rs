@@ -12,8 +12,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`Network`] — the immutable graph: nodes, directed links, adjacency,
-//!   duplex pairing, optional Euclidean node positions.
+//! * [`Network`] — the immutable graph: nodes, directed links, one packed
+//!   adjacency ([`LinkArc`]s: link id plus far node), duplex pairing,
+//!   optional Euclidean node positions.
 //! * [`NetworkBuilder`] — the only way to construct a [`Network`]; validates
 //!   invariants at `build()` time.
 //! * [`LinkMask`] — a compact bitset of *down* links used to express failure
@@ -62,7 +63,7 @@ mod mask;
 pub use builder::NetworkBuilder;
 pub use error::NetError;
 pub use geometry::Point;
-pub use graph::Network;
+pub use graph::{LinkArc, LinkIds, LinkIdsIter, Network};
 pub use ids::{LinkId, NodeId};
 pub use link::Link;
 pub use mask::LinkMask;

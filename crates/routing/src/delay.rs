@@ -198,20 +198,23 @@ fn fold_delay_into(
 
     // Ascending distance = reverse topological order of the DAG: children
     // (closer to the destination) are finalized before their parents.
+    // DAG out-arcs are tested inline over the packed adjacency, in the
+    // ECMP push's arc order.
     for &v in order.iter().rev() {
         let v = v as usize;
-        if dist[v] == 0 {
+        let dv = dist[v];
+        if dv == 0 {
             delay[v] = 0.0; // the destination itself
             continue;
         }
         let mut acc: f64 = if take_max { f64::NEG_INFINITY } else { 0.0 };
         let mut count = 0usize;
-        for &l in net.out_links(NodeId::new(v)) {
-            if !spf::on_dag(net, dist, weights, mask, l.index()) {
+        for arc in net.out_arcs(NodeId::new(v)) {
+            let (l, w) = (arc.link.index(), arc.far.index());
+            if !spf::on_dag_arc(dist, weights, mask, dv, l, w) {
                 continue;
             }
-            let w = net.link(l).dst.index();
-            let through = link_delay[l.index()] + delay[w];
+            let through = link_delay[l] + delay[w];
             if take_max {
                 acc = acc.max(through);
             } else {

@@ -39,6 +39,25 @@
 //! `dtr-cost` drives these primitives; every layer of fast path is
 //! optional and falls back to the plain kernels.
 //!
+//! The per-destination kernels share one shape. They walk the
+//! network's packed arcs (`dtr_net::LinkArc`: link id plus far node),
+//! never the link records. Each ends in the one ECMP push.
+//!
+//! * [`workspace::route_destination`] — the full route: a reverse
+//!   Dijkstra whose settle sequence *is* the DAG order (turned into
+//!   descending order in linear time, no sort), then the push.
+//! * [`workspace::route_destination_repair`] and
+//!   [`workspace::route_destination_reweight`] — one incremental kernel
+//!   that repairs a previous routing after link failures or weight
+//!   changes, re-settling only the nodes whose distance moved and
+//!   merging them into the previous order.
+//! * [`delay::pair_delays_into`] — the delay DP, folded over the same
+//!   arcs in the same order.
+//!
+//! All of them are bit-for-bit the from-scratch results, pinned by
+//! `tests/spf_incremental.rs` against Bellman–Ford and the sort
+//! ([`spf::descending_order`]).
+//!
 //! The engine is pure and deterministic: same inputs ⇒ same outputs, no
 //! interior mutability, no threads (parallelism happens above, in
 //! `dtr-core`, by evaluating independent scenarios concurrently).

@@ -47,6 +47,31 @@ pub fn dist_to_into(
     dist: &mut Vec<u64>,
     heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
 ) {
+    settle_into(net, dest, weights, mask, dist, heap, |_| {});
+}
+
+/// The reverse Dijkstra behind [`dist_to_into`], reporting every node to
+/// `settled` as it settles.
+///
+/// The heap key is `(distance, node id)` and weights are ≥ 1, so every
+/// reachable node settles exactly once, in ascending `(distance, id)`
+/// order: when the smallest key in the heap has distance `d`, every node
+/// at distance `< d` has settled and has pushed each node at distance `d`
+/// with its final key, and a key is only pushed on a strict improvement,
+/// so no node is pushed twice with the same key. The settle sequence is
+/// therefore the reverse of [`descending_order`]'s permutation up to the
+/// order inside each run of equal distance, which
+/// [`settle_order_to_descending`] restores — a topological order with no
+/// sort.
+pub(crate) fn settle_into(
+    net: &Network,
+    dest: NodeId,
+    weights: &[u32],
+    mask: &LinkMask,
+    dist: &mut Vec<u64>,
+    heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
+    mut settled: impl FnMut(u32),
+) {
     debug_assert_eq!(weights.len(), net.num_links(), "one weight per link");
     debug_assert!(
         weights.iter().all(|&w| w >= 1),
@@ -59,22 +84,43 @@ pub fn dist_to_into(
     dist[dest.index()] = 0;
     heap.push(Reverse((0, dest.index() as u32)));
     while let Some(Reverse((d, v))) = heap.pop() {
-        let v = v as usize;
-        if d > dist[v] {
+        if d > dist[v as usize] {
             continue;
         }
-        // Traverse incoming links of v: they extend paths *to* dest.
-        for &l in net.in_links(NodeId::new(v)) {
-            if mask.is_down(l.index()) {
+        settled(v);
+        // Traverse incoming arcs of v: they extend paths *to* dest.
+        for arc in net.in_arcs(NodeId::new(v as usize)) {
+            let l = arc.link.index();
+            if mask.is_down(l) {
                 continue;
             }
-            let u = net.link(l).src.index();
-            let nd = d + u64::from(weights[l.index()]);
+            let u = arc.far.index();
+            let nd = d + u64::from(weights[l]);
             if nd < dist[u] {
                 dist[u] = nd;
                 heap.push(Reverse((nd, u as u32)));
             }
         }
+    }
+}
+
+/// Turn a settle sequence — reachable nodes in ascending
+/// `(dist, id)` order, as [`settle_into`] reports them — into
+/// [`descending_order_into`]'s permutation in place: reverse the whole
+/// sequence, then re-reverse each run of equal distance so ties come
+/// back in ascending id order. Linear time; pinned against the sort by
+/// the oracle assertions in `tests/spf_incremental.rs`.
+pub(crate) fn settle_order_to_descending(dist: &[u64], order: &mut [u32]) {
+    order.reverse();
+    let mut start = 0;
+    while start < order.len() {
+        let d = dist[order[start] as usize];
+        let mut end = start + 1;
+        while end < order.len() && dist[order[end] as usize] == d {
+            end += 1;
+        }
+        order[start..end].reverse();
+        start = end;
     }
 }
 
@@ -104,11 +150,11 @@ pub fn hops_to_into(
         if d > dist[v] {
             continue;
         }
-        for &l in net.in_links(NodeId::new(v)) {
-            if mask.is_down(l.index()) {
+        for arc in net.in_arcs(NodeId::new(v)) {
+            if mask.is_down(arc.link.index()) {
                 continue;
             }
-            let u = net.link(l).src.index();
+            let u = arc.far.index();
             let nd = d + 1;
             if nd < dist[u] {
                 dist[u] = nd;
@@ -166,7 +212,8 @@ pub fn min_cost_to(net: &Network, dest: NodeId, costs: &[f64], mask: &LinkMask) 
 
 /// `true` if link `l` lies on the shortest-path DAG towards the destination
 /// whose distance field is `dist` (i.e. `l` is used by ECMP routing to that
-/// destination).
+/// destination). The cold per-link form; the routing kernels inline
+/// the same test over packed arcs instead.
 #[inline]
 pub fn on_dag(net: &Network, dist: &[u64], weights: &[u32], mask: &LinkMask, l: usize) -> bool {
     if mask.is_down(l) {
@@ -177,9 +224,32 @@ pub fn on_dag(net: &Network, dist: &[u64], weights: &[u32], mask: &LinkMask, l: 
     dist[u] != UNREACHABLE && dist[v] != UNREACHABLE && dist[u] == dist[v] + u64::from(weights[l])
 }
 
+/// `true` if the out-arc `(link, far)` of a node at distance `du` lies on
+/// the shortest-path DAG: the link is up and `du == dist[far] + w`.
+/// Equivalent to [`on_dag`] for a reachable tail (`du` finite); written
+/// as `dist[far] < du && du - dist[far] == w` so an unreachable head
+/// ([`UNREACHABLE`] = `u64::MAX`) fails the first comparison without
+/// a separate test or an overflowing add.
+#[inline(always)]
+pub(crate) fn on_dag_arc(
+    dist: &[u64],
+    weights: &[u32],
+    mask: &LinkMask,
+    du: u64,
+    link: usize,
+    far: usize,
+) -> bool {
+    let dv = dist[far];
+    dv < du && du - dv == u64::from(weights[link]) && mask.is_up(link)
+}
+
 /// Nodes sorted by descending distance-to-destination (reachable only) —
 /// a topological order of the shortest-path DAG, used by the ECMP load
 /// accumulation (farthest nodes first) and, reversed, by the delay DP.
+/// The routing kernels derive the same permutation from Dijkstra's
+/// settle sequence without sorting (see [`dist_to_into`]'s settle
+/// kernel); this sort stays as their test oracle and for the cold
+/// reference and analysis callers.
 ///
 /// Allocating wrapper around [`descending_order_into`].
 pub fn descending_order(dist: &[u64]) -> Vec<u32> {

@@ -75,10 +75,25 @@ pub fn from_text(text: &str) -> Result<WeightSetting, ParseError> {
         let mut parts = line.split_whitespace();
         match parts.next() {
             Some("wmax") => {
-                wmax = Some(field(&mut parts, lineno, "wmax value")?);
+                let v: u32 = field(&mut parts, lineno, "wmax value")?;
+                if v == 0 {
+                    return Err(ParseError::Malformed(
+                        lineno,
+                        "wmax must be at least 1".into(),
+                    ));
+                }
+                wmax = Some(v);
             }
             Some("links") => {
                 let n: usize = field(&mut parts, lineno, "link count")?;
+                // Each link needs a `w` line of its own, so a count past
+                // the text's line count can never be covered: refuse it
+                // before preallocating from an untrusted header.
+                if n > text.lines().count() {
+                    return Err(ParseError::Coverage(format!(
+                        "links {n} exceeds what the text can cover"
+                    )));
+                }
                 links = Some(n);
                 delay = vec![None; n];
                 tput = vec![None; n];
@@ -148,6 +163,21 @@ fn field<'a, T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_headers_are_errors_not_panics() {
+        for n in ["18446744073709551615", "1152921504606846976"] {
+            let text = format!("wmax 20\nlinks {n}\n");
+            assert!(
+                matches!(from_text(&text), Err(ParseError::Coverage(_))),
+                "links {n}"
+            );
+        }
+        assert!(matches!(
+            from_text("wmax 0\nlinks 0\n"),
+            Err(ParseError::Malformed(1, _))
+        ));
+    }
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -38,7 +38,7 @@
 //!   distance field remains a feasible potential, and every old shortest
 //!   path is made of unchanged links.
 
-use dtr_net::{LinkId, LinkMask, Network, NodeId};
+use dtr_net::{LinkArc, LinkId, LinkMask, Network, NodeId};
 use dtr_traffic::TrafficMatrix;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,20 +56,50 @@ pub struct SpfWorkspace {
     pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// Per-node inflow accumulator for the current destination.
     pub(crate) inflow: Vec<f64>,
+    /// DAG out-arcs of the node the ECMP push is splitting.
+    hops: Vec<LinkArc>,
     /// Per-node scratch for the delay/bottleneck DP.
     pub node_metric: Vec<f64>,
     /// Spare [`DestRouting`] used by [`crate::router::route_class_with`].
     pub(crate) dest: DestRouting,
-    /// Epoch-stamped orphan flags of [`route_destination_repair`].
+    /// Epoch stamps of the repair kernel: nodes orphaned by its increase
+    /// phase.
     orphan: Vec<u32>,
-    /// Current orphan-flag epoch (0 = flags unset).
-    orphan_epoch: u32,
+    /// Epoch stamps of the repair kernel: nodes its decrease phase
+    /// lowered.
+    lowered: Vec<u32>,
+    /// Current stamp epoch (0 = stamps unset).
+    epoch: u32,
+    /// Orphan candidates of the repair's increase phase (worklist).
+    candidates: Vec<u32>,
+    /// The orphans found so far, in discovery order.
+    orphans: Vec<u32>,
+    /// Settle sequence of the repair's increase phase (orphans, ascending
+    /// `(dist, id)`).
+    resettled: Vec<u32>,
+    /// Settle sequence of the repair's decrease phase (ascending
+    /// `(dist, id)`).
+    relowered: Vec<u32>,
 }
 
 impl SpfWorkspace {
     /// Fresh workspace; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Advance the repair-stamp epoch for an `n`-node network, clearing
+    /// the stamps on wrap-around.
+    fn next_epoch(&mut self, n: usize) -> u32 {
+        self.orphan.resize(n, 0);
+        self.lowered.resize(n, 0);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.orphan.fill(0);
+            self.lowered.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
     }
 }
 
@@ -80,8 +110,9 @@ impl SpfWorkspace {
 pub struct DestRouting {
     /// `dist[v]` = weighted distance from `v` to the destination.
     pub dist: Vec<u64>,
-    /// Reachable nodes in descending distance order (DAG topological
-    /// order, destination last).
+    /// Reachable nodes in descending distance order, ties by ascending
+    /// node id (DAG topological order, destination last) — exactly
+    /// [`spf::descending_order`]'s permutation, derived without a sort.
     pub order: Vec<u32>,
     /// `(link, share)` adds in the order the router performs them.
     pub(crate) load_adds: Vec<(u32, f64)>,
@@ -157,7 +188,9 @@ impl DestRouting {
 ///
 /// This is the single source of truth for per-destination routing — both
 /// [`crate::route_class`] and the incremental cost engine are built on it,
-/// which is what makes their results bit-for-bit interchangeable.
+/// which is what makes their results bit-for-bit interchangeable. The
+/// topological order is read off Dijkstra's settle sequence (no sort):
+/// see [`spf::dist_to_into`]'s settle kernel.
 pub fn route_destination(
     net: &Network,
     weights: &[u32],
@@ -167,21 +200,55 @@ pub fn route_destination(
     ws: &mut SpfWorkspace,
     out: &mut DestRouting,
 ) {
-    let n = net.num_nodes();
-    spf::dist_to_into(
+    let DestRouting { dist, order, .. } = out;
+    order.clear();
+    spf::settle_into(
         net,
         NodeId::new(t),
         weights,
         mask,
-        &mut out.dist,
+        dist,
         &mut ws.heap,
+        |v| order.push(v),
     );
-    spf::descending_order_into(&out.dist, &mut out.order);
-    out.load_adds.clear();
-    out.dropped_adds.clear();
+    spf::settle_order_to_descending(dist, order);
+    ecmp_push(net, weights, tm, mask, t, &mut ws.inflow, &mut ws.hops, out);
+}
 
-    ws.inflow.clear();
-    ws.inflow.resize(n, 0.0);
+/// The ECMP push every route kernel ends with: seed each sender's demand
+/// towards `t` as inflow (or record it as dropped when the sender cannot
+/// reach `t`), then walk `out.order` — farthest node first — splitting
+/// each node's inflow evenly over its DAG out-arcs, recording every
+/// `(link, share)` add. `out.dist` and `out.order` must already describe
+/// the routing; the adds and drops are overwritten.
+///
+/// One function for the full route and both repairs, with the on-DAG
+/// test inlined over packed arcs: each node's DAG out-arcs are gathered
+/// once, in out-arc order, and the same arcs then receive the share in
+/// the same order, so every float operation is the one the router has
+/// always performed.
+#[allow(clippy::too_many_arguments)] // the full per-destination context
+fn ecmp_push(
+    net: &Network,
+    weights: &[u32],
+    tm: &TrafficMatrix,
+    mask: &LinkMask,
+    t: usize,
+    inflow: &mut Vec<f64>,
+    hops: &mut Vec<LinkArc>,
+    out: &mut DestRouting,
+) {
+    let n = net.num_nodes();
+    let DestRouting {
+        dist,
+        order,
+        load_adds,
+        dropped_adds,
+    } = out;
+    load_adds.clear();
+    dropped_adds.clear();
+    inflow.clear();
+    inflow.resize(n, 0.0);
     for s in 0..n {
         if s == t {
             continue;
@@ -190,40 +257,39 @@ pub fn route_destination(
         if demand <= 0.0 {
             continue;
         }
-        if out.dist[s] == UNREACHABLE {
-            out.dropped_adds.push(demand);
+        if dist[s] == UNREACHABLE {
+            dropped_adds.push(demand);
         } else {
-            ws.inflow[s] += demand;
+            inflow[s] += demand;
         }
     }
 
     // Push flow down the DAG in topological order (descending dist).
-    for &u in &out.order {
+    for &u in order.iter() {
         let u = u as usize;
-        if u == t || ws.inflow[u] == 0.0 {
+        if u == t || inflow[u] == 0.0 {
             continue;
         }
-        let mut next_hops = 0usize;
-        for &l in net.out_links(NodeId::new(u)) {
-            if spf::on_dag(net, &out.dist, weights, mask, l.index()) {
-                next_hops += 1;
+        let du = dist[u];
+        hops.clear();
+        for arc in net.out_arcs(NodeId::new(u)) {
+            if spf::on_dag_arc(dist, weights, mask, du, arc.link.index(), arc.far.index()) {
+                hops.push(*arc);
             }
         }
         debug_assert!(
-            next_hops > 0,
+            !hops.is_empty(),
             "reachable non-destination node must have a DAG out-link"
         );
-        let share = ws.inflow[u] / next_hops as f64;
-        for &l in net.out_links(NodeId::new(u)) {
-            if spf::on_dag(net, &out.dist, weights, mask, l.index()) {
-                out.load_adds.push((l.index() as u32, share));
-                let v = net.link(l).dst.index();
-                if v != t {
-                    ws.inflow[v] += share;
-                }
+        let share = inflow[u] / hops.len() as f64;
+        for arc in hops.iter() {
+            load_adds.push((arc.link.index() as u32, share));
+            let v = arc.far.index();
+            if v != t {
+                inflow[v] += share;
             }
         }
-        ws.inflow[u] = 0.0;
+        inflow[u] = 0.0;
     }
 }
 
@@ -233,29 +299,10 @@ pub fn route_destination(
 ///
 /// `base` must be the destination's routing under the **same weights**
 /// with **all links up**; `mask` fails an arbitrary link set. Because a
-/// failure can only *remove* paths, distances can only grow, and the
-/// repair is the classic two-step incremental SPF:
-///
-/// 1. **Orphan detection** — walking the baseline's reachable nodes in
-///    ascending distance order (destination first), a node is orphaned
-///    iff every baseline-DAG out-edge is masked down or leads to an
-///    orphaned node. A non-orphaned node inductively keeps one fully
-///    surviving shortest path, and removals cannot shorten anything, so
-///    its distance is **exactly** its baseline distance.
-/// 2. **Boundary Dijkstra over the orphans** — orphaned distances reset
-///    to [`UNREACHABLE`] and are re-settled from seeds through surviving
-///    non-orphaned neighbours (whose distances are final), then relaxed
-///    among orphans. Any new shortest path's suffix past its last
-///    orphaned node runs through settled nodes, so this is a standard
-///    Dijkstra with pre-settled sources.
-///
-/// Distances are exact integers, so the repaired field **equals** a
-/// fresh [`spf::dist_to_into`] bit for bit; the order and the ECMP push
-/// are then the same deterministic functions of (distances, weights,
-/// mask, traffic) that [`route_destination`] runs, making the whole
-/// record interchangeable with a from-scratch route. (Pinned by the
-/// equivalence suites; `tests/spf_incremental.rs` pins the underlying
-/// distance equality against the Bellman–Ford oracle.)
+/// failure can only *remove* paths, distances can only grow: this is
+/// the increase phase of [`route_destination_reweight`]'s kernel with no
+/// weight change (see there for the two phases, the order merge and why
+/// the record equals a from-scratch route bit for bit).
 #[allow(clippy::too_many_arguments)] // the full per-destination context
 pub fn route_destination_repair(
     net: &Network,
@@ -267,143 +314,298 @@ pub fn route_destination_repair(
     ws: &mut SpfWorkspace,
     out: &mut DestRouting,
 ) {
-    let n = net.num_nodes();
-    ws.orphan.resize(n, 0);
-    ws.orphan_epoch = ws.orphan_epoch.wrapping_add(1);
-    if ws.orphan_epoch == 0 {
-        ws.orphan.fill(0);
-        ws.orphan_epoch = 1;
-    }
-    let epoch = ws.orphan_epoch;
+    repair_destination(
+        net,
+        weights,
+        weights,
+        &[],
+        mask.down_links(),
+        tm,
+        mask,
+        t,
+        base,
+        ws,
+        out,
+    );
+}
 
-    // 1. Orphans, ascending baseline distance (reverse of `base.order`).
-    let mut any_orphan = false;
-    for &u in base.order.iter().rev() {
+/// [`route_destination`] under `weights` that *repairs* the destination's
+/// routing under `old_weights` instead of running a fresh full Dijkstra —
+/// the engines' refresh path for a weight move.
+///
+/// `base` must be the destination's routing under `old_weights` and the
+/// same `mask`, and `changes` must list exactly the links whose weight
+/// differs between the two settings. The shared incremental kernel runs
+/// in two phases:
+///
+/// 1. **Increases** — under the intermediate weights `max(old, new)`
+///    (distances can only grow), a node is *orphaned* iff every
+///    baseline-DAG out-arc rose in weight, is masked down, or leads to an
+///    orphan; a worklist finds the orphans from the tails of the rising
+///    baseline-DAG links, visiting only the affected region. A
+///    non-orphan inductively keeps a shortest path of
+///    unchanged-or-lowered links, so its distance is exactly its
+///    baseline distance; the orphans are re-settled by a boundary
+///    Dijkstra seeded through their non-orphan neighbours.
+/// 2. **Decreases** — a Dijkstra seeded at the tails of the links whose
+///    weight fell (distances can only shrink), relaxing over `weights`.
+///
+/// Both Dijkstras key their heap by `(dist, id)` and push a node only on
+/// a strict improvement, so each settles its nodes once, in ascending
+/// `(dist, id)` order, which a linear pass turns into descending order
+/// (see [`spf::dist_to_into`]'s settle kernel). The final order
+/// therefore needs no sort: it merges, by the same total key, the
+/// baseline order's untouched nodes, phase 1's re-settled nodes minus
+/// those phase 2 lowered, and phase 2's — which is exactly
+/// [`spf::descending_order`]'s permutation. Distances are exact
+/// integers and the ECMP push is the one [`route_destination`] runs, so
+/// the record is bit-for-bit a from-scratch route under `weights`
+/// (pinned by `reweight_route_equals_full_route` in
+/// `tests/spf_incremental.rs`).
+#[allow(clippy::too_many_arguments)] // the full per-destination context
+pub fn route_destination_reweight(
+    net: &Network,
+    old_weights: &[u32],
+    weights: &[u32],
+    changes: &[WeightChange],
+    tm: &TrafficMatrix,
+    mask: &LinkMask,
+    t: usize,
+    base: &DestRouting,
+    ws: &mut SpfWorkspace,
+    out: &mut DestRouting,
+) {
+    let rising = changes
+        .iter()
+        .filter(|c| c.new > c.old)
+        .map(|c| c.link.index());
+    repair_destination(
+        net,
+        old_weights,
+        weights,
+        changes,
+        rising,
+        tm,
+        mask,
+        t,
+        base,
+        ws,
+        out,
+    );
+}
+
+/// The one incremental route kernel behind [`route_destination_repair`]
+/// (failures: `old_weights == weights`, no changes, the down links
+/// rising) and [`route_destination_reweight`] (weight moves); see the
+/// latter for the algorithm. `rising` yields every link that rose in
+/// weight or failed — the tails of those on the baseline DAG seed the
+/// orphan worklist.
+#[allow(clippy::too_many_arguments)] // the full per-destination context
+fn repair_destination(
+    net: &Network,
+    old_weights: &[u32],
+    weights: &[u32],
+    changes: &[WeightChange],
+    rising: impl Iterator<Item = usize>,
+    tm: &TrafficMatrix,
+    mask: &LinkMask,
+    t: usize,
+    base: &DestRouting,
+    ws: &mut SpfWorkspace,
+    out: &mut DestRouting,
+) {
+    let epoch = ws.next_epoch(net.num_nodes());
+    let SpfWorkspace {
+        heap,
+        inflow,
+        hops,
+        orphan,
+        lowered,
+        candidates,
+        orphans,
+        resettled,
+        relowered,
+        ..
+    } = ws;
+    out.dist.clone_from(&base.dist);
+    let dist = &mut out.dist;
+    resettled.clear();
+    relowered.clear();
+    heap.clear();
+
+    // 1a. Orphans. A node is orphaned iff every baseline-DAG out-arc
+    //     rose, failed, or leads to an orphan — a well-founded rule
+    //     (DAG arcs descend in distance) whose unique solution the
+    //     worklist reaches from the tails of the rising DAG links,
+    //     re-checking a node's DAG predecessors whenever it is orphaned.
+    //     Only the affected region is visited.
+    let on_base_dag = |du: u64, dv: u64, l: usize| dv < du && du - dv == u64::from(old_weights[l]);
+    candidates.clear();
+    orphans.clear();
+    for l in rising {
+        let link = net.link(LinkId::new(l));
+        let u = link.src.index();
+        if on_base_dag(base.dist[u], base.dist[link.dst.index()], l) {
+            candidates.push(u as u32);
+        }
+    }
+    while let Some(u) = candidates.pop() {
         let u = u as usize;
-        if u == t {
+        if orphan[u] == epoch {
             continue;
         }
-        let mut survives = false;
-        for &l in net.out_links(NodeId::new(u)) {
-            let li = l.index();
-            let v = net.link(l).dst.index();
-            if base.dist[v] == UNREACHABLE || base.dist[u] != base.dist[v] + u64::from(weights[li])
-            {
-                continue; // off the baseline DAG
-            }
-            if mask.is_up(li) && ws.orphan[v] != epoch {
-                survives = true;
-                break;
-            }
+        let du = base.dist[u];
+        let survives = net.out_arcs(NodeId::new(u)).iter().any(|arc| {
+            let (l, v) = (arc.link.index(), arc.far.index());
+            on_base_dag(du, base.dist[v], l)
+                && weights[l] <= old_weights[l]
+                && mask.is_up(l)
+                && orphan[v] != epoch
+        });
+        if survives {
+            continue;
         }
-        if !survives {
-            ws.orphan[u] = epoch;
-            any_orphan = true;
+        orphan[u] = epoch;
+        orphans.push(u as u32);
+        for arc in net.in_arcs(NodeId::new(u)) {
+            let y = arc.far.index();
+            if orphan[y] != epoch && on_base_dag(base.dist[y], du, arc.link.index()) {
+                candidates.push(y as u32);
+            }
         }
     }
+    let any_orphan = !orphans.is_empty();
 
-    out.dist.clone_from(&base.dist);
+    // 1b. Boundary Dijkstra over the orphans under max(old, new). The
+    //     heap's keys alone fix the settle sequence, so the seeding order
+    //     is immaterial.
     if any_orphan {
-        // 2. Boundary Dijkstra over the orphan set.
-        let heap = &mut ws.heap;
-        heap.clear();
-        for &u in base.order.iter() {
+        for &u in orphans.iter() {
             let u = u as usize;
-            if ws.orphan[u] != epoch {
-                continue;
-            }
-            out.dist[u] = UNREACHABLE;
+            dist[u] = UNREACHABLE;
             let mut best = UNREACHABLE;
-            for &l in net.out_links(NodeId::new(u)) {
-                let li = l.index();
-                if mask.is_down(li) {
+            for arc in net.out_arcs(NodeId::new(u)) {
+                let (l, v) = (arc.link.index(), arc.far.index());
+                if mask.is_down(l) || orphan[v] == epoch || base.dist[v] == UNREACHABLE {
                     continue;
                 }
-                let v = net.link(l).dst.index();
-                if ws.orphan[v] == epoch || base.dist[v] == UNREACHABLE {
-                    continue;
-                }
-                let d = base.dist[v] + u64::from(weights[li]);
+                let d = base.dist[v] + u64::from(weights[l].max(old_weights[l]));
                 if d < best {
                     best = d;
                 }
             }
             if best != UNREACHABLE {
-                out.dist[u] = best;
+                dist[u] = best;
                 heap.push(Reverse((best, u as u32)));
             }
         }
         while let Some(Reverse((d, u))) = heap.pop() {
-            let u = u as usize;
-            if d > out.dist[u] {
+            if d > dist[u as usize] {
                 continue;
             }
-            for &l in net.in_links(NodeId::new(u)) {
-                let li = l.index();
-                if mask.is_down(li) {
-                    continue;
-                }
-                let v = net.link(l).src.index();
-                if ws.orphan[v] != epoch {
+            resettled.push(u);
+            for arc in net.in_arcs(NodeId::new(u as usize)) {
+                let (l, v) = (arc.link.index(), arc.far.index());
+                if mask.is_down(l) || orphan[v] != epoch {
                     continue; // settled at its exact baseline distance
                 }
-                let nd = d + u64::from(weights[li]);
-                if nd < out.dist[v] {
-                    out.dist[v] = nd;
+                let nd = d + u64::from(weights[l].max(old_weights[l]));
+                if nd < dist[v] {
+                    dist[v] = nd;
                     heap.push(Reverse((nd, v as u32)));
                 }
             }
         }
-        heap.clear();
+        // Into merge order while `dist` still holds the phase-1 values.
+        spf::settle_order_to_descending(dist, resettled);
     }
 
-    // 3. Order + ECMP push — identical to `route_destination`'s tail.
-    spf::descending_order_into(&out.dist, &mut out.order);
-    out.load_adds.clear();
-    out.dropped_adds.clear();
-    ws.inflow.clear();
-    ws.inflow.resize(n, 0.0);
-    for s in 0..n {
-        if s == t {
+    // 2. Decreases: Dijkstra from the tails of the links whose weight
+    //    fell, over the final weights.
+    for c in changes.iter().filter(|c| c.new < c.old) {
+        let l = c.link.index();
+        debug_assert_eq!(weights[l], c.new, "change list out of date");
+        if mask.is_down(l) {
             continue;
         }
-        let demand = tm.demand(s, t);
-        if demand <= 0.0 {
+        let link = net.link(c.link);
+        let (u, dv) = (link.src.index(), dist[link.dst.index()]);
+        if dv == UNREACHABLE {
             continue;
         }
-        if out.dist[s] == UNREACHABLE {
-            out.dropped_adds.push(demand);
-        } else {
-            ws.inflow[s] += demand;
+        let nd = dv + u64::from(c.new);
+        if nd < dist[u] {
+            dist[u] = nd;
+            heap.push(Reverse((nd, u as u32)));
         }
     }
-    for &u in &out.order {
-        let u = u as usize;
-        if u == t || ws.inflow[u] == 0.0 {
+    while let Some(Reverse((d, x))) = heap.pop() {
+        if d > dist[x as usize] {
             continue;
         }
-        let mut next_hops = 0usize;
-        for &l in net.out_links(NodeId::new(u)) {
-            if spf::on_dag(net, &out.dist, weights, mask, l.index()) {
-                next_hops += 1;
+        lowered[x as usize] = epoch;
+        relowered.push(x);
+        for arc in net.in_arcs(NodeId::new(x as usize)) {
+            let (l, y) = (arc.link.index(), arc.far.index());
+            if mask.is_down(l) {
+                continue;
+            }
+            let nd = d + u64::from(weights[l]);
+            if nd < dist[y] {
+                dist[y] = nd;
+                heap.push(Reverse((nd, y as u32)));
             }
         }
-        debug_assert!(
-            next_hops > 0,
-            "reachable non-destination node must have a DAG out-link"
-        );
-        let share = ws.inflow[u] / next_hops as f64;
-        for &l in net.out_links(NodeId::new(u)) {
-            if spf::on_dag(net, &out.dist, weights, mask, l.index()) {
-                out.load_adds.push((l.index() as u32, share));
-                let v = net.link(l).dst.index();
-                if v != t {
-                    ws.inflow[v] += share;
+    }
+    spf::settle_order_to_descending(dist, relowered);
+
+    // 3. Order: merge the three sequences, each now descending, by
+    //    (dist descending, id ascending) — the total key of
+    //    `spf::descending_order`.
+    let DestRouting { dist, order, .. } = &mut *out;
+    order.clear();
+    if !any_orphan && relowered.is_empty() {
+        // No distance moved.
+        order.extend_from_slice(&base.order);
+    } else {
+        let first = |x: u32, y: u32| {
+            let (dx, dy) = (dist[x as usize], dist[y as usize]);
+            dx > dy || (dx == dy && x < y)
+        };
+        let mut kept = base
+            .order
+            .iter()
+            .copied()
+            .filter(|&v| orphan[v as usize] != epoch && lowered[v as usize] != epoch)
+            .peekable();
+        let mut raised = resettled
+            .iter()
+            .copied()
+            .filter(|&v| lowered[v as usize] != epoch)
+            .peekable();
+        let mut fell = relowered.iter().copied().peekable();
+        loop {
+            let mut pick: Option<(usize, u32)> = None;
+            for (src, head) in [kept.peek(), raised.peek(), fell.peek()]
+                .into_iter()
+                .enumerate()
+            {
+                let Some(&y) = head else { continue };
+                if pick.is_none_or(|(_, x)| first(y, x)) {
+                    pick = Some((src, y));
                 }
             }
+            let Some((src, v)) = pick else { break };
+            match src {
+                0 => kept.next(),
+                1 => raised.next(),
+                _ => fell.next(),
+            };
+            order.push(v);
         }
-        ws.inflow[u] = 0.0;
     }
+
+    ecmp_push(net, weights, tm, mask, t, inflow, hops, out);
 }
 
 /// `true` if any of the directed links in `down` lies on the shortest-path

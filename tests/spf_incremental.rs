@@ -11,8 +11,8 @@
 
 use dtr::net::{LinkId, Network};
 use dtr::routing::workspace::{
-    dag_uses_any, route_destination, route_destination_repair, weight_change_affects, DestRouting,
-    WeightChange,
+    dag_uses_any, route_destination, route_destination_repair, route_destination_reweight,
+    weight_change_affects, DestRouting, WeightChange,
 };
 use dtr::routing::{route_class, spf, SpfWorkspace};
 use dtr::topogen::{rand_topo, SynthConfig};
@@ -100,6 +100,8 @@ proptest! {
 
                 prop_assert_eq!(&repaired.dist, &full.dist, "dist, dest {}", t);
                 prop_assert_eq!(&repaired.order, &full.order, "order, dest {}", t);
+                // The settle-order derivation against the sort oracle.
+                prop_assert_eq!(&full.order, &spf::descending_order(&full.dist), "dest {}", t);
                 prop_assert_eq!(
                     repaired.load_adds(),
                     full.load_adds(),
@@ -111,6 +113,84 @@ proptest! {
                 full.replay(&mut lb, &mut db);
                 prop_assert_eq!(la, lb);
                 prop_assert_eq!(da, db);
+            }
+        }
+    }
+
+    /// The weight-move repair must equal a from-scratch
+    /// [`route_destination`] under the new weights **bit for bit** —
+    /// distances (and the Bellman–Ford oracle), order (and the sort
+    /// oracle), load adds, replayed loads and drops — for random weight
+    /// changes on 1–6 links, including a mixed increase/decrease on one
+    /// duplex pair, at wmax 3 (many ties) and 20, with and without a
+    /// failure mask shared by both settings.
+    #[test]
+    fn reweight_route_equals_full_route(
+        (nodes, extra, seed) in (5usize..14, 1usize..10, 0u64..1_000_000),
+        wide in any::<bool>(),
+        masked in any::<bool>(),
+    ) {
+        let wmax = if wide { 20 } else { 3 };
+        let net = build_net(nodes, extra, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let old_w: Vec<u32> = (0..net.num_links()).map(|_| rng.gen_range(1..=wmax)).collect();
+        let tm = random_traffic(&net, seed ^ 0xfeed);
+        let reps = net.duplex_representatives();
+        let mut mask = net.fresh_mask();
+        if masked {
+            for _ in 0..rng.gen_range(1..=2usize) {
+                let rep = reps[rng.gen_range(0..reps.len())];
+                for i in net.fail_duplex(rep).down_links() {
+                    mask.fail(i);
+                }
+            }
+        }
+        let mut ws = SpfWorkspace::new();
+        let (mut base, mut full, mut repaired) =
+            (DestRouting::default(), DestRouting::default(), DestRouting::default());
+
+        for _ in 0..4 {
+            let mut new_w = old_w.clone();
+            for _ in 0..rng.gen_range(1..=6usize) {
+                let l = rng.gen_range(0..net.num_links());
+                new_w[l] = rng.gen_range(1..=wmax);
+            }
+            if rng.gen_bool(0.5) {
+                // One duplex pair: one direction up, the other down.
+                let rep = reps[rng.gen_range(0..reps.len())];
+                if let Some(r) = net.reverse_link(rep) {
+                    let (a, b) = (rep.index(), r.index());
+                    let (up, down) = if old_w[b] > 1 { (a, b) } else { (b, a) };
+                    if old_w[down] > 1 {
+                        new_w[up] = old_w[up] + rng.gen_range(1..=wmax);
+                        new_w[down] = rng.gen_range(1..old_w[down]);
+                    }
+                }
+            }
+            let changes: Vec<WeightChange> = (0..net.num_links())
+                .filter(|&l| old_w[l] != new_w[l])
+                .map(|l| WeightChange { link: LinkId::new(l), old: old_w[l], new: new_w[l] })
+                .collect();
+
+            for t in 0..net.num_nodes() {
+                route_destination(&net, &old_w, &tm, &mask, t, &mut ws, &mut base);
+                route_destination(&net, &new_w, &tm, &mask, t, &mut ws, &mut full);
+                route_destination_reweight(
+                    &net, &old_w, &new_w, &changes, &tm, &mask, t, &base, &mut ws, &mut repaired,
+                );
+                let oracle = spf::dist_to_bellman_ford(&net, dtr::net::NodeId::new(t), &new_w, &mask);
+                prop_assert_eq!(&full.dist, &oracle, "oracle dist, dest {}", t);
+                prop_assert_eq!(&repaired.dist, &full.dist, "dist, dest {}", t);
+                prop_assert_eq!(&full.order, &spf::descending_order(&full.dist), "dest {}", t);
+                prop_assert_eq!(&repaired.order, &full.order, "order, dest {}", t);
+                prop_assert_eq!(repaired.load_adds(), full.load_adds(), "load adds, dest {}", t);
+                let (mut la, mut lb) = (vec![0.0; net.num_links()], vec![0.0; net.num_links()]);
+                let (mut da, mut db) = (0.0f64, 0.0f64);
+                repaired.replay(&mut la, &mut da);
+                full.replay(&mut lb, &mut db);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&la), bits(&lb), "replayed loads, dest {}", t);
+                prop_assert_eq!(da.to_bits(), db.to_bits(), "replayed drops, dest {}", t);
             }
         }
     }
@@ -142,6 +222,7 @@ proptest! {
             let oracle = spf::dist_to_bellman_ford(&net, t, &w, &mask);
             route_destination(&net, &w, &tm, &mask, t.index(), &mut ws, &mut dest);
             prop_assert_eq!(&dest.dist, &oracle);
+            prop_assert_eq!(&dest.order, &spf::descending_order(&dest.dist));
             // And the plain allocating kernel agrees too.
             prop_assert_eq!(spf::dist_to(&net, t, &w, &mask), oracle);
         }
