@@ -122,7 +122,7 @@ pub fn select(
                 .map(|i| {
                     // Spread of the (Λ + Φ-scaled) samples; links without
                     // samples score 0.
-                    match (store.lambda_stats(i, 0.5), store.phi_stats(i, 0.5)) {
+                    match (store.stats(0, i, 0.5), store.stats(1, i, 0.5)) {
                         (Some(l), Some(p)) => {
                             // mean − tail over the lower half approximates
                             // overall spread robustly.
@@ -143,7 +143,7 @@ pub fn select(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtr_cost::CostParams;
+    use dtr_cost::{CostParams, LexCost};
     use dtr_net::{Network, NetworkBuilder, Point};
     use dtr_traffic::{gravity, ClassMatrices};
 
@@ -176,7 +176,7 @@ mod tests {
         let mut store = SampleStore::new(universe.len());
         for i in 0..universe.len() {
             for k in 0..10 {
-                store.record(i, (i * k) as f64, k as f64);
+                store.record(i, &LexCost::new((i * k) as f64, k as f64));
             }
         }
         let best = WeightSetting::uniform(net.num_links(), 20);
@@ -249,7 +249,7 @@ mod tests {
             for k in 0..10 {
                 // Link 2 has a wide spread, everything else is constant.
                 let v = if i == 2 { (k * 50) as f64 } else { 100.0 };
-                store.record(i, v, 1.0);
+                store.record(i, &LexCost::new(v, 1.0));
             }
         }
         let best = WeightSetting::uniform(net.num_links(), 20);

@@ -9,96 +9,94 @@
 //!
 //! For Phase-1c selection, per-class criticalities are **normalized** by
 //! the summed left-tail means of all links (lower-bound estimate of the
-//! best achievable compound failure cost), so the two classes become
-//! comparable relative deviations (§IV-D2).
+//! best achievable compound failure cost), so the classes become
+//! comparable relative deviations (§IV-D2). DTR's `Λ` and `Φ` are
+//! classes 0 and 1; MTR has one class per traffic class.
 
 use crate::samples::SampleStore;
 
-/// Per-link criticality estimates (indexed by failure index).
+/// Per-class, per-link criticality estimates (indexed by class, then
+/// failure index).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Criticality {
-    /// Raw `ρ_Λ,l = Λ̂ − Λ̃` (Eq. 8); 0 for links without samples.
-    pub rho_lambda: Vec<f64>,
-    /// Raw `ρ_Φ,l = Φ̂ − Φ̃` (Eq. 9).
-    pub rho_phi: Vec<f64>,
-    /// Normalized `ρ̄_Λ,l = ρ_Λ,l / Σ_j Λ̃_fail,j` (0 if the denominator
-    /// vanishes — e.g. no SLA violation ever observed).
-    pub norm_lambda: Vec<f64>,
-    /// Normalized `ρ̄_Φ,l`.
-    pub norm_phi: Vec<f64>,
+    /// `rho[c][i]` — raw `ρ_c,i = mean − left-tail mean` of class `c` at
+    /// failure index `i` (Eqs. 8–9); 0 for links without samples.
+    pub rho: Vec<Vec<f64>>,
+    /// `norm[c][i]` — normalized `ρ̄_c,i = ρ_c,i / Σ_j tail_c,j` (0 if the
+    /// denominator vanishes — e.g. no SLA violation ever observed).
+    pub norm: Vec<Vec<f64>>,
 }
 
 impl Criticality {
     /// Estimate criticalities from the sample store.
     pub fn estimate(store: &SampleStore, tail_fraction: f64) -> Self {
+        let k = store.num_classes();
         let m = store.num_links();
-        let mut rho_lambda = vec![0.0; m];
-        let mut rho_phi = vec![0.0; m];
-        let mut sum_tail_lambda = 0.0;
-        let mut sum_tail_phi = 0.0;
-        for i in 0..m {
-            if let Some(st) = store.lambda_stats(i, tail_fraction) {
-                rho_lambda[i] = st.rho();
-                sum_tail_lambda += st.tail_mean;
+        let mut rho = vec![vec![0.0; m]; k];
+        let mut norm = vec![vec![0.0; m]; k];
+        for (c, (rho, norm)) in rho.iter_mut().zip(&mut norm).enumerate() {
+            let mut sum_tail = 0.0;
+            for (i, r) in rho.iter_mut().enumerate() {
+                if let Some(st) = store.stats(c, i, tail_fraction) {
+                    *r = st.rho();
+                    sum_tail += st.tail_mean;
+                }
             }
-            if let Some(st) = store.phi_stats(i, tail_fraction) {
-                rho_phi[i] = st.rho();
-                sum_tail_phi += st.tail_mean;
+            if sum_tail > 0.0 {
+                for (n, &r) in norm.iter_mut().zip(rho.iter()) {
+                    *n = r / sum_tail;
+                }
             }
         }
-        let norm = |rho: &[f64], denom: f64| -> Vec<f64> {
-            if denom > 0.0 {
-                rho.iter().map(|&r| r / denom).collect()
-            } else {
-                vec![0.0; rho.len()]
-            }
-        };
-        Criticality {
-            norm_lambda: norm(&rho_lambda, sum_tail_lambda),
-            norm_phi: norm(&rho_phi, sum_tail_phi),
-            rho_lambda,
-            rho_phi,
-        }
+        Criticality { rho, norm }
+    }
+
+    /// Number of classes.
+    pub fn num_classes(&self) -> usize {
+        self.rho.len()
     }
 
     /// Number of links covered.
     pub fn len(&self) -> usize {
-        self.rho_lambda.len()
+        self.rho.first().map_or(0, Vec::len)
     }
 
     /// `true` when covering zero links.
     pub fn is_empty(&self) -> bool {
-        self.rho_lambda.is_empty()
+        self.len() == 0
     }
 
-    /// Failure indices sorted by descending normalized Λ-criticality
-    /// (the paper's list `E_Λ`). Ties break by index for determinism.
-    pub fn ranking_lambda(&self) -> Vec<usize> {
-        rank_desc(&self.norm_lambda)
+    /// Failure indices of class `c` sorted by descending normalized
+    /// criticality — the class's list (`E_Λ`, `E_Φ` in the paper). Ties
+    /// break by index for determinism.
+    pub fn ranking(&self, c: usize) -> Vec<usize> {
+        rank_desc(&self.norm[c])
     }
 
-    /// Failure indices sorted by descending normalized Φ-criticality
-    /// (`E_Φ`).
-    pub fn ranking_phi(&self) -> Vec<usize> {
-        rank_desc(&self.norm_phi)
+    /// Every class's [`ranking`](Self::ranking), in class order.
+    pub fn rankings(&self) -> Vec<Vec<usize>> {
+        (0..self.num_classes()).map(|c| self.ranking(c)).collect()
     }
 
-    /// Criticality scaled per failure index (raw and normalized values
-    /// alike) — the probabilistic extension's expected-cost refinement:
-    /// the criticality that drives selection is the distribution-shape
-    /// criticality times the link's failure probability.
+    /// Criticality scaled per failure index in every class (raw and
+    /// normalized values alike) — the probabilistic extension's
+    /// expected-cost refinement: the criticality that drives selection is
+    /// the distribution-shape criticality times the link's failure
+    /// probability.
     ///
     /// # Panics
     /// Panics if `by` mismatches the covered link count.
     pub fn scaled(&self, by: &[f64]) -> Criticality {
         assert_eq!(by.len(), self.len(), "one scale factor per link");
-        let scale =
-            |values: &[f64]| -> Vec<f64> { values.iter().zip(by).map(|(&v, &p)| v * p).collect() };
+        let scale = |per_class: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            per_class
+                .iter()
+                .map(|vals| vals.iter().zip(by).map(|(&v, &p)| v * p).collect())
+                .collect()
+        };
         Criticality {
-            rho_lambda: scale(&self.rho_lambda),
-            rho_phi: scale(&self.rho_phi),
-            norm_lambda: scale(&self.norm_lambda),
-            norm_phi: scale(&self.norm_phi),
+            rho: scale(&self.rho),
+            norm: scale(&self.norm),
         }
     }
 }
@@ -119,6 +117,7 @@ pub fn rank_desc(values: &[f64]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtr_cost::LexCost;
 
     fn store_with(widths: &[(f64, f64)]) -> SampleStore {
         // Each link gets 20 lambda samples centered at 100 with the given
@@ -127,7 +126,7 @@ mod tests {
         for (i, &(wl, wp)) in widths.iter().enumerate() {
             for k in 0..20 {
                 let t = (k as f64 / 19.0) * 2.0 - 1.0; // -1..1
-                s.record(i, 100.0 + wl * t, 10.0 + wp * t);
+                s.record(i, &LexCost::new(100.0 + wl * t, 10.0 + wp * t));
             }
         }
         s
@@ -137,10 +136,10 @@ mod tests {
     fn wider_distribution_is_more_critical() {
         let s = store_with(&[(50.0, 0.0), (5.0, 0.0), (0.0, 0.0)]);
         let c = Criticality::estimate(&s, 0.10);
-        assert!(c.rho_lambda[0] > c.rho_lambda[1]);
-        assert!(c.rho_lambda[1] > c.rho_lambda[2]);
-        assert_eq!(c.rho_lambda[2], 0.0);
-        assert_eq!(c.ranking_lambda(), vec![0, 1, 2]);
+        assert!(c.rho[0][0] > c.rho[0][1]);
+        assert!(c.rho[0][1] > c.rho[0][2]);
+        assert_eq!(c.rho[0][2], 0.0);
+        assert_eq!(c.ranking(0), vec![0, 1, 2]);
     }
 
     #[test]
@@ -148,8 +147,8 @@ mod tests {
         // Link 0 is Λ-critical only; link 1 is Φ-critical only.
         let s = store_with(&[(50.0, 0.0), (0.0, 5.0)]);
         let c = Criticality::estimate(&s, 0.10);
-        assert_eq!(c.ranking_lambda(), vec![0, 1]);
-        assert_eq!(c.ranking_phi(), vec![1, 0]);
+        assert_eq!(c.ranking(0), vec![0, 1]);
+        assert_eq!(c.ranking(1), vec![1, 0]);
     }
 
     #[test]
@@ -159,11 +158,11 @@ mod tests {
         // Tail means: link0 tail of 100±50 over 20 samples, k=2 lowest
         // (50, 55.26..); link1 exactly 100. Denominator = their sum.
         let denom = {
-            let t0 = s.lambda_stats(0, 0.10).unwrap().tail_mean;
-            let t1 = s.lambda_stats(1, 0.10).unwrap().tail_mean;
+            let t0 = s.stats(0, 0, 0.10).unwrap().tail_mean;
+            let t1 = s.stats(0, 1, 0.10).unwrap().tail_mean;
             t0 + t1
         };
-        assert!((c.norm_lambda[0] - c.rho_lambda[0] / denom).abs() < 1e-12);
+        assert!((c.norm[0][0] - c.rho[0][0] / denom).abs() < 1e-12);
     }
 
     #[test]
@@ -172,35 +171,35 @@ mod tests {
         let mut s = SampleStore::new(2);
         for i in 0..2 {
             for _ in 0..10 {
-                s.record(i, 0.0, 1.0);
+                s.record(i, &LexCost::new(0.0, 1.0));
             }
         }
         let c = Criticality::estimate(&s, 0.10);
-        assert!(c.norm_lambda.iter().all(|&x| x == 0.0));
+        assert!(c.norm[0].iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn unsampled_links_have_zero_criticality() {
         let mut s = SampleStore::new(3);
         for _ in 0..10 {
-            s.record(1, 50.0, 5.0);
-            s.record(1, 150.0, 15.0);
+            s.record(1, &LexCost::new(50.0, 5.0));
+            s.record(1, &LexCost::new(150.0, 15.0));
         }
         let c = Criticality::estimate(&s, 0.10);
-        assert_eq!(c.rho_lambda[0], 0.0);
-        assert!(c.rho_lambda[1] > 0.0);
-        assert_eq!(c.rho_lambda[2], 0.0);
+        assert_eq!(c.rho[0][0], 0.0);
+        assert!(c.rho[0][1] > 0.0);
+        assert_eq!(c.rho[0][2], 0.0);
         // Sampled link ranks first.
-        assert_eq!(c.ranking_lambda()[0], 1);
+        assert_eq!(c.ranking(0)[0], 1);
     }
 
     #[test]
     fn rho_is_never_negative() {
         let s = store_with(&[(50.0, 3.0), (1.0, 1.0), (0.0, 0.0)]);
         let c = Criticality::estimate(&s, 0.10);
-        assert!(c.rho_lambda.iter().all(|&x| x >= 0.0));
-        assert!(c.rho_phi.iter().all(|&x| x >= 0.0));
-        assert!(c.norm_lambda.iter().all(|&x| x >= 0.0));
+        assert!(c.rho[0].iter().all(|&x| x >= 0.0));
+        assert!(c.rho[1].iter().all(|&x| x >= 0.0));
+        assert!(c.norm[0].iter().all(|&x| x >= 0.0));
     }
 
     #[test]

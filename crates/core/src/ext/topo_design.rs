@@ -245,7 +245,7 @@ impl CriticalityGuide {
         let scores = report
             .critical_indices
             .iter()
-            .map(|&i| crit.norm_lambda[i] + crit.norm_phi[i])
+            .map(|&i| crit.norm[0][i] + crit.norm[1][i])
             .collect();
         CriticalityGuide {
             links: report.critical_links.clone(),

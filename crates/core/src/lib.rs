@@ -42,21 +42,29 @@
 //!
 //! 1. **Phase 1a** ([`phase1`]) — local search minimizing the normal-
 //!    conditions cost `Knormal` (Eq. 3). Along the way, weight
-//!    perturbations that *emulate failures* (both class weights of a link
+//!    perturbations that *emulate failures* (every class weight of a link
 //!    pushed into `[q·wmax, wmax]`) are harvested as samples of the
 //!    conditional failure-cost distribution of that link ([`samples`]).
 //! 2. **Phase 1b** ([`phase1b`]) — if the criticality *ranking* has not
-//!    converged (rank-change index `S ≤ e`, [`ranking`]), generate more
-//!    failure-emulating samples until it has.
+//!    converged (rank-change index `S ≤ e` in every class, [`ranking`]),
+//!    generate more failure-emulating samples until it has.
 //! 3. **Phase 1c** ([`selection`]) — link criticality `ρ = mean −
 //!    left-tail-mean` of each link's distribution ([`criticality`]),
 //!    normalized per class, merged into one critical set by Algorithm 1,
 //!    then mapped to scenario indices by the set
-//!    ([`selection::select_for_set`]).
+//!    ([`selection::select_scenarios`]).
 //! 4. **Phase 2** ([`phase2`]) — local search minimizing the compound
 //!    (weight-aware) failure cost `K̄fail` over the selected scenarios
 //!    only (Eq. 7), constrained to keep normal-conditions performance
 //!    (Eqs. 5–6).
+//!
+//! Every phase is written once for any number of traffic classes: the
+//! 1a/1b drivers ([`phase1::harvest`], [`phase1b::top_up`]) and the
+//! robust search ([`robust`]) are generic over [`robust::RobustEngine`],
+//! and the sample store, rank tracker, criticality and Algorithm 1 hold
+//! one list per class. DTR's `phase1::run`, `phase1b::run` and
+//! `phase2::run` are the two-class instantiations; `dtr_mtr` supplies
+//! the k-class ones.
 //!
 //! [`pipeline::RobustOptimizer`] runs the whole thing;
 //! [`full_search::full_search`] is the brute-force `Ec = E` baseline;

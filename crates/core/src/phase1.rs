@@ -1,21 +1,28 @@
-//! Phase 1a — regular optimization with failure-cost sample harvesting.
+//! Phase 1a — regular optimization with failure-cost sample harvesting,
+//! written once for every cost vector.
 //!
-//! Local search on the normal-conditions cost `Knormal = ⟨Λnormal, Φnormal⟩`
-//! (Eq. 3). Every sweep re-draws the class-weight pair of each physical
-//! link in random order, accepting lexicographic improvements. Two side
-//! products are collected *for free* (§IV-D1):
+//! Local search on the normal-conditions cost (`Knormal = ⟨Λnormal,
+//! Φnormal⟩`, Eq. 3, for DTR; the k-vector for MTR). Every sweep re-draws
+//! the class weights of each physical link in random order, accepting
+//! lexicographic improvements. Two side products are collected *for
+//! free* (§IV-D1):
 //!
-//! * **failure-cost samples** — when a proposed pair lands in the
-//!   failure-emulation band `[q·wmax, wmax]²` for a failable link *and*
-//!   the pre-perturbation setting was "acceptable" (`Λ` within `z·B1` of
-//!   the running best, `Φ` within `(1+χ)×`), the post-perturbation cost is
-//!   recorded as a sample of that link's conditional failure-cost
-//!   distribution;
+//! * **failure-cost samples** — when a proposal lands in the
+//!   failure-emulation band `[q·wmax, wmax]` in every class for a
+//!   failable link *and* the pre-perturbation setting was "acceptable"
+//!   ([`RobustEngine::acceptable`]; DTR: `Λ` within `z·B1` of the running
+//!   best, `Φ` within `(1+χ)×`), the post-perturbation cost is recorded
+//!   as a sample of that link's conditional failure-cost distribution;
 //! * **an archive of acceptable settings** — Phase 2 diversifies from
 //!   these instead of from random noise.
 //!
 //! The criticality ranking is re-estimated every `τ` average samples per
 //! link; Phase 1a reports whether it converged (else Phase 1b tops up).
+//!
+//! [`harvest`] is generic over [`RobustEngine`], like the robust search:
+//! [`run`] is DTR's instantiation and `dtr_mtr::search::regular` MTR's.
+//! Both seed the RNG with `seed ^ 0x9e37_79b9_7f4a_7c15` and draw one
+//! weight per class per link, in class order, for moves and restarts.
 //!
 //! The sweep runs through the speculative batched-move kernel
 //! ([`crate::search::speculative_sweep`]): the next `K` proposals are
@@ -33,26 +40,29 @@ use rand::SeedableRng;
 use dtr_routing::{Scenario, WeightSetting};
 
 use crate::criticality::Criticality;
+use crate::parallel::cost_of;
 use crate::params::Params;
 use crate::ranking::RankTracker;
+use crate::robust::{RobustEngine, RobustKnobs};
 use crate::samples::SampleStore;
 use crate::search::{
-    duplex_weights, random_symmetric_setting, random_weight_pair, set_duplex_weights,
-    speculative_sweep, Archive, Decision, MoveOutcome, SearchStats, SpecBuffers, StopRule,
+    speculative_sweep, Archive, ClassWeights, Decision, MoveOutcome, SearchCost, SearchStats,
+    SpecBuffers, StopRule,
 };
 use crate::universe::FailureUniverse;
 
-/// Everything Phase 1 hands to the rest of the pipeline.
+/// Everything Phase 1 hands to the rest of the pipeline (DTR's types by
+/// default; `dtr_mtr::MtrRegularOutput` is the k-class instance).
 #[derive(Clone, Debug)]
-pub struct Phase1Output {
+pub struct Phase1Output<W = WeightSetting, C = LexCost> {
     /// Best weight setting found for normal conditions.
-    pub best: WeightSetting,
+    pub best: W,
     /// Its cost — the benchmarks `Λ*normal`, `Φ*normal` of Eqs. (5)–(6).
-    pub best_cost: LexCost,
+    pub best_cost: C,
     /// Acceptable settings collected along the way (Phase-2 start points;
     /// always contains `best`).
-    pub archive: Archive,
-    /// Failure-cost samples per failable link.
+    pub archive: Archive<W, C>,
+    /// Failure-cost samples per (class, failable link).
     pub store: SampleStore,
     /// Rank tracker (carried into Phase 1b if needed).
     pub tracker: RankTracker,
@@ -70,35 +80,45 @@ pub fn acceptable(cost: &LexCost, best: &LexCost, z: f64, chi: f64, b1: f64) -> 
     cost.lambda <= best.lambda + z * b1 && cost.phi <= (1.0 + chi) * best.phi
 }
 
-/// Run Phase 1a.
+/// Run DTR's Phase 1a.
 pub fn run(ev: &Evaluator<'_>, universe: &FailureUniverse, params: &Params) -> Phase1Output {
     params.validate();
-    let net = ev.net();
-    let b1 = ev.params().b1;
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x9e37_79b9_7f4a_7c15);
+    harvest(ev, universe, &params.into(), &params.chi)
+}
 
-    let mut store = SampleStore::new(universe.len());
+/// Phase 1a for any [`RobustEngine`]: the regular search on the
+/// normal-conditions cost with the failure-cost sample harvest, the
+/// archive of acceptable settings and the rank-convergence checks.
+pub fn harvest<E: RobustEngine>(
+    ev: &E,
+    universe: &FailureUniverse,
+    knobs: &RobustKnobs,
+    gate: &E::GateParams,
+) -> Phase1Output<E::Weights, E::Cost> {
+    let mut rng = StdRng::seed_from_u64(knobs.seed ^ 0x9e37_79b9_7f4a_7c15);
+
+    let mut store = SampleStore::with_classes(ev.engine().num_classes(), universe.len());
     let mut tracker = RankTracker::new();
     let mut converged = false;
-    let mut next_checkpoint = params.tau * universe.len().max(1);
+    let mut next_checkpoint = knobs.tau * universe.len().max(1);
 
     let mut stats = SearchStats::default();
-    let mut stop = StopRule::new(params.p1, params.c);
-    let mut archive = Archive::new(params.archive_size);
+    let mut stop = StopRule::new(knobs.p1, knobs.c);
+    let mut archive = Archive::new(knobs.archive_size);
 
-    let mut current = random_symmetric_setting(net, params.wmax, &mut rng);
-    let mut current_cost = ev.cost(&current, Scenario::Normal);
+    let mut current = random_setting(ev, knobs.wmax, &mut rng);
+    let mut current_cost = normal_cost(ev, &current);
     stats.evaluations += 1;
     let mut best = current.clone();
-    let mut best_cost = current_cost;
-    archive.offer(&best, best_cost);
+    let mut best_cost = current_cost.clone();
+    archive.offer(&best, best_cost.clone());
 
     let mut reps: Vec<_> = universe.all_duplex.clone();
     let mut stale_sweeps = 0usize;
     let mut spec = SpecBuffers::new();
     let mut trace: Vec<MoveOutcome> = Vec::new();
 
-    while stats.iterations < params.max_iterations {
+    while stats.iterations < knobs.max_iterations {
         stats.iterations += 1;
         reps.shuffle(&mut rng);
         let mut improved = false;
@@ -107,49 +127,46 @@ pub fn run(ev: &Evaluator<'_>, universe: &FailureUniverse, params: &Params) -> P
         speculative_sweep(
             &reps,
             &mut rng,
-            params.speculation,
-            params.threads,
-            params.eager_min_batch,
+            knobs.speculation,
+            knobs.threads,
+            knobs.eager_min_batch,
             &mut current,
             &mut spec,
             &mut wasted,
-            |rng| random_weight_pair(params.wmax, rng),
-            duplex_weights,
-            |w: &mut WeightSetting, rep, &(wd, wt): &(u32, u32)| {
-                set_duplex_weights(w, net, rep, wd, wt)
-            },
-            |w| ev.cost(w, Scenario::Normal),
-            |cand_w, rep, &cand: &LexCost| {
+            |rng| ev.draw_move(1, knobs.wmax, rng),
+            |w, rep| ev.read_move(w, rep),
+            |w, rep, mv| ev.apply_move(w, rep, mv),
+            |w| normal_cost(ev, w),
+            |cand_w, rep, cand: &E::Cost| {
                 stats.evaluations += 1;
                 // `current_cost` is the pre-move cost here (the driver
                 // applies the move to the setting only, never the cost).
-                let base_acceptable =
-                    acceptable(&current_cost, &best_cost, params.z, params.chi, b1);
+                let base_acceptable = ev.acceptable(&current_cost, &best_cost, knobs.z, gate);
 
-                // Sample harvest: the new pair emulates this link's
+                // Sample harvest: the proposal emulates this link's
                 // failure.
-                if base_acceptable && cand_w.emulates_failure(rep, params.q) {
+                if base_acceptable && cand_w.emulates_failure(rep, knobs.q) {
                     if let Some(fi) = universe.failure_index(rep) {
-                        store.record(fi, cand.lambda, cand.phi);
+                        store.record(fi, cand);
                     }
                 }
 
                 if cand.better_than(&current_cost) {
-                    current_cost = cand;
+                    current_cost = cand.clone();
                     improved = true;
                     if cand.better_than(&best_cost) {
                         best.clone_from(cand_w);
-                        best_cost = cand;
+                        best_cost = cand.clone();
                     }
-                    if acceptable(&cand, &best_cost, params.z, params.chi, b1) {
-                        archive.offer(cand_w, cand);
+                    if ev.acceptable(cand, &best_cost, knobs.z, gate) {
+                        archive.offer(cand_w, cand.clone());
                     }
-                    if params.record_trace {
+                    if knobs.record_trace {
                         trace.push(MoveOutcome::Accept);
                     }
                     Decision::Accept
                 } else {
-                    if params.record_trace {
+                    if knobs.record_trace {
                         trace.push(MoveOutcome::Reject);
                     }
                     Decision::Reject
@@ -160,28 +177,27 @@ pub fn run(ev: &Evaluator<'_>, universe: &FailureUniverse, params: &Params) -> P
 
         // Criticality-rank convergence checks every τ samples/link.
         while store.total() >= next_checkpoint {
-            let crit = Criticality::estimate(&store, params.left_tail_fraction);
-            if let Some(change) = tracker.update(&crit.ranking_lambda(), &crit.ranking_phi()) {
-                converged = change.converged(params.e);
+            if let Some(c) = rank_check(&store, &mut tracker, knobs) {
+                converged = c;
             }
-            next_checkpoint += params.tau * universe.len().max(1);
+            next_checkpoint += knobs.tau * universe.len().max(1);
         }
 
         stale_sweeps = if improved { 0 } else { stale_sweeps + 1 };
-        if stale_sweeps >= params.div_interval_1 {
+        if stale_sweeps >= knobs.div_interval_1 {
             stats.diversifications += 1;
             stale_sweeps = 0;
-            if stop.record(best_cost) {
+            if stop.record(best_cost.clone()) {
                 break;
             }
-            current = random_symmetric_setting(net, params.wmax, &mut rng);
-            current_cost = ev.cost(&current, Scenario::Normal);
+            current = random_setting(ev, knobs.wmax, &mut rng);
+            current_cost = normal_cost(ev, &current);
             stats.evaluations += 1;
         }
     }
 
     // The final best is acceptable by definition (Λ = Λ*, Φ = Φ*).
-    archive.offer(&best, best_cost);
+    archive.offer(&best, best_cost.clone());
 
     Phase1Output {
         best,
@@ -193,6 +209,44 @@ pub fn run(ev: &Evaluator<'_>, universe: &FailureUniverse, params: &Params) -> P
         trace,
         stats,
     }
+}
+
+/// Re-estimate the criticality, feed its rankings to the tracker and
+/// report whether every class's rank-change index is at or below `e`
+/// (`None` on the tracker's first update).
+pub(crate) fn rank_check(
+    store: &SampleStore,
+    tracker: &mut RankTracker,
+    knobs: &RobustKnobs,
+) -> Option<bool> {
+    let crit = Criticality::estimate(store, knobs.left_tail_fraction);
+    tracker
+        .update(&crit.rankings())
+        .map(|changes| changes.iter().all(|&s| s <= knobs.e))
+}
+
+/// The normal-conditions cost of `w`, through a pooled workspace of the
+/// engine.
+pub(crate) fn normal_cost<E: RobustEngine>(ev: &E, w: &E::Weights) -> E::Cost {
+    let eng = ev.engine();
+    let mut ws = eng.acquire_workspace();
+    let cost = cost_of(eng.cost_with(&mut ws, w, Scenario::Normal));
+    eng.release_workspace(ws);
+    cost
+}
+
+/// A symmetric random setting (diversification restart state): every
+/// directed link starts at weight 1, then each physical link gets one
+/// fresh move on both directions.
+pub(crate) fn random_setting<E: RobustEngine>(ev: &E, wmax: u32, rng: &mut StdRng) -> E::Weights {
+    let net = ev.engine().net();
+    let ones = vec![vec![1; net.num_links()]; ev.engine().num_classes()];
+    let mut w = E::Weights::from_class_vecs(ones, wmax);
+    for rep in net.duplex_representatives() {
+        let mv = ev.draw_move(1, wmax, rng);
+        ev.apply_move(&mut w, rep, &mv);
+    }
+    w
 }
 
 #[cfg(test)]
@@ -234,7 +288,7 @@ mod tests {
         // The found best must beat (or match) a handful of random settings.
         let mut rng = StdRng::seed_from_u64(999);
         for _ in 0..10 {
-            let w = random_symmetric_setting(&net, params.wmax, &mut rng);
+            let w = random_setting(&ev, params.wmax, &mut rng);
             let c = ev.cost(&w, Scenario::Normal);
             assert!(
                 !c.better_than(&out.best_cost),
@@ -244,6 +298,42 @@ mod tests {
         }
         assert!(out.stats.evaluations > 50);
         assert!(!out.archive.is_empty());
+    }
+
+    #[test]
+    fn rank_check_needs_every_class_converged() {
+        let knobs = RobustKnobs {
+            e: 0.5,
+            ..RobustKnobs::from(&Params::quick(1))
+        };
+        let mut store = SampleStore::new(3);
+        let mut tracker = RankTracker::new();
+        // Link i spreads by i in Λ and by 2 − i in Φ: opposed rankings.
+        for i in 0..3 {
+            for v in [0.0, 1.0] {
+                let (l, p) = (10.0 + v * i as f64, 10.0 + v * (2 - i) as f64);
+                store.record(i, &LexCost::new(l, p));
+            }
+        }
+        assert_eq!(rank_check(&store, &mut tracker, &knobs), None);
+        assert_eq!(rank_check(&store, &mut tracker, &knobs), Some(true));
+        // Widen link 0's Λ spread only: Λ re-ranks (index 1.5), Φ stays.
+        store.record(0, &LexCost::new(0.0, 10.0));
+        store.record(0, &LexCost::new(100.0, 12.0));
+        assert_eq!(rank_check(&store, &mut tracker, &knobs), Some(false));
+        assert_eq!(rank_check(&store, &mut tracker, &knobs), Some(true));
+    }
+
+    #[test]
+    fn random_setting_is_symmetric() {
+        let (net, tm) = testbed();
+        let ev = Evaluator::new(&net, &tm, CostParams::default());
+        let w = random_setting(&ev, 20, &mut StdRng::seed_from_u64(3));
+        for l in net.links() {
+            let r = net.reverse_link(l).unwrap();
+            assert_eq!(w.class_weights(0)[l.index()], w.class_weights(0)[r.index()]);
+            assert_eq!(w.class_weights(1)[l.index()], w.class_weights(1)[r.index()]);
+        }
     }
 
     #[test]

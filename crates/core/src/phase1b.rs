@@ -1,33 +1,37 @@
-//! Phase 1b — targeted sample generation until rank convergence.
+//! Phase 1b — targeted sample generation until rank convergence, written
+//! once for every cost vector.
 //!
 //! Phase 1a's samples are a by-product of the optimization walk: a link
 //! only gets one when a random proposal happens to land in the failure-
 //! emulation band. If the criticality *ranking* has not stabilized by the
-//! end of Phase 1a (rank-change index above `e`), Phase 1b manufactures
-//! samples directly (§IV-D1): take an acceptable setting from the archive,
-//! force one failable link's weight pair into `[⌈q·wmax⌉, wmax]²`, evaluate,
-//! record. Each round adds `τ` samples per link (poorest-sampled links
-//! first within a round), then re-checks convergence.
+//! end of Phase 1a (rank-change index above `e` in some class), Phase 1b
+//! manufactures samples directly (§IV-D1): take an acceptable setting from
+//! the archive, force one failable link's class weights into
+//! `[⌈q·wmax⌉, wmax]`, evaluate, record. Each round adds `τ` samples per
+//! link (poorest-sampled links first within a round), then re-checks
+//! convergence.
+//!
+//! [`top_up`] is generic over [`RobustEngine`]: [`run`] is DTR's
+//! instantiation and `dtr_mtr::search::top_up_samples` MTR's. Both seed
+//! the RNG with `seed ^ 0x517c_c1b7_2722_0a95`.
 //!
 //! Manufactured samples are embarrassingly parallel — no acceptance, no
 //! state mutation between evaluations — so they are the ideal case for
 //! the speculative batching of the search stack: candidates are
-//! pre-drawn in RNG order `params.speculation` at a time, evaluated
-//! concurrently on `params.threads` pooled workspaces, and recorded
-//! serially in draw order. Recorded samples are bit-for-bit (and in the
-//! same order as) the serial loop's for every batch size and thread
-//! count.
+//! pre-drawn in RNG order `speculation` at a time, evaluated
+//! concurrently on `threads` pooled workspaces, and recorded serially in
+//! draw order. Recorded samples are bit-for-bit (and in the same order
+//! as) the serial loop's for every batch size and thread count.
 
 use dtr_cost::Evaluator;
-use dtr_routing::{Scenario, WeightSetting};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::criticality::Criticality;
 use crate::params::Params;
-use crate::phase1::Phase1Output;
-use crate::search::{duplex_weights, failure_emulating_pair, set_duplex_weights};
+use crate::phase1::{normal_cost, rank_check, Phase1Output};
+use crate::robust::{RobustEngine, RobustKnobs};
+use crate::search::{emulation_floor, ClassWeights};
 use crate::universe::FailureUniverse;
 
 /// Phase-1b accounting.
@@ -41,13 +45,26 @@ pub struct Phase1bStats {
     pub converged: bool,
 }
 
-/// Run Phase 1b in place on the Phase-1 output. No-op if already
+/// Run DTR's Phase 1b in place on the Phase-1 output. No-op if already
 /// converged or if nothing can fail.
 pub fn run(
     ev: &Evaluator<'_>,
     universe: &FailureUniverse,
     params: &Params,
     phase1: &mut Phase1Output,
+) -> Phase1bStats {
+    top_up(ev, universe, &params.into(), phase1)
+}
+
+/// Phase 1b for any [`RobustEngine`], in place on the Phase-1 output:
+/// manufacture failure-emulating samples from archived settings until
+/// every class ranking converges or `max_top_up_rounds` rounds ran.
+/// No-op if already converged or if nothing can fail.
+pub fn top_up<E: RobustEngine>(
+    ev: &E,
+    universe: &FailureUniverse,
+    knobs: &RobustKnobs,
+    phase1: &mut Phase1Output<E::Weights, E::Cost>,
 ) -> Phase1bStats {
     let mut stats = Phase1bStats {
         converged: phase1.converged,
@@ -56,10 +73,10 @@ pub fn run(
     if phase1.converged || universe.is_empty() {
         return stats;
     }
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x517c_c1b7_2722_0a95);
-    let net = ev.net();
+    let mut rng = StdRng::seed_from_u64(knobs.seed ^ 0x517c_c1b7_2722_0a95);
+    let floor = emulation_floor(knobs.wmax, knobs.q);
 
-    while !stats.converged && stats.rounds < params.max_phase1b_rounds {
+    while !stats.converged && stats.rounds < knobs.max_top_up_rounds {
         stats.rounds += 1;
 
         // τ samples per link this round, poorest links first so coverage
@@ -67,9 +84,9 @@ pub fn run(
         // link's sample count).
         let mut order: Vec<usize> = (0..universe.len()).collect();
         order.sort_by_key(|&i| phase1.store.count(i));
-        let batch_size = params.speculation.max(1);
-        let mut cands: Vec<(usize, WeightSetting)> = Vec::with_capacity(batch_size);
-        for _ in 0..params.tau {
+        let batch_size = knobs.speculation.max(1);
+        let mut cands: Vec<(usize, E::Weights)> = Vec::with_capacity(batch_size);
+        for _ in 0..knobs.tau {
             order.shuffle(&mut rng);
             for chunk in order.chunks(batch_size) {
                 // Pre-draw the whole batch in RNG order, then evaluate it
@@ -82,28 +99,23 @@ pub fn run(
                         .sample(&mut rng)
                         .expect("phase 1 always archives its best setting");
                     let mut w = base.clone();
-                    let (wd, wt) = failure_emulating_pair(params.wmax, params.q, &mut rng);
-                    set_duplex_weights(&mut w, net, rep, wd, wt);
-                    debug_assert!(w.emulates_failure(rep, params.q));
-                    debug_assert_ne!(duplex_weights(&w, rep), (0, 0));
+                    let mv = ev.draw_move(floor, knobs.wmax, &mut rng);
+                    ev.apply_move(&mut w, rep, &mv);
+                    debug_assert!(w.emulates_failure(rep, knobs.q));
                     cands.push((fi, w));
                 }
-                let costs = crate::parallel::parallel_map(&cands, params.threads, |(_, w)| {
-                    ev.cost(w, Scenario::Normal)
+                let costs = crate::parallel::parallel_map(&cands, knobs.threads, |(_, w)| {
+                    normal_cost(ev, w)
                 });
                 for ((fi, _), cost) in cands.iter().zip(costs) {
                     stats.evaluations += 1;
-                    phase1.store.record(*fi, cost.lambda, cost.phi);
+                    phase1.store.record(*fi, &cost);
                 }
             }
         }
 
-        let crit = Criticality::estimate(&phase1.store, params.left_tail_fraction);
-        if let Some(change) = phase1
-            .tracker
-            .update(&crit.ranking_lambda(), &crit.ranking_phi())
-        {
-            stats.converged = change.converged(params.e);
+        if let Some(c) = rank_check(&phase1.store, &mut phase1.tracker, knobs) {
+            stats.converged = c;
         }
     }
     phase1.converged = stats.converged;

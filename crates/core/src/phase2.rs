@@ -1,6 +1,7 @@
 //! Phase 2 — robust optimization over the critical set (Eqs. 4–7): the
 //! two-class instantiation of the generic robust search in
-//! [`crate::robust`].
+//! [`crate::robust`]. The [`RobustEngine`] implementation here also
+//! drives DTR's Phase 1 ([`crate::phase1`], [`crate::phase1b`]).
 //!
 //! Minimizes the compound failure cost
 //! `K̄fail = ⟨Σ_{l∈Ec} Λfail,l, Σ_{l∈Ec} Φfail,l⟩` subject to the
@@ -35,12 +36,13 @@ use dtr_net::LinkId;
 use dtr_persist::{Decoder, Encoder, SnapshotError};
 use dtr_routing::{Scenario, WeightSetting};
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::params::Params;
-use crate::phase1::Phase1Output;
+use crate::phase1::{self, Phase1Output};
 use crate::robust::{self, RobustEngine, RobustKnobs, RobustOutput, RunControl};
 use crate::scenario::{ScenarioSet, SliceSet};
-use crate::search::{duplex_weights, random_weight_pair, set_duplex_weights};
+use crate::search::{duplex_weights, set_duplex_weights};
 
 /// Result of the robust search.
 pub type Phase2Output = RobustOutput<WeightSetting, LexCost>;
@@ -70,8 +72,8 @@ impl RobustEngine for Evaluator<'_> {
         Evaluator::engine(self)
     }
 
-    fn draw_move(&self, wmax: u32, rng: &mut StdRng) -> (u32, u32) {
-        random_weight_pair(wmax, rng)
+    fn draw_move(&self, lo: u32, wmax: u32, rng: &mut StdRng) -> (u32, u32) {
+        (rng.gen_range(lo..=wmax), rng.gen_range(lo..=wmax))
     }
 
     fn read_move(&self, w: &WeightSetting, rep: LinkId) -> (u32, u32) {
@@ -80,6 +82,10 @@ impl RobustEngine for Evaluator<'_> {
 
     fn apply_move(&self, w: &mut WeightSetting, rep: LinkId, &(wd, wt): &(u32, u32)) {
         set_duplex_weights(w, Evaluator::net(self), rep, wd, wt)
+    }
+
+    fn acceptable(&self, cost: &LexCost, best: &LexCost, z: f64, chi: &f64) -> bool {
+        phase1::acceptable(cost, best, z, *chi, self.params().b1)
     }
 
     fn feasible(&self, normal: &LexCost, benchmark: &LexCost, chi: &f64) -> bool {
@@ -103,8 +109,16 @@ impl From<&Params> for RobustKnobs {
         RobustKnobs {
             seed: p.seed,
             wmax: p.wmax,
+            q: p.q,
+            z: p.z,
+            left_tail_fraction: p.left_tail_fraction,
+            tau: p.tau,
+            e: p.e,
+            max_top_up_rounds: p.max_phase1b_rounds,
             c: p.c,
+            p1: p.p1,
             p2: p.p2,
+            div_interval_1: p.div_interval_1,
             div_interval_2: p.div_interval_2,
             archive_size: p.archive_size,
             max_iterations: p.max_iterations,

@@ -1,34 +1,22 @@
-//! Criticality-rank convergence tracking (§IV-D1).
+//! Criticality-rank convergence tracking (§IV-D1), for any number of
+//! classes.
 //!
 //! Between consecutive rank updates (every τ samples/link on average) the
 //! paper computes, per link, the rank displacement
 //! `S_Λ,l(t) = |Rank_Λ(l,t) − Rank_Λ(l,t−1)|`, then the weighted total
 //! `S_Λ = Σ_l γ_l · S_Λ,l` with `γ_l ∝ S_Λ,l` and `Σ γ_l = 1` — i.e. links
 //! that move more count more. Criticality estimates are deemed converged
-//! when both `S_Λ ≤ e` and `S_Φ ≤ e`.
+//! when every class's index is at or below `e` (`S_Λ ≤ e` and `S_Φ ≤ e`
+//! for DTR).
 //!
 //! With `γ_l = S_l / Σ_j S_j`, the index reduces to
 //! `S = Σ_l S_l² / Σ_l S_l` (and 0 when no rank changed).
 
-/// Tracks rank vectors between updates and computes the change index.
+/// Tracks the per-class rank vectors between updates and computes the
+/// change indices.
 #[derive(Clone, Debug, Default)]
 pub struct RankTracker {
-    prev_lambda: Option<Vec<usize>>,
-    prev_phi: Option<Vec<usize>>,
-}
-
-/// The pair `(S_Λ, S_Φ)` from one update.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RankChange {
-    pub s_lambda: f64,
-    pub s_phi: f64,
-}
-
-impl RankChange {
-    /// Converged per the paper's criterion: both indices at or below `e`.
-    pub fn converged(&self, e: f64) -> bool {
-        self.s_lambda <= e && self.s_phi <= e
-    }
+    prev: Option<Vec<Vec<usize>>>,
 }
 
 impl RankTracker {
@@ -36,25 +24,18 @@ impl RankTracker {
         Self::default()
     }
 
-    /// Feed the current rankings (from
-    /// [`crate::criticality::Criticality::ranking_lambda`] /
-    /// [`ranking_phi`](crate::criticality::Criticality::ranking_phi));
-    /// returns the change index versus the previous update, or `None` on
-    /// the first call (no baseline yet).
-    pub fn update(
-        &mut self,
-        ranking_lambda: &[usize],
-        ranking_phi: &[usize],
-    ) -> Option<RankChange> {
-        let change = match (&self.prev_lambda, &self.prev_phi) {
-            (Some(pl), Some(pp)) => Some(RankChange {
-                s_lambda: weighted_rank_change(pl, ranking_lambda),
-                s_phi: weighted_rank_change(pp, ranking_phi),
-            }),
-            _ => None,
-        };
-        self.prev_lambda = Some(ranking_lambda.to_vec());
-        self.prev_phi = Some(ranking_phi.to_vec());
+    /// Feed the current per-class rankings (from
+    /// [`crate::criticality::Criticality::rankings`]); returns each
+    /// class's change index versus the previous update, or `None` on the
+    /// first call (no baseline yet).
+    pub fn update(&mut self, rankings: &[Vec<usize>]) -> Option<Vec<f64>> {
+        let change = self.prev.as_ref().map(|prev| {
+            prev.iter()
+                .zip(rankings)
+                .map(|(p, c)| weighted_rank_change(p, c))
+                .collect()
+        });
+        self.prev = Some(rankings.to_vec());
         change
     }
 }
@@ -126,27 +107,17 @@ mod tests {
     #[test]
     fn tracker_returns_none_first_then_changes() {
         let mut t = RankTracker::new();
-        assert!(t.update(&[0, 1, 2], &[0, 1, 2]).is_none());
-        let c = t.update(&[0, 1, 2], &[0, 1, 2]).unwrap();
-        assert_eq!(c.s_lambda, 0.0);
-        assert!(c.converged(2.0));
-        let c = t.update(&[2, 1, 0], &[0, 1, 2]).unwrap();
-        assert!(c.s_lambda > 0.0);
-        assert_eq!(c.s_phi, 0.0);
-    }
-
-    #[test]
-    fn convergence_requires_both_classes() {
-        let c = RankChange {
-            s_lambda: 1.0,
-            s_phi: 5.0,
-        };
-        assert!(!c.converged(2.0));
-        let c = RankChange {
-            s_lambda: 1.0,
-            s_phi: 2.0,
-        };
-        assert!(c.converged(2.0));
+        assert!(t.update(&[vec![0, 1, 2], vec![0, 1, 2]]).is_none());
+        let c = t.update(&[vec![0, 1, 2], vec![0, 1, 2]]).unwrap();
+        assert_eq!(c, vec![0.0, 0.0]);
+        let c = t.update(&[vec![2, 1, 0], vec![0, 1, 2]]).unwrap();
+        assert!(c[0] > 0.0);
+        assert_eq!(c[1], 0.0);
+        // Three classes: one index per class.
+        let mut t = RankTracker::new();
+        assert!(t.update(&[vec![0, 1], vec![1, 0], vec![0, 1]]).is_none());
+        let c = t.update(&[vec![0, 1], vec![1, 0], vec![1, 0]]).unwrap();
+        assert_eq!(c, vec![0.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -77,10 +77,13 @@ use crate::search::{
     SpecBuffers, StopRule, Terminated,
 };
 
-/// What an instantiation of the robust search supplies besides the
-/// shared delta-state [`Engine`] it evaluates on: the cost type and its
-/// order, the move encoding, the normal-conditions gate and its snapshot
-/// parameters, the snapshot tags and one control-flow difference.
+/// What an instantiation of the search supplies besides the shared
+/// delta-state [`Engine`] it evaluates on: the cost type and its order,
+/// the move encoding, the two normal-conditions gates and the robust
+/// phase's snapshot parameters, the snapshot tags and one control-flow
+/// difference. One implementation serves both phases: Phase 1
+/// ([`crate::phase1::harvest`], [`crate::phase1b::top_up`]) and the
+/// robust search in this module.
 ///
 /// * **Cost** — [`SearchCost`]. The two instantiations keep their own
 ///   order: `LexCost::better_than` compares Φ strictly once Λ ties
@@ -90,15 +93,20 @@ use crate::search::{
 /// * **Move** — [`draw_move`](Self::draw_move),
 ///   [`read_move`](Self::read_move), [`apply_move`](Self::apply_move):
 ///   DTR re-draws a duplex link's `(delay, throughput)` pair, MTR its k
-///   class weights.
-/// * **Gate** — [`feasible`](Self::feasible), the Eqs. 5–6 test of a
-///   candidate's normal-conditions cost against the benchmark: DTR's
-///   Λ-pin plus χ budget on Φ, MTR's per-class `NormalConstraint`s.
+///   class weights. The draw's lower bound also makes Phase 1's random
+///   restarts (`1`) and failure-emulating draws (`⌈q·wmax⌉`).
+/// * **Gates** — [`acceptable`](Self::acceptable), Phase 1's relaxed
+///   sample gate (DTR's `z·B1` slack on Λ and `(1+χ)` on Φ, MTR's
+///   per-class `sample_slack`), and [`feasible`](Self::feasible), the
+///   Eqs. 5–6 test of a robust candidate's normal-conditions cost
+///   against the benchmark: DTR's Λ-pin plus χ budget on Φ, MTR's
+///   per-class `NormalConstraint`s.
 /// * One control-flow difference, [`PROMOTE_RESTART`](Self::PROMOTE_RESTART).
 ///
 /// Unifying the orders, gates and move encodings is a separate step: it
 /// needs a differential test first, since ε-handling can move a
-/// trajectory.
+/// trajectory. At k = 2 the order and the sample gate are the only
+/// Phase-1 difference left between the two instantiations.
 pub trait RobustEngine: Sync {
     /// A full weight setting.
     type Weights: ClassWeights;
@@ -121,12 +129,25 @@ pub trait RobustEngine: Sync {
 
     /// The delta-state engine every evaluation of the search runs on.
     fn engine(&self) -> &Engine<'_>;
-    /// Draw a fresh move in `[1, wmax]` per class.
-    fn draw_move(&self, wmax: u32, rng: &mut StdRng) -> Self::Move;
+    /// Draw a fresh move, one weight in `[lo, wmax]` per class, in class
+    /// order.
+    fn draw_move(&self, lo: u32, wmax: u32, rng: &mut StdRng) -> Self::Move;
     /// The move currently applied on `rep`.
     fn read_move(&self, w: &Self::Weights, rep: LinkId) -> Self::Move;
     /// Apply `mv` to both directions of `rep`.
     fn apply_move(&self, w: &mut Self::Weights, rep: LinkId, mv: &Self::Move);
+    /// §IV-D1's relaxed Eqs. 5–6 (Phase 1): is a setting of
+    /// normal-conditions cost `cost` close enough to the best cost seen
+    /// so far that a failure-emulating move from it yields a sample, and
+    /// that it may enter the archive? `z` scales the SLA classes' `B1`
+    /// slack.
+    fn acceptable(
+        &self,
+        cost: &Self::Cost,
+        best: &Self::Cost,
+        z: f64,
+        gate: &Self::GateParams,
+    ) -> bool;
     /// Eqs. 5–6: may a setting with normal-conditions cost `normal`
     /// replace one benchmarked at `benchmark`?
     fn feasible(
@@ -141,24 +162,41 @@ pub trait RobustEngine: Sync {
     fn check_gate(gate: &Self::GateParams, rd: &mut Decoder<'_>) -> Result<(), SnapshotError>;
 }
 
-/// The search knobs the robust search reads, projected from `Params`
-/// (DTR) or `MtrParams` (MTR); the two parameter blocks share every one
-/// of these fields with the same meaning.
+/// The search knobs both phases read, projected from `Params` (DTR) or
+/// `MtrParams` (MTR); the two parameter blocks share every one of these
+/// fields with the same meaning.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RobustKnobs {
     /// Master seed.
     pub seed: u64,
     /// Largest link weight.
     pub wmax: u32,
+    /// Failure-emulation band: `[⌈q·wmax⌉, wmax]` for every class weight.
+    pub q: f64,
+    /// Phase-1 sample-acceptance slack factor on `B1`.
+    pub z: f64,
+    /// Left-tail fraction of the criticality estimate.
+    pub left_tail_fraction: f64,
+    /// Average new samples per link between rank re-checks (`τ`).
+    pub tau: usize,
+    /// Rank-change convergence threshold `e`.
+    pub e: f64,
+    /// Cap on Phase-1b top-up rounds (`Params::max_phase1b_rounds`,
+    /// `MtrParams::max_sampling_rounds`).
+    pub max_top_up_rounds: usize,
     /// Stop-rule improvement threshold `c`.
     pub c: f64,
-    /// Stop-rule window (diversifications).
+    /// Phase-1 stop-rule window (diversifications).
+    pub p1: usize,
+    /// Robust-phase stop-rule window (diversifications).
     pub p2: usize,
-    /// Stale sweeps before a diversification restart.
+    /// Phase-1 stale sweeps before a diversification restart.
+    pub div_interval_1: usize,
+    /// Robust-phase stale sweeps before a diversification restart.
     pub div_interval_2: usize,
     /// Archive capacity (snapshot decoding).
     pub archive_size: usize,
-    /// Sweep backstop.
+    /// Sweep backstop (per phase).
     pub max_iterations: usize,
     /// Worker threads.
     pub threads: usize,
@@ -1185,7 +1223,7 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         current,
         spec,
         &mut wasted,
-        |rng| ev.draw_move(knobs.wmax, rng),
+        |rng| ev.draw_move(1, knobs.wmax, rng),
         |w, rep| ev.read_move(w, rep),
         |w, rep, mv| ev.apply_move(w, rep, mv),
         |w| {

@@ -51,26 +51,16 @@ pub fn duplex_weights(w: &WeightSetting, rep: LinkId) -> (u32, u32) {
     (w.get(Class::Delay, rep), w.get(Class::Throughput, rep))
 }
 
-/// Draw a fresh uniform weight pair in `[1, wmax]²`.
-pub fn random_weight_pair(wmax: u32, rng: &mut StdRng) -> (u32, u32) {
-    (rng.gen_range(1..=wmax), rng.gen_range(1..=wmax))
+/// Lower edge `⌈q·wmax⌉` of the failure-emulation band `[⌈q·wmax⌉, wmax]`
+/// (§IV-D1), clamped into `[1, wmax]`.
+pub fn emulation_floor(wmax: u32, q: f64) -> u32 {
+    ((q * wmax as f64).ceil() as u32).clamp(1, wmax)
 }
 
 /// Draw a failure-emulating pair in `[⌈q·wmax⌉, wmax]²` (§IV-D1).
 pub fn failure_emulating_pair(wmax: u32, q: f64, rng: &mut StdRng) -> (u32, u32) {
-    let floor = ((q * wmax as f64).ceil() as u32).clamp(1, wmax);
+    let floor = emulation_floor(wmax, q);
     (rng.gen_range(floor..=wmax), rng.gen_range(floor..=wmax))
-}
-
-/// A symmetric random weight setting: both directions of every physical
-/// link share their class weights (diversification restart state).
-pub fn random_symmetric_setting(net: &Network, wmax: u32, rng: &mut StdRng) -> WeightSetting {
-    let mut w = WeightSetting::uniform(net.num_links(), wmax);
-    for rep in net.duplex_representatives() {
-        let (wd, wt) = random_weight_pair(wmax, rng);
-        set_duplex_weights(&mut w, net, rep, wd, wt);
-    }
-    w
 }
 
 /// Why a robust search returned.
@@ -665,18 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn random_symmetric_setting_is_symmetric() {
-        let net = triangle();
-        let mut rng = StdRng::seed_from_u64(3);
-        let w = random_symmetric_setting(&net, 20, &mut rng);
-        for l in net.links() {
-            let r = net.reverse_link(l).unwrap();
-            assert_eq!(w.get(Class::Delay, l), w.get(Class::Delay, r));
-            assert_eq!(w.get(Class::Throughput, l), w.get(Class::Throughput, r));
-        }
-    }
-
-    #[test]
     fn failure_emulating_pair_in_band() {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
@@ -716,9 +694,9 @@ mod tests {
         let net = triangle();
         let mut rng = StdRng::seed_from_u64(9);
         let mut arch = Archive::new(2);
-        let w1 = random_symmetric_setting(&net, 20, &mut rng);
-        let w2 = random_symmetric_setting(&net, 20, &mut rng);
-        let w3 = random_symmetric_setting(&net, 20, &mut rng);
+        let w1 = WeightSetting::random(net.num_links(), 20, &mut rng);
+        let w2 = WeightSetting::random(net.num_links(), 20, &mut rng);
+        let w3 = WeightSetting::random(net.num_links(), 20, &mut rng);
         arch.offer(&w1, LexCost::new(0.0, 30.0));
         arch.offer(&w1, LexCost::new(0.0, 30.0)); // dup ignored
         assert_eq!(arch.len(), 1);
@@ -784,7 +762,7 @@ mod tests {
             let w = if i % 3 == 0 && !seen.is_empty() {
                 seen[i % seen.len()].clone()
             } else {
-                let w = random_symmetric_setting(&net, 20, &mut rng);
+                let w = WeightSetting::random(net.num_links(), 20, &mut rng);
                 seen.push(w.clone());
                 w
             };
@@ -805,7 +783,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut arch = Archive::new(4);
         for i in 0..4 {
-            let w = random_symmetric_setting(&net, 20, &mut rng);
+            let w = WeightSetting::random(net.num_links(), 20, &mut rng);
             arch.offer(&w, LexCost::new(0.0, i as f64));
         }
         let mut r1 = StdRng::seed_from_u64(5);

@@ -1,14 +1,17 @@
-//! Phase 1c — critical-set selection (Algorithm 1 of the paper).
+//! Phase 1c — critical-set selection (Algorithm 1 of the paper), for any
+//! number of classes.
 //!
-//! Input: the two per-class lists `E_Λ`, `E_Φ` (links in descending
-//! normalized criticality) and a target size `n`. The expected normalized
-//! error of keeping only the top-`m` of a list is the criticality mass
-//! *outside* the kept prefix:
+//! Input: one list per class (`E_Λ`, `E_Φ` for DTR) holding the links in
+//! descending normalized criticality, and a target size `n`. The expected
+//! normalized error of keeping only the top-`m` of a list is the
+//! criticality mass *outside* the kept prefix:
 //! `ρ̄_Λ(E_Λ,m) = Σ_{l ∉ E_Λ,m} ρ̄_Λ,l` (a suffix sum).
 //!
-//! Starting from both full lists, Algorithm 1 repeatedly shrinks the list
-//! whose hypothetical one-step shrink incurs the *smaller* error, until the
-//! union of the two prefixes fits in `n`. The critical set is that union.
+//! Starting from the full lists, Algorithm 1 repeatedly shrinks the list
+//! whose hypothetical one-step shrink incurs the *smallest* error, until
+//! the union of the kept prefixes fits in `n`. The critical set is that
+//! union. Among lists whose shrink errors tie, the one with the highest
+//! class index shrinks (DTR: Φ before Λ).
 
 use dtr_cost::Evaluator;
 
@@ -16,6 +19,7 @@ use crate::baselines::{self, Selector};
 use crate::criticality::Criticality;
 use crate::params::Params;
 use crate::phase1::Phase1Output;
+use crate::samples::SampleStore;
 use crate::scenario::ScenarioSet;
 
 /// Result of Phase 1c.
@@ -23,117 +27,127 @@ use crate::scenario::ScenarioSet;
 pub struct CriticalSet {
     /// Selected failure indices, ascending.
     pub indices: Vec<usize>,
-    /// Prefix length kept from `E_Λ`.
-    pub n1: usize,
-    /// Prefix length kept from `E_Φ`.
-    pub n2: usize,
-    /// Residual normalized Λ error `ρ̄_Λ(E_Λ,n1)`.
-    pub err_lambda: f64,
-    /// Residual normalized Φ error `ρ̄_Φ(E_Φ,n2)`.
-    pub err_phi: f64,
+    /// Prefix length kept from each class's list.
+    pub prefix_lens: Vec<usize>,
+    /// Residual normalized error of each class (`ρ̄_c` of its dropped
+    /// suffix).
+    pub residual_errors: Vec<f64>,
 }
 
-/// Run Algorithm 1: merge the two criticality rankings into one set of at
-/// most `n` links.
+/// Run Algorithm 1: merge the per-class criticality rankings into one set
+/// of at most `n` links.
 ///
 /// # Panics
 /// Panics if `n == 0` while links exist (an empty critical set would make
 /// Phase 2 vacuous).
 pub fn select(crit: &Criticality, n: usize) -> CriticalSet {
+    let k = crit.num_classes();
     let m = crit.len();
     if m == 0 {
         return CriticalSet {
             indices: Vec::new(),
-            n1: 0,
-            n2: 0,
-            err_lambda: 0.0,
-            err_phi: 0.0,
+            prefix_lens: vec![0; k],
+            residual_errors: vec![0.0; k],
         };
     }
     assert!(n >= 1, "target critical-set size must be at least 1");
     let n = n.min(m);
 
-    let e_lambda = crit.ranking_lambda();
-    let e_phi = crit.ranking_phi();
+    let rankings = crit.rankings();
+    // suffix[c][p] = error if only the top-p prefix of class c is kept.
+    let suffix: Vec<Vec<f64>> = rankings
+        .iter()
+        .zip(&crit.norm)
+        .map(|(order, vals)| {
+            let mut s = vec![0.0; m + 1];
+            for p in (0..m).rev() {
+                s[p] = s[p + 1] + vals[order[p]];
+            }
+            s
+        })
+        .collect();
 
-    // suffix_err[k] = error if only the top-k prefix is kept.
-    let suffix = |order: &[usize], vals: &[f64]| -> Vec<f64> {
-        let mut s = vec![0.0; m + 1];
-        for k in (0..m).rev() {
-            s[k] = s[k + 1] + vals[order[k]];
-        }
-        s
-    };
-    let err_l = suffix(&e_lambda, &crit.norm_lambda);
-    let err_p = suffix(&e_phi, &crit.norm_phi);
-
-    let mut n1 = m;
-    let mut n2 = m;
+    let mut prefix = vec![m; k];
     // Incremental union tracking: a per-link membership count over the
-    // two prefixes, decremented as each shrink step drops exactly one
-    // element — O(1) per step instead of a fresh O(m) recount, which
+    // k prefixes, decremented as each shrink step drops exactly one
+    // element — O(k) per step instead of a fresh O(k·m) recount, which
     // made selection quadratic in the failure universe at large
     // topologies.
-    let mut membership = vec![0u8; m];
-    let mut union = 0usize;
-    for &l in e_lambda[..n1].iter().chain(e_phi[..n2].iter()) {
-        if membership[l] == 0 {
-            union += 1;
+    let mut membership = vec![0u32; m];
+    for order in &rankings {
+        for &l in order {
+            membership[l] += 1;
         }
-        membership[l] += 1;
     }
+    let mut union = m;
     while union > n {
-        // Shrink the list that loses less (Algorithm 1, lines 3-4):
-        // if the Λ error of shrinking to n1-1 is >= the Φ error of
-        // shrinking to n2-1, shrink the Φ list instead, else shrink Λ.
-        let shrink_phi = n2 > 0 && (n1 == 0 || err_l[n1 - 1] >= err_p[n2 - 1]);
-        let dropped = if shrink_phi {
-            n2 -= 1;
-            e_phi[n2]
-        } else {
-            n1 -= 1;
-            e_lambda[n1]
-        };
+        // Shrink the list that loses least (Algorithm 1, lines 3-4);
+        // `<=` hands ties to the later class.
+        let mut victim = None;
+        for c in (0..k).filter(|&c| prefix[c] > 0) {
+            let err = suffix[c][prefix[c] - 1];
+            if victim.is_none_or(|(_, best)| err <= best) {
+                victim = Some((c, err));
+            }
+        }
+        let (c, _) = victim.expect("some list still shrinkable while union > n >= 1");
+        prefix[c] -= 1;
+        let dropped = rankings[c][prefix[c]];
         membership[dropped] -= 1;
         if membership[dropped] == 0 {
             union -= 1;
         }
     }
 
-    let mut included = vec![false; m];
-    for &l in &e_lambda[..n1] {
-        included[l] = true;
-    }
-    for &l in &e_phi[..n2] {
-        included[l] = true;
-    }
-    let indices: Vec<usize> = (0..m).filter(|&i| included[i]).collect();
-
+    let indices: Vec<usize> = (0..m).filter(|&i| membership[i] > 0).collect();
+    let residual_errors = suffix.iter().zip(&prefix).map(|(s, &p)| s[p]).collect();
     CriticalSet {
         indices,
-        n1,
-        n2,
-        err_lambda: err_l[n1],
-        err_phi: err_p[n2],
+        prefix_lens: prefix,
+        residual_errors,
     }
 }
 
-/// Phase-1c for an arbitrary [`ScenarioSet`]: the scenario indices
+/// The paper's Phase 1c over an arbitrary [`ScenarioSet`], for any
+/// number of classes: estimate the criticality from `store`, scale it by
+/// the set's per-link factors (the probabilistic model), merge with
+/// Algorithm 1 into `target_size(critical_fraction)` failures, and let
+/// the set map them to scenario indices (identity for single-link sets;
+/// SRLG sets append their group scenarios). Sets without per-single-link
+/// structure (`supports_selection() == false`, e.g. double-link
+/// ensembles) get every scenario index.
+///
+/// Returns the (scaled) criticality next to the selected scenario
+/// indices.
+pub fn select_scenarios<S: ScenarioSet + ?Sized>(
+    set: &S,
+    store: &SampleStore,
+    tail_fraction: f64,
+    critical_fraction: f64,
+) -> (Criticality, Vec<usize>) {
+    let crit = Criticality::estimate(store, tail_fraction);
+    let crit = match set.criticality_scale() {
+        Some(scale) => crit.scaled(scale),
+        None => crit,
+    };
+    if !set.supports_selection() {
+        return (crit, set.all_indices());
+    }
+    let n = set.universe().target_size(critical_fraction);
+    let indices = set.critical_scenarios(&select(&crit, n).indices);
+    (crit, indices)
+}
+
+/// DTR's Phase-1c for an arbitrary [`ScenarioSet`]: the scenario indices
 /// Phase 2 should optimize over. Selection itself is cheap — its inputs
 /// (the Phase-1 sample store and, for the load-based baseline, one
 /// normal-conditions routing) are already computed; no per-scenario
 /// evaluation is re-derived here.
 ///
-/// * Sets without per-single-link structure (`supports_selection() ==
-///   false`, e.g. double-link ensembles) get the full sweep.
-/// * With the paper's [`Selector::MeanLeftTail`] and a set that scales
-///   criticality (the probabilistic model), the estimate is multiplied by
-///   the set's per-link factors before Algorithm 1 runs.
-/// * Everything else routes through [`baselines::select`] unchanged.
-///
-/// The criticality-selected *failure* indices are finally mapped to
-/// *scenario* indices by the set (identity for single-link sets; SRLG
-/// sets append their group scenarios).
+/// * Sets without per-single-link structure get the full sweep.
+/// * The paper's [`Selector::MeanLeftTail`] runs [`select_scenarios`].
+/// * Every other selector routes through [`baselines::select`]
+///   unchanged, and the set maps its failure indices to scenarios.
 pub fn select_for_set<S: ScenarioSet + ?Sized>(
     set: &S,
     ev: &Evaluator<'_>,
@@ -144,25 +158,26 @@ pub fn select_for_set<S: ScenarioSet + ?Sized>(
     if !set.supports_selection() {
         return set.all_indices();
     }
-    let universe = set.universe();
-    let n = universe.target_size(params.critical_fraction);
-    let critical_failures = match (selector, set.criticality_scale()) {
-        (Selector::MeanLeftTail, Some(scale)) => {
-            let crit =
-                Criticality::estimate(&phase1.store, params.left_tail_fraction).scaled(scale);
-            select(&crit, n).indices
-        }
-        _ => baselines::select(
-            selector,
-            ev,
-            universe,
+    if selector == Selector::MeanLeftTail {
+        return select_scenarios(
+            set,
             &phase1.store,
-            &phase1.best,
             params.left_tail_fraction,
-            n,
-            params.seed,
-        ),
-    };
+            params.critical_fraction,
+        )
+        .1;
+    }
+    let universe = set.universe();
+    let critical_failures = baselines::select(
+        selector,
+        ev,
+        universe,
+        &phase1.store,
+        &phase1.best,
+        params.left_tail_fraction,
+        universe.target_size(params.critical_fraction),
+        params.seed,
+    );
     set.critical_scenarios(&critical_failures)
 }
 
@@ -171,11 +186,13 @@ mod tests {
     use super::*;
 
     fn crit(norm_lambda: Vec<f64>, norm_phi: Vec<f64>) -> Criticality {
+        crit_k(vec![norm_lambda, norm_phi])
+    }
+
+    fn crit_k(norm: Vec<Vec<f64>>) -> Criticality {
         Criticality {
-            rho_lambda: norm_lambda.clone(),
-            rho_phi: norm_phi.clone(),
-            norm_lambda,
-            norm_phi,
+            rho: norm.clone(),
+            norm,
         }
     }
 
@@ -204,8 +221,8 @@ mod tests {
         let cs = select(&c, 2);
         // The top link of each class survives.
         assert_eq!(cs.indices, vec![0, 3]);
-        assert_eq!(cs.n1, 1);
-        assert_eq!(cs.n2, 1);
+        assert_eq!(cs.prefix_lens[0], 1);
+        assert_eq!(cs.prefix_lens[1], 1);
     }
 
     #[test]
@@ -215,7 +232,7 @@ mod tests {
         let cs = select(&c, 3);
         // Algorithm shrinks the Φ list first: kept links are Λ's top 3.
         assert_eq!(cs.indices, vec![0, 1, 2]);
-        assert_eq!(cs.n1, 3);
+        assert_eq!(cs.prefix_lens[0], 3);
     }
 
     #[test]
@@ -223,8 +240,8 @@ mod tests {
         let c = crit(vec![0.4, 0.3, 0.2, 0.1], vec![0.0, 0.0, 0.0, 0.0]);
         let cs = select(&c, 2);
         assert_eq!(cs.indices, vec![0, 1]);
-        assert!((cs.err_lambda - 0.3).abs() < 1e-12); // 0.2 + 0.1 left out
-        assert_eq!(cs.err_phi, 0.0);
+        assert!((cs.residual_errors[0] - 0.3).abs() < 1e-12); // 0.2 + 0.1 left out
+        assert_eq!(cs.residual_errors[1], 0.0);
     }
 
     #[test]
@@ -252,30 +269,39 @@ mod tests {
 
     #[test]
     fn large_universe_selection_stays_cheap_and_exact() {
-        // 50k-link universe with opposed rankings — the old recounting
-        // shrink loop was quadratic here. Exactness is cross-checked by
-        // rebuilding the union from the returned prefixes.
+        // 50k-link universe with opposed rankings, at two and three
+        // classes — the old recounting shrink loop was quadratic here.
+        // Exactness is cross-checked by rebuilding the union from the
+        // returned prefixes.
         let m = 50_000usize;
         let lam: Vec<f64> = (0..m).map(|i| (m - i) as f64 / m as f64).collect();
         let phi: Vec<f64> = (0..m).map(|i| (i + 1) as f64 / m as f64).collect();
-        let c = crit(lam, phi);
-        let n = m / 10;
-        let cs = select(&c, n);
-        assert!(cs.indices.len() <= n);
-        let mut included = vec![false; m];
-        for &l in crate::criticality::Criticality::ranking_lambda(&c)[..cs.n1].iter() {
-            included[l] = true;
+        let mid: Vec<f64> = (0..m)
+            .map(|i| ((i * 7919) % m + 1) as f64 / m as f64)
+            .collect();
+        for c in [crit(lam.clone(), phi.clone()), crit_k(vec![lam, phi, mid])] {
+            let n = m / 10;
+            let cs = select(&c, n);
+            let mut included = vec![false; m];
+            for (class, &len) in cs.prefix_lens.iter().enumerate() {
+                for &l in &c.ranking(class)[..len] {
+                    included[l] = true;
+                }
+            }
+            let rebuilt: Vec<usize> = (0..m).filter(|&i| included[i]).collect();
+            assert_eq!(rebuilt, cs.indices);
+            assert_eq!(
+                cs.indices.len(),
+                n,
+                "opposed full-mass lists fill n exactly"
+            );
         }
-        for &l in crate::criticality::Criticality::ranking_phi(&c)[..cs.n2].iter() {
-            included[l] = true;
-        }
-        let rebuilt: Vec<usize> = (0..m).filter(|&i| included[i]).collect();
-        assert_eq!(rebuilt, cs.indices);
-        assert_eq!(
-            cs.indices.len(),
-            n,
-            "opposed full-mass lists fill n exactly"
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_target_rejected() {
+        select(&crit(vec![0.1, 0.2], vec![0.3, 0.4]), 0);
     }
 
     #[test]

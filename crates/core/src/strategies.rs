@@ -21,10 +21,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::params::Params;
-use crate::search::{
-    duplex_weights, random_symmetric_setting, random_weight_pair, set_duplex_weights, SearchStats,
-    StopRule,
-};
+use crate::phase1::random_setting;
+use crate::robust::RobustEngine;
+use crate::search::{duplex_weights, set_duplex_weights, SearchStats, StopRule};
 
 /// Acceptance strategy of the regular-optimization local search.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -124,7 +123,7 @@ pub fn optimize_normal(ev: &Evaluator<'_>, params: &Params, strategy: Strategy) 
     let mut stats = SearchStats::default();
     let mut stop = StopRule::new(params.p1, params.c);
 
-    let mut current = random_symmetric_setting(net, params.wmax, &mut rng);
+    let mut current = random_setting(ev, params.wmax, &mut rng);
     let mut current_cost = ev.cost(&current, Scenario::Normal);
     stats.evaluations += 1;
     let mut best = current.clone();
@@ -149,7 +148,7 @@ pub fn optimize_normal(ev: &Evaluator<'_>, params: &Params, strategy: Strategy) 
 
         for &rep in &reps {
             let (old_wd, old_wt) = duplex_weights(&current, rep);
-            let (new_wd, new_wt) = random_weight_pair(params.wmax, &mut rng);
+            let (new_wd, new_wt) = ev.draw_move(1, params.wmax, &mut rng);
             if (new_wd, new_wt) == (old_wd, old_wt) {
                 continue;
             }
@@ -203,7 +202,7 @@ pub fn optimize_normal(ev: &Evaluator<'_>, params: &Params, strategy: Strategy) 
             if stop.record(best_cost) {
                 break;
             }
-            current = random_symmetric_setting(net, params.wmax, &mut rng);
+            current = random_setting(ev, params.wmax, &mut rng);
             current_cost = ev.cost(&current, Scenario::Normal);
             stats.evaluations += 1;
             if let Strategy::Annealing {
@@ -266,7 +265,7 @@ mod tests {
             let out = optimize_normal(&ev, &params, strategy);
             let mut rng = StdRng::seed_from_u64(999);
             for _ in 0..10 {
-                let w = random_symmetric_setting(&net, params.wmax, &mut rng);
+                let w = random_setting(&ev, params.wmax, &mut rng);
                 let c = ev.cost(&w, Scenario::Normal);
                 assert!(
                     !c.better_than(&out.best_cost),

@@ -105,10 +105,18 @@ impl FailureUniverse {
     /// Target critical-set size for a fraction `f` of the universe:
     /// `ceil(f·len)`, at least 1 (when non-empty).
     pub fn target_size(&self, f: f64) -> usize {
-        if self.is_empty() {
+        FailureUniverse::target_size_for(self.len(), f)
+    }
+
+    /// The Phase-1c sizing rule for a universe of `len` failable links —
+    /// `ceil(f·len)` clamped to `[1, len]`, 0 when `len` is 0 — the one
+    /// rule behind [`target_size`](Self::target_size) and
+    /// `dtr_mtr::criticality::target_size`.
+    pub fn target_size_for(len: usize, f: f64) -> usize {
+        if len == 0 {
             return 0;
         }
-        ((self.len() as f64 * f).ceil() as usize).clamp(1, self.len())
+        ((len as f64 * f).ceil() as usize).clamp(1, len)
     }
 }
 

@@ -54,7 +54,7 @@ impl std::fmt::Display for Fig2 {
 
 fn summarize(store: &dtr_core::samples::SampleStore, i: usize, tail: f64) -> LinkDistribution {
     let st = store
-        .lambda_stats(i, tail)
+        .stats(0, i, tail)
         .expect("phase 1b guarantees samples on every failable link");
     LinkDistribution {
         index: i,
@@ -84,7 +84,7 @@ pub fn run(cfg: &ExpConfig) -> Fig2 {
     let mut p1 = phase1::run(&ev, &universe, &params);
     phase1b::run(&ev, &universe, &params, &mut p1);
     let crit = Criticality::estimate(&p1.store, params.left_tail_fraction);
-    let ranking = crit.ranking_lambda();
+    let ranking = crit.ranking(0);
     let top = ranking[0];
     let bottom = *ranking.last().expect("non-empty universe");
 
@@ -95,14 +95,13 @@ pub fn run(cfg: &ExpConfig) -> Fig2 {
     // fraction `q` is the mean of the lowest `q` share of samples, so
     // the curve (q, tail_mean(q)) traces the low half of each link's
     // distribution — wide distributions rise steeply, narrow ones stay
-    // flat. (SampleStore exposes stats, not raw samples, and these
-    // curves are exactly what Fig. 2(b) contrasts.)
+    // flat. (These curves are exactly what Fig. 2(b) contrasts.)
     let quantiles = 20usize;
     let mut rows = Vec::with_capacity(quantiles);
     for q in 1..=quantiles {
         let frac = q as f64 / quantiles as f64 * 0.5; // up to the median
-        let c = p1.store.lambda_stats(top, frac).unwrap();
-        let f = p1.store.lambda_stats(bottom, frac).unwrap();
+        let c = p1.store.stats(0, top, frac).unwrap();
+        let f = p1.store.stats(0, bottom, frac).unwrap();
         rows.push((frac, c.tail_mean, f.tail_mean));
     }
     let mut series = Series::new(

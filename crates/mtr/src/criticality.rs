@@ -1,351 +1,43 @@
-//! k-class criticality and the k-way Algorithm 1 merge.
+//! k-class criticality and the k-way Algorithm 1 merge — both live in
+//! `dtr_core`, written once for every class count; these are their
+//! k-class names.
 //!
 //! Criticality stays exactly the paper's quantity (Eqs. 8–9: mean minus
 //! left-tail mean of the conditional failure-cost distribution), computed
-//! per class. Normalization divides by the summed left-tail means of the
-//! class (§IV-D2), making classes comparable as *relative deviations*.
-//! The selection step generalizes Algorithm 1 from two sorted lists to k:
-//! starting from k full lists, repeatedly shrink the list whose
-//! next-eliminated entry has the smallest normalized criticality until
-//! the union of the kept prefixes fits the target size.
-//!
-//! With `k = 2` the procedure is line-for-line Algorithm 1.
+//! per class and normalized by the class's summed left-tail means
+//! (§IV-D2). The merge generalizes Algorithm 1 from two sorted lists to
+//! k; with `k = 2` it is line-for-line Algorithm 1.
+
+use dtr_core::FailureUniverse;
+
+pub use dtr_core::criticality::Criticality as KWayCriticality;
+pub use dtr_core::selection::{select as select_k, CriticalSet as KWaySelection};
 
 use crate::params::MtrParams;
-use crate::samples::MtrSampleStore;
-
-/// Per-class, per-link criticality estimates.
-#[derive(Clone, Debug, PartialEq)]
-pub struct KWayCriticality {
-    /// `rho[k][i]` — raw criticality of failure index `i` for class `k`
-    /// (0 for links without samples).
-    pub rho: Vec<Vec<f64>>,
-    /// `norm[k][i]` — normalized criticality (`rho` over the class's
-    /// summed left-tail means; 0 if the denominator vanishes).
-    pub norm: Vec<Vec<f64>>,
-}
-
-impl KWayCriticality {
-    /// Estimate from the sample store.
-    pub fn estimate(store: &MtrSampleStore, tail_fraction: f64) -> Self {
-        let k = store.num_classes();
-        let m = store.num_links();
-        let mut rho = vec![vec![0.0; m]; k];
-        let mut norm = vec![vec![0.0; m]; k];
-        for c in 0..k {
-            let mut sum_tail = 0.0;
-            #[allow(clippy::needless_range_loop)] // i is the failure index
-            for i in 0..m {
-                if let Some(st) = store.stats(c, i, tail_fraction) {
-                    rho[c][i] = st.rho();
-                    sum_tail += st.tail_mean;
-                }
-            }
-            if sum_tail > 0.0 {
-                for i in 0..m {
-                    norm[c][i] = rho[c][i] / sum_tail;
-                }
-            }
-        }
-        KWayCriticality { rho, norm }
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.rho.len()
-    }
-
-    /// Number of failable links.
-    pub fn num_links(&self) -> usize {
-        self.rho.first().map_or(0, Vec::len)
-    }
-
-    /// Criticality scaled per failure index in every class — the
-    /// probabilistic extension's expected-cost refinement, k-way.
-    ///
-    /// # Panics
-    /// Panics if `by` mismatches the covered link count.
-    pub fn scaled(&self, by: &[f64]) -> KWayCriticality {
-        assert_eq!(by.len(), self.num_links(), "one scale factor per link");
-        let scale = |per_class: &[Vec<f64>]| -> Vec<Vec<f64>> {
-            per_class
-                .iter()
-                .map(|vals| vals.iter().zip(by).map(|(&v, &p)| v * p).collect())
-                .collect()
-        };
-        KWayCriticality {
-            rho: scale(&self.rho),
-            norm: scale(&self.norm),
-        }
-    }
-
-    /// Failure indices of class `c` sorted by descending normalized
-    /// criticality (ties by ascending index, deterministic) — the class's
-    /// list `E_c`.
-    pub fn ranking(&self, c: usize) -> Vec<usize> {
-        let vals = &self.norm[c];
-        let mut idx: Vec<usize> = (0..vals.len()).collect();
-        idx.sort_by(|&a, &b| {
-            vals[b]
-                .partial_cmp(&vals[a])
-                .expect("finite criticality")
-                .then(a.cmp(&b))
-        });
-        idx
-    }
-
-    /// All per-class rankings.
-    pub fn rankings(&self) -> Vec<Vec<usize>> {
-        (0..self.num_classes()).map(|c| self.ranking(c)).collect()
-    }
-}
-
-/// Result of the k-way merge.
-#[derive(Clone, Debug, PartialEq)]
-pub struct KWaySelection {
-    /// Selected failure indices, ascending.
-    pub indices: Vec<usize>,
-    /// Kept prefix length per class list.
-    pub prefix_lens: Vec<usize>,
-    /// Residual normalized error per class (`ρ̄_c` of the dropped
-    /// suffix).
-    pub residual_errors: Vec<f64>,
-}
-
-/// Generalized Algorithm 1: merge k descending criticality lists into one
-/// critical set of at most `n` links.
-///
-/// # Panics
-/// Panics if `n == 0` while links exist.
-pub fn select_k(crit: &KWayCriticality, n: usize) -> KWaySelection {
-    let k = crit.num_classes();
-    let m = crit.num_links();
-    if m == 0 {
-        return KWaySelection {
-            indices: Vec::new(),
-            prefix_lens: vec![0; k],
-            residual_errors: vec![0.0; k],
-        };
-    }
-    assert!(n >= 1, "target critical-set size must be at least 1");
-    let n = n.min(m);
-
-    let rankings = crit.rankings();
-
-    // suffix[c][p] = residual error of keeping only the top-p prefix of
-    // class c's list.
-    let suffix: Vec<Vec<f64>> = (0..k)
-        .map(|c| {
-            let mut s = vec![0.0; m + 1];
-            for p in (0..m).rev() {
-                s[p] = s[p + 1] + crit.norm[c][rankings[c][p]];
-            }
-            s
-        })
-        .collect();
-
-    let mut prefix = vec![m; k];
-    let union_size = |prefix: &[usize]| -> usize {
-        let mut included = vec![false; m];
-        for c in 0..k {
-            for &i in &rankings[c][..prefix[c]] {
-                included[i] = true;
-            }
-        }
-        included.iter().filter(|&&b| b).count()
-    };
-
-    let mut union = union_size(&prefix);
-    while union > n {
-        // Shrink the class whose one-step shrink loses the least
-        // normalized criticality (Algorithm 1 lines 3-4, k-way).
-        let victim = (0..k)
-            .filter(|&c| prefix[c] > 0)
-            .min_by(|&a, &b| {
-                suffix[a][prefix[a] - 1]
-                    .partial_cmp(&suffix[b][prefix[b] - 1])
-                    .expect("finite errors")
-                    .then(a.cmp(&b))
-            })
-            .expect("some list still shrinkable while union > n >= 1");
-        prefix[victim] -= 1;
-        union = union_size(&prefix);
-    }
-
-    let mut included = vec![false; m];
-    for c in 0..k {
-        for &i in &rankings[c][..prefix[c]] {
-            included[i] = true;
-        }
-    }
-    let indices: Vec<usize> = (0..m).filter(|&i| included[i]).collect();
-    let residual_errors = (0..k).map(|c| suffix[c][prefix[c]]).collect();
-
-    KWaySelection {
-        indices,
-        prefix_lens: prefix,
-        residual_errors,
-    }
-}
 
 /// Target critical-set size for a universe of `universe_len` failable
-/// links: `round(critical_fraction · len)`, at least 1. The single home
-/// of the Phase-1c sizing rule (the pipeline and
-/// [`estimate_and_select`] both use it).
+/// links: the one Phase-1c sizing rule,
+/// [`FailureUniverse::target_size_for`] (`⌈f·len⌉` clamped to
+/// `[1, len]`).
 pub fn target_size(params: &MtrParams, universe_len: usize) -> usize {
-    ((universe_len as f64 * params.critical_fraction).round() as usize).max(1)
-}
-
-/// Convenience: estimate criticality and select using the parameter
-/// block's tail fraction and critical-set fraction (the unscaled
-/// single-link path; the pipeline additionally applies the scenario
-/// set's criticality scaling before selecting).
-pub fn estimate_and_select(
-    store: &MtrSampleStore,
-    params: &MtrParams,
-    universe_len: usize,
-) -> (KWayCriticality, KWaySelection) {
-    let crit = KWayCriticality::estimate(store, params.left_tail_fraction);
-    let sel = select_k(&crit, target_size(params, universe_len));
-    (crit, sel)
+    FailureUniverse::target_size_for(universe_len, params.critical_fraction)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::VecCost;
-
-    /// Store with hand-placed distributions: link 0 is critical for class
-    /// 0 (wide spread), link 1 for class 1, link 2 for neither.
-    fn store() -> MtrSampleStore {
-        let mut s = MtrSampleStore::new(2, 3);
-        for v in [0.0, 100.0, 200.0] {
-            s.record(0, &VecCost::new(vec![v, 10.0]));
-        }
-        for v in [0.0, 50.0, 400.0] {
-            s.record(1, &VecCost::new(vec![5.0, v]));
-        }
-        for _ in 0..3 {
-            s.record(2, &VecCost::new(vec![5.0, 10.0]));
-        }
-        s
-    }
 
     #[test]
-    fn estimate_finds_the_planted_critical_links() {
-        let crit = KWayCriticality::estimate(&store(), 0.34);
-        // Class 0: link 0 has spread, links 1..2 are flat-ish.
-        assert!(crit.rho[0][0] > crit.rho[0][1]);
-        assert!(crit.rho[0][0] > crit.rho[0][2]);
-        // Class 1: link 1 dominates.
-        assert!(crit.rho[1][1] > crit.rho[1][0]);
-        assert_eq!(crit.ranking(0)[0], 0);
-        assert_eq!(crit.ranking(1)[0], 1);
-    }
-
-    #[test]
-    fn normalization_divides_by_tail_mass() {
-        let crit = KWayCriticality::estimate(&store(), 0.34);
-        for c in 0..2 {
-            for i in 0..3 {
-                if crit.rho[c][i] > 0.0 {
-                    assert!(crit.norm[c][i] > 0.0);
-                    assert!(crit.norm[c][i].is_finite());
-                }
+    fn target_size_is_the_ceil_clamped_rule() {
+        for f in [0.05, 0.1, 0.15, 0.25] {
+            let params = MtrParams {
+                critical_fraction: f,
+                ..MtrParams::paper_default(0)
+            };
+            for len in 1..=500usize {
+                let rule = ((len as f64 * f).ceil() as usize).clamp(1, len);
+                assert_eq!(target_size(&params, len), rule, "len {len}, f {f}");
             }
         }
-    }
-
-    #[test]
-    fn select_two_takes_one_per_class() {
-        let crit = KWayCriticality::estimate(&store(), 0.34);
-        let sel = select_k(&crit, 2);
-        assert_eq!(sel.indices, vec![0, 1]);
-        assert_eq!(sel.prefix_lens.len(), 2);
-    }
-
-    #[test]
-    fn select_all_keeps_everything_with_zero_error() {
-        let crit = KWayCriticality::estimate(&store(), 0.34);
-        let sel = select_k(&crit, 3);
-        assert_eq!(sel.indices, vec![0, 1, 2]);
-        assert!(sel.residual_errors.iter().all(|&e| e == 0.0));
-    }
-
-    #[test]
-    fn residual_error_is_dropped_suffix_mass() {
-        let crit = KWayCriticality::estimate(&store(), 0.34);
-        let sel = select_k(&crit, 1);
-        assert_eq!(sel.indices.len(), 1);
-        for c in 0..2 {
-            let kept: f64 = crit.ranking(c)[..sel.prefix_lens[c]]
-                .iter()
-                .map(|&i| crit.norm[c][i])
-                .sum();
-            let total: f64 = crit.norm[c].iter().sum();
-            assert!((sel.residual_errors[c] - (total - kept)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn two_way_merge_matches_dtr_algorithm1() {
-        // Differential test against dtr-core's Algorithm 1 on the same
-        // criticality data.
-        let mut dtr_store = dtr_core::samples::SampleStore::new(3);
-        let mtr_store = store();
-        for i in 0..3 {
-            for j in 0..mtr_store.count(i) {
-                // Rebuild identical (Λ, Φ) pairs.
-                let l = match (i, j) {
-                    (0, 0) => (0.0, 10.0),
-                    (0, 1) => (100.0, 10.0),
-                    (0, 2) => (200.0, 10.0),
-                    (1, 0) => (5.0, 0.0),
-                    (1, 1) => (5.0, 50.0),
-                    (1, 2) => (5.0, 400.0),
-                    _ => (5.0, 10.0),
-                };
-                dtr_store.record(i, l.0, l.1);
-            }
-        }
-        let dtr_crit = dtr_core::criticality::Criticality::estimate(&dtr_store, 0.34);
-        let mtr_crit = KWayCriticality::estimate(&mtr_store, 0.34);
-        for n in 1..=3 {
-            let dtr_sel = dtr_core::selection::select(&dtr_crit, n);
-            let mtr_sel = select_k(&mtr_crit, n);
-            assert_eq!(dtr_sel.indices, mtr_sel.indices, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn three_class_selection_covers_each_classs_top_link() {
-        let mut s = MtrSampleStore::new(3, 4);
-        // Class c's critical link is link c.
-        for i in 0..4 {
-            for v in [0.0, 100.0] {
-                let mut comps = vec![1.0; 3];
-                if i < 3 {
-                    comps[i] = v;
-                }
-                s.record(i, &VecCost::new(comps));
-            }
-        }
-        let crit = KWayCriticality::estimate(&s, 0.5);
-        let sel = select_k(&crit, 3);
-        assert_eq!(sel.indices, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn empty_universe_is_legal() {
-        let crit = KWayCriticality::estimate(&MtrSampleStore::new(2, 0), 0.1);
-        let sel = select_k(&crit, 5);
-        assert!(sel.indices.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_target_rejected() {
-        let crit = KWayCriticality::estimate(&store(), 0.34);
-        select_k(&crit, 0);
     }
 }

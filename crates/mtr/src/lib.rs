@@ -27,7 +27,19 @@
 //! DTR is the k = 2 instantiation of dtr-cost's engine: every
 //! evaluation, DTR's and MTR's alike, runs on the one delta-state
 //! `dtr_cost::Engine`, built here from the class list of an
-//! [`MtrConfig`].
+//! [`MtrConfig`]. The search phases are dtr-core's, written once for
+//! every class count; this crate instantiates them.
+//!
+//! ## Modules
+//!
+//! [`class`], [`cost`], [`params`], [`weights`] and [`weights_io`] hold
+//! the class specs, the k-vector cost, the parameters, the k-class weight
+//! settings and their text format; [`evaluator`] is the k-class front
+//! door of the engine. [`search`] (MTR's sample gate and the regular
+//! phase and top-up over dtr-core's Phase 1), [`criticality`] (k-class
+//! names for dtr-core's criticality and Algorithm 1 — [`select_k`] is a
+//! re-export — and the sizing rule) and [`robust`] instantiate
+//! dtr-core's phases; [`pipeline`] chains them over any scenario set.
 //!
 //! ## Quick tour
 //!
@@ -73,7 +85,6 @@ pub mod evaluator;
 pub mod params;
 pub mod pipeline;
 pub mod robust;
-pub mod samples;
 pub mod search;
 pub mod weights;
 pub mod weights_io;
@@ -85,6 +96,5 @@ pub use evaluator::{MtrBreakdown, MtrError, MtrEvaluator};
 pub use params::MtrParams;
 pub use pipeline::{MtrOptimizer, MtrOptimizerBuilder, MtrReport};
 pub use robust::MtrRobustOutput;
-pub use samples::MtrSampleStore;
 pub use search::MtrRegularOutput;
 pub use weights::MtrWeightSetting;

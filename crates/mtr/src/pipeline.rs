@@ -14,12 +14,12 @@ use std::time::{Duration, Instant};
 
 use dtr_core::scenario::ScenarioSet;
 use dtr_core::search::SearchStats;
-use dtr_core::FailureUniverse;
+use dtr_core::{selection, FailureUniverse};
 use dtr_net::LinkId;
 use dtr_routing::Scenario;
 
 use crate::cost::VecCost;
-use crate::criticality::{select_k, target_size, KWayCriticality};
+use crate::criticality::KWayCriticality;
 use crate::evaluator::MtrEvaluator;
 use crate::params::MtrParams;
 use crate::robust::{self, MtrRobustOutput};
@@ -162,25 +162,16 @@ impl<'e, 'a, S: ScenarioSet> MtrOptimizer<'e, 'a, S> {
         let (top_up_rounds, top_up_evaluations) =
             search::top_up_samples(self.ev, universe, &self.params, &mut reg);
 
-        // k-way Phase 1c, scenario-set aware: estimate per-class
-        // criticality, apply the set's probability scaling (if any),
-        // merge with the k-way Algorithm 1, then let the set map failure
-        // indices to scenario indices. Sets without single-link structure
-        // get the full sweep.
-        let criticality = {
-            let crit = KWayCriticality::estimate(&reg.store, self.params.left_tail_fraction);
-            match self.set.criticality_scale() {
-                Some(scale) => crit.scaled(scale),
-                None => crit,
-            }
-        };
-        let indices: Vec<usize> = if self.set.supports_selection() {
-            let n = target_size(&self.params, universe.len());
-            self.set
-                .critical_scenarios(&select_k(&criticality, n).indices)
-        } else {
-            self.set.all_indices()
-        };
+        // k-way Phase 1c, scenario-set aware: dtr-core's one set-aware
+        // selection (estimate, the set's probability scaling, Algorithm
+        // 1, failure → scenario indices; the full sweep for sets without
+        // single-link structure).
+        let (criticality, indices) = selection::select_scenarios(
+            &self.set,
+            &reg.store,
+            self.params.left_tail_fraction,
+            self.params.critical_fraction,
+        );
         let critical_links: Vec<LinkId> = indices
             .iter()
             .filter_map(|&i| match self.set.scenario(i) {
@@ -281,8 +272,8 @@ mod tests {
         let opt = MtrOptimizer::new(&ev, MtrParams::quick(7));
         let report = opt.optimize();
 
-        // Critical set respects the target fraction (±1 for rounding).
-        let target = ((opt.universe().len() as f64 * 0.15).round() as usize).max(1);
+        // Critical set respects the target fraction.
+        let target = crate::criticality::target_size(&MtrParams::quick(7), opt.universe().len());
         assert!(report.critical_indices.len() <= target);
         assert!(!report.critical_indices.is_empty());
 

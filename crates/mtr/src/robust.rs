@@ -33,6 +33,7 @@ use crate::class::ClassSpec;
 use crate::cost::VecCost;
 use crate::evaluator::MtrEvaluator;
 use crate::params::MtrParams;
+use crate::search;
 use crate::weights::MtrWeightSetting;
 
 /// Result of the robust search.
@@ -69,9 +70,9 @@ impl RobustEngine for MtrEvaluator<'_> {
         MtrEvaluator::engine(self)
     }
 
-    fn draw_move(&self, wmax: u32, rng: &mut StdRng) -> Vec<u32> {
+    fn draw_move(&self, lo: u32, wmax: u32, rng: &mut StdRng) -> Vec<u32> {
         (0..self.num_classes())
-            .map(|_| rng.gen_range(1..=wmax))
+            .map(|_| rng.gen_range(lo..=wmax))
             .collect()
     }
 
@@ -83,6 +84,10 @@ impl RobustEngine for MtrEvaluator<'_> {
         for (c, &v) in mv.iter().enumerate() {
             w.set_duplex(MtrEvaluator::net(self), c, rep, v);
         }
+    }
+
+    fn acceptable(&self, cost: &VecCost, best: &VecCost, z: f64, _gate: &()) -> bool {
+        search::acceptable(cost, best, &self.config().specs, z)
     }
 
     fn feasible(&self, normal: &VecCost, benchmark: &VecCost, _gate: &()) -> bool {
@@ -101,8 +106,16 @@ impl From<&MtrParams> for RobustKnobs {
         RobustKnobs {
             seed: p.seed,
             wmax: p.wmax,
+            q: p.q,
+            z: p.z,
+            left_tail_fraction: p.left_tail_fraction,
+            tau: p.tau,
+            e: p.e,
+            max_top_up_rounds: p.max_sampling_rounds,
             c: p.c,
+            p1: p.p1,
             p2: p.p2,
+            div_interval_1: p.div_interval_1,
             div_interval_2: p.div_interval_2,
             archive_size: p.archive_size,
             max_iterations: p.max_iterations,
@@ -230,7 +243,6 @@ pub fn resume(
 mod tests {
     use super::*;
     use crate::class::{ClassSpec, MtrConfig, NormalConstraint};
-    use crate::search::{self};
     use dtr_core::parallel::{evaluate_set, sum_set_costs, sum_set_costs_bounded};
     use dtr_core::parallel::{SetSweep, SweepScratch};
     use dtr_core::search::{SearchCost, StopRule};

@@ -41,6 +41,10 @@ impl dtr_core::search::ClassWeights for MtrWeightSetting {
         &self.per_class[k]
     }
 
+    fn wmax(&self) -> u32 {
+        self.wmax
+    }
+
     fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self {
         MtrWeightSetting::from_vecs(vecs, wmax)
     }
@@ -160,15 +164,6 @@ impl MtrWeightSetting {
         self.per_class.iter().map(|v| v[l.index()]).collect()
     }
 
-    /// `true` if link `l`'s weights in **all** classes lie in
-    /// `[q·wmax, wmax]` — the k-class failure-emulation criterion
-    /// (generalizing §IV-D1: only when every topology shuns the link does
-    /// a perturbation emulate its failure for all classes).
-    pub fn emulates_failure(&self, l: LinkId, q: f64) -> bool {
-        let floor = (q * self.wmax as f64).ceil() as u32;
-        self.per_class.iter().all(|v| v[l.index()] >= floor)
-    }
-
     /// Number of (class, link) slots that differ from `other`.
     pub fn hamming_distance(&self, other: &MtrWeightSetting) -> usize {
         assert_eq!(self.num_classes(), other.num_classes());
@@ -204,6 +199,7 @@ impl MtrWeightSetting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtr_core::search::ClassWeights;
     use dtr_net::{NetworkBuilder, Point};
     use rand::SeedableRng;
 

@@ -142,15 +142,6 @@ impl WeightSetting {
         }
     }
 
-    /// `true` if both class weights of link `l` lie in `[q·wmax, wmax]` —
-    /// the paper's criterion for a perturbation that *emulates the failure*
-    /// of link `l` (§IV-D1: assigning a large enough weight to a link has a
-    /// similar effect on routing as failing it).
-    pub fn emulates_failure(&self, l: LinkId, q: f64) -> bool {
-        let floor = (q * self.wmax as f64).ceil() as u32;
-        self.delay[l.index()] >= floor && self.throughput[l.index()] >= floor
-    }
-
     /// Number of (link, class) slots whose weight differs from `other` —
     /// a useful distance measure between solutions in reports/tests.
     pub fn hamming_distance(&self, other: &WeightSetting) -> usize {
@@ -173,9 +164,22 @@ pub trait ClassWeights: Clone + PartialEq + std::fmt::Debug + Send + Sync {
     fn num_classes(&self) -> usize;
     /// Per-link weights of class `k`.
     fn class_weights(&self, k: usize) -> &[u32];
+    /// Largest allowed weight.
+    fn wmax(&self) -> u32;
     /// Rebuild a setting from per-class vectors (snapshot decoding; the
     /// caller has checked their lengths and range).
     fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self;
+
+    /// `true` if link `l`'s weight in **every** class lies in
+    /// `[⌈q·wmax⌉, wmax]` — the paper's criterion for a perturbation that
+    /// *emulates the failure* of link `l` (§IV-D1: assigning a large
+    /// enough weight to a link has a similar effect on routing as failing
+    /// it; with several classes, only when every topology shuns the link
+    /// does the perturbation emulate its failure for all of them).
+    fn emulates_failure(&self, l: LinkId, q: f64) -> bool {
+        let floor = (q * self.wmax() as f64).ceil() as u32;
+        (0..self.num_classes()).all(|k| self.class_weights(k)[l.index()] >= floor)
+    }
 }
 
 impl ClassWeights for WeightSetting {
@@ -186,6 +190,10 @@ impl ClassWeights for WeightSetting {
     #[inline]
     fn class_weights(&self, k: usize) -> &[u32] {
         self.weights(Class::ALL[k])
+    }
+
+    fn wmax(&self) -> u32 {
+        self.wmax
     }
 
     fn from_class_vecs(vecs: Vec<Vec<u32>>, wmax: u32) -> Self {

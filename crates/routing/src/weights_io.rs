@@ -13,25 +13,33 @@
 //!
 //! Every `w` line is `w <link_id> <delay_weight> <throughput_weight>`;
 //! all links must be present exactly once.
+//!
+//! The k-class format (`dtr_mtr::weights_io`) adds a `classes k` header
+//! and carries k weights per `w` line. One parser, [`parse`], reads both:
+//! each header may appear once, before the first `w` line, and a `w`
+//! line carries exactly k weights. The two-class entry point
+//! [`from_text`] refuses a `classes` header, and the k-class one requires
+//! it, so neither format is mistaken for the other.
 
-use crate::weights::{Class, WeightSetting};
-use dtr_net::LinkId;
+use crate::weights::{Class, ClassWeights, WeightSetting};
 
-/// Errors raised when parsing the weights text format.
+/// Errors raised when parsing a weights text format.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseError {
-    /// `wmax` / `links` headers missing or out of order.
+    /// `classes` / `wmax` / `links` headers missing.
     MissingHeader,
-    /// Line failed to parse; contains (line number, description).
+    /// Line failed to parse (including a repeated or misplaced header);
+    /// contains (line number, description).
     Malformed(usize, String),
-    /// A link id out of range, duplicated, or missing.
+    /// A link id out of range, duplicated, or missing; or a weight out of
+    /// range.
     Coverage(String),
 }
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParseError::MissingHeader => write!(f, "missing 'wmax'/'links' headers"),
+            ParseError::MissingHeader => write!(f, "missing 'classes'/'wmax'/'links' headers"),
             ParseError::Malformed(line, what) => write!(f, "line {line}: {what}"),
             ParseError::Coverage(what) => write!(f, "{what}"),
         }
@@ -42,29 +50,47 @@ impl std::error::Error for ParseError {}
 
 /// Serialize to the v1 text format.
 pub fn to_text(w: &WeightSetting) -> String {
+    write_text(w, "# dtr weights v1", false)
+}
+
+/// Serialize any [`ClassWeights`]: the `comment` line, a `classes` header
+/// when `with_classes` (the k-class format), `wmax`, `links`, then one
+/// `w` line per link carrying its weights in class order.
+pub fn write_text<W: ClassWeights>(w: &W, comment: &str, with_classes: bool) -> String {
     use std::fmt::Write as _;
-    let mut s = String::from("# dtr weights v1\n");
+    let k = w.num_classes();
+    let links = w.class_weights(0).len();
+    let mut s = format!("{comment}\n");
+    if with_classes {
+        let _ = writeln!(s, "classes {k}");
+    }
     let _ = writeln!(s, "wmax {}", w.wmax());
-    let _ = writeln!(s, "links {}", w.num_links());
-    for i in 0..w.num_links() {
-        let l = LinkId::new(i);
-        let _ = writeln!(
-            s,
-            "w {} {} {}",
-            i,
-            w.get(Class::Delay, l),
-            w.get(Class::Throughput, l)
-        );
+    let _ = writeln!(s, "links {links}");
+    for i in 0..links {
+        let _ = write!(s, "w {i}");
+        for c in 0..k {
+            let _ = write!(s, " {}", w.class_weights(c)[i]);
+        }
+        s.push('\n');
     }
     s
 }
 
-/// Parse the v1 text format.
+/// Parse the two-class v1 text format (no `classes` header).
 pub fn from_text(text: &str) -> Result<WeightSetting, ParseError> {
+    parse(text, Some(Class::ALL.len()))
+}
+
+/// Parse a weights text into any [`ClassWeights`]. `classes: Some(k)`
+/// fixes the class count and refuses a `classes` header (the two-class
+/// format); `None` requires the header and takes k from it.
+pub fn parse<W: ClassWeights>(text: &str, classes: Option<usize>) -> Result<W, ParseError> {
+    let mut k = classes;
     let mut wmax: Option<u32> = None;
     let mut links: Option<usize> = None;
-    let mut delay: Vec<Option<u32>> = Vec::new();
-    let mut tput: Vec<Option<u32>> = Vec::new();
+    let mut seen_w = false;
+    // per_link[i] = Some(k weights).
+    let mut per_link: Vec<Option<Vec<u32>>> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -73,8 +99,45 @@ pub fn from_text(text: &str) -> Result<WeightSetting, ParseError> {
             continue;
         }
         let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("wmax") => {
+        let Some(directive) = parts.next() else {
+            continue;
+        };
+        // Each header once, before the first `w` line.
+        let once = |present: bool| {
+            if present || seen_w {
+                Err(ParseError::Malformed(
+                    lineno,
+                    format!("'{directive}' header repeated or after a w line"),
+                ))
+            } else {
+                Ok(())
+            }
+        };
+        match directive {
+            "classes" => {
+                if classes.is_some() {
+                    return Err(ParseError::Malformed(
+                        lineno,
+                        "a 'classes' header in a two-class weights file".into(),
+                    ));
+                }
+                once(k.is_some())?;
+                let n: usize = field(&mut parts, lineno, "class count")?;
+                if n == 0 {
+                    return Err(ParseError::Coverage("need at least one class".into()));
+                }
+                // The parsed setting holds one vector per class; refuse
+                // a count no text of this size could mean before
+                // allocating from it.
+                if n > text.len() {
+                    return Err(ParseError::Coverage(format!(
+                        "classes {n} exceeds what the text can cover"
+                    )));
+                }
+                k = Some(n);
+            }
+            "wmax" => {
+                once(wmax.is_some())?;
                 let v: u32 = field(&mut parts, lineno, "wmax value")?;
                 if v == 0 {
                     return Err(ParseError::Malformed(
@@ -84,7 +147,8 @@ pub fn from_text(text: &str) -> Result<WeightSetting, ParseError> {
                 }
                 wmax = Some(v);
             }
-            Some("links") => {
+            "links" => {
+                once(links.is_some())?;
                 let n: usize = field(&mut parts, lineno, "link count")?;
                 // Each link needs a `w` line of its own, so a count past
                 // the text's line count can never be covered: refuse it
@@ -95,57 +159,61 @@ pub fn from_text(text: &str) -> Result<WeightSetting, ParseError> {
                     )));
                 }
                 links = Some(n);
-                delay = vec![None; n];
-                tput = vec![None; n];
+                per_link = vec![None; n];
             }
-            Some("w") => {
-                let (Some(_), Some(n)) = (wmax, links) else {
+            "w" => {
+                let (Some(k), Some(_), Some(n)) = (k, wmax, links) else {
                     return Err(ParseError::MissingHeader);
                 };
+                seen_w = true;
                 let id: usize = field(&mut parts, lineno, "link id")?;
-                let wd: u32 = field(&mut parts, lineno, "delay weight")?;
-                let wt: u32 = field(&mut parts, lineno, "throughput weight")?;
+                let mut ws = Vec::with_capacity(k);
+                for c in 0..k {
+                    ws.push(field(&mut parts, lineno, &format!("class-{c} weight"))?);
+                }
+                if parts.next().is_some() {
+                    return Err(ParseError::Malformed(
+                        lineno,
+                        format!("more than {k} weights on a w line"),
+                    ));
+                }
                 if id >= n {
                     return Err(ParseError::Coverage(format!(
                         "link id {id} out of range (links {n})"
                     )));
                 }
-                if delay[id].is_some() {
+                if per_link[id].is_some() {
                     return Err(ParseError::Coverage(format!("duplicate link id {id}")));
                 }
-                delay[id] = Some(wd);
-                tput[id] = Some(wt);
+                per_link[id] = Some(ws);
             }
-            Some(other) => {
+            other => {
                 return Err(ParseError::Malformed(
                     lineno,
                     format!("unknown directive '{other}'"),
                 ))
             }
-            None => unreachable!(),
         }
     }
 
-    let (Some(wmax), Some(n)) = (wmax, links) else {
+    let (Some(k), Some(wmax), Some(n)) = (k, wmax, links) else {
         return Err(ParseError::MissingHeader);
     };
-    let mut dv = Vec::with_capacity(n);
-    let mut tv = Vec::with_capacity(n);
-    for i in 0..n {
-        match (delay[i], tput[i]) {
-            (Some(d), Some(t)) => {
-                if !(1..=wmax).contains(&d) || !(1..=wmax).contains(&t) {
-                    return Err(ParseError::Coverage(format!(
-                        "link {i}: weights ({d},{t}) outside [1,{wmax}]"
-                    )));
-                }
-                dv.push(d);
-                tv.push(t);
+    let mut per_class = vec![Vec::with_capacity(n); k];
+    for (i, slot) in per_link.iter().enumerate() {
+        let Some(ws) = slot else {
+            return Err(ParseError::Coverage(format!("link {i} missing")));
+        };
+        for (c, &v) in ws.iter().enumerate() {
+            if !(1..=wmax).contains(&v) {
+                return Err(ParseError::Coverage(format!(
+                    "link {i} class {c}: weight {v} outside [1,{wmax}]"
+                )));
             }
-            _ => return Err(ParseError::Coverage(format!("link {i} missing"))),
+            per_class[c].push(v);
         }
     }
-    Ok(WeightSetting::from_vecs(dv, tv, wmax))
+    Ok(W::from_class_vecs(per_class, wmax))
 }
 
 fn field<'a, T: std::str::FromStr>(
@@ -163,6 +231,7 @@ fn field<'a, T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtr_net::LinkId;
 
     #[test]
     fn oversized_headers_are_errors_not_panics() {
@@ -217,6 +286,36 @@ mod tests {
     fn out_of_range_id_rejected() {
         let text = "wmax 20\nlinks 1\nw 5 1 1\n";
         assert!(matches!(from_text(text), Err(ParseError::Coverage(_))));
+    }
+
+    #[test]
+    fn text_layout_is_pinned() {
+        let w = WeightSetting::from_vecs(vec![3, 5], vec![17, 2], 20);
+        let text = "# dtr weights v1\nwmax 20\nlinks 2\nw 0 3 17\nw 1 5 2\n";
+        assert_eq!(to_text(&w), text);
+    }
+
+    #[test]
+    fn extra_weight_rejected() {
+        let text = "wmax 20\nlinks 1\nw 0 1 1 7\n";
+        assert!(matches!(from_text(text), Err(ParseError::Malformed(3, _))));
+    }
+
+    #[test]
+    fn headers_appear_once_before_the_first_w_line() {
+        let repeated = "wmax 20\nwmax 20\nlinks 1\nw 0 1 1\n";
+        assert!(matches!(
+            from_text(repeated),
+            Err(ParseError::Malformed(2, _))
+        ));
+        let late = "wmax 20\nlinks 1\nw 0 1 1\nlinks 1\n";
+        assert!(matches!(from_text(late), Err(ParseError::Malformed(4, _))));
+        // The two-class format has no `classes` header.
+        let classes = "classes 2\nwmax 20\nlinks 1\nw 0 1 1\n";
+        assert!(matches!(
+            from_text(classes),
+            Err(ParseError::Malformed(1, _))
+        ));
     }
 
     #[test]

@@ -58,8 +58,8 @@ fn main() {
             "  link {:>2}: {:>4} samples  rho_lambda {:>10.3}  rho_phi {:>12.4e}",
             i,
             p1.store.count(i),
-            crit.rho_lambda[i],
-            crit.rho_phi[i]
+            crit.rho[0][i],
+            crit.rho[1][i]
         );
     }
 
@@ -68,11 +68,11 @@ fn main() {
     let cs = selection::select(&crit, n);
     println!(
         "\nAlgorithm 1: kept top {} of E_lambda and top {} of E_phi -> Ec = {:?}",
-        cs.n1, cs.n2, cs.indices
+        cs.prefix_lens[0], cs.prefix_lens[1], cs.indices
     );
     println!(
         "residual normalized errors: lambda {:.4}, phi {:.4}",
-        cs.err_lambda, cs.err_phi
+        cs.residual_errors[0], cs.residual_errors[1]
     );
 
     // Ground truth: the actual compound failure cost contribution of each

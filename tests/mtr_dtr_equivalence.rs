@@ -2,12 +2,19 @@
 //! with the paper's DTR configuration (one pinned SLA class + one relaxed
 //! congestion class) must reproduce the DTR evaluator *exactly* — same
 //! per-link loads, same per-class costs, same lexicographic decisions —
-//! for arbitrary weight settings and failure scenarios.
+//! for arbitrary weight settings and failure scenarios; and the one
+//! Phase 1 must top up samples and select the critical set identically
+//! through both front doors.
 
-use dtr::cost::{CostParams, Evaluator};
-use dtr::mtr::{MtrConfig, MtrEvaluator, MtrWeightSetting};
+use dtr::core::phase1::{self, Phase1Output};
+use dtr::core::search::Archive;
+use dtr::core::{phase1b, selection, FailureUniverse, Params, ScenarioSet, Selector};
+use dtr::cost::{CostParams, Evaluator, LexCost};
+use dtr::mtr::criticality::{select_k, target_size, KWayCriticality};
+use dtr::mtr::search::{self as mtr_search, MtrRegularOutput};
+use dtr::mtr::{MtrConfig, MtrEvaluator, MtrParams, MtrWeightSetting, VecCost};
 use dtr::net::Network;
-use dtr::routing::{Scenario, WeightSetting};
+use dtr::routing::{Class, Scenario, WeightSetting};
 use dtr::topogen::{rand_topo, SynthConfig, DEFAULT_CAPACITY, DEFAULT_THETA};
 use dtr::traffic::{gravity, ClassMatrices};
 use rand::rngs::StdRng;
@@ -138,4 +145,133 @@ fn mean_aggregation_also_agrees() {
     let m = mtr_ev.evaluate(&wm, Scenario::Normal);
     assert_eq!(d.cost.lambda, m.cost.component(0));
     assert_eq!(d.cost.phi, m.cost.component(1));
+}
+
+/// `MtrParams` with every field `Params` shares set to `p`'s.
+fn mtr_params_of(p: &Params) -> MtrParams {
+    MtrParams {
+        wmax: p.wmax,
+        q: p.q,
+        z: p.z,
+        left_tail_fraction: p.left_tail_fraction,
+        tau: p.tau,
+        e: p.e,
+        c: p.c,
+        p1: p.p1,
+        p2: p.p2,
+        div_interval_1: p.div_interval_1,
+        div_interval_2: p.div_interval_2,
+        critical_fraction: p.critical_fraction,
+        max_sampling_rounds: p.max_phase1b_rounds,
+        archive_size: p.archive_size,
+        max_iterations: p.max_iterations,
+        threads: p.threads,
+        speculation: p.speculation,
+        cutoff: p.cutoff,
+        phi_floors: p.phi_floors,
+        record_trace: p.record_trace,
+        eager_min_batch: p.eager_min_batch,
+        portfolio: p.portfolio,
+        cache_budget_bytes: p.cache_budget_bytes,
+        deadline_ms: p.deadline_ms,
+        checkpoint_every: p.checkpoint_every,
+        seed: p.seed,
+    }
+}
+
+/// DTR's Phase-1 output in MTR's weight and cost types. The sample
+/// store and the rank tracker are one type, so they carry over as they
+/// are; the archive is re-offered entry by entry and must keep its
+/// order.
+fn mirror(p1: &Phase1Output, archive_size: usize) -> MtrRegularOutput {
+    let weights = |w: &WeightSetting| {
+        MtrWeightSetting::from_vecs(
+            vec![
+                w.weights(Class::Delay).to_vec(),
+                w.weights(Class::Throughput).to_vec(),
+            ],
+            w.wmax(),
+        )
+    };
+    let cost = |c: &LexCost| VecCost::new(vec![c.lambda, c.phi]);
+    let mut archive = Archive::new(archive_size);
+    for (w, c) in p1.archive.entries() {
+        archive.offer(&weights(w), cost(c));
+    }
+    let order: Vec<WeightSetting> = archive.entries().iter().map(|(w, _)| w.to_dtr()).collect();
+    let dtr_order: Vec<WeightSetting> = p1
+        .archive
+        .entries()
+        .iter()
+        .map(|(w, _)| w.clone())
+        .collect();
+    assert_eq!(order, dtr_order, "mirrored archive keeps its order");
+    Phase1Output {
+        best: weights(&p1.best),
+        best_cost: cost(&p1.best_cost),
+        archive,
+        store: p1.store.clone(),
+        tracker: p1.tracker.clone(),
+        converged: p1.converged,
+        trace: p1.trace.clone(),
+        stats: p1.stats,
+    }
+}
+
+/// Phase 1b and the critical-set selection, once through `Evaluator` and
+/// once through `MtrEvaluator` with `MtrConfig::dtr(25e-3, 0.2)`, from
+/// the same Phase-1a output: the samples (bit for bit), rounds,
+/// evaluations, convergence and critical set agree.
+///
+/// Phase 1a itself is not compared. Its sample gate and cost order are
+/// still per front door: DTR compares Φ strictly once Λ ties and gates
+/// samples on `z·B1` and `(1+χ)`, while `VecCost` compares every
+/// component within `COMPONENT_EPS` and MTR's gate adds `COMPONENT_EPS`.
+/// Measured on 24 `rand_topo` runs (10–20 nodes, `Params::quick`), 20
+/// Phase-1a trajectories diverge; with the order and the gate aligned,
+/// all 24 agree. So DTR's Phase-1a output is mirrored into MTR's types
+/// and both front doors continue from it.
+#[test]
+fn phase1b_and_selection_agree_across_front_doors() {
+    for seed in 1..=4u64 {
+        let (net, tm) = testbed(seed);
+        let matrices = vec![tm.delay.clone(), tm.throughput.clone()];
+        let dtr_ev = Evaluator::new(&net, &tm, CostParams::default());
+        let mtr_ev = MtrEvaluator::new(&net, &matrices, MtrConfig::dtr(25e-3, 0.2)).unwrap();
+        let universe = FailureUniverse::of(&net);
+        let params = Params::quick(seed);
+        let mtr_params = mtr_params_of(&params);
+
+        let mut dtr_p1 = phase1::run(&dtr_ev, &universe, &params);
+        // Force the top-up to run (a converged Phase 1a skips it).
+        dtr_p1.converged = false;
+        let mut mtr_p1 = mirror(&dtr_p1, params.archive_size);
+
+        let dtr_1b = phase1b::run(&dtr_ev, &universe, &params, &mut dtr_p1);
+        let (rounds, evaluations) =
+            mtr_search::top_up_samples(&mtr_ev, &universe, &mtr_params, &mut mtr_p1);
+        assert!(dtr_1b.rounds >= 1, "seed {seed}: the top-up ran");
+        assert_eq!((dtr_1b.rounds, dtr_1b.evaluations), (rounds, evaluations));
+        assert_eq!(dtr_1b.converged, mtr_p1.converged, "seed {seed}");
+        assert_eq!(dtr_p1.converged, mtr_p1.converged, "seed {seed}");
+        assert_eq!(dtr_p1.store.total(), mtr_p1.store.total(), "seed {seed}");
+        for class in 0..2 {
+            for i in 0..universe.len() {
+                let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(dtr_p1.store.samples(class, i)),
+                    bits(mtr_p1.store.samples(class, i)),
+                    "seed {seed}: class {class}, failure index {i}"
+                );
+            }
+        }
+
+        let dtr_critical =
+            selection::select_for_set(&universe, &dtr_ev, &dtr_p1, &params, Selector::MeanLeftTail);
+        let crit = KWayCriticality::estimate(&mtr_p1.store, mtr_params.left_tail_fraction);
+        let n = target_size(&mtr_params, universe.len());
+        let mtr_critical = universe.critical_scenarios(&select_k(&crit, n).indices);
+        assert!(!dtr_critical.is_empty());
+        assert_eq!(dtr_critical, mtr_critical, "seed {seed}");
+    }
 }

@@ -2,7 +2,9 @@
 //! lexicographic order, the k-class weight setting, and the k-way
 //! Algorithm 1 merge.
 
-use dtr::mtr::{select_k, KWayCriticality, MtrSampleStore, MtrWeightSetting, VecCost};
+use dtr::core::samples::SampleStore;
+use dtr::mtr::{select_k, KWayCriticality, MtrWeightSetting, VecCost};
+use dtr::routing::ClassWeights;
 use proptest::prelude::*;
 
 fn cost_vec(k: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -118,7 +120,7 @@ proptest! {
         n in 1usize..12,
     ) {
         let links = samples.len();
-        let mut store = MtrSampleStore::new(3, links);
+        let mut store = SampleStore::with_classes(3, links);
         for (i, obs) in samples.iter().enumerate() {
             for o in obs {
                 store.record(i, &VecCost::new(o.clone()));
@@ -146,7 +148,7 @@ proptest! {
         ),
     ) {
         let links = samples.len();
-        let mut store = MtrSampleStore::new(2, links);
+        let mut store = SampleStore::with_classes(2, links);
         for (i, obs) in samples.iter().enumerate() {
             for o in obs {
                 store.record(i, &VecCost::new(o.clone()));
@@ -178,7 +180,7 @@ proptest! {
         ),
     ) {
         let links = samples.len();
-        let mut store = MtrSampleStore::new(2, links);
+        let mut store = SampleStore::with_classes(2, links);
         for (i, obs) in samples.iter().enumerate() {
             for o in obs {
                 store.record(i, &VecCost::new(o.clone()));

@@ -155,13 +155,13 @@ fn phase1b_sample_stream_is_invariant_across_batching() {
             // The recorded sample *values* must match, not just counts:
             // the tail statistics summarize them.
             assert_eq!(
-                out.store.lambda_stats(i, 0.5),
-                anchor.store.lambda_stats(i, 0.5),
+                out.store.stats(0, i, 0.5),
+                anchor.store.stats(0, i, 0.5),
                 "{cfg:?}: λ samples of {i}"
             );
             assert_eq!(
-                out.store.phi_stats(i, 0.5),
-                anchor.store.phi_stats(i, 0.5),
+                out.store.stats(1, i, 0.5),
+                anchor.store.stats(1, i, 0.5),
                 "{cfg:?}: Φ samples of {i}"
             );
         }
