@@ -13,10 +13,9 @@
 //! recording one per-scenario-kind speedup entry (`link_sweep`,
 //! `srlg_sweep`, `node_sweep`) plus two **end-to-end search**
 //! comparisons, `phase2_search` (DTR robust search) and
-//! `mtr_robust_search` (the k-class analogue), each run five ways:
-//! serial full-sweep, incumbent-bounded cutoff (Λ floors only), cutoff
-//! with the load-aware Φ floors added, cutoff with repair-seeded plain
-//! routing, and the shipped combined default — every leg verified to
+//! `mtr_robust_search` (the k-class analogue), each run three ways:
+//! serial full-sweep, incumbent-bounded cutoff (Λ floors), and the
+//! shipped combined default — every leg verified to
 //! produce the identical result, with per-rep nanosecond samples and
 //! per-cause skip counters (`skipped_floor` / `skipped_cache` /
 //! `skipped_cutoff`, plus `floor_cut_rate`) recorded so single-core
@@ -193,7 +192,7 @@ fn bench_micro(c: &mut Criterion) {
 
 /// Deterministic search-level parallelism at the 500-node tier: the
 /// same 2-replica portfolio search (rendezvous every 2 sweeps,
-/// speculation window 8, cutoff + Φ floors) run once on 1 thread and
+/// speculation window 8, cutoff + Λ floors) run once on 1 thread and
 /// once with a real thread fan-out, asserted **byte-identical** — the
 /// parallel-search contract in `DETERMINISM.md`: the output depends
 /// only on `(seed, replicas, rendezvous_period)`, never on `threads` —
@@ -227,7 +226,6 @@ fn parallel_search_baseline() -> String {
         threads: 1,
         speculation: 8,
         cutoff: true,
-        phi_floors: true,
         portfolio: PortfolioParams {
             replicas: 2,
             rendezvous_period: 2,
@@ -311,28 +309,23 @@ fn parallel_search_baseline() -> String {
     )
 }
 
-/// End-to-end Phase-2 robust search on the 50-node testbed, five ways:
+/// End-to-end Phase-2 robust search on the 50-node testbed, three ways:
 ///
 /// * `serial` — serial-move full-sweep (the seed search loop),
 /// * `cutoff` — the incumbent-aware sweep kernel (early cutoff +
-///   Λ floors + delta-state scenario cache): the pre-Φ baseline,
-/// * `floors` — the same kernel with the load-aware Φ floors added to
-///   the Λ floors (`Params::phi_floors`),
-/// * `repair` — the `cutoff` leg with repair-seeded routing restored on
-///   the plain `cost_scenario` path (`Evaluator::set_plain_repair`),
-///   isolating the repair-everywhere win on cache-capture rebuilds,
-/// * `combined` — the shipped default configuration: Φ floors, plain
-///   repair, and a speculation window of 8.
+///   Λ floors + delta-state scenario cache),
+/// * `combined` — the shipped default configuration: the `cutoff` leg
+///   with a speculation window of 8.
 ///
 /// All single-threaded, so the recorded speedup is algorithmic, not
 /// parallelism (at one thread `speculative_sweep` defers evaluation to
 /// replay time; speculation contributes wall-clock only when
 /// `threads > 1` fan out the window — its trajectory-invariance is what
-/// the equivalence suite pins). All five runs are asserted to produce
+/// the equivalence suite pins). All three runs are asserted to produce
 /// the identical robust setting, costs and constraint accounting (the
-/// tentpole's bit-for-bit contract), and the emitted JSON records the
-/// per-cause skip counters (`skipped_floor` / `skipped_cache` /
-/// `skipped_cutoff`) and the `floor_cut_rate` that explain the win.
+/// bit-for-bit contract), and the emitted JSON records the per-cause
+/// skip counters (`skipped_floor` / `skipped_cache` / `skipped_cutoff`)
+/// and the `floor_cut_rate` that explain the win.
 fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     // The shared testbed traffic (5e10) is a stress scale tuned for the
     // ensemble-sweep benches, where every failure drowns in SLA
@@ -345,7 +338,7 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     let mut tm = tm.clone();
     tm.scale(0.04);
     let tm = &tm;
-    let mut ev = Evaluator::new(net, tm, CostParams::default());
+    let ev = Evaluator::new(net, tm, CostParams::default());
     let universe = dtr_core::FailureUniverse::of(net);
     // CI-sized search budget at paper scale: a few full sweeps over the
     // 150 physical links against the paper's critical fraction of the
@@ -365,21 +358,14 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         threads: 1,
         speculation: 1,
         cutoff: false,
-        phi_floors: false,
         ..Params::paper_default(11)
     };
     let cutoff = Params {
         cutoff: true,
         ..base
     };
-    let floors = Params {
-        cutoff: true,
-        phi_floors: true,
-        ..base
-    };
     let combined = Params {
         cutoff: true,
-        phi_floors: true,
         speculation: 8,
         ..base
     };
@@ -395,21 +381,16 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     // best-of-`reps` minimum instead of skewing one configuration. Every
     // per-rep sample is recorded in the artifact so the single-core
     // wall-clock variance is visible rather than folded into one number.
-    // The repair toggle lives on the evaluator (not `Params`) and is
-    // bit-for-bit invisible in results, so legs flip it in place.
-    let legs: [(&str, &Params, bool); 5] = [
-        ("serial", &base, false),
-        ("cutoff", &cutoff, false),
-        ("floors", &floors, false),
-        ("repair", &cutoff, true),
-        ("combined", &combined, true),
+    let legs: [(&str, &Params); 3] = [
+        ("serial", &base),
+        ("cutoff", &cutoff),
+        ("combined", &combined),
     ];
-    let mut best_ns = [u128::MAX; 5];
-    let mut samples: [Vec<u128>; 5] = Default::default();
-    let mut outs: [Option<phase2::Phase2Output>; 5] = Default::default();
+    let mut best_ns = [u128::MAX; 3];
+    let mut samples: [Vec<u128>; 3] = Default::default();
+    let mut outs: [Option<phase2::Phase2Output>; 3] = Default::default();
     for _ in 0..reps {
-        for (j, (_, params, plain_repair)) in legs.iter().enumerate() {
-            ev.set_plain_repair(*plain_repair);
+        for (j, (_, params)) in legs.iter().enumerate() {
             let t0 = Instant::now();
             let run = phase2::run(&ev, &universe, &indices, params, &p1);
             let ns = t0.elapsed().as_nanos();
@@ -418,13 +399,12 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
             outs[j] = Some(run);
         }
     }
-    ev.set_plain_repair(true);
     let outs = outs.map(|o| o.expect("at least one rep"));
     let serial_out = &outs[0];
 
-    // The tentpole contract: all five configurations walk the same
+    // The bit-for-bit contract: all three configurations walk the same
     // trajectory to the same robust setting.
-    for (j, (name, _, _)) in legs.iter().enumerate().skip(1) {
+    for (j, (name, _)) in legs.iter().enumerate().skip(1) {
         let out = &outs[j];
         assert_eq!(serial_out.best, out.best, "{name}: best setting diverged");
         assert_eq!(serial_out.best_kfail, out.best_kfail, "{name}");
@@ -446,21 +426,15 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     }
     assert_eq!(serial_out.stats.scenario_evals_skipped, 0);
     assert!(outs[1].stats.scenario_evals_skipped > 0);
-    // Repair changes wall-clock only — every counter matches its
-    // floors-off cutoff twin exactly.
-    assert_eq!(outs[3].stats, outs[1].stats, "repair leg perturbed stats");
-    // The Φ floors must be observable: some cuts needed them.
-    assert!(outs[2].stats.skipped_floor > 0, "Φ floors never fired");
-    let combined_stats = &outs[4].stats;
+    // The Λ floors must be observable: some cuts needed them.
+    let combined_stats = &outs[2].stats;
     assert!(
         combined_stats.skipped_floor > 0,
-        "Φ floors never fired (combined)"
+        "Λ floors never fired (combined)"
     );
 
-    let [serial_ns, cutoff_ns, floors_ns, repair_ns, combined_ns] = best_ns;
+    let [serial_ns, cutoff_ns, combined_ns] = best_ns;
     let speedup_cutoff = serial_ns as f64 / cutoff_ns as f64;
-    let speedup_floors = serial_ns as f64 / floors_ns as f64;
-    let speedup_repair = serial_ns as f64 / repair_ns as f64;
     let speedup_combined = serial_ns as f64 / combined_ns as f64;
     // Share of all logical scenario evaluations skipped by a cut that
     // *needed* the floors (the evaluated prefix alone would not have
@@ -468,14 +442,11 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     let floor_cut_rate = combined_stats.skipped_floor as f64 / combined_stats.evaluations as f64;
     println!(
         "micro/phase2_search_{NODES}n: serial {:.1} ms, cutoff+Λ {:.1} ms \
-         ({speedup_cutoff:.2}x), +Φ floors {:.1} ms ({speedup_floors:.2}x), \
-         +repair {:.1} ms ({speedup_repair:.2}x), combined (K=8) {:.1} ms \
+         ({speedup_cutoff:.2}x), combined (K=8) {:.1} ms \
          ({speedup_combined:.2}x); {} of {} scenario evals skipped \
          ({} floor / {} cache / {} cutoff; identical result)",
         serial_ns as f64 / 1e6,
         cutoff_ns as f64 / 1e6,
-        floors_ns as f64 / 1e6,
-        repair_ns as f64 / 1e6,
         combined_ns as f64 / 1e6,
         combined_stats.scenario_evals_skipped,
         serial_out.stats.evaluations,
@@ -488,14 +459,10 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         "  \"phase2_search\": {{\n    \"critical_scenarios\": {},\n    \
          \"sweeps\": {},\n    \"logical_evaluations\": {},\n    \
          \"serial_move_full_sweep_ns\": {serial_ns},\n    \
-         \"cutoff_ns\": {cutoff_ns},\n    \"floors_ns\": {floors_ns},\n    \
-         \"repair_ns\": {repair_ns},\n    \"combined_ns\": {combined_ns},\n    \
+         \"cutoff_ns\": {cutoff_ns},\n    \"combined_ns\": {combined_ns},\n    \
          \"serial_ns_samples\": {},\n    \"cutoff_ns_samples\": {},\n    \
-         \"floors_ns_samples\": {},\n    \"repair_ns_samples\": {},\n    \
          \"combined_ns_samples\": {},\n    \
          \"speedup_cutoff\": {speedup_cutoff:.4},\n    \
-         \"speedup_floors\": {speedup_floors:.4},\n    \
-         \"speedup_repair\": {speedup_repair:.4},\n    \
          \"speedup_combined\": {speedup_combined:.4},\n    \
          \"scenario_evals_skipped\": {},\n    \"skipped_floor\": {},\n    \
          \"skipped_cache\": {},\n    \"skipped_cutoff\": {},\n    \
@@ -507,8 +474,6 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         json_u128_array(&samples[0]),
         json_u128_array(&samples[1]),
         json_u128_array(&samples[2]),
-        json_u128_array(&samples[3]),
-        json_u128_array(&samples[4]),
         combined_stats.scenario_evals_skipped,
         combined_stats.skipped_floor,
         combined_stats.skipped_cache,
@@ -545,7 +510,6 @@ fn checkpoint_overhead_baseline(net: &Network, tm: &ClassMatrices) -> String {
         threads: 1,
         speculation: 1,
         cutoff: true,
-        phi_floors: false,
         ..Params::paper_default(11)
     };
     let ckpt = Params {
@@ -807,7 +771,6 @@ fn scale_tier(nodes: usize, duplex: usize, crit: usize, reps: usize, verify: boo
         threads: 1,
         speculation: 8,
         cutoff: true,
-        phi_floors: true,
         cache_budget_bytes: budget,
         ..Params::paper_default(17)
     };
@@ -887,18 +850,13 @@ fn scale_tier(nodes: usize, duplex: usize, crit: usize, reps: usize, verify: boo
     )
 }
 
-/// End-to-end MTR robust search on the same 50-node testbed, five ways
+/// End-to-end MTR robust search on the same 50-node testbed, three ways
 /// (the MTR analogue of the `phase2_search` contract):
 ///
 /// * `serial` — serial-move full-sweep (the pre-incumbent-aware loop),
 /// * `cutoff` — the early-cutoff bounded sweep + per-class Λ floors,
-///   uncached: the pre-Φ baseline,
-/// * `floors` — the same sweep with the load-aware per-class Φ floors
-///   (`MtrParams::phi_floors`),
-/// * `repair` — the `cutoff` leg with repair-seeded routing restored on
-///   the plain `cost_scenario` path (`MtrEvaluator::set_plain_repair`),
-///   which that uncached leg pays on every evaluation,
-/// * `combined` — Φ floors + plain repair + the delta-state per-scenario
+///   uncached,
+/// * `combined` — the `cutoff` leg plus the delta-state per-scenario
 ///   routing/load cache (the shipped default).
 ///
 /// All single thread, all asserted to produce the identical robust
@@ -911,8 +869,7 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     let mut tm = tm.clone();
     tm.scale(0.04);
     let matrices = [tm.delay.clone(), tm.throughput.clone()];
-    let mut ev =
-        MtrEvaluator::new(net, &matrices, MtrConfig::dtr(25e-3, 0.2)).expect("valid config");
+    let ev = MtrEvaluator::new(net, &matrices, MtrConfig::dtr(25e-3, 0.2)).expect("valid config");
     let universe = dtr_core::FailureUniverse::of(net);
     let crit = universe.target_size(0.15);
     let scenarios: Vec<Scenario> = universe.scenarios().into_iter().take(crit).collect();
@@ -928,8 +885,7 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         threads: 1,
         speculation: 1,
         cutoff: false,
-        phi_floors: false,
-        // The cutoff legs below run uncached: a zero cache budget keeps
+        // The cutoff leg below runs uncached: a zero cache budget keeps
         // every scenario on the plain path.
         cache_budget_bytes: 0,
         ..MtrParams::paper_default(11)
@@ -938,14 +894,8 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         cutoff: true,
         ..base
     };
-    let floors = MtrParams {
-        cutoff: true,
-        phi_floors: true,
-        ..base
-    };
     let combined = MtrParams {
         cutoff: true,
-        phi_floors: true,
         cache_budget_bytes: usize::MAX,
         ..base
     };
@@ -956,19 +906,16 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     } else {
         5
     };
-    let legs: [(&str, &MtrParams, bool); 5] = [
-        ("serial", &base, false),
-        ("cutoff", &cutoff, false),
-        ("floors", &floors, false),
-        ("repair", &cutoff, true),
-        ("combined", &combined, true),
+    let legs: [(&str, &MtrParams); 3] = [
+        ("serial", &base),
+        ("cutoff", &cutoff),
+        ("combined", &combined),
     ];
-    let mut best_ns = [u128::MAX; 5];
-    let mut samples: [Vec<u128>; 5] = Default::default();
-    let mut outs: [Option<dtr_mtr::MtrRobustOutput>; 5] = Default::default();
+    let mut best_ns = [u128::MAX; 3];
+    let mut samples: [Vec<u128>; 3] = Default::default();
+    let mut outs: [Option<dtr_mtr::MtrRobustOutput>; 3] = Default::default();
     for _ in 0..reps {
-        for (j, (_, params, plain_repair)) in legs.iter().enumerate() {
-            ev.set_plain_repair(*plain_repair);
+        for (j, (_, params)) in legs.iter().enumerate() {
             let t0 = Instant::now();
             let run = mtr_robust::run(&ev, &scenarios, params, &reg.best_cost, &reg.archive, None);
             let ns = t0.elapsed().as_nanos();
@@ -977,11 +924,10 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
             outs[j] = Some(run);
         }
     }
-    ev.set_plain_repair(true);
     let outs = outs.map(|o| o.expect("at least one rep"));
     let serial_out = &outs[0];
 
-    for (j, (name, _, _)) in legs.iter().enumerate().skip(1) {
+    for (j, (name, _)) in legs.iter().enumerate().skip(1) {
         let out = &outs[j];
         assert_eq!(serial_out.best, out.best, "{name}: best setting diverged");
         assert_eq!(serial_out.best_kfail, out.best_kfail, "{name}");
@@ -1002,30 +948,23 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     }
     assert_eq!(serial_out.stats.scenario_evals_skipped, 0);
     assert!(outs[1].stats.scenario_evals_skipped > 0);
-    assert_eq!(outs[3].stats, outs[1].stats, "repair leg perturbed stats");
-    assert!(outs[2].stats.skipped_floor > 0, "Φ floors never fired");
-    let combined_stats = &outs[4].stats;
+    let combined_stats = &outs[2].stats;
     assert!(
         combined_stats.skipped_floor > 0,
-        "Φ floors never fired (combined)"
+        "Λ floors never fired (combined)"
     );
 
-    let [serial_ns, cutoff_ns, floors_ns, repair_ns, combined_ns] = best_ns;
+    let [serial_ns, cutoff_ns, combined_ns] = best_ns;
     let speedup_cutoff = serial_ns as f64 / cutoff_ns as f64;
-    let speedup_floors = serial_ns as f64 / floors_ns as f64;
-    let speedup_repair = serial_ns as f64 / repair_ns as f64;
     let speedup_combined = serial_ns as f64 / combined_ns as f64;
     let floor_cut_rate = combined_stats.skipped_floor as f64 / combined_stats.evaluations as f64;
     println!(
         "micro/mtr_robust_search_{NODES}n: serial {:.1} ms, cutoff+Λ {:.1} ms \
-         ({speedup_cutoff:.2}x), +Φ floors {:.1} ms ({speedup_floors:.2}x), \
-         +repair {:.1} ms ({speedup_repair:.2}x), combined (+cache) {:.1} ms \
+         ({speedup_cutoff:.2}x), combined (+cache) {:.1} ms \
          ({speedup_combined:.2}x); {} of {} scenario evals skipped \
          ({} floor / {} cache / {} cutoff; identical result)",
         serial_ns as f64 / 1e6,
         cutoff_ns as f64 / 1e6,
-        floors_ns as f64 / 1e6,
-        repair_ns as f64 / 1e6,
         combined_ns as f64 / 1e6,
         combined_stats.scenario_evals_skipped,
         serial_out.stats.evaluations,
@@ -1039,14 +978,10 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
          \"critical_scenarios\": {},\n    \"sweeps\": {},\n    \
          \"logical_evaluations\": {},\n    \
          \"serial_move_full_sweep_ns\": {serial_ns},\n    \
-         \"cutoff_ns\": {cutoff_ns},\n    \"floors_ns\": {floors_ns},\n    \
-         \"repair_ns\": {repair_ns},\n    \"combined_ns\": {combined_ns},\n    \
+         \"cutoff_ns\": {cutoff_ns},\n    \"combined_ns\": {combined_ns},\n    \
          \"serial_ns_samples\": {},\n    \"cutoff_ns_samples\": {},\n    \
-         \"floors_ns_samples\": {},\n    \"repair_ns_samples\": {},\n    \
          \"combined_ns_samples\": {},\n    \
          \"speedup_cutoff\": {speedup_cutoff:.4},\n    \
-         \"speedup_floors\": {speedup_floors:.4},\n    \
-         \"speedup_repair\": {speedup_repair:.4},\n    \
          \"speedup_combined\": {speedup_combined:.4},\n    \
          \"scenario_evals_skipped\": {},\n    \"skipped_floor\": {},\n    \
          \"skipped_cache\": {},\n    \"skipped_cutoff\": {},\n    \
@@ -1058,8 +993,6 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         json_u128_array(&samples[0]),
         json_u128_array(&samples[1]),
         json_u128_array(&samples[2]),
-        json_u128_array(&samples[3]),
-        json_u128_array(&samples[4]),
         combined_stats.scenario_evals_skipped,
         combined_stats.skipped_floor,
         combined_stats.skipped_cache,

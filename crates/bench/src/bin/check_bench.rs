@@ -11,10 +11,10 @@
 //!   incumbent-bounded cutoff never fired — a regression in the
 //!   machinery this artifact exists to track), or
 //! * a search bench reports `skipped_floor == 0` or
-//!   `floor_cut_rate == 0` (the load-aware floors contributed nothing:
-//!   no cut needed them — the Φ-floor machinery regressed to dead
-//!   weight), or the per-cause skip counters don't sum to
-//!   `scenario_evals_skipped`, or
+//!   `floor_cut_rate == 0` (the Λ floors contributed nothing: no cut
+//!   needed them — the floor machinery regressed to dead weight), or
+//!   the per-cause skip counters don't sum to `scenario_evals_skipped`,
+//!   or
 //! * an identity flag (`identical_result`, `serial_equals_parallel`,
 //!   `bit_for_bit_identical`) is missing or false, or
 //! * the `checkpoint_overhead` entry is missing, recorded no durable
@@ -174,9 +174,9 @@ fn main() -> ExitCode {
     }
 
     // End-to-end search benches: entries present, results identical,
-    // cutoff observable (skips > 0), the Φ floors observable
+    // cutoff observable (skips > 0), the Λ floors observable
     // (skipped_floor > 0, floor_cut_rate > 0, per-cause counters sum
-    // to the legacy total), per-rep samples recorded for all five legs.
+    // to the legacy total), per-rep samples recorded for all three legs.
     for name in ["phase2_search", "mtr_robust_search"] {
         match section(&doc, name) {
             None => errors.push(format!("missing search entry `{name}`")),
@@ -236,8 +236,6 @@ fn main() -> ExitCode {
                 for arr in [
                     "serial_ns_samples",
                     "cutoff_ns_samples",
-                    "floors_ns_samples",
-                    "repair_ns_samples",
                     "combined_ns_samples",
                 ] {
                     match array_state(body, arr) {

@@ -671,7 +671,10 @@ mod tests {
     #[test]
     fn floors_hasten_cuts_without_changing_completions() {
         let (net, tm) = setup(7);
-        let ev = Evaluator::new(&net, &tm, CostParams::default());
+        // A 3 ms SLA bound: a failed ring link detours its one delay
+        // pair over six 1 ms links, so every scenario's Λ floor is
+        // positive.
+        let ev = Evaluator::new(&net, &tm, CostParams::with_theta(3e-3));
         let w = WeightSetting::uniform(net.num_links(), 20);
         let set = crate::universe::FailureUniverse::of(&net);
         let indices: Vec<usize> = crate::scenario::ScenarioSet::all_indices(&set);
@@ -681,6 +684,13 @@ mod tests {
             .map(|&i| ev.scenario_floor(&mut ws, set.scenario(i)))
             .collect();
         ev.release_workspace(ws);
+        // Soundness: every floor bounds its scenario's exact cost, and
+        // the congestion component is exactly 0.
+        let exact = evaluate_set(&ev, &w, &set, &indices, 1);
+        for (f, c) in floors.iter().zip(&exact) {
+            assert!(f.lambda <= c.lambda, "floor {f} exceeds exact {c}");
+            assert_eq!(f.phi, 0.0);
+        }
         let total = sum_set_costs(&ev, &w, &set, &indices, 1);
         let order: Vec<u32> = (0..indices.len() as u32).collect();
         let mut scratch = SweepScratch::new();
@@ -706,9 +716,9 @@ mod tests {
             // position zero: the floored sweep cuts at its first check,
             // and the cut is attributed to the floors whenever the
             // evaluated subset alone would not have proven it.
-            let floor_sum: f64 = floors.iter().map(|f| f.phi).sum();
+            let floor_sum: f64 = floors.iter().map(|f| f.lambda).sum();
             assert!(floor_sum > 0.0, "testbed floors are degenerate");
-            let below_floors = LexCost::new(0.0, floor_sum * 0.5);
+            let below_floors = LexCost::new(floor_sum * 0.5, 0.0);
             match sum_set_costs_bounded(
                 &ev,
                 &w,

@@ -114,30 +114,18 @@ pub struct Params {
     /// recomputed (see [`crate::search::speculative_sweep`]).
     pub speculation: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
-    /// robust phase. The cutoff is a float-exact proof of rejection
-    /// (see [`crate::parallel::sum_set_costs_bounded`]), so accepted
-    /// moves, their costs, and the full accept/reject sequence are
-    /// identical with it on or off; only losing sweeps get cheaper.
+    /// robust phase, which stand each scenario's Λ floor
+    /// (`dtr_cost::Engine::scenario_floor`) in for the scenarios not yet
+    /// evaluated. The cutoff is a float-exact proof of rejection (see
+    /// [`crate::parallel::sum_set_costs_bounded`]), so accepted moves,
+    /// their costs, and the full accept/reject sequence are identical
+    /// with it on or off; only losing sweeps get cheaper.
     pub cutoff: bool,
-    /// Include the load-aware congestion Φ component in the per-scenario
-    /// floors of the bounded sweeps (`dtr_cost::Engine::phi_floor`); off,
-    /// the floors fall back to the propagation-only Λ bound. Only read when
-    /// `cutoff` is on. Like the cutoff itself, the Φ floors are a
-    /// float-exact rejection proof: results and traces are identical
-    /// either way, only losing sweeps cut earlier.
-    pub phi_floors: bool,
     /// Record the per-proposal accept/reject trace into the phase
     /// outputs ([`crate::search::MoveOutcome`]). Off by default: the
     /// trace grows with the move count and exists for the equivalence
     /// suite and diagnostics.
     pub record_trace: bool,
-    /// Smallest pending speculative batch worth fanning out eagerly
-    /// ahead of the replay cursor when `threads > 1` (see
-    /// [`crate::search::EAGER_MIN_BATCH`], the measured default — the
-    /// break-even holds from the 90 µs paper-scale evals up to the
-    /// millisecond evals of the 500+-node tiers). Purely a wall-clock
-    /// knob: the trajectory is bit-identical for every value.
-    pub eager_min_batch: usize,
     /// Portfolio/replica search for the robust phase (Phase 2):
     /// independent chains from derived seeds with index-ordered elite
     /// exchange. `PortfolioParams::single()` = classic search.
@@ -197,9 +185,7 @@ impl Params {
             threads: 1,
             speculation: 8,
             cutoff: true,
-            phi_floors: true,
             record_trace: false,
-            eager_min_batch: crate::search::EAGER_MIN_BATCH,
             portfolio: PortfolioParams::single(),
             cache_budget_bytes: usize::MAX,
             max_iterations: 100_000,
@@ -260,7 +246,6 @@ impl Params {
         assert!(self.archive_size >= 1);
         assert!(self.threads >= 1);
         assert!(self.speculation >= 1, "speculation window K >= 1");
-        assert!(self.eager_min_batch >= 1, "eager batch threshold >= 1");
         self.portfolio.validate();
         assert!(self.max_iterations >= 1);
         if let Some(ms) = self.deadline_ms {

@@ -129,7 +129,6 @@ pub fn harvest<E: RobustEngine>(
             &mut rng,
             knobs.speculation,
             knobs.threads,
-            knobs.eager_min_batch,
             &mut current,
             &mut spec,
             &mut wasted,

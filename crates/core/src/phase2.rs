@@ -124,9 +124,7 @@ impl From<&Params> for RobustKnobs {
             max_iterations: p.max_iterations,
             threads: p.threads,
             speculation: p.speculation,
-            eager_min_batch: p.eager_min_batch,
             cutoff: p.cutoff,
-            phi_floors: p.phi_floors,
             record_trace: p.record_trace,
             cache_budget_bytes: p.cache_budget_bytes,
             portfolio: p.portfolio,
@@ -456,16 +454,6 @@ mod tests {
             on.stats.scenario_evals_skipped,
             on.stats.skipped_floor + on.stats.skipped_cache + on.stats.skipped_cutoff
         );
-        // Disabling the Φ floors must not change the trajectory either —
-        // floors only hasten provable rejections.
-        let params_no_phi = Params {
-            phi_floors: false,
-            ..params_on
-        };
-        let no_phi = run(&ev, &universe, &all, &params_no_phi, &p1);
-        assert_eq!(no_phi.best, on.best);
-        assert_eq!(no_phi.best_kfail, on.best_kfail);
-        assert_eq!(no_phi.stats.evaluations, on.stats.evaluations);
     }
 
     #[test]

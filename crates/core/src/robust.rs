@@ -202,12 +202,8 @@ pub struct RobustKnobs {
     pub threads: usize,
     /// Speculation window `K`.
     pub speculation: usize,
-    /// Smallest eagerly evaluated speculation batch.
-    pub eager_min_batch: usize,
     /// Incumbent-bounded failure sweeps through the scenario cache.
     pub cutoff: bool,
-    /// Load-aware Φ floors in the bounded sweeps.
-    pub phi_floors: bool,
     /// Record the accept/reject trace.
     pub record_trace: bool,
     /// Scenario-cache byte budget.
@@ -337,7 +333,7 @@ impl<E: RobustEngine> SweepState<E> {
             let floors = indices
                 .iter()
                 .map(|&i| {
-                    let floor = eng.scenario_floor(&mut ws, set.scenario(i), knobs.phi_floors);
+                    let floor = eng.scenario_floor(&mut ws, set.scenario(i));
                     cost_of(floor)
                 })
                 .collect();
@@ -459,7 +455,6 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     // slots (position 0 is already exact even when non-resident — the
     // capture eval and the plain eval are bit-identical).
     let cap_hi = st.cache.resident_scenarios().max(captured);
-    let full = st.cache.full_resident_scenarios();
     let workers = threads.min(n.max(1));
     if workers <= 1 {
         let (base, entries) = st.cache.capture_split();
@@ -472,12 +467,6 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                 base,
                 &mut entries[pos],
             ));
-        }
-        // Partial-tier positions capture fully (the capture eval *is*
-        // the exact cost) and immediately demote to the planned
-        // routings + loads footprint.
-        for entry in &mut entries[full..cap_hi] {
-            entry.demote();
         }
         for (c, &i) in st.scratch.costs[cap_hi..]
             .iter_mut()
@@ -508,10 +497,6 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                 }
                 eng.release_workspace(ws);
             });
-        }
-        // See the serial branch: demote the partial-tier band.
-        for entry in &mut entries[full..cap_hi] {
-            entry.demote();
         }
     }
     let tail = &indices[cap_hi..];
@@ -931,12 +916,11 @@ fn encode_snapshot<E: RobustEngine>(
 /// Check the stored config fingerprint against the resuming run and
 /// recover the benchmark and the boundary counter. Only
 /// trajectory-determining knobs are fingerprinted: `threads`,
-/// `speculation`, `cutoff`, `phi_floors`, the cache budget and the
-/// eager batch size may all legally differ between the saving and the
-/// resuming process — the determinism contract makes the continued
-/// trajectory identical regardless. A `benchmark` of `None` takes the
-/// stored one (DTR resumes without its Phase-1 output); `Some` must
-/// match it bit for bit.
+/// `speculation`, `cutoff` and the cache budget may all legally differ
+/// between the saving and the resuming process — the determinism
+/// contract makes the continued trajectory identical regardless. A
+/// `benchmark` of `None` takes the stored one (DTR resumes without its
+/// Phase-1 output); `Some` must match it bit for bit.
 fn decode_config<E: RobustEngine>(
     rd: &mut Decoder<'_>,
     ev: &E,
@@ -1219,7 +1203,6 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         rng,
         knobs.speculation,
         knobs.threads,
-        knobs.eager_min_batch,
         current,
         spec,
         &mut wasted,
@@ -1448,7 +1431,7 @@ pub fn run_controlled<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 /// `ctl`. The engine, scenario set, critical indices, gate and the
 /// trajectory-determining knobs must match the saving run
 /// ([`SnapshotError::Mismatch`] otherwise); `threads`, `speculation`,
-/// `cutoff`, `phi_floors` and the cache budget may differ freely — the
+/// `cutoff` and the cache budget may differ freely — the
 /// determinism contract keeps the continued trajectory bit-identical
 /// regardless. The archive travels inside the snapshot, and so does
 /// the benchmark: pass `None` to take it from there, or `Some` to have

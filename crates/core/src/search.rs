@@ -101,7 +101,7 @@ pub struct SearchStats {
     /// the three per-cause counters below (kept for trace
     /// compatibility).
     pub scenario_evals_skipped: usize,
-    /// Skips from cuts that *needed* the Λ/Φ floor stand-ins: the
+    /// Skips from cuts that *needed* the Λ floor stand-ins: the
     /// evaluated subset alone would not have proven the rejection
     /// (`SetSweep::Cut::floor_cut`).
     pub skipped_floor: usize,
@@ -243,11 +243,10 @@ impl<W, M, C> Default for SpecBuffers<W, M, C> {
 /// normal-conditions evaluation there costs **milliseconds** (≈3 ms at
 /// 500 nodes), three orders of magnitude above the 30–60 µs fan-out
 /// overhead, so the break-even batch stays at 2 — larger thresholds
-/// only delay the overlap. The value is therefore kept as the default
-/// of the `eager_min_batch` knob on `Params`/`MtrParams` rather than
-/// raised; hosts where fan-out is unusually expensive can raise it
-/// without touching the kernel (the trajectory is identical for every
-/// value, see [`speculative_sweep`]).
+/// only delay the overlap. [`speculative_sweep`] reads this constant
+/// directly; like `k` and `threads`, the threshold only moves work
+/// between the eager and lazy paths, so the trajectory would be
+/// identical for any value.
 pub const EAGER_MIN_BATCH: usize = 2;
 
 /// One sweep of the hill climber with speculative batched moves — the
@@ -267,20 +266,15 @@ pub const EAGER_MIN_BATCH: usize = 2;
 /// serial loop.
 ///
 /// `wasted` accumulates the discarded speculative evaluations
-/// ([`SearchStats::speculative_wasted`]).
-///
-/// `eager_min` is the smallest pending batch worth fanning out eagerly
-/// (below it, evaluation defers to lazy replay even on multicore);
-/// [`EAGER_MIN_BATCH`] is the measured default. Like `k` and `threads`
-/// it only moves work between the eager and lazy paths — the costs,
-/// decisions and trajectory are bit-identical for every value.
+/// ([`SearchStats::speculative_wasted`]). A pending batch smaller than
+/// [`EAGER_MIN_BATCH`] is not fanned out eagerly; it is evaluated
+/// lazily at replay, even on multicore.
 #[allow(clippy::too_many_arguments)]
 pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
     reps: &[LinkId],
     rng: &mut StdRng,
     k: usize,
     threads: usize,
-    eager_min: usize,
     current: &mut W,
     bufs: &mut SpecBuffers<W, M, C>,
     wasted: &mut usize,
@@ -326,10 +320,9 @@ pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
 
         // Evaluate every pending non-noop candidate against the current
         // base, fanning out over `threads` workers. With a single worker
-        // there is nothing to overlap, and a batch below `eager_min`
-        // (default [`EAGER_MIN_BATCH`]) cannot amortize the fan-out
-        // overhead (see the measured threshold above), so evaluation
-        // is deferred to
+        // there is nothing to overlap, and a batch below
+        // [`EAGER_MIN_BATCH`] cannot amortize the fan-out overhead (see
+        // the measured threshold above), so evaluation is deferred to
         // the replay below (same costs, no wasted work, and the
         // workspace baseline tracks `current` exactly as in the serial
         // loop).
@@ -338,7 +331,7 @@ pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
             bufs.todo.extend(
                 (pos..drawn).filter(|&i| !bufs.slots[i].noop && bufs.slots[i].cost.is_none()),
             );
-            if bufs.todo.len() < eager_min.max(1) {
+            if bufs.todo.len() < EAGER_MIN_BATCH {
                 bufs.todo.clear();
             }
         }

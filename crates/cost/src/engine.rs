@@ -52,29 +52,28 @@
 //!    class's delay DP only for destinations whose routing or on-DAG
 //!    link delays changed. The accept path re-points the cache at the
 //!    new incumbent incrementally ([`Engine::cache_refresh`]).
-//! 6. **Per-class floors** ([`Engine::scenario_floor`]): routing-
-//!    independent lower bounds of every cost component under a scenario
-//!    — the propagation-delay Λ floor for SLA classes, the load-aware Φ
-//!    floor for congestion classes. Compound failure costs are
-//!    non-negative sums, so the incumbent-bounded sweep
-//!    `dtr_core::parallel::sum_set_costs_bounded` can stand a floor in
-//!    for every scenario it has not reached yet: a partial fold that
-//!    stops beating the incumbent *proves* the candidate will be
-//!    rejected. Floors are weight-independent, so they are computed once
-//!    per search.
+//! 6. **Per-class floors** ([`Engine::scenario_floor`]): the
+//!    propagation-delay Λ floor of each SLA class, a routing-independent
+//!    lower bound of its cost under a scenario; congestion classes get
+//!    0. Compound failure costs are non-negative sums, so the
+//!    incumbent-bounded sweep `dtr_core::parallel::sum_set_costs_bounded`
+//!    can stand a floor in for every scenario it has not reached yet: a
+//!    partial fold that stops beating the incumbent *proves* the
+//!    candidate will be rejected. Floors are weight-independent, so they
+//!    are computed once per search.
 //! 7. **Repair-seeded routing everywhere**: the plain
 //!    [`Engine::cost_with`]/`cost_scenario` path — capture sweeps,
 //!    reference anchors, every uncached failure sweep — seeds
 //!    [`route_destination_repair`] from the workspace's resident
-//!    no-failure baseline (orphan detection + boundary Dijkstra),
-//!    instead of a from-scratch Dijkstra per mask-affected destination.
+//!    no-failure baseline (orphan detection + boundary Dijkstra); it
+//!    never runs a from-scratch Dijkstra per mask-affected destination.
 //!    Weight moves are repaired the same way: the workspace baseline
 //!    (`ensure_baseline`) and the cache's incumbent baseline
 //!    ([`Engine::cache_refresh_begin`]) run the weight-move kernel
 //!    ([`route_destination_reweight`]), and [`route_destination`] runs
 //!    only where no previous routing exists. Integer distances make
-//!    every repair bit-equal to the full route, so this is purely a
-//!    constant-factor win on the route bound.
+//!    every repair bit-equal to the full route, so repair changes only
+//!    the time an evaluation takes.
 //!
 //! The "same bits" guarantee is a workspace-wide contract — parallel ==
 //! serial, cached == uncached, repair == full-route, and cross-process
@@ -445,12 +444,6 @@ pub struct ScenarioEntry {
     /// `pairs[k]` for destination `di` (length = destinations + 1);
     /// empty for congestion classes.
     pair_off: Vec<Vec<u32>>,
-    /// `true` when the SLA segments (`link_delays`, `pairs`, `pair_off`)
-    /// are resident. Partially resident entries (see
-    /// [`ScenarioCache::plan_residency`]) keep only the routing/load
-    /// prefix; candidate evaluations recompute their delays and pair DP
-    /// from scratch — bit-identically, just slower.
-    sla_resident: bool,
 }
 
 impl ScenarioEntry {
@@ -468,39 +461,15 @@ impl ScenarioEntry {
             .sum();
         let loads: usize = self.loads.iter().map(Vec::len).sum();
         let contrib: usize = self.contrib.iter().map(LinkContrib::resident_bytes).sum();
-        routed + loads * size_of::<f64>() + contrib + self.sla_bytes()
-    }
-
-    /// Bytes this entry would hold after [`demote`](Self::demote): the
-    /// cheap routing/load prefix without the SLA segments. Measured on
-    /// the (fully captured) calibration entry, this prices the
-    /// partial-residency tier of [`ScenarioCache::plan_residency`].
-    pub fn partial_bytes(&self) -> usize {
-        self.resident_bytes() - self.sla_bytes()
-    }
-
-    /// Bytes of the SLA segments (link delays, pair triples, offsets).
-    fn sla_bytes(&self) -> usize {
-        use std::mem::size_of;
+        // The SLA segments: link delays, pair triples, segment offsets.
         let pairs: usize = self.pairs.iter().map(Vec::len).sum();
         let offs: usize = self.pair_off.iter().map(Vec::len).sum();
-        self.link_delays.len() * size_of::<f64>()
+        routed
+            + loads * size_of::<f64>()
+            + contrib
+            + self.link_delays.len() * size_of::<f64>()
             + pairs * size_of::<(usize, usize, f64)>()
             + offs * size_of::<u32>()
-    }
-
-    /// Drop the SLA segments (link delays, pair triples, segment
-    /// offsets), turning a fully captured entry into a partially
-    /// resident one. The freed state is recomputed on demand by
-    /// [`Engine::cost_cached`] with bit-identical results, so demotion
-    /// never changes any evaluation — only its speed.
-    pub fn demote(&mut self) {
-        self.sla_resident = false;
-        // Assign fresh vectors (not `clear`) so the memory is actually
-        // returned — that is the point of the partial tier.
-        self.link_delays = Vec::new();
-        self.pairs = Vec::new();
-        self.pair_off = Vec::new();
     }
 }
 
@@ -553,13 +522,9 @@ pub struct ScenarioCache {
     generation: u64,
     /// Residency budget in bytes (`usize::MAX` = unbounded).
     budget: usize,
-    /// Positions `0..resident` are fully captured and delta-evaluated;
-    /// positions `resident..resident + partial` keep the partial tier
-    /// (see [`ScenarioEntry::demote`]); the rest fall back to the plain
-    /// path (see the type docs).
+    /// Positions `0..resident` are captured and delta-evaluated; the
+    /// rest fall back to the plain path (see the type docs).
     resident: usize,
-    /// Number of partially resident positions after the full prefix.
-    partial: usize,
     /// Per-class "the incumbent baseline really moved under the pending
     /// refresh diff" flags, filled by [`Engine::cache_refresh_begin`]
     /// and read (shared, read-only) by the per-entry refresh kernels.
@@ -583,7 +548,6 @@ impl ScenarioCache {
             generation: 0,
             budget: usize::MAX,
             resident: 0,
-            partial: 0,
             refresh_changed: Vec::new(),
         }
     }
@@ -605,69 +569,43 @@ impl ScenarioCache {
     }
 
     /// How many positions are currently resident (captured and
-    /// delta-evaluated, fully or partially); the
-    /// `cache_resident_scenarios` stat.
+    /// delta-evaluated); the `cache_resident_scenarios` stat.
     pub fn resident_scenarios(&self) -> usize {
-        self.resident + self.partial
-    }
-
-    /// How many positions hold the *full* delta-state (SLA segments
-    /// included); positions `full..resident_scenarios()` are the
-    /// partial tier.
-    pub fn full_resident_scenarios(&self) -> usize {
         self.resident
     }
 
-    /// `true` when position `pos` is resident (fully or partially) —
-    /// callers route non-resident positions through the plain
-    /// evaluation path, which returns the same bits.
+    /// `true` when position `pos` is resident — callers route
+    /// non-resident positions through the plain evaluation path, which
+    /// returns the same bits.
     #[inline]
     pub fn is_resident(&self, pos: usize) -> bool {
-        pos < self.resident + self.partial
+        pos < self.resident
     }
 
     /// Plan the resident prefix for a rebuild over `positions` slots:
     /// divide the budget by the measured size of the already-captured
-    /// entry 0, then spend the remainder on a *partially* resident band
-    /// (routings + loads, SLA segments dropped — see
-    /// [`ScenarioEntry::demote`]) priced at
-    /// [`partial_bytes`](ScenarioEntry::partial_bytes). Deterministic
-    /// because entry sizes are a pure function of (incumbent weights,
-    /// scenario) element counts — never of vector capacities, thread
-    /// count or timing. Call after capturing position 0; positions in
-    /// `full_resident_scenarios()..resident_scenarios()` must then be
-    /// captured and demoted, and positions `>= resident_scenarios()`
-    /// left uncaptured. With a budget smaller than even one partial
-    /// entry, both counts are 0 and the cache degrades to the plain
-    /// path entirely.
+    /// entry 0 (every position when the budget is unbounded).
+    /// Deterministic because entry sizes are a pure function of
+    /// (incumbent weights, scenario) element counts — never of vector
+    /// capacities, thread count or timing. Call after capturing
+    /// position 0; positions `< resident_scenarios()` must then be
+    /// captured, and the rest left uncaptured. With a budget smaller
+    /// than one entry the count is 0 and the cache degrades to the
+    /// plain path entirely.
     pub fn plan_residency(&mut self, positions: usize) {
-        self.partial = 0;
         if self.budget == usize::MAX {
             self.resident = positions;
             return;
         }
-        let per_full = self
+        let per_entry = self
             .entries
             .first()
             .map_or(0, ScenarioEntry::resident_bytes);
-        let per_partial = self.entries.first().map_or(0, ScenarioEntry::partial_bytes);
-        self.resident = match self.budget.checked_div(per_full) {
+        self.resident = match self.budget.checked_div(per_entry) {
             Some(fit) => fit.min(positions),
             // Zero-sized entry (nothing captured): keep everything.
             None => positions,
         };
-        if self.resident < positions {
-            let leftover = self.budget - self.resident * per_full;
-            self.partial = match leftover.checked_div(per_partial) {
-                Some(fit) => fit.min(positions - self.resident),
-                None => positions - self.resident,
-            };
-        }
-        if self.resident == 0 && self.partial > 0 {
-            // The calibration entry was captured fully but planned into
-            // the partial band: strip its SLA segments now.
-            self.entries[0].demote();
-        }
     }
 
     /// Split the cache into its shared incumbent baseline and the
@@ -791,18 +729,6 @@ pub struct EvalWorkspace {
     /// candidate vs the cache incumbent ([`baseline_unchanged`]),
     /// computed once per candidate and shared by its scenario sweep.
     base_same: Vec<Vec<bool>>,
-    /// Φ-floor scratch: per-node min hop counts of one destination.
-    floor_hops: Vec<u64>,
-    /// Φ-floor scratch: hop-Dijkstra heap.
-    floor_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-    /// Φ-floor scratch: per-node surviving class demand sourced.
-    floor_tput_out: Vec<f64>,
-    /// Φ-floor scratch: per-node surviving class demand sunk.
-    floor_tput_in: Vec<f64>,
-    /// Φ-floor scratch: per-node surviving out-cut capacity.
-    floor_cap_out: Vec<f64>,
-    /// Φ-floor scratch: per-node surviving in-cut capacity.
-    floor_cap_in: Vec<f64>,
 }
 
 impl EvalWorkspace {
@@ -864,11 +790,6 @@ pub struct Engine<'a> {
     pool: Mutex<Vec<EvalWorkspace>>,
     /// Unique identity gating workspace-baseline reuse.
     engine_id: u64,
-    /// Seed `route_destination_repair` from the workspace baseline on
-    /// the plain path (default). Off = from-scratch Dijkstra per
-    /// mask-affected destination; results are bit-identical either way,
-    /// so this exists only for A/B benchmarking.
-    plain_repair: bool,
 }
 
 fn demand_dests(tm: &TrafficMatrix) -> Vec<u32> {
@@ -917,7 +838,6 @@ impl<'a> Engine<'a> {
             prop_delays: net.links().map(|l| net.link(l).prop_delay).collect(),
             pool: Mutex::new(Vec::new()),
             engine_id: next_engine_id(),
-            plain_repair: true,
         }
     }
 
@@ -945,14 +865,6 @@ impl<'a> Engine<'a> {
     /// model, plus the class's own θ/B1/B2 for SLA classes.
     pub fn class_params(&self, k: usize) -> &CostParams {
         &self.class_params[k]
-    }
-
-    /// Toggle baseline-seeded repair on the plain scenario path (on by
-    /// default). Repair is bit-equal to a from-scratch route (integer
-    /// distances; pinned by `tests/spf_incremental.rs`), so this changes
-    /// timing only — it exists for the repair-ablation bench legs.
-    pub fn set_plain_repair(&mut self, on: bool) {
-        self.plain_repair = on;
     }
 
     /// Check a workspace out of the engine's pool (creating one if the
@@ -1142,11 +1054,7 @@ impl<'a> Engine<'a> {
                 // see `route_destination_repair`) instead of paying a
                 // full Dijkstra; `ensure_baseline` guarantees `b` is the
                 // all-up routing of these exact weights.
-                if self.plain_repair {
-                    route_destination_repair(self.net, weights, tm, mask, t as usize, b, spf, dest);
-                } else {
-                    route_destination(self.net, weights, tm, mask, t as usize, spf, dest);
-                }
+                route_destination_repair(self.net, weights, tm, mask, t as usize, b, spf, dest);
                 dest.replay(loads, &mut dropped);
                 map[di] = scratch_used as u32;
                 scratch_used += 1;
@@ -1276,152 +1184,19 @@ impl<'a> Engine<'a> {
         lambda * (1.0 - 1e-9)
     }
 
-    /// Load-aware, routing-independent lower bound of congestion class
-    /// `k`'s cost `Φ_k` under `scenario` — the congestion counterpart of
-    /// the Λ floor, computed entirely from workspace scratch
-    /// (allocation-free after warm-up; registered in
-    /// `crates/analysis/hot_paths.toml`).
-    ///
-    /// # Soundness
-    ///
-    /// `Φ_k` (see [`congestion::phi`]) sums `c_l · g(x_l / c_l)` over the
-    /// links whose **class-k** load is positive, where `x_l` is the
-    /// *total* load and `g` is the convex, non-decreasing Fortz–Thorup
-    /// utilization cost with `g(0) = 0`. Three facts make cut-style
-    /// floors sound for every weight setting:
-    ///
-    /// 1. **Jensen exactness over a cut.** Spreading a mandatory volume
-    ///    `D` over links of total capacity `C` costs at least
-    ///    `C · g(D / C)` = [`congestion::link_cost`]`(D, C)` — the convex
-    ///    sum `Σ c_i g(x_i / c_i)` with `Σ x_i = D` is minimized by
-    ///    loading every link to the same utilization `D / C`.
-    /// 2. **Monotone in the volume, antitone in the capacity.** Counting
-    ///    only part of the demand, or crediting the cut with *more*
-    ///    capacity than survives, only lowers the bound — so restricting
-    ///    to surviving (up-mask) links and class demand whose destination
-    ///    is reachable is conservative.
-    /// 3. **Every unit of class demand really crosses the cut, on links
-    ///    Φ_k counts.** A routed unit from `s` to `t` crosses the
-    ///    surviving out-cut of `s` at least once, the surviving in-cut of
-    ///    `t` at least once, and traverses at least `minhop(s, t)` links
-    ///    in total; each link it touches carries positive class-k load,
-    ///    so Φ_k's per-link term applies — with `x_l ≥` its class-k load
-    ///    (other classes' load only adds).
-    ///
-    /// The three resulting bounds — per-source out-cuts, per-destination
-    /// in-cuts, and the global min-hop volume over the whole surviving
-    /// capacity — each bound the same Φ_k, but share links with one
-    /// another, so they combine by **max**, not by sum. (The out-cuts are
-    /// pairwise link-disjoint across sources, hence their *sum* is one
-    /// bound; likewise the in-cuts.)
-    ///
-    /// Demand the mask disconnects is dropped from the bound (the
-    /// reference evaluation routes none of it), and the excluded node of
-    /// a node scenario sources and sinks nothing. Like the Λ floor, the
-    /// result is shaved by a relative `1e-9` so cross-expression
-    /// rounding can never lift the floor above an achievable Φ_k.
-    pub fn phi_floor(&self, ws: &mut EvalWorkspace, scenario: Scenario, k: usize) -> f64 {
-        self.bind(ws);
-        let n = self.net.num_nodes();
-        let EvalWorkspace {
-            mask,
-            floor_hops,
-            floor_heap,
-            floor_tput_out,
-            floor_tput_in,
-            floor_cap_out,
-            floor_cap_in,
-            ..
-        } = ws;
-        scenario.mask_into(self.net, mask);
-        let excluded = scenario.excluded_node().map(|v| v.index());
-
-        // Surviving cut capacities: per-node out/in and network-wide.
-        floor_cap_out.clear();
-        floor_cap_out.resize(n, 0.0);
-        floor_cap_in.clear();
-        floor_cap_in.resize(n, 0.0);
-        let mut cap_net = 0.0f64;
-        for l in 0..self.net.num_links() {
-            if mask.is_down(l) {
-                continue;
-            }
-            let link = self.net.link(LinkId::new(l));
-            let c = self.capacities[l];
-            floor_cap_out[link.src.index()] += c;
-            floor_cap_in[link.dst.index()] += c;
-            cap_net += c;
-        }
-
-        // Surviving class demand per source / destination, and the
-        // min-hop volume (each unit occupies at least `hops` links).
-        floor_tput_out.clear();
-        floor_tput_out.resize(n, 0.0);
-        floor_tput_in.clear();
-        floor_tput_in.resize(n, 0.0);
-        let mut volume = 0.0f64;
-        let tm = self.matrices[k];
-        for &t in &self.demand_dests[k] {
-            let t = t as usize;
-            if Some(t) == excluded {
-                continue;
-            }
-            dtr_routing::spf::hops_to_into(self.net, NodeId::new(t), mask, floor_hops, floor_heap);
-            for s in 0..n {
-                if s == t || Some(s) == excluded || floor_hops[s] == dtr_routing::UNREACHABLE {
-                    continue;
-                }
-                let d = tm.demand(s, t);
-                if d <= 0.0 {
-                    continue;
-                }
-                floor_tput_out[s] += d;
-                floor_tput_in[t] += d;
-                volume += d * floor_hops[s] as f64;
-            }
-        }
-
-        // Reachable demand leaving (entering) a node implies a surviving
-        // out (in) link, so the cut capacities below are positive where
-        // read — satisfying `link_cost`'s `c > 0` contract.
-        let mut out_cut = 0.0f64;
-        let mut in_cut = 0.0f64;
-        for v in 0..n {
-            if floor_tput_out[v] > 0.0 {
-                out_cut += congestion::link_cost(floor_tput_out[v], floor_cap_out[v]);
-            }
-            if floor_tput_in[v] > 0.0 {
-                in_cut += congestion::link_cost(floor_tput_in[v], floor_cap_in[v]);
-            }
-        }
-        let volume_bound = if volume > 0.0 {
-            congestion::link_cost(volume, cap_net)
-        } else {
-            0.0
-        };
-        out_cut.max(in_cut).max(volume_bound) * (1.0 - 1e-9)
-    }
-
     /// The routing-independent per-scenario lower bound of every cost
-    /// component: the Λ floor of each SLA class, and for each congestion
-    /// class the load-aware Φ floor ([`phi_floor`](Self::phi_floor))
-    /// when `phi_floors`, 0 otherwise. Each component bounds its cost
-    /// component from below for **every** weight setting, so
-    /// incumbent-bounded sweeps can stand the floors in for scenarios
-    /// not yet evaluated. Floors depend only on the topology, traffic,
-    /// mask and cost parameters — never on weights — so one computation
-    /// per search is valid for its whole lifetime.
-    pub fn scenario_floor<'w>(
-        &self,
-        ws: &'w mut EvalWorkspace,
-        scenario: Scenario,
-        phi_floors: bool,
-    ) -> &'w [f64] {
+    /// component: the Λ floor of each SLA class, and 0 for each
+    /// congestion class. Each component bounds its cost component from
+    /// below for **every** weight setting, so incumbent-bounded sweeps
+    /// can stand the floors in for scenarios not yet evaluated. Floors
+    /// depend only on the topology, traffic, mask and cost parameters —
+    /// never on weights — so one computation per search is valid for its
+    /// whole lifetime.
+    pub fn scenario_floor<'w>(&self, ws: &'w mut EvalWorkspace, scenario: Scenario) -> &'w [f64] {
         self.bind(ws);
         for (k, model) in self.models.iter().enumerate() {
             ws.costs[k] = match model {
                 CostModel::SlaDelay { .. } => self.lambda_floor(scenario, k),
-                CostModel::Congestion if phi_floors => self.phi_floor(ws, scenario, k),
                 CostModel::Congestion => 0.0,
             };
         }
@@ -1471,7 +1246,6 @@ impl<'a> Engine<'a> {
         } else {
             0
         };
-        cache.partial = 0;
         cache.generation = next_engine_id();
     }
 
@@ -1540,7 +1314,6 @@ impl<'a> Engine<'a> {
             entry.pairs[k].clear();
             entry.pair_off[k].clear();
         }
-        entry.sla_resident = true;
         self.ensure_baseline(ws, w);
         self.cost_scenario(ws, w, scenario, Some(entry));
         let excluded = scenario.excluded_node().map(|v| v.index());
@@ -1625,14 +1398,11 @@ impl<'a> Engine<'a> {
         }
         let epoch = ws.next_epoch();
         let entry = &cache.entries[pos];
-        let full = entry.sla_resident;
         debug_assert!(
-            entry.loads.len() == kn && entry.loads[0].len() == num_links,
+            entry.loads.len() == kn
+                && entry.loads[0].len() == num_links
+                && entry.link_delays.len() == num_links,
             "cost_cached requires a captured entry"
-        );
-        debug_assert!(
-            !full || entry.link_delays.len() == num_links,
-            "fully resident entries must hold their link delays"
         );
         let excluded = scenario.excluded_node().map(|v| v.index());
         let EvalWorkspace {
@@ -1865,37 +1635,19 @@ impl<'a> Engine<'a> {
             }
         }
         link_delays.clear();
-        if full {
-            link_delays.extend_from_slice(&entry.link_delays);
-            for &l in dirty.iter() {
-                let li = l as usize;
-                let d = delay_model::link_delay(
-                    total_loads[li],
-                    self.capacities[li],
-                    self.prop_delays[li],
-                    &self.delay_params,
-                );
-                if d.to_bits() != link_delays[li].to_bits() {
-                    link_delays[li] = d;
-                    pair_dirty.push(l);
-                }
+        link_delays.extend_from_slice(&entry.link_delays);
+        for &l in dirty.iter() {
+            let li = l as usize;
+            let d = delay_model::link_delay(
+                total_loads[li],
+                self.capacities[li],
+                self.prop_delays[li],
+                &self.delay_params,
+            );
+            if d.to_bits() != link_delays[li].to_bits() {
+                link_delays[li] = d;
+                pair_dirty.push(l);
             }
-        } else {
-            // Partial residency: no resident delays to patch — recompute
-            // every link from the candidate totals. Bit-identical: links
-            // without a contributor change carry bitwise the incumbent's
-            // total load, and `link_delay` is a pure function of it.
-            // `pair_dirty` stays empty, which is fine: with no resident
-            // pair segments to splice, every destination below re-runs
-            // the DP regardless.
-            link_delays.extend(total_loads.iter().enumerate().map(|(li, &t)| {
-                delay_model::link_delay(
-                    t,
-                    self.capacities[li],
-                    self.prop_delays[li],
-                    &self.delay_params,
-                )
-            }));
         }
 
         // Pass 3: per-class components. SLA pairs come from resident
@@ -1922,8 +1674,7 @@ impl<'a> Engine<'a> {
                         } else {
                             &scratch[code as usize]
                         };
-                        if full
-                            && (code == NOT_RECOMPUTED || code & CACHED_BIT != 0)
+                        if (code == NOT_RECOMPUTED || code & CACHED_BIT != 0)
                             && (pair_dirty.is_empty()
                                 || !dag_uses_any(self.net, &dest.dist, weights, pair_dirty))
                         {
@@ -2229,12 +1980,6 @@ impl<'a> Engine<'a> {
         ws.refresh_tmp = tmp;
         ws.refresh_list = spare;
         ws.routing_pool = pool;
-        if !entry.sla_resident {
-            // Partial tier: no resident SLA segments to maintain —
-            // candidate evaluations recompute delays and pair DPs from
-            // the (just refreshed) loads, bit-identically.
-            return;
-        }
 
         // Delays: recompute, remembering which changed bitwise.
         ws.total_loads.clear();

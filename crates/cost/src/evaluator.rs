@@ -131,12 +131,6 @@ impl<'a> Evaluator<'a> {
         &self.engine
     }
 
-    /// Toggle baseline-seeded repair on the plain `cost_with` path
-    /// (see [`Engine::set_plain_repair`]; timing only, same bits).
-    pub fn set_plain_repair(&mut self, on: bool) {
-        self.engine.set_plain_repair(on);
-    }
-
     pub fn net(&self) -> &Network {
         self.net
     }
@@ -226,9 +220,9 @@ impl<'a> Evaluator<'a> {
         lex(self.engine.cost_with(ws, w, sc))
     }
 
-    /// [`Engine::scenario_floor`] with the Φ floor, as `⟨Λ, Φ⟩` floors.
+    /// [`Engine::scenario_floor`] as `⟨Λ floor, 0⟩`.
     pub fn scenario_floor(&self, ws: &mut EvalWorkspace, scenario: Scenario) -> LexCost {
-        lex(self.engine.scenario_floor(ws, scenario, true))
+        lex(self.engine.scenario_floor(ws, scenario))
     }
 
     /// See [`Engine::cache_rebuild_begin`].

@@ -192,12 +192,6 @@ impl<'a> MtrEvaluator<'a> {
         &self.engine
     }
 
-    /// Toggle baseline-seeded repair on the plain scenario path (see
-    /// [`Engine::set_plain_repair`]; timing only, same bits).
-    pub fn set_plain_repair(&mut self, on: bool) {
-        self.engine.set_plain_repair(on);
-    }
-
     /// Largest `B1` across SLA classes (drives the `z·B1` sample-slack of
     /// the regular phase; 0 when no SLA class exists).
     pub fn max_b1(&self) -> f64 {

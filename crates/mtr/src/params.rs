@@ -61,25 +61,14 @@ pub struct MtrParams {
     /// robust phase, run through the delta-state scenario cache
     /// (`dtr_cost::ScenarioCache`; float-exact rejection proof, see
     /// `dtr_core::parallel::sum_set_costs_bounded`; the trajectory is
-    /// identical with it on or off). A `cache_budget_bytes` of 0 keeps
-    /// the cutoff and drops the cache.
+    /// identical with it on or off). Scenarios not yet evaluated stand
+    /// in as their per-class Λ floors (0 for congestion classes; see
+    /// `dtr_cost::Engine::scenario_floor`). A `cache_budget_bytes` of 0
+    /// keeps the cutoff and drops the cache.
     pub cutoff: bool,
-    /// Include the load-aware congestion Φ component in the per-class
-    /// floors of the bounded sweeps
-    /// (`dtr_cost::Engine::scenario_floor`);
-    /// off, the floors fall back to the per-class Λ bound. Only read
-    /// when `cutoff` is on. Float-exact like the cutoff itself: results
-    /// and traces are identical either way, only losing sweeps cut
-    /// earlier.
-    pub phi_floors: bool,
     /// Record the per-proposal accept/reject trace into the phase
     /// outputs (`dtr_core::search::MoveOutcome`). Off by default.
     pub record_trace: bool,
-    /// Smallest pending speculative batch worth fanning out eagerly when
-    /// `threads > 1` (see `dtr_core::search::EAGER_MIN_BATCH`, the
-    /// measured default). Purely a wall-clock knob: the trajectory is
-    /// bit-identical for every value.
-    pub eager_min_batch: usize,
     /// Portfolio/replica search for the robust phase: independent chains
     /// from derived seeds with index-ordered elite exchange
     /// ([`PortfolioParams::single()`] = classic search; see the
@@ -132,9 +121,7 @@ impl MtrParams {
             threads: 1,
             speculation: 8,
             cutoff: true,
-            phi_floors: true,
             record_trace: false,
-            eager_min_batch: dtr_core::search::EAGER_MIN_BATCH,
             portfolio: PortfolioParams::single(),
             cache_budget_bytes: usize::MAX,
             deadline_ms: None,
@@ -178,7 +165,6 @@ impl MtrParams {
         assert!(self.max_iterations >= 1);
         assert!(self.threads >= 1, "at least one worker thread");
         assert!(self.speculation >= 1, "speculation window K >= 1");
-        assert!(self.eager_min_batch >= 1, "eager batch threshold >= 1");
         self.portfolio.validate();
         if let Some(ms) = self.deadline_ms {
             assert!(ms >= 1, "deadline must be at least one millisecond");

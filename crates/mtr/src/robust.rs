@@ -121,9 +121,7 @@ impl From<&MtrParams> for RobustKnobs {
             max_iterations: p.max_iterations,
             threads: p.threads,
             speculation: p.speculation,
-            eager_min_batch: p.eager_min_batch,
             cutoff: p.cutoff,
-            phi_floors: p.phi_floors,
             record_trace: p.record_trace,
             cache_budget_bytes: p.cache_budget_bytes,
             portfolio: p.portfolio,
@@ -205,7 +203,7 @@ pub fn run_controlled(
 /// under `ctl`. The evaluator, scenario slice, benchmark and the
 /// trajectory-determining `params` knobs must match the saving run
 /// ([`SnapshotError::Mismatch`] otherwise); `threads`, `speculation`,
-/// `cutoff`, `phi_floors` and the cache budget may differ freely — the
+/// `cutoff` and the cache budget may differ freely — the
 /// determinism contract keeps the continued trajectory bit-identical
 /// regardless. No regular-phase archive is needed: it travels inside
 /// the snapshot.
@@ -616,7 +614,15 @@ mod tests {
     #[test]
     fn floors_hasten_cuts_without_changing_completions() {
         let (net, tms) = testbed(3);
-        let ev = MtrEvaluator::new(&net, &tms, k3_config()).unwrap();
+        // A 5 ms voice bound: nodes 1 and 4 are three 2 ms hops apart
+        // under every scenario that keeps both, so the voice Λ floors
+        // are positive.
+        let config = MtrConfig::new(vec![
+            ClassSpec::sla("voice", 5e-3),
+            ClassSpec::sla("video", 50e-3).relaxed(0.1),
+            ClassSpec::congestion("bulk").relaxed(0.2),
+        ]);
+        let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
         let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
         let scenarios = scenario_zoo(&net);
         let set = SliceSet::new(&scenarios, None);
@@ -624,15 +630,17 @@ mod tests {
         let mut ws = ev.acquire_workspace();
         let floors: Vec<VecCost> = scenarios
             .iter()
-            .map(|&sc| VecCost::new(ev.engine().scenario_floor(&mut ws, sc, true).to_vec()))
+            .map(|&sc| VecCost::new(ev.engine().scenario_floor(&mut ws, sc).to_vec()))
             .collect();
         MtrEvaluator::release_workspace(&ev, ws);
-        // Sanity: the load-aware floors are non-trivial on this testbed.
+        // Sanity: the Λ floors are non-trivial on this testbed, and the
+        // congestion class's floor is exactly 0.
         let mut floor_sum = VecCost::zeros(3);
         for f in &floors {
             floor_sum.add_assign(f);
+            assert_eq!(f.components()[2], 0.0);
         }
-        assert!(floor_sum.components().iter().any(|&c| c > 0.0));
+        assert!(floor_sum.components()[0] > 0.0);
         // Per-component soundness: every floor bounds its scenario's
         // exact cost from below.
         let exact = evaluate_set(&ev, &w, &set, &idx, 1);

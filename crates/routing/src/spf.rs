@@ -124,46 +124,6 @@ pub(crate) fn settle_order_to_descending(dist: &[u64], order: &mut [u32]) {
     }
 }
 
-/// Allocation-free minimum hop count: fills `dist` (resized/overwritten
-/// to `net.num_nodes()`) with the minimum number of up links on any path
-/// from each node to `dest` over up links ([`UNREACHABLE`] where there
-/// is none). Identical to [`dist_to_into`] with every
-/// weight equal to 1, without needing a unit-weight vector. The hop
-/// counts are the routing-independent path-length floor behind the
-/// congestion Φ lower bounds (`Engine::phi_floor` in `dtr-cost`):
-/// no weight setting can carry a demand over fewer than `hops` links.
-pub fn hops_to_into(
-    net: &Network,
-    dest: NodeId,
-    mask: &LinkMask,
-    dist: &mut Vec<u64>,
-    heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
-) {
-    let n = net.num_nodes();
-    dist.clear();
-    dist.resize(n, UNREACHABLE);
-    heap.clear();
-    dist[dest.index()] = 0;
-    heap.push(Reverse((0, dest.index() as u32)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        let v = v as usize;
-        if d > dist[v] {
-            continue;
-        }
-        for arc in net.in_arcs(NodeId::new(v)) {
-            if mask.is_down(arc.link.index()) {
-                continue;
-            }
-            let u = arc.far.index();
-            let nd = d + 1;
-            if nd < dist[u] {
-                dist[u] = nd;
-                heap.push(Reverse((nd, u as u32)));
-            }
-        }
-    }
-}
-
 /// Reverse Dijkstra over **real-valued** per-link costs: the minimum
 /// cost from every node to `dest` over up links, `f64::INFINITY` where
 /// unreachable. Used with propagation delays as costs, this yields the
@@ -397,23 +357,6 @@ mod tests {
             assert!(d[pair[0] as usize] >= d[pair[1] as usize]);
         }
         assert_eq!(*order.last().unwrap(), 3); // dest last
-    }
-
-    #[test]
-    fn hops_match_unit_weight_dijkstra() {
-        let net = diamond();
-        let unit = vec![1u32; net.num_links()];
-        let (mut h, mut heap) = (Vec::new(), BinaryHeap::new());
-        for mask in [
-            net.fresh_mask(),
-            net.fail_duplex(dtr_net::LinkId::new(link_between(&net, 0, 3))),
-        ] {
-            for dest in net.nodes() {
-                hops_to_into(&net, dest, &mask, &mut h, &mut heap);
-                let d = dist_to(&net, dest, &unit, &mask);
-                assert_eq!(h, d);
-            }
-        }
     }
 
     #[test]

@@ -173,13 +173,10 @@ fn steady_state_node_failure_sweep_allocates_nothing() {
 }
 
 /// The floored incumbent-bounded sweep stays allocation-free in steady
-/// state: after warm-up, recomputing every per-scenario Φ floor through
-/// the warm workspace scratch (`Engine::phi_floor`, which runs a
-/// unit-weight reverse Dijkstra per throughput destination) plus a full
-/// bounded sweep *and* a floor-hastened cutting sweep perform **zero**
-/// heap allocations. This pins the new
-/// `phi_floor` / `hops_to_into` kernels and the floored `fold_bound`
-/// path of `sum_set_costs_bounded` (all registered in
+/// state: after warm-up, a full bounded sweep *and* a floor-hastened
+/// cutting sweep over the per-scenario Λ floors perform **zero** heap
+/// allocations. This pins the floored `fold_bound` path of
+/// `sum_set_costs_bounded` (registered in
 /// crates/analysis/hot_paths.toml).
 #[test]
 fn steady_state_floored_bounded_sweep_allocates_nothing() {
@@ -199,21 +196,15 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
     let never = LexCost::new(f64::MAX, f64::MAX);
 
     let mut ws = ev.acquire_workspace();
-    // The Λ part of the floors is cold-path (computed once per search,
-    // allocating); only the Φ kernel and the sweep itself must hold the
-    // steady-state zero-allocation bar.
+    // The floors are cold-path (computed once per search, allocating);
+    // only the sweep itself must hold the steady-state zero-allocation
+    // bar.
     for (pos, &i) in indices.iter().enumerate() {
         floors[pos] = ev.scenario_floor(&mut ws, universe.scenario(i));
     }
-    let run = |ws: &mut dtr::cost::EvalWorkspace,
-               floors: &mut [LexCost],
-               scratch: &mut SweepScratch|
-     -> f64 {
-        let mut checksum = 0.0f64;
-        for (pos, &i) in indices.iter().enumerate() {
-            floors[pos].phi = ev.engine().phi_floor(ws, universe.scenario(i), 1);
-            checksum += floors[pos].lambda + floors[pos].phi;
-        }
+    ev.release_workspace(ws);
+    let run = |floors: &[LexCost], scratch: &mut SweepScratch| -> f64 {
+        let mut checksum: f64 = floors.iter().map(|f| f.lambda + f.phi).sum();
         // Full sweep (unbeatable incumbent) and floor-hastened cut
         // (zero incumbent) both stay allocation-free once warm.
         match parallel::sum_set_costs_bounded(
@@ -251,17 +242,16 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
         checksum
     };
 
-    // Warm-up lets every buffer — floor scratch, the sweep's pooled
-    // workspace, cost/done vectors — reach its high-water capacity.
+    // Warm-up lets every buffer — the sweep's pooled workspace,
+    // cost/done vectors — reach its high-water capacity.
     let mut checksum = 0.0f64;
     for _ in 0..2 {
-        checksum += run(&mut ws, &mut floors, &mut scratch);
+        checksum += run(&floors, &mut scratch);
     }
 
     let before = allocations();
-    checksum += run(&mut ws, &mut floors, &mut scratch);
+    checksum += run(&floors, &mut scratch);
     let after = allocations();
-    ev.release_workspace(ws);
 
     assert!(checksum.is_finite());
     assert_eq!(

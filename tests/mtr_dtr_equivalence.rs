@@ -168,9 +168,7 @@ fn mtr_params_of(p: &Params) -> MtrParams {
         threads: p.threads,
         speculation: p.speculation,
         cutoff: p.cutoff,
-        phi_floors: p.phi_floors,
         record_trace: p.record_trace,
-        eager_min_batch: p.eager_min_batch,
         portfolio: p.portfolio,
         cache_budget_bytes: p.cache_budget_bytes,
         deadline_ms: p.deadline_ms,

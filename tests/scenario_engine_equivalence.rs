@@ -304,12 +304,12 @@ proptest! {
 
     /// Floor-soundness oracle: the routing-independent per-scenario
     /// lower bound ([`Evaluator::scenario_floor`]) really bounds the
-    /// exact cost componentwise — `lambda ≤ Λ` and `phi ≤ Φ` — for
-    /// every scenario kind of the taxonomy, under multiple random
-    /// weight settings (the floors are weight-independent, the costs
-    /// are not). This is the exact property the bounded sweeps lean on:
-    /// a floor that ever exceeded a true component could cut a sweep
-    /// the full fold would have completed.
+    /// exact cost componentwise — `lambda ≤ Λ`, and `phi` is exactly
+    /// 0 — for every scenario kind of the taxonomy, under multiple
+    /// random weight settings (the floors are weight-independent, the
+    /// costs are not). This is the exact property the bounded sweeps
+    /// lean on: a floor that ever exceeded a true component could cut a
+    /// sweep the full fold would have completed.
     #[test]
     fn scenario_floors_bound_every_cost_componentwise(
         (nodes, extra, seed) in (10usize..15, 2usize..10, 0u64..1_000_000)
@@ -334,20 +334,19 @@ proptest! {
                     fl.lambda, c.lambda, round, sc, seed
                 );
                 prop_assert!(
-                    fl.phi <= c.phi,
-                    "Φ floor {} exceeds exact {} — round {}, scenario {}, seed {}",
-                    fl.phi, c.phi, round, sc, seed
+                    fl.phi == 0.0,
+                    "Φ floor {} is not 0 — round {}, scenario {}, seed {}",
+                    fl.phi, round, sc, seed
                 );
             }
         }
         ev.release_workspace(ws);
     }
 
-    /// The k-class mirror: every component of
-    /// the engine's `scenario_floor` (per-class Λ for SLA classes,
-    /// the load-aware Φ cut bound for congestion classes) bounds the
-    /// exact class cost from below for every scenario kind and random
-    /// weight setting.
+    /// The k-class mirror: every component of the engine's
+    /// `scenario_floor` (per-class Λ for SLA classes, exactly 0 for
+    /// congestion classes) bounds the exact class cost from below for
+    /// every scenario kind and random weight setting.
     #[test]
     fn mtr_scenario_floors_bound_every_class_component(
         (nodes, extra, seed) in (10usize..13, 2usize..7, 0u64..1_000_000)
@@ -367,7 +366,7 @@ proptest! {
         let mut ws = ev.acquire_workspace();
         let floors: Vec<Vec<f64>> = scenarios
             .iter()
-            .map(|&sc| ev.engine().scenario_floor(&mut ws, sc, true).to_vec())
+            .map(|&sc| ev.engine().scenario_floor(&mut ws, sc).to_vec())
             .collect();
         for round in 0..3 {
             let w = MtrWeightSetting::random_symmetric(2, &net, 20, &mut rng);
@@ -380,6 +379,11 @@ proptest! {
                         k, f, x, round, sc, seed
                     );
                 }
+                prop_assert!(
+                    fl[1] == 0.0,
+                    "congestion floor {} is not 0 — round {}, scenario {}, seed {}",
+                    fl[1], round, sc, seed
+                );
             }
         }
         ev.release_workspace(ws);

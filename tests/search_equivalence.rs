@@ -49,31 +49,22 @@ fn testbed() -> (Network, ClassMatrices) {
     (net, tm)
 }
 
-/// The `(speculation, threads, cutoff, phi_floors)` grid. The first
-/// entry is the anchor: the plain serial loop. Φ floors only matter
-/// under the cutoff, so the floor dimension is swept within the
-/// cutoff-on configurations (floors on AND off at several
-/// speculation/thread shapes).
-const CONFIGS: [(usize, usize, bool, bool); 8] = [
-    (1, 1, false, false),
-    (1, 1, true, false),
-    (1, 1, true, true),
-    (8, 1, false, false),
-    (8, 1, true, true),
-    (1, 4, true, false),
-    (1, 4, true, true),
-    (8, 4, true, true),
+/// The `(speculation, threads, cutoff)` grid. The first entry is the
+/// anchor: the plain serial loop.
+const CONFIGS: [(usize, usize, bool); 6] = [
+    (1, 1, false),
+    (1, 1, true),
+    (8, 1, false),
+    (8, 1, true),
+    (1, 4, true),
+    (8, 4, true),
 ];
 
-fn params_for(
-    seed: u64,
-    (speculation, threads, cutoff, phi_floors): (usize, usize, bool, bool),
-) -> Params {
+fn params_for(seed: u64, (speculation, threads, cutoff): (usize, usize, bool)) -> Params {
     Params {
         speculation,
         threads,
         cutoff,
-        phi_floors,
         record_trace: true,
         // Enough sweeps to exercise accepts, rejects, the constraint
         // gate, diversification restarts and the cutoff — the grid runs
@@ -133,7 +124,7 @@ fn phase1b_sample_stream_is_invariant_across_batching() {
     let (net, tm) = testbed();
     let ev = Evaluator::new(&net, &tm, CostParams::default());
     let universe = FailureUniverse::of(&net);
-    let mk = |cfg: (usize, usize, bool, bool)| {
+    let mk = |cfg: (usize, usize, bool)| {
         let params = params_for(5, cfg);
         let mut p1 = phase1::run(&ev, &universe, &params);
         p1.converged = false; // force the top-up
@@ -282,20 +273,14 @@ fn phase2_portfolio_is_thread_invariant() {
                 replicas,
                 rendezvous_period: 4,
             },
-            ..params_for(37, (speculation, threads, true, true))
+            ..params_for(37, (speculation, threads, true))
         };
         phase2::run(&ev, &universe, &all, &params, &p1)
     };
 
     // replicas == 1 stays the classic search, bit for bit, and reports
     // no per-replica traces.
-    let classic = phase2::run(
-        &ev,
-        &universe,
-        &all,
-        &params_for(37, (1, 1, true, true)),
-        &p1,
-    );
+    let classic = phase2::run(&ev, &universe, &all, &params_for(37, (1, 1, true)), &p1);
     let single = run(1, 4, 8);
     assert_phase2_equal(&classic, &single, "replicas=1 == classic");
     assert!(single.replica_traces.is_empty());
@@ -345,7 +330,7 @@ fn phase2_kill_restore_continue_is_bit_identical() {
     let p1 = phase1::run(&ev, &universe, &params_for(43, CONFIGS[0]));
     let all: Vec<usize> = (0..universe.len()).collect();
 
-    for cfg in [(1, 1, false, false), (1, 1, true, true), (8, 4, true, true)] {
+    for cfg in [(1, 1, false), (1, 1, true), (8, 4, true)] {
         let params = Params {
             checkpoint_every: 1,
             max_iterations: 30,
@@ -424,7 +409,7 @@ fn phase2_resumed_checkpoints_are_byte_identical() {
     let params = Params {
         checkpoint_every: 1,
         max_iterations: 30,
-        ..params_for(47, (1, 1, false, false))
+        ..params_for(47, (1, 1, false))
     };
 
     let mut full_sink = MemorySink::new();
@@ -489,7 +474,7 @@ fn phase2_portfolio_kill_restore_continue_is_bit_identical() {
         },
         checkpoint_every: 1,
         max_iterations: 30,
-        ..params_for(53, (8, 4, true, true))
+        ..params_for(53, (8, 4, true))
     };
     let full = phase2::run(&ev, &universe, &all, &params, &p1);
     assert_eq!(full.replica_traces.len(), 3);
@@ -540,31 +525,29 @@ fn mtr_testbed() -> (Network, Vec<TrafficMatrix>) {
 }
 
 /// The MTR grid adds the delta-state cache:
-/// `(speculation, threads, cutoff, cached, phi_floors)`, where an
-/// uncached leg runs the cutoff with `cache_budget_bytes: 0`. Those legs
-/// pin the all-plain-path bounded sweep (whose skips land in
-/// `skipped_cutoff` instead of `skipped_cache`).
-const MTR_CONFIGS: [(usize, usize, bool, bool, bool); 8] = [
-    (1, 1, false, false, false),
-    (1, 1, true, false, false),
-    (1, 1, true, false, true),
-    (1, 1, true, true, true),
-    (8, 1, true, true, true),
-    (1, 4, true, false, true),
-    (1, 4, true, true, false),
-    (8, 4, true, true, true),
+/// `(speculation, threads, cutoff, cached)`, where an uncached leg runs
+/// the cutoff with `cache_budget_bytes: 0`. Those legs pin the
+/// all-plain-path bounded sweep (whose skips land in `skipped_cutoff`
+/// instead of `skipped_cache`).
+const MTR_CONFIGS: [(usize, usize, bool, bool); 7] = [
+    (1, 1, false, false),
+    (1, 1, true, false),
+    (1, 1, true, true),
+    (8, 1, true, true),
+    (1, 4, true, false),
+    (1, 4, true, true),
+    (8, 4, true, true),
 ];
 
 fn mtr_params_for(
     seed: u64,
-    (speculation, threads, cutoff, cached, phi_floors): (usize, usize, bool, bool, bool),
+    (speculation, threads, cutoff, cached): (usize, usize, bool, bool),
 ) -> MtrParams {
     MtrParams {
         speculation,
         threads,
         cutoff,
         cache_budget_bytes: if cached { usize::MAX } else { 0 },
-        phi_floors,
         record_trace: true,
         ..MtrParams::quick(seed)
     }
@@ -601,7 +584,7 @@ fn mtr_robust_trajectory_is_invariant() {
     let universe = FailureUniverse::of(&net);
     let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(31, MTR_CONFIGS[0]));
     let scenarios = universe.scenarios();
-    let run = |cfg: (usize, usize, bool, bool, bool)| {
+    let run = |cfg: (usize, usize, bool, bool)| {
         mtr_robust::run(
             &ev,
             &scenarios,
@@ -666,7 +649,7 @@ fn mtr_robust_portfolio_is_thread_invariant() {
                 replicas,
                 rendezvous_period: 4,
             },
-            ..mtr_params_for(41, (speculation, threads, true, true, true))
+            ..mtr_params_for(41, (speculation, threads, true, true))
         };
         mtr_robust::run(&ev, &scenarios, &params, &reg.best_cost, &reg.archive, None)
     };
@@ -688,7 +671,7 @@ fn mtr_robust_portfolio_is_thread_invariant() {
     let classic = mtr_robust::run(
         &ev,
         &scenarios,
-        &mtr_params_for(41, (1, 1, true, true, true)),
+        &mtr_params_for(41, (1, 1, true, true)),
         &reg.best_cost,
         &reg.archive,
         None,
@@ -737,9 +720,9 @@ fn mtr_robust_kill_restore_continue_is_bit_identical() {
     let scenarios = universe.scenarios();
 
     for cfg in [
-        (1, 1, false, false, false),
-        (1, 1, true, false, true),
-        (8, 4, true, true, true),
+        (1, 1, false, false),
+        (1, 1, true, false),
+        (8, 4, true, true),
     ] {
         let params = MtrParams {
             checkpoint_every: 1,
@@ -818,7 +801,7 @@ fn mtr_portfolio_kill_restore_continue_is_bit_identical() {
             rendezvous_period: 4,
         },
         checkpoint_every: 1,
-        ..mtr_params_for(43, (8, 4, true, true, true))
+        ..mtr_params_for(43, (8, 4, true, true))
     };
     let full = mtr_robust::run(&ev, &scenarios, &params, &reg.best_cost, &reg.archive, None);
     assert_eq!(full.replica_traces.len(), 3);
