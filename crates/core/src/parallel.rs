@@ -61,13 +61,18 @@ where
 
 /// Fan the elements of `parts` out over scoped worker threads, one
 /// worker per element, and join them all (in spawn order) before
-/// returning. This is the only sanctioned thread fan-out primitive
-/// outside this module — the static pass
+/// returning; a single part runs inline on the caller's thread, as
+/// [`parallel_map`] does for one worker. This is the only sanctioned
+/// thread fan-out primitive outside this module — the static pass
 /// (`dtr-analysis`, lint `policy-thread`) rejects direct
 /// `thread::scope`/`thread::spawn` elsewhere, so sharded sweeps that
 /// live near their data (e.g. the cache capture sweeps) route through
 /// here instead of open-coding the scope.
 pub fn scoped_fanout<T: Send>(parts: Vec<T>, f: impl Fn(T) + Sync) {
+    if parts.len() <= 1 {
+        parts.into_iter().for_each(f);
+        return;
+    }
     let f = &f;
     std::thread::scope(|s| {
         let handles: Vec<_> = parts.into_iter().map(|p| s.spawn(move || f(p))).collect();

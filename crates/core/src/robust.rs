@@ -302,6 +302,32 @@ impl<'a> RunControl<'a> {
     }
 }
 
+/// The per-position floors that stand in for scenarios a bounded sweep
+/// has not reached yet, computed once per run and shared by every chain;
+/// empty when the cutoff, their only reader, is off. Floors depend only
+/// on (topology, traffic, mask, cost parameters) — never on the weights
+/// under search — so one computation stays valid for the whole run, its
+/// portfolio replicas and its restores. Their one-off cost is on the
+/// order of a single failure sweep.
+fn scenario_floors<E: RobustEngine, S: ScenarioSet + ?Sized>(
+    ev: &E,
+    set: &S,
+    indices: &[usize],
+    knobs: &RobustKnobs,
+) -> Vec<E::Cost> {
+    if !knobs.cutoff {
+        return Vec::new();
+    }
+    let eng = ev.engine();
+    let mut ws = eng.acquire_workspace();
+    let floors = indices
+        .iter()
+        .map(|&i| cost_of(eng.scenario_floor(&mut ws, set.scenario(i))))
+        .collect();
+    eng.release_workspace(ws);
+    floors
+}
+
 /// Evaluation-order state of the cutoff sweeps: positions into the
 /// `indices` slice, costliest-under-the-incumbent first, the shared
 /// per-position cost scratch, the per-position floors that stand in for
@@ -315,37 +341,13 @@ struct SweepState<E: RobustEngine> {
 }
 
 impl<E: RobustEngine> SweepState<E> {
-    /// Build the sweep state; the floors are only computed when the
-    /// cutoff will actually read them — their one-off cost is on the
-    /// order of a single failure sweep. Floors depend only on
-    /// (topology, traffic, mask, cost parameters) — never on the
-    /// weights under search — so this single computation stays valid
-    /// for the whole run.
-    fn new<S: ScenarioSet + ?Sized>(
-        ev: &E,
-        set: &S,
-        indices: &[usize],
-        knobs: &RobustKnobs,
-    ) -> Self {
-        let floors = if knobs.cutoff {
-            let eng = ev.engine();
-            let mut ws = eng.acquire_workspace();
-            let floors = indices
-                .iter()
-                .map(|&i| {
-                    let floor = eng.scenario_floor(&mut ws, set.scenario(i));
-                    cost_of(floor)
-                })
-                .collect();
-            eng.release_workspace(ws);
-            floors
-        } else {
-            Vec::new()
-        };
+    /// Sweep state over the `indices` positions and the run's shared
+    /// `floors` (see [`scenario_floors`]).
+    fn new(indices: &[usize], floors: &[E::Cost], knobs: &RobustKnobs) -> Self {
         SweepState {
             order: (0..indices.len() as u32).collect(),
             scratch: SweepScratch::new(),
-            floors,
+            floors: floors.to_vec(),
             cache: ScenarioCache::with_budget(knobs.cache_budget_bytes),
         }
     }
@@ -415,8 +417,7 @@ fn full_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 /// incumbent baseline plus every scenario's resident state) and
 /// refreshes the per-position cost scratch, sharding across `threads`
 /// workers (cache entries and cost slots are position-disjoint, so each
-/// worker owns a contiguous chunk of both; the captured baseline is
-/// shared read-only).
+/// worker owns a contiguous chunk of both).
 ///
 /// Budget-bounded caches first capture position 0 serially as a
 /// calibration probe, plan the resident prefix from its measured
@@ -444,42 +445,21 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         .resize(n, E::Cost::zeros(eng.num_classes()));
     let mut captured = 0usize;
     if st.cache.budget_bytes() != usize::MAX && n > 0 {
-        let (base, entries) = st.cache.capture_split();
+        let entry = &mut st.cache.capture_split().1[0];
         let sc = set.scenario(indices[0]);
-        st.scratch.costs[0].assign(eng.cost_capture_into(&mut ws, w, sc, base, &mut entries[0]));
+        st.scratch.costs[0].assign(eng.cost_capture_into(&mut ws, w, sc, entry));
         captured = 1;
     }
+    eng.release_workspace(ws);
     st.cache.plan_residency(n);
     // Positions still to capture sit in `captured..cap_hi`; everything
     // past the resident prefix takes the plain path into the same cost
     // slots (position 0 is already exact even when non-resident — the
     // capture eval and the plain eval are bit-identical).
     let cap_hi = st.cache.resident_scenarios().max(captured);
-    let workers = threads.min(n.max(1));
-    if workers <= 1 {
-        let (base, entries) = st.cache.capture_split();
-        for pos in captured..cap_hi {
-            let sc = set.scenario(indices[pos]);
-            st.scratch.costs[pos].assign(eng.cost_capture_into(
-                &mut ws,
-                w,
-                sc,
-                base,
-                &mut entries[pos],
-            ));
-        }
-        for (c, &i) in st.scratch.costs[cap_hi..]
-            .iter_mut()
-            .zip(&indices[cap_hi..])
-        {
-            c.assign(eng.cost_with(&mut ws, w, set.scenario(i)));
-        }
-        eng.release_workspace(ws);
-        return;
-    }
-    eng.release_workspace(ws);
+    let workers = threads.min(n).max(1);
     {
-        let (base, entries) = st.cache.capture_split();
+        let entries = st.cache.capture_split().1;
         let idx = &indices[captured..cap_hi];
         let ents = &mut entries[captured..cap_hi];
         let csts = &mut st.scratch.costs[captured..cap_hi];
@@ -493,7 +473,7 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
             parallel::scoped_fanout(parts, |((idx, ents), cst)| {
                 let mut ws = eng.acquire_workspace();
                 for ((&i, entry), c) in idx.iter().zip(ents).zip(cst) {
-                    c.assign(eng.cost_capture_into(&mut ws, w, set.scenario(i), base, entry));
+                    c.assign(eng.cost_capture_into(&mut ws, w, set.scenario(i), entry));
                 }
                 eng.release_workspace(ws);
             });
@@ -515,9 +495,9 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 }
 
 /// Re-point the delta-state cache at the accepted incumbent `w`,
-/// sharding the per-entry refresh across `threads` workers: after the
-/// serial [`Engine::cache_refresh_begin`] baseline stage, resident
-/// entries are position-disjoint and the refresh context is shared
+/// sharding the per-entry refresh across `threads` workers: after
+/// [`Engine::cache_begin`] diffs `w` against the incumbent, resident
+/// entries are position-disjoint and the incumbent half is shared
 /// read-only, so each worker owns a contiguous chunk and the spliced
 /// result is bit-identical to the serial refresh at any thread count
 /// (the parallel-search contract in `DETERMINISM.md`; pinned by
@@ -531,20 +511,11 @@ fn refresh_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     cache: &mut ScenarioCache,
 ) {
     let eng = ev.engine();
+    eng.cache_begin(cache, w);
     let resident = cache.resident_scenarios();
-    let workers = threads.min(resident.max(1));
-    let mut ws = eng.acquire_workspace();
-    eng.cache_refresh_begin(&mut ws, cache, w);
-    if workers <= 1 {
-        let (ctx, entries) = cache.refresh_split();
-        for (pos, entry) in entries.iter_mut().enumerate().take(resident) {
-            eng.cache_refresh_entry(&mut ws, w, &ctx, set.scenario(indices[pos]), entry);
-        }
-        eng.release_workspace(ws);
-    } else {
-        eng.release_workspace(ws);
-        let (ctx, entries) = cache.refresh_split();
-        let chunk = resident.div_ceil(workers);
+    if resident > 0 {
+        let (inc, entries) = cache.capture_split();
+        let chunk = resident.div_ceil(threads.min(resident).max(1));
         let parts: Vec<_> = indices[..resident]
             .chunks(chunk)
             .zip(entries[..resident].chunks_mut(chunk))
@@ -552,12 +523,14 @@ fn refresh_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         parallel::scoped_fanout(parts, |(idx, ents)| {
             let mut ws = eng.acquire_workspace();
             for (&i, entry) in idx.iter().zip(ents) {
-                eng.cache_refresh_entry(&mut ws, w, &ctx, set.scenario(i), entry);
+                eng.cache_refresh_entry(&mut ws, w, inc, set.scenario(i), entry);
             }
             eng.release_workspace(ws);
         });
     }
-    eng.cache_refresh_finish(cache, w);
+    let mut ws = eng.acquire_workspace();
+    eng.cache_refresh_finish(&mut ws, cache, w);
+    eng.release_workspace(ws);
 }
 
 /// The candidate cost the speculative fan-out hands back: the
@@ -605,12 +578,13 @@ impl<E: RobustEngine> Chain<E> {
         ev: &E,
         set: &S,
         indices: &[usize],
+        floors: &[E::Cost],
         knobs: RobustKnobs,
         archive: &Archive<E::Weights, E::Cost>,
     ) -> Self {
         let rng = StdRng::seed_from_u64(knobs.seed ^ 0x2545_f491_4f6c_dd1d);
         let mut stats = SearchStats::default();
-        let mut st = SweepState::new(ev, set, indices, &knobs);
+        let mut st = SweepState::new(indices, floors, &knobs);
         let archive = archive.clone();
         let (current, current_normal) = archive
             .best()
@@ -654,7 +628,7 @@ impl<E: RobustEngine> Chain<E> {
 // is bit-identical to the refreshed cache it replaces (pinned by the
 // cache equivalence suites); the per-position cost scratch and the
 // evaluation order fall out of the same sweep, and the floors are
-// weight-independent and recomputed.
+// weight-independent and recomputed once for the resumed run.
 
 const SEC_CONFIG: u32 = 0x10;
 const SEC_CHAIN: u32 = 0x20;
@@ -783,6 +757,7 @@ fn decode_chain<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
     set: &S,
     indices: &[usize],
+    floors: &[E::Cost],
     knobs: RobustKnobs,
 ) -> Result<Chain<E>, SnapshotError> {
     rd.section(SEC_CHAIN)?;
@@ -843,11 +818,11 @@ fn decode_chain<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     // Rebuild the evaluation-order state. The delta-state cache is a
     // pure function of the restored incumbent: a capture sweep over
     // `current` reproduces, bit for bit, the entries and per-position
-    // costs the refreshed cache held at the checkpoint, and the floors
-    // are weight-independent. The physical re-evaluations are
+    // costs the refreshed cache held at the checkpoint, and the run's
+    // floors are weight-independent. The physical re-evaluations are
     // attributed to `cache_rebuild_evals`, never to the logical
     // `evaluations`.
-    let mut st = SweepState::new(ev, set, indices, &knobs);
+    let mut st = SweepState::new(indices, floors, &knobs);
     if knobs.cutoff && !indices.is_empty() {
         rebuild_cache(ev, set, indices, &current, knobs.threads, &mut st);
         stats.cache_rebuild_evals += indices.len();
@@ -1361,19 +1336,27 @@ fn build_chains<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
     set: &S,
     indices: &[usize],
+    floors: &[E::Cost],
     knobs: &RobustKnobs,
     archive: &Archive<E::Weights, E::Cost>,
 ) -> Vec<Chain<E>> {
     let replicas = knobs.portfolio.replicas;
     if replicas == 1 {
-        return vec![Chain::new(ev, set, indices, *knobs, archive)];
+        return vec![Chain::new(ev, set, indices, floors, *knobs, archive)];
     }
     let mut slots: Vec<Option<Chain<E>>> = Vec::new();
     slots.resize_with(replicas, || None);
     parallel::scoped_fanout(
         slots.iter_mut().enumerate().collect(),
         |(r, slot): (usize, &mut Option<Chain<E>>)| {
-            *slot = Some(Chain::new(ev, set, indices, knobs.replica(r), archive));
+            *slot = Some(Chain::new(
+                ev,
+                set,
+                indices,
+                floors,
+                knobs.replica(r),
+                archive,
+            ));
         },
     );
     slots
@@ -1416,7 +1399,8 @@ pub fn run_controlled<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ctl: &mut RunControl<'_>,
 ) -> Result<RobustOutput<E::Weights, E::Cost>, SnapshotError> {
     check_weights(set, indices);
-    let chains = build_chains(ev, set, indices, knobs, archive);
+    let floors = scenario_floors(ev, set, indices, knobs);
+    let chains = build_chains(ev, set, indices, &floors, knobs, archive);
     let run = Run {
         ev,
         set_len: indices.len(),
@@ -1456,9 +1440,17 @@ pub fn resume<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     check_weights(set, indices);
     let mut rd = dtr_persist::open(snapshot, E::SNAPSHOT_KIND)?;
     let (stored, boundary) = decode_config(&mut rd, ev, knobs, indices.len(), benchmark, gate)?;
+    let floors = scenario_floors(ev, set, indices, knobs);
     let mut chains = Vec::with_capacity(knobs.portfolio.replicas);
     for r in 0..knobs.portfolio.replicas {
-        chains.push(decode_chain(&mut rd, ev, set, indices, knobs.replica(r))?);
+        chains.push(decode_chain(
+            &mut rd,
+            ev,
+            set,
+            indices,
+            &floors,
+            knobs.replica(r),
+        )?);
     }
     rd.finish()?;
     let run = Run {

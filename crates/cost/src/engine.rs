@@ -41,6 +41,8 @@
 //!    their previous routing ([`route_destination_reweight`]: orphans
 //!    of the rising links re-settled, then a Dijkstra from the tails of
 //!    the falling ones), not re-routed — bit-equal to a full route.
+//!    The workspace baseline is the only no-failure routing the engine
+//!    repairs; the scenario cache's incumbent baseline copies from it.
 //! 5. **Delta-state scenario cache across moves × scenarios**
 //!    ([`ScenarioCache`]): the robust phase's sweep evaluates the *same
 //!    scenarios* for a stream of candidates that differ from the
@@ -51,7 +53,9 @@
 //!    the links whose contributor set changed, and re-runs each SLA
 //!    class's delay DP only for destinations whose routing or on-DAG
 //!    link delays changed. The accept path re-points the cache at the
-//!    new incumbent incrementally ([`Engine::cache_refresh`]).
+//!    new incumbent ([`Engine::cache_refresh`]) by evaluating the
+//!    accepted candidate against each entry the same way and committing
+//!    that result into the entry.
 //! 6. **Per-class floors** ([`Engine::scenario_floor`]): the
 //!    propagation-delay Λ floor of each SLA class, a routing-independent
 //!    lower bound of its cost under a scenario; congestion classes get
@@ -68,12 +72,13 @@
 //!    no-failure baseline (orphan detection + boundary Dijkstra); it
 //!    never runs a from-scratch Dijkstra per mask-affected destination.
 //!    Weight moves are repaired the same way: the workspace baseline
-//!    (`ensure_baseline`) and the cache's incumbent baseline
-//!    ([`Engine::cache_refresh_begin`]) run the weight-move kernel
+//!    (`ensure_baseline`) runs the weight-move kernel
 //!    ([`route_destination_reweight`]), and [`route_destination`] runs
-//!    only where no previous routing exists. Integer distances make
-//!    every repair bit-equal to the full route, so repair changes only
-//!    the time an evaluation takes.
+//!    only where no previous routing exists; the cache's incumbent
+//!    baseline copies the records an accepted move really changed from
+//!    such a workspace baseline ([`Engine::cache_refresh_finish`]).
+//!    Integer distances make every repair bit-equal to the full route,
+//!    so repair changes only the time an evaluation takes.
 //!
 //! The "same bits" guarantee is a workspace-wide contract — parallel ==
 //! serial, cached == uncached, repair == full-route, and cross-process
@@ -94,15 +99,22 @@
 //! incumbent, and candidates pay only for their diff:
 //!
 //! * **What persists per scenario**: per class, the recomputed routings
-//!   of every mask-affected destination (exactly the affected set —
-//!   maintained exactly by capture and refresh), the resident per-link
-//!   **load vectors** and **per-link contributor lists**
-//!   (`LinkContrib`: `(destination, share)` pairs in destination-index
-//!   order); the resident **per-link delays** of the total loads; and,
-//!   per SLA class, the resident **pair-delay triples** segmented by
-//!   destination. The cache also holds the incumbent's no-failure
-//!   **baseline** routings per class (the effective routing of every
-//!   destination the mask does not touch).
+//!   of every mask-affected destination (exactly the affected set), the
+//!   resident per-link **load vectors** and **per-link contributor
+//!   lists** (`LinkContrib`: `(destination, share)` pairs in
+//!   destination-index order); the resident **per-link delays** of the
+//!   total loads; and, per SLA class, the resident **pair-delay
+//!   triples** segmented by destination. The cache also holds the
+//!   incumbent's no-failure **baseline** routings per class (the
+//!   effective routing of every destination the mask does not touch).
+//! * **Who writes an entry**: one `commit`, from the result an
+//!   evaluation leaves in the workspace. Capture commits a plain
+//!   evaluation of the incumbent; the accept-path refresh commits the
+//!   accepted candidate's cached evaluation against the entry. Both
+//!   evaluations resolve every destination to exactly the routing its
+//!   effective state needs — kept from the entry, freshly repaired, or
+//!   the baseline — so the committed affected list is exactly the
+//!   mask-affected set under the new incumbent, whichever path wrote it.
 //! * **When a destination is changed**: the conservative
 //!   [`weight_change_affects`] pre-screen is sharpened into an *exact*
 //!   per-candidate baseline diff (`baseline_unchanged`, computed once
@@ -405,6 +417,24 @@ fn effective_adds<'a>(
     }
 }
 
+/// The routing a `scratch_map` resolution code names: the workspace
+/// baseline `base` for [`NOT_RECOMPUTED`] and [`WS_BASE`] (on the cached
+/// path `NOT_RECOMPUTED` implies `base_same`, so the workspace baseline
+/// is bit-for-bit the incumbent's), the entry's affected `list` for
+/// [`CACHED_BIT`] slots, the scratch pool otherwise.
+fn resolve<'r>(
+    code: u32,
+    base: &'r DestRouting,
+    list: &'r [(u32, DestRouting)],
+    scratch: &'r [DestRouting],
+) -> &'r DestRouting {
+    match code {
+        NOT_RECOMPUTED | WS_BASE => base,
+        c if c & CACHED_BIT != 0 => &list[(c & !CACHED_BIT) as usize].1,
+        slot => &scratch[slot as usize],
+    }
+}
+
 /// The `old → new` per-link weight changes of one class, into `out`.
 fn weight_diff(old: &[u32], new: &[u32], out: &mut Vec<WeightChange>) {
     out.clear();
@@ -482,8 +512,10 @@ impl ScenarioEntry {
 /// [`Engine::cost_capture`] sweeps over the incumbent, point candidates
 /// at it with [`Engine::cache_begin`] (which computes the per-class
 /// weight diff), evaluate through [`Engine::cost_cached`], and re-point
-/// it at an accepted candidate with [`Engine::cache_refresh`] — which
-/// maintains the affected-set coverage *exactly*, so no periodic full
+/// it at an accepted candidate with [`Engine::cache_refresh`]. Capture
+/// and refresh write an entry through the same commit of an
+/// evaluation's result, so a refreshed entry is exactly the entry a
+/// fresh capture at the new incumbent would hold, and no periodic full
 /// rebuild is needed for correctness or freshness.
 ///
 /// ## Residency budget
@@ -504,14 +536,30 @@ impl ScenarioEntry {
 /// independent of thread count and wall clock.
 #[derive(Debug)]
 pub struct ScenarioCache {
+    /// The incumbent every entry describes, and the pending candidate
+    /// diff.
+    inc: CacheIncumbent,
+    /// Per-position scenario entries (positions are caller-defined and
+    /// must match the `pos` arguments of capture/evaluate calls).
+    entries: Vec<ScenarioEntry>,
+    /// Residency budget in bytes (`usize::MAX` = unbounded).
+    budget: usize,
+    /// Positions `0..resident` are captured and delta-evaluated; the
+    /// rest fall back to the plain path (see the type docs).
+    resident: usize,
+}
+
+/// The shared half of a [`ScenarioCache`]: what every entry's cached
+/// evaluation reads and no entry owns. Sharded capture and refresh
+/// sweeps borrow it read-only next to their disjoint entries (see
+/// [`ScenarioCache::capture_split`]).
+#[derive(Debug, Default)]
+pub struct CacheIncumbent {
     /// Per-class weights of the cached incumbent.
     weights: Vec<Vec<u32>>,
     /// The incumbent's no-failure baseline routing per class, aligned
     /// with the engine's demand-destination lists.
     base: Vec<Vec<DestRouting>>,
-    /// Per-position scenario entries (positions are caller-defined and
-    /// must match the `pos` arguments of capture/evaluate calls).
-    entries: Vec<ScenarioEntry>,
     /// Per-class weight diff of the current candidate vs `weights`,
     /// refreshed by [`Engine::cache_begin`].
     diff: Vec<Vec<WeightChange>>,
@@ -520,15 +568,6 @@ pub struct ScenarioCache {
     /// it to compute their per-candidate exact baseline diff flags once
     /// and reuse them across the candidate's whole scenario sweep.
     generation: u64,
-    /// Residency budget in bytes (`usize::MAX` = unbounded).
-    budget: usize,
-    /// Positions `0..resident` are captured and delta-evaluated; the
-    /// rest fall back to the plain path (see the type docs).
-    resident: usize,
-    /// Per-class "the incumbent baseline really moved under the pending
-    /// refresh diff" flags, filled by [`Engine::cache_refresh_begin`]
-    /// and read (shared, read-only) by the per-entry refresh kernels.
-    refresh_changed: Vec<Vec<bool>>,
 }
 
 impl Default for ScenarioCache {
@@ -541,14 +580,10 @@ impl ScenarioCache {
     /// Fresh, empty, unbounded cache: every position is resident.
     pub fn new() -> Self {
         ScenarioCache {
-            weights: Vec::new(),
-            base: Vec::new(),
+            inc: CacheIncumbent::default(),
             entries: Vec::new(),
-            diff: Vec::new(),
-            generation: 0,
             budget: usize::MAX,
             resident: 0,
-            refresh_changed: Vec::new(),
         }
     }
 
@@ -608,43 +643,16 @@ impl ScenarioCache {
         };
     }
 
-    /// Split the cache into its shared incumbent baseline and the
-    /// per-position entries, for sharded capture sweeps (entries are
-    /// position-disjoint, so each worker takes a contiguous chunk; see
-    /// [`Engine::cost_capture_into`]).
-    pub fn capture_split(&mut self) -> (&[Vec<DestRouting>], &mut [ScenarioEntry]) {
-        (&self.base, &mut self.entries)
+    /// Split the cache into its shared incumbent half and the
+    /// per-position entries, for sharded capture sweeps
+    /// ([`Engine::cost_capture_into`]) and refresh sweeps
+    /// ([`Engine::cache_refresh_entry`]). Entries are position-disjoint,
+    /// so each worker takes a contiguous chunk and writes the same bytes
+    /// into the same slots as the serial loop (the parallel-search
+    /// contract in `DETERMINISM.md`).
+    pub fn capture_split(&mut self) -> (&CacheIncumbent, &mut [ScenarioEntry]) {
+        (&self.inc, &mut self.entries)
     }
-
-    /// Split the cache into the shared read-only refresh context and
-    /// the per-position entries, for sharded refresh sweeps between
-    /// [`Engine::cache_refresh_begin`] and
-    /// [`Engine::cache_refresh_finish`]. Entries are position-disjoint,
-    /// so each worker takes a contiguous chunk; see
-    /// [`Engine::cache_refresh_entry`] and the parallel-search contract
-    /// in `DETERMINISM.md`.
-    pub fn refresh_split(&mut self) -> (RefreshCtx<'_>, &mut [ScenarioEntry]) {
-        (
-            RefreshCtx {
-                base: &self.base,
-                diff: &self.diff,
-                changed: &self.refresh_changed,
-            },
-            &mut self.entries,
-        )
-    }
-}
-
-/// Shared read-only inputs of a sharded refresh sweep: the (already
-/// updated) incumbent baseline, the pending weight diff, and the exact
-/// per-destination "baseline really moved" flags — everything a
-/// [`Engine::cache_refresh_entry`] call reads besides its own entry.
-/// Obtained from [`ScenarioCache::refresh_split`].
-#[derive(Clone, Copy, Debug)]
-pub struct RefreshCtx<'a> {
-    base: &'a [Vec<DestRouting>],
-    diff: &'a [Vec<WeightChange>],
-    changed: &'a [Vec<bool>],
 }
 
 /// The cached no-failure routing of one traffic class under the
@@ -690,7 +698,12 @@ pub struct EvalWorkspace {
     total_loads: Vec<f64>,
     link_delays: Vec<f64>,
     node_delay: Vec<f64>,
-    pair_delays: Vec<(usize, usize, f64)>,
+    /// Per SLA class: the `(s, t, ξ)` triples of the last evaluation,
+    /// destinations ascending; empty for congestion classes.
+    pairs: Vec<Vec<(usize, usize, f64)>>,
+    /// Per SLA class: `pair_off[k][di]..pair_off[k][di+1]` indexes
+    /// `pairs[k]` for destination `di`.
+    pair_off: Vec<Vec<u32>>,
     /// The k cost components (or floors) of the last evaluation — what
     /// the kernels return a slice of.
     costs: Vec<f64>,
@@ -708,19 +721,16 @@ pub struct EvalWorkspace {
     /// Fresh `(link, dest, share)` adds of changed destinations, per
     /// class, sorted by `(link, dest)` before refolding.
     new_adds: Vec<Vec<(u32, u32, f64)>>,
-    /// Refresh scratch: rebuilt pair-segment offsets of one scenario.
-    off_scratch: Vec<u32>,
-    /// Repair target of the baseline refreshes (`ensure_baseline`,
-    /// `cache_refresh_begin`: written back with `clone_from`) and of the
-    /// entry kernel (swapped with surviving routings, so its buffers
-    /// recycle).
+    /// Repair target of `ensure_baseline` (written back with
+    /// `clone_from`).
     refresh_tmp: DestRouting,
-    /// Refresh scratch: the previous affected list of the entry being
-    /// refreshed (drained back into the entry; capacity converges).
+    /// Commit scratch: the previous affected list of the entry being
+    /// committed (drained back into the entry; capacity converges).
     refresh_list: Vec<(u32, DestRouting)>,
-    /// Refresh scratch: recycled routing buffers of destinations that
-    /// left an affected list. Contents are never read — re-routes fully
-    /// overwrite them — so pooling cannot change any bit.
+    /// Commit scratch: recycled routing buffers of destinations that
+    /// left an affected list; a commit copies fresh routings into them.
+    /// Contents are never read before being overwritten, so pooling
+    /// cannot change any bit.
     routing_pool: Vec<DestRouting>,
     /// [`ScenarioCache`] generation the `base_same` flags were computed
     /// against (0 = never).
@@ -747,6 +757,8 @@ impl EvalWorkspace {
         self.base.resize_with(k, ClassBaseline::default);
         self.scratch_map.resize_with(k, Vec::new);
         self.class_loads.resize_with(k, Vec::new);
+        self.pairs.resize_with(k, Vec::new);
+        self.pair_off.resize_with(k, Vec::new);
         self.changed.resize_with(k, Vec::new);
         self.new_adds.resize_with(k, Vec::new);
         self.base_same.resize_with(k, Vec::new);
@@ -898,7 +910,7 @@ impl<'a> Engine<'a> {
         scenario: Scenario,
     ) -> &'w [f64] {
         self.ensure_baseline(ws, w);
-        self.cost_scenario(ws, w, scenario, None);
+        self.cost_scenario(ws, w, scenario);
         &ws.costs
     }
 
@@ -982,15 +994,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Evaluate one scenario (any kind) against valid workspace
-    /// baselines into `ws.costs`, optionally capturing the recomputed
-    /// routings and SLA segments into a scenario-cache entry.
-    fn cost_scenario<W: ClassWeights>(
-        &self,
-        ws: &mut EvalWorkspace,
-        w: &W,
-        scenario: Scenario,
-        mut capture: Option<&mut ScenarioEntry>,
-    ) {
+    /// baselines, leaving the whole result in the workspace: resolution
+    /// codes, recomputed routings, class loads, link delays, pair
+    /// segments and the components in `ws.costs` (what
+    /// [`commit`](Self::commit) captures).
+    fn cost_scenario<W: ClassWeights>(&self, ws: &mut EvalWorkspace, w: &W, scenario: Scenario) {
         // Node failures also remove the dead node's traffic; the mask
         // makes that self-enforcing for loads (see the module docs), and
         // the routing/SLA loops below skip the node explicitly where the
@@ -1008,9 +1016,6 @@ impl<'a> Engine<'a> {
             class_loads,
             total_loads,
             link_delays,
-            node_delay,
-            pair_delays,
-            costs,
             ..
         } = ws;
         scenario.mask_into(self.net, mask);
@@ -1058,9 +1063,6 @@ impl<'a> Engine<'a> {
                 dest.replay(loads, &mut dropped);
                 map[di] = scratch_used as u32;
                 scratch_used += 1;
-                if let Some(entry) = capture.as_mut() {
-                    entry.routed[k].push((di as u32, scratch[scratch_used - 1].clone()));
-                }
             }
         }
 
@@ -1080,25 +1082,63 @@ impl<'a> Engine<'a> {
             &self.delay_params,
             link_delays,
         );
+        self.pair_segments(ws, w, excluded, None);
+        self.fold_costs(ws);
+    }
 
-        // Per-class components: per-pair end-to-end delays over the
-        // class's own routing for SLA classes (shared kernel; the order
-        // field is cached, not recomputed), Φ over the total loads for
-        // congestion classes.
+    /// The SLA pair pass of the evaluation in `ws`: per-pair end-to-end
+    /// delays over each SLA class's own routing (shared kernel; the order
+    /// field is cached, not recomputed), segmented by destination into
+    /// `ws.pairs`/`ws.pair_off`.
+    ///
+    /// With the cached `entry` the evaluation ran against, a destination
+    /// whose routing is the entry's ([`NOT_RECOMPUTED`] or a
+    /// [`CACHED_BIT`] slot) and whose DAG sees no bit-changed link delay
+    /// (`ws.pair_dirty`, a conservative superset of the DP's on-DAG
+    /// reads) copies its resident segment instead of re-running the DP.
+    fn pair_segments<W: ClassWeights>(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &W,
+        excluded: Option<usize>,
+        entry: Option<&ScenarioEntry>,
+    ) {
         let take_max = self.take_max();
+        let EvalWorkspace {
+            mask,
+            base,
+            scratch,
+            scratch_map,
+            link_delays,
+            node_delay,
+            pairs,
+            pair_off,
+            pair_dirty,
+            ..
+        } = ws;
         for (k, model) in self.models.iter().enumerate() {
-            costs[k] = match model {
-                CostModel::SlaDelay { .. } => {
-                    let weights = w.class_weights(k);
-                    pair_delays.clear();
-                    for (di, &t) in self.demand_dests[k].iter().enumerate() {
-                        if Some(t as usize) == excluded {
-                            continue;
-                        }
-                        let dest = match scratch_map[k][di] {
-                            NOT_RECOMPUTED => &base[k].state[di],
-                            slot => &scratch[slot as usize],
-                        };
+            if matches!(model, CostModel::Congestion) {
+                continue;
+            }
+            let weights = w.class_weights(k);
+            let list = entry.map_or(&[][..], |e| &e.routed[k]);
+            let (out, offs) = (&mut pairs[k], &mut pair_off[k]);
+            out.clear();
+            offs.clear();
+            offs.push(0);
+            for (di, &t) in self.demand_dests[k].iter().enumerate() {
+                if Some(t as usize) != excluded {
+                    let code = scratch_map[k][di];
+                    let dest = resolve(code, &base[k].state[di], list, scratch);
+                    let reuse = entry.filter(|_| {
+                        (code == NOT_RECOMPUTED || code & CACHED_BIT != 0)
+                            && (pair_dirty.is_empty()
+                                || !dag_uses_any(self.net, &dest.dist, weights, pair_dirty))
+                    });
+                    if let Some(e) = reuse {
+                        let s = e.pair_off[k][di] as usize;
+                        out.extend_from_slice(&e.pairs[k][s..e.pair_off[k][di + 1] as usize]);
+                    } else {
                         delay::pair_delays_into(
                             self.net,
                             &dest.dist,
@@ -1111,30 +1151,27 @@ impl<'a> Engine<'a> {
                             t as usize,
                             excluded,
                             node_delay,
-                            pair_delays,
+                            out,
                         );
                     }
-                    if let Some(entry) = capture.as_mut() {
-                        // Segment offsets: triples carry their
-                        // destination, and the emission loop walked
-                        // destinations ascending.
-                        entry.pairs[k].clone_from(pair_delays);
-                        let offs = &mut entry.pair_off[k];
-                        offs.clear();
-                        offs.push(0);
-                        let mut p = 0usize;
-                        for &t in &self.demand_dests[k] {
-                            while p < pair_delays.len() && pair_delays[p].1 == t as usize {
-                                p += 1;
-                            }
-                            offs.push(p as u32);
-                        }
-                        debug_assert_eq!(p, pair_delays.len(), "segments cover all triples");
-                    }
-                    sla::summarize(&*pair_delays, &self.class_params[k]).lambda
+                }
+                offs.push(out.len() as u32);
+            }
+        }
+    }
+
+    /// The k cost components of the evaluation in `ws`, into `ws.costs`:
+    /// Λ over each SLA class's pair triples, Φ over the total loads for
+    /// congestion classes. A refresh commits an evaluation without
+    /// reading its components, so it skips this fold.
+    fn fold_costs(&self, ws: &mut EvalWorkspace) {
+        for (k, model) in self.models.iter().enumerate() {
+            ws.costs[k] = match model {
+                CostModel::SlaDelay { .. } => {
+                    sla::summarize(&ws.pairs[k], &self.class_params[k]).lambda
                 }
                 CostModel::Congestion => {
-                    congestion::phi(total_loads, &class_loads[k], &self.capacities)
+                    congestion::phi(&ws.total_loads, &ws.class_loads[k], &self.capacities)
                 }
             };
         }
@@ -1220,15 +1257,16 @@ impl<'a> Engine<'a> {
         // into the cache: both are the same `route_destination` bits.
         self.ensure_baseline(ws, w);
         let kn = self.num_classes();
-        cache.weights.resize_with(kn, Vec::new);
-        cache.base.resize_with(kn, Vec::new);
-        cache.diff.resize_with(kn, Vec::new);
+        let inc = &mut cache.inc;
+        inc.weights.resize_with(kn, Vec::new);
+        inc.base.resize_with(kn, Vec::new);
+        inc.diff.resize_with(kn, Vec::new);
         for k in 0..kn {
-            cache.weights[k].clear();
-            cache.weights[k].extend_from_slice(w.class_weights(k));
+            inc.weights[k].clear();
+            inc.weights[k].extend_from_slice(w.class_weights(k));
             let dests = &self.demand_dests[k];
-            cache.base[k].resize_with(dests.len(), DestRouting::default);
-            for (di, slot) in cache.base[k].iter_mut().enumerate() {
+            inc.base[k].resize_with(dests.len(), DestRouting::default);
+            for (di, slot) in inc.base[k].iter_mut().enumerate() {
                 slot.clone_from(&ws.base[k].state[di]);
             }
         }
@@ -1246,7 +1284,7 @@ impl<'a> Engine<'a> {
         } else {
             0
         };
-        cache.generation = next_engine_id();
+        inc.generation = next_engine_id();
     }
 
     /// Compute the per-class weight diff of candidate `w` against the
@@ -1254,18 +1292,19 @@ impl<'a> Engine<'a> {
     /// calls. Returns the total number of changed directed (class, link)
     /// slots.
     pub fn cache_begin<W: ClassWeights>(&self, cache: &mut ScenarioCache, w: &W) -> usize {
+        let inc = &mut cache.inc;
         let mut changed = 0;
-        for (k, diffk) in cache.diff.iter_mut().enumerate() {
+        for (k, diffk) in inc.diff.iter_mut().enumerate() {
             let weights = w.class_weights(k);
             assert_eq!(
-                cache.weights[k].len(),
+                inc.weights[k].len(),
                 weights.len(),
                 "cache incumbent and candidate disagree on link count"
             );
-            weight_diff(&cache.weights[k], weights, diffk);
+            weight_diff(&inc.weights[k], weights, diffk);
             changed += diffk.len();
         }
-        cache.generation = next_engine_id();
+        inc.generation = next_engine_id();
         changed
     }
 
@@ -1282,62 +1321,109 @@ impl<'a> Engine<'a> {
         pos: usize,
     ) -> &'w [f64] {
         debug_assert!(
-            (0..self.num_classes()).all(|k| cache.weights[k] == w.class_weights(k)),
+            (0..self.num_classes()).all(|k| cache.inc.weights[k] == w.class_weights(k)),
             "capture must run on the cache incumbent"
         );
-        let (base, entries) = cache.capture_split();
-        self.cost_capture_into(ws, w, scenario, base, &mut entries[pos])
+        self.cost_capture_into(ws, w, scenario, &mut cache.entries[pos])
     }
 
-    /// Entry-level form of [`cost_capture`](Self::cost_capture):
-    /// captures into one caller-held [`ScenarioEntry`] (cleared first),
-    /// reading the shared incumbent baseline from
-    /// [`ScenarioCache::capture_split`]. Entries are position-disjoint,
-    /// so a cache rebuild can shard its capture sweep across workers,
-    /// each holding a disjoint slice of the entries.
+    /// Entry-level form of [`cost_capture`](Self::cost_capture): a plain
+    /// evaluation of the incumbent `w`, committed into one caller-held
+    /// [`ScenarioEntry`]. Entries are position-disjoint, so a cache
+    /// rebuild can shard its capture sweep across workers, each holding
+    /// a disjoint slice of the entries ([`ScenarioCache::capture_split`]).
     pub fn cost_capture_into<'w, W: ClassWeights>(
         &self,
         ws: &'w mut EvalWorkspace,
         w: &W,
         scenario: Scenario,
-        base: &[Vec<DestRouting>],
         entry: &mut ScenarioEntry,
     ) -> &'w [f64] {
+        self.ensure_baseline(ws, w);
+        self.cost_scenario(ws, w, scenario);
+        self.commit(ws, scenario, entry);
+        &ws.costs
+    }
+
+    /// Write the evaluation `ws` holds — a plain one
+    /// ([`cost_scenario`](Self::cost_scenario)) or a cached one against
+    /// `entry` ([`eval_cached`](Self::eval_cached)) — into `entry`, which
+    /// then describes the workspace baseline's weights under `scenario`:
+    ///
+    /// * the affected list, from the resolution codes: [`CACHED_BIT`]
+    ///   slots keep the entry's routing (moved), fresh slots copy their
+    ///   scratch routing into a recycled buffer, and
+    ///   [`NOT_RECOMPUTED`]/[`WS_BASE`] destinations are not listed;
+    /// * the contributor CSR, rebuilt from the effective adds over the
+    ///   workspace baseline;
+    /// * the loads and link delays (one per link), moved in; the pair
+    ///   segments, copied.
+    ///
+    /// Steady-state allocation-free: the old list drains through the
+    /// workspace spare buffer, routings that leave it park in the
+    /// routing pool, and the scratch slots and pair buffers keep their
+    /// own buffers. Copying with `clone_from` instead of swapping keeps
+    /// capacities from migrating between the workspace and the entries:
+    /// a swapped-in pair buffer would carry the workspace's grown
+    /// capacity into every entry.
+    fn commit(&self, ws: &mut EvalWorkspace, scenario: Scenario, entry: &mut ScenarioEntry) {
         let kn = self.num_classes();
+        let excluded = scenario.excluded_node().map(|v| v.index());
         entry.routed.resize_with(kn, Vec::new);
         entry.loads.resize_with(kn, Vec::new);
         entry.contrib.resize_with(kn, LinkContrib::default);
         entry.pairs.resize_with(kn, Vec::new);
         entry.pair_off.resize_with(kn, Vec::new);
-        for k in 0..kn {
-            entry.routed[k].clear();
-            entry.pairs[k].clear();
-            entry.pair_off[k].clear();
-        }
-        self.ensure_baseline(ws, w);
-        self.cost_scenario(ws, w, scenario, Some(entry));
-        let excluded = scenario.excluded_node().map(|v| v.index());
-
-        // Resident state: the folded incumbent evaluation, verbatim.
-        for k in 0..kn {
-            entry.loads[k].clone_from(&ws.class_loads[k]);
-        }
-        entry.link_delays.clone_from(&ws.link_delays);
-        // Contributor lists from the effective routing of every
-        // destination: the entry's recomputed routing where the mask
-        // affected it, the incumbent baseline elsewhere, nothing for the
-        // excluded node.
-        let ScenarioEntry {
-            routed, contrib, ..
-        } = entry;
-        for (k, cb) in contrib.iter_mut().enumerate() {
-            let list: &[(u32, DestRouting)] = &routed[k];
-            let dests = &self.demand_dests[k];
-            cb.rebuild(self.net.num_links(), dests.len(), |di| {
-                effective_adds(list, &base[k], dests, excluded, di)
+        let EvalWorkspace {
+            base,
+            scratch,
+            scratch_map,
+            class_loads,
+            link_delays,
+            pairs,
+            pair_off,
+            refresh_list: spare,
+            routing_pool: pool,
+            ..
+        } = ws;
+        for (k, dests) in self.demand_dests.iter().enumerate() {
+            let list = &mut entry.routed[k];
+            std::mem::swap(list, spare);
+            let mut old = spare.drain(..).enumerate();
+            for (di, &code) in scratch_map[k].iter().enumerate() {
+                if code == NOT_RECOMPUTED || code == WS_BASE {
+                    continue;
+                }
+                if code & CACHED_BIT != 0 {
+                    let keep = (code & !CACHED_BIT) as usize;
+                    for (i, (d, r)) in old.by_ref() {
+                        if i == keep {
+                            list.push((d, r));
+                            break;
+                        }
+                        pool.push(r);
+                    }
+                } else {
+                    let mut r = pool.pop().unwrap_or_default();
+                    r.clone_from(&scratch[code as usize]);
+                    list.push((di as u32, r));
+                }
+            }
+            for (_, (_, r)) in old {
+                pool.push(r);
+            }
+            let list: &[(u32, DestRouting)] = list;
+            let basek = &base[k].state;
+            entry.contrib[k].rebuild(self.net.num_links(), dests.len(), |di| {
+                effective_adds(list, basek, dests, excluded, di)
             });
+            std::mem::swap(&mut entry.loads[k], &mut class_loads[k]);
+            if matches!(self.models[k], CostModel::SlaDelay { .. }) {
+                entry.pairs[k].clone_from(&pairs[k]);
+                entry.pair_off[k].clone_from(&pair_off[k]);
+            }
         }
-        &ws.costs
+        std::mem::swap(&mut entry.link_delays, link_delays);
     }
 
     /// Delta-state candidate evaluation through the scenario cache:
@@ -1357,6 +1443,59 @@ impl<'a> Engine<'a> {
         cache: &ScenarioCache,
         pos: usize,
     ) -> &'w [f64] {
+        self.eval_cached(ws, w, scenario, &cache.inc, &cache.entries[pos]);
+        self.fold_costs(ws);
+        &ws.costs
+    }
+
+    /// Make `ws.base_same` the exact per-destination baseline diff of the
+    /// workspace baseline (the candidate) against the cache incumbent,
+    /// once per (candidate, cache generation): a destination is
+    /// baseline-changed only when its distance field or DAG actually
+    /// moved — the conservative predicate's false positives (the common
+    /// case for a one-duplex-link re-draw) would otherwise re-run
+    /// per-scenario delay DPs for bit-identical routings.
+    fn base_flags(&self, ws: &mut EvalWorkspace, inc: &CacheIncumbent) {
+        if ws.cand_gen == inc.generation {
+            return;
+        }
+        ws.cand_gen = inc.generation;
+        for (k, dests) in self.demand_dests.iter().enumerate() {
+            let basec = &inc.base[k];
+            assert_eq!(
+                basec.len(),
+                dests.len(),
+                "cache baseline missing; run cache_rebuild_begin first"
+            );
+            let diffk = &inc.diff[k];
+            let flags = &mut ws.base_same[k];
+            flags.clear();
+            flags.resize(dests.len(), false);
+            for (di, flag) in flags.iter_mut().enumerate() {
+                *flag = diffk.is_empty()
+                    || baseline_unchanged(
+                        self.net,
+                        &ws.base[k].state[di].dist,
+                        &basec[di].dist,
+                        diffk,
+                    );
+            }
+        }
+    }
+
+    /// The cached evaluation behind [`cost_cached`](Self::cost_cached)
+    /// and the refresh: `w` under `scenario` against one entry of the
+    /// incumbent `inc`, leaving its whole result in the workspace for
+    /// [`commit`](Self::commit) — everything but the components, which
+    /// [`fold_costs`](Self::fold_costs) adds.
+    fn eval_cached<W: ClassWeights>(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &W,
+        scenario: Scenario,
+        inc: &CacheIncumbent,
+        entry: &ScenarioEntry,
+    ) {
         let num_links = self.net.num_links();
         let kn = self.num_classes();
         // The workspace baseline tracks the *candidate*: within one
@@ -1364,40 +1503,8 @@ impl<'a> Engine<'a> {
         // destinations pay their baseline re-route once per candidate,
         // not once per scenario.
         self.ensure_baseline(ws, w);
-        // Exact per-destination baseline diff vs the cache incumbent,
-        // computed once per (candidate, cache generation) and shared by
-        // the whole scenario sweep: a destination is baseline-changed
-        // only when its distance field or DAG actually moved — the
-        // conservative predicate's false positives (the common case for
-        // a one-duplex-link re-draw) would otherwise re-run per-scenario
-        // delay DPs for bit-identical routings.
-        if ws.cand_gen != cache.generation {
-            ws.cand_gen = cache.generation;
-            for k in 0..kn {
-                let dests = &self.demand_dests[k];
-                let basec = &cache.base[k];
-                assert_eq!(
-                    basec.len(),
-                    dests.len(),
-                    "cache baseline missing; run cache_rebuild_begin first"
-                );
-                let diffk = &cache.diff[k];
-                let flags = &mut ws.base_same[k];
-                flags.clear();
-                flags.resize(dests.len(), false);
-                for (di, flag) in flags.iter_mut().enumerate() {
-                    *flag = diffk.is_empty()
-                        || baseline_unchanged(
-                            self.net,
-                            &ws.base[k].state[di].dist,
-                            &basec[di].dist,
-                            diffk,
-                        );
-                }
-            }
-        }
+        self.base_flags(ws, inc);
         let epoch = ws.next_epoch();
-        let entry = &cache.entries[pos];
         debug_assert!(
             entry.loads.len() == kn
                 && entry.loads[0].len() == num_links
@@ -1415,9 +1522,6 @@ impl<'a> Engine<'a> {
             class_loads,
             total_loads,
             link_delays,
-            node_delay,
-            pair_delays,
-            costs,
             changed,
             link_mark,
             dirty,
@@ -1446,8 +1550,8 @@ impl<'a> Engine<'a> {
             let weights = w.class_weights(k);
             let tm = self.matrices[k];
             let dests = &self.demand_dests[k];
-            let basec = &cache.base[k];
-            let diffk = &cache.diff[k];
+            let basec = &inc.base[k];
+            let diffk = &inc.diff[k];
             let list: &[(u32, DestRouting)] = &entry.routed[k];
             let ch = &mut changed[k];
             ch.resize(dests.len(), 0);
@@ -1607,18 +1711,13 @@ impl<'a> Engine<'a> {
                 loads.clear();
                 loads.resize(num_links, 0.0);
                 let mut dropped = 0.0f64;
-                let list: &[(u32, DestRouting)] = &entry.routed[k];
                 for (di, &t) in self.demand_dests[k].iter().enumerate() {
                     if Some(t as usize) == excluded {
                         continue;
                     }
-                    let r: &DestRouting = match scratch_map[k][di] {
-                        NOT_RECOMPUTED => &cache.base[k][di],
-                        WS_BASE => &ws_base[k].state[di],
-                        code if code & CACHED_BIT != 0 => &list[(code & !CACHED_BIT) as usize].1,
-                        slot => &scratch[slot as usize],
-                    };
-                    r.replay(loads, &mut dropped);
+                    let code = scratch_map[k][di];
+                    resolve(code, &ws_base[k].state[di], &entry.routed[k], scratch)
+                        .replay(loads, &mut dropped);
                 }
             }
         }
@@ -1626,7 +1725,7 @@ impl<'a> Engine<'a> {
         // Totals (reference class-order fold) and per-link delays: read
         // back from the resident state and recomputed only at dirty
         // links — keeping only the ones that actually changed bitwise
-        // for the pair-delay reuse decision below.
+        // for the pair-segment reuse decision in `pair_segments`.
         total_loads.clear();
         total_loads.resize(num_links, 0.0);
         for loads in class_loads.iter() {
@@ -1650,82 +1749,25 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Pass 3: per-class components. SLA pairs come from resident
-        // segments for destinations whose routing is unchanged and whose
-        // DAG sees no changed delay, from the shared DP kernel for the
-        // rest.
-        let take_max = self.take_max();
-        for (k, model) in self.models.iter().enumerate() {
-            costs[k] = match model {
-                CostModel::SlaDelay { .. } => {
-                    let weights = w.class_weights(k);
-                    pair_delays.clear();
-                    for (di, &t) in self.demand_dests[k].iter().enumerate() {
-                        if Some(t as usize) == excluded {
-                            continue;
-                        }
-                        let code = scratch_map[k][di];
-                        let dest: &DestRouting = if code == NOT_RECOMPUTED {
-                            &cache.base[k][di]
-                        } else if code == WS_BASE {
-                            &ws_base[k].state[di]
-                        } else if code & CACHED_BIT != 0 {
-                            &entry.routed[k][(code & !CACHED_BIT) as usize].1
-                        } else {
-                            &scratch[code as usize]
-                        };
-                        if (code == NOT_RECOMPUTED || code & CACHED_BIT != 0)
-                            && (pair_dirty.is_empty()
-                                || !dag_uses_any(self.net, &dest.dist, weights, pair_dirty))
-                        {
-                            let s = entry.pair_off[k][di] as usize;
-                            let e = entry.pair_off[k][di + 1] as usize;
-                            pair_delays.extend_from_slice(&entry.pairs[k][s..e]);
-                            continue;
-                        }
-                        delay::pair_delays_into(
-                            self.net,
-                            &dest.dist,
-                            &dest.order,
-                            weights,
-                            mask,
-                            link_delays,
-                            take_max,
-                            self.matrices[k],
-                            t as usize,
-                            excluded,
-                            node_delay,
-                            pair_delays,
-                        );
-                    }
-                    sla::summarize(&*pair_delays, &self.class_params[k]).lambda
-                }
-                CostModel::Congestion => {
-                    congestion::phi(total_loads, &class_loads[k], &self.capacities)
-                }
-            };
-        }
-        costs
+        self.pair_segments(ws, w, excluded, Some(entry));
     }
 
-    /// Re-point the cache at a new incumbent `w` incrementally: the
-    /// accept-path maintenance of the hill climbers. Baseline and
-    /// per-scenario routings whose `cache.weights → w` diff provably
-    /// cannot change (see [`weight_change_affects`]) are kept as-is; the
-    /// rest are re-routed under `w`, and the resident folded state
-    /// (loads, contributor lists, link delays, pair segments) is updated
-    /// to describe `w` exactly. Coverage is maintained **exactly**:
-    /// destinations entering or leaving a scenario's mask-affected set
-    /// are spliced into or out of its entry, so no periodic full rebuild
-    /// is needed.
+    /// Re-point the cache at a new incumbent `w`: the accept-path
+    /// maintenance of the hill climbers. After
+    /// [`cache_begin`](Self::cache_begin) diffs `w` against the
+    /// incumbent, every resident entry takes `w`'s cached evaluation
+    /// against it and commits that result
+    /// ([`cache_refresh_entry`](Self::cache_refresh_entry)); then
+    /// [`cache_refresh_finish`](Self::cache_refresh_finish) copies the
+    /// baseline records the move really changed and adopts `w`. A
+    /// refreshed entry is exactly what a fresh capture at `w` would hold
+    /// — destinations entering or leaving a scenario's mask-affected set
+    /// are spliced into or out of its entry — so no periodic full
+    /// rebuild is needed.
     ///
-    /// This serial form wraps the three-stage refresh —
-    /// [`cache_refresh_begin`](Self::cache_refresh_begin), one
-    /// [`cache_refresh_entry`](Self::cache_refresh_entry) per resident
-    /// position, [`cache_refresh_finish`](Self::cache_refresh_finish) —
-    /// which multicore accept paths shard across workers with
-    /// bit-identical results (see the parallel-search contract in
-    /// `DETERMINISM.md`).
+    /// Multicore accept paths shard the per-entry stage across workers
+    /// (see [`ScenarioCache::capture_split`]) with bit-identical results
+    /// (the parallel-search contract in `DETERMINISM.md`).
     pub fn cache_refresh<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
@@ -1733,340 +1775,58 @@ impl<'a> Engine<'a> {
         w: &W,
         scenario_at: impl Fn(usize) -> Scenario,
     ) {
-        self.cache_refresh_begin(ws, cache, w);
+        self.cache_begin(cache, w);
         let resident = cache.resident_scenarios();
-        let (ctx, entries) = cache.refresh_split();
+        let (inc, entries) = cache.capture_split();
         for (pos, entry) in entries.iter_mut().enumerate().take(resident) {
-            self.cache_refresh_entry(ws, w, &ctx, scenario_at(pos), entry);
+            self.cache_refresh_entry(ws, w, inc, scenario_at(pos), entry);
         }
-        self.cache_refresh_finish(cache, w);
+        self.cache_refresh_finish(ws, cache, w);
     }
 
-    /// Stage 1 of the incremental refresh: compute the incumbent → `w`
-    /// per-class weight diff into the cache, and update the cached
-    /// no-failure baseline, recording in the cache's shared refresh
-    /// flags exactly which destinations *really* moved. Serial — runs
-    /// once per accepted candidate; the per-entry stage it feeds
-    /// ([`cache_refresh_entry`](Self::cache_refresh_entry)) is the
-    /// shardable part.
-    pub fn cache_refresh_begin<W: ClassWeights>(
+    /// The per-entry stage of [`cache_refresh`](Self::cache_refresh):
+    /// `w`'s cached evaluation against `entry`, committed into it. Call
+    /// after [`cache_begin`](Self::cache_begin) for this `w`. The result
+    /// is a pure function of (entry, `inc`, `w`, scenario), entries are
+    /// position-disjoint and `inc` is read-only, so an accept path may
+    /// shard the resident entries across workers in contiguous chunks,
+    /// each worker with its own pooled workspace.
+    pub fn cache_refresh_entry<W: ClassWeights>(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &W,
+        inc: &CacheIncumbent,
+        scenario: Scenario,
+        entry: &mut ScenarioEntry,
+    ) {
+        self.eval_cached(ws, w, scenario, inc, entry);
+        self.commit(ws, scenario, entry);
+    }
+
+    /// The closing stage of [`cache_refresh`](Self::cache_refresh): copy
+    /// the baseline records `w` really moved (`!base_same`) from a
+    /// workspace baseline at `w` into the cache, adopt `w` as the
+    /// incumbent and advance the generation stamp. Call once, after
+    /// every entry's [`cache_refresh_entry`](Self::cache_refresh_entry).
+    pub fn cache_refresh_finish<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
         cache: &mut ScenarioCache,
         w: &W,
     ) {
-        self.bind(ws);
-        let kn = self.num_classes();
-        let ScenarioCache {
-            weights,
-            base,
-            diff,
-            refresh_changed,
-            ..
-        } = cache;
-        assert_eq!(base.len(), kn, "cache baseline missing");
-        for (k, diffk) in diff.iter_mut().enumerate() {
-            let new = w.class_weights(k);
-            assert_eq!(weights[k].len(), new.len(), "link count mismatch");
-            weight_diff(&weights[k], new, diffk);
-        }
-
-        // Baseline update: repair the destinations the diff can touch
-        // from their incumbent routing (bit-equal to a full route),
-        // remembering which *really* moved (their routings may enter or
-        // leave any scenario's affected set). The conservative
-        // predicate's false positives are filtered with the exact
-        // [`baseline_unchanged`] diff so bit-identical repairs don't
-        // churn entries or re-run delay DPs downstream.
-        refresh_changed.resize_with(kn, Vec::new);
-        let mut tmp = std::mem::take(&mut ws.refresh_tmp);
-        for k in 0..kn {
-            let class_weights = w.class_weights(k);
-            let tm = self.matrices[k];
-            let dests = &self.demand_dests[k];
-            assert_eq!(
-                base[k].len(),
-                dests.len(),
-                "cache baseline missing; run cache_rebuild_begin first"
-            );
-            refresh_changed[k].clear();
-            refresh_changed[k].resize(dests.len(), false);
-            for (di, &t) in dests.iter().enumerate() {
-                if diff[k].is_empty()
-                    || !weight_change_affects(self.net, &base[k][di].dist, &diff[k])
-                {
-                    continue;
-                }
-                route_destination_reweight(
-                    self.net,
-                    &weights[k],
-                    class_weights,
-                    &diff[k],
-                    tm,
-                    &ws.up_mask,
-                    t as usize,
-                    &base[k][di],
-                    &mut ws.spf,
-                    &mut tmp,
-                );
-                if !baseline_unchanged(self.net, &tmp.dist, &base[k][di].dist, &diff[k]) {
-                    base[k][di].clone_from(&tmp);
-                    refresh_changed[k][di] = true;
+        self.ensure_baseline(ws, w);
+        let inc = &mut cache.inc;
+        self.base_flags(ws, inc);
+        for (k, base) in inc.base.iter_mut().enumerate() {
+            for (di, slot) in base.iter_mut().enumerate() {
+                if !ws.base_same[k][di] {
+                    slot.clone_from(&ws.base[k].state[di]);
                 }
             }
+            inc.weights[k].clear();
+            inc.weights[k].extend_from_slice(w.class_weights(k));
         }
-        ws.refresh_tmp = tmp;
-    }
-
-    /// Stage 2 of the incremental refresh: update one resident entry —
-    /// routings, contributor lists, loads and (for fully resident
-    /// entries) link delays and pair segments, all in place. The result
-    /// is a pure function of (entry, `ctx`, `w`, scenario), entries are
-    /// position-disjoint, and `ctx` is read-only, so an accept path may
-    /// shard the resident entries across workers in contiguous
-    /// index-order chunks (each worker with its own pooled workspace)
-    /// and splice bit-identically to the serial loop at any worker
-    /// count — the sharded-refresh splice invariant in `DETERMINISM.md`.
-    /// Steady-state allocation-free per worker: the old affected list
-    /// drains through the workspace spare buffer, surviving routings
-    /// move, leavers park in the routing pool, and newcomers reuse
-    /// pooled buffers (pool contents are never read — re-routes fully
-    /// overwrite them).
-    pub fn cache_refresh_entry<W: ClassWeights>(
-        &self,
-        ws: &mut EvalWorkspace,
-        w: &W,
-        ctx: &RefreshCtx<'_>,
-        scenario: Scenario,
-        entry: &mut ScenarioEntry,
-    ) {
-        let num_links = self.net.num_links();
-        self.bind(ws);
-        let RefreshCtx {
-            base,
-            diff,
-            changed: base_changed,
-        } = *ctx;
-        scenario.mask_into(self.net, &mut ws.mask);
-        ws.down.clear();
-        ws.down.extend(ws.mask.down_links().map(|i| i as u32));
-        let excluded = scenario.excluded_node().map(|v| v.index());
-        let epoch = ws.next_epoch();
-        let mut tmp = std::mem::take(&mut ws.refresh_tmp);
-        let mut spare = std::mem::take(&mut ws.refresh_list);
-        let mut pool = std::mem::take(&mut ws.routing_pool);
-
-        for (k, dests) in self.demand_dests.iter().enumerate() {
-            let class_weights = w.class_weights(k);
-            let tm = self.matrices[k];
-            let ch = &mut ws.changed[k];
-            ch.resize(dests.len(), 0);
-            // Rebuild the affected list, moving surviving routings:
-            // membership only moves where the baseline moved.
-            let list = &mut entry.routed[k];
-            std::mem::swap(list, &mut spare);
-            list.clear();
-            let mut it = spare.drain(..).peekable();
-            for (di, &t) in dests.iter().enumerate() {
-                let hit = it
-                    .peek()
-                    .is_some_and(|(d, _)| *d == di as u32)
-                    .then(|| it.next().unwrap().1);
-                if Some(t as usize) == excluded {
-                    if let Some(r) = hit {
-                        pool.push(r);
-                    }
-                    continue;
-                }
-                if base_changed[k][di] {
-                    let affected = !ws.down.is_empty()
-                        && dag_uses_any(self.net, &base[k][di].dist, class_weights, &ws.down);
-                    if affected {
-                        // The cached scenario routing survives when
-                        // the diff provably cannot change it.
-                        if let Some(routing) = hit {
-                            if diff[k].is_empty()
-                                || !weight_change_affects(self.net, &routing.dist, &diff[k])
-                            {
-                                list.push((di as u32, routing));
-                                continue;
-                            }
-                            let mut routing = routing;
-                            route_destination_repair(
-                                self.net,
-                                class_weights,
-                                tm,
-                                &ws.mask,
-                                t as usize,
-                                &base[k][di],
-                                &mut ws.spf,
-                                &mut tmp,
-                            );
-                            if !baseline_unchanged(self.net, &tmp.dist, &routing.dist, &diff[k]) {
-                                ch[di] = epoch;
-                                std::mem::swap(&mut routing, &mut tmp);
-                            }
-                            list.push((di as u32, routing));
-                            continue;
-                        }
-                        ch[di] = epoch;
-                        let mut routing = pool.pop().unwrap_or_default();
-                        route_destination_repair(
-                            self.net,
-                            class_weights,
-                            tm,
-                            &ws.mask,
-                            t as usize,
-                            &base[k][di],
-                            &mut ws.spf,
-                            &mut routing,
-                        );
-                        list.push((di as u32, routing));
-                    } else {
-                        // Not affected: the destination leaves (or
-                        // stays out of) the entry; its effective
-                        // routing is the freshly updated baseline.
-                        ch[di] = epoch;
-                        if let Some(r) = hit {
-                            pool.push(r);
-                        }
-                    }
-                } else if let Some(mut routing) = hit {
-                    if !diff[k].is_empty()
-                        && weight_change_affects(self.net, &routing.dist, &diff[k])
-                    {
-                        route_destination_repair(
-                            self.net,
-                            class_weights,
-                            tm,
-                            &ws.mask,
-                            t as usize,
-                            &base[k][di],
-                            &mut ws.spf,
-                            &mut tmp,
-                        );
-                        if !baseline_unchanged(self.net, &tmp.dist, &routing.dist, &diff[k]) {
-                            ch[di] = epoch;
-                            std::mem::swap(&mut routing, &mut tmp);
-                        }
-                    }
-                    list.push((di as u32, routing));
-                }
-            }
-            for (_, r) in it {
-                pool.push(r);
-            }
-
-            // Contributor lists + full refold (cheap: one pass over the
-            // effective adds — the per-link fold in destination order
-            // gives bit-for-bit the reference accumulation for *every*
-            // link, dirty or not).
-            let list: &[(u32, DestRouting)] = list;
-            let basec = &base[k];
-            entry.contrib[k].rebuild(num_links, dests.len(), |di| {
-                effective_adds(list, basec, dests, excluded, di)
-            });
-            let loads = &mut entry.loads[k];
-            loads.clear();
-            loads.resize(num_links, 0.0);
-            for (l, load) in loads.iter_mut().enumerate() {
-                let mut acc = 0.0f64;
-                for &(_, share) in entry.contrib[k].row(l) {
-                    acc += share;
-                }
-                *load = acc;
-            }
-        }
-        ws.refresh_tmp = tmp;
-        ws.refresh_list = spare;
-        ws.routing_pool = pool;
-
-        // Delays: recompute, remembering which changed bitwise.
-        ws.total_loads.clear();
-        ws.total_loads.resize(num_links, 0.0);
-        for loads in &entry.loads {
-            for (t, &x) in ws.total_loads.iter_mut().zip(loads) {
-                *t += x;
-            }
-        }
-        ws.pair_dirty.clear();
-        for (l, old) in entry.link_delays.iter_mut().enumerate() {
-            let d = delay_model::link_delay(
-                ws.total_loads[l],
-                self.capacities[l],
-                self.prop_delays[l],
-                &self.delay_params,
-            );
-            if d.to_bits() != old.to_bits() {
-                *old = d;
-                ws.pair_dirty.push(l as u32);
-            }
-        }
-
-        // Pair segments per SLA class: recompute only destinations whose
-        // routing changed or whose DAG sees a changed delay; splice the
-        // rest from the old resident list.
-        let take_max = self.take_max();
-        for (k, model) in self.models.iter().enumerate() {
-            if matches!(model, CostModel::Congestion) {
-                continue;
-            }
-            let class_weights = w.class_weights(k);
-            ws.pair_delays.clear();
-            let mut cursor = 0usize;
-            let list = &entry.routed[k];
-            let new_offs = &mut ws.off_scratch;
-            new_offs.clear();
-            new_offs.push(0);
-            for (di, &t) in self.demand_dests[k].iter().enumerate() {
-                if Some(t as usize) != excluded {
-                    while cursor < list.len() && list[cursor].0 < di as u32 {
-                        cursor += 1;
-                    }
-                    let hit = cursor < list.len() && list[cursor].0 == di as u32;
-                    let dest: &DestRouting = if hit { &list[cursor].1 } else { &base[k][di] };
-                    let routing_changed = ws.changed[k][di] == epoch;
-                    if !routing_changed
-                        && (ws.pair_dirty.is_empty()
-                            || !dag_uses_any(self.net, &dest.dist, class_weights, &ws.pair_dirty))
-                    {
-                        let s = entry.pair_off[k][di] as usize;
-                        let e = entry.pair_off[k][di + 1] as usize;
-                        ws.pair_delays.extend_from_slice(&entry.pairs[k][s..e]);
-                    } else {
-                        delay::pair_delays_into(
-                            self.net,
-                            &dest.dist,
-                            &dest.order,
-                            class_weights,
-                            &ws.mask,
-                            &entry.link_delays,
-                            take_max,
-                            self.matrices[k],
-                            t as usize,
-                            excluded,
-                            &mut ws.node_delay,
-                            &mut ws.pair_delays,
-                        );
-                    }
-                }
-                new_offs.push(ws.pair_delays.len() as u32);
-            }
-            entry.pairs[k].clone_from(&ws.pair_delays);
-            entry.pair_off[k].clone_from(new_offs);
-        }
-    }
-
-    /// Stage 3 of the incremental refresh: adopt `w` as the cache's
-    /// incumbent and advance the generation stamp. Call exactly once,
-    /// after every [`cache_refresh_entry`](Self::cache_refresh_entry)
-    /// of the refresh has completed.
-    pub fn cache_refresh_finish<W: ClassWeights>(&self, cache: &mut ScenarioCache, w: &W) {
-        for (k, buf) in cache.weights.iter_mut().enumerate() {
-            buf.clear();
-            buf.extend_from_slice(w.class_weights(k));
-        }
-        cache.generation = next_engine_id();
+        inc.generation = next_engine_id();
     }
 }
 

@@ -30,7 +30,7 @@ mod lexico;
 mod params;
 pub mod sla;
 
-pub use engine::{Engine, EvalWorkspace, RefreshCtx, ScenarioCache, ScenarioEntry};
+pub use engine::{CacheIncumbent, Engine, EvalWorkspace, ScenarioCache, ScenarioEntry};
 pub use evaluator::{CostBreakdown, Evaluator};
 pub use lexico::{LexCost, LAMBDA_EPS};
 pub use params::{CostModel, CostParams, DelayAggregation};

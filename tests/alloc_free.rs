@@ -265,14 +265,14 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
 
 /// The accept-path sharded cache refresh: after warm-up, re-pointing
 /// the delta-state cache at a new incumbent through the per-worker
-/// kernel sequence — serial `cache_refresh_begin`, then
-/// `cache_refresh_entry` for every resident entry on a pooled
-/// workspace, then `cache_refresh_finish` — performs **zero** heap
-/// allocations. The sharded refresh of the robust search
+/// kernel sequence — serial `cache_begin`, then `cache_refresh_entry`
+/// (the cached evaluation plus the commit) for every resident entry on
+/// a pooled workspace, then `cache_refresh_finish` — performs **zero**
+/// heap allocations. The sharded refresh of the robust search
 /// (`dtr_core::robust`) runs exactly this per-entry kernel on each
 /// worker's chunk (position-disjoint entries, pooled workspaces), so
 /// an allocation-free serial pass proves each worker's steady state is
-/// allocation-free too (all three kernels are registered in
+/// allocation-free too (the kernels are registered in
 /// crates/analysis/hot_paths.toml).
 #[test]
 fn steady_state_sharded_cache_refresh_allocates_nothing() {
@@ -316,18 +316,18 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
                    cache: &mut dtr::cost::ScenarioCache,
                    w: &WeightSetting| {
         let eng = ev.engine();
-        eng.cache_refresh_begin(ws, cache, w);
-        let (ctx, entries) = cache.refresh_split();
+        eng.cache_begin(cache, w);
+        let (inc, entries) = cache.capture_split();
         for (pos, entry) in entries.iter_mut().enumerate().take(scenarios.len()) {
-            eng.cache_refresh_entry(ws, w, &ctx, scenarios[pos], entry);
+            eng.cache_refresh_entry(ws, w, inc, scenarios[pos], entry);
         }
-        eng.cache_refresh_finish(cache, w);
+        eng.cache_refresh_finish(ws, cache, w);
     };
 
     // Warm: repeated accept cycles (candidate diff + refresh) over a
-    // fixed candidate sequence grow every buffer — refresh context,
-    // entry dirty sets, the pooled per-destination routing buffers
-    // newcomers draw from — to the high-water mark of every transition
+    // fixed candidate sequence grow every buffer — baseline flags,
+    // dirty sets, the pooled per-destination routing buffers the commit
+    // copies fresh routings into — to the high-water mark of every transition
     // in the cycle. The pool hands buffers out LIFO, so a buffer's
     // capacity history depends on which destinations it served;
     // capacities only grow, which is why several rounds are needed
@@ -335,7 +335,6 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
     let cands: Vec<WeightSetting> = (0..6).map(|_| candidate(&mut rng)).collect();
     for _ in 0..16 {
         for cand in &cands {
-            ev.cache_begin(&mut cache, cand);
             refresh(&mut ws, &mut cache, cand);
         }
     }
@@ -343,7 +342,6 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
     // Steady state: repeating the warmed cycle must not allocate.
     let before = allocations();
     for cand in &cands {
-        ev.cache_begin(&mut cache, cand);
         refresh(&mut ws, &mut cache, cand);
     }
     let after = allocations();
@@ -513,7 +511,7 @@ fn steady_state_delta_state_candidate_sweep_allocates_nothing() {
 /// The engine at k = 3: mtr3's voice SLA class, relaxed video SLA class
 /// and bulk congestion class. After warm-up, a plain sweep, a
 /// `cache_begin` + `cost_cached` candidate sweep and a sharded refresh
-/// (`cache_refresh_begin`, one `cache_refresh_entry` per resident entry,
+/// (`cache_begin`, one `cache_refresh_entry` per resident entry,
 /// `cache_refresh_finish`) through the engine perform **zero** heap
 /// allocations — the kernels write the three components into the
 /// workspace at every k.
@@ -575,12 +573,11 @@ fn steady_state_three_class_engine_allocates_nothing() {
                   cache: &mut dtr::cost::ScenarioCache,
                   w: &MtrWeightSetting| {
         eng.cache_begin(cache, w);
-        eng.cache_refresh_begin(ws, cache, w);
-        let (ctx, entries) = cache.refresh_split();
+        let (inc, entries) = cache.capture_split();
         for (pos, entry) in entries.iter_mut().enumerate() {
-            eng.cache_refresh_entry(ws, w, &ctx, scenarios[pos], entry);
+            eng.cache_refresh_entry(ws, w, inc, scenarios[pos], entry);
         }
-        eng.cache_refresh_finish(cache, w);
+        eng.cache_refresh_finish(ws, cache, w);
     };
     // One cycle: per candidate, a plain sweep and a cached sweep against
     // the current incumbent, then accept the candidate.
@@ -605,11 +602,11 @@ fn steady_state_three_class_engine_allocates_nothing() {
     // Warm: two full cycles see every (incumbent, candidate, scenario)
     // triple of the measured cycle, so the sweep scratch is at its
     // high-water mark. The refresh recycles routing buffers across
-    // destinations (LIFO pool, swaps with the re-route target), so its
+    // destinations (LIFO pool, copied into by the commit), so its
     // capacities converge only after many accept cycles. Capacities
     // only grow and the sequence is fixed, so the count is
-    // deterministic: on this testbed the last growth happens in cycle
-    // 99 of 400, and 144 cycles leave a margin.
+    // deterministic: on this testbed the last growth happens in the
+    // 67th of 400 cycles, and 144 cycles leave a margin.
     let mut checksum = 0.0f64;
     for _ in 0..2 {
         checksum += cycle(&mut ws, &mut cache);

@@ -164,7 +164,9 @@ proptest! {
     /// reference for every scenario of the full taxonomy at every step.
     /// Repeated accepts drift the incumbent far from the originally
     /// captured setting, exercising the exact-coverage maintenance
-    /// (destinations entering and leaving each scenario's affected set).
+    /// (destinations entering and leaving each scenario's affected set):
+    /// after every refresh, each entry holds as many resident bytes as
+    /// a fresh capture at the same incumbent.
     #[test]
     fn scenario_cache_chain_stays_bit_identical(
         (nodes, extra, seed) in (10usize..14, 2usize..8, 0u64..1_000_000)
@@ -225,6 +227,26 @@ proptest! {
                 if step % 3 != 2 {
                     inc = cand;
                     ev.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
+                    // Exact coverage, which restore relies on (it
+                    // recaptures instead of restoring the refreshed
+                    // cache): every refreshed entry holds what a fresh
+                    // capture at the same incumbent holds.
+                    let mut ws2 = ev.acquire_workspace();
+                    let mut fresh = dtr::cost::ScenarioCache::new();
+                    ev.cache_rebuild_begin(&mut ws2, &mut fresh, &inc, scenarios.len());
+                    for (pos, &sc) in scenarios.iter().enumerate() {
+                        ev.cost_capture(&mut ws2, &inc, sc, &mut fresh, pos);
+                    }
+                    ev.release_workspace(ws2);
+                    let fresh = fresh.capture_split().1;
+                    for (pos, entry) in cache.capture_split().1.iter().enumerate() {
+                        prop_assert_eq!(
+                            entry.resident_bytes(),
+                            fresh[pos].resident_bytes(),
+                            "refreshed vs captured step {}, scenario {}, seed {}, params {:?}",
+                            step, scenarios[pos], seed, params
+                        );
+                    }
                 }
                 if step == 4 {
                     capture_all(&mut ws, &mut cache, &inc);
@@ -294,6 +316,23 @@ proptest! {
             if step % 3 != 2 {
                 inc = cand;
                 eng.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
+                // Exact coverage: see the DTR chain above.
+                let mut ws2 = ev.acquire_workspace();
+                let mut fresh = dtr::cost::ScenarioCache::new();
+                eng.cache_rebuild_begin(&mut ws2, &mut fresh, &inc, scenarios.len());
+                for (pos, &sc) in scenarios.iter().enumerate() {
+                    eng.cost_capture(&mut ws2, &inc, sc, &mut fresh, pos);
+                }
+                ev.release_workspace(ws2);
+                let fresh = fresh.capture_split().1;
+                for (pos, entry) in cache.capture_split().1.iter().enumerate() {
+                    prop_assert_eq!(
+                        entry.resident_bytes(),
+                        fresh[pos].resident_bytes(),
+                        "mtr refreshed vs captured step {}, scenario {}, seed {}",
+                        step, scenarios[pos], seed
+                    );
+                }
             }
             if step == 4 {
                 capture_all(&mut ws, &mut cache, &inc);
