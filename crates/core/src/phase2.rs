@@ -26,10 +26,11 @@
 //! touch, and the failure sweep
 //! runs through the **delta-state scenario cache** — per scenario, only
 //! destinations whose effective routing the candidate diff really moves
-//! are repaired from the resident incumbent state, only
-//! contributor-changed links are refolded, and only delay-touched
-//! destinations re-run the SLA DP — for **every** scenario kind the set
-//! holds (link, node, SRLG, double-link, probabilistically weighted).
+//! are repaired from the resident incumbent state, the loads are folded
+//! by replaying every destination's resolved routing, and only
+//! delay-touched destinations re-run the SLA DP — for **every** scenario
+//! kind the set holds (link, node, SRLG, double-link, probabilistically
+//! weighted).
 
 use dtr_cost::{Engine, Evaluator, LexCost};
 use dtr_net::LinkId;

@@ -49,10 +49,10 @@
 //!    incumbent by one duplex link. The cache keeps **persistent
 //!    per-scenario state** of the incumbent — see the next section — so
 //!    a candidate's per-scenario cost ([`Engine::cost_cached`])
-//!    re-routes only the mask ∩ move-affected destinations, refolds only
-//!    the links whose contributor set changed, and re-runs each SLA
-//!    class's delay DP only for destinations whose routing or on-DAG
-//!    link delays changed. The accept path re-points the cache at the
+//!    re-routes only the mask ∩ move-affected destinations, folds the
+//!    loads through the same replay as the plain evaluation, and re-runs
+//!    each SLA class's delay DP only for destinations whose routing or
+//!    on-DAG link delays changed. The accept path re-points the cache at the
 //!    new incumbent ([`Engine::cache_refresh`]) by evaluating the
 //!    accepted candidate against each entry the same way and committing
 //!    that result into the entry.
@@ -90,23 +90,20 @@
 //!
 //! # The delta-state model
 //!
-//! A plain cached scenario evaluation would still pay a *replay floor*:
-//! every destination's recorded load-adds re-issued into a zeroed load
-//! vector, the per-link delays recomputed from scratch, and the
-//! end-to-end delay DP re-run for every SLA destination — even when the
-//! candidate's one-duplex-link diff provably touched none of them. The
-//! [`ScenarioCache`] keeps, per scenario, the *folded* state of the
-//! incumbent, and candidates pay only for their diff:
+//! A plain scenario evaluation repairs every mask-affected destination
+//! and re-runs the end-to-end delay DP for every SLA destination — even
+//! when the candidate's one-duplex-link diff provably touched none of
+//! them. The [`ScenarioCache`] keeps, per scenario, the *resolved* state
+//! of the incumbent, and candidates pay for routing and delay DPs only
+//! where their diff moves something:
 //!
 //! * **What persists per scenario**: per class, the recomputed routings
-//!   of every mask-affected destination (exactly the affected set), the
-//!   resident per-link **load vectors** and **per-link contributor
-//!   lists** (`LinkContrib`: `(destination, share)` pairs in
-//!   destination-index order); the resident **per-link delays** of the
-//!   total loads; and, per SLA class, the resident **pair-delay
-//!   triples** segmented by destination. The cache also holds the
-//!   incumbent's no-failure **baseline** routings per class (the
-//!   effective routing of every destination the mask does not touch).
+//!   of every mask-affected destination (exactly the affected set); the
+//!   resident **per-link delays** of the total loads; and, per SLA
+//!   class, the resident **pair-delay triples** segmented by
+//!   destination. The cache also holds the incumbent's no-failure
+//!   **baseline** routings per class (the effective routing of every
+//!   destination the mask does not touch).
 //! * **Who writes an entry**: one `commit`, from the result an
 //!   evaluation leaves in the workspace. Capture commits a plain
 //!   evaluation of the incumbent; the accept-path refresh commits the
@@ -128,38 +125,25 @@
 //!   Dijkstra over the invalidated region — integer distances make the
 //!   repair bit-equal to a from-scratch route) instead of paying a full
 //!   Dijkstra.
-//! * **When a link is refolded**: the links appearing in a changed
-//!   destination's old or new adds are *dirty*; when few links are
-//!   dirty, only those are refolded from the stored contributor lists —
-//!   and when a large move dirtied most of the network, the engine
-//!   instead replays every destination's effective adds in destination
-//!   order (the identical float sequence, cheaper than per-link
-//!   merges). Every clean link's load and delay, and every untouched
-//!   destination's pair-delay segment, is read back from the resident
-//!   state.
-//! * **Why the per-link destination-ordered fold is bit-exact**: a
-//!   from-scratch evaluation accumulates a class's `loads[l]` by
-//!   iterating destinations in index order and replaying each
-//!   destination's adds; the sub-sequence of adds landing on link `l` is
-//!   therefore "one share per contributing destination, in
-//!   destination-index order" (the ECMP push emits at most one add per
-//!   (destination, link) pair — see [`DestRouting::load_adds`]).
-//!   Refolding link `l` as a merge of the stored contributor list (minus
-//!   changed destinations) with the changed destinations' fresh shares,
-//!   in destination-index order, performs the **exact same float
-//!   additions in the exact same order** — so a clean link's resident
-//!   load and a dirty link's refolded load are both bit-for-bit the
-//!   from-scratch value. Classes fold independently into the shared
-//!   total-load vector in class order, exactly as the references do.
-//!   Downstream, per-link delays are a per-link pure function of the
-//!   total load (patched only where a refold ran; a patched delay that
-//!   comes out bit-identical is pruned), and a destination's pair-delay
-//!   segment is reused unless its routing changed or a bit-changed delay
-//!   lies on its DAG ([`dag_uses_any`] over the changed-delay links —
-//!   a conservative superset of the DP's on-DAG reads). The final Λ and
-//!   Φ folds run over the assembled per-pair and per-link values in the
-//!   reference order, so they reproduce [`Engine::cost_with`] — and
-//!   therefore the reference path — bit for bit.
+//! * **One load fold**: the plain and the cached evaluation end in the
+//!   same fold. Each destination's resolved routing — the baseline, the
+//!   entry's, or a fresh repair — replays its recorded adds into its
+//!   class's loads in destination-index order, class by class; the
+//!   classes sum into the total loads in class order; and every link's
+//!   delay is a pure function of its total load. That is the float
+//!   sequence of a from-scratch evaluation, so loads and delays are
+//!   bit-for-bit the reference's. A link no changed destination touches
+//!   receives the entry's own adds in the entry's order, so its delay
+//!   bits are the entry's: the links whose delay bits differ from the
+//!   entry's (`pair_dirty`) all lie on some changed routing.
+//! * **Which pair segments are reused**: a destination's pair-delay
+//!   segment is read back from the entry unless its routing changed or
+//!   a bit-changed delay lies on its DAG ([`dag_uses_any`] over
+//!   `pair_dirty` — a conservative superset of the DP's on-DAG reads).
+//!   The final Λ and Φ folds run over the assembled per-pair and
+//!   per-link values in the reference order, so they reproduce
+//!   [`Engine::cost_with`] — and therefore the reference path — bit for
+//!   bit.
 //!
 //! # Node failures: masks that also remove traffic
 //!
@@ -200,8 +184,9 @@
 //! replayed destination re-issues the exact floating-point additions, in
 //! the exact order, that a fresh computation would perform; a re-routed
 //! destination runs the exact same [`route_destination`] kernel the
-//! reference paths are built on; and the delta-state folds preserve the
-//! reference accumulation order per link and per pair (see above).
+//! reference paths are built on; and the one load fold and the pair pass
+//! keep the reference accumulation order per link and per pair (see
+//! above).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -226,7 +211,7 @@ fn next_engine_id() -> u64 {
     NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Marker for "this destination was replayed from the baseline".
+/// Marker for "this destination keeps its baseline routing".
 /// Deliberately outside the [`CACHED_BIT`] range (high bit clear) so the
 /// `scratch_map` decode is order-independent: no sentinel can alias a
 /// tagged cache-entry slot regardless of which test runs first.
@@ -240,80 +225,6 @@ const CACHED_BIT: u32 = 0x8000_0000;
 /// candidate baseline (a move-touched destination the scenario mask does
 /// not affect) on the delta-state path.
 const WS_BASE: u32 = 0x7fff_ffff;
-
-/// Per-link contributor lists of one class's effective routing state
-/// under one scenario (CSR over directed links): for every link, the
-/// `(destination index, share)` pairs that fold into its load, sorted by
-/// destination index.
-///
-/// Because the ECMP push emits at most one add per (destination, link)
-/// pair, a link's row holds one entry per contributing destination, and
-/// folding the row in order reproduces the from-scratch accumulation of
-/// that link's load bit for bit (see the module docs).
-#[derive(Clone, Debug, Default)]
-struct LinkContrib {
-    /// `off[l]..off[l+1]` indexes `entries` for link `l`.
-    off: Vec<u32>,
-    /// `(destination index, share)` pairs, destination-ascending per link.
-    entries: Vec<(u32, f64)>,
-    /// Fill-cursor scratch of [`rebuild`](Self::rebuild).
-    cursor: Vec<u32>,
-}
-
-impl LinkContrib {
-    /// The contributor row of link `l`, destination-ascending.
-    #[inline]
-    fn row(&self, l: usize) -> &[(u32, f64)] {
-        &self.entries[self.off[l] as usize..self.off[l + 1] as usize]
-    }
-
-    /// Rebuild the CSR from per-destination contribution sequences:
-    /// `adds_of(di)` yields destination `di`'s effective `(link, share)`
-    /// adds. Destinations are scanned in ascending index order, so every
-    /// link's row comes out sorted by destination.
-    fn rebuild<'a, F>(&mut self, num_links: usize, num_dests: usize, mut adds_of: F)
-    where
-        F: FnMut(usize) -> &'a [(u32, f64)],
-    {
-        self.off.clear();
-        self.off.resize(num_links + 1, 0);
-        let mut total = 0usize;
-        for di in 0..num_dests {
-            for &(l, _) in adds_of(di) {
-                self.off[l as usize + 1] += 1;
-                total += 1;
-            }
-        }
-        // The CSR stores u32 offsets; a count past u32::MAX must fail
-        // loudly here, not wrap the prefix sums into silent mis-sizing.
-        assert!(
-            total <= u32::MAX as usize,
-            "contributor count {total} exceeds the u32 CSR offset space"
-        );
-        for l in 0..num_links {
-            self.off[l + 1] += self.off[l];
-        }
-        self.entries.clear();
-        self.entries.resize(total, (0, 0.0));
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.off[..num_links]);
-        for di in 0..num_dests {
-            for &(l, share) in adds_of(di) {
-                let c = &mut self.cursor[l as usize];
-                self.entries[*c as usize] = (di as u32, share);
-                *c += 1;
-            }
-        }
-    }
-
-    /// Bytes of resident CSR state, from element counts (see
-    /// [`ScenarioEntry::resident_bytes`]).
-    fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.off.len() + self.cursor.len()) * size_of::<u32>()
-            + self.entries.len() * size_of::<(u32, f64)>()
-    }
-}
 
 /// `true` when a destination's candidate baseline routing is bit-for-bit
 /// its cached incumbent baseline routing, proven from the candidate's
@@ -353,70 +264,6 @@ fn baseline_unchanged(
     })
 }
 
-/// Candidate load of one link under the delta-state model: merge the
-/// stored contributor row (skipping changed destinations' stale shares)
-/// with the changed destinations' fresh `(_, dest, share)` adds for this
-/// link, folding in destination-index order — the exact float-add
-/// sequence a from-scratch accumulation over destinations performs for
-/// this link. `fresh` must be destination-ascending and disjoint from
-/// the unchanged row entries (fresh destinations are changed by
-/// definition).
-fn refold_link(
-    row: &[(u32, f64)],
-    fresh: &[(u32, u32, f64)],
-    is_changed: impl Fn(u32) -> bool,
-) -> f64 {
-    let mut acc = 0.0f64;
-    let mut i = 0usize;
-    let mut j = 0usize;
-    loop {
-        while i < row.len() && is_changed(row[i].0) {
-            i += 1;
-        }
-        match (i < row.len(), j < fresh.len()) {
-            (false, false) => break,
-            (true, false) => {
-                acc += row[i].1;
-                i += 1;
-            }
-            (false, true) => {
-                acc += fresh[j].2;
-                j += 1;
-            }
-            (true, true) => {
-                if row[i].0 < fresh[j].1 {
-                    acc += row[i].1;
-                    i += 1;
-                } else {
-                    acc += fresh[j].2;
-                    j += 1;
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// The effective `(link, share)` contribution sequence of destination
-/// `di` under the cached incumbent: the entry's recomputed routing where
-/// the mask affected it, the incumbent baseline elsewhere, nothing for
-/// the excluded node. `list` is the entry's (ascending) affected list.
-fn effective_adds<'a>(
-    list: &'a [(u32, DestRouting)],
-    base: &'a [DestRouting],
-    dests: &[u32],
-    excluded: Option<usize>,
-    di: usize,
-) -> &'a [(u32, f64)] {
-    if Some(dests[di] as usize) == excluded {
-        return &[];
-    }
-    match list.binary_search_by_key(&(di as u32), |e| e.0) {
-        Ok(k) => list[k].1.load_adds(),
-        Err(_) => base[di].load_adds(),
-    }
-}
-
 /// The routing a `scratch_map` resolution code names: the workspace
 /// baseline `base` for [`NOT_RECOMPUTED`] and [`WS_BASE`] (on the cached
 /// path `NOT_RECOMPUTED` implies `base_same`, so the workspace baseline
@@ -453,17 +300,18 @@ fn weight_diff(old: &[u32], new: &[u32], out: &mut Vec<WeightChange>) {
 
 /// Persistent per-scenario state of the cached incumbent: per class, the
 /// recomputed routings of exactly the mask-affected destinations, plus
-/// the folded residents a candidate evaluation diffs against (see the
+/// the resident delays a candidate evaluation diffs against (see the
 /// module docs).
+///
+/// Equality is bitwise: two entries are equal when they hold the same
+/// routings, link delays and pair triples bit for bit (floats compare
+/// by `to_bits`), which is what a refreshed entry must share with a
+/// fresh capture at the same incumbent.
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioEntry {
     /// Per class: `(slot into the class's demand-destination list,
     /// routing)` — exactly the mask-affected destinations, ascending.
     routed: Vec<Vec<(u32, DestRouting)>>,
-    /// Per class: resident per-link loads of the incumbent.
-    loads: Vec<Vec<f64>>,
-    /// Per class: per-link contributor lists, destination-ordered.
-    contrib: Vec<LinkContrib>,
     /// Resident per-link delays of the incumbent's total loads.
     link_delays: Vec<f64>,
     /// Per SLA class: resident `(s, t, ξ)` triples of the incumbent, in
@@ -489,17 +337,36 @@ impl ScenarioEntry {
             .flatten()
             .map(|(_, r)| size_of::<(u32, DestRouting)>() + r.resident_bytes())
             .sum();
-        let loads: usize = self.loads.iter().map(Vec::len).sum();
-        let contrib: usize = self.contrib.iter().map(LinkContrib::resident_bytes).sum();
         // The SLA segments: link delays, pair triples, segment offsets.
         let pairs: usize = self.pairs.iter().map(Vec::len).sum();
         let offs: usize = self.pair_off.iter().map(Vec::len).sum();
         routed
-            + loads * size_of::<f64>()
-            + contrib
             + self.link_delays.len() * size_of::<f64>()
             + pairs * size_of::<(usize, usize, f64)>()
             + offs * size_of::<u32>()
+    }
+}
+
+impl PartialEq for ScenarioEntry {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let pair_bits = |a: &[(usize, usize, f64)], b: &[(usize, usize, f64)]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.0 == y.0 && x.1 == y.1 && x.2.to_bits() == y.2.to_bits())
+        };
+        self.routed == other.routed
+            && bits(&self.link_delays, &other.link_delays)
+            && self.pairs.len() == other.pairs.len()
+            && self
+                .pairs
+                .iter()
+                .zip(&other.pairs)
+                .all(|(a, b)| pair_bits(a, b))
+            && self.pair_off == other.pair_off
     }
 }
 
@@ -707,20 +574,9 @@ pub struct EvalWorkspace {
     /// The k cost components (or floors) of the last evaluation — what
     /// the kernels return a slice of.
     costs: Vec<f64>,
-    /// Delta-state epoch: stamps below are valid iff equal to this.
-    epoch: u32,
-    /// Per-class per-destination "changed under the candidate diff"
-    /// stamps.
-    changed: Vec<Vec<u32>>,
-    /// Per-link dirty stamps.
-    link_mark: Vec<u32>,
-    /// Links whose contributor set changed (union over classes).
-    dirty: Vec<u32>,
-    /// Dirty links whose per-link delay actually changed (bitwise).
+    /// Links whose delay bits differ from the cached entry's, ascending
+    /// (cached evaluations only; see [`Engine::fold_resolved`]).
     pair_dirty: Vec<u32>,
-    /// Fresh `(link, dest, share)` adds of changed destinations, per
-    /// class, sorted by `(link, dest)` before refolding.
-    new_adds: Vec<Vec<(u32, u32, f64)>>,
     /// Repair target of `ensure_baseline` (written back with
     /// `clone_from`).
     refresh_tmp: DestRouting,
@@ -759,23 +615,8 @@ impl EvalWorkspace {
         self.class_loads.resize_with(k, Vec::new);
         self.pairs.resize_with(k, Vec::new);
         self.pair_off.resize_with(k, Vec::new);
-        self.changed.resize_with(k, Vec::new);
-        self.new_adds.resize_with(k, Vec::new);
         self.base_same.resize_with(k, Vec::new);
         self.costs.resize(k, 0.0);
-    }
-
-    /// Advance the delta-state epoch, clearing stamps on wrap-around.
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            for ch in &mut self.changed {
-                ch.clear();
-            }
-            self.link_mark.clear();
-            self.epoch = 1;
-        }
-        self.epoch
     }
 }
 
@@ -1001,11 +842,9 @@ impl<'a> Engine<'a> {
     fn cost_scenario<W: ClassWeights>(&self, ws: &mut EvalWorkspace, w: &W, scenario: Scenario) {
         // Node failures also remove the dead node's traffic; the mask
         // makes that self-enforcing for loads (see the module docs), and
-        // the routing/SLA loops below skip the node explicitly where the
-        // base matrices still mention it.
+        // the routing/SLA loops skip the node explicitly where the base
+        // matrices still mention it.
         let excluded = scenario.excluded_node().map(|v| v.index());
-        let num_links = self.net.num_links();
-        let kn = self.num_classes();
         let EvalWorkspace {
             spf,
             mask,
@@ -1013,61 +852,95 @@ impl<'a> Engine<'a> {
             base,
             scratch,
             scratch_map,
-            class_loads,
-            total_loads,
-            link_delays,
             ..
         } = ws;
         scenario.mask_into(self.net, mask);
         down.clear();
         down.extend(mask.down_links().map(|i| i as u32));
 
-        // Route (or replay) every class. Recomputed destinations stay in
-        // the scratch pool: SLA classes read their distance fields in
-        // the end-to-end delay DP below.
+        // Resolve every class's destinations: a mask-affected one is
+        // repaired into the scratch pool (SLA classes read its distance
+        // field in the end-to-end delay DP), every other one keeps its
+        // baseline.
         let mut scratch_used = 0usize;
-        let mut dropped = 0.0f64; // diagnostic only; never in the cost
-        for k in 0..kn {
+        for (k, dests) in self.demand_dests.iter().enumerate() {
             let weights = w.class_weights(k);
-            let tm = self.matrices[k];
-            let dests = &self.demand_dests[k];
-            let loads = &mut class_loads[k];
-            loads.clear();
-            loads.resize(num_links, 0.0);
             let map = &mut scratch_map[k];
             map.clear();
             map.resize(dests.len(), NOT_RECOMPUTED);
             for (di, &t) in dests.iter().enumerate() {
-                if Some(t as usize) == excluded {
-                    // The dead node sinks nothing under its own failure;
-                    // the reference path (zeroed column) never routes it.
-                    continue;
-                }
+                // The dead node sinks nothing under its own failure (the
+                // reference path's zeroed column never routes it), and a
+                // destination whose DAG the mask leaves whole keeps its
+                // baseline.
                 let b = &base[k].state[di];
-                let affected = !down.is_empty() && dag_uses_any(self.net, &b.dist, weights, down);
-                if !affected {
-                    b.replay(loads, &mut dropped);
+                if Some(t as usize) == excluded
+                    || down.is_empty()
+                    || !dag_uses_any(self.net, &b.dist, weights, down)
+                {
                     continue;
                 }
                 if scratch.len() == scratch_used {
                     scratch.push(DestRouting::default());
                 }
-                let dest = &mut scratch[scratch_used];
                 // A mask-affected destination is *repaired* from the
                 // resident no-failure baseline (orphan detection plus a
                 // boundary Dijkstra — bit-equal to a from-scratch route,
                 // see `route_destination_repair`) instead of paying a
                 // full Dijkstra; `ensure_baseline` guarantees `b` is the
                 // all-up routing of these exact weights.
+                let tm = self.matrices[k];
+                let dest = &mut scratch[scratch_used];
                 route_destination_repair(self.net, weights, tm, mask, t as usize, b, spf, dest);
-                dest.replay(loads, &mut dropped);
                 map[di] = scratch_used as u32;
                 scratch_used += 1;
             }
         }
+        self.fold_resolved(ws, w, excluded, None);
+        self.fold_costs(ws);
+    }
 
-        // Shared FIFO total loads: the references' class-order
-        // accumulation, verbatim.
+    /// The one load fold, shared by the plain and the cached evaluation:
+    /// every destination `ws.scratch_map` has resolved replays its
+    /// routing into its class's loads in destination order, class by
+    /// class; the classes sum into the total loads in class order (the
+    /// references' accumulation, verbatim); every link's delay follows
+    /// from its total load; and the SLA pair pass runs over the result.
+    ///
+    /// With the cached `entry` the evaluation ran against, `ws.pair_dirty`
+    /// first collects the links whose delay bits differ from the
+    /// entry's, for the pair pass's segment reuse.
+    fn fold_resolved<W: ClassWeights>(
+        &self,
+        ws: &mut EvalWorkspace,
+        w: &W,
+        excluded: Option<usize>,
+        entry: Option<&ScenarioEntry>,
+    ) {
+        let num_links = self.net.num_links();
+        let EvalWorkspace {
+            base,
+            scratch,
+            scratch_map,
+            class_loads,
+            total_loads,
+            link_delays,
+            pair_dirty,
+            ..
+        } = ws;
+        let mut dropped = 0.0f64; // diagnostic only; never in the cost
+        for (k, dests) in self.demand_dests.iter().enumerate() {
+            let list = entry.map_or(&[][..], |e| &e.routed[k]);
+            let loads = &mut class_loads[k];
+            loads.clear();
+            loads.resize(num_links, 0.0);
+            for (di, &t) in dests.iter().enumerate() {
+                if Some(t as usize) != excluded {
+                    resolve(scratch_map[k][di], &base[k].state[di], list, scratch)
+                        .replay(loads, &mut dropped);
+                }
+            }
+        }
         total_loads.clear();
         total_loads.resize(num_links, 0.0);
         for loads in class_loads.iter() {
@@ -1082,8 +955,13 @@ impl<'a> Engine<'a> {
             &self.delay_params,
             link_delays,
         );
-        self.pair_segments(ws, w, excluded, None);
-        self.fold_costs(ws);
+        pair_dirty.clear();
+        if let Some(e) = entry {
+            pair_dirty.extend((0..num_links as u32).filter(|&l| {
+                link_delays[l as usize].to_bits() != e.link_delays[l as usize].to_bits()
+            }));
+        }
+        self.pair_segments(ws, w, excluded, entry);
     }
 
     /// The SLA pair pass of the evaluation in `ws`: per-pair end-to-end
@@ -1341,23 +1219,22 @@ impl<'a> Engine<'a> {
     ) -> &'w [f64] {
         self.ensure_baseline(ws, w);
         self.cost_scenario(ws, w, scenario);
-        self.commit(ws, scenario, entry);
+        self.commit(ws, entry);
         &ws.costs
     }
 
     /// Write the evaluation `ws` holds — a plain one
     /// ([`cost_scenario`](Self::cost_scenario)) or a cached one against
     /// `entry` ([`eval_cached`](Self::eval_cached)) — into `entry`, which
-    /// then describes the workspace baseline's weights under `scenario`:
+    /// then describes the workspace baseline's weights under the
+    /// evaluated scenario:
     ///
     /// * the affected list, from the resolution codes: [`CACHED_BIT`]
     ///   slots keep the entry's routing (moved), fresh slots copy their
     ///   scratch routing into a recycled buffer, and
     ///   [`NOT_RECOMPUTED`]/[`WS_BASE`] destinations are not listed;
-    /// * the contributor CSR, rebuilt from the effective adds over the
-    ///   workspace baseline;
-    /// * the loads and link delays (one per link), moved in; the pair
-    ///   segments, copied.
+    /// * the link delays (one per link), moved in; the pair segments,
+    ///   copied.
     ///
     /// Steady-state allocation-free: the old list drains through the
     /// workspace spare buffer, routings that leave it park in the
@@ -1366,19 +1243,14 @@ impl<'a> Engine<'a> {
     /// capacities from migrating between the workspace and the entries:
     /// a swapped-in pair buffer would carry the workspace's grown
     /// capacity into every entry.
-    fn commit(&self, ws: &mut EvalWorkspace, scenario: Scenario, entry: &mut ScenarioEntry) {
+    fn commit(&self, ws: &mut EvalWorkspace, entry: &mut ScenarioEntry) {
         let kn = self.num_classes();
-        let excluded = scenario.excluded_node().map(|v| v.index());
         entry.routed.resize_with(kn, Vec::new);
-        entry.loads.resize_with(kn, Vec::new);
-        entry.contrib.resize_with(kn, LinkContrib::default);
         entry.pairs.resize_with(kn, Vec::new);
         entry.pair_off.resize_with(kn, Vec::new);
         let EvalWorkspace {
-            base,
             scratch,
             scratch_map,
-            class_loads,
             link_delays,
             pairs,
             pair_off,
@@ -1386,7 +1258,7 @@ impl<'a> Engine<'a> {
             routing_pool: pool,
             ..
         } = ws;
-        for (k, dests) in self.demand_dests.iter().enumerate() {
+        for (k, model) in self.models.iter().enumerate() {
             let list = &mut entry.routed[k];
             std::mem::swap(list, spare);
             let mut old = spare.drain(..).enumerate();
@@ -1412,13 +1284,7 @@ impl<'a> Engine<'a> {
             for (_, (_, r)) in old {
                 pool.push(r);
             }
-            let list: &[(u32, DestRouting)] = list;
-            let basek = &base[k].state;
-            entry.contrib[k].rebuild(self.net.num_links(), dests.len(), |di| {
-                effective_adds(list, basek, dests, excluded, di)
-            });
-            std::mem::swap(&mut entry.loads[k], &mut class_loads[k]);
-            if matches!(self.models[k], CostModel::SlaDelay { .. }) {
+            if matches!(model, CostModel::SlaDelay { .. }) {
                 entry.pairs[k].clone_from(&pairs[k]);
                 entry.pair_off[k].clone_from(&pair_off[k]);
             }
@@ -1427,11 +1293,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Delta-state candidate evaluation through the scenario cache:
-    /// re-routes only destinations the candidate diff can touch, refolds
-    /// only the links whose contributor set changed, and re-runs each SLA
-    /// class's delay DP only where the routing or an on-DAG link delay
-    /// changed — everything else is read back from the resident
-    /// incumbent state. Requires a preceding
+    /// re-routes only destinations the candidate diff can touch, replays
+    /// every destination's resolved routing through the load fold the
+    /// plain evaluation uses, and re-runs each SLA class's delay DP only
+    /// where the routing or an on-DAG link delay changed — every other
+    /// routing and pair segment is read back from the resident incumbent
+    /// state. Requires a preceding
     /// [`cache_begin`](Self::cache_begin) for this exact `w`; the result
     /// is bit-for-bit [`cost_with`](Self::cost_with)'s (see the module
     /// docs for the exactness argument).
@@ -1496,19 +1363,15 @@ impl<'a> Engine<'a> {
         inc: &CacheIncumbent,
         entry: &ScenarioEntry,
     ) {
-        let num_links = self.net.num_links();
-        let kn = self.num_classes();
         // The workspace baseline tracks the *candidate*: within one
         // candidate's sweep every scenario shares it, so move-touched
         // destinations pay their baseline re-route once per candidate,
         // not once per scenario.
         self.ensure_baseline(ws, w);
         self.base_flags(ws, inc);
-        let epoch = ws.next_epoch();
         debug_assert!(
-            entry.loads.len() == kn
-                && entry.loads[0].len() == num_links
-                && entry.link_delays.len() == num_links,
+            entry.routed.len() == self.num_classes()
+                && entry.link_delays.len() == self.net.num_links(),
             "cost_cached requires a captured entry"
         );
         let excluded = scenario.excluded_node().map(|v| v.index());
@@ -1519,43 +1382,22 @@ impl<'a> Engine<'a> {
             base: ws_base,
             scratch,
             scratch_map,
-            class_loads,
-            total_loads,
-            link_delays,
-            changed,
-            link_mark,
-            dirty,
-            pair_dirty,
-            new_adds,
             base_same,
             ..
         } = ws;
         scenario.mask_into(self.net, mask);
         down.clear();
         down.extend(mask.down_links().map(|i| i as u32));
-        if link_mark.len() != num_links {
-            link_mark.clear();
-            link_mark.resize(num_links, 0);
-        }
-        dirty.clear();
-        pair_dirty.clear();
         let mut scratch_used = 0usize;
 
-        // Pass 1 per class: classify every destination against the
-        // candidate diff, re-route the ones whose effective routing
-        // really moved, and collect their old/new contribution links
-        // (dirty set) and fresh shares. Fresh routings of every class
-        // persist in the scratch pool so pass 2 can replay them.
-        for k in 0..kn {
+        // Classify every destination against the candidate diff into a
+        // resolution code, re-routing only the ones whose effective
+        // routing really moved. Fresh routings of every class persist in
+        // the scratch pool for the load fold and the delay DP.
+        for (k, dests) in self.demand_dests.iter().enumerate() {
             let weights = w.class_weights(k);
-            let tm = self.matrices[k];
-            let dests = &self.demand_dests[k];
-            let basec = &inc.base[k];
             let diffk = &inc.diff[k];
             let list: &[(u32, DestRouting)] = &entry.routed[k];
-            let ch = &mut changed[k];
-            ch.resize(dests.len(), 0);
-            new_adds[k].clear();
             let map = &mut scratch_map[k];
             map.clear();
             map.resize(dests.len(), NOT_RECOMPUTED);
@@ -1564,192 +1406,59 @@ impl<'a> Engine<'a> {
                 while cursor < list.len() && list[cursor].0 < di as u32 {
                     cursor += 1;
                 }
-                let hit = cursor < list.len() && list[cursor].0 == di as u32;
+                let cached = list.get(cursor).filter(|e| e.0 == di as u32).map(|e| &e.1);
                 if Some(t as usize) == excluded {
                     continue;
                 }
-                // Resolve this destination's candidate-effective routing,
-                // without a fresh route where a cached one provably
-                // survives the diff.
-                let (old_r, fresh_code): (&DestRouting, u32) = if base_same[k][di] {
-                    if !hit {
-                        // Baseline destination, baseline provably
-                        // bit-identical to the incumbent's.
-                        continue;
-                    }
-                    let hr = &list[cursor].1;
-                    if diffk.is_empty() || !weight_change_affects(self.net, &hr.dist, diffk) {
-                        // Mask-affected but the cached scenario routing
-                        // survives the diff: resident state covers it.
-                        map[di] = CACHED_BIT | cursor as u32;
-                        continue;
-                    }
-                    // mask ∩ move: re-route under the scenario mask,
-                    // keeping the result only if it really moved (the
-                    // exact diff filters the predicate's false
-                    // positives, saving the dirty-link pollution and
-                    // the delay-DP recompute).
-                    if scratch.len() == scratch_used {
-                        scratch.push(DestRouting::default());
-                    }
-                    route_destination_repair(
-                        self.net,
-                        weights,
-                        tm,
-                        mask,
-                        t as usize,
-                        &ws_base[k].state[di],
-                        spf,
-                        &mut scratch[scratch_used],
-                    );
-                    if baseline_unchanged(self.net, &scratch[scratch_used].dist, &hr.dist, diffk) {
-                        map[di] = CACHED_BIT | cursor as u32;
-                        continue;
-                    }
-                    (hr, scratch_used as u32)
+                let b = &ws_base[k].state[di];
+                // A baseline the diff provably left bit-identical is
+                // mask-affected exactly where the entry lists it; a
+                // baseline the diff really moved is tested afresh.
+                let affected = if base_same[k][di] {
+                    cached.is_some()
                 } else {
-                    // The diff really moved this destination's baseline.
-                    // Its *scenario* routing may still survive: when it
-                    // is mask-affected under both settings, the cached
-                    // scenario routing is reusable whenever the diff
-                    // provably cannot change it — the predicate's
-                    // false-contract holds for any distance field.
-                    let affected = !down.is_empty()
-                        && dag_uses_any(self.net, &ws_base[k].state[di].dist, weights, down);
-                    let old: &DestRouting = if hit { &list[cursor].1 } else { &basec[di] };
-                    if !affected {
-                        // Effective routing is the candidate baseline —
-                        // already maintained, no route needed.
-                        (old, WS_BASE)
-                    } else {
-                        if hit
-                            && (diffk.is_empty()
-                                || !weight_change_affects(self.net, &old.dist, diffk))
-                        {
-                            map[di] = CACHED_BIT | cursor as u32;
-                            continue;
-                        }
-                        if scratch.len() == scratch_used {
-                            scratch.push(DestRouting::default());
-                        }
-                        route_destination_repair(
-                            self.net,
-                            weights,
-                            tm,
-                            mask,
-                            t as usize,
-                            &ws_base[k].state[di],
-                            spf,
-                            &mut scratch[scratch_used],
-                        );
-                        if hit
-                            && baseline_unchanged(
-                                self.net,
-                                &scratch[scratch_used].dist,
-                                &old.dist,
-                                diffk,
-                            )
-                        {
-                            map[di] = CACHED_BIT | cursor as u32;
-                            continue;
-                        }
-                        (old, scratch_used as u32)
-                    }
+                    !down.is_empty() && dag_uses_any(self.net, &b.dist, weights, down)
                 };
-                // Genuine change: mark it, collect old and fresh adds.
-                ch[di] = epoch;
-                map[di] = fresh_code;
-                if fresh_code != WS_BASE {
-                    scratch_used += 1;
-                }
-                for &(l, _) in old_r.load_adds() {
-                    if link_mark[l as usize] != epoch {
-                        link_mark[l as usize] = epoch;
-                        dirty.push(l);
+                if !affected {
+                    // The effective routing is a baseline: the
+                    // incumbent's (resident state covers it) or the
+                    // candidate's (already maintained, no route needed).
+                    if !base_same[k][di] {
+                        map[di] = WS_BASE;
                     }
+                    continue;
                 }
-                let fresh: &DestRouting = if fresh_code == WS_BASE {
-                    &ws_base[k].state[di]
-                } else {
-                    &scratch[fresh_code as usize]
+                // A scenario routing mask-affected under both settings
+                // is reusable whenever the diff provably cannot change
+                // it — the predicate's false-contract holds for any
+                // distance field.
+                let survives = |r: &DestRouting| {
+                    diffk.is_empty() || !weight_change_affects(self.net, &r.dist, diffk)
                 };
-                for &(l, share) in fresh.load_adds() {
-                    if link_mark[l as usize] != epoch {
-                        link_mark[l as usize] = epoch;
-                        dirty.push(l);
-                    }
-                    new_adds[k].push((l, di as u32, share));
+                if cached.is_some_and(survives) {
+                    map[di] = CACHED_BIT | cursor as u32;
+                    continue;
                 }
-            }
-        }
-
-        // Pass 2: per-class candidate loads. When few links are dirty,
-        // read the residents and refold only the dirty links in
-        // destination-index order over the stored contributions; when a
-        // large move dirtied most of the network, a straight replay of
-        // every destination's effective adds (the same destination-order
-        // float sequence) is cheaper than per-link merges — both produce
-        // the reference accumulation bit for bit.
-        let use_refold = dirty.len() * 4 < num_links;
-        for k in 0..kn {
-            let loads = &mut class_loads[k];
-            if use_refold {
-                loads.clear();
-                loads.extend_from_slice(&entry.loads[k]);
-                new_adds[k].sort_unstable_by_key(|&(l, d, _)| (l, d));
-                let adds = &new_adds[k];
-                let ch = &changed[k];
-                for &l in dirty.iter() {
-                    let lo = adds.partition_point(|&(al, _, _)| al < l);
-                    let hi = lo + adds[lo..].partition_point(|&(al, _, _)| al == l);
-                    loads[l as usize] =
-                        refold_link(entry.contrib[k].row(l as usize), &adds[lo..hi], |d| {
-                            ch[d as usize] == epoch
-                        });
+                // mask ∩ move: repair under the scenario mask, keeping
+                // the result only if it really moved (the exact diff
+                // filters the predicate's false positives, saving the
+                // delay-DP recompute).
+                if scratch.len() == scratch_used {
+                    scratch.push(DestRouting::default());
                 }
-            } else {
-                loads.clear();
-                loads.resize(num_links, 0.0);
-                let mut dropped = 0.0f64;
-                for (di, &t) in self.demand_dests[k].iter().enumerate() {
-                    if Some(t as usize) == excluded {
-                        continue;
-                    }
-                    let code = scratch_map[k][di];
-                    resolve(code, &ws_base[k].state[di], &entry.routed[k], scratch)
-                        .replay(loads, &mut dropped);
+                let fresh = &mut scratch[scratch_used];
+                let tm = self.matrices[k];
+                route_destination_repair(self.net, weights, tm, mask, t as usize, b, spf, fresh);
+                if cached.is_some_and(|r| baseline_unchanged(self.net, &fresh.dist, &r.dist, diffk))
+                {
+                    map[di] = CACHED_BIT | cursor as u32;
+                    continue;
                 }
+                map[di] = scratch_used as u32;
+                scratch_used += 1;
             }
         }
-
-        // Totals (reference class-order fold) and per-link delays: read
-        // back from the resident state and recomputed only at dirty
-        // links — keeping only the ones that actually changed bitwise
-        // for the pair-segment reuse decision in `pair_segments`.
-        total_loads.clear();
-        total_loads.resize(num_links, 0.0);
-        for loads in class_loads.iter() {
-            for (t, &x) in total_loads.iter_mut().zip(loads) {
-                *t += x;
-            }
-        }
-        link_delays.clear();
-        link_delays.extend_from_slice(&entry.link_delays);
-        for &l in dirty.iter() {
-            let li = l as usize;
-            let d = delay_model::link_delay(
-                total_loads[li],
-                self.capacities[li],
-                self.prop_delays[li],
-                &self.delay_params,
-            );
-            if d.to_bits() != link_delays[li].to_bits() {
-                link_delays[li] = d;
-                pair_dirty.push(l);
-            }
-        }
-
-        self.pair_segments(ws, w, excluded, Some(entry));
+        self.fold_resolved(ws, w, excluded, Some(entry));
     }
 
     /// Re-point the cache at a new incumbent `w`: the accept-path
@@ -1800,7 +1509,7 @@ impl<'a> Engine<'a> {
         entry: &mut ScenarioEntry,
     ) {
         self.eval_cached(ws, w, scenario, inc, entry);
-        self.commit(ws, scenario, entry);
+        self.commit(ws, entry);
     }
 
     /// The closing stage of [`cache_refresh`](Self::cache_refresh): copy
@@ -1827,62 +1536,5 @@ impl<'a> Engine<'a> {
             inc.weights[k].extend_from_slice(w.class_weights(k));
         }
         inc.generation = next_engine_id();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The per-link destination-ordered merge must reproduce the
-    /// from-scratch accumulation: stored shares of unchanged
-    /// destinations interleaved with fresh shares of changed ones, in
-    /// ascending destination order.
-    #[test]
-    fn refold_link_merges_in_destination_order() {
-        // Stored row: dests 0, 2, 5, 7; dest 2 and 7 changed.
-        let row = [(0u32, 1.0f64), (2, 2.0), (5, 4.0), (7, 8.0)];
-        // Fresh adds for this link: dest 2 (new share) and dest 6 (newly
-        // contributing).
-        let fresh = [(9u32, 2u32, 16.0f64), (9, 6, 32.0)];
-        let changed = |d: u32| d == 2 || d == 6 || d == 7;
-        // Expected fold order: 0 (kept), 2 (fresh), 5 (kept), 6 (fresh);
-        // dest 7's stale share is dropped without a replacement.
-        let want: f64 = ((0.0 + 1.0) + 16.0) + 4.0 + 32.0;
-        assert_eq!(refold_link(&row, &fresh, changed).to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn refold_link_handles_empty_sides() {
-        assert_eq!(refold_link(&[], &[], |_| false), 0.0);
-        let row = [(3u32, 5.0f64)];
-        assert_eq!(refold_link(&row, &[], |_| false), 5.0);
-        assert_eq!(refold_link(&row, &[], |d| d == 3), 0.0);
-        let fresh = [(0u32, 1u32, 7.0f64)];
-        assert_eq!(refold_link(&[], &fresh, |_| true), 7.0);
-    }
-
-    /// CSR rebuild scans destinations in ascending order, so every
-    /// link's contributor row comes out destination-sorted and
-    /// re-entrant calls reuse the buffers.
-    #[test]
-    fn link_contrib_rebuild_orders_rows_by_destination() {
-        let adds: [&[(u32, f64)]; 3] = [
-            &[(0, 1.0), (2, 2.0)], // dest 0 touches links 0, 2
-            &[(2, 3.0)],           // dest 1 touches link 2
-            &[(0, 4.0), (1, 5.0)], // dest 2 touches links 0, 1
-        ];
-        let mut cb = LinkContrib::default();
-        for _ in 0..2 {
-            // Second pass re-rebuilds into warm buffers.
-            cb.rebuild(3, 3, |di| adds[di]);
-        }
-        assert_eq!(cb.row(0), &[(0u32, 1.0f64), (2, 4.0)]);
-        assert_eq!(cb.row(1), &[(2u32, 5.0f64)]);
-        assert_eq!(cb.row(2), &[(0u32, 2.0f64), (1, 3.0)]);
-        // A full refold of every row equals the replayed sums.
-        for (l, want) in [(0usize, 5.0f64), (1, 5.0), (2, 5.0)] {
-            assert_eq!(refold_link(cb.row(l), &[], |_| false), want);
-        }
     }
 }

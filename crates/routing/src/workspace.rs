@@ -140,6 +140,28 @@ impl Clone for DestRouting {
     }
 }
 
+/// Bitwise equality: the same distance field and order, and the same
+/// adds and drops bit for bit (floats compare by `to_bits`), so equal
+/// records replay the same float operations.
+impl PartialEq for DestRouting {
+    fn eq(&self, other: &Self) -> bool {
+        self.dist == other.dist
+            && self.order == other.order
+            && self.load_adds.len() == other.load_adds.len()
+            && self
+                .load_adds
+                .iter()
+                .zip(&other.load_adds)
+                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+            && self.dropped_adds.len() == other.dropped_adds.len()
+            && self
+                .dropped_adds
+                .iter()
+                .zip(&other.dropped_adds)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
 impl DestRouting {
     /// The recorded `(directed link, load share)` contribution sequence
     /// of this destination, in the order the router performed the adds.
@@ -147,10 +169,9 @@ impl DestRouting {
     /// Each directed link appears **at most once**: the ECMP push visits
     /// every node once (topological order) and emits one add per DAG
     /// out-link, so a `(destination, link)` pair contributes a single
-    /// share. Delta-state evaluation engines rely on this to keep
-    /// per-link contributor lists as `(destination, share)` pairs sorted
-    /// by destination, refolding a link's load bit-for-bit by summing the
-    /// stored shares in destination-index order.
+    /// share. [`replay`](Self::replay) re-issues exactly these adds, so
+    /// an engine that replays every destination's record in destination
+    /// order reproduces a from-scratch load accumulation bit for bit.
     #[inline]
     pub fn load_adds(&self) -> &[(u32, f64)] {
         &self.load_adds

@@ -165,8 +165,8 @@ proptest! {
     /// Repeated accepts drift the incumbent far from the originally
     /// captured setting, exercising the exact-coverage maintenance
     /// (destinations entering and leaving each scenario's affected set):
-    /// after every refresh, each entry holds as many resident bytes as
-    /// a fresh capture at the same incumbent.
+    /// after every refresh, each entry equals a fresh capture at the same
+    /// incumbent bit for bit (and so holds as many resident bytes).
     #[test]
     fn scenario_cache_chain_stays_bit_identical(
         (nodes, extra, seed) in (10usize..14, 2usize..8, 0u64..1_000_000)
@@ -244,6 +244,11 @@ proptest! {
                             entry.resident_bytes(),
                             fresh[pos].resident_bytes(),
                             "refreshed vs captured step {}, scenario {}, seed {}, params {:?}",
+                            step, scenarios[pos], seed, params
+                        );
+                        prop_assert!(
+                            *entry == fresh[pos],
+                            "refreshed entry differs from a fresh capture: step {}, scenario {}, seed {}, params {:?}",
                             step, scenarios[pos], seed, params
                         );
                     }
@@ -330,6 +335,11 @@ proptest! {
                         entry.resident_bytes(),
                         fresh[pos].resident_bytes(),
                         "mtr refreshed vs captured step {}, scenario {}, seed {}",
+                        step, scenarios[pos], seed
+                    );
+                    prop_assert!(
+                        *entry == fresh[pos],
+                        "mtr refreshed entry differs from a fresh capture: step {}, scenario {}, seed {}",
                         step, scenarios[pos], seed
                     );
                 }
