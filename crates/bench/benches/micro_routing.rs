@@ -12,11 +12,12 @@
 //! `BENCH_routing.json` (override the path with `BENCH_ROUTING_JSON`),
 //! recording one per-scenario-kind speedup entry (`link_sweep`,
 //! `srlg_sweep`, `node_sweep`) plus two **end-to-end search**
-//! comparisons, `phase2_search` (DTR robust search) and
-//! `mtr_robust_search` (the k-class analogue), each run three ways:
-//! serial full-sweep, incumbent-bounded cutoff (Λ floors), and the
-//! shipped combined default — every leg verified to
-//! produce the identical result, with per-rep nanosecond samples and
+//! comparisons, `phase2_search` (DTR robust search: serial full-sweep
+//! and the incumbent-bounded cutoff with Λ floors and the scenario
+//! cache) and `mtr_robust_search` (the k-class analogue: serial
+//! full-sweep, uncached cutoff, and the cutoff with the cache) — every
+//! leg verified to produce the identical result, with per-rep
+//! nanosecond samples and
 //! per-cause skip counters (`skipped_floor` / `skipped_cache` /
 //! `skipped_cutoff`, plus `floor_cut_rate`) recorded so single-core
 //! wall-clock variance and the floors' contribution stay visible in
@@ -191,8 +192,8 @@ fn bench_micro(c: &mut Criterion) {
 }
 
 /// Deterministic search-level parallelism at the 500-node tier: the
-/// same 2-replica portfolio search (rendezvous every 2 sweeps,
-/// speculation window 8, cutoff + Λ floors) run once on 1 thread and
+/// same 2-replica portfolio search (rendezvous every 2 sweeps, cutoff +
+/// Λ floors) run once on 1 thread and
 /// once with a real thread fan-out, asserted **byte-identical** — the
 /// parallel-search contract in `DETERMINISM.md`: the output depends
 /// only on `(seed, replicas, rendezvous_period)`, never on `threads` —
@@ -224,7 +225,6 @@ fn parallel_search_baseline() -> String {
         archive_size: 4,
         max_iterations: 1,
         threads: 1,
-        speculation: 8,
         cutoff: true,
         portfolio: PortfolioParams {
             replicas: 2,
@@ -273,20 +273,10 @@ fn parallel_search_baseline() -> String {
         serial_out.constraint_rejections,
         parallel_out.constraint_rejections
     );
-    // The thread-invariant accounting: trajectory counters must match
-    // exactly. The *speculation* counters (`speculative_wasted`,
-    // `skipped_cache`) legitimately differ — at one thread
-    // `speculative_sweep` defers evaluation to replay time, at N
-    // threads the window fans out eagerly — without perturbing any
-    // result bit.
+    // Every counter is thread-invariant.
     assert_eq!(
-        serial_out.stats.iterations, parallel_out.stats.iterations,
-        "thread count leaked into the search trajectory"
-    );
-    assert_eq!(serial_out.stats.evaluations, parallel_out.stats.evaluations);
-    assert_eq!(
-        serial_out.stats.diversifications,
-        parallel_out.stats.diversifications
+        serial_out.stats, parallel_out.stats,
+        "thread count leaked into the search counters"
     );
 
     let speedup = serial_ns as f64 / parallel_ns as f64;
@@ -309,23 +299,19 @@ fn parallel_search_baseline() -> String {
     )
 }
 
-/// End-to-end Phase-2 robust search on the 50-node testbed, three ways:
+/// End-to-end Phase-2 robust search on the 50-node testbed, two ways:
 ///
 /// * `serial` — serial-move full-sweep (the seed search loop),
-/// * `cutoff` — the incumbent-aware sweep kernel (early cutoff +
-///   Λ floors + delta-state scenario cache),
-/// * `combined` — the shipped default configuration: the `cutoff` leg
-///   with a speculation window of 8.
+/// * `cutoff` — the shipped default configuration: the incumbent-aware
+///   sweep kernel (early cutoff + Λ floors + delta-state scenario
+///   cache).
 ///
-/// All single-threaded, so the recorded speedup is algorithmic, not
-/// parallelism (at one thread `speculative_sweep` defers evaluation to
-/// replay time; speculation contributes wall-clock only when
-/// `threads > 1` fan out the window — its trajectory-invariance is what
-/// the equivalence suite pins). All three runs are asserted to produce
-/// the identical robust setting, costs and constraint accounting (the
-/// bit-for-bit contract), and the emitted JSON records the per-cause
-/// skip counters (`skipped_floor` / `skipped_cache` / `skipped_cutoff`)
-/// and the `floor_cut_rate` that explain the win.
+/// Both single-threaded, so the recorded speedup is algorithmic, not
+/// parallelism. Both runs are asserted to produce the identical robust
+/// setting, costs and constraint accounting (the bit-for-bit contract),
+/// and the emitted JSON records the per-cause skip counters
+/// (`skipped_floor` / `skipped_cache` / `skipped_cutoff`) and the
+/// `floor_cut_rate` that explain the win.
 fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     // The shared testbed traffic (5e10) is a stress scale tuned for the
     // ensemble-sweep benches, where every failure drowns in SLA
@@ -356,17 +342,11 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         archive_size: 4,
         max_iterations: 3,
         threads: 1,
-        speculation: 1,
         cutoff: false,
         ..Params::paper_default(11)
     };
     let cutoff = Params {
         cutoff: true,
-        ..base
-    };
-    let combined = Params {
-        cutoff: true,
-        speculation: 8,
         ..base
     };
     let p1 = phase1::run(&ev, &universe, &base);
@@ -381,14 +361,10 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     // best-of-`reps` minimum instead of skewing one configuration. Every
     // per-rep sample is recorded in the artifact so the single-core
     // wall-clock variance is visible rather than folded into one number.
-    let legs: [(&str, &Params); 3] = [
-        ("serial", &base),
-        ("cutoff", &cutoff),
-        ("combined", &combined),
-    ];
-    let mut best_ns = [u128::MAX; 3];
-    let mut samples: [Vec<u128>; 3] = Default::default();
-    let mut outs: [Option<phase2::Phase2Output>; 3] = Default::default();
+    let legs: [(&str, &Params); 2] = [("serial", &base), ("cutoff", &cutoff)];
+    let mut best_ns = [u128::MAX; 2];
+    let mut samples: [Vec<u128>; 2] = Default::default();
+    let mut outs: [Option<phase2::Phase2Output>; 2] = Default::default();
     for _ in 0..reps {
         for (j, (_, params)) in legs.iter().enumerate() {
             let t0 = Instant::now();
@@ -402,7 +378,7 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     let outs = outs.map(|o| o.expect("at least one rep"));
     let serial_out = &outs[0];
 
-    // The bit-for-bit contract: all three configurations walk the same
+    // The bit-for-bit contract: both configurations walk the same
     // trajectory to the same robust setting.
     for (j, (name, _)) in legs.iter().enumerate().skip(1) {
         let out = &outs[j];
@@ -425,60 +401,50 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         );
     }
     assert_eq!(serial_out.stats.scenario_evals_skipped, 0);
-    assert!(outs[1].stats.scenario_evals_skipped > 0);
     // The Λ floors must be observable: some cuts needed them.
-    let combined_stats = &outs[2].stats;
-    assert!(
-        combined_stats.skipped_floor > 0,
-        "Λ floors never fired (combined)"
-    );
+    let cutoff_stats = &outs[1].stats;
+    assert!(cutoff_stats.scenario_evals_skipped > 0);
+    assert!(cutoff_stats.skipped_floor > 0, "Λ floors never fired");
 
-    let [serial_ns, cutoff_ns, combined_ns] = best_ns;
+    let [serial_ns, cutoff_ns] = best_ns;
     let speedup_cutoff = serial_ns as f64 / cutoff_ns as f64;
-    let speedup_combined = serial_ns as f64 / combined_ns as f64;
     // Share of all logical scenario evaluations skipped by a cut that
     // *needed* the floors (the evaluated prefix alone would not have
     // proven the rejection).
-    let floor_cut_rate = combined_stats.skipped_floor as f64 / combined_stats.evaluations as f64;
+    let floor_cut_rate = cutoff_stats.skipped_floor as f64 / cutoff_stats.evaluations as f64;
     println!(
         "micro/phase2_search_{NODES}n: serial {:.1} ms, cutoff+Λ {:.1} ms \
-         ({speedup_cutoff:.2}x), combined (K=8) {:.1} ms \
-         ({speedup_combined:.2}x); {} of {} scenario evals skipped \
+         ({speedup_cutoff:.2}x); {} of {} scenario evals skipped \
          ({} floor / {} cache / {} cutoff; identical result)",
         serial_ns as f64 / 1e6,
         cutoff_ns as f64 / 1e6,
-        combined_ns as f64 / 1e6,
-        combined_stats.scenario_evals_skipped,
+        cutoff_stats.scenario_evals_skipped,
         serial_out.stats.evaluations,
-        combined_stats.skipped_floor,
-        combined_stats.skipped_cache,
-        combined_stats.skipped_cutoff,
+        cutoff_stats.skipped_floor,
+        cutoff_stats.skipped_cache,
+        cutoff_stats.skipped_cutoff,
     );
 
     format!(
         "  \"phase2_search\": {{\n    \"critical_scenarios\": {},\n    \
          \"sweeps\": {},\n    \"logical_evaluations\": {},\n    \
          \"serial_move_full_sweep_ns\": {serial_ns},\n    \
-         \"cutoff_ns\": {cutoff_ns},\n    \"combined_ns\": {combined_ns},\n    \
+         \"cutoff_ns\": {cutoff_ns},\n    \
          \"serial_ns_samples\": {},\n    \"cutoff_ns_samples\": {},\n    \
-         \"combined_ns_samples\": {},\n    \
          \"speedup_cutoff\": {speedup_cutoff:.4},\n    \
-         \"speedup_combined\": {speedup_combined:.4},\n    \
          \"scenario_evals_skipped\": {},\n    \"skipped_floor\": {},\n    \
          \"skipped_cache\": {},\n    \"skipped_cutoff\": {},\n    \
          \"floor_cut_rate\": {floor_cut_rate:.4},\n    \
-         \"speculative_wasted\": {},\n    \"identical_result\": true\n  }},\n",
+         \"identical_result\": true\n  }},\n",
         indices.len(),
         serial_out.stats.iterations,
         serial_out.stats.evaluations,
         json_u128_array(&samples[0]),
         json_u128_array(&samples[1]),
-        json_u128_array(&samples[2]),
-        combined_stats.scenario_evals_skipped,
-        combined_stats.skipped_floor,
-        combined_stats.skipped_cache,
-        combined_stats.skipped_cutoff,
-        combined_stats.speculative_wasted,
+        cutoff_stats.scenario_evals_skipped,
+        cutoff_stats.skipped_floor,
+        cutoff_stats.skipped_cache,
+        cutoff_stats.skipped_cutoff,
     )
 }
 
@@ -508,7 +474,6 @@ fn checkpoint_overhead_baseline(net: &Network, tm: &ClassMatrices) -> String {
         archive_size: 4,
         max_iterations: 3,
         threads: 1,
-        speculation: 1,
         cutoff: true,
         ..Params::paper_default(11)
     };
@@ -769,7 +734,6 @@ fn scale_tier(nodes: usize, duplex: usize, crit: usize, reps: usize, verify: boo
         archive_size: 4,
         max_iterations: 1,
         threads: 1,
-        speculation: 8,
         cutoff: true,
         cache_budget_bytes: budget,
         ..Params::paper_default(17)
@@ -883,7 +847,6 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         archive_size: 4,
         max_iterations: 3,
         threads: 1,
-        speculation: 1,
         cutoff: false,
         // The cutoff leg below runs uncached: a zero cache budget keeps
         // every scenario on the plain path.

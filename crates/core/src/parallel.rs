@@ -14,12 +14,13 @@
 //! count (and bit-for-bit identical to serial per-scenario evaluation).
 //!
 //! [`evaluate_set`], [`sum_set_costs`] and the incumbent-bounded
-//! [`sum_set_costs_bounded`] are generic over the [`RobustEngine`]
-//! trait and call its delta-state [`Engine`] directly, so one kernel
-//! serves DTR (k = 2) and MTR (any k) alike; since the engine handles
-//! every scenario kind incrementally, one sharded sweep serves the
-//! single-link universe and the node / SRLG / double-link /
-//! probabilistic ensembles. The slice forms ([`failure_costs`],
+//! [`sum_set_costs_bounded`] (serial, on the caller's thread: each of
+//! its cut checks reads every evaluation before it) are generic over
+//! the [`RobustEngine`] trait and call its delta-state [`Engine`]
+//! directly, so one kernel serves DTR (k = 2) and MTR (any k) alike;
+//! since the engine handles every scenario kind incrementally, one
+//! sweep serves the single-link universe and the node / SRLG /
+//! double-link / probabilistic ensembles. The slice forms ([`failure_costs`],
 //! [`sum_failure_costs`]) ride the same kernel through a [`SliceSet`].
 
 use dtr_cost::{Engine, EvalWorkspace, Evaluator, LexCost, ScenarioCache};
@@ -31,9 +32,8 @@ use crate::search::SearchCost;
 
 /// Map `f` over `items` on up to `threads` scoped workers (contiguous
 /// chunks, results spliced back in input order — so the output is
-/// identical to a serial map for every thread count). The shared
-/// fan-out primitive of the speculative move batches and the
-/// manufactured-sample kernels.
+/// identical to a serial map for every thread count). Phase 1b's
+/// manufactured-sample batches fan out through it.
 pub fn parallel_map<T, C, F>(items: &[T], threads: usize, f: F) -> Vec<C>
 where
     T: Sync,
@@ -111,21 +111,6 @@ pub fn sum_failure_costs(
 ) -> LexCost {
     let idx: Vec<usize> = (0..scenarios.len()).collect();
     sum_set_costs(ev, w, &SliceSet::new(scenarios, None), &idx, threads)
-}
-
-/// Ordered weighted sum: `⟨Σ p_i·Λ_i, Σ p_i·Φ_i⟩` over the scenario batch.
-/// This is the probabilistic-ensemble compound cost; `weights` must match
-/// `scenarios` in length.
-pub fn weighted_sum_failure_costs(
-    ev: &Evaluator<'_>,
-    w: &WeightSetting,
-    scenarios: &[Scenario],
-    weights: &[f64],
-    threads: usize,
-) -> LexCost {
-    let idx: Vec<usize> = (0..scenarios.len()).collect();
-    let set = SliceSet::new(scenarios, Some(weights));
-    sum_set_costs(ev, w, &set, &idx, threads)
 }
 
 /// Sharded evaluation of a [`ScenarioSet`]: the costs of `w` under the
@@ -309,39 +294,21 @@ fn fold_bound<C: SearchCost, S: ScenarioSet + ?Sized>(
 /// which is why a hill climber that accepts only strictly-better
 /// compound costs keeps its trajectory unchanged to the bit.
 ///
-/// With `threads > 1` the evaluation order is processed in fixed rounds
-/// of `threads · 4` scenarios (contiguous chunks, per-thread pooled
-/// workspaces, cutoff check between rounds), so the cut decision — and
-/// the accepted-move costs — stay deterministic for a given thread
-/// count; only the amount of post-cutoff wasted work varies with it.
-///
-/// `seeds` carries pre-computed `(position, cost)` pairs for **this
-/// candidate `w`** — the eager failure-sweep prefix the speculative
-/// batch fanned out alongside the normal-conditions cost (see the
-/// parallel-search contract in `DETERMINISM.md`). A seeded position
-/// substitutes its seeded cost when the walk reaches it instead of
-/// re-evaluating; it is *not* pre-marked done, so the walk order, the
-/// cut decisions, `evaluated` counts and every fold are exactly those
-/// of the unseeded sweep. Because each seed was computed by the same
-/// bit-exact per-scenario evaluation the walk would have performed
-/// (`cost_with` ≡ `cost_cached`, the pinned cache invariant), ANY seed
-/// set — including an empty or partially wasted one — yields the
-/// identical result; seeds only move work onto the speculative fan-out.
+/// The sweep runs on the caller's thread and re-checks the proof every
+/// `max(1, n / 128)` evaluations, so its cut decisions and `evaluated`
+/// counts are a function of the inputs alone.
 #[allow(clippy::too_many_arguments)]
-pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
+pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + ?Sized>(
     ev: &E,
     w: &E::Weights,
     set: &S,
     indices: &[usize],
-    threads: usize,
     incumbent: &E::Cost,
     order: &[u32],
-    seeds: &[(u32, E::Cost)],
     floors: Option<&[E::Cost]>,
     cache: Option<&ScenarioCache>,
     scratch: &mut SweepScratch<E::Cost>,
 ) -> SetSweep<E::Cost> {
-    assert!(threads >= 1);
     let n = indices.len();
     assert_eq!(order.len(), n, "order must be a permutation of positions");
     if let Some(f) = floors {
@@ -359,100 +326,38 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     scratch.done.clear();
     scratch.done.resize(n, false);
     let mut acc = E::Cost::zeros(k);
-    // The cutoff check: `Some(Cut)` once the floored partial fold no
-    // longer beats the incumbent. The cut is floor-attributed iff the
-    // evaluated subset alone (floor-less fold) would *not* have proven it.
-    let proven_cut = |scratch: &SweepScratch<E::Cost>, acc: &mut E::Cost, evaluated| {
-        fold_bound(set, indices, scratch, floors, acc);
-        if acc.better_than(incumbent) {
-            return None;
-        }
-        let floor_cut = floors.is_some() && {
-            fold_bound(set, indices, scratch, None, acc);
-            acc.better_than(incumbent)
-        };
-        Some(SetSweep::Cut {
-            evaluated,
-            floor_cut,
-        })
-    };
-
-    let workers = threads.min(n);
-    if workers <= 1 {
-        // Serial: evaluate in priority order, prove-or-continue after
-        // every scenario (re-folding the evaluated subset costs O(n)
-        // cost adds — noise next to one scenario evaluation).
-        let check_every = (n / 128).max(1);
-        let mut ws = eng.acquire_workspace();
-        for (e, &pos) in order.iter().enumerate() {
-            let pos = pos as usize;
-            // Non-resident positions of a budget-bounded cache take the
-            // plain repair-seeded path — the same bits, just uncached;
-            // seeded positions reuse the speculative fan-out's bits.
-            match seeds.iter().find(|s| s.0 as usize == pos) {
-                Some(s) => scratch.costs[pos].clone_from(&s.1),
-                None => {
-                    let sc = set.scenario(indices[pos]);
-                    scratch.costs[pos].assign(scenario_cost(eng, &mut ws, w, sc, cache, pos));
-                }
-            }
-            scratch.done[pos] = true;
-            let evaluated = e + 1;
-            if evaluated < n && evaluated % check_every == 0 {
-                if let Some(cut) = proven_cut(scratch, &mut acc, evaluated) {
-                    eng.release_workspace(ws);
-                    return cut;
-                }
-            }
-        }
-        eng.release_workspace(ws);
-        fold_bound(set, indices, scratch, floors, &mut acc);
-        return SetSweep::Complete(acc);
-    }
-
-    // Parallel: fixed rounds over the priority order; sharded evaluation
-    // inside a round, cutoff check between rounds.
-    let round = workers * 4;
-    let mut evaluated = 0usize;
-    while evaluated < n {
-        let batch = &order[evaluated..(evaluated + round).min(n)];
-        let chunk = batch.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut ws = eng.acquire_workspace();
-                        let costs: Vec<(u32, E::Cost)> = part
-                            .iter()
-                            .map(|&pos| {
-                                if let Some(s) = seeds.iter().find(|s| s.0 == pos) {
-                                    return (pos, s.1.clone());
-                                }
-                                let sc = set.scenario(indices[pos as usize]);
-                                let c = scenario_cost(eng, &mut ws, w, sc, cache, pos as usize);
-                                (pos, cost_of(c))
-                            })
-                            .collect();
-                        eng.release_workspace(ws);
-                        costs
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (pos, c) in h.join().expect("bounded-sweep worker panicked") {
-                    scratch.costs[pos as usize] = c;
-                    scratch.done[pos as usize] = true;
-                }
-            }
-        });
-        evaluated += batch.len();
-        if evaluated < n {
-            if let Some(cut) = proven_cut(scratch, &mut acc, evaluated) {
-                return cut;
+    // Evaluate in priority order, prove-or-continue every `check_every`
+    // scenarios (re-folding the evaluated subset costs O(n) cost adds —
+    // noise next to one scenario evaluation).
+    let check_every = (n / 128).max(1);
+    let mut ws = eng.acquire_workspace();
+    for (e, &pos) in order.iter().enumerate() {
+        let pos = pos as usize;
+        // Non-resident positions of a budget-bounded cache take the
+        // plain repair-seeded path — the same bits, just uncached.
+        let sc = set.scenario(indices[pos]);
+        scratch.costs[pos].assign(scenario_cost(eng, &mut ws, w, sc, cache, pos));
+        scratch.done[pos] = true;
+        let evaluated = e + 1;
+        if evaluated < n && evaluated % check_every == 0 {
+            // The cut: the floored partial fold no longer beats the
+            // incumbent. It is floor-attributed iff the evaluated subset
+            // alone (floor-less fold) would *not* have proven it.
+            fold_bound(set, indices, scratch, floors, &mut acc);
+            if !acc.better_than(incumbent) {
+                let floor_cut = floors.is_some() && {
+                    fold_bound(set, indices, scratch, None, &mut acc);
+                    acc.better_than(incumbent)
+                };
+                eng.release_workspace(ws);
+                return SetSweep::Cut {
+                    evaluated,
+                    floor_cut,
+                };
             }
         }
     }
+    eng.release_workspace(ws);
     fold_bound(set, indices, scratch, floors, &mut acc);
     SetSweep::Complete(acc)
 }
@@ -556,19 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sum_scales_each_scenario() {
-        let (net, tm) = setup(5);
-        let ev = Evaluator::new(&net, &tm, CostParams::default());
-        let w = WeightSetting::uniform(net.num_links(), 20);
-        let scenarios = Scenario::all_link_failures(&net);
-        let weights = vec![0.5; scenarios.len()];
-        let weighted = weighted_sum_failure_costs(&ev, &w, &scenarios, &weights, 2);
-        let plain = sum_failure_costs(&ev, &w, &scenarios, 1);
-        assert!((weighted.lambda - 0.5 * plain.lambda).abs() < 1e-9);
-        assert!((weighted.phi - 0.5 * plain.phi).abs() < 1e-9);
-    }
-
-    #[test]
     fn evaluate_set_matches_slice_path_and_is_thread_invariant() {
         let (net, tm) = setup(6);
         let ev = Evaluator::new(&net, &tm, CostParams::default());
@@ -618,26 +510,22 @@ mod tests {
         let never = LexCost::new(f64::INFINITY, f64::INFINITY);
         let order: Vec<u32> = (0..indices.len() as u32).rev().collect(); // any permutation
         let mut scratch = SweepScratch::new();
-        for threads in [1, 4] {
-            let got = sum_set_costs_bounded(
-                &ev,
-                &w,
-                &set,
-                &indices,
-                threads,
-                &never,
-                &order,
-                &[],
-                None,
-                None,
-                &mut scratch,
-            );
-            let want = sum_set_costs(&ev, &w, &set, &indices, 1);
-            assert_eq!(got, SetSweep::Complete(want), "threads={threads}");
-            // Per-position costs match the plain sweep.
-            let costs = evaluate_set(&ev, &w, &set, &indices, 1);
-            assert_eq!(scratch.costs, costs);
-        }
+        let got = sum_set_costs_bounded(
+            &ev,
+            &w,
+            &set,
+            &indices,
+            &never,
+            &order,
+            None,
+            None,
+            &mut scratch,
+        );
+        let want = sum_set_costs(&ev, &w, &set, &indices, 1);
+        assert_eq!(got, SetSweep::Complete(want));
+        // Per-position costs match the plain sweep.
+        let costs = evaluate_set(&ev, &w, &set, &indices, 1);
+        assert_eq!(scratch.costs, costs);
     }
 
     #[test]
@@ -649,17 +537,15 @@ mod tests {
         let indices: Vec<usize> = crate::scenario::ScenarioSet::all_indices(&set);
         let order: Vec<u32> = (0..indices.len() as u32).collect();
         let mut scratch = SweepScratch::new();
-        // Nothing is strictly better than zero cost, so the serial sweep
-        // must cut after the very first evaluation.
+        // Nothing is strictly better than zero cost, so the sweep must
+        // cut after the very first evaluation.
         let got = sum_set_costs_bounded(
             &ev,
             &w,
             &set,
             &indices,
-            1,
             &LexCost::ZERO,
             &order,
-            &[],
             None,
             None,
             &mut scratch,
@@ -699,49 +585,41 @@ mod tests {
         let total = sum_set_costs(&ev, &w, &set, &indices, 1);
         let order: Vec<u32> = (0..indices.len() as u32).collect();
         let mut scratch = SweepScratch::new();
-        for threads in [1, 3] {
-            // Beatable incumbent: the floored sweep must still complete
-            // with the exact bit-for-bit total.
-            let above = LexCost::new(total.lambda + 1.0, total.phi);
-            let got = sum_set_costs_bounded(
-                &ev,
-                &w,
-                &set,
-                &indices,
-                threads,
-                &above,
-                &order,
-                &[],
-                Some(&floors),
-                None,
-                &mut scratch,
-            );
-            assert_eq!(got, SetSweep::Complete(total), "threads={threads}");
-            // An incumbent below the summed floors is unbeatable from
-            // position zero: the floored sweep cuts at its first check,
-            // and the cut is attributed to the floors whenever the
-            // evaluated subset alone would not have proven it.
-            let floor_sum: f64 = floors.iter().map(|f| f.lambda).sum();
-            assert!(floor_sum > 0.0, "testbed floors are degenerate");
-            let below_floors = LexCost::new(floor_sum * 0.5, 0.0);
-            match sum_set_costs_bounded(
-                &ev,
-                &w,
-                &set,
-                &indices,
-                threads,
-                &below_floors,
-                &order,
-                &[],
-                Some(&floors),
-                None,
-                &mut scratch,
-            ) {
-                SetSweep::Cut { evaluated, .. } => {
-                    assert!(evaluated < indices.len(), "threads={threads}")
-                }
-                SetSweep::Complete(c) => assert!(!c.better_than(&below_floors)),
-            }
+        // Beatable incumbent: the floored sweep must still complete with
+        // the exact bit-for-bit total.
+        let above = LexCost::new(total.lambda + 1.0, total.phi);
+        let got = sum_set_costs_bounded(
+            &ev,
+            &w,
+            &set,
+            &indices,
+            &above,
+            &order,
+            Some(&floors),
+            None,
+            &mut scratch,
+        );
+        assert_eq!(got, SetSweep::Complete(total));
+        // An incumbent below the summed floors is unbeatable from
+        // position zero: the floored sweep cuts at its first check, and
+        // the cut is attributed to the floors whenever the evaluated
+        // subset alone would not have proven it.
+        let floor_sum: f64 = floors.iter().map(|f| f.lambda).sum();
+        assert!(floor_sum > 0.0, "testbed floors are degenerate");
+        let below_floors = LexCost::new(floor_sum * 0.5, 0.0);
+        match sum_set_costs_bounded(
+            &ev,
+            &w,
+            &set,
+            &indices,
+            &below_floors,
+            &order,
+            Some(&floors),
+            None,
+            &mut scratch,
+        ) {
+            SetSweep::Cut { evaluated, .. } => assert!(evaluated < indices.len()),
+            SetSweep::Complete(c) => assert!(!c.better_than(&below_floors)),
         }
     }
 
@@ -749,7 +627,7 @@ mod tests {
     fn bounded_sweep_cut_is_sound_for_every_incumbent_prefix() {
         // For incumbents slightly below the true total, the sweep must
         // cut; for incumbents above it, it must complete with the exact
-        // sum — under any evaluation order and thread count.
+        // sum — under any evaluation order.
         let (net, tm) = setup(7);
         let ev = Evaluator::new(&net, &tm, CostParams::default());
         let w = WeightSetting::uniform(net.num_links(), 20);
@@ -759,45 +637,39 @@ mod tests {
         let mut order: Vec<u32> = (0..indices.len() as u32).collect();
         order.reverse();
         let mut scratch = SweepScratch::new();
-        for threads in [1, 3] {
-            let below = LexCost::new(total.lambda, total.phi * 0.5);
-            match sum_set_costs_bounded(
-                &ev,
-                &w,
-                &set,
-                &indices,
-                threads,
-                &below,
-                &order,
-                &[],
-                None,
-                None,
-                &mut scratch,
-            ) {
-                SetSweep::Cut { evaluated, .. } => assert!(evaluated <= indices.len()),
-                SetSweep::Complete(c) => {
-                    // Completing is allowed (the cut is opportunistic),
-                    // but the sum must be exact and not better.
-                    assert_eq!(c, total);
-                    assert!(!c.better_than(&below));
-                }
+        let below = LexCost::new(total.lambda, total.phi * 0.5);
+        match sum_set_costs_bounded(
+            &ev,
+            &w,
+            &set,
+            &indices,
+            &below,
+            &order,
+            None,
+            None,
+            &mut scratch,
+        ) {
+            SetSweep::Cut { evaluated, .. } => assert!(evaluated <= indices.len()),
+            SetSweep::Complete(c) => {
+                // Completing is allowed (the cut is opportunistic), but
+                // the sum must be exact and not better.
+                assert_eq!(c, total);
+                assert!(!c.better_than(&below));
             }
-            let above = LexCost::new(total.lambda + 1.0, total.phi);
-            let got = sum_set_costs_bounded(
-                &ev,
-                &w,
-                &set,
-                &indices,
-                threads,
-                &above,
-                &order,
-                &[],
-                None,
-                None,
-                &mut scratch,
-            );
-            assert_eq!(got, SetSweep::Complete(total), "threads={threads}");
         }
+        let above = LexCost::new(total.lambda + 1.0, total.phi);
+        let got = sum_set_costs_bounded(
+            &ev,
+            &w,
+            &set,
+            &indices,
+            &above,
+            &order,
+            None,
+            None,
+            &mut scratch,
+        );
+        assert_eq!(got, SetSweep::Complete(total));
     }
 
     #[test]

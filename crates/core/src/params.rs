@@ -103,16 +103,13 @@ pub struct Params {
     /// Archive size: how many acceptable settings Phase 1 keeps as Phase-2
     /// starting points.
     pub archive_size: usize,
-    /// Worker threads for failure-cost sums and speculative move batches
-    /// (1 = serial). Results are identical for any value; this only
-    /// changes wall-clock.
+    /// Worker threads for the fan-outs over independent work: Phase 1b's
+    /// sample batches, the robust phase's capture sweeps and plain full
+    /// sweeps, its accept-path cache refresh, and a portfolio's
+    /// replicas (1 = serial). The move loop and its bounded failure
+    /// sweeps always run serially. Results and every counter are
+    /// identical for any value; this only changes wall-clock.
     pub threads: usize,
-    /// Speculation window `K`: how many candidate moves of a sweep are
-    /// pre-drawn and evaluated ahead of the replay cursor (1 = the plain
-    /// serial loop). The trajectory is bit-for-bit identical for every
-    /// value — speculation past an accepted move is discarded and
-    /// recomputed (see [`crate::search::speculative_sweep`]).
-    pub speculation: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
     /// robust phase, which stand each scenario's Λ floor
     /// (`dtr_cost::Engine::scenario_floor`) in for the scenarios not yet
@@ -183,7 +180,6 @@ impl Params {
             max_phase1b_rounds: 50,
             archive_size: 12,
             threads: 1,
-            speculation: 8,
             cutoff: true,
             record_trace: false,
             portfolio: PortfolioParams::single(),
@@ -245,7 +241,6 @@ impl Params {
         );
         assert!(self.archive_size >= 1);
         assert!(self.threads >= 1);
-        assert!(self.speculation >= 1, "speculation window K >= 1");
         self.portfolio.validate();
         assert!(self.max_iterations >= 1);
         if let Some(ms) = self.deadline_ms {

@@ -24,13 +24,9 @@
 //! Both seed the RNG with `seed ^ 0x9e37_79b9_7f4a_7c15` and draw one
 //! weight per class per link, in class order, for moves and restarts.
 //!
-//! The sweep runs through the speculative batched-move kernel
-//! ([`crate::search::speculative_sweep`]): the next `K` proposals are
-//! pre-drawn and their normal-conditions costs evaluated concurrently on
-//! pooled workspaces, then replayed serially in draw order — sample
-//! harvesting, archive offers and the accept/reject sequence are
-//! bit-for-bit those of the serial loop for every batch size and thread
-//! count.
+//! Each sweep is the shared serial move loop ([`crate::search::sweep`]):
+//! sample harvesting, archive offers and the accept/reject sequence
+//! happen in draw order on the caller's thread, whatever `threads` is.
 
 use dtr_cost::{Evaluator, LexCost};
 use rand::rngs::StdRng;
@@ -46,8 +42,7 @@ use crate::ranking::RankTracker;
 use crate::robust::{RobustEngine, RobustKnobs};
 use crate::samples::SampleStore;
 use crate::search::{
-    speculative_sweep, Archive, ClassWeights, Decision, MoveOutcome, SearchCost, SearchStats,
-    SpecBuffers, StopRule,
+    sweep, Archive, ClassWeights, Decision, MoveOutcome, SearchCost, SearchStats, StopRule,
 };
 use crate::universe::FailureUniverse;
 
@@ -115,28 +110,20 @@ pub fn harvest<E: RobustEngine>(
 
     let mut reps: Vec<_> = universe.all_duplex.clone();
     let mut stale_sweeps = 0usize;
-    let mut spec = SpecBuffers::new();
     let mut trace: Vec<MoveOutcome> = Vec::new();
 
     while stats.iterations < knobs.max_iterations {
         stats.iterations += 1;
         reps.shuffle(&mut rng);
         let mut improved = false;
-        let mut wasted = 0usize;
 
-        speculative_sweep(
+        sweep(
+            ev,
             &reps,
+            knobs.wmax,
             &mut rng,
-            knobs.speculation,
-            knobs.threads,
             &mut current,
-            &mut spec,
-            &mut wasted,
-            |rng| ev.draw_move(1, knobs.wmax, rng),
-            |w, rep| ev.read_move(w, rep),
-            |w, rep, mv| ev.apply_move(w, rep, mv),
-            |w| normal_cost(ev, w),
-            |cand_w, rep, cand: &E::Cost| {
+            |cand_w, rep, cand| {
                 stats.evaluations += 1;
                 // `current_cost` is the pre-move cost here (the driver
                 // applies the move to the setting only, never the cost).
@@ -172,7 +159,6 @@ pub fn harvest<E: RobustEngine>(
                 }
             },
         );
-        stats.speculative_wasted += wasted;
 
         // Criticality-rank convergence checks every τ samples/link.
         while store.total() >= next_checkpoint {

@@ -16,12 +16,11 @@
 //! the RNG with `seed ^ 0x517c_c1b7_2722_0a95`.
 //!
 //! Manufactured samples are embarrassingly parallel — no acceptance, no
-//! state mutation between evaluations — so they are the ideal case for
-//! the speculative batching of the search stack: candidates are
-//! pre-drawn in RNG order `speculation` at a time, evaluated
-//! concurrently on `threads` pooled workspaces, and recorded serially in
-//! draw order. Recorded samples are bit-for-bit (and in the same order
-//! as) the serial loop's for every batch size and thread count.
+//! state mutation between evaluations. Candidates are pre-drawn in RNG
+//! order in batches of `4 · threads`, evaluated concurrently on
+//! `threads` pooled workspaces, and recorded serially in draw order, so
+//! the recorded samples are bit-for-bit (and in the same order as) the
+//! serial loop's for every thread count.
 
 use dtr_cost::Evaluator;
 use rand::rngs::StdRng;
@@ -84,7 +83,7 @@ pub fn top_up<E: RobustEngine>(
         // link's sample count).
         let mut order: Vec<usize> = (0..universe.len()).collect();
         order.sort_by_key(|&i| phase1.store.count(i));
-        let batch_size = knobs.speculation.max(1);
+        let batch_size = 4 * knobs.threads;
         let mut cands: Vec<(usize, E::Weights)> = Vec::with_capacity(batch_size);
         for _ in 0..knobs.tau {
             order.shuffle(&mut rng);

@@ -11,10 +11,9 @@
 //! tolerates some slack in exchange for robustness).
 //!
 //! The search starts from, and diversifies back to, the Phase-1 archive of
-//! acceptable settings. The speculative batched moves, incumbent-bounded
-//! cutoff sweeps, portfolio replicas and checkpoints are the shared
-//! search's (see [`crate::robust`]); this module supplies what is DTR's
-//! own:
+//! acceptable settings. The serial move loop, incumbent-bounded cutoff
+//! sweeps, portfolio replicas and checkpoints are the shared search's
+//! (see [`crate::robust`]); this module supplies what is DTR's own:
 //! the [`RobustEngine`] implementation of `dtr_cost::Evaluator` — a move
 //! re-draws one duplex link's `(delay, throughput)` weight pair, costs
 //! are [`LexCost`], and the gate is [`feasible`].
@@ -124,7 +123,6 @@ impl From<&Params> for RobustKnobs {
             archive_size: p.archive_size,
             max_iterations: p.max_iterations,
             threads: p.threads,
-            speculation: p.speculation,
             cutoff: p.cutoff,
             record_trace: p.record_trace,
             cache_budget_bytes: p.cache_budget_bytes,
@@ -142,12 +140,12 @@ impl From<&Params> for RobustKnobs {
 /// [`crate::FailureUniverse`] itself; arbitrary scenario slices ride the
 /// same path through [`SliceSet`] (see [`run_scenarios`]).
 ///
-/// All failure sweeps run through the set-native sharded kernels in
+/// All failure sweeps run through the set-native kernels in
 /// [`crate::parallel`]: no scenario vector is materialized per sweep,
 /// every worker reuses a pooled incremental workspace, and the weighted
 /// reduction folds in index order — so the trajectory is bit-for-bit
-/// identical for every `params.threads`, `params.speculation`, and
-/// `params.cutoff` (see [`crate::robust`]).
+/// identical for every `params.threads` and `params.cutoff` (see
+/// [`crate::robust`]).
 pub fn run<S: ScenarioSet + Sync + ?Sized>(
     ev: &Evaluator<'_>,
     set: &S,
@@ -187,9 +185,9 @@ pub fn run_controlled<S: ScenarioSet + Sync + ?Sized>(
 /// Restore a Phase-2 run from `snapshot` bytes and continue it under
 /// `ctl`. The evaluator, scenario set, critical indices and the
 /// trajectory-determining `params` knobs must match the saving run
-/// ([`SnapshotError::Mismatch`] otherwise); `threads`, `speculation`,
-/// `cutoff` and the cache budget may differ freely — the determinism
-/// contract keeps the continued trajectory bit-identical regardless.
+/// ([`SnapshotError::Mismatch`] otherwise); `threads`, `cutoff` and the
+/// cache budget may differ freely — the determinism contract keeps the
+/// continued trajectory bit-identical regardless.
 /// No `Phase1Output` is needed: the Λ*/Φ* benchmarks and the archive
 /// travel inside the snapshot.
 ///
@@ -219,8 +217,7 @@ pub fn resume<S: ScenarioSet + Sync + ?Sized>(
 /// Run Phase 2 against an arbitrary scenario slice — e.g. all single node
 /// failures for the §V-F comparison routing, or sampled double-link
 /// failures. The slice rides the set-native path through a [`SliceSet`]
-/// adapter, so it gets the same sharded, speculative, cutoff-aware
-/// kernel as [`run`] (weights, when given, multiply each scenario's
+/// adapter, so it gets the same cutoff-aware search as [`run`] (weights, when given, multiply each scenario's
 /// cost before the index-order fold).
 pub fn run_scenarios(
     ev: &Evaluator<'_>,

@@ -18,37 +18,32 @@
 //! Dispatch is static: each instantiation compiles to its own
 //! monomorphic kernels, with no `dyn` on the sweep path.
 //!
-//! # The batched + cutoff kernel
+//! # The move loop and its cutoff sweep
 //!
-//! The hill climber itself — not the per-evaluation engine — is the hot
-//! loop at paper scale, so both of its costs are restructured around the
-//! facts that the RNG move stream is deterministic and that `K̄fail` is a
-//! non-negative weighted sum:
+//! The hill climber is the shared serial move loop
+//! ([`crate::search::sweep`]): each re-drawn link is judged against the
+//! setting every earlier accept produced. A candidate first meets the
+//! Eq. 5–6 gate on its normal-conditions cost, which kills most moves.
+//! One that survives pays the critical-set failure sweep. With the
+//! cutoff on, that sweep is a **monotone early-cutoff sweep**:
+//! [`parallel::sum_set_costs_bounded`] abandons it as soon as the
+//! partial fold *proves* the candidate cannot beat the incumbent
+//! `K̄fail` (scenarios are evaluated costliest-under-the-incumbent first
+//! to make that proof fire early), and evaluates every scenario through
+//! the engine's delta-state scenario cache; a cache whose byte budget
+//! holds no resident scenario evaluates everything on the plain path.
 //!
-//! * **Speculative batched moves** — the next `K` candidate moves of a
-//!   sweep are pre-drawn and their normal-conditions costs evaluated
-//!   concurrently on pooled workspaces
-//!   ([`crate::search::speculative_sweep`]); acceptance is replayed
-//!   serially in draw order and speculation past the first accepted move
-//!   is discarded. Most moves die at the Eq. 5–6 constraint gate, so the
-//!   speculated costs are almost never wasted.
-//! * **Monotone early-cutoff sweeps** — a candidate that survives the
-//!   gate pays the critical-set failure sweep through
-//!   [`parallel::sum_set_costs_bounded`], which abandons the sweep as
-//!   soon as the partial fold *proves* the candidate cannot beat the
-//!   incumbent `K̄fail` (scenarios are evaluated
-//!   costliest-under-the-incumbent first to make that proof fire early).
-//!   With the cutoff on, every failure sweep runs through the engine's
-//!   delta-state scenario cache; a cache whose byte budget holds no
-//!   resident scenario evaluates everything on the plain path.
-//!
-//! Both mechanisms are float-exact: accepted moves always complete their
+//! The cutoff is float-exact: accepted moves always complete their
 //! sweep (whose index-order reduction is bit-for-bit the plain
-//! [`parallel::sum_set_costs`] fold), and the cutoff only fires on moves
-//! the full sweep would reject. The best setting, its costs, and the
-//! full accept/reject sequence are therefore identical for every
-//! speculation window, thread count, cutoff and cache setting — pinned
-//! by `tests/search_equivalence.rs`.
+//! [`parallel::sum_set_costs`] fold), and it only fires on moves the
+//! full sweep would reject. The best setting, its costs and the full
+//! accept/reject sequence are therefore identical for every thread
+//! count, cutoff and cache setting, and every [`SearchStats`] counter is
+//! identical for every thread count — pinned by
+//! `tests/search_equivalence.rs`. `threads` reaches only the fan-outs
+//! over independent work: the capture sweep and the plain full sweeps
+//! (each scenario its own evaluation), the accept-path cache refresh
+//! (position-disjoint entries) and a portfolio's replicas.
 //!
 //! # Portfolio search and checkpoints
 //!
@@ -64,7 +59,6 @@ use std::time::{Duration, Instant};
 use dtr_cost::{Engine, ScenarioCache};
 use dtr_net::LinkId;
 use dtr_persist::{CheckpointSink, Decoder, Encoder, SnapshotError};
-use dtr_routing::Scenario;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -73,8 +67,8 @@ use crate::parallel::{self, cost_of, SetSweep, SweepScratch};
 use crate::params::{replica_seed, PortfolioParams};
 use crate::scenario::ScenarioSet;
 use crate::search::{
-    speculative_sweep, Archive, ClassWeights, Decision, MoveOutcome, SearchCost, SearchStats,
-    SpecBuffers, StopRule, Terminated,
+    sweep, Archive, ClassWeights, Decision, MoveOutcome, SearchCost, SearchStats, StopRule,
+    Terminated,
 };
 
 /// What an instantiation of the search supplies besides the shared
@@ -113,7 +107,7 @@ pub trait RobustEngine: Sync {
     /// The cost vector.
     type Cost: SearchCost;
     /// One duplex link's new class weights.
-    type Move: PartialEq + Send + Sync;
+    type Move: PartialEq;
     /// Gate parameters beyond the benchmark (DTR's χ; MTR's constraints
     /// live in its evaluator's class specs).
     type GateParams: Copy + Sync;
@@ -198,10 +192,8 @@ pub struct RobustKnobs {
     pub archive_size: usize,
     /// Sweep backstop (per phase).
     pub max_iterations: usize,
-    /// Worker threads.
+    /// Worker threads for the fan-outs over independent work.
     pub threads: usize,
-    /// Speculation window `K`.
-    pub speculation: usize,
     /// Incumbent-bounded failure sweeps through the scenario cache.
     pub cutoff: bool,
     /// Record the accept/reject trace.
@@ -533,12 +525,6 @@ fn refresh_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     eng.release_workspace(ws);
 }
 
-/// The candidate cost the speculative fan-out hands back: the
-/// normal-conditions cost plus the eager failure-sweep seed prefix
-/// (empty for gate-failing candidates and for serial or cutoff-off
-/// runs — see `sum_set_costs_bounded`'s seed contract).
-type SpecCost<C> = (C, Vec<(u32, C)>);
-
 /// One replica's persistent search state: everything the classic
 /// single-chain loop keeps across sweeps, owned per replica so portfolio
 /// chains can run concurrently between rendezvous (the parallel-search
@@ -562,8 +548,6 @@ struct Chain<E: RobustEngine> {
     stop: StopRule<E::Cost>,
     reps: Vec<LinkId>,
     stale_sweeps: usize,
-    spec: SpecBuffers<E::Weights, E::Move, SpecCost<E::Cost>>,
-    seed_prefix: Vec<u32>,
     /// Replica-local archive (a clone of the start archive):
     /// diversification restarts sample from it, and rendezvous merges
     /// offer the other replicas' elites into it in replica index order.
@@ -606,8 +590,6 @@ impl<E: RobustEngine> Chain<E> {
             stop: StopRule::new(knobs.p2, knobs.c),
             reps: ev.engine().net().duplex_representatives(),
             stale_sweeps: 0,
-            spec: SpecBuffers::new(),
-            seed_prefix: Vec::new(),
             archive,
             done: false,
             knobs,
@@ -847,8 +829,6 @@ fn decode_chain<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         stop,
         reps,
         stale_sweeps,
-        spec: SpecBuffers::new(),
-        seed_prefix: Vec::new(),
         archive,
         done,
     })
@@ -890,10 +870,10 @@ fn encode_snapshot<E: RobustEngine>(
 
 /// Check the stored config fingerprint against the resuming run and
 /// recover the benchmark and the boundary counter. Only
-/// trajectory-determining knobs are fingerprinted: `threads`,
-/// `speculation`, `cutoff` and the cache budget may all legally differ
-/// between the saving and the resuming process — the determinism
-/// contract makes the continued trajectory identical regardless. A
+/// trajectory-determining knobs are fingerprinted: `threads`, `cutoff`
+/// and the cache budget may all legally differ between the saving and
+/// the resuming process — the determinism contract makes the continued
+/// trajectory identical regardless. A
 /// `benchmark` of `None` takes the stored one (DTR resumes without its
 /// Phase-1 output); `Some` must match it bit for bit.
 fn decode_config<E: RobustEngine>(
@@ -1112,8 +1092,8 @@ fn drive<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     })
 }
 
-/// One sweep of one chain — the classic loop body (speculative batched
-/// moves, Eq. 5–6 gate, bounded failure sweeps, diversification and the
+/// One sweep of one chain — the classic loop body (the serial move
+/// loop, Eq. 5–6 gate, bounded failure sweeps, diversification and the
 /// stop rule). Sets `ch.done` when the chain's stop rule or the
 /// iteration backstop fires; a done chain is never swept again.
 fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
@@ -1147,8 +1127,6 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         stop,
         reps,
         stale_sweeps,
-        spec,
-        seed_prefix,
         archive,
         done,
         ..
@@ -1157,49 +1135,15 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     stats.iterations += 1;
     reps.shuffle(rng);
     let mut improved = false;
-    let mut wasted = 0usize;
 
-    // Eager failure-sweep prefix (parallel-search contract,
-    // `DETERMINISM.md`): alongside each gate-passing candidate's
-    // normal-conditions cost, the speculative fan-out pre-computes the
-    // first few scenarios of the bounded sweep's priority order on the
-    // worker threads. The seeds substitute bit-identical values in
-    // `sum_set_costs_bounded`, so a stale snapshot (the order re-sorts
-    // after an accept) wastes at most the seed work, never changes bits.
-    seed_prefix.clear();
-    if knobs.threads > 1 && knobs.cutoff {
-        let l = knobs.threads.min(st.order.len());
-        seed_prefix.extend_from_slice(&st.order[..l]);
-    }
-    let seed_prefix: &[u32] = seed_prefix;
-
-    speculative_sweep(
+    sweep(
+        ev,
         reps,
+        knobs.wmax,
         rng,
-        knobs.speculation,
-        knobs.threads,
         current,
-        spec,
-        &mut wasted,
-        |rng| ev.draw_move(1, knobs.wmax, rng),
-        |w, rep| ev.read_move(w, rep),
-        |w, rep, mv| ev.apply_move(w, rep, mv),
-        |w| {
-            let mut ws = eng.acquire_workspace();
-            let normal: E::Cost = cost_of(eng.cost_with(&mut ws, w, Scenario::Normal));
-            let mut seeds = Vec::new();
-            if !seed_prefix.is_empty() && run.feasible(&normal) {
-                seeds.extend(seed_prefix.iter().map(|&p| {
-                    let sc = set.scenario(indices[p as usize]);
-                    (p, cost_of(eng.cost_with(&mut ws, w, sc)))
-                }));
-            }
-            eng.release_workspace(ws);
-            (normal, seeds)
-        },
-        |cand_w, _rep, (cand_normal, seeds): &SpecCost<E::Cost>| {
-            // Cheap constraint gate: one normal-conditions evaluation
-            // (speculated ahead of the replay cursor).
+        |cand_w, _rep, cand_normal| {
+            // Cheap constraint gate: one normal-conditions evaluation.
             stats.evaluations += 1;
             if !run.feasible(cand_normal) {
                 *constraint_rejections += 1;
@@ -1216,18 +1160,15 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                     cand_w,
                     set,
                     indices,
-                    knobs.threads,
                     current_kfail,
                     &st.order,
-                    seeds,
                     Some(&st.floors),
                     Some(&st.cache),
                     &mut st.scratch,
                 );
                 // Attribute plain-path (non-resident) evaluations of
-                // this bounded sweep. The canonical evaluation set is
-                // the `evaluated`-long prefix of the deterministic
-                // order, so the counter is thread-invariant.
+                // this bounded sweep: the `evaluated`-long prefix of the
+                // deterministic order.
                 let resident = st.cache.resident_scenarios();
                 stats.cache_fallback_evals += match &outcome {
                     SetSweep::Complete(_) => indices.len() - resident,
@@ -1298,7 +1239,6 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
             }
         },
     );
-    stats.speculative_wasted += wasted;
 
     *stale_sweeps = if improved { 0 } else { *stale_sweeps + 1 };
     if *stale_sweeps >= knobs.div_interval_2 {
@@ -1414,12 +1354,11 @@ pub fn run_controlled<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 /// Restore a robust run from `snapshot` bytes and continue it under
 /// `ctl`. The engine, scenario set, critical indices, gate and the
 /// trajectory-determining knobs must match the saving run
-/// ([`SnapshotError::Mismatch`] otherwise); `threads`, `speculation`,
-/// `cutoff` and the cache budget may differ freely — the
-/// determinism contract keeps the continued trajectory bit-identical
-/// regardless. The archive travels inside the snapshot, and so does
-/// the benchmark: pass `None` to take it from there, or `Some` to have
-/// it checked.
+/// ([`SnapshotError::Mismatch`] otherwise); `threads`, `cutoff` and the
+/// cache budget may differ freely — the determinism contract keeps the
+/// continued trajectory bit-identical regardless. The archive travels
+/// inside the snapshot, and so does the benchmark: pass `None` to take
+/// it from there, or `Some` to have it checked.
 ///
 /// The wall-clock deadline, when set, is a fresh budget for this call —
 /// time spent before the crash is not counted against it.

@@ -7,24 +7,15 @@
 //! when the trailing window of diversifications yields less than `c`
 //! relative improvement.
 //!
-//! # Speculative batched moves
+//! # The move loop
 //!
-//! The sweep's RNG stream is deterministic and evaluations never consume
-//! randomness, so the next `K` candidate moves of a sweep can be
-//! pre-drawn without perturbing the draw order the serial loop would
-//! produce. [`speculative_sweep`] exploits this: it keeps a sliding
-//! window of up to `K` pre-drawn moves, evaluates their
-//! normal-conditions costs concurrently on pooled workspaces, then
-//! *replays* the window serially in draw order. Acceptance invalidates
-//! the speculation past the accepted move (those costs were computed
-//! against a stale base and are discarded — counted in
-//! [`SearchStats::speculative_wasted`] — then recomputed), so the
-//! accept/reject sequence, every accepted cost, and the RNG stream are
-//! bit-for-bit those of the serial loop for **any** batch size and
-//! thread count. Since most moves are rejected (Phase 2's Eq. 5–6
-//! constraint gate kills the bulk of them), speculation almost always
-//! pays: the whole window's evaluations fan out across threads instead
-//! of serializing behind one another.
+//! [`sweep`] is that loop, written once for Phase 1a and the robust
+//! phase: for each physical link in the shuffled order it draws a move,
+//! skips a no-op, applies it, evaluates the normal-conditions cost and
+//! lets the phase decide; a rejected move is reverted. Each move is
+//! judged against the setting every earlier accept produced, so the loop
+//! is serial by construction. Parallelism lives below it, in fan-outs
+//! over independent work (see [`crate::parallel`]).
 
 use dtr_cost::LexCost;
 use dtr_net::{LinkId, Network};
@@ -32,6 +23,9 @@ pub use dtr_routing::ClassWeights;
 use dtr_routing::{Class, WeightSetting};
 use rand::rngs::StdRng;
 use rand::Rng;
+
+use crate::phase1::normal_cost;
+use crate::robust::RobustEngine;
 
 /// Apply new class weights `(wd, wt)` to the physical link represented by
 /// `rep`, symmetrically on both directions (see
@@ -83,15 +77,18 @@ pub enum Terminated {
     Restored,
 }
 
-/// Counters reported by each search phase.
+/// Counters reported by each search phase. Every counter is
+/// thread-invariant: the move loop and its bounded failure sweeps run
+/// serially, and the fan-outs below them only move independent work
+/// between threads (the parallel-search contract in `DETERMINISM.md`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Full sweeps over all links.
     pub iterations: usize,
-    /// *Logical* objective evaluations — what the serial, cutoff-free
-    /// loop would perform (normal-conditions evaluations in Phase 1; in
-    /// Phase 2 each failure-scenario evaluation counts separately).
-    /// Invariant across batch size, thread count and cutoff setting.
+    /// *Logical* objective evaluations — what the cutoff-free loop would
+    /// perform (normal-conditions evaluations in Phase 1; in Phase 2
+    /// each failure-scenario evaluation counts separately). Invariant
+    /// across thread count and cutoff setting.
     pub evaluations: usize,
     /// Diversification restarts performed.
     pub diversifications: usize,
@@ -113,10 +110,9 @@ pub struct SearchStats {
     /// sweep whose cache held no resident scenario (every evaluation on
     /// the plain path, e.g. `cache_budget_bytes: 0`).
     pub skipped_cutoff: usize,
-    /// Speculative normal-conditions evaluations discarded because an
-    /// earlier move in the window was accepted (re-evaluated against the
-    /// new base; the wasted copies are *extra* work, never counted in
-    /// `evaluations`).
+    /// Always 0: the move loop evaluates each proposal once, in draw
+    /// order. Kept, with its snapshot slot, for the benchmark reports
+    /// that read it.
     pub speculative_wasted: usize,
     /// Extra scenario evaluations spent rebuilding the delta-state
     /// scenario cache outside a logical full sweep — the capture sweep
@@ -156,11 +152,11 @@ impl SearchStats {
     }
 }
 
-/// Outcome of one replayed proposal, recorded into the search trace when
+/// Outcome of one proposal, recorded into the search trace when
 /// `Params::record_trace` is set. The trace pins the **full**
 /// accept/reject sequence, so the equivalence suite can assert the
-/// trajectory — not just its end state — is identical across speculation
-/// batch sizes, thread counts and cutoff settings.
+/// trajectory — not just its end state — is identical across thread
+/// counts and cutoff settings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MoveOutcome {
     /// Rejected by the normal-conditions constraint gate (Phase 2 /
@@ -173,215 +169,44 @@ pub enum MoveOutcome {
     Accept,
 }
 
-/// Replay verdict a phase hands back to [`speculative_sweep`] for one
-/// proposal.
+/// Verdict a phase hands back to [`sweep`] for one proposal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Decision {
-    /// Keep the move applied; speculation past it is invalidated.
+    /// Keep the move applied.
     Accept,
     /// Revert the move.
     Reject,
 }
 
-/// One pre-drawn move of the speculation window.
-#[derive(Debug)]
-struct SpecSlot<M, C> {
-    rep: LinkId,
-    mv: M,
-    old: M,
-    noop: bool,
-    cost: Option<C>,
-}
-
-/// Reusable buffers for [`speculative_sweep`] (keep one per search run;
-/// all buffers reach steady-state capacity after the first sweep).
-#[derive(Debug)]
-pub struct SpecBuffers<W, M, C> {
-    slots: Vec<SpecSlot<M, C>>,
-    cand: Vec<W>,
-    todo: Vec<usize>,
-}
-
-impl<W, M, C> SpecBuffers<W, M, C> {
-    /// Fresh, empty buffers.
-    pub fn new() -> Self {
-        SpecBuffers {
-            slots: Vec::new(),
-            cand: Vec::new(),
-            todo: Vec::new(),
-        }
-    }
-}
-
-impl<W, M, C> Default for SpecBuffers<W, M, C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Smallest pending-candidate batch worth evaluating eagerly ahead of
-/// the replay cursor when `threads > 1`.
+/// One sweep of the hill climber — the move loop of Phase 1a and the
+/// robust phase (see the module docs).
 ///
-/// Measured on this codebase's testbed scale: one `std::thread::scope`
-/// fan-out (spawn + join of ≤ `threads` workers) costs **~30–60 µs** of
-/// pure overhead, while a paper-scale normal-conditions evaluation costs
-/// ~90 µs — so a 2-candidate batch on a 2-core host finishes in
-/// ~90 µs + overhead ≈ 135 µs against 180 µs serial, and every larger
-/// batch amortizes the fan-out further. A 1-candidate "batch" can never
-/// pay: there is nothing to overlap, and an eagerly computed cost is
-/// discarded (`SearchStats::speculative_wasted`) whenever an earlier
-/// move in the window is accepted — deferring it to lazy replay-time
-/// evaluation produces the same bits with zero waste. Hence the
-/// threshold is 2: fan out only when at least two candidates are
-/// pending, otherwise fall back to the lazy path even on multicore
-/// hosts. (On very small topologies where an evaluation undercuts the
-/// fan-out overhead the whole speculation feature is moot — the serial
-/// loop is already µs-fast — so no eval-cost-aware threshold is
-/// needed.)
-///
-/// Re-measured at the PR-8 500/2,000/5,000-node tiers: one
-/// normal-conditions evaluation there costs **milliseconds** (≈3 ms at
-/// 500 nodes), three orders of magnitude above the 30–60 µs fan-out
-/// overhead, so the break-even batch stays at 2 — larger thresholds
-/// only delay the overlap. [`speculative_sweep`] reads this constant
-/// directly; like `k` and `threads`, the threshold only moves work
-/// between the eager and lazy paths, so the trajectory would be
-/// identical for any value.
-pub const EAGER_MIN_BATCH: usize = 2;
-
-/// One sweep of the hill climber with speculative batched moves — the
-/// engine of Phases 1/2 and their MTR analogues (see the module docs).
-///
-/// Replays are exactly the serial loop: for each physical link in `reps`
-/// order, a move is drawn (`draw` consumes the RNG in draw order whether
-/// or not the move is later discarded), no-op re-draws are skipped, and
-/// `process` is invoked with `current` *already carrying the move*,
-/// deciding accept (keep) or reject (the driver reverts). The only
-/// difference is *when* the normal-conditions costs are computed: up to
-/// `k` moves ahead of the replay cursor, concurrently on `threads`
-/// workers via `eval`. Because every per-setting cost is bit-exact
-/// regardless of which workspace computes it, and speculation past an
-/// accepted move is discarded and recomputed, the resulting trajectory
-/// is identical for every `(k, threads)` — `k = 1, threads = 1` *is* the
-/// serial loop.
-///
-/// `wasted` accumulates the discarded speculative evaluations
-/// ([`SearchStats::speculative_wasted`]). A pending batch smaller than
-/// [`EAGER_MIN_BATCH`] is not fanned out eagerly; it is evaluated
-/// lazily at replay, even on multicore.
-#[allow(clippy::too_many_arguments)]
-pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
+/// For each physical link in `reps` order a move is drawn (one weight in
+/// `[1, wmax]` per class; the draw consumes the RNG whether or not the
+/// move is a no-op), a no-op re-draw is skipped, and otherwise the move
+/// is applied to `current`, its normal-conditions cost evaluated, and
+/// `process` invoked with `current` *carrying the move*. `process`
+/// decides: [`Decision::Accept`] keeps the move, [`Decision::Reject`]
+/// reverts it. `process` never touches the RNG, so the draw order is a
+/// function of the seed alone.
+pub fn sweep<E: RobustEngine>(
+    ev: &E,
     reps: &[LinkId],
+    wmax: u32,
     rng: &mut StdRng,
-    k: usize,
-    threads: usize,
-    current: &mut W,
-    bufs: &mut SpecBuffers<W, M, C>,
-    wasted: &mut usize,
-    mut draw: D,
-    read_old: R,
-    apply: A,
-    eval: E,
-    mut process: P,
-) where
-    W: Clone + Send + Sync,
-    M: PartialEq,
-    C: Send,
-    D: FnMut(&mut StdRng) -> M,
-    R: Fn(&W, LinkId) -> M,
-    A: Fn(&mut W, LinkId, &M),
-    E: Fn(&W) -> C + Sync,
-    P: FnMut(&W, LinkId, &C) -> Decision,
-{
-    let k = k.max(1);
-    bufs.slots.clear();
-    let mut pos = 0usize; // next window slot to replay
-    let mut drawn = 0usize; // moves drawn so far (== bufs.slots.len())
-
-    while pos < reps.len() {
-        // Extend the window to k pre-drawn moves, consuming the RNG in
-        // exactly the serial draw order. `old` is stable for the rest of
-        // the sweep: reps are distinct within a sweep, so no other
-        // accepted move can touch this link's weights.
-        while drawn < reps.len() && drawn - pos < k {
-            let rep = reps[drawn];
-            let mv = draw(rng);
-            let old = read_old(current, rep);
-            let noop = mv == old;
-            bufs.slots.push(SpecSlot {
-                rep,
-                mv,
-                old,
-                noop,
-                cost: None,
-            });
-            drawn += 1;
+    current: &mut E::Weights,
+    mut process: impl FnMut(&E::Weights, LinkId, &E::Cost) -> Decision,
+) {
+    for &rep in reps {
+        let mv = ev.draw_move(1, wmax, rng);
+        let old = ev.read_move(current, rep);
+        if mv == old {
+            continue;
         }
-
-        // Evaluate every pending non-noop candidate against the current
-        // base, fanning out over `threads` workers. With a single worker
-        // there is nothing to overlap, and a batch below
-        // [`EAGER_MIN_BATCH`] cannot amortize the fan-out overhead (see
-        // the measured threshold above), so evaluation is deferred to
-        // the replay below (same costs, no wasted work, and the
-        // workspace baseline tracks `current` exactly as in the serial
-        // loop).
-        bufs.todo.clear();
-        if threads > 1 {
-            bufs.todo.extend(
-                (pos..drawn).filter(|&i| !bufs.slots[i].noop && bufs.slots[i].cost.is_none()),
-            );
-            if bufs.todo.len() < EAGER_MIN_BATCH {
-                bufs.todo.clear();
-            }
-        }
-        if !bufs.todo.is_empty() {
-            while bufs.cand.len() < bufs.todo.len() {
-                bufs.cand.push(current.clone());
-            }
-            for (j, &i) in bufs.todo.iter().enumerate() {
-                let slot = &bufs.slots[i];
-                bufs.cand[j].clone_from(current);
-                apply(&mut bufs.cand[j], slot.rep, &slot.mv);
-            }
-            let cands = &bufs.cand[..bufs.todo.len()];
-            let costs = crate::parallel::parallel_map(cands, threads, &eval);
-            for (&i, c) in bufs.todo.iter().zip(costs) {
-                bufs.slots[i].cost = Some(c);
-            }
-        }
-
-        // Replay in draw order until the window drains or a move is
-        // accepted (which invalidates the speculation past it).
-        let mut accepted = false;
-        while pos < drawn {
-            let i = pos;
-            pos += 1;
-            if bufs.slots[i].noop {
-                continue;
-            }
-            apply(current, bufs.slots[i].rep, &bufs.slots[i].mv);
-            let cost = match bufs.slots[i].cost.take() {
-                Some(c) => c,
-                // Single-worker (or invalidated) slot: evaluate at replay
-                // time, on `current` with the move applied — bit-for-bit
-                // the speculative candidate's cost.
-                None => eval(current),
-            };
-            match process(current, bufs.slots[i].rep, &cost) {
-                Decision::Accept => {
-                    accepted = true;
-                    break;
-                }
-                Decision::Reject => apply(current, bufs.slots[i].rep, &bufs.slots[i].old),
-            }
-        }
-        if accepted {
-            for slot in &mut bufs.slots[pos..drawn] {
-                if slot.cost.take().is_some() {
-                    *wasted += 1;
-                }
-            }
+        ev.apply_move(current, rep, &mv);
+        let cost = normal_cost(ev, current);
+        if process(current, rep, &cost) == Decision::Reject {
+            ev.apply_move(current, rep, &old);
         }
     }
 }

@@ -47,16 +47,14 @@ pub struct MtrParams {
     pub archive_size: usize,
     /// Hard safety cap on sweeps per phase.
     pub max_iterations: usize,
-    /// Worker threads for the robust-phase failure sweeps and the
-    /// speculative move batches (1 = serial). Results are bit-for-bit
-    /// identical for every thread count — the sharded sweep reduces in
-    /// scenario order (see `dtr_core::parallel::evaluate_set`).
+    /// Worker threads for the fan-outs over independent work: the
+    /// top-up's sample batches, the robust phase's capture sweeps and
+    /// plain full sweeps, its accept-path cache refresh, and a
+    /// portfolio's replicas (1 = serial). The move loop and its bounded
+    /// failure sweeps always run serially. Results and every counter are
+    /// bit-for-bit identical for every thread count — the sharded sweeps
+    /// reduce in scenario order (see `dtr_core::parallel::evaluate_set`).
     pub threads: usize,
-    /// Speculation window `K`: candidate moves pre-drawn and evaluated
-    /// ahead of the replay cursor (1 = plain serial loop; the trajectory
-    /// is identical for every value — see
-    /// `dtr_core::search::speculative_sweep`).
-    pub speculation: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
     /// robust phase, run through the delta-state scenario cache
     /// (`dtr_cost::ScenarioCache`; float-exact rejection proof, see
@@ -119,7 +117,6 @@ impl MtrParams {
             archive_size: 16,
             max_iterations: 100_000,
             threads: 1,
-            speculation: 8,
             cutoff: true,
             record_trace: false,
             portfolio: PortfolioParams::single(),
@@ -164,7 +161,6 @@ impl MtrParams {
         assert!(self.archive_size >= 1);
         assert!(self.max_iterations >= 1);
         assert!(self.threads >= 1, "at least one worker thread");
-        assert!(self.speculation >= 1, "speculation window K >= 1");
         self.portfolio.validate();
         if let Some(ms) = self.deadline_ms {
             assert!(ms >= 1, "deadline must be at least one millisecond");

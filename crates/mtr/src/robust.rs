@@ -8,8 +8,8 @@
 //! decides how much normal-performance degradation may be traded for
 //! robustness — `Pin` none (Eq. 5), `Relax(χ)` a χ budget (Eq. 6).
 //!
-//! The speculative batched moves, incumbent-bounded cutoff sweeps through
-//! the delta-state scenario cache, portfolio replicas and checkpoints are
+//! The serial move loop, incumbent-bounded cutoff sweeps through the
+//! delta-state scenario cache, portfolio replicas and checkpoints are
 //! the shared search's, bit for bit the same machinery as
 //! `dtr_core::phase2`. This module supplies what is MTR's own: the
 //! `RobustEngine` implementation of [`MtrEvaluator`] — a move re-draws
@@ -120,7 +120,6 @@ impl From<&MtrParams> for RobustKnobs {
             archive_size: p.archive_size,
             max_iterations: p.max_iterations,
             threads: p.threads,
-            speculation: p.speculation,
             cutoff: p.cutoff,
             record_trace: p.record_trace,
             cache_budget_bytes: p.cache_budget_bytes,
@@ -202,11 +201,10 @@ pub fn run_controlled(
 /// Restore a robust-phase run from `snapshot` bytes and continue it
 /// under `ctl`. The evaluator, scenario slice, benchmark and the
 /// trajectory-determining `params` knobs must match the saving run
-/// ([`SnapshotError::Mismatch`] otherwise); `threads`, `speculation`,
-/// `cutoff` and the cache budget may differ freely — the
-/// determinism contract keeps the continued trajectory bit-identical
-/// regardless. No regular-phase archive is needed: it travels inside
-/// the snapshot.
+/// ([`SnapshotError::Mismatch`] otherwise); `threads`, `cutoff` and the
+/// cache budget may differ freely — the determinism contract keeps the
+/// continued trajectory bit-identical regardless. No regular-phase
+/// archive is needed: it travels inside the snapshot.
 ///
 /// The wall-clock deadline, when set, is a fresh budget for this call —
 /// time spent before the crash is not counted against it.
@@ -559,25 +557,21 @@ mod tests {
         let mut scratch = SweepScratch::new();
         for weighting in [None, Some(weights.as_slice())] {
             let set = SliceSet::new(&scenarios, weighting);
-            for threads in [1, 4] {
-                let got = sum_set_costs_bounded(
-                    &ev,
-                    &w,
-                    &set,
-                    &idx,
-                    threads,
-                    &never,
-                    &order,
-                    &[],
-                    None,
-                    None,
-                    &mut scratch,
-                );
-                let want = sum_set_costs(&ev, &w, &set, &idx, 1);
-                assert_eq!(got, SetSweep::Complete(want), "threads={threads}");
-                // Per-position costs match the plain sweep.
-                assert_eq!(scratch.costs, evaluate_set(&ev, &w, &set, &idx, 1));
-            }
+            let got = sum_set_costs_bounded(
+                &ev,
+                &w,
+                &set,
+                &idx,
+                &never,
+                &order,
+                None,
+                None,
+                &mut scratch,
+            );
+            let want = sum_set_costs(&ev, &w, &set, &idx, 1);
+            assert_eq!(got, SetSweep::Complete(want));
+            // Per-position costs match the plain sweep.
+            assert_eq!(scratch.costs, evaluate_set(&ev, &w, &set, &idx, 1));
         }
     }
 
@@ -594,10 +588,8 @@ mod tests {
             &w,
             &SliceSet::new(&scenarios, None),
             &positions(scenarios.len()),
-            1,
             &VecCost::zeros(3),
             &order,
-            &[],
             None,
             None,
             &mut scratch,
@@ -653,23 +645,19 @@ mod tests {
         let mut scratch = SweepScratch::new();
         // Beatable incumbent: floors never change a completed sweep.
         let never = VecCost::new(vec![f64::MAX; 3]);
-        for threads in [1, 3] {
-            let got = sum_set_costs_bounded(
-                &ev,
-                &w,
-                &set,
-                &idx,
-                threads,
-                &never,
-                &order,
-                &[],
-                Some(&floors),
-                None,
-                &mut scratch,
-            );
-            let want = sum_set_costs(&ev, &w, &set, &idx, 1);
-            assert_eq!(got, SetSweep::Complete(want), "threads={threads}");
-        }
+        let got = sum_set_costs_bounded(
+            &ev,
+            &w,
+            &set,
+            &idx,
+            &never,
+            &order,
+            Some(&floors),
+            None,
+            &mut scratch,
+        );
+        let want = sum_set_costs(&ev, &w, &set, &idx, 1);
+        assert_eq!(got, SetSweep::Complete(want));
         // An incumbent below the summed floors is cut without finishing.
         let below = floor_sum.scale(0.5);
         let got = sum_set_costs_bounded(
@@ -677,10 +665,8 @@ mod tests {
             &w,
             &set,
             &idx,
-            1,
             &below,
             &order,
-            &[],
             Some(&floors),
             None,
             &mut scratch,

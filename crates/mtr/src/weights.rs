@@ -15,9 +15,10 @@ pub struct MtrWeightSetting {
 }
 
 /// Manual impl so `clone_from` reuses the destination's buffers (the
-/// robust search's speculative-move batches re-copy candidates on every
-/// refill; `Vec::clone_from` keeps both nesting levels allocation-free
-/// in steady state).
+/// search copies an accepted setting into its best, and an archived
+/// setting into the current one on a restart, with `clone_from`;
+/// `Vec::clone_from` keeps both nesting levels allocation-free in
+/// steady state).
 impl Clone for MtrWeightSetting {
     fn clone(&self) -> Self {
         MtrWeightSetting {

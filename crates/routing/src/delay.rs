@@ -44,35 +44,6 @@ pub fn mean_delay_to(
     fold_delay_to(net, dist, weights, mask, link_delay, false)
 }
 
-/// [`max_delay_to`] into a caller buffer, with the descending-distance
-/// `order` of `dist` supplied by the caller (e.g. cached from
-/// [`spf::descending_order_into`]) — the allocation-free form the
-/// incremental evaluation engine uses.
-pub fn max_delay_to_with(
-    net: &Network,
-    dist: &[u64],
-    order: &[u32],
-    weights: &[u32],
-    mask: &LinkMask,
-    link_delay: &[f64],
-    out: &mut Vec<f64>,
-) {
-    fold_delay_into(net, dist, order, weights, mask, link_delay, true, out)
-}
-
-/// [`mean_delay_to`] into a caller buffer; see [`max_delay_to_with`].
-pub fn mean_delay_to_with(
-    net: &Network,
-    dist: &[u64],
-    order: &[u32],
-    weights: &[u32],
-    mask: &LinkMask,
-    link_delay: &[f64],
-    out: &mut Vec<f64>,
-) {
-    fold_delay_into(net, dist, order, weights, mask, link_delay, false, out)
-}
-
 /// Append the `(s, t, ξ)` end-to-end delay triples of every sender with
 /// positive demand towards destination `t` to `out`: run the delay DP
 /// (max over ECMP paths when `take_max`, even-split mean otherwise) into
@@ -179,7 +150,7 @@ fn fold_delay_to(
     delay
 }
 
-#[allow(clippy::too_many_arguments)] // internal kernel shared by 4 wrappers
+#[allow(clippy::too_many_arguments)] // internal kernel shared by 2 wrappers
 fn fold_delay_into(
     net: &Network,
     dist: &[u64],
@@ -263,39 +234,6 @@ pub fn bottleneck_to(
     worst
 }
 
-/// Convenience: per-pair max delays `ξ(s, t)` for every positive demand in
-/// `tm`, computed per destination. Returns `(s, t, delay_seconds)`
-/// triples; pairs disconnected under the mask report `f64::INFINITY`.
-pub fn pair_delays(
-    net: &Network,
-    weights: &[u32],
-    mask: &LinkMask,
-    link_delay: &[f64],
-    tm: &dtr_traffic::TrafficMatrix,
-) -> Vec<(usize, usize, f64)> {
-    let n = net.num_nodes();
-    let mut out = Vec::new();
-    for t in 0..n {
-        let senders: Vec<usize> = (0..n)
-            .filter(|&s| s != t && tm.demand(s, t) > 0.0)
-            .collect();
-        if senders.is_empty() {
-            continue;
-        }
-        let dist = spf::dist_to(net, NodeId::new(t), weights, mask);
-        let d = max_delay_to(net, &dist, weights, mask, link_delay);
-        for s in senders {
-            let delay = if dist[s] == UNREACHABLE {
-                f64::INFINITY
-            } else {
-                d[s]
-            };
-            out.push((s, t, delay));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +302,36 @@ mod tests {
         assert!((d[0] - 6e-3).abs() < 1e-12); // worst branch via node 2
     }
 
+    /// [`pair_delays_into`] over every destination of `tm`, max delay DP.
+    fn all_pair_delays(
+        net: &Network,
+        weights: &[u32],
+        mask: &LinkMask,
+        link_delay: &[f64],
+        tm: &dtr_traffic::TrafficMatrix,
+    ) -> Vec<(usize, usize, f64)> {
+        let (mut order, mut node_delay, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        for t in 0..net.num_nodes() {
+            let dist = spf::dist_to(net, NodeId::new(t), weights, mask);
+            spf::descending_order_into(&dist, &mut order);
+            pair_delays_into(
+                net,
+                &dist,
+                &order,
+                weights,
+                mask,
+                link_delay,
+                true,
+                tm,
+                t,
+                None,
+                &mut node_delay,
+                &mut out,
+            );
+        }
+        out
+    }
+
     #[test]
     fn pair_delays_cover_demands_only() {
         let (net, delays) = diamond();
@@ -371,7 +339,7 @@ mod tests {
         tm.set(0, 3, 5.0);
         tm.set(2, 1, 5.0);
         let w = vec![1u32; net.num_links()];
-        let got = pair_delays(&net, &w, &net.fresh_mask(), &delays, &tm);
+        let got = all_pair_delays(&net, &w, &net.fresh_mask(), &delays, &tm);
         assert_eq!(got.len(), 2);
         assert!(got.contains(&(0, 3, 10e-3)));
     }
@@ -386,7 +354,7 @@ mod tests {
         let mut tm = dtr_traffic::TrafficMatrix::zeros(2);
         tm.set(0, 1, 1.0);
         let mask = net.fail_duplex(LinkId::new(0));
-        let got = pair_delays(&net, &[1, 1], &mask, &[1e-3, 1e-3], &tm);
+        let got = all_pair_delays(&net, &[1, 1], &mask, &[1e-3, 1e-3], &tm);
         assert_eq!(got.len(), 1);
         assert!(got[0].2.is_infinite());
     }

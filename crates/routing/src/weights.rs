@@ -38,8 +38,9 @@ pub struct WeightSetting {
 }
 
 /// Manual impl so `clone_from` reuses the destination's buffers — the
-/// speculative-move batches of the local search re-copy candidate
-/// settings on every refill and must not allocate in steady state.
+/// search copies an accepted setting into its best, and an archived
+/// setting into the current one on a restart, with `clone_from`, which
+/// must not allocate in steady state.
 impl Clone for WeightSetting {
     fn clone(&self) -> Self {
         WeightSetting {

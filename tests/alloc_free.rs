@@ -212,10 +212,8 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
             &w,
             &universe,
             &indices,
-            1,
             &never,
             &order,
-            &[],
             Some(floors),
             None,
             scratch,
@@ -228,10 +226,8 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
             &w,
             &universe,
             &indices,
-            1,
             &LexCost::ZERO,
             &order,
-            &[],
             Some(floors),
             None,
             scratch,

@@ -202,18 +202,20 @@ fn foreign_and_mismatched_snapshots_are_refused() {
         Err(SnapshotError::Mismatch("critical-set size differs"))
     ));
 
-    // ...while execution-shape knobs are free: the same snapshot may be
-    // resumed with different parallelism ("The checkpoint contract").
-    assert!(dtr
-        .resume(
-            &Params {
-                threads: 4,
-                speculation: 8,
-                ..p
-            },
-            &snap
-        )
-        .is_ok());
+    // ...while execution-shape knobs are free: the same snapshot resumed
+    // with different parallelism continues bit for bit ("The checkpoint
+    // contract") — output, trace and every counter.
+    let serial = dtr.resume(&p, &snap).expect("snapshot restores");
+    let wide = dtr
+        .resume(&Params { threads: 4, ..p }, &snap)
+        .expect("snapshot restores at four threads");
+    assert_eq!(serial.best, wide.best);
+    assert_eq!(serial.best_kfail, wide.best_kfail);
+    assert_eq!(serial.best_normal, wide.best_normal);
+    assert_eq!(serial.constraint_rejections, wide.constraint_rejections);
+    assert_eq!(serial.trace, wide.trace);
+    assert_eq!(serial.stats, wide.stats);
+    assert_eq!(serial.terminated, wide.terminated);
 
     // An MTR snapshot fed to the DTR restore is refused by kind.
     let (net, tms) = mtr_testbed();

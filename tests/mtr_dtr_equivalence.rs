@@ -166,7 +166,6 @@ fn mtr_params_of(p: &Params) -> MtrParams {
         archive_size: p.archive_size,
         max_iterations: p.max_iterations,
         threads: p.threads,
-        speculation: p.speculation,
         cutoff: p.cutoff,
         record_trace: p.record_trace,
         portfolio: p.portfolio,
