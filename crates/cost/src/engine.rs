@@ -27,12 +27,18 @@
 //!    reduced to its *down-set* — the directed links its mask fails: one
 //!    duplex pair (`Link`), several pairs (`Srlg`, `DoubleLink`), or a
 //!    router's full incidence set (`Node`). Only destinations whose
-//!    no-failure shortest-path DAG uses a down link ([`dag_uses_any`])
-//!    are re-routed; all other destinations replay their recorded load
-//!    accumulations bit-for-bit. Probabilistic ensembles are sets of
-//!    these same scenarios — their per-scenario weights are applied by
-//!    the caller in scenario-index order, so the weighted sum is also
-//!    bit-stable.
+//!    no-failure **flow** uses a down link ([`flow_uses_any`]: a down
+//!    link among the baseline record's `load_adds`, after the cheaper
+//!    shortest-path-DAG test) are re-routed; all other destinations
+//!    replay their recorded load accumulations bit-for-bit, and their
+//!    SLA senders' delays, which the flow delay DP reads off the same
+//!    record, are the masked route's too. A kept record's distance field
+//!    is the all-up one, which a failure off the flow may move at nodes
+//!    without inflow; nothing in a scenario evaluation reads it but the
+//!    sender emission, whose reachability test it answers correctly.
+//!    Probabilistic ensembles are sets of these same scenarios — their
+//!    per-scenario weights are applied by the caller in scenario-index
+//!    order, so the weighted sum is also bit-stable.
 //! 4. **Incremental SPF across search moves**: when the weight setting
 //!    changes (a neighbor move re-draws one duplex link's class
 //!    weights), the baseline is diffed against the new weights, and only
@@ -49,13 +55,13 @@
 //!    incumbent by one duplex link. The cache keeps **persistent
 //!    per-scenario state** of the incumbent — see the next section — so
 //!    a candidate's per-scenario cost ([`Engine::cost_cached`])
-//!    re-routes only the mask ∩ move-affected destinations, folds the
-//!    loads through the same replay as the plain evaluation, and re-runs
-//!    each SLA class's delay DP only for destinations whose routing or
-//!    on-DAG link delays changed. The accept path re-points the cache at the
-//!    new incumbent ([`Engine::cache_refresh`]) by evaluating the
-//!    accepted candidate against each entry the same way and committing
-//!    that result into the entry.
+//!    re-routes only the flow-affected ∩ move-affected destinations,
+//!    folds the loads through the same replay as the plain evaluation,
+//!    and re-runs each SLA class's delay DP only for destinations whose
+//!    routing or flow-link delays changed. The accept path re-points the
+//!    cache at the new incumbent ([`Engine::cache_refresh`]) by
+//!    evaluating the accepted candidate against each entry the same way
+//!    and committing that result into the entry.
 //! 6. **Per-class floors** ([`Engine::scenario_floor`]): the
 //!    propagation-delay Λ floor of each SLA class, a routing-independent
 //!    lower bound of its cost under a scenario; congestion classes get
@@ -70,7 +76,7 @@
 //!    reference anchors, every uncached failure sweep — seeds
 //!    [`route_destination_repair`] from the workspace's resident
 //!    no-failure baseline (orphan detection + boundary Dijkstra); it
-//!    never runs a from-scratch Dijkstra per mask-affected destination.
+//!    never runs a from-scratch Dijkstra per flow-affected destination.
 //!    Weight moves are repaired the same way: the workspace baseline
 //!    (`ensure_baseline`) runs the weight-move kernel
 //!    ([`route_destination_reweight`]), and [`route_destination`] runs
@@ -90,7 +96,7 @@
 //!
 //! # The delta-state model
 //!
-//! A plain scenario evaluation repairs every mask-affected destination
+//! A plain scenario evaluation repairs every flow-affected destination
 //! and re-runs the end-to-end delay DP for every SLA destination — even
 //! when the candidate's one-duplex-link diff provably touched none of
 //! them. The [`ScenarioCache`] keeps, per scenario, the *resolved* state
@@ -98,12 +104,14 @@
 //! where their diff moves something:
 //!
 //! * **What persists per scenario**: per class, the recomputed routings
-//!   of every mask-affected destination (exactly the affected set); the
-//!   resident **per-link delays** of the total loads; and, per SLA
-//!   class, the resident **pair-delay triples** segmented by
-//!   destination. The cache also holds the incumbent's no-failure
-//!   **baseline** routings per class (the effective routing of every
-//!   destination the mask does not touch).
+//!   of every flow-affected destination — exactly the destinations whose
+//!   no-failure flow ([`flow_uses_any`]) uses a down link, so where
+//!   demand is sparse an entry lists fewer destinations than the mask
+//!   touches DAGs of; the resident **per-link delays** of the total
+//!   loads; and, per SLA class, the resident **pair-delay triples**
+//!   segmented by destination. The cache also holds the incumbent's
+//!   no-failure **baseline** routings per class (the effective routing
+//!   of every destination whose flow the mask leaves whole).
 //! * **Who writes an entry**: one `commit`, from the result an
 //!   evaluation leaves in the workspace. Capture commits a plain
 //!   evaluation of the incumbent; the accept-path refresh commits the
@@ -111,7 +119,8 @@
 //!   evaluations resolve every destination to exactly the routing its
 //!   effective state needs — kept from the entry, freshly repaired, or
 //!   the baseline — so the committed affected list is exactly the
-//!   mask-affected set under the new incumbent, whichever path wrote it.
+//!   flow-affected set under the new incumbent, whichever path wrote it
+//!   (both run the same screen and the same `commit`).
 //! * **When a destination is changed**: the conservative
 //!   [`weight_change_affects`] pre-screen is sharpened into an *exact*
 //!   per-candidate baseline diff (`baseline_unchanged`, computed once
@@ -132,18 +141,21 @@
 //!   classes sum into the total loads in class order; and every link's
 //!   delay is a pure function of its total load. That is the float
 //!   sequence of a from-scratch evaluation, so loads and delays are
-//!   bit-for-bit the reference's. A link no changed destination touches
-//!   receives the entry's own adds in the entry's order, so its delay
-//!   bits are the entry's: the links whose delay bits differ from the
-//!   entry's (`pair_dirty`) all lie on some changed routing.
-//! * **Which pair segments are reused**: a destination's pair-delay
-//!   segment is read back from the entry unless its routing changed or
-//!   a bit-changed delay lies on its DAG ([`dag_uses_any`] over
-//!   `pair_dirty` — a conservative superset of the DP's on-DAG reads).
-//!   The final Λ and Φ folds run over the assembled per-pair and
-//!   per-link values in the reference order, so they reproduce
-//!   [`Engine::cost_with`] — and therefore the reference path — bit for
-//!   bit.
+//!   bit-for-bit the reference's.
+//! * **Which pair segments are reused**: every SLA destination's
+//!   segment comes from the flow delay DP
+//!   ([`delay::flow_pair_delays_into`]), which folds the resolved
+//!   record's `load_adds` backwards and so reads the delays of the links
+//!   that carry the destination's flow and no others. A segment is
+//!   therefore read back from the entry unless the destination's
+//!   routing changed or one of its flow links has delay bits different
+//!   from the entry's `link_delays` — one pass over its adds. The one
+//!   exception is a record with a zero share (a subnormal demand split
+//!   to `0.0`): its DP falls back to the arc scan, which reads more than
+//!   the flow, so its segment is always recomputed. The final Λ and Φ
+//!   folds run over the assembled per-pair and per-link values in the
+//!   reference order, so they reproduce [`Engine::cost_with`] — and
+//!   therefore the reference path — bit for bit.
 //!
 //! # Node failures: masks that also remove traffic
 //!
@@ -152,19 +164,21 @@
 //! it against the **base** traffic matrices, without cloning, because the
 //! mask makes the traffic change self-enforcing:
 //!
-//! * if `v` was reachable towards a destination `t`, the first hop of
-//!   `v`'s shortest path is on `t`'s DAG — a down link — so
-//!   [`dag_uses_any`] flags `t` and it is re-routed. Under the node mask
-//!   `v` has no surviving out-link, so `v`'s demand lands in the dropped
-//!   accumulator and contributes no load addition — the per-link float
-//!   adds are exactly those of routing with `v`'s row zeroed;
-//! * a destination is only *replayed* when `v` was already unreachable
-//!   in its baseline (degenerate topologies), where `v`'s demand never
-//!   produced a load addition in the first place;
+//! * if `v` was reachable towards a destination `t` and sends to it, the
+//!   first hop of `v`'s shortest path carries `v`'s demand — a down link
+//!   in `t`'s flow — so [`flow_uses_any`] flags `t` and it is re-routed.
+//!   Under the node mask `v` has no surviving out-link, so `v`'s demand
+//!   lands in the dropped accumulator and contributes no load addition —
+//!   the per-link float adds are exactly those of routing with `v`'s row
+//!   zeroed;
+//! * a destination is only *replayed* when no flow towards it touches
+//!   `v` — `v` sends it nothing (or was already unreachable, in
+//!   degenerate topologies) and relays none of its flow — so `v`'s
+//!   demand never produced a load addition in the first place;
 //! * the dead node is skipped as a destination, and the shared SLA
-//!   kernel ([`delay::pair_delays_into`]) is told to skip it as a
-//!   sender, so the emitted `(s, t, ξ)` triples match the reference's
-//!   zeroed-matrix emission pair for pair.
+//!   kernels ([`delay::flow_pair_delays_into`] and its fallback) are
+//!   told to skip it as a sender, so the emitted `(s, t, ξ)` triples
+//!   match the reference's zeroed-matrix emission pair for pair.
 //!
 //! The only reference quantity the engine does not reproduce for node
 //! scenarios is the `dropped` accounting (the reference removes the dead
@@ -193,7 +207,7 @@ use std::sync::Mutex;
 
 use dtr_net::{LinkId, LinkMask, Network, NodeId};
 use dtr_routing::workspace::{
-    dag_uses_any, route_destination, route_destination_repair, route_destination_reweight,
+    flow_uses_any, route_destination, route_destination_repair, route_destination_reweight,
     weight_change_affects, DestRouting, WeightChange,
 };
 use dtr_routing::{delay, ClassWeights, Scenario, SpfWorkspace};
@@ -574,9 +588,6 @@ pub struct EvalWorkspace {
     /// The k cost components (or floors) of the last evaluation — what
     /// the kernels return a slice of.
     costs: Vec<f64>,
-    /// Links whose delay bits differ from the cached entry's, ascending
-    /// (cached evaluations only; see [`Engine::fold_resolved`]).
-    pair_dirty: Vec<u32>,
     /// Repair target of `ensure_baseline` (written back with
     /// `clone_from`).
     refresh_tmp: DestRouting,
@@ -858,9 +869,8 @@ impl<'a> Engine<'a> {
         down.clear();
         down.extend(mask.down_links().map(|i| i as u32));
 
-        // Resolve every class's destinations: a mask-affected one is
-        // repaired into the scratch pool (SLA classes read its distance
-        // field in the end-to-end delay DP), every other one keeps its
+        // Resolve every class's destinations: a flow-affected one is
+        // repaired into the scratch pool, every other one keeps its
         // baseline.
         let mut scratch_used = 0usize;
         for (k, dests) in self.demand_dests.iter().enumerate() {
@@ -871,19 +881,20 @@ impl<'a> Engine<'a> {
             for (di, &t) in dests.iter().enumerate() {
                 // The dead node sinks nothing under its own failure (the
                 // reference path's zeroed column never routes it), and a
-                // destination whose DAG the mask leaves whole keeps its
-                // baseline.
+                // destination whose flow no down link carries keeps its
+                // baseline: the masked route would repeat its adds, drops
+                // and sender delays bit for bit (`flow_uses_any`).
                 let b = &base[k].state[di];
                 if Some(t as usize) == excluded
                     || down.is_empty()
-                    || !dag_uses_any(self.net, &b.dist, weights, down)
+                    || !flow_uses_any(self.net, b, weights, down)
                 {
                     continue;
                 }
                 if scratch.len() == scratch_used {
                     scratch.push(DestRouting::default());
                 }
-                // A mask-affected destination is *repaired* from the
+                // A flow-affected destination is *repaired* from the
                 // resident no-failure baseline (orphan detection plus a
                 // boundary Dijkstra — bit-equal to a from-scratch route,
                 // see `route_destination_repair`) instead of paying a
@@ -905,11 +916,8 @@ impl<'a> Engine<'a> {
     /// routing into its class's loads in destination order, class by
     /// class; the classes sum into the total loads in class order (the
     /// references' accumulation, verbatim); every link's delay follows
-    /// from its total load; and the SLA pair pass runs over the result.
-    ///
-    /// With the cached `entry` the evaluation ran against, `ws.pair_dirty`
-    /// first collects the links whose delay bits differ from the
-    /// entry's, for the pair pass's segment reuse.
+    /// from its total load; and the SLA pair pass runs over the result,
+    /// reusing the cached `entry`'s segments where it can.
     fn fold_resolved<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
@@ -925,7 +933,6 @@ impl<'a> Engine<'a> {
             class_loads,
             total_loads,
             link_delays,
-            pair_dirty,
             ..
         } = ws;
         let mut dropped = 0.0f64; // diagnostic only; never in the cost
@@ -955,25 +962,20 @@ impl<'a> Engine<'a> {
             &self.delay_params,
             link_delays,
         );
-        pair_dirty.clear();
-        if let Some(e) = entry {
-            pair_dirty.extend((0..num_links as u32).filter(|&l| {
-                link_delays[l as usize].to_bits() != e.link_delays[l as usize].to_bits()
-            }));
-        }
         self.pair_segments(ws, w, excluded, entry);
     }
 
     /// The SLA pair pass of the evaluation in `ws`: per-pair end-to-end
-    /// delays over each SLA class's own routing (shared kernel; the order
-    /// field is cached, not recomputed), segmented by destination into
-    /// `ws.pairs`/`ws.pair_off`.
+    /// delays of each SLA class, folded over each resolved routing's
+    /// recorded push ([`delay::flow_pair_delays_into`]), segmented by
+    /// destination into `ws.pairs`/`ws.pair_off`.
     ///
     /// With the cached `entry` the evaluation ran against, a destination
     /// whose routing is the entry's ([`NOT_RECOMPUTED`] or a
-    /// [`CACHED_BIT`] slot) and whose DAG sees no bit-changed link delay
-    /// (`ws.pair_dirty`, a conservative superset of the DP's on-DAG
-    /// reads) copies its resident segment instead of re-running the DP.
+    /// [`CACHED_BIT`] slot) and none of whose flow links changed its
+    /// delay bits against the entry's copies its resident segment: the
+    /// flow DP reads no other link. A record with a zero share (whose DP
+    /// falls back to the arc scan) is always recomputed.
     fn pair_segments<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
@@ -991,7 +993,6 @@ impl<'a> Engine<'a> {
             node_delay,
             pairs,
             pair_off,
-            pair_dirty,
             ..
         } = ws;
         for (k, model) in self.models.iter().enumerate() {
@@ -1008,19 +1009,21 @@ impl<'a> Engine<'a> {
                 if Some(t as usize) != excluded {
                     let code = scratch_map[k][di];
                     let dest = resolve(code, &base[k].state[di], list, scratch);
-                    let reuse = entry.filter(|_| {
+                    let reuse = entry.filter(|e| {
                         (code == NOT_RECOMPUTED || code & CACHED_BIT != 0)
-                            && (pair_dirty.is_empty()
-                                || !dag_uses_any(self.net, &dest.dist, weights, pair_dirty))
+                            && dest.load_adds().iter().all(|&(l, share)| {
+                                share != 0.0
+                                    && link_delays[l as usize].to_bits()
+                                        == e.link_delays[l as usize].to_bits()
+                            })
                     });
                     if let Some(e) = reuse {
                         let s = e.pair_off[k][di] as usize;
                         out.extend_from_slice(&e.pairs[k][s..e.pair_off[k][di + 1] as usize]);
                     } else {
-                        delay::pair_delays_into(
+                        delay::flow_pair_delays_into(
                             self.net,
-                            &dest.dist,
-                            &dest.order,
+                            dest,
                             weights,
                             mask,
                             link_delays,
@@ -1412,12 +1415,12 @@ impl<'a> Engine<'a> {
                 }
                 let b = &ws_base[k].state[di];
                 // A baseline the diff provably left bit-identical is
-                // mask-affected exactly where the entry lists it; a
+                // flow-affected exactly where the entry lists it; a
                 // baseline the diff really moved is tested afresh.
                 let affected = if base_same[k][di] {
                     cached.is_some()
                 } else {
-                    !down.is_empty() && dag_uses_any(self.net, &b.dist, weights, down)
+                    !down.is_empty() && flow_uses_any(self.net, b, weights, down)
                 };
                 if !affected {
                     // The effective routing is a baseline: the
@@ -1428,7 +1431,7 @@ impl<'a> Engine<'a> {
                     }
                     continue;
                 }
-                // A scenario routing mask-affected under both settings
+                // A scenario routing flow-affected under both settings
                 // is reusable whenever the diff provably cannot change
                 // it — the predicate's false-contract holds for any
                 // distance field.

@@ -11,11 +11,29 @@
 //! * **traffic-weighted mean** over used paths, matching the expectation
 //!   of per-packet delay under even ECMP splitting.
 //!
-//! Both are O(|E|) dynamic programs over the acyclic shortest-path DAG.
+//! Both are dynamic programs over the acyclic shortest-path DAG, in two
+//! forms with the same bits:
+//!
+//! * [`pair_delays_into`] scans every reachable node's out-arcs for the
+//!   DAG test, O(|E|) per destination. It is the reference evaluators'
+//!   DP and the oracle.
+//! * [`flow_pair_delays_into`] folds a routed destination's recorded
+//!   ECMP push ([`DestRouting::load_adds`]) backwards instead: only nodes
+//!   with inflow send, and a sender's delay reads only the DAG out-arcs
+//!   of nodes with inflow, which are exactly the recorded adds, one run
+//!   per node in out-arc order. The fold reads neither the distance
+//!   field nor the mask (only the emission reads `dist`, for
+//!   reachability), so a record that a failure provably leaves
+//!   bit-identical (its flow avoids every down link) gives the masked
+//!   route's delays.
+//!   The one exception is a zero share (a subnormal demand split to
+//!   `0.0` leaves its heads without inflow and without a run); such a
+//!   record falls back to [`pair_delays_into`].
 
-use dtr_net::{LinkMask, Network, NodeId};
+use dtr_net::{LinkId, LinkMask, Network, NodeId};
 
 use crate::spf;
+use crate::workspace::DestRouting;
 use crate::UNREACHABLE;
 
 /// Per-node **maximum** end-to-end delay to the destination whose SPF
@@ -58,9 +76,9 @@ pub fn mean_delay_to(
 /// in the same order. Pass `None` when `tm` is already the offered
 /// traffic.
 ///
-/// This is *the* per-destination SLA kernel, shared by the `dtr-cost`
-/// reference evaluator, its incremental engine, and the `dtr-mtr`
-/// evaluator, so the bit-for-bit-sensitive loop exists exactly once.
+/// This is the arc-scan SLA kernel of the `dtr-cost` and `dtr-mtr`
+/// reference evaluators, the oracle of [`flow_pair_delays_into`], and
+/// that kernel's zero-share fallback.
 #[allow(clippy::too_many_arguments)] // the full per-destination context
 pub fn pair_delays_into(
     net: &Network,
@@ -79,9 +97,123 @@ pub fn pair_delays_into(
     fold_delay_into(
         net, dist, order, weights, mask, link_delay, take_max, node_delay,
     );
-    let n = net.num_nodes();
+    emit_pairs(dist, tm, t, excluded_src, node_delay, out);
+}
+
+/// [`pair_delays_into`] for a destination whose routing `r` records its
+/// ECMP push: the same `(s, t, ξ)` triples, bit for bit, from a DP that
+/// reads only the flow (see the module docs). `weights` and `mask` are
+/// read only by the zero-share fallback, which runs [`pair_delays_into`]
+/// over `r.dist` and `r.order` under them; a caller must therefore pass
+/// the weights and mask `r` was routed under, or ones on which `r`'s
+/// DAG is the same.
+///
+/// The DP walks `r.load_adds` from the end. The push visits nodes
+/// farthest first and records each node's DAG out-arcs contiguously, in
+/// out-arc order, so each maximal run of adds with one tail `u` is `u`'s
+/// hops, and every hop's head — the destination, or a node with inflow
+/// and so a run of its own — is final before `u`'s run is reached. The
+/// run folds `link_delay[l] + delay[head]` in out-arc order with
+/// [`pair_delays_into`]'s init and `max` or sum, the mean dividing by
+/// the run length — the float operations of the arc scan, over the same
+/// arcs, since the push and the scan share the DAG test.
+#[allow(clippy::too_many_arguments)] // the full per-destination context
+pub fn flow_pair_delays_into(
+    net: &Network,
+    r: &DestRouting,
+    weights: &[u32],
+    mask: &LinkMask,
+    link_delay: &[f64],
+    take_max: bool,
+    tm: &dtr_traffic::TrafficMatrix,
+    t: usize,
+    excluded_src: Option<usize>,
+    node_delay: &mut Vec<f64>,
+    out: &mut Vec<(usize, usize, f64)>,
+) {
+    if fold_flow_into(net, r.load_adds(), link_delay, take_max, t, node_delay) {
+        emit_pairs(&r.dist, tm, t, excluded_src, node_delay, out);
+    } else {
+        pair_delays_into(
+            net,
+            &r.dist,
+            &r.order,
+            weights,
+            mask,
+            link_delay,
+            take_max,
+            tm,
+            t,
+            excluded_src,
+            node_delay,
+            out,
+        );
+    }
+}
+
+/// The delay DP over a recorded push (see [`flow_pair_delays_into`]):
+/// writes every node with inflow and the destination `t` into `delay`
+/// (all other nodes read `f64::INFINITY`). Returns `false`, leaving
+/// `delay` partial, at a zero share: its heads may have no run.
+fn fold_flow_into(
+    net: &Network,
+    adds: &[(u32, f64)],
+    link_delay: &[f64],
+    take_max: bool,
+    t: usize,
+    delay: &mut Vec<f64>,
+) -> bool {
+    debug_assert_eq!(link_delay.len(), net.num_links());
+    delay.clear();
+    delay.resize(net.num_nodes(), f64::INFINITY);
+    delay[t] = 0.0;
+    let tail = |i: usize| net.link(LinkId::new(adds[i].0 as usize)).src;
+    let mut end = adds.len();
+    while end > 0 {
+        let u = tail(end - 1);
+        let mut start = end - 1;
+        while start > 0 && tail(start - 1) == u {
+            start -= 1;
+        }
+        let run = &adds[start..end];
+        // One node's hops all carry the same share.
+        if run[0].1 == 0.0 {
+            return false;
+        }
+        let mut acc: f64 = if take_max { f64::NEG_INFINITY } else { 0.0 };
+        for &(l, _) in run {
+            let l = l as usize;
+            let through = link_delay[l] + delay[net.link(LinkId::new(l)).dst.index()];
+            if take_max {
+                acc = acc.max(through);
+            } else {
+                acc += through;
+            }
+        }
+        delay[u.index()] = if take_max {
+            acc
+        } else {
+            acc / run.len() as f64
+        };
+        end = start;
+    }
+    true
+}
+
+/// Append one `(s, t, ξ)` triple per sender with positive demand towards
+/// `t`, ascending, skipping `excluded_src`: `ξ = node_delay[s]`, or
+/// `f64::INFINITY` when `dist` says `s` cannot reach `t`. The emission
+/// both delay DPs share.
+fn emit_pairs(
+    dist: &[u64],
+    tm: &dtr_traffic::TrafficMatrix,
+    t: usize,
+    excluded_src: Option<usize>,
+    node_delay: &[f64],
+    out: &mut Vec<(usize, usize, f64)>,
+) {
     #[allow(clippy::needless_range_loop)] // s is the sender node id
-    for s in 0..n {
+    for s in 0..dist.len() {
         if s == t || Some(s) == excluded_src || tm.demand(s, t) <= 0.0 {
             continue;
         }
@@ -98,8 +230,8 @@ pub fn pair_delays_into(
 /// walks the routing's stored distance fields in ascending destination
 /// order, recomputing the DAG order into `order` scratch. This is the
 /// whole-class form shared by the reference evaluators (`dtr-cost` and
-/// `dtr-mtr`); the incremental engine calls [`pair_delays_into`] directly
-/// with its *cached* per-destination orders instead.
+/// `dtr-mtr`); the incremental engine calls [`flow_pair_delays_into`]
+/// on its per-destination records instead.
 ///
 /// `excluded` names a node whose traffic is treated as absent (both as
 /// destination and as sender) even though `tm` and `routing` still

@@ -32,9 +32,10 @@
 //! evaluation allocates. On top of that, [`workspace::DestRouting`]
 //! records one destination's routing as the *exact sequence* of
 //! floating-point accumulations, so a caller that can prove a
-//! destination's routing unchanged — via [`workspace::dag_uses_any`]
-//! (failure scenarios) or [`workspace::weight_change_affects`] (local
-//! search moves) — replays the recording instead of re-running Dijkstra,
+//! destination's routing unchanged — via [`workspace::dag_uses_any`] or
+//! its flow-aware sharpening [`workspace::flow_uses_any`] (failure
+//! scenarios) or [`workspace::weight_change_affects`] (local search
+//! moves) — replays the recording instead of re-running Dijkstra,
 //! with bit-for-bit identical results. The cost-level engine in
 //! `dtr-cost` drives these primitives; every layer of fast path is
 //! optional and falls back to the plain kernels.
@@ -53,6 +54,10 @@
 //!   merging them into the previous order.
 //! * [`delay::pair_delays_into`] — the delay DP, folded over the same
 //!   arcs in the same order.
+//! * [`delay::flow_pair_delays_into`] — the same DP read off a record's
+//!   adds instead of the arcs: one run per node with inflow, folded
+//!   backwards, so it touches only the flow (each add's link record
+//!   gives the run's tail and the hop's head).
 //!
 //! All of them are bit-for-bit the from-scratch results, pinned by
 //! `tests/spf_incremental.rs` against Bellman–Ford and the sort

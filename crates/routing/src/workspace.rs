@@ -16,7 +16,7 @@
 //! the replay is bit-for-bit identical to a fresh computation because the
 //! adds happen in the same order with the same values.
 //!
-//! Two sound skip conditions power the incremental fast paths:
+//! Three sound skip conditions power the incremental fast paths:
 //!
 //! * [`dag_uses_any`] — a failure scenario leaves destination `t`'s
 //!   routing untouched when none of the failed links lies on `t`'s
@@ -32,6 +32,12 @@
 //!   and re-routed; under the node mask `v` has no up out-link, its
 //!   demand lands in `dropped_adds`, and the per-link load additions are
 //!   bit-for-bit those of routing with `v`'s traffic removed.
+//! * [`flow_uses_any`] — the sharper failure screen: past
+//!   [`dag_uses_any`], a failure leaves `t`'s adds, drops and SLA pair
+//!   delays untouched unless a down link carries `t`'s flow (appears in
+//!   the record's `load_adds`). Its distance field may still move at
+//!   nodes without inflow, so a record kept this way serves only the
+//!   load replay and the flow delay DP.
 //! * [`weight_change_affects`] — a weight move leaves `t` untouched when
 //!   every changed link was off the DAG and stays strictly longer than
 //!   the path it would shortcut (`dist[v] + w_new > dist[u]`): the old
@@ -114,7 +120,8 @@ pub struct DestRouting {
     /// node id (DAG topological order, destination last) — exactly
     /// [`spf::descending_order`]'s permutation, derived without a sort.
     pub order: Vec<u32>,
-    /// `(link, share)` adds in the order the router performs them.
+    /// `(link, share)` adds in the order the router performs them (see
+    /// [`DestRouting::load_adds`]).
     pub(crate) load_adds: Vec<(u32, f64)>,
     /// Unroutable demands in sender order (empty under survivable masks).
     pub(crate) dropped_adds: Vec<f64>,
@@ -166,12 +173,19 @@ impl DestRouting {
     /// The recorded `(directed link, load share)` contribution sequence
     /// of this destination, in the order the router performed the adds.
     ///
-    /// Each directed link appears **at most once**: the ECMP push visits
-    /// every node once (topological order) and emits one add per DAG
-    /// out-link, so a `(destination, link)` pair contributes a single
-    /// share. [`replay`](Self::replay) re-issues exactly these adds, so
-    /// an engine that replays every destination's record in destination
-    /// order reproduces a from-scratch load accumulation bit for bit.
+    /// The sequence is **one run per node with inflow**, in push order
+    /// (descending distance, ties by ascending id — the record's
+    /// `order`), each run holding that node's DAG out-links in out-arc
+    /// order, all with the same share. So each directed link appears at
+    /// most once, a `(destination, link)` pair contributes a single
+    /// share, and the links of the sequence are exactly the DAG out-links
+    /// of the nodes with inflow: the links that carry this destination's
+    /// flow. [`replay`](Self::replay) re-issues exactly these adds, so an
+    /// engine that replays every destination's record in destination
+    /// order reproduces a from-scratch load accumulation bit for bit;
+    /// [`crate::delay::flow_pair_delays_into`] folds the runs backwards
+    /// into the senders' delays, and [`flow_uses_any`] tests the failure
+    /// screens against them.
     #[inline]
     pub fn load_adds(&self) -> &[(u32, f64)] {
         &self.load_adds
@@ -647,6 +661,33 @@ pub fn dag_uses_any(net: &Network, dist: &[u64], weights: &[u32], down: &[u32]) 
             && dist[v] != UNREACHABLE
             && dist[u] == dist[v] + u64::from(weights[l as usize])
     })
+}
+
+/// `true` unless failing the directed links in `down` provably leaves the
+/// routing `r` — the destination's routing with **all links up** under
+/// the same `weights` — bit-identical: the same adds and drops, and the
+/// same delays of every demanding sender through
+/// [`crate::delay::flow_pair_delays_into`].
+///
+/// [`dag_uses_any`] runs first as a cheap filter; past it, the answer is
+/// whether a down link carries flow, i.e. appears in
+/// [`DestRouting::load_adds`]. Exact because the adds are the DAG
+/// out-links of the nodes with inflow: when none of them is down, every
+/// node with inflow — every sender that reaches `t` among them — keeps
+/// its distance and its DAG out-arcs, nodes without inflow send nothing,
+/// a sender that cannot reach `t` still cannot (a failure only removes
+/// paths), and the push repeats the same float operations. A record with a zero share — its heads may carry no
+/// inflow and no add, yet lie on a sender's paths — answers as
+/// [`dag_uses_any`] does.
+///
+/// A kept record keeps its all-up `dist` and `order`, which differ from
+/// the masked route's at nodes without inflow; only the load replay and
+/// the flow delay DP may read it.
+pub fn flow_uses_any(net: &Network, r: &DestRouting, weights: &[u32], down: &[u32]) -> bool {
+    dag_uses_any(net, &r.dist, weights, down)
+        && r.load_adds
+            .iter()
+            .any(|&(l, share)| share == 0.0 || down.contains(&l))
 }
 
 /// One directed-link weight change, for [`weight_change_affects`].

@@ -172,6 +172,96 @@ fn steady_state_node_failure_sweep_allocates_nothing() {
     });
 }
 
+/// Sparse demand: the paper-scale testbed with only five hub senders
+/// (every other gravity row zeroed, in both classes). Most nodes then
+/// carry no flow towards a destination, so the engine's flow screens
+/// keep destinations whose DAG a failure touches, and the flow delay DP
+/// folds short pushes. After the same warm-ups as the dense legs — three
+/// plain sweeps under two weight settings, then six candidate sweeps
+/// through a captured cache — a plain sweep over every link and node
+/// failure and a `cache_begin` + `cost_cached` candidate sweep perform
+/// **zero** heap allocations.
+#[test]
+fn steady_state_sparse_demand_sweeps_allocate_nothing() {
+    use rand::Rng;
+
+    let _serial = serial();
+    let (net, mut tm) = testbed();
+    let n = net.num_nodes();
+    for m in [&mut tm.delay, &mut tm.throughput] {
+        for s in (0..n).filter(|s| s % 10 != 3) {
+            for t in (0..n).filter(|&t| t != s) {
+                m.set(s, t, 0.0);
+            }
+        }
+    }
+    let mut scenarios = vec![Scenario::Normal];
+    scenarios.extend(Scenario::all_link_failures(&net));
+    scenarios.extend(net.nodes().map(Scenario::Node));
+    let ev = Evaluator::new(&net, &tm, CostParams::default());
+    let mut rng = StdRng::seed_from_u64(19);
+    let w = WeightSetting::random(net.num_links(), 20, &mut rng);
+    let w2 = WeightSetting::random(net.num_links(), 20, &mut rng);
+
+    let mut ws = ev.acquire_workspace();
+    let mut checksum = 0.0f64;
+    for sweep_w in [&w, &w2, &w] {
+        for &sc in &scenarios {
+            let c = ev.cost_with(&mut ws, sweep_w, sc);
+            checksum += c.lambda + c.phi;
+        }
+    }
+    let mut cache = dtr::cost::ScenarioCache::new();
+    ev.cache_rebuild_begin(&mut ws, &mut cache, &w, scenarios.len());
+    for (pos, &sc) in scenarios.iter().enumerate() {
+        ev.cost_capture(&mut ws, &w, sc, &mut cache, pos);
+    }
+    let reps = net.duplex_representatives();
+    let candidate = |rng: &mut StdRng| {
+        let rep = reps[rng.gen_range(0..reps.len())];
+        let mut cand = w.clone();
+        dtr::core::search::set_duplex_weights(
+            &mut cand,
+            &net,
+            rep,
+            rng.gen_range(1..=20),
+            rng.gen_range(1..=20),
+        );
+        cand
+    };
+    for _ in 0..6 {
+        let cand = candidate(&mut rng);
+        ev.cache_begin(&mut cache, &cand);
+        for (pos, &sc) in scenarios.iter().enumerate() {
+            let c = ev.cost_cached(&mut ws, &cand, sc, &cache, pos);
+            checksum += c.lambda + c.phi;
+        }
+    }
+
+    let cand = candidate(&mut rng);
+    let before = allocations();
+    for &sc in &scenarios {
+        let c = ev.cost_with(&mut ws, &w, sc);
+        checksum += c.lambda + c.phi;
+    }
+    ev.cache_begin(&mut cache, &cand);
+    for (pos, &sc) in scenarios.iter().enumerate() {
+        let c = ev.cost_cached(&mut ws, &cand, sc, &cache, pos);
+        checksum += c.lambda + c.phi;
+    }
+    let after = allocations();
+    ev.release_workspace(ws);
+
+    assert!(checksum.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state sparse-demand sweeps of {} scenarios performed {} heap allocations",
+        scenarios.len(),
+        after - before
+    );
+}
+
 /// The floored incumbent-bounded sweep stays allocation-free in steady
 /// state: after warm-up, a full bounded sweep *and* a floor-hastened
 /// cutting sweep over the per-scenario Λ floors perform **zero** heap

@@ -44,6 +44,27 @@ fn testbed(nodes: usize, duplex: usize, seed: u64) -> (Network, ClassMatrices) {
     (net, tm)
 }
 
+/// The sparse-demand twin of [`testbed`]: the same network, each class
+/// keeping each pair's gravity demand with probability 0.15. Most nodes
+/// then carry no flow towards a given destination, so the engine's flow
+/// screens keep destinations whose shortest-path DAG a failure touches,
+/// and its flow delay DP reads a small part of each DAG. Under gravity
+/// traffic every node sends and the flow covers nearly every DAG.
+fn sparse_testbed(nodes: usize, duplex: usize, seed: u64) -> (Network, ClassMatrices) {
+    let (net, mut tm) = testbed(nodes, duplex, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5ba45e);
+    for m in [&mut tm.delay, &mut tm.throughput] {
+        for s in 0..nodes {
+            for t in (0..nodes).filter(|&t| t != s) {
+                if !rng.gen_bool(0.15) {
+                    m.set(s, t, 0.0);
+                }
+            }
+        }
+    }
+    (net, tm)
+}
+
 /// The cost parameters the engine differentials run under: the paper
 /// defaults, and a set with Mean ECMP aggregation and θ, B1, B2 and µ
 /// all moved off their defaults — so a fast path that read any of them
@@ -87,37 +108,251 @@ fn scenario_zoo(net: &Network, rng: &mut StdRng) -> Vec<Scenario> {
     scenarios
 }
 
+/// The delta-state scenario cache is invisible to the bits: a
+/// Phase-2-style chain of single-duplex moves over a captured
+/// incumbent — with incremental cache refreshes on simulated accepts
+/// and a full rebuild mid-chain — yields cost_cached == cost_with ==
+/// reference for every scenario of the full taxonomy at every step.
+/// Repeated accepts drift the incumbent far from the originally
+/// captured setting, exercising the exact-coverage maintenance
+/// (destinations entering and leaving each scenario's affected set):
+/// after every refresh, each entry equals a fresh capture at the same
+/// incumbent bit for bit (and so holds as many resident bytes).
+fn scenario_cache_chain(net: &Network, tm: &ClassMatrices, seed: u64) {
+    for params in param_grid() {
+        let ev = Evaluator::new(net, tm, params);
+        let reps = net.duplex_representatives();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1e);
+        let scenarios = scenario_zoo(net, &mut rng);
+        let mut inc = WeightSetting::random(net.num_links(), 20, &mut rng);
+
+        let mut ws = ev.acquire_workspace();
+        let mut cache = dtr::cost::ScenarioCache::new();
+        let capture_all = |ws: &mut dtr::cost::EvalWorkspace,
+                           cache: &mut dtr::cost::ScenarioCache,
+                           inc: &WeightSetting| {
+            ev.cache_rebuild_begin(ws, cache, inc, scenarios.len());
+            for (pos, &sc) in scenarios.iter().enumerate() {
+                let captured = ev.cost_capture(ws, inc, sc, cache, pos);
+                prop_assert_eq!(captured, ev.evaluate(inc, sc).cost, "capture {}", sc);
+            }
+        };
+        capture_all(&mut ws, &mut cache, &inc);
+
+        for step in 0..8 {
+            // Candidate: incumbent plus one duplex move.
+            let rep = reps[rng.gen_range(0..reps.len())];
+            let (wd, wt) = (rng.gen_range(1..=20), rng.gen_range(1..=20));
+            let mut cand = inc.clone();
+            for class in Class::ALL {
+                let v = if class == Class::Delay { wd } else { wt };
+                cand.set(class, rep, v);
+                if let Some(r) = net.reverse_link(rep) {
+                    cand.set(class, r, v);
+                }
+            }
+            ev.cache_begin(&mut cache, &cand);
+            for (pos, &sc) in scenarios.iter().enumerate() {
+                let reference = ev.evaluate(&cand, sc).cost;
+                prop_assert_eq!(
+                    ev.cost_cached(&mut ws, &cand, sc, &cache, pos),
+                    reference,
+                    "delta step {}, scenario {}, seed {}, params {:?}",
+                    step,
+                    sc,
+                    seed,
+                    params
+                );
+                // The delta path must agree with the plain engine too.
+                let mut ws2 = ev.acquire_workspace();
+                prop_assert_eq!(
+                    ev.cost_with(&mut ws2, &cand, sc),
+                    reference,
+                    "cost_with step {}, scenario {}, seed {}, params {:?}",
+                    step,
+                    sc,
+                    seed,
+                    params
+                );
+                ev.release_workspace(ws2);
+            }
+            // Simulate an accept on two of every three steps (a chain of
+            // accepts stresses the exact-coverage refresh); full-rebuild
+            // once mid-chain to cover the re-capture path.
+            if step % 3 != 2 {
+                inc = cand;
+                ev.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
+                // Exact coverage, which restore relies on (it
+                // recaptures instead of restoring the refreshed
+                // cache): every refreshed entry holds what a fresh
+                // capture at the same incumbent holds.
+                let mut ws2 = ev.acquire_workspace();
+                let mut fresh = dtr::cost::ScenarioCache::new();
+                ev.cache_rebuild_begin(&mut ws2, &mut fresh, &inc, scenarios.len());
+                for (pos, &sc) in scenarios.iter().enumerate() {
+                    ev.cost_capture(&mut ws2, &inc, sc, &mut fresh, pos);
+                }
+                ev.release_workspace(ws2);
+                let fresh = fresh.capture_split().1;
+                for (pos, entry) in cache.capture_split().1.iter().enumerate() {
+                    prop_assert_eq!(
+                        entry.resident_bytes(),
+                        fresh[pos].resident_bytes(),
+                        "refreshed vs captured step {}, scenario {}, seed {}, params {:?}",
+                        step,
+                        scenarios[pos],
+                        seed,
+                        params
+                    );
+                    prop_assert!(
+                        *entry == fresh[pos],
+                        "refreshed entry differs from a fresh capture: step {}, scenario {}, seed {}, params {:?}",
+                        step, scenarios[pos], seed, params
+                    );
+                }
+            }
+            if step == 4 {
+                capture_all(&mut ws, &mut cache, &inc);
+            }
+        }
+        ev.release_workspace(ws);
+    }
+}
+
+/// The MTR delta-state cache mirrors the DTR contract: randomized
+/// k-class move/accept chains through capture, candidate
+/// evaluations, incremental refreshes and a mid-chain full rebuild
+/// stay bit-identical to the reference `evaluate` for every scenario
+/// kind.
+fn mtr_cache_chain(net: &Network, tm: &ClassMatrices, seed: u64) {
+    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+
+    let matrices = [tm.delay.clone(), tm.throughput.clone()];
+    let config = MtrConfig::new(vec![
+        ClassSpec::sla("voice", 25e-3),
+        ClassSpec::congestion("bulk").relaxed(0.2),
+    ]);
+    let ev = MtrEvaluator::new(net, &matrices, config).unwrap();
+    let reps = net.duplex_representatives();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x317e);
+    let scenarios = scenario_zoo(net, &mut rng);
+    let mut inc = MtrWeightSetting::random_symmetric(2, net, 20, &mut rng);
+
+    let eng = ev.engine();
+    let mut ws = ev.acquire_workspace();
+    let mut cache = dtr::cost::ScenarioCache::new();
+    let capture_all = |ws: &mut dtr::cost::EvalWorkspace,
+                       cache: &mut dtr::cost::ScenarioCache,
+                       inc: &MtrWeightSetting| {
+        eng.cache_rebuild_begin(ws, cache, inc, scenarios.len());
+        for (pos, &sc) in scenarios.iter().enumerate() {
+            let captured = eng.cost_capture(ws, inc, sc, cache, pos);
+            prop_assert_eq!(
+                captured,
+                ev.evaluate(inc, sc).cost.components(),
+                "capture {}",
+                sc
+            );
+        }
+    };
+    capture_all(&mut ws, &mut cache, &inc);
+
+    for step in 0..8 {
+        let rep = reps[rng.gen_range(0..reps.len())];
+        let mut cand = inc.clone();
+        for k in 0..2 {
+            cand.set_duplex(net, k, rep, rng.gen_range(1..=20));
+        }
+        eng.cache_begin(&mut cache, &cand);
+        for (pos, &sc) in scenarios.iter().enumerate() {
+            let reference = ev.evaluate(&cand, sc).cost;
+            prop_assert_eq!(
+                eng.cost_cached(&mut ws, &cand, sc, &cache, pos),
+                reference.components(),
+                "mtr delta step {}, scenario {}, seed {}",
+                step,
+                sc,
+                seed
+            );
+            prop_assert_eq!(
+                ev.cost_with(&mut ws, &cand, sc),
+                reference,
+                "mtr cost_with step {}, scenario {}, seed {}",
+                step,
+                sc,
+                seed
+            );
+        }
+        if step % 3 != 2 {
+            inc = cand;
+            eng.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
+            // Exact coverage: see the DTR chain above.
+            let mut ws2 = ev.acquire_workspace();
+            let mut fresh = dtr::cost::ScenarioCache::new();
+            eng.cache_rebuild_begin(&mut ws2, &mut fresh, &inc, scenarios.len());
+            for (pos, &sc) in scenarios.iter().enumerate() {
+                eng.cost_capture(&mut ws2, &inc, sc, &mut fresh, pos);
+            }
+            ev.release_workspace(ws2);
+            let fresh = fresh.capture_split().1;
+            for (pos, entry) in cache.capture_split().1.iter().enumerate() {
+                prop_assert_eq!(
+                    entry.resident_bytes(),
+                    fresh[pos].resident_bytes(),
+                    "mtr refreshed vs captured step {}, scenario {}, seed {}",
+                    step,
+                    scenarios[pos],
+                    seed
+                );
+                prop_assert!(
+                    *entry == fresh[pos],
+                    "mtr refreshed entry differs from a fresh capture: step {}, scenario {}, seed {}",
+                    step, scenarios[pos], seed
+                );
+            }
+        }
+        if step == 4 {
+            capture_all(&mut ws, &mut cache, &inc);
+        }
+    }
+    ev.release_workspace(ws);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Engine == reference, bit for bit, for every scenario kind, on
-    /// randomized (topology, traffic, weights) triples — through one
-    /// *warm* workspace shared by the whole sweep, exactly as a Phase-2
-    /// failure sweep would run it.
+    /// randomized (topology, traffic, weights) triples — gravity and
+    /// sparse demand — through one *warm* workspace shared by the whole
+    /// sweep, exactly as a Phase-2 failure sweep would run it.
     #[test]
     fn engine_matches_reference_across_taxonomy(
         (nodes, extra, seed) in (10usize..15, 2usize..10, 0u64..1_000_000)
     ) {
-        let (net, tm) = testbed(nodes, nodes + extra, seed);
-        for params in param_grid() {
-            let ev = Evaluator::new(&net, &tm, params);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xd1f);
-            let scenarios = scenario_zoo(&net, &mut rng);
+        for (net, tm) in [
+            testbed(nodes, nodes + extra, seed),
+            sparse_testbed(nodes, nodes + extra, seed),
+        ] {
+            for params in param_grid() {
+                let ev = Evaluator::new(&net, &tm, params);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xd1f);
+                let scenarios = scenario_zoo(&net, &mut rng);
 
-            let mut ws = ev.acquire_workspace();
-            for round in 0..2 {
-                let w = WeightSetting::random(net.num_links(), 20, &mut rng);
-                for &sc in &scenarios {
-                    let engine = ev.cost_with(&mut ws, &w, sc);
-                    let reference = ev.evaluate(&w, sc).cost;
-                    prop_assert_eq!(
-                        engine, reference,
-                        "round {}, scenario {}, nodes {}, seed {}, params {:?}",
-                        round, sc, nodes, seed, params
-                    );
+                let mut ws = ev.acquire_workspace();
+                for round in 0..2 {
+                    let w = WeightSetting::random(net.num_links(), 20, &mut rng);
+                    for &sc in &scenarios {
+                        let engine = ev.cost_with(&mut ws, &w, sc);
+                        let reference = ev.evaluate(&w, sc).cost;
+                        prop_assert_eq!(
+                            engine, reference,
+                            "round {}, scenario {}, nodes {}, seed {}, params {:?}",
+                            round, sc, nodes, seed, params
+                        );
+                    }
                 }
+                ev.release_workspace(ws);
             }
-            ev.release_workspace(ws);
         }
     }
 
@@ -157,198 +392,44 @@ proptest! {
         ev.release_workspace(ws);
     }
 
-    /// The delta-state scenario cache is invisible to the bits: a
-    /// Phase-2-style chain of single-duplex moves over a captured
-    /// incumbent — with incremental cache refreshes on simulated accepts
-    /// and a full rebuild mid-chain — yields cost_cached == cost_with ==
-    /// reference for every scenario of the full taxonomy at every step.
-    /// Repeated accepts drift the incumbent far from the originally
-    /// captured setting, exercising the exact-coverage maintenance
-    /// (destinations entering and leaving each scenario's affected set):
-    /// after every refresh, each entry equals a fresh capture at the same
-    /// incumbent bit for bit (and so holds as many resident bytes).
+    /// The delta-state scenario cache is invisible to the bits: see
+    /// [`scenario_cache_chain`].
     #[test]
     fn scenario_cache_chain_stays_bit_identical(
         (nodes, extra, seed) in (10usize..14, 2usize..8, 0u64..1_000_000)
     ) {
         let (net, tm) = testbed(nodes, nodes + extra, seed);
-        for params in param_grid() {
-            let ev = Evaluator::new(&net, &tm, params);
-            let reps = net.duplex_representatives();
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1e);
-            let scenarios = scenario_zoo(&net, &mut rng);
-            let mut inc = WeightSetting::random(net.num_links(), 20, &mut rng);
-
-            let mut ws = ev.acquire_workspace();
-            let mut cache = dtr::cost::ScenarioCache::new();
-            let capture_all = |ws: &mut dtr::cost::EvalWorkspace,
-                               cache: &mut dtr::cost::ScenarioCache,
-                               inc: &WeightSetting| {
-                ev.cache_rebuild_begin(ws, cache, inc, scenarios.len());
-                for (pos, &sc) in scenarios.iter().enumerate() {
-                    let captured = ev.cost_capture(ws, inc, sc, cache, pos);
-                    prop_assert_eq!(captured, ev.evaluate(inc, sc).cost, "capture {}", sc);
-                }
-            };
-            capture_all(&mut ws, &mut cache, &inc);
-
-            for step in 0..8 {
-                // Candidate: incumbent plus one duplex move.
-                let rep = reps[rng.gen_range(0..reps.len())];
-                let (wd, wt) = (rng.gen_range(1..=20), rng.gen_range(1..=20));
-                let mut cand = inc.clone();
-                for class in Class::ALL {
-                    let v = if class == Class::Delay { wd } else { wt };
-                    cand.set(class, rep, v);
-                    if let Some(r) = net.reverse_link(rep) {
-                        cand.set(class, r, v);
-                    }
-                }
-                ev.cache_begin(&mut cache, &cand);
-                for (pos, &sc) in scenarios.iter().enumerate() {
-                    let reference = ev.evaluate(&cand, sc).cost;
-                    prop_assert_eq!(
-                        ev.cost_cached(&mut ws, &cand, sc, &cache, pos),
-                        reference,
-                        "delta step {}, scenario {}, seed {}, params {:?}", step, sc, seed, params
-                    );
-                    // The delta path must agree with the plain engine too.
-                    let mut ws2 = ev.acquire_workspace();
-                    prop_assert_eq!(
-                        ev.cost_with(&mut ws2, &cand, sc),
-                        reference,
-                        "cost_with step {}, scenario {}, seed {}, params {:?}", step, sc, seed, params
-                    );
-                    ev.release_workspace(ws2);
-                }
-                // Simulate an accept on two of every three steps (a chain of
-                // accepts stresses the exact-coverage refresh); full-rebuild
-                // once mid-chain to cover the re-capture path.
-                if step % 3 != 2 {
-                    inc = cand;
-                    ev.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
-                    // Exact coverage, which restore relies on (it
-                    // recaptures instead of restoring the refreshed
-                    // cache): every refreshed entry holds what a fresh
-                    // capture at the same incumbent holds.
-                    let mut ws2 = ev.acquire_workspace();
-                    let mut fresh = dtr::cost::ScenarioCache::new();
-                    ev.cache_rebuild_begin(&mut ws2, &mut fresh, &inc, scenarios.len());
-                    for (pos, &sc) in scenarios.iter().enumerate() {
-                        ev.cost_capture(&mut ws2, &inc, sc, &mut fresh, pos);
-                    }
-                    ev.release_workspace(ws2);
-                    let fresh = fresh.capture_split().1;
-                    for (pos, entry) in cache.capture_split().1.iter().enumerate() {
-                        prop_assert_eq!(
-                            entry.resident_bytes(),
-                            fresh[pos].resident_bytes(),
-                            "refreshed vs captured step {}, scenario {}, seed {}, params {:?}",
-                            step, scenarios[pos], seed, params
-                        );
-                        prop_assert!(
-                            *entry == fresh[pos],
-                            "refreshed entry differs from a fresh capture: step {}, scenario {}, seed {}, params {:?}",
-                            step, scenarios[pos], seed, params
-                        );
-                    }
-                }
-                if step == 4 {
-                    capture_all(&mut ws, &mut cache, &inc);
-                }
-            }
-            ev.release_workspace(ws);
-        }
+        scenario_cache_chain(&net, &tm, seed);
     }
 
-    /// The MTR delta-state cache mirrors the DTR contract: randomized
-    /// k-class move/accept chains through capture, candidate
-    /// evaluations, incremental refreshes and a mid-chain full rebuild
-    /// stay bit-identical to the reference `evaluate` for every scenario
-    /// kind.
+    /// [`scenario_cache_chain`] under sparse demand, where an entry lists
+    /// only the flow-affected destinations — fewer than the DAG-affected
+    /// ones — and refreshes splice destinations in and out of that set.
+    #[test]
+    fn scenario_cache_chain_sparse_demand_stays_bit_identical(
+        (nodes, extra, seed) in (10usize..14, 2usize..8, 0u64..1_000_000)
+    ) {
+        let (net, tm) = sparse_testbed(nodes, nodes + extra, seed);
+        scenario_cache_chain(&net, &tm, seed);
+    }
+
+    /// The MTR delta-state cache mirrors the DTR contract: see
+    /// [`mtr_cache_chain`].
     #[test]
     fn mtr_cache_chain_stays_bit_identical(
         (nodes, extra, seed) in (10usize..13, 2usize..7, 0u64..1_000_000)
     ) {
-        use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
-
         let (net, tm) = testbed(nodes, nodes + extra, seed);
-        let matrices = [tm.delay.clone(), tm.throughput.clone()];
-        let config = MtrConfig::new(vec![
-            ClassSpec::sla("voice", 25e-3),
-            ClassSpec::congestion("bulk").relaxed(0.2),
-        ]);
-        let ev = MtrEvaluator::new(&net, &matrices, config).unwrap();
-        let reps = net.duplex_representatives();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x317e);
-        let scenarios = scenario_zoo(&net, &mut rng);
-        let mut inc = MtrWeightSetting::random_symmetric(2, &net, 20, &mut rng);
+        mtr_cache_chain(&net, &tm, seed);
+    }
 
-        let eng = ev.engine();
-        let mut ws = ev.acquire_workspace();
-        let mut cache = dtr::cost::ScenarioCache::new();
-        let capture_all = |ws: &mut dtr::cost::EvalWorkspace,
-                           cache: &mut dtr::cost::ScenarioCache,
-                           inc: &MtrWeightSetting| {
-            eng.cache_rebuild_begin(ws, cache, inc, scenarios.len());
-            for (pos, &sc) in scenarios.iter().enumerate() {
-                let captured = eng.cost_capture(ws, inc, sc, cache, pos);
-                prop_assert_eq!(captured, ev.evaluate(inc, sc).cost.components(), "capture {}", sc);
-            }
-        };
-        capture_all(&mut ws, &mut cache, &inc);
-
-        for step in 0..8 {
-            let rep = reps[rng.gen_range(0..reps.len())];
-            let mut cand = inc.clone();
-            for k in 0..2 {
-                cand.set_duplex(&net, k, rep, rng.gen_range(1..=20));
-            }
-            eng.cache_begin(&mut cache, &cand);
-            for (pos, &sc) in scenarios.iter().enumerate() {
-                let reference = ev.evaluate(&cand, sc).cost;
-                prop_assert_eq!(
-                    eng.cost_cached(&mut ws, &cand, sc, &cache, pos),
-                    reference.components(),
-                    "mtr delta step {}, scenario {}, seed {}", step, sc, seed
-                );
-                prop_assert_eq!(
-                    ev.cost_with(&mut ws, &cand, sc),
-                    reference,
-                    "mtr cost_with step {}, scenario {}, seed {}", step, sc, seed
-                );
-            }
-            if step % 3 != 2 {
-                inc = cand;
-                eng.cache_refresh(&mut ws, &mut cache, &inc, |pos| scenarios[pos]);
-                // Exact coverage: see the DTR chain above.
-                let mut ws2 = ev.acquire_workspace();
-                let mut fresh = dtr::cost::ScenarioCache::new();
-                eng.cache_rebuild_begin(&mut ws2, &mut fresh, &inc, scenarios.len());
-                for (pos, &sc) in scenarios.iter().enumerate() {
-                    eng.cost_capture(&mut ws2, &inc, sc, &mut fresh, pos);
-                }
-                ev.release_workspace(ws2);
-                let fresh = fresh.capture_split().1;
-                for (pos, entry) in cache.capture_split().1.iter().enumerate() {
-                    prop_assert_eq!(
-                        entry.resident_bytes(),
-                        fresh[pos].resident_bytes(),
-                        "mtr refreshed vs captured step {}, scenario {}, seed {}",
-                        step, scenarios[pos], seed
-                    );
-                    prop_assert!(
-                        *entry == fresh[pos],
-                        "mtr refreshed entry differs from a fresh capture: step {}, scenario {}, seed {}",
-                        step, scenarios[pos], seed
-                    );
-                }
-            }
-            if step == 4 {
-                capture_all(&mut ws, &mut cache, &inc);
-            }
-        }
-        ev.release_workspace(ws);
+    /// [`mtr_cache_chain`] under sparse demand (see the DTR twin).
+    #[test]
+    fn mtr_cache_chain_sparse_demand_stays_bit_identical(
+        (nodes, extra, seed) in (10usize..13, 2usize..7, 0u64..1_000_000)
+    ) {
+        let (net, tm) = sparse_testbed(nodes, nodes + extra, seed);
+        mtr_cache_chain(&net, &tm, seed);
     }
 
     /// Floor-soundness oracle: the routing-independent per-scenario

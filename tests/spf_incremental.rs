@@ -2,19 +2,21 @@
 //! against the Bellman–Ford oracle, under random masks and weight
 //! perturbations.
 //!
-//! The incremental engine rests on two "provably unaffected" predicates
-//! ([`dtr::routing::workspace::dag_uses_any`] and
+//! The incremental engine rests on three "provably unaffected" predicates
+//! ([`dtr::routing::workspace::dag_uses_any`], its flow-aware sharpening
+//! [`dtr::routing::workspace::flow_uses_any`], and
 //! [`dtr::routing::workspace::weight_change_affects`]); these tests check
 //! both directions of the contract: a `false` answer must imply an
-//! *identical* distance field and replayable routing, and the workspace
-//! kernels themselves must agree with the oracle everywhere.
+//! *identical* replayable routing (and, for the first and last, distance
+//! field), and the workspace kernels themselves must agree with the
+//! oracle everywhere.
 
-use dtr::net::{LinkId, Network};
+use dtr::net::{LinkId, LinkMask, Network};
 use dtr::routing::workspace::{
-    dag_uses_any, route_destination, route_destination_repair, route_destination_reweight,
-    weight_change_affects, DestRouting, WeightChange,
+    dag_uses_any, flow_uses_any, route_destination, route_destination_repair,
+    route_destination_reweight, weight_change_affects, DestRouting, WeightChange,
 };
-use dtr::routing::{route_class, spf, SpfWorkspace};
+use dtr::routing::{delay, route_class, spf, Scenario, SpfWorkspace};
 use dtr::topogen::{rand_topo, SynthConfig};
 use dtr::traffic::TrafficMatrix;
 use proptest::prelude::*;
@@ -56,8 +58,167 @@ fn random_traffic(net: &Network, seed: u64) -> TrafficMatrix {
     tm
 }
 
+/// Hub demand: only `hubs` senders, each towards a few random
+/// destinations — sparse, so most nodes carry no flow towards a given
+/// destination and the flow screen has room to differ from the DAG one.
+fn hub_traffic(net: &Network, hubs: usize, seed: u64) -> TrafficMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = net.num_nodes();
+    let mut tm = TrafficMatrix::zeros(n);
+    for _ in 0..hubs {
+        let s = rng.gen_range(0..n);
+        for _ in 0..3 {
+            let t = rng.gen_range(0..n);
+            if s != t {
+                tm.set(s, t, rng.gen_range(1.0..1e6));
+            }
+        }
+    }
+    tm
+}
+
+/// The flow-screen contract on one (network, weights, traffic): for
+/// every destination and every mask where [`dag_uses_any`] flags the
+/// all-up routing but [`flow_uses_any`] keeps it, the masked full route
+/// has the baseline's adds, replayed loads and drops bit for bit, and
+/// the flow delay DP of the baseline record (the engine's pair pass on
+/// a kept destination) equals the arc-scan DP of the masked route for
+/// every demanding sender, under max and mean aggregation. Returns how
+/// many (destination, mask) pairs the flow screen kept past the DAG
+/// screen.
+fn check_flow_screen(net: &Network, w: &[u32], tm: &TrafficMatrix, masks: &[LinkMask]) -> usize {
+    let mut rng = StdRng::seed_from_u64(net.num_links() as u64);
+    let link_delay: Vec<f64> = net
+        .links()
+        .map(|l| net.link(l).prop_delay + rng.gen_range(0.0..2e-3))
+        .collect();
+    let mut ws = SpfWorkspace::new();
+    let (mut base, mut full) = (DestRouting::default(), DestRouting::default());
+    let (mut node_delay, mut kept_pairs, mut full_pairs) = (Vec::new(), Vec::new(), Vec::new());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut kept = 0;
+    for t in 0..net.num_nodes() {
+        route_destination(net, w, tm, &net.fresh_mask(), t, &mut ws, &mut base);
+        for mask in masks {
+            let down: Vec<u32> = mask.down_links().map(|i| i as u32).collect();
+            if !dag_uses_any(net, &base.dist, w, &down) || flow_uses_any(net, &base, w, &down) {
+                continue;
+            }
+            kept += 1;
+            route_destination(net, w, tm, mask, t, &mut ws, &mut full);
+            let add_bits = |r: &DestRouting| {
+                r.load_adds()
+                    .iter()
+                    .map(|&(l, x)| (l, x.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(add_bits(&full), add_bits(&base), "adds, dest {t}");
+            let (mut la, mut lb) = (vec![0.0; net.num_links()], vec![0.0; net.num_links()]);
+            let (mut da, mut db) = (0.0f64, 0.0f64);
+            base.replay(&mut la, &mut da);
+            full.replay(&mut lb, &mut db);
+            assert_eq!(bits(&la), bits(&lb), "replayed loads, dest {t}");
+            assert_eq!(da.to_bits(), db.to_bits(), "replayed drops, dest {t}");
+            for take_max in [true, false] {
+                kept_pairs.clear();
+                full_pairs.clear();
+                delay::flow_pair_delays_into(
+                    net,
+                    &base,
+                    w,
+                    mask,
+                    &link_delay,
+                    take_max,
+                    tm,
+                    t,
+                    None,
+                    &mut node_delay,
+                    &mut kept_pairs,
+                );
+                delay::pair_delays_into(
+                    net,
+                    &full.dist,
+                    &full.order,
+                    w,
+                    mask,
+                    &link_delay,
+                    take_max,
+                    tm,
+                    t,
+                    None,
+                    &mut node_delay,
+                    &mut full_pairs,
+                );
+                let pair_bits = |v: &[(usize, usize, f64)]| {
+                    v.iter()
+                        .map(|&(s, t, x)| (s, t, x.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    pair_bits(&kept_pairs),
+                    pair_bits(&full_pairs),
+                    "pair delays, dest {t}, max {take_max}"
+                );
+            }
+        }
+    }
+    kept
+}
+
+/// Single-link, multi-link and node masks of `net`: every duplex link,
+/// `multi` random groups of 2–4 duplex links, and every node.
+fn failure_masks(net: &Network, multi: usize, rng: &mut StdRng) -> Vec<LinkMask> {
+    let reps = net.duplex_representatives();
+    let mut masks: Vec<LinkMask> = reps.iter().map(|&l| net.fail_duplex(l)).collect();
+    for _ in 0..multi {
+        let mut mask = net.fresh_mask();
+        for _ in 0..rng.gen_range(2..=4usize) {
+            for i in net
+                .fail_duplex(reps[rng.gen_range(0..reps.len())])
+                .down_links()
+            {
+                mask.fail(i);
+            }
+        }
+        masks.push(mask);
+    }
+    masks.extend(net.nodes().map(|v| Scenario::Node(v).mask(net)));
+    masks
+}
+
+/// The deterministic companion of `flow_screen_keeps_exact_routing`: on
+/// a fixed hub testbed the flow screen really keeps destinations the
+/// DAG screen would repair — so the proptest is not vacuous — and the
+/// contract holds for each of them.
+#[test]
+fn flow_screen_fires_on_a_fixed_hub_testbed() {
+    let net = build_net(14, 8, 2024);
+    let w = random_link_weights(&net, 7);
+    let tm = hub_traffic(&net, 3, 11);
+    let masks = failure_masks(&net, 8, &mut StdRng::seed_from_u64(5));
+    let kept = check_flow_screen(&net, &w, &tm, &masks);
+    assert!(kept > 0, "the hub testbed must exercise the flow screen");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Flow-screen exactness (see [`check_flow_screen`]) under sparse hub
+    /// demand and random single-link, multi-link and node masks, at wmax
+    /// 3 (many ECMP ties) and 20.
+    #[test]
+    fn flow_screen_keeps_exact_routing(
+        (nodes, extra, seed) in (6usize..16, 1usize..10, 0u64..1_000_000),
+        wide in any::<bool>(),
+    ) {
+        let net = build_net(nodes, extra, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xf1);
+        let wmax = if wide { 20 } else { 3 };
+        let w: Vec<u32> = (0..net.num_links()).map(|_| rng.gen_range(1..=wmax)).collect();
+        let tm = hub_traffic(&net, rng.gen_range(1..=3usize), seed ^ 0xf2);
+        let masks = failure_masks(&net, 4, &mut rng);
+        check_flow_screen(&net, &w, &tm, &masks);
+    }
 
     /// The baseline-seeded repair route (orphan detection + boundary
     /// Dijkstra) must equal a from-scratch [`route_destination`] **bit
