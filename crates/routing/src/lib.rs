@@ -40,9 +40,10 @@
 //! `dtr-cost` drives these primitives; every layer of fast path is
 //! optional and falls back to the plain kernels.
 //!
-//! The per-destination kernels share one shape. They walk the
-//! network's packed arcs (`dtr_net::LinkArc`: link id plus far node),
-//! never the link records. Each ends in the one ECMP push.
+//! The per-destination kernels share one shape. Wherever they test the
+//! DAG they walk the network's packed arcs (`dtr_net::LinkArc`: link id
+//! plus far node); only what they read off a record's adds goes through
+//! the link records. Each route kernel ends in the one ECMP push.
 //!
 //! * [`workspace::route_destination`] — the full route: a reverse
 //!   Dijkstra whose settle sequence *is* the DAG order (turned into
@@ -50,8 +51,10 @@
 //! * [`workspace::route_destination_repair`] and
 //!   [`workspace::route_destination_reweight`] — one incremental kernel
 //!   that repairs a previous routing after link failures or weight
-//!   changes, re-settling only the nodes whose distance moved and
-//!   merging them into the previous order.
+//!   changes, re-settling only the nodes whose distance moved, splicing
+//!   them into the previous order, and pushing with the previous
+//!   record's runs as the hop lists of the nodes whose DAG out-arcs
+//!   cannot have changed (each add's link record gives the hop's head).
 //! * [`delay::pair_delays_into`] — the delay DP, folded over the same
 //!   arcs in the same order.
 //! * [`delay::flow_pair_delays_into`] — the same DP read off a record's

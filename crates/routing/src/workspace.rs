@@ -56,6 +56,12 @@ use crate::UNREACHABLE;
 /// DP. Construct once (per thread) and reuse for every evaluation; all
 /// buffers grow to the topology size on first use and are then stable —
 /// no per-evaluation heap allocation in the steady state.
+///
+/// The repair kernel's per-node scratch is epoch-stamped: a node is in a
+/// set iff its stamp equals the current epoch, so a repair clears
+/// nothing per node. Each repair's epoch step sizes every per-node
+/// buffer, and the short `moved` list, to the node count, so no repair
+/// grows one after the first on a network.
 #[derive(Debug, Default)]
 pub struct SpfWorkspace {
     /// Dijkstra priority queue scratch.
@@ -74,6 +80,15 @@ pub struct SpfWorkspace {
     /// Epoch stamps of the repair kernel: nodes its decrease phase
     /// lowered.
     lowered: Vec<u32>,
+    /// Epoch stamps of the repair kernel: nodes whose DAG out-arcs may
+    /// differ from the baseline's, so its push tests their out-arcs.
+    hop_dirty: Vec<u32>,
+    /// Epoch stamps of the repair kernel: nodes with a run in the
+    /// baseline record's `load_adds`, located by `runs`.
+    run_at: Vec<u32>,
+    /// `[start, end)` of each stamped node's run in the baseline's
+    /// `load_adds`.
+    runs: Vec<(u32, u32)>,
     /// Current stamp epoch (0 = stamps unset).
     epoch: u32,
     /// Orphan candidates of the repair's increase phase (worklist).
@@ -86,6 +101,10 @@ pub struct SpfWorkspace {
     /// Settle sequence of the repair's decrease phase (ascending
     /// `(dist, id)`).
     relowered: Vec<u32>,
+    /// The repair's re-settled and lowered nodes, in descending
+    /// `(dist, id)` order: what its order merge splices into the
+    /// baseline order.
+    moved: Vec<u32>,
 }
 
 impl SpfWorkspace {
@@ -94,15 +113,30 @@ impl SpfWorkspace {
         Self::default()
     }
 
-    /// Advance the repair-stamp epoch for an `n`-node network, clearing
-    /// the stamps on wrap-around.
+    /// Advance the repair-stamp epoch for an `n`-node network, sizing the
+    /// per-node scratch and clearing the stamps on wrap-around.
     fn next_epoch(&mut self, n: usize) -> u32 {
-        self.orphan.resize(n, 0);
-        self.lowered.resize(n, 0);
+        for stamps in [
+            &mut self.orphan,
+            &mut self.lowered,
+            &mut self.hop_dirty,
+            &mut self.run_at,
+        ] {
+            stamps.resize(n, 0);
+        }
+        self.runs.resize(n, (0, 0));
+        self.moved.clear();
+        self.moved.reserve(n);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.orphan.fill(0);
-            self.lowered.fill(0);
+            for stamps in [
+                &mut self.orphan,
+                &mut self.lowered,
+                &mut self.hop_dirty,
+                &mut self.run_at,
+            ] {
+                stamps.fill(0);
+            }
             self.epoch = 1;
         }
         self.epoch
@@ -247,7 +281,17 @@ pub fn route_destination(
         |v| order.push(v),
     );
     spf::settle_order_to_descending(dist, order);
-    ecmp_push(net, weights, tm, mask, t, &mut ws.inflow, &mut ws.hops, out);
+    ecmp_push(
+        net,
+        weights,
+        tm,
+        mask,
+        t,
+        &mut ws.inflow,
+        &mut ws.hops,
+        out,
+        |_| None,
+    );
 }
 
 /// The ECMP push every route kernel ends with: seed each sender's demand
@@ -257,13 +301,16 @@ pub fn route_destination(
 /// `(link, share)` add. `out.dist` and `out.order` must already describe
 /// the routing; the adds and drops are overwritten.
 ///
-/// One function for the full route and both repairs, with the on-DAG
-/// test inlined over packed arcs: each node's DAG out-arcs are gathered
-/// once, in out-arc order, and the same arcs then receive the share in
-/// the same order, so every float operation is the one the router has
-/// always performed.
+/// One function for the full route and both repairs. Each node's DAG
+/// out-arcs are gathered once, in out-arc order, and the same arcs then
+/// receive the share in the same order, so every float operation is the
+/// one the router has always performed. `recorded(u)` may hand over
+/// `u`'s hop list as a run of a baseline record's adds — the repair's
+/// hop reuse, for a node whose DAG out-arcs provably did not change —
+/// and the push then reads that run's links instead of testing every
+/// out-arc; [`route_destination`] passes `|_| None`, the plain DAG scan.
 #[allow(clippy::too_many_arguments)] // the full per-destination context
-fn ecmp_push(
+fn ecmp_push<'r>(
     net: &Network,
     weights: &[u32],
     tm: &TrafficMatrix,
@@ -272,6 +319,7 @@ fn ecmp_push(
     inflow: &mut Vec<f64>,
     hops: &mut Vec<LinkArc>,
     out: &mut DestRouting,
+    recorded: impl Fn(usize) -> Option<&'r [(u32, f64)]>,
 ) {
     let n = net.num_nodes();
     let DestRouting {
@@ -305,11 +353,21 @@ fn ecmp_push(
         if u == t || inflow[u] == 0.0 {
             continue;
         }
-        let du = dist[u];
         hops.clear();
-        for arc in net.out_arcs(NodeId::new(u)) {
-            if spf::on_dag_arc(dist, weights, mask, du, arc.link.index(), arc.far.index()) {
-                hops.push(*arc);
+        if let Some(run) = recorded(u) {
+            hops.extend(run.iter().map(|&(l, _)| {
+                let link = LinkId::new(l as usize);
+                LinkArc {
+                    link,
+                    far: net.link(link).dst,
+                }
+            }));
+        } else {
+            let du = dist[u];
+            for arc in net.out_arcs(NodeId::new(u)) {
+                if spf::on_dag_arc(dist, weights, mask, du, arc.link.index(), arc.far.index()) {
+                    hops.push(*arc);
+                }
             }
         }
         debug_assert!(
@@ -389,14 +447,26 @@ pub fn route_destination_repair(
 /// a strict improvement, so each settles its nodes once, in ascending
 /// `(dist, id)` order, which a linear pass turns into descending order
 /// (see [`spf::dist_to_into`]'s settle kernel). The final order
-/// therefore needs no sort: it merges, by the same total key, the
-/// baseline order's untouched nodes, phase 1's re-settled nodes minus
-/// those phase 2 lowered, and phase 2's — which is exactly
-/// [`spf::descending_order`]'s permutation. Distances are exact
-/// integers and the ECMP push is the one [`route_destination`] runs, so
-/// the record is bit-for-bit a from-scratch route under `weights`
-/// (pinned by `reweight_route_equals_full_route` in
-/// `tests/spf_incremental.rs`).
+/// therefore needs no sort: phase 1's re-settled nodes minus those
+/// phase 2 lowered merge with phase 2's into one short `moved` list,
+/// and one pass over the baseline order, skipping orphans and lowered
+/// nodes, emits before each kept node the moved nodes whose
+/// `(dist descending, id ascending)` key comes first — exactly
+/// [`spf::descending_order`]'s permutation.
+///
+/// The push is [`route_destination`]'s with **hop reuse**: a node's DAG
+/// out-arcs depend only on its out-links' weights and states, its own
+/// distance and its out-arcs' heads' distances. The kernel stamps as
+/// hop-dirty every node where one of these may have moved — the tails
+/// of the rising or failed links on the baseline DAG, the tails of the
+/// falling links that are up, every orphan and lowered node, and every
+/// in-neighbour `u` of those whose arc `u → v` lay on the baseline DAG
+/// or lies on the new one — and every other node that has a run in
+/// `base`'s adds takes that run, its baseline DAG out-arcs in out-arc
+/// order, as its hops. Seeding, shares and every inflow add are the
+/// full push's. Distances are exact integers, so the record is
+/// bit-for-bit a from-scratch route under `weights` (pinned by
+/// `reweight_route_equals_full_route` in `tests/spf_incremental.rs`).
 #[allow(clippy::too_many_arguments)] // the full per-destination context
 pub fn route_destination_reweight(
     net: &Network,
@@ -432,9 +502,10 @@ pub fn route_destination_reweight(
 /// The one incremental route kernel behind [`route_destination_repair`]
 /// (failures: `old_weights == weights`, no changes, the down links
 /// rising) and [`route_destination_reweight`] (weight moves); see the
-/// latter for the algorithm. `rising` yields every link that rose in
-/// weight or failed — the tails of those on the baseline DAG seed the
-/// orphan worklist.
+/// latter for the algorithm, the order merge and the hop reuse.
+/// `rising` yields every link that rose in weight or failed — the tails
+/// of those on the baseline DAG seed the orphan worklist and are
+/// hop-dirty.
 #[allow(clippy::too_many_arguments)] // the full per-destination context
 fn repair_destination(
     net: &Network,
@@ -456,10 +527,14 @@ fn repair_destination(
         hops,
         orphan,
         lowered,
+        hop_dirty,
+        run_at,
+        runs,
         candidates,
         orphans,
         resettled,
         relowered,
+        moved,
         ..
     } = ws;
     out.dist.clone_from(&base.dist);
@@ -482,6 +557,7 @@ fn repair_destination(
         let u = link.src.index();
         if on_base_dag(base.dist[u], base.dist[link.dst.index()], l) {
             candidates.push(u as u32);
+            hop_dirty[u] = epoch;
         }
     }
     while let Some(u) = candidates.pop() {
@@ -565,6 +641,7 @@ fn repair_destination(
         }
         let link = net.link(c.link);
         let (u, dv) = (link.src.index(), dist[link.dst.index()]);
+        hop_dirty[u] = epoch;
         if dv == UNREACHABLE {
             continue;
         }
@@ -594,9 +671,27 @@ fn repair_destination(
     }
     spf::settle_order_to_descending(dist, relowered);
 
-    // 3. Order: merge the three sequences, each now descending, by
-    //    (dist descending, id ascending) — the total key of
-    //    `spf::descending_order`.
+    // 3. Hop-dirty region, beside the changed links' tails stamped
+    //    above: only the orphans and the lowered nodes can move, so only
+    //    they and the in-neighbours whose arc into them lay on the
+    //    baseline DAG or lies on the new one may change hop lists.
+    for &v in orphans.iter().chain(relowered.iter()) {
+        let v = v as usize;
+        hop_dirty[v] = epoch;
+        for arc in net.in_arcs(NodeId::new(v)) {
+            let (l, u) = (arc.link.index(), arc.far.index());
+            if on_base_dag(base.dist[u], base.dist[v], l)
+                || spf::on_dag_arc(dist, weights, mask, dist[u], l, v)
+            {
+                hop_dirty[u] = epoch;
+            }
+        }
+    }
+
+    // 4. Order: merge phase 1's survivors and phase 2's sequence, both
+    //    descending, into `moved`, then splice it into the baseline
+    //    order's kept nodes by (dist descending, id ascending) — the
+    //    total key of `spf::descending_order`.
     let DestRouting { dist, order, .. } = &mut *out;
     order.clear();
     if !any_orphan && relowered.is_empty() {
@@ -607,40 +702,50 @@ fn repair_destination(
             let (dx, dy) = (dist[x as usize], dist[y as usize]);
             dx > dy || (dx == dy && x < y)
         };
-        let mut kept = base
-            .order
-            .iter()
-            .copied()
-            .filter(|&v| orphan[v as usize] != epoch && lowered[v as usize] != epoch)
-            .peekable();
-        let mut raised = resettled
+        let mut fell = relowered.iter().copied().peekable();
+        for v in resettled
             .iter()
             .copied()
             .filter(|&v| lowered[v as usize] != epoch)
-            .peekable();
-        let mut fell = relowered.iter().copied().peekable();
-        loop {
-            let mut pick: Option<(usize, u32)> = None;
-            for (src, head) in [kept.peek(), raised.peek(), fell.peek()]
-                .into_iter()
-                .enumerate()
-            {
-                let Some(&y) = head else { continue };
-                if pick.is_none_or(|(_, x)| first(y, x)) {
-                    pick = Some((src, y));
-                }
+        {
+            while let Some(y) = fell.next_if(|&y| first(y, v)) {
+                moved.push(y);
             }
-            let Some((src, v)) = pick else { break };
-            match src {
-                0 => kept.next(),
-                1 => raised.next(),
-                _ => fell.next(),
-            };
+            moved.push(v);
+        }
+        moved.extend(fell);
+        let mut next = moved.iter().copied().peekable();
+        for &v in base.order.iter() {
+            if orphan[v as usize] == epoch || lowered[v as usize] == epoch {
+                continue;
+            }
+            while let Some(y) = next.next_if(|&y| first(y, v)) {
+                order.push(y);
+            }
             order.push(v);
         }
+        order.extend(next);
     }
 
-    ecmp_push(net, weights, tm, mask, t, inflow, hops, out);
+    // 5. Index the baseline's runs (one per node with inflow, in push
+    //    order) and push, reusing the run of every clean node.
+    let mut prev = usize::MAX;
+    for (i, &(l, _)) in base.load_adds.iter().enumerate() {
+        let u = net.link(LinkId::new(l as usize)).src.index();
+        if u != prev {
+            run_at[u] = epoch;
+            runs[u].0 = i as u32;
+            prev = u;
+        }
+        runs[u].1 = i as u32 + 1;
+    }
+    let (hop_dirty, run_at, runs) = (&*hop_dirty, &*run_at, &*runs);
+    ecmp_push(net, weights, tm, mask, t, inflow, hops, out, |u| {
+        (run_at[u] == epoch && hop_dirty[u] != epoch).then(|| {
+            let (s, e) = runs[u];
+            &base.load_adds[s as usize..e as usize]
+        })
+    });
 }
 
 /// `true` if any of the directed links in `down` lies on the shortest-path
@@ -887,5 +992,126 @@ mod tests {
             new: 1,
         };
         assert!(weight_change_affects(&net, &dist3, &[lower]));
+    }
+
+    /// One repair job: the new weights, their change list (empty for a
+    /// failure) and the mask.
+    type Job = (Vec<u32>, Vec<WeightChange>, LinkMask);
+
+    /// Repair destination `t` from `base` (the all-up route under `w`)
+    /// by `job`, through the front door its kind uses.
+    fn repair_job(
+        net: &Network,
+        w: &[u32],
+        tm: &TrafficMatrix,
+        (new_w, changes, mask): &Job,
+        t: usize,
+        base: &DestRouting,
+        ws: &mut SpfWorkspace,
+    ) -> DestRouting {
+        let mut out = DestRouting::default();
+        if changes.is_empty() {
+            route_destination_repair(net, w, tm, mask, t, base, ws, &mut out);
+        } else {
+            route_destination_reweight(net, w, new_w, changes, tm, mask, t, base, ws, &mut out);
+        }
+        out
+    }
+
+    /// The wrap branch of `next_epoch` must clear every stamp a repair
+    /// reads as "set": a first repair leaves stamps that hold 1, the
+    /// epoch jumps to `u32::MAX`, and the next repair runs at epoch 1
+    /// again. Over every ordered pair of (job, destination) repairs on a
+    /// small meshed network under sparse demand — single-link failures
+    /// and weight moves — a fresh workspace runs the first, wraps, and
+    /// runs the second; both records must equal the full route's. A
+    /// stale orphan stamp skips a real orphan, a stale lowered stamp
+    /// drops a kept node from the order, and a stale run stamp hands the
+    /// push a run of another baseline. (A stale hop-dirty stamp only
+    /// costs the push a DAG scan, so it cannot fail this test.)
+    #[test]
+    fn repair_across_epoch_wrap_equals_full_route() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut b = NetworkBuilder::new();
+        let nodes: Vec<_> = (0..7).map(|_| b.add_node(Point::ORIGIN)).collect();
+        for &(x, y) in &[
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 0),
+            (0, 3),
+            (1, 5),
+            (2, 6),
+        ] {
+            b.add_duplex_link(nodes[x], nodes[y], 1e9, 1e-3).unwrap();
+        }
+        let net = b.build().unwrap();
+        let n = net.num_nodes();
+        let mut rng = StdRng::seed_from_u64(7);
+        let w: Vec<u32> = (0..net.num_links()).map(|_| rng.gen_range(1..=3)).collect();
+        let mut tm = TrafficMatrix::zeros(n);
+        for s in 0..n {
+            for t in 0..n {
+                if s != t && rng.gen_bool(0.3) {
+                    tm.set(s, t, rng.gen_range(1.0..100.0));
+                }
+            }
+        }
+        let mut jobs: Vec<Job> = net
+            .duplex_representatives()
+            .into_iter()
+            .map(|rep| (w.clone(), Vec::new(), net.fail_duplex(rep)))
+            .collect();
+        let failures = jobs.len();
+        while jobs.len() < failures + 8 {
+            let mut new_w = w.clone();
+            for _ in 0..2 {
+                new_w[rng.gen_range(0..net.num_links())] = rng.gen_range(1..=3);
+            }
+            let changes: Vec<WeightChange> = (0..net.num_links())
+                .filter(|&l| new_w[l] != w[l])
+                .map(|l| WeightChange {
+                    link: LinkId::new(l),
+                    old: w[l],
+                    new: new_w[l],
+                })
+                .collect();
+            if !changes.is_empty() {
+                jobs.push((new_w, changes, net.fresh_mask()));
+            }
+        }
+
+        let mut ws = SpfWorkspace::new();
+        let base: Vec<DestRouting> = (0..n)
+            .map(|t| {
+                let mut r = DestRouting::default();
+                route_destination(&net, &w, &tm, &net.fresh_mask(), t, &mut ws, &mut r);
+                r
+            })
+            .collect();
+        let mut cases = Vec::new();
+        for job in &jobs {
+            for t in 0..n {
+                let mut full = DestRouting::default();
+                route_destination(&net, &job.0, &tm, &job.2, t, &mut ws, &mut full);
+                cases.push((job, t, full));
+            }
+        }
+        for (ja, ta, full_a) in &cases {
+            for (jb, tb, full_b) in &cases {
+                let mut ws = SpfWorkspace::new();
+                let a = repair_job(&net, &w, &tm, ja, *ta, &base[*ta], &mut ws);
+                assert_eq!(ws.epoch, 1);
+                ws.epoch = u32::MAX;
+                let b = repair_job(&net, &w, &tm, jb, *tb, &base[*tb], &mut ws);
+                assert_eq!(ws.epoch, 1, "the epoch wrapped");
+                assert!(a == *full_a, "first repair, dest {ta}");
+                assert!(b == *full_b, "repair across the wrap, dest {tb}");
+            }
+        }
     }
 }

@@ -284,17 +284,22 @@ proptest! {
     /// oracle), load adds, replayed loads and drops — for random weight
     /// changes on 1–6 links, including a mixed increase/decrease on one
     /// duplex pair, at wmax 3 (many ties) and 20, with and without a
-    /// failure mask shared by both settings.
+    /// failure mask shared by both settings. `chained` repairs each of
+    /// the 4 rounds from the previous round's repaired record under the
+    /// previous round's weights, as the engine's baseline refresh does on
+    /// every candidate, so the push also reuses hop lists copied from a
+    /// repaired record; otherwise every round repairs from a fresh route.
     #[test]
     fn reweight_route_equals_full_route(
         (nodes, extra, seed) in (5usize..14, 1usize..10, 0u64..1_000_000),
         wide in any::<bool>(),
         masked in any::<bool>(),
+        chained in any::<bool>(),
     ) {
         let wmax = if wide { 20 } else { 3 };
         let net = build_net(nodes, extra, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let old_w: Vec<u32> = (0..net.num_links()).map(|_| rng.gen_range(1..=wmax)).collect();
+        let mut old_w: Vec<u32> = (0..net.num_links()).map(|_| rng.gen_range(1..=wmax)).collect();
         let tm = random_traffic(&net, seed ^ 0xfeed);
         let reps = net.duplex_representatives();
         let mut mask = net.fresh_mask();
@@ -307,8 +312,14 @@ proptest! {
             }
         }
         let mut ws = SpfWorkspace::new();
-        let (mut base, mut full, mut repaired) =
-            (DestRouting::default(), DestRouting::default(), DestRouting::default());
+        let (mut full, mut repaired) = (DestRouting::default(), DestRouting::default());
+        let mut base: Vec<DestRouting> = (0..net.num_nodes())
+            .map(|t| {
+                let mut b = DestRouting::default();
+                route_destination(&net, &old_w, &tm, &mask, t, &mut ws, &mut b);
+                b
+            })
+            .collect();
 
         for _ in 0..4 {
             let mut new_w = old_w.clone();
@@ -333,11 +344,10 @@ proptest! {
                 .map(|l| WeightChange { link: LinkId::new(l), old: old_w[l], new: new_w[l] })
                 .collect();
 
-            for t in 0..net.num_nodes() {
-                route_destination(&net, &old_w, &tm, &mask, t, &mut ws, &mut base);
+            for (t, base) in base.iter_mut().enumerate() {
                 route_destination(&net, &new_w, &tm, &mask, t, &mut ws, &mut full);
                 route_destination_reweight(
-                    &net, &old_w, &new_w, &changes, &tm, &mask, t, &base, &mut ws, &mut repaired,
+                    &net, &old_w, &new_w, &changes, &tm, &mask, t, base, &mut ws, &mut repaired,
                 );
                 let oracle = spf::dist_to_bellman_ford(&net, dtr::net::NodeId::new(t), &new_w, &mask);
                 prop_assert_eq!(&full.dist, &oracle, "oracle dist, dest {}", t);
@@ -352,6 +362,12 @@ proptest! {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&la), bits(&lb), "replayed loads, dest {}", t);
                 prop_assert_eq!(da.to_bits(), db.to_bits(), "replayed drops, dest {}", t);
+                if chained {
+                    std::mem::swap(base, &mut repaired);
+                }
+            }
+            if chained {
+                old_w = new_w;
             }
         }
     }
