@@ -30,19 +30,23 @@ use crate::robust::RobustEngine;
 use crate::scenario::{ScenarioSet, SliceSet};
 use crate::search::SearchCost;
 
-/// Map `f` over `items` on up to `threads` scoped workers (contiguous
-/// chunks, results spliced back in input order — so the output is
-/// identical to a serial map for every thread count). Phase 1b's
-/// manufactured-sample batches fan out through it.
+/// Split `items` into up to `threads` contiguous chunks, map each whole
+/// chunk with `f` on its own scoped worker (one chunk runs on the
+/// caller's thread) and splice the results back in input order. `f`
+/// sees its whole chunk, so it can hold one pooled workspace across it;
+/// as long as each item's result does not depend on that state, the
+/// output is a serial map's for every thread count. Phase 1b's rounds
+/// fan out through it, each worker taking a contiguous chunk of the
+/// member-ordered round ([`crate::phase1b::top_up`]).
 pub fn parallel_map<T, C, F>(items: &[T], threads: usize, f: F) -> Vec<C>
 where
     T: Sync,
     C: Send,
-    F: Fn(&T) -> C + Sync,
+    F: Fn(&[T]) -> Vec<C> + Sync,
 {
     let workers = threads.min(items.len());
     if workers <= 1 {
-        return items.iter().map(f).collect();
+        return f(items);
     }
     let chunk = items.len().div_ceil(workers);
     let f = &f;
@@ -50,7 +54,7 @@ where
     std::thread::scope(|s| {
         let handles: Vec<_> = items
             .chunks(chunk)
-            .map(|part| s.spawn(move || part.iter().map(f).collect::<Vec<_>>()))
+            .map(|part| s.spawn(move || f(part)))
             .collect();
         for h in handles {
             out.extend(h.join().expect("parallel-map worker panicked"));

@@ -104,11 +104,12 @@ pub struct Params {
     /// starting points.
     pub archive_size: usize,
     /// Worker threads for the fan-outs over independent work: Phase 1b's
-    /// sample batches, the robust phase's capture sweeps and plain full
-    /// sweeps, its accept-path cache refresh, and a portfolio's
-    /// replicas (1 = serial). The move loop and its bounded failure
-    /// sweeps always run serially. Results and every counter are
-    /// identical for any value; this only changes wall-clock.
+    /// rounds (contiguous chunks of the round in archive-member order),
+    /// the robust phase's capture sweeps and plain full sweeps, its
+    /// accept-path cache refresh, and a portfolio's replicas (1 =
+    /// serial). The move loop and its bounded failure sweeps always run
+    /// serially. Results and every counter are identical for any value;
+    /// this only changes wall-clock.
     pub threads: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
     /// robust phase, which stand each scenario's Λ floor

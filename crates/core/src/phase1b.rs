@@ -7,28 +7,38 @@
 //! end of Phase 1a (rank-change index above `e` in some class), Phase 1b
 //! manufactures samples directly (§IV-D1): take an acceptable setting from
 //! the archive, force one failable link's class weights into
-//! `[⌈q·wmax⌉, wmax]`, evaluate, record. Each round adds `τ` samples per
-//! link (poorest-sampled links first within a round), then re-checks
-//! convergence.
+//! `[⌈q·wmax⌉, wmax]`, evaluate, record. A round is `τ` passes over every
+//! failable link, each pass in a fresh shuffle of the link order, so
+//! every link gets exactly `τ` samples per round; then convergence is
+//! re-checked.
 //!
 //! [`top_up`] is generic over [`RobustEngine`]: [`run`] is DTR's
 //! instantiation and `dtr_mtr::search::top_up_samples` MTR's. Both seed
 //! the RNG with `seed ^ 0x517c_c1b7_2722_0a95`.
 //!
 //! Manufactured samples are embarrassingly parallel — no acceptance, no
-//! state mutation between evaluations. Candidates are pre-drawn in RNG
-//! order in batches of `4 · threads`, evaluated concurrently on
-//! `threads` pooled workspaces, and recorded serially in draw order, so
-//! the recorded samples are bit-for-bit (and in the same order as) the
-//! serial loop's for every thread count.
+//! state mutation between evaluations. Each round is drawn whole first,
+//! in RNG order, as `(failure index, archive member, move)` triples.
+//! It is then evaluated grouped by archive member, in a stable sort, so
+//! a draw's workspace baseline is usually the same member with one other
+//! link moved: its baseline repair covers at most two duplex links, not
+//! the diff between two members. The member-ordered round is split into
+//! contiguous chunks over `threads` workers
+//! ([`crate::parallel::parallel_map`]), each with one pooled workspace
+//! and one weight buffer. The samples are recorded in draw order. A cost
+//! has the same bits from any workspace baseline, so the recorded
+//! samples are bit-for-bit (and in the same order as) the serial loop's
+//! for every thread count.
 
 use dtr_cost::Evaluator;
+use dtr_routing::Scenario;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::parallel::{cost_of, parallel_map};
 use crate::params::Params;
-use crate::phase1::{normal_cost, rank_check, Phase1Output};
+use crate::phase1::{rank_check, Phase1Output};
 use crate::robust::{RobustEngine, RobustKnobs};
 use crate::search::{emulation_floor, ClassWeights};
 use crate::universe::FailureUniverse;
@@ -78,39 +88,58 @@ pub fn top_up<E: RobustEngine>(
     while !stats.converged && stats.rounds < knobs.max_top_up_rounds {
         stats.rounds += 1;
 
-        // τ samples per link this round, poorest links first so coverage
-        // stays balanced (the estimate quality is gated by the weakest
-        // link's sample count).
+        // Draw the round whole, in RNG order: per pass the shuffle, per
+        // link the archive pick and then the emulating move. Each pass
+        // shuffles every link, so each gets exactly τ samples; sorting
+        // by sample count only fixes the order the first shuffle starts
+        // from, which the RNG stream (and so every sample) depends on.
         let mut order: Vec<usize> = (0..universe.len()).collect();
         order.sort_by_key(|&i| phase1.store.count(i));
-        let batch_size = 4 * knobs.threads;
-        let mut cands: Vec<(usize, E::Weights)> = Vec::with_capacity(batch_size);
+        let mut round: Vec<(usize, usize, E::Move)> = Vec::with_capacity(knobs.tau * order.len());
         for _ in 0..knobs.tau {
             order.shuffle(&mut rng);
-            for chunk in order.chunks(batch_size) {
-                // Pre-draw the whole batch in RNG order, then evaluate it
-                // concurrently and record in draw order.
-                cands.clear();
-                for &fi in chunk {
-                    let rep = universe.failable[fi];
-                    let (base, _) = phase1
-                        .archive
-                        .sample(&mut rng)
-                        .expect("phase 1 always archives its best setting");
-                    let mut w = base.clone();
-                    let mv = ev.draw_move(floor, knobs.wmax, &mut rng);
-                    ev.apply_move(&mut w, rep, &mv);
-                    debug_assert!(w.emulates_failure(rep, knobs.q));
-                    cands.push((fi, w));
-                }
-                let costs = crate::parallel::parallel_map(&cands, knobs.threads, |(_, w)| {
-                    normal_cost(ev, w)
-                });
-                for ((fi, _), cost) in cands.iter().zip(costs) {
-                    stats.evaluations += 1;
-                    phase1.store.record(*fi, &cost);
-                }
+            for &fi in &order {
+                let member = phase1
+                    .archive
+                    .sample_index(&mut rng)
+                    .expect("phase 1 always archives its best setting");
+                round.push((fi, member, ev.draw_move(floor, knobs.wmax, &mut rng)));
             }
+        }
+
+        // Evaluate grouped by member (the stable sort keeps draw order
+        // within a group), so each candidate's baseline is usually the
+        // same member with one other link moved.
+        let mut by_member: Vec<usize> = (0..round.len()).collect();
+        by_member.sort_by_key(|&d| round[d].1);
+        let members = phase1.archive.entries();
+        let costs = parallel_map(&by_member, knobs.threads, |part| {
+            let eng = ev.engine();
+            let mut ws = eng.acquire_workspace();
+            let mut w = members[0].0.clone();
+            let costs = part
+                .iter()
+                .map(|&d| {
+                    let (fi, member, ref mv) = round[d];
+                    let rep = universe.failable[fi];
+                    w.clone_from(&members[member].0);
+                    ev.apply_move(&mut w, rep, mv);
+                    debug_assert!(w.emulates_failure(rep, knobs.q));
+                    cost_of::<E::Cost>(eng.cost_with(&mut ws, &w, Scenario::Normal))
+                })
+                .collect();
+            eng.release_workspace(ws);
+            costs
+        });
+
+        // Record in draw order: `costs[at[d]]` is draw `d`'s cost.
+        let mut at = vec![0; round.len()];
+        for (j, &d) in by_member.iter().enumerate() {
+            at[d] = j;
+        }
+        for (&(fi, _, _), &j) in round.iter().zip(&at) {
+            stats.evaluations += 1;
+            phase1.store.record(fi, &costs[j]);
         }
 
         if let Some(c) = rank_check(&phase1.store, &mut phase1.tracker, knobs) {

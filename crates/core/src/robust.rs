@@ -106,8 +106,9 @@ pub trait RobustEngine: Sync {
     type Weights: ClassWeights;
     /// The cost vector.
     type Cost: SearchCost;
-    /// One duplex link's new class weights.
-    type Move: PartialEq;
+    /// One duplex link's new class weights (`Sync`: Phase 1b draws a
+    /// whole round of moves before its workers evaluate them).
+    type Move: PartialEq + Sync;
     /// Gate parameters beyond the benchmark (DTR's χ; MTR's constraints
     /// live in its evaluator's class specs).
     type GateParams: Copy + Sync;

@@ -87,7 +87,7 @@ impl SampleStore {
         self.per_class[0].iter().map(Vec::len).sum()
     }
 
-    /// Smallest per-link sample count (drives Phase-1b balancing).
+    /// Smallest per-link sample count.
     pub fn min_count(&self) -> usize {
         self.per_class[0].iter().map(Vec::len).min().unwrap_or(0)
     }

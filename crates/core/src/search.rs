@@ -430,10 +430,16 @@ impl<W: ClassWeights, C: SearchCost> Archive<W, C> {
 
     /// Uniformly random entry.
     pub fn sample(&self, rng: &mut StdRng) -> Option<&(W, C)> {
+        self.sample_index(rng).map(|i| &self.entries[i])
+    }
+
+    /// Index of a uniformly random entry: the draw [`Archive::sample`]
+    /// makes, with the same RNG use.
+    pub fn sample_index(&self, rng: &mut StdRng) -> Option<usize> {
         if self.entries.is_empty() {
             None
         } else {
-            Some(&self.entries[rng.gen_range(0..self.entries.len())])
+            Some(rng.gen_range(0..self.entries.len()))
         }
     }
 

@@ -48,12 +48,13 @@ pub struct MtrParams {
     /// Hard safety cap on sweeps per phase.
     pub max_iterations: usize,
     /// Worker threads for the fan-outs over independent work: the
-    /// top-up's sample batches, the robust phase's capture sweeps and
-    /// plain full sweeps, its accept-path cache refresh, and a
-    /// portfolio's replicas (1 = serial). The move loop and its bounded
-    /// failure sweeps always run serially. Results and every counter are
-    /// bit-for-bit identical for every thread count — the sharded sweeps
-    /// reduce in scenario order (see `dtr_core::parallel::evaluate_set`).
+    /// top-up's rounds (contiguous chunks of the round in archive-member
+    /// order), the robust phase's capture sweeps and plain full sweeps,
+    /// its accept-path cache refresh, and a portfolio's replicas (1 =
+    /// serial). The move loop and its bounded failure sweeps always run
+    /// serially. Results and every counter are bit-for-bit identical for
+    /// every thread count — the sharded sweeps reduce in scenario order
+    /// (see `dtr_core::parallel::evaluate_set`).
     pub threads: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
     /// robust phase, run through the delta-state scenario cache

@@ -20,6 +20,7 @@
 //! just a divergence of the end state.
 
 use dtr::core::ext::probabilistic::FailureModel;
+use dtr::core::samples::SampleStore;
 use dtr::core::search::{MoveOutcome, SearchStats};
 use dtr::core::{phase1, phase1b, phase2, PortfolioParams};
 use dtr::mtr::{
@@ -131,43 +132,81 @@ fn phase1_trajectory_is_invariant_across_threads() {
     }
 }
 
+/// Every recorded sample, bit for bit and in record order, per class
+/// and failure index.
+fn assert_samples_equal(a: &SampleStore, b: &SampleStore, label: &str) {
+    assert_eq!(a.num_classes(), b.num_classes(), "{label}: class count");
+    assert_eq!(a.num_links(), b.num_links(), "{label}: link count");
+    let bits = |s: &SampleStore, c, i| -> Vec<u64> {
+        s.samples(c, i).iter().map(|x| x.to_bits()).collect()
+    };
+    for c in 0..a.num_classes() {
+        for i in 0..a.num_links() {
+            assert_eq!(
+                bits(a, c, i),
+                bits(b, c, i),
+                "{label}: class {c} samples of {i}"
+            );
+        }
+    }
+}
+
+/// Phase 1b's samples and `Phase1bStats` are the same at every thread
+/// count. Three threads put a chunk boundary inside one archive
+/// member's candidates; the MTR leg runs the same top-up at k = 3.
 #[test]
-fn phase1b_sample_stream_is_invariant_across_batching() {
+fn phase1b_sample_stream_is_invariant_across_threads() {
+    const THREADS: [usize; 3] = [1, 3, 4];
     let (net, tm) = testbed();
     let ev = Evaluator::new(&net, &tm, CostParams::default());
     let universe = FailureUniverse::of(&net);
-    let mk = |cfg: (usize, bool)| {
-        let params = params_for(5, cfg);
-        let mut p1 = phase1::run(&ev, &universe, &params);
-        p1.converged = false; // force the top-up
-        let stats = phase1b::run(&ev, &universe, &params, &mut p1);
-        (p1, stats)
+    let p1 = phase1::run(&ev, &universe, &params_for(5, CONFIGS[0]));
+    assert!(
+        p1.archive.len() >= 2,
+        "the top-up must draw from several members"
+    );
+    let run = |threads| {
+        let mut out = p1.clone();
+        out.converged = false; // force the top-up
+        let stats = phase1b::run(&ev, &universe, &params_for(5, (threads, true)), &mut out);
+        (out, stats)
     };
-    let (anchor, anchor_stats) = mk(CONFIGS[0]);
+    let (anchor, anchor_stats) = run(THREADS[0]);
     assert!(anchor_stats.rounds >= 1);
-    for cfg in &CONFIGS[1..] {
-        let (out, stats) = mk(*cfg);
-        assert_eq!(stats, anchor_stats, "{cfg:?}: phase1b stats diverged");
-        assert_eq!(out.store.total(), anchor.store.total(), "{cfg:?}");
-        for i in 0..anchor.store.num_links() {
-            assert_eq!(
-                out.store.count(i),
-                anchor.store.count(i),
-                "{cfg:?}: samples of {i}"
-            );
-            // The recorded sample *values* must match, not just counts:
-            // the tail statistics summarize them.
-            assert_eq!(
-                out.store.stats(0, i, 0.5),
-                anchor.store.stats(0, i, 0.5),
-                "{cfg:?}: λ samples of {i}"
-            );
-            assert_eq!(
-                out.store.stats(1, i, 0.5),
-                anchor.store.stats(1, i, 0.5),
-                "{cfg:?}: Φ samples of {i}"
-            );
-        }
+    for threads in &THREADS[1..] {
+        let (out, stats) = run(*threads);
+        let label = format!("dtr threads={threads}");
+        assert_eq!(stats, anchor_stats, "{label}: phase1b stats diverged");
+        assert_eq!(out.converged, anchor.converged, "{label}");
+        assert_samples_equal(&anchor.store, &out.store, &label);
+    }
+
+    let (net, tms) = (pin_net(), pin_matrices(8, 3, 71));
+    let mev = MtrEvaluator::new(&net, &tms, three_classes()).unwrap();
+    let universe = FailureUniverse::of(&net);
+    let reg = mtr_search::regular(&mev, &universe, &mtr_params_for(37, MTR_CONFIGS[0]));
+    assert!(
+        reg.archive.len() >= 2,
+        "the top-up must draw from several members"
+    );
+    let run = |threads| {
+        let mut out = reg.clone();
+        out.converged = false;
+        let params = mtr_params_for(37, (threads, true, true));
+        let spent = mtr_search::top_up_samples(&mev, &universe, &params, &mut out);
+        (out, spent)
+    };
+    let (anchor, anchor_spent) = run(THREADS[0]);
+    assert!(anchor_spent.0 >= 1);
+    for threads in &THREADS[1..] {
+        let (out, spent) = run(*threads);
+        let label = format!("mtr threads={threads}");
+        assert_eq!(
+            spent, anchor_spent,
+            "{label}: rounds and evaluations diverged"
+        );
+        assert_eq!(out.converged, anchor.converged, "{label}");
+        assert_samples_equal(&anchor.store, &out.store, &label);
     }
 }
 
@@ -1015,6 +1054,15 @@ fn pin_params(seed: u64) -> Params {
     }
 }
 
+/// The pins' k = 3 class set: one SLA class, two congestion classes.
+fn three_classes() -> MtrConfig {
+    MtrConfig::new(vec![
+        ClassSpec::sla("voice", 25e-3),
+        ClassSpec::congestion("bulk").relaxed(0.2),
+        ClassSpec::congestion("scavenger").relaxed(0.5),
+    ])
+}
+
 fn mtr_pin_params(seed: u64) -> MtrParams {
     MtrParams {
         record_trace: true,
@@ -1097,12 +1145,7 @@ fn absolute_trajectory_pins() {
     );
 
     let tms = pin_matrices(8, 3, 71);
-    let config = MtrConfig::new(vec![
-        ClassSpec::sla("voice", 25e-3),
-        ClassSpec::congestion("bulk").relaxed(0.2),
-        ClassSpec::congestion("scavenger").relaxed(0.5),
-    ]);
-    let mev = MtrEvaluator::new(&net, &tms, config).unwrap();
+    let mev = MtrEvaluator::new(&net, &tms, three_classes()).unwrap();
     let reg = mtr_search::regular(&mev, &universe, &mtr_pin_params(29));
     let scenarios = universe.scenarios();
     let mut mtr = |name, out: dtr::mtr::robust::MtrRobustOutput| {
@@ -1169,5 +1212,76 @@ fn absolute_trajectory_pins() {
         assert_eq!(*name, want_name);
         assert!(*divs >= 1, "{name}: the run never diversified");
         assert_eq!(*pin, want_pin, "{name}: trajectory moved");
+    }
+}
+
+/// A top-up's stats and the bits of every sample in its store, per class
+/// and failure index in record order.
+fn phase1b_pin(stats: &phase1b::Phase1bStats, store: &SampleStore) -> u64 {
+    let mut h = Fnv::new();
+    h.word(stats.rounds as u64);
+    h.word(stats.evaluations as u64);
+    h.word(u64::from(stats.converged));
+    for c in 0..store.num_classes() {
+        for i in 0..store.num_links() {
+            h.f64s(store.samples(c, i));
+        }
+    }
+    h.0
+}
+
+/// Absolute pins over Phase 1b's sample bits, which the trajectory pins
+/// above never reach (their Phase 2 starts from Phase 1a's output): a
+/// forced DTR top-up and an MTR k = 3 top-up, each drawing from an
+/// archive of several members.
+#[test]
+fn absolute_phase1b_pins() {
+    let net = pin_net();
+    let universe = FailureUniverse::of(&net);
+    let mut got: Vec<(&str, u64)> = Vec::new();
+
+    let mut tms = pin_matrices(8, 2, 61).into_iter();
+    let tm = ClassMatrices {
+        delay: tms.next().unwrap(),
+        throughput: tms.next().unwrap(),
+    };
+    let ev = Evaluator::new(&net, &tm, CostParams::default());
+    let params = pin_params(3);
+    let mut p1 = phase1::run(&ev, &universe, &params);
+    assert!(
+        p1.archive.len() >= 3,
+        "dtr: archive of {}",
+        p1.archive.len()
+    );
+    p1.converged = false; // force the top-up
+    let stats = phase1b::run(&ev, &universe, &params, &mut p1);
+    assert!(stats.rounds >= 1);
+    got.push(("dtr top-up", phase1b_pin(&stats, &p1.store)));
+
+    let tms = pin_matrices(8, 3, 71);
+    let mev = MtrEvaluator::new(&net, &tms, three_classes()).unwrap();
+    let params = mtr_pin_params(29);
+    let mut reg = mtr_search::regular(&mev, &universe, &params);
+    assert!(
+        reg.archive.len() >= 3,
+        "mtr: archive of {}",
+        reg.archive.len()
+    );
+    reg.converged = false;
+    let stats = phase1b::top_up(&mev, &universe, &(&params).into(), &mut reg);
+    assert!(stats.rounds >= 1);
+    got.push(("mtr top-up", phase1b_pin(&stats, &reg.store)));
+
+    let want: [(&str, u64); 2] = [
+        ("dtr top-up", 0x72d8_3b33_29cd_619b),
+        ("mtr top-up", 0xd8ef_4ca9_d560_38cd),
+    ];
+    assert_eq!(got.len(), want.len());
+    for ((name, pin), (want_name, want_pin)) in got.iter().zip(want) {
+        assert_eq!(*name, want_name);
+        assert_eq!(
+            *pin, want_pin,
+            "{name}: Phase-1b samples moved: {pin:#018x}"
+        );
     }
 }
