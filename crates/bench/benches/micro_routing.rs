@@ -194,15 +194,17 @@ fn bench_micro(c: &mut Criterion) {
 
 /// Deterministic search-level parallelism at the 500-node tier: the
 /// same 2-replica portfolio search (rendezvous every 2 sweeps, cutoff +
-/// Λ floors) run once on 1 thread and
-/// once with a real thread fan-out, asserted **byte-identical** — the
-/// parallel-search contract in `DETERMINISM.md`: the output depends
-/// only on `(seed, replicas, rendezvous_period)`, never on `threads` —
-/// and timed both ways.
+/// Λ floors) run once at `threads = 1`, where one worker runs both
+/// replicas in sequence on the caller's thread, and once with a real
+/// thread fan-out, asserted **byte-identical** — the parallel-search
+/// contract in `DETERMINISM.md`: the output depends only on
+/// `(seed, replicas, rendezvous_period)`, never on `threads` — and
+/// timed both ways.
 ///
-/// Like `sharded_link_sweep`, the fan-out leg always uses at least 4
-/// threads so the identity assertion exercises real sharding even on a
-/// single-core machine; the separately recorded `available_cores`
+/// Like `sharded_link_sweep`, the fan-out leg always asks for at least
+/// 4 threads, so the identity assertion exercises a real fan-out even
+/// on a single-core machine (`threads` caps the portfolio's workers,
+/// here one per replica); the separately recorded `available_cores`
 /// field tells `check_bench` whether the runner can expect a speedup.
 /// `check_bench` fails CI when the entry is missing, the
 /// `byte_identical` flag is false, or a multicore runner records

@@ -88,10 +88,10 @@
 //! Determinism: all randomness flows from [`Params::seed`]; the builder
 //! path reproduces the removed entry points bit-for-bit on equal seeds
 //! (pinned by `tests/scenario_equivalence.rs` at the workspace root).
-//! Parallelism: failure-cost sums fan out over scenarios with scoped
-//! threads ([`parallel`]) — [`Params::threads`] `= 1` gives a fully serial,
-//! bit-reproducible run (parallel sums are reduced in scenario order, so
-//! results are identical across thread counts anyway).
+//! Parallelism: [`Params::threads`] caps the workers of Phase 1b's
+//! rounds and of a portfolio's replicas ([`parallel`]); every robust
+//! chain runs on one thread, and `threads = 1` gives a fully serial
+//! run. Results are identical across thread counts.
 
 #![forbid(unsafe_code)]
 

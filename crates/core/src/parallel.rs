@@ -22,6 +22,11 @@
 //! sweep serves the single-link universe and the node / SRLG /
 //! double-link / probabilistic ensembles. The slice forms ([`failure_costs`],
 //! [`sum_failure_costs`]) ride the same kernel through a [`SliceSet`].
+//!
+//! The robust search runs each chain on one thread, so its full sweeps
+//! call [`sum_set_costs`] with one worker. Its `threads` knob caps the
+//! two fan-outs over independent work that remain: Phase 1b's rounds
+//! ([`parallel_map`]) and a portfolio's replicas ([`scoped_fanout`]).
 
 use dtr_cost::{Engine, EvalWorkspace, Evaluator, LexCost, ScenarioCache};
 use dtr_routing::{ClassWeights, Scenario, WeightSetting};
@@ -31,7 +36,7 @@ use crate::scenario::{ScenarioSet, SliceSet};
 use crate::search::SearchCost;
 
 /// Split `items` into up to `threads` contiguous chunks, map each whole
-/// chunk with `f` on its own scoped worker (one chunk runs on the
+/// chunk with `f` on its own scoped worker (a single chunk runs on the
 /// caller's thread) and splice the results back in input order. `f`
 /// sees its whole chunk, so it can hold one pooled workspace across it;
 /// as long as each item's result does not depend on that state, the
@@ -63,23 +68,27 @@ where
     out
 }
 
-/// Fan the elements of `parts` out over scoped worker threads, one
-/// worker per element, and join them all (in spawn order) before
-/// returning; a single part runs inline on the caller's thread, as
-/// [`parallel_map`] does for one worker. This is the only sanctioned
-/// thread fan-out primitive outside this module — the static pass
-/// (`dtr-analysis`, lint `policy-thread`) rejects direct
-/// `thread::scope`/`thread::spawn` elsewhere, so sharded sweeps that
-/// live near their data (e.g. the cache capture sweeps) route through
-/// here instead of open-coding the scope.
-pub fn scoped_fanout<T: Send>(parts: Vec<T>, f: impl Fn(T) + Sync) {
-    if parts.len() <= 1 {
-        parts.into_iter().for_each(f);
+/// Run `f` on every element of `items` on at most `threads` scoped
+/// workers, each taking one contiguous chunk and running it in order,
+/// and join them all before returning; a single worker runs on the
+/// caller's thread. This is the only sanctioned thread fan-out primitive
+/// outside this module — the static pass (`dtr-analysis`, lint
+/// `policy-thread`) rejects direct `thread::scope`/`thread::spawn`
+/// elsewhere, so the robust search's portfolio runs its replicas
+/// through here instead of open-coding the scope.
+pub fn scoped_fanout<T: Send>(items: &mut [T], threads: usize, f: impl Fn(&mut T) + Sync) {
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        items.iter_mut().for_each(f);
         return;
     }
+    let chunk = items.len().div_ceil(workers);
     let f = &f;
     std::thread::scope(|s| {
-        let handles: Vec<_> = parts.into_iter().map(|p| s.spawn(move || f(p))).collect();
+        let handles: Vec<_> = items
+            .chunks_mut(chunk)
+            .map(|part| s.spawn(move || part.iter_mut().for_each(f)))
+            .collect();
         for h in handles {
             h.join().expect("scoped fan-out worker panicked");
         }
@@ -674,6 +683,45 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(got, SetSweep::Complete(total));
+    }
+
+    #[test]
+    fn scoped_fanout_runs_contiguous_chunks_on_at_most_threads_workers() {
+        use std::sync::Mutex;
+        use std::thread::{self, ThreadId};
+        let caller = thread::current().id();
+        for threads in [1, 2, 3, 8] {
+            let log: Mutex<Vec<(ThreadId, usize)>> = Mutex::new(Vec::new());
+            let mut items: Vec<usize> = (0..7).collect();
+            scoped_fanout(&mut items, threads, |i| {
+                log.lock().unwrap().push((thread::current().id(), *i));
+                *i += 100;
+            });
+            assert_eq!(items, (100..107).collect::<Vec<_>>(), "threads={threads}");
+            let log = log.into_inner().unwrap();
+            // Each worker's items, in the order it ran them.
+            let mut workers: Vec<(ThreadId, Vec<usize>)> = Vec::new();
+            for &(id, i) in &log {
+                match workers.iter_mut().find(|(w, _)| *w == id) {
+                    Some((_, run)) => run.push(i),
+                    None => workers.push((id, vec![i])),
+                }
+            }
+            assert!(
+                workers.len() <= threads.min(7),
+                "threads={threads}: {} workers",
+                workers.len()
+            );
+            for (_, run) in &workers {
+                assert!(
+                    run.windows(2).all(|p| p[1] == p[0] + 1),
+                    "threads={threads}: a worker ran {run:?}"
+                );
+            }
+            if threads == 1 {
+                assert!(log.iter().all(|&(id, _)| id == caller));
+            }
+        }
     }
 
     #[test]

@@ -103,13 +103,11 @@ pub struct Params {
     /// Archive size: how many acceptable settings Phase 1 keeps as Phase-2
     /// starting points.
     pub archive_size: usize,
-    /// Worker threads for the fan-outs over independent work: Phase 1b's
-    /// rounds (contiguous chunks of the round in archive-member order),
-    /// the robust phase's capture sweeps and plain full sweeps, its
-    /// accept-path cache refresh, and a portfolio's replicas (1 =
-    /// serial). The move loop and its bounded failure sweeps always run
-    /// serially. Results and every counter are identical for any value;
-    /// this only changes wall-clock.
+    /// Worker cap of the two fan-outs over independent work: Phase 1b's
+    /// rounds (contiguous chunks of the round in archive-member order)
+    /// and a portfolio's replicas (1 = serial). Each robust chain runs
+    /// on one thread. Results and every counter are identical for any
+    /// value; this only changes wall-clock.
     pub threads: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
     /// robust phase, which stand each scenario's Λ floor

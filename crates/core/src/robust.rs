@@ -40,10 +40,12 @@
 //! accept/reject sequence are therefore identical for every thread
 //! count, cutoff and cache setting, and every [`SearchStats`] counter is
 //! identical for every thread count — pinned by
-//! `tests/search_equivalence.rs`. `threads` reaches only the fan-outs
-//! over independent work: the capture sweep and the plain full sweeps
-//! (each scenario its own evaluation), the accept-path cache refresh
-//! (position-disjoint entries) and a portfolio's replicas.
+//! `tests/search_equivalence.rs`. A chain runs on one thread: its move
+//! loop, bounded sweeps, capture sweeps, plain full sweeps and
+//! accept-path cache refreshes run in order on the thread that sweeps
+//! it. Here `threads` reaches only a portfolio, whose replicas run on at
+//! most `threads` workers (Phase 1b's rounds are the other fan-out it
+//! caps).
 //!
 //! # Portfolio search and checkpoints
 //!
@@ -193,7 +195,8 @@ pub struct RobustKnobs {
     pub archive_size: usize,
     /// Sweep backstop (per phase).
     pub max_iterations: usize,
-    /// Worker threads for the fan-outs over independent work.
+    /// Worker cap of Phase 1b's rounds and of a portfolio's replicas;
+    /// each chain runs on one thread.
     pub threads: usize,
     /// Incumbent-bounded failure sweeps through the scenario cache.
     pub cutoff: bool,
@@ -210,16 +213,13 @@ pub struct RobustKnobs {
 }
 
 impl RobustKnobs {
-    /// The replica-local knobs of portfolio chain `r`: derived seed and
-    /// a `1/replicas` share of the worker threads.
+    /// The replica-local knobs of portfolio chain `r`: its derived seed.
     fn replica(&self, r: usize) -> Self {
-        let replicas = self.portfolio.replicas;
-        if replicas == 1 {
+        if self.portfolio.replicas == 1 {
             return *self;
         }
         RobustKnobs {
             seed: replica_seed(self.seed, r),
-            threads: (self.threads / replicas).max(1),
             ..*self
         }
     }
@@ -392,9 +392,9 @@ fn full_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 ) -> E::Cost {
     stats.evaluations += indices.len();
     if !knobs.cutoff {
-        return parallel::sum_set_costs(ev, w, set, indices, knobs.threads);
+        return parallel::sum_set_costs(ev, w, set, indices, 1);
     }
-    rebuild_cache(ev, set, indices, w, knobs.threads, st);
+    rebuild_cache(ev, set, indices, w, st);
     let resident = st.cache.resident_scenarios();
     stats.cache_resident_scenarios = stats.cache_resident_scenarios.max(resident);
     stats.cache_fallback_evals += indices.len() - resident;
@@ -406,26 +406,23 @@ fn full_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     acc
 }
 
-/// Capture sweep over `w`: rebuilds the delta-state scenario cache (the
-/// incumbent baseline plus every scenario's resident state) and
-/// refreshes the per-position cost scratch, sharding across `threads`
-/// workers (cache entries and cost slots are position-disjoint, so each
-/// worker owns a contiguous chunk of both).
+/// Capture sweep over `w`, in position order on one pooled workspace:
+/// rebuilds the delta-state scenario cache (the incumbent baseline plus
+/// every resident scenario's state) and refreshes the per-position cost
+/// scratch.
 ///
-/// Budget-bounded caches first capture position 0 serially as a
-/// calibration probe, plan the resident prefix from its measured
-/// footprint, then capture only positions inside that prefix; the
-/// non-resident tail is evaluated on the plain repair-seeded path, which
-/// returns the same bits (pinned by
+/// Budget-bounded caches first capture position 0 as a calibration
+/// probe and plan the resident prefix from its measured footprint; the
+/// positions past that prefix are evaluated on the plain repair-seeded
+/// path, which returns the same bits (pinned by
 /// `tests/scenario_engine_equivalence.rs`). A budget below one entry
 /// keeps the calibration probe allocated but marks nothing resident —
 /// at most one entry of slack over the configured budget.
-fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
+fn rebuild_cache<E: RobustEngine, S: ScenarioSet + ?Sized>(
     ev: &E,
     set: &S,
     indices: &[usize],
     w: &E::Weights,
-    threads: usize,
     st: &mut SweepState<E>,
 ) {
     let eng = ev.engine();
@@ -438,91 +435,22 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         .resize(n, E::Cost::zeros(eng.num_classes()));
     let mut captured = 0usize;
     if st.cache.budget_bytes() != usize::MAX && n > 0 {
-        let entry = &mut st.cache.capture_split().1[0];
         let sc = set.scenario(indices[0]);
-        st.scratch.costs[0].assign(eng.cost_capture_into(&mut ws, w, sc, entry));
+        st.scratch.costs[0].assign(eng.cost_capture(&mut ws, w, sc, &mut st.cache, 0));
         captured = 1;
     }
-    eng.release_workspace(ws);
     st.cache.plan_residency(n);
-    // Positions still to capture sit in `captured..cap_hi`; everything
-    // past the resident prefix takes the plain path into the same cost
-    // slots (position 0 is already exact even when non-resident — the
-    // capture eval and the plain eval are bit-identical).
-    let cap_hi = st.cache.resident_scenarios().max(captured);
-    let workers = threads.min(n).max(1);
-    {
-        let entries = st.cache.capture_split().1;
-        let idx = &indices[captured..cap_hi];
-        let ents = &mut entries[captured..cap_hi];
-        let csts = &mut st.scratch.costs[captured..cap_hi];
-        if !idx.is_empty() {
-            let chunk = idx.len().div_ceil(workers);
-            let parts: Vec<_> = idx
-                .chunks(chunk)
-                .zip(ents.chunks_mut(chunk))
-                .zip(csts.chunks_mut(chunk))
-                .collect();
-            parallel::scoped_fanout(parts, |((idx, ents), cst)| {
-                let mut ws = eng.acquire_workspace();
-                for ((&i, entry), c) in idx.iter().zip(ents).zip(cst) {
-                    c.assign(eng.cost_capture_into(&mut ws, w, set.scenario(i), entry));
-                }
-                eng.release_workspace(ws);
-            });
-        }
+    // Position 0 is already exact even when non-resident: the capture
+    // eval and the plain eval are bit-identical.
+    for (pos, &i) in indices.iter().enumerate().skip(captured) {
+        let sc = set.scenario(i);
+        let c = if st.cache.is_resident(pos) {
+            eng.cost_capture(&mut ws, w, sc, &mut st.cache, pos)
+        } else {
+            eng.cost_with(&mut ws, w, sc)
+        };
+        st.scratch.costs[pos].assign(c);
     }
-    let tail = &indices[cap_hi..];
-    if !tail.is_empty() {
-        let csts = &mut st.scratch.costs[cap_hi..];
-        let chunk = tail.len().div_ceil(workers);
-        let parts: Vec<_> = tail.chunks(chunk).zip(csts.chunks_mut(chunk)).collect();
-        parallel::scoped_fanout(parts, |(idx, cst)| {
-            let mut ws = eng.acquire_workspace();
-            for (&i, c) in idx.iter().zip(cst) {
-                c.assign(eng.cost_with(&mut ws, w, set.scenario(i)));
-            }
-            eng.release_workspace(ws);
-        });
-    }
-}
-
-/// Re-point the delta-state cache at the accepted incumbent `w`,
-/// sharding the per-entry refresh across `threads` workers: after
-/// [`Engine::cache_begin`] diffs `w` against the incumbent, resident
-/// entries are position-disjoint and the incumbent half is shared
-/// read-only, so each worker owns a contiguous chunk and the spliced
-/// result is bit-identical to the serial refresh at any thread count
-/// (the parallel-search contract in `DETERMINISM.md`; pinned by
-/// `tests/search_equivalence.rs`).
-fn refresh_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
-    ev: &E,
-    set: &S,
-    indices: &[usize],
-    w: &E::Weights,
-    threads: usize,
-    cache: &mut ScenarioCache,
-) {
-    let eng = ev.engine();
-    eng.cache_begin(cache, w);
-    let resident = cache.resident_scenarios();
-    if resident > 0 {
-        let (inc, entries) = cache.capture_split();
-        let chunk = resident.div_ceil(threads.min(resident).max(1));
-        let parts: Vec<_> = indices[..resident]
-            .chunks(chunk)
-            .zip(entries[..resident].chunks_mut(chunk))
-            .collect();
-        parallel::scoped_fanout(parts, |(idx, ents)| {
-            let mut ws = eng.acquire_workspace();
-            for (&i, entry) in idx.iter().zip(ents) {
-                eng.cache_refresh_entry(&mut ws, w, inc, set.scenario(i), entry);
-            }
-            eng.release_workspace(ws);
-        });
-    }
-    let mut ws = eng.acquire_workspace();
-    eng.cache_refresh_finish(&mut ws, cache, w);
     eng.release_workspace(ws);
 }
 
@@ -530,9 +458,8 @@ fn refresh_cache<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 /// single-chain loop keeps across sweeps, owned per replica so portfolio
 /// chains can run concurrently between rendezvous (the parallel-search
 /// contract in `DETERMINISM.md`). `knobs` is the replica-local copy —
-/// derived master seed, `1/replicas` share of the worker threads; every
-/// other knob matches the run's. With `replicas == 1` the chain *is*
-/// the classic search, bit for bit.
+/// the derived master seed; every other knob matches the run's. With
+/// `replicas == 1` the chain *is* the classic search, bit for bit.
 struct Chain<E: RobustEngine> {
     knobs: RobustKnobs,
     rng: StdRng,
@@ -807,7 +734,7 @@ fn decode_chain<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     // `evaluations`.
     let mut st = SweepState::new(indices, floors, &knobs);
     if knobs.cutoff && !indices.is_empty() {
-        rebuild_cache(ev, set, indices, &current, knobs.threads, &mut st);
+        rebuild_cache(ev, set, indices, &current, &mut st);
         stats.cache_rebuild_evals += indices.len();
         stats.cache_resident_scenarios = stats
             .cache_resident_scenarios
@@ -1011,28 +938,26 @@ fn drive<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 
     // A single chain sweeps once per boundary. A portfolio (the
     // parallel-search contract, `DETERMINISM.md`) runs independent
-    // chains from distinct derived seeds, each granted an equal share of
-    // the worker threads, exchanging archive elites at fixed rendezvous
-    // points. Every cross-replica step — elite collection, archive
-    // offers, the final winner pick and stat merge — happens in replica
-    // index order on the coordinating thread, so the output depends only
-    // on `(seed, replicas, rendezvous_period)`, never on thread count.
+    // chains from distinct derived seeds on at most `threads` workers
+    // (a done chain's sweeps return at once), exchanging archive elites
+    // at fixed rendezvous points. Every cross-replica step — elite
+    // collection, archive offers, the final winner pick and stat merge
+    // — happens in replica index order on the coordinating thread, so
+    // the output depends only on `(seed, replicas, rendezvous_period)`,
+    // never on thread count.
     let mut elites: Vec<(E::Weights, E::Cost)> = Vec::new();
     while !indices.is_empty() && chains.iter().any(|c| !c.done) {
         if let [ch] = chains.as_mut_slice() {
             chain_sweep(set, indices, run, ch);
         } else {
-            parallel::scoped_fanout(
-                chains.iter_mut().filter(|c| !c.done).collect(),
-                |ch: &mut Chain<E>| {
-                    for _ in 0..knobs.portfolio.rendezvous_period {
-                        chain_sweep(set, indices, run, ch);
-                        if ch.done {
-                            break;
-                        }
+            parallel::scoped_fanout(&mut chains, knobs.threads, |ch| {
+                for _ in 0..knobs.portfolio.rendezvous_period {
+                    chain_sweep(set, indices, run, ch);
+                    if ch.done {
+                        break;
                     }
-                },
-            );
+                }
+            });
             // Rendezvous: collect every replica's elite in index order,
             // then offer the batch into every archive in that same
             // order. `Archive::offer` dedups by fingerprint, so repeat
@@ -1180,13 +1105,7 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                 };
                 outcome
             } else {
-                SetSweep::Complete(parallel::sum_set_costs(
-                    ev,
-                    cand_w,
-                    set,
-                    indices,
-                    knobs.threads,
-                ))
+                SetSweep::Complete(parallel::sum_set_costs(ev, cand_w, set, indices, 1))
             };
             match outcome {
                 SetSweep::Complete(kfail) if kfail.better_than(current_kfail) => {
@@ -1197,7 +1116,11 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                         // move. The delta-state refresh keeps
                         // affected-set coverage *exact*, so no periodic
                         // full rebuild is needed.
-                        refresh_cache(ev, set, indices, cand_w, knobs.threads, &mut st.cache);
+                        let mut ws = eng.acquire_workspace();
+                        eng.cache_refresh(&mut ws, &mut st.cache, cand_w, |pos| {
+                            set.scenario(indices[pos])
+                        });
+                        eng.release_workspace(ws);
                         st.refresh(set, indices);
                     }
                     current_normal.clone_from(cand_normal);
@@ -1270,9 +1193,8 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 }
 
 /// Build the chain vector [`drive`] runs: one classic chain, or
-/// `replicas` portfolio chains from distinct derived seeds, each with
-/// an equal share of the worker threads (initial full sweeps fan out
-/// across replicas).
+/// `replicas` portfolio chains from distinct derived seeds, whose
+/// initial full sweeps run on at most `threads` workers.
 fn build_chains<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
     set: &S,
@@ -1281,28 +1203,15 @@ fn build_chains<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     knobs: &RobustKnobs,
     archive: &Archive<E::Weights, E::Cost>,
 ) -> Vec<Chain<E>> {
-    let replicas = knobs.portfolio.replicas;
-    if replicas == 1 {
-        return vec![Chain::new(ev, set, indices, floors, *knobs, archive)];
-    }
-    let mut slots: Vec<Option<Chain<E>>> = Vec::new();
-    slots.resize_with(replicas, || None);
-    parallel::scoped_fanout(
-        slots.iter_mut().enumerate().collect(),
-        |(r, slot): (usize, &mut Option<Chain<E>>)| {
-            *slot = Some(Chain::new(
-                ev,
-                set,
-                indices,
-                floors,
-                knobs.replica(r),
-                archive,
-            ));
-        },
-    );
+    let mut slots: Vec<(RobustKnobs, Option<Chain<E>>)> = (0..knobs.portfolio.replicas)
+        .map(|r| (knobs.replica(r), None))
+        .collect();
+    parallel::scoped_fanout(&mut slots, knobs.threads, |(k, slot)| {
+        *slot = Some(Chain::new(ev, set, indices, floors, *k, archive));
+    });
     slots
         .into_iter()
-        .map(|s| s.expect("every replica slot is initialised"))
+        .map(|(_, s)| s.expect("every replica slot is initialised"))
         .collect()
 }
 

@@ -92,11 +92,6 @@ impl SampleStore {
         self.per_class[0].iter().map(Vec::len).min().unwrap_or(0)
     }
 
-    /// Index of the link with the fewest samples (ties → smallest index).
-    pub fn poorest_link(&self) -> Option<usize> {
-        (0..self.num_links()).min_by_key(|&i| self.count(i))
-    }
-
     /// Class `class`'s samples at failure index `i`, in record order.
     pub fn samples(&self, class: usize, i: usize) -> &[f64] {
         &self.per_class[class][i]
@@ -144,7 +139,6 @@ mod tests {
         assert_eq!(s.count(0), 0);
         assert!(s.stats(0, 0, 0.1).is_none());
         assert_eq!(s.min_count(), 0);
-        assert_eq!(s.poorest_link(), Some(0));
     }
 
     #[test]
@@ -157,7 +151,6 @@ mod tests {
         assert_eq!(s.count(1), 1);
         assert_eq!(s.total(), 3);
         assert_eq!(s.min_count(), 1);
-        assert_eq!(s.poorest_link(), Some(1));
         // Components land in their own class, in record order.
         assert_eq!(s.samples(0, 0), &[1.0, 3.0]);
         assert_eq!(s.samples(1, 0), &[10.0, 30.0]);

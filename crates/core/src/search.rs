@@ -14,8 +14,9 @@
 //! skips a no-op, applies it, evaluates the normal-conditions cost and
 //! lets the phase decide; a rejected move is reverted. Each move is
 //! judged against the setting every earlier accept produced, so the loop
-//! is serial by construction. Parallelism lives below it, in fan-outs
-//! over independent work (see [`crate::parallel`]).
+//! is serial by construction. Parallelism lives outside it: Phase 1b's
+//! rounds and a portfolio's replicas fan out over independent work (see
+//! [`crate::parallel`]).
 
 use dtr_cost::LexCost;
 use dtr_net::{LinkId, Network};
@@ -78,9 +79,10 @@ pub enum Terminated {
 }
 
 /// Counters reported by each search phase. Every counter is
-/// thread-invariant: the move loop and its bounded failure sweeps run
-/// serially, and the fan-outs below them only move independent work
-/// between threads (the parallel-search contract in `DETERMINISM.md`).
+/// thread-invariant: every robust chain runs on one thread, and the two
+/// fan-outs (Phase 1b's rounds, a portfolio's replicas) only move
+/// independent work between threads (the parallel-search contract in
+/// `DETERMINISM.md`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Full sweeps over all links.

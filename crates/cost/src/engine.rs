@@ -18,7 +18,7 @@
 //!    per-thread workspace drawn from the engine's pool. After warm-up,
 //!    an evaluation of **any** scenario kind performs **zero** heap
 //!    allocations at any k (`tests/alloc_free.rs` pins this for link,
-//!    SRLG and node sweeps, the delta-state cached path and the sharded
+//!    SRLG and node sweeps, the delta-state cached path and the cache
 //!    refresh, at k = 2 and k = 3).
 //! 2. **Baseline caching**: the workspace keeps, per traffic class, the
 //!    full no-failure routing of the *current* weight setting as
@@ -82,7 +82,7 @@
 //!    ([`route_destination_reweight`]), and [`route_destination`] runs
 //!    only where no previous routing exists; the cache's incumbent
 //!    baseline copies the records an accepted move really changed from
-//!    such a workspace baseline ([`Engine::cache_refresh_finish`]).
+//!    such a workspace baseline (the close of [`Engine::cache_refresh`]).
 //!    Integer distances make every repair bit-equal to the full route,
 //!    so repair changes only the time an evaluation takes.
 //!
@@ -313,7 +313,7 @@ fn weight_diff(old: &[u32], new: &[u32], out: &mut Vec<WeightChange>) {
 }
 
 /// Persistent per-scenario state of the cached incumbent: per class, the
-/// recomputed routings of exactly the mask-affected destinations, plus
+/// recomputed routings of exactly the flow-affected destinations, plus
 /// the resident delays a candidate evaluation diffs against (see the
 /// module docs).
 ///
@@ -324,7 +324,7 @@ fn weight_diff(old: &[u32], new: &[u32], out: &mut Vec<WeightChange>) {
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioEntry {
     /// Per class: `(slot into the class's demand-destination list,
-    /// routing)` — exactly the mask-affected destinations, ascending.
+    /// routing)` — exactly the flow-affected destinations, ascending.
     routed: Vec<Vec<(u32, DestRouting)>>,
     /// Resident per-link delays of the incumbent's total loads.
     link_delays: Vec<f64>,
@@ -431,8 +431,7 @@ pub struct ScenarioCache {
 }
 
 /// The shared half of a [`ScenarioCache`]: what every entry's cached
-/// evaluation reads and no entry owns. Sharded capture and refresh
-/// sweeps borrow it read-only next to their disjoint entries (see
+/// evaluation reads and no entry owns (see
 /// [`ScenarioCache::capture_split`]).
 #[derive(Debug, Default)]
 pub struct CacheIncumbent {
@@ -525,12 +524,9 @@ impl ScenarioCache {
     }
 
     /// Split the cache into its shared incumbent half and the
-    /// per-position entries, for sharded capture sweeps
-    /// ([`Engine::cost_capture_into`]) and refresh sweeps
-    /// ([`Engine::cache_refresh_entry`]). Entries are position-disjoint,
-    /// so each worker takes a contiguous chunk and writes the same bytes
-    /// into the same slots as the serial loop (the parallel-search
-    /// contract in `DETERMINISM.md`).
+    /// per-position entries: the refresh reads the one while it commits
+    /// into the other, and callers read an entry (its
+    /// [`ScenarioEntry::resident_bytes`], say) through the slice.
     pub fn capture_split(&mut self) -> (&CacheIncumbent, &mut [ScenarioEntry]) {
         (&self.inc, &mut self.entries)
     }
@@ -1123,10 +1119,10 @@ impl<'a> Engine<'a> {
 
     /// Reset the cache to describe incumbent `w` with `positions`
     /// scenario slots (keeping allocations) and capture the incumbent's
-    /// no-failure baseline routing per class. Every entry must then be
-    /// (re-)captured with [`cost_capture`](Self::cost_capture) /
-    /// [`cost_capture_into`](Self::cost_capture_into) before candidates
-    /// evaluate through [`cost_cached`](Self::cost_cached).
+    /// no-failure baseline routing per class. Every resident entry must
+    /// then be (re-)captured with [`cost_capture`](Self::cost_capture)
+    /// before candidates evaluate through
+    /// [`cost_cached`](Self::cost_cached).
     pub fn cache_rebuild_begin<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
@@ -1209,11 +1205,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Entry-level form of [`cost_capture`](Self::cost_capture): a plain
-    /// evaluation of the incumbent `w`, committed into one caller-held
-    /// [`ScenarioEntry`]. Entries are position-disjoint, so a cache
-    /// rebuild can shard its capture sweep across workers, each holding
-    /// a disjoint slice of the entries ([`ScenarioCache::capture_split`]).
-    pub fn cost_capture_into<'w, W: ClassWeights>(
+    /// evaluation of the incumbent `w`, committed into `entry`.
+    fn cost_capture_into<'w, W: ClassWeights>(
         &self,
         ws: &'w mut EvalWorkspace,
         w: &W,
@@ -1468,18 +1461,13 @@ impl<'a> Engine<'a> {
     /// maintenance of the hill climbers. After
     /// [`cache_begin`](Self::cache_begin) diffs `w` against the
     /// incumbent, every resident entry takes `w`'s cached evaluation
-    /// against it and commits that result
-    /// ([`cache_refresh_entry`](Self::cache_refresh_entry)); then
-    /// [`cache_refresh_finish`](Self::cache_refresh_finish) copies the
-    /// baseline records the move really changed and adopts `w`. A
-    /// refreshed entry is exactly what a fresh capture at `w` would hold
-    /// — destinations entering or leaving a scenario's mask-affected set
-    /// are spliced into or out of its entry — so no periodic full
-    /// rebuild is needed.
-    ///
-    /// Multicore accept paths shard the per-entry stage across workers
-    /// (see [`ScenarioCache::capture_split`]) with bit-identical results
-    /// (the parallel-search contract in `DETERMINISM.md`).
+    /// against it and commits that result through the commit capture
+    /// uses, in position order on `ws`; then the baseline records the
+    /// move really changed are copied from `ws`'s baseline at `w`, and
+    /// `w` becomes the incumbent. A refreshed entry is exactly what a
+    /// fresh capture at `w` would hold — destinations entering or
+    /// leaving a scenario's flow-affected set are spliced into or out of
+    /// its entry — so no periodic full rebuild is needed.
     pub fn cache_refresh<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
@@ -1498,12 +1486,8 @@ impl<'a> Engine<'a> {
 
     /// The per-entry stage of [`cache_refresh`](Self::cache_refresh):
     /// `w`'s cached evaluation against `entry`, committed into it. Call
-    /// after [`cache_begin`](Self::cache_begin) for this `w`. The result
-    /// is a pure function of (entry, `inc`, `w`, scenario), entries are
-    /// position-disjoint and `inc` is read-only, so an accept path may
-    /// shard the resident entries across workers in contiguous chunks,
-    /// each worker with its own pooled workspace.
-    pub fn cache_refresh_entry<W: ClassWeights>(
+    /// after [`cache_begin`](Self::cache_begin) for this `w`.
+    fn cache_refresh_entry<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
         w: &W,
@@ -1520,7 +1504,7 @@ impl<'a> Engine<'a> {
     /// workspace baseline at `w` into the cache, adopt `w` as the
     /// incumbent and advance the generation stamp. Call once, after
     /// every entry's [`cache_refresh_entry`](Self::cache_refresh_entry).
-    pub fn cache_refresh_finish<W: ClassWeights>(
+    fn cache_refresh_finish<W: ClassWeights>(
         &self,
         ws: &mut EvalWorkspace,
         cache: &mut ScenarioCache,

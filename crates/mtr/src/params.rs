@@ -47,14 +47,12 @@ pub struct MtrParams {
     pub archive_size: usize,
     /// Hard safety cap on sweeps per phase.
     pub max_iterations: usize,
-    /// Worker threads for the fan-outs over independent work: the
+    /// Worker cap of the two fan-outs over independent work: the
     /// top-up's rounds (contiguous chunks of the round in archive-member
-    /// order), the robust phase's capture sweeps and plain full sweeps,
-    /// its accept-path cache refresh, and a portfolio's replicas (1 =
-    /// serial). The move loop and its bounded failure sweeps always run
-    /// serially. Results and every counter are bit-for-bit identical for
-    /// every thread count — the sharded sweeps reduce in scenario order
-    /// (see `dtr_core::parallel::evaluate_set`).
+    /// order) and a portfolio's replicas (1 = serial). Each robust chain
+    /// runs on one thread. Results and every counter are bit-for-bit
+    /// identical for every thread count (the parallel-search contract
+    /// in `DETERMINISM.md`).
     pub threads: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
     /// robust phase, run through the delta-state scenario cache

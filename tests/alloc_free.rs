@@ -349,20 +349,17 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
     );
 }
 
-/// The accept-path sharded cache refresh: after warm-up, one more cycle
-/// of re-pointing the delta-state cache at a new incumbent through the
-/// per-worker kernel sequence — serial `cache_begin`, then
+/// The accept-path cache refresh: after warm-up, one more cycle of
+/// re-pointing the delta-state cache at a new incumbent through
+/// `Evaluator::cache_refresh` — `cache_begin`, then
 /// `cache_refresh_entry` (the cached evaluation plus the commit) for
-/// every resident entry on a pooled workspace, then
-/// `cache_refresh_finish` — performs **zero** heap allocations (the
-/// warm-up comment below says what that does and does not prove). The
-/// sharded refresh of the robust search (`dtr_core::robust`) runs
-/// exactly this per-entry kernel on each worker's chunk
-/// (position-disjoint entries, pooled workspaces), so what the serial
-/// pass shows holds for each worker too (the kernels are registered in
-/// crates/analysis/hot_paths.toml).
+/// every resident entry, then `cache_refresh_finish`, all on one
+/// workspace, as the robust search (`dtr_core::robust`) runs it on
+/// every accept — performs **zero** heap allocations (the warm-up
+/// comment below says what that does and does not prove; the kernels
+/// are registered in crates/analysis/hot_paths.toml).
 #[test]
-fn steady_state_sharded_cache_refresh_allocates_nothing() {
+fn steady_state_cache_refresh_allocates_nothing() {
     use rand::Rng;
 
     let _serial = serial();
@@ -402,13 +399,7 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
     let refresh = |ws: &mut dtr::cost::EvalWorkspace,
                    cache: &mut dtr::cost::ScenarioCache,
                    w: &WeightSetting| {
-        let eng = ev.engine();
-        eng.cache_begin(cache, w);
-        let (inc, entries) = cache.capture_split();
-        for (pos, entry) in entries.iter_mut().enumerate().take(scenarios.len()) {
-            eng.cache_refresh_entry(ws, w, inc, scenarios[pos], entry);
-        }
-        eng.cache_refresh_finish(ws, cache, w);
+        ev.cache_refresh(ws, cache, w, |pos| scenarios[pos]);
     };
 
     // Warm: 16 accept cycles (candidate diff + refresh) over a fixed
@@ -443,7 +434,7 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
     assert_eq!(
         after - before,
         0,
-        "steady-state sharded cache refresh of {} entries performed {} heap allocations",
+        "steady-state cache refresh of {} entries performed {} heap allocations",
         scenarios.len(),
         after - before
     );
@@ -603,11 +594,11 @@ fn steady_state_delta_state_candidate_sweep_allocates_nothing() {
 
 /// The engine at k = 3: mtr3's voice SLA class, relaxed video SLA class
 /// and bulk congestion class. After warm-up, a plain sweep, a
-/// `cache_begin` + `cost_cached` candidate sweep and a sharded refresh
-/// (`cache_begin`, one `cache_refresh_entry` per resident entry,
-/// `cache_refresh_finish`) through the engine perform **zero** heap
-/// allocations — the kernels write the three components into the
-/// workspace at every k.
+/// `cache_begin` + `cost_cached` candidate sweep and a refresh
+/// (`Engine::cache_refresh`: `cache_begin`, one `cache_refresh_entry`
+/// per resident entry, `cache_refresh_finish`) through the engine
+/// perform **zero** heap allocations — the kernels write the three
+/// components into the workspace at every k.
 #[test]
 fn steady_state_three_class_engine_allocates_nothing() {
     use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
@@ -660,17 +651,11 @@ fn steady_state_three_class_engine_allocates_nothing() {
         eng.cost_capture(&mut ws, &inc, sc, &mut cache, pos);
     }
 
-    // The accept path: point the cache at a one-move candidate and run
-    // the sharded refresh's kernel sequence on it.
+    // The accept path: re-point the cache at a one-move candidate.
     let accept = |ws: &mut dtr::cost::EvalWorkspace,
                   cache: &mut dtr::cost::ScenarioCache,
                   w: &MtrWeightSetting| {
-        eng.cache_begin(cache, w);
-        let (inc, entries) = cache.capture_split();
-        for (pos, entry) in entries.iter_mut().enumerate() {
-            eng.cache_refresh_entry(ws, w, inc, scenarios[pos], entry);
-        }
-        eng.cache_refresh_finish(ws, cache, w);
+        eng.cache_refresh(ws, cache, w, |pos| scenarios[pos]);
     };
     // One cycle: per candidate, a plain sweep and a cached sweep against
     // the current incumbent, then accept the candidate.

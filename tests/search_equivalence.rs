@@ -3,14 +3,15 @@
 //! The serial move loop (`dtr_core::search::sweep`), the
 //! incumbent-bounded failure sweeps
 //! (`dtr_core::parallel::sum_set_costs_bounded`, shared by the DTR and
-//! MTR instantiations of the robust search) and the thread fan-outs
-//! below them promise that the search trajectory is **bit-for-bit** the
-//! serial, cutoff-free one: same best setting, same best costs, and the
-//! same full accept/reject sequence — for every thread count and cutoff
-//! on or off — and that every search counter is the same at every
-//! thread count. This suite pins that promise for Phase 1, Phase 1b,
-//! Phase 2 (single-link, SRLG, probabilistically weighted, and
-//! slice-adapted node-failure ensembles) and both MTR phases, by
+//! MTR instantiations of the robust search) and the thread fan-outs of
+//! Phase 1b and the portfolio promise that the search trajectory is
+//! **bit-for-bit** the serial, cutoff-free one: same best setting, same
+//! best costs, and the same full accept/reject sequence — for every
+//! thread count and cutoff on or off — and that every search counter is
+//! the same at every thread count. This suite pins that promise for
+//! Phase 1, Phase 1b, Phase 2 (single-link, SRLG, probabilistically
+//! weighted, and slice-adapted node-failure ensembles) and both MTR
+//! phases, by
 //! comparing every configuration against the `threads = 1, cutoff =
 //! off` anchor — which *is* the seed path — and each run's whole stats
 //! against the one-thread run at the same cutoff and cache settings.
@@ -318,11 +319,12 @@ fn phase2_slice_path_is_invariant_and_matches_the_set_path() {
 /// The portfolio search must be bit-for-bit reproducible for a given
 /// `(seed, replicas, rendezvous_period)` at **any** thread count —
 /// replica seeds derive only from `(seed, r)`, rendezvous merges run in
-/// replica index order, and each chain keeps the classic single-chain
-/// thread-invariance (the parallel-search contract in
-/// `DETERMINISM.md`), counters included. Three replicas split `threads
-/// = 4` into one thread each and `threads = 6` into two, so the grid
-/// pins the sharded cache refresh on and off inside portfolio runs.
+/// replica index order, and each chain runs on one thread between
+/// rendezvous (the parallel-search contract in `DETERMINISM.md`),
+/// counters included. `threads` caps the replicas' workers: three
+/// replicas run in sequence on the caller's thread at `threads = 1`,
+/// on two workers at `threads = 2` (one of them runs two replicas), and
+/// one per worker at `threads = 4`.
 #[test]
 fn phase2_portfolio_is_thread_invariant() {
     let (net, tm) = testbed();
@@ -357,7 +359,7 @@ fn phase2_portfolio_is_thread_invariant() {
         anchor.replica_traces.contains(&anchor.trace),
         "the reported trace must be the winning replica's"
     );
-    for threads in [4, 6] {
+    for threads in [2, 4] {
         let cfg = format!("portfolio threads={threads}");
         let out = run(3, threads);
         assert_phase2_equal(&anchor, &out, &cfg);
@@ -699,8 +701,9 @@ fn mtr_robust_trajectory_is_invariant() {
 
 /// The MTR mirror of [`phase2_portfolio_is_thread_invariant`]: the
 /// robust portfolio run is bit-for-bit reproducible at any thread
-/// count, counters included, with the sharded refresh inside each
-/// replica on (`threads = 6`) or off (`threads = 1` and `4`).
+/// count, counters included, whether its three replicas run on one
+/// worker (`threads = 1`), two (`threads = 2`) or three (`threads =
+/// 4`).
 #[test]
 fn mtr_robust_portfolio_is_thread_invariant() {
     let (net, tms) = mtr_testbed();
@@ -751,7 +754,7 @@ fn mtr_robust_portfolio_is_thread_invariant() {
         anchor.replica_traces.contains(&anchor.trace),
         "the reported trace must be the winning replica's"
     );
-    for threads in [4, 6] {
+    for threads in [2, 4] {
         let cfg = format!("mtr portfolio threads={threads}");
         let out = run(3, threads);
         assert_same(&anchor, &out, &cfg);
