@@ -13,18 +13,16 @@
 //! recording one per-scenario-kind speedup entry (`link_sweep`,
 //! `srlg_sweep`, `node_sweep`) plus two **end-to-end search**
 //! comparisons, `phase2_search` (DTR robust search: serial full-sweep
-//! and the incumbent-bounded cutoff with Λ floors and the scenario
-//! cache) and `mtr_robust_search` (the k-class analogue: serial
-//! full-sweep, uncached cutoff, and the cutoff with the cache) — every
-//! leg verified to produce the identical result, with per-rep
-//! nanosecond samples and
-//! per-cause skip counters (`skipped_floor` / `skipped_cache` /
-//! `skipped_cutoff`, plus `floor_cut_rate`) recorded so single-core
-//! wall-clock variance and the floors' contribution stay visible in
-//! the artifact. The engine path is additionally checked
-//! bit-for-bit against the reference inside this run, and CI validates
-//! the artifact's schema and cutoff counters with the `check_bench`
-//! binary.
+//! and the incumbent-bounded cutoff with the scenario cache) and
+//! `mtr_robust_search` (the k-class analogue: serial full-sweep,
+//! uncached cutoff, and the cutoff with the cache) — every leg verified
+//! to produce the identical result, with per-rep nanosecond samples and
+//! per-cause skip counters (`skipped_cache` / `skipped_cutoff`)
+//! recorded so single-core wall-clock variance and the cutoff's
+//! contribution stay visible in the artifact. The engine path is
+//! additionally checked bit-for-bit against the reference inside this
+//! run, and CI validates the artifact's schema and cutoff counters with
+//! the `check_bench` binary.
 //!
 //! A `scale_tiers` section extends the artifact beyond the 50-node
 //! testbed: Phase-2 search runs on 500-, 2,000- and 5,000-node
@@ -193,9 +191,9 @@ fn bench_micro(c: &mut Criterion) {
 }
 
 /// Deterministic search-level parallelism at the 500-node tier: the
-/// same 2-replica portfolio search (rendezvous every 2 sweeps, cutoff +
-/// Λ floors) run once at `threads = 1`, where one worker runs both
-/// replicas in sequence on the caller's thread, and once with a real
+/// same 2-replica portfolio search (rendezvous every 2 sweeps, cutoff
+/// and scenario cache) run once at `threads = 1`, where one worker runs
+/// both replicas in sequence on the caller's thread, and once with a real
 /// thread fan-out, asserted **byte-identical** — the parallel-search
 /// contract in `DETERMINISM.md`: the output depends only on
 /// `(seed, replicas, rendezvous_period)`, never on `threads` — and
@@ -306,15 +304,14 @@ fn parallel_search_baseline() -> String {
 ///
 /// * `serial` — serial-move full-sweep (the seed search loop),
 /// * `cutoff` — the shipped default configuration: the incumbent-aware
-///   sweep kernel (early cutoff + Λ floors + delta-state scenario
-///   cache).
+///   sweep kernel (early cutoff over the evaluated scenarios +
+///   delta-state scenario cache).
 ///
 /// Both single-threaded, so the recorded speedup is algorithmic, not
 /// parallelism. Both runs are asserted to produce the identical robust
 /// setting, costs and constraint accounting (the bit-for-bit contract),
 /// and the emitted JSON records the per-cause skip counters
-/// (`skipped_floor` / `skipped_cache` / `skipped_cutoff`) and the
-/// `floor_cut_rate` that explain the win.
+/// (`skipped_cache` / `skipped_cutoff`) that explain the win.
 fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     // The shared testbed traffic (5e10) is a stress scale tuned for the
     // ensemble-sweep benches, where every failure drowns in SLA
@@ -399,31 +396,24 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         // The legacy counter stays the exact sum of the per-cause split.
         assert_eq!(
             out.stats.scenario_evals_skipped,
-            out.stats.skipped_floor + out.stats.skipped_cache + out.stats.skipped_cutoff,
+            out.stats.skipped_cache + out.stats.skipped_cutoff,
             "{name}: skip partition broken"
         );
     }
     assert_eq!(serial_out.stats.scenario_evals_skipped, 0);
-    // The Λ floors must be observable: some cuts needed them.
     let cutoff_stats = &outs[1].stats;
     assert!(cutoff_stats.scenario_evals_skipped > 0);
-    assert!(cutoff_stats.skipped_floor > 0, "Λ floors never fired");
 
     let [serial_ns, cutoff_ns] = best_ns;
     let speedup_cutoff = serial_ns as f64 / cutoff_ns as f64;
-    // Share of all logical scenario evaluations skipped by a cut that
-    // *needed* the floors (the evaluated prefix alone would not have
-    // proven the rejection).
-    let floor_cut_rate = cutoff_stats.skipped_floor as f64 / cutoff_stats.evaluations as f64;
     println!(
-        "micro/phase2_search_{NODES}n: serial {:.1} ms, cutoff+Λ {:.1} ms \
+        "micro/phase2_search_{NODES}n: serial {:.1} ms, cutoff {:.1} ms \
          ({speedup_cutoff:.2}x); {} of {} scenario evals skipped \
-         ({} floor / {} cache / {} cutoff; identical result)",
+         ({} cache / {} cutoff; identical result)",
         serial_ns as f64 / 1e6,
         cutoff_ns as f64 / 1e6,
         cutoff_stats.scenario_evals_skipped,
         serial_out.stats.evaluations,
-        cutoff_stats.skipped_floor,
         cutoff_stats.skipped_cache,
         cutoff_stats.skipped_cutoff,
     );
@@ -435,9 +425,8 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
          \"cutoff_ns\": {cutoff_ns},\n    \
          \"serial_ns_samples\": {},\n    \"cutoff_ns_samples\": {},\n    \
          \"speedup_cutoff\": {speedup_cutoff:.4},\n    \
-         \"scenario_evals_skipped\": {},\n    \"skipped_floor\": {},\n    \
+         \"scenario_evals_skipped\": {},\n    \
          \"skipped_cache\": {},\n    \"skipped_cutoff\": {},\n    \
-         \"floor_cut_rate\": {floor_cut_rate:.4},\n    \
          \"identical_result\": true\n  }},\n",
         indices.len(),
         serial_out.stats.iterations,
@@ -445,7 +434,6 @@ fn phase2_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         json_u128_array(&samples[0]),
         json_u128_array(&samples[1]),
         cutoff_stats.scenario_evals_skipped,
-        cutoff_stats.skipped_floor,
         cutoff_stats.skipped_cache,
         cutoff_stats.skipped_cutoff,
     )
@@ -829,8 +817,8 @@ fn scale_tier(nodes: usize, duplex: usize, crit: usize, reps: usize, verify: boo
 /// (the MTR analogue of the `phase2_search` contract):
 ///
 /// * `serial` — serial-move full-sweep (the pre-incumbent-aware loop),
-/// * `cutoff` — the early-cutoff bounded sweep + per-class Λ floors,
-///   uncached,
+/// * `cutoff` — the early-cutoff bounded sweep over the evaluated
+///   scenarios, uncached,
 /// * `combined` — the `cutoff` leg plus the delta-state per-scenario
 ///   routing/load cache (the shipped default).
 ///
@@ -916,33 +904,27 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         );
         assert_eq!(
             out.stats.scenario_evals_skipped,
-            out.stats.skipped_floor + out.stats.skipped_cache + out.stats.skipped_cutoff,
+            out.stats.skipped_cache + out.stats.skipped_cutoff,
             "{name}: skip partition broken"
         );
     }
     assert_eq!(serial_out.stats.scenario_evals_skipped, 0);
     assert!(outs[1].stats.scenario_evals_skipped > 0);
     let combined_stats = &outs[2].stats;
-    assert!(
-        combined_stats.skipped_floor > 0,
-        "Λ floors never fired (combined)"
-    );
 
     let [serial_ns, cutoff_ns, combined_ns] = best_ns;
     let speedup_cutoff = serial_ns as f64 / cutoff_ns as f64;
     let speedup_combined = serial_ns as f64 / combined_ns as f64;
-    let floor_cut_rate = combined_stats.skipped_floor as f64 / combined_stats.evaluations as f64;
     println!(
-        "micro/mtr_robust_search_{NODES}n: serial {:.1} ms, cutoff+Λ {:.1} ms \
+        "micro/mtr_robust_search_{NODES}n: serial {:.1} ms, cutoff {:.1} ms \
          ({speedup_cutoff:.2}x), combined (+cache) {:.1} ms \
          ({speedup_combined:.2}x); {} of {} scenario evals skipped \
-         ({} floor / {} cache / {} cutoff; identical result)",
+         ({} cache / {} cutoff; identical result)",
         serial_ns as f64 / 1e6,
         cutoff_ns as f64 / 1e6,
         combined_ns as f64 / 1e6,
         combined_stats.scenario_evals_skipped,
         serial_out.stats.evaluations,
-        combined_stats.skipped_floor,
         combined_stats.skipped_cache,
         combined_stats.skipped_cutoff,
     );
@@ -957,9 +939,8 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
          \"combined_ns_samples\": {},\n    \
          \"speedup_cutoff\": {speedup_cutoff:.4},\n    \
          \"speedup_combined\": {speedup_combined:.4},\n    \
-         \"scenario_evals_skipped\": {},\n    \"skipped_floor\": {},\n    \
+         \"scenario_evals_skipped\": {},\n    \
          \"skipped_cache\": {},\n    \"skipped_cutoff\": {},\n    \
-         \"floor_cut_rate\": {floor_cut_rate:.4},\n    \
          \"identical_result\": true\n  }},\n",
         scenarios.len(),
         serial_out.stats.iterations,
@@ -968,7 +949,6 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         json_u128_array(&samples[1]),
         json_u128_array(&samples[2]),
         combined_stats.scenario_evals_skipped,
-        combined_stats.skipped_floor,
         combined_stats.skipped_cache,
         combined_stats.skipped_cutoff,
     )
@@ -1088,7 +1068,8 @@ fn full_ensemble_baseline(net: &Network, tm: &ClassMatrices, w: &WeightSetting, 
 
     // Sharded vs serial engine sweep over the link ensemble: verify the
     // byte-identity contract of `dtr_core::parallel` and record the
-    // realized thread-scaling of the sharded sweep.
+    // realized thread-scaling of the sharded sweep (`evaluate_set`'s
+    // `parallel_map` fan-out).
     let threads = std::thread::available_parallelism()
         .map(|n| n.get().min(8))
         .unwrap_or(4);
@@ -1097,23 +1078,45 @@ fn full_ensemble_baseline(net: &Network, tm: &ClassMatrices, w: &WeightSetting, 
     // single-core machines, where `threads` would degenerate to 1.
     let sharded = dtr_core::parallel::failure_costs(&ev, w, &link, threads.max(4));
     assert_eq!(serial, sharded, "sharded sweep diverged from serial");
-    let mut serial_ns = u128::MAX;
-    let mut sharded_ns = u128::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let s = dtr_core::parallel::failure_costs(&ev, w, &link, 1);
-        serial_ns = serial_ns.min(t0.elapsed().as_nanos());
-        let t1 = Instant::now();
-        let p = dtr_core::parallel::failure_costs(&ev, w, &link, threads);
-        sharded_ns = sharded_ns.min(t1.elapsed().as_nanos());
-        assert_eq!(s, p);
+    // Paired reps, quick mode too, as in `checkpoint_overhead`: each
+    // pair times both legs, the first leg alternating between pairs,
+    // and the recorded speedup is the median of the per-pair ratios. A
+    // single pair reads the process's history (one quick run of the
+    // same code read 0.95x, the next 1.94x), not the sweep.
+    const PAIRS: usize = 9;
+    let mut serial_samples = Vec::with_capacity(PAIRS);
+    let mut sharded_samples = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        for sharded_leg in [pair % 2 == 1, pair % 2 == 0] {
+            let t = if sharded_leg { threads } else { 1 };
+            let t0 = Instant::now();
+            let costs = dtr_core::parallel::failure_costs(&ev, w, &link, t);
+            let ns = t0.elapsed().as_nanos();
+            assert_eq!(costs, serial);
+            if sharded_leg {
+                sharded_samples.push(ns);
+            } else {
+                serial_samples.push(ns);
+            }
+        }
     }
-    let parallel_speedup = serial_ns as f64 / sharded_ns as f64;
+    let mut ratios: Vec<f64> = serial_samples
+        .iter()
+        .zip(&sharded_samples)
+        .map(|(&s, &p)| s as f64 / p as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let parallel_speedup = ratios[PAIRS / 2];
+    let serial_ns = *serial_samples.iter().min().expect("at least one pair");
+    let sharded_ns = *sharded_samples.iter().min().expect("at least one pair");
     println!(
-        "micro/sharded_link_sweep_{NODES}n: serial {:.3} ms, {threads} threads {:.3} ms, \
-         speedup {parallel_speedup:.2}x (byte-identical)",
+        "micro/sharded_link_sweep_{NODES}n: serial {:.3} ms, {threads} threads {:.3} ms \
+         (best of {PAIRS}), median paired speedup {parallel_speedup:.2}x \
+         (range {:.2}x–{:.2}x; byte-identical)",
         serial_ns as f64 / 1e6,
         sharded_ns as f64 / 1e6,
+        ratios[0],
+        ratios[PAIRS - 1],
     );
 
     // Default to the workspace root regardless of cargo's bench cwd.
@@ -1125,11 +1128,15 @@ fn full_ensemble_baseline(net: &Network, tm: &ClassMatrices, w: &WeightSetting, 
         "{{\n  \"bench\": \"micro_routing/scenario_sweeps\",\n  \"nodes\": {NODES},\n  \
          \"directed_links\": {},\n  \"sweeps\": {{\n{}\n  }},\n  \
          \"sharded_link_sweep\": {{\n    \"threads\": {threads},\n    \
+         \"pairs\": {PAIRS},\n    \
          \"serial_sweep_ns\": {serial_ns},\n    \"sharded_sweep_ns\": {sharded_ns},\n    \
+         \"serial_ns_samples\": {},\n    \"sharded_ns_samples\": {},\n    \
          \"speedup\": {parallel_speedup:.4},\n    \"serial_equals_parallel\": true\n  }},\n\
          {phase2_json}  \"bit_for_bit_identical\": true\n}}\n",
         net.num_links(),
-        entries.join(",\n")
+        entries.join(",\n"),
+        json_u128_array(&serial_samples),
+        json_u128_array(&sharded_samples),
     );
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("warning: could not write {path}: {e}");

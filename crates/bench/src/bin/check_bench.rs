@@ -9,12 +9,9 @@
 //!   `mtr_robust_search`), or
 //! * a search bench reports `scenario_evals_skipped == 0` (the
 //!   incumbent-bounded cutoff never fired — a regression in the
-//!   machinery this artifact exists to track), or
-//! * a search bench reports `skipped_floor == 0` or
-//!   `floor_cut_rate == 0` (the Λ floors contributed nothing: no cut
-//!   needed them — the floor machinery regressed to dead weight), or
-//!   the per-cause skip counters don't sum to `scenario_evals_skipped`,
-//!   or
+//!   machinery this artifact exists to track), or its two per-cause
+//!   skip counters (`skipped_cache`, `skipped_cutoff`) are missing or
+//!   don't sum to `scenario_evals_skipped`, or
 //! * an identity flag (`identical_result`, `serial_equals_parallel`,
 //!   `bit_for_bit_identical`) is missing or false, or
 //! * the `checkpoint_overhead` entry is missing, recorded no durable
@@ -174,9 +171,8 @@ fn main() -> ExitCode {
     }
 
     // End-to-end search benches: entries present, results identical,
-    // cutoff observable (skips > 0), the Λ floors observable
-    // (skipped_floor > 0, floor_cut_rate > 0, per-cause counters sum
-    // to the legacy total), per-rep samples recorded for every leg.
+    // cutoff observable (skips > 0), the two per-cause counters sum to
+    // the legacy total, per-rep samples recorded for every leg.
     // Only `mtr_robust_search` has a third (`combined`) leg: its cached
     // cutoff differs from its uncached `cutoff` leg, while DTR's
     // `cutoff` leg already is the shipped default.
@@ -201,31 +197,15 @@ fn main() -> ExitCode {
                     )),
                     _ => {}
                 }
-                match number(body, "skipped_floor") {
-                    None => errors.push(format!("`{name}` is missing field `skipped_floor`")),
-                    Some(s) if s <= 0.0 => errors.push(format!(
-                        "`{name}` reports skipped_floor == 0: no cut needed the floors"
-                    )),
-                    _ => {}
-                }
-                match number(body, "floor_cut_rate") {
-                    None => errors.push(format!("`{name}` is missing field `floor_cut_rate`")),
-                    Some(r) if r.is_nan() || r <= 0.0 => errors.push(format!(
-                        "`{name}` field `floor_cut_rate` is not positive ({r})"
-                    )),
-                    _ => {}
-                }
                 // The legacy counter must stay the exact per-cause sum.
-                if let (Some(total), Some(fl), Some(ca), Some(cu)) = (
+                if let (Some(total), Some(ca), Some(cu)) = (
                     skipped,
-                    number(body, "skipped_floor"),
                     number(body, "skipped_cache"),
                     number(body, "skipped_cutoff"),
                 ) {
-                    if total != fl + ca + cu {
+                    if total != ca + cu {
                         errors.push(format!(
-                            "`{name}` skip partition broken: \
-                             {total} != {fl} + {ca} + {cu}"
+                            "`{name}` skip partition broken: {total} != {ca} + {cu}"
                         ));
                     }
                 } else if number(body, "skipped_cache").is_none()

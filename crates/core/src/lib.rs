@@ -66,8 +66,9 @@
 //! `phase2::run` are the two-class instantiations; `dtr_mtr` supplies
 //! the k-class ones.
 //!
-//! [`pipeline::RobustOptimizer`] runs the whole thing;
-//! [`full_search::full_search`] is the brute-force `Ec = E` baseline;
+//! [`pipeline::RobustOptimizer`] runs the whole thing, and its
+//! [`optimize_full`](pipeline::RobustOptimizer::optimize_full) is the
+//! brute-force `Ec = E` baseline;
 //! [`baselines`] implements the prior-art critical-link selectors the
 //! paper compares against (§IV-C); [`ext`] carries the scenario-set
 //! constructors for the extensions sketched in the paper's conclusion.
@@ -98,7 +99,6 @@
 pub mod baselines;
 pub mod criticality;
 pub mod ext;
-pub mod full_search;
 pub mod parallel;
 pub mod params;
 pub mod phase1;

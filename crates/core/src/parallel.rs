@@ -2,8 +2,8 @@
 //!
 //! The robust objective `K̄fail` (Eq. 7) requires one full evaluation per
 //! critical scenario. The scenarios are independent, so [`evaluate_set`]
-//! fans them out over `std::thread::scope` workers in contiguous chunks
-//! of stable scenario *indices*, materializing each `Copy` scenario
+//! fans them out through [`parallel_map`] in contiguous chunks of
+//! stable scenario *indices*, materializing each `Copy` scenario
 //! inside the worker instead of allocating a scenario vector per sweep.
 //! Each worker checks a private workspace out of the engine's pool:
 //! every thread gets its own scratch buffers and no-failure baseline,
@@ -27,6 +27,8 @@
 //! call [`sum_set_costs`] with one worker. Its `threads` knob caps the
 //! two fan-outs over independent work that remain: Phase 1b's rounds
 //! ([`parallel_map`]) and a portfolio's replicas ([`scoped_fanout`]).
+//! [`parallel_map`] and [`scoped_fanout`] hold the module's only two
+//! `thread::scope` sites.
 
 use dtr_cost::{Engine, EvalWorkspace, Evaluator, LexCost, ScenarioCache};
 use dtr_routing::{ClassWeights, Scenario, WeightSetting};
@@ -42,7 +44,8 @@ use crate::search::SearchCost;
 /// as long as each item's result does not depend on that state, the
 /// output is a serial map's for every thread count. Phase 1b's rounds
 /// fan out through it, each worker taking a contiguous chunk of the
-/// member-ordered round ([`crate::phase1b::top_up`]).
+/// member-ordered round ([`crate::phase1b::top_up`]), and so do the
+/// sharded scenario sweeps of [`evaluate_set`].
 pub fn parallel_map<T, C, F>(items: &[T], threads: usize, f: F) -> Vec<C>
 where
     T: Sync,
@@ -128,10 +131,10 @@ pub fn sum_failure_costs(
 
 /// Sharded evaluation of a [`ScenarioSet`]: the costs of `w` under the
 /// scenarios at `indices`, in index order, **without materializing** a
-/// scenario vector. Indices are partitioned into contiguous chunks, one
-/// per worker; each worker checks one workspace out of the engine's pool
-/// (its own scratch buffers and cached no-failure baseline) and
-/// materializes each `Copy` scenario on the fly with
+/// scenario vector. [`parallel_map`] hands each worker one contiguous
+/// chunk of the indices; the worker checks one workspace out of the
+/// engine's pool (its own scratch buffers and cached no-failure
+/// baseline) and materializes each `Copy` scenario on the fly with
 /// [`ScenarioSet::scenario`]. Results are spliced back in index order,
 /// so parallel equals serial to the bit — for every scenario kind the
 /// set can hold (link, node, SRLG, double-link, and their
@@ -144,37 +147,12 @@ pub fn evaluate_set<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     threads: usize,
 ) -> Vec<E::Cost> {
     assert!(threads >= 1);
-    let mut out = vec![E::Cost::zeros(ev.engine().num_classes()); indices.len()];
-    let workers = threads.min(indices.len());
-    if workers <= 1 {
-        sweep_chunk(ev, w, set, indices, &mut out);
-        return out;
-    }
-    let chunk = indices.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = indices
-            .chunks(chunk)
-            .zip(out.chunks_mut(chunk))
-            .enumerate()
-            .map(|(k, (part, dst))| {
-                s.spawn(move || {
-                    sweep_chunk(ev, w, set, part, dst);
-                    k * chunk
-                })
-            })
-            .collect();
-        let mut expect = 0usize;
-        for h in handles {
-            let start = h.join().expect("scenario-evaluation worker panicked");
-            // Order stamp: workers write disjoint pre-chunked slices, so
-            // joining them in spawn order must walk the output in index
-            // order — the runtime mirror of the dtr-analysis determinism
-            // contract (parallel == serial to the bit).
-            debug_assert_eq!(expect, start, "evaluate_set chunk out of index order");
-            expect = start + chunk;
-        }
-    });
-    out
+    let k = ev.engine().num_classes();
+    parallel_map(indices, threads, |part| {
+        let mut dst = vec![E::Cost::zeros(k); part.len()];
+        sweep_chunk(ev, w, set, part, &mut dst);
+        dst
+    })
 }
 
 /// Worker kernel of [`evaluate_set`]: evaluate the scenarios at `part`
@@ -231,50 +209,35 @@ pub enum SetSweep<C = LexCost> {
     /// All scenarios evaluated; the compound cost is bit-for-bit the
     /// [`sum_set_costs`] index-order weighted fold.
     Complete(C),
-    /// The partial fold proved the candidate cannot beat the incumbent;
-    /// `evaluated` scenarios were evaluated before the sweep was
-    /// abandoned (the rest are the caller's `scenario_evals_skipped`).
+    /// The partial fold over the evaluated scenarios proved the candidate
+    /// cannot beat the incumbent; the sweep was abandoned there (the
+    /// rest are the caller's `scenario_evals_skipped`).
     Cut {
         /// Scenarios evaluated before the proof fired.
         evaluated: usize,
-        /// `true` when the floors were *necessary* for this cut: the
-        /// same partial fold without floor stand-ins would still have
-        /// beaten the incumbent, so the skip is attributable to the
-        /// floors (`SearchStats::skipped_floor`) rather than to the
-        /// plain cutoff.
-        floor_cut: bool,
     },
 }
 
-/// Index-order weighted fold over a sweep's evaluated subset into
-/// `acc`, with each not-yet-evaluated position standing in at its floor
-/// (skipped when no floors are supplied). Every stand-in bounds its
-/// scenario's contribution from below **componentwise** and IEEE
-/// addition is monotone in each addend, so the fold bounds the
-/// completed compound cost from below in every component — and equals
-/// it exactly, bit-for-bit, once every position is done (floors are
-/// then never read). The componentwise bound carries through the
+/// Index-order weighted fold over a sweep's evaluated positions into
+/// `acc`; positions not evaluated yet are left out. Every scenario's
+/// contribution is non-negative and IEEE addition is monotone in each
+/// addend, so the fold bounds the completed compound cost from below in
+/// every component — and equals it exactly, bit-for-bit, once every
+/// position is done. The componentwise bound carries through the
 /// lexicographic `better_than` of either cost type (see the antitone
-/// lemma on [`LexCost::better_than`]). A zero floor adds `+0.0`, which
-/// leaves the non-negative partial sum's bits unchanged, and a uniform
-/// set's unit weights scale every term exactly.
+/// lemma on [`LexCost::better_than`]), and a uniform set's unit weights
+/// scale every term exactly.
 fn fold_bound<C: SearchCost, S: ScenarioSet + ?Sized>(
     set: &S,
     indices: &[usize],
     scratch: &SweepScratch<C>,
-    floors: Option<&[C]>,
     acc: &mut C,
 ) {
     acc.reset();
     for (pos, &i) in indices.iter().enumerate() {
-        let c = if scratch.done[pos] {
-            &scratch.costs[pos]
-        } else if let Some(f) = floors {
-            &f[pos]
-        } else {
-            continue;
-        };
-        acc.add_scaled_assign(c, set.weight(i));
+        if scratch.done[pos] {
+            acc.add_scaled_assign(&scratch.costs[pos], set.weight(i));
+        }
     }
 }
 
@@ -282,14 +245,11 @@ fn fold_bound<C: SearchCost, S: ScenarioSet + ?Sized>(
 /// `indices` in the caller-supplied `order` (a permutation of positions
 /// `0..indices.len()`, typically costliest-under-the-incumbent first)
 /// and abandons the sweep as soon as the index-order fold over the
-/// evaluated subset — with every unevaluated scenario standing in at
-/// its floor (`floors`, aligned with `indices`; see
-/// [`Engine::scenario_floor`]) — proves the candidate cannot be
-/// lexicographically better than `incumbent`. When a delta-state
-/// `cache` (pointed at the incumbent via [`Engine::cache_begin`]) is
-/// supplied, resident positions run through [`Engine::cost_cached`]
-/// instead of the plain incremental path — same bits, a fraction of the
-/// work.
+/// evaluated positions proves the candidate cannot be lexicographically
+/// better than `incumbent`. When a delta-state `cache` (pointed at the
+/// incumbent via [`Engine::cache_begin`]) is supplied, resident
+/// positions run through [`Engine::cost_cached`] instead of the plain
+/// incremental path — same bits, a fraction of the work.
 ///
 /// The proof is float-exact, not heuristic: per-scenario contributions
 /// are non-negative, IEEE addition of non-negative terms is monotone,
@@ -318,15 +278,11 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + ?Sized>(
     indices: &[usize],
     incumbent: &E::Cost,
     order: &[u32],
-    floors: Option<&[E::Cost]>,
     cache: Option<&ScenarioCache>,
     scratch: &mut SweepScratch<E::Cost>,
 ) -> SetSweep<E::Cost> {
     let n = indices.len();
     assert_eq!(order.len(), n, "order must be a permutation of positions");
-    if let Some(f) = floors {
-        assert_eq!(f.len(), n, "one floor per scenario position");
-    }
     let eng = ev.engine();
     let k = eng.num_classes();
     // Only reshape on arity/size changes: the per-position costs are
@@ -353,25 +309,16 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + ?Sized>(
         scratch.done[pos] = true;
         let evaluated = e + 1;
         if evaluated < n && evaluated % check_every == 0 {
-            // The cut: the floored partial fold no longer beats the
-            // incumbent. It is floor-attributed iff the evaluated subset
-            // alone (floor-less fold) would *not* have proven it.
-            fold_bound(set, indices, scratch, floors, &mut acc);
+            // The cut: the partial fold no longer beats the incumbent.
+            fold_bound(set, indices, scratch, &mut acc);
             if !acc.better_than(incumbent) {
-                let floor_cut = floors.is_some() && {
-                    fold_bound(set, indices, scratch, None, &mut acc);
-                    acc.better_than(incumbent)
-                };
                 eng.release_workspace(ws);
-                return SetSweep::Cut {
-                    evaluated,
-                    floor_cut,
-                };
+                return SetSweep::Cut { evaluated };
             }
         }
     }
     eng.release_workspace(ws);
-    fold_bound(set, indices, scratch, floors, &mut acc);
+    fold_bound(set, indices, scratch, &mut acc);
     SetSweep::Complete(acc)
 }
 
@@ -523,17 +470,8 @@ mod tests {
         let never = LexCost::new(f64::INFINITY, f64::INFINITY);
         let order: Vec<u32> = (0..indices.len() as u32).rev().collect(); // any permutation
         let mut scratch = SweepScratch::new();
-        let got = sum_set_costs_bounded(
-            &ev,
-            &w,
-            &set,
-            &indices,
-            &never,
-            &order,
-            None,
-            None,
-            &mut scratch,
-        );
+        let got =
+            sum_set_costs_bounded(&ev, &w, &set, &indices, &never, &order, None, &mut scratch);
         let want = sum_set_costs(&ev, &w, &set, &indices, 1);
         assert_eq!(got, SetSweep::Complete(want));
         // Per-position costs match the plain sweep.
@@ -560,129 +498,66 @@ mod tests {
             &LexCost::ZERO,
             &order,
             None,
-            None,
             &mut scratch,
         );
-        assert_eq!(
-            got,
-            SetSweep::Cut {
-                evaluated: 1,
-                floor_cut: false
-            }
-        );
-    }
-
-    #[test]
-    fn floors_hasten_cuts_without_changing_completions() {
-        let (net, tm) = setup(7);
-        // A 3 ms SLA bound: a failed ring link detours its one delay
-        // pair over six 1 ms links, so every scenario's Λ floor is
-        // positive.
-        let ev = Evaluator::new(&net, &tm, CostParams::with_theta(3e-3));
-        let w = WeightSetting::uniform(net.num_links(), 20);
-        let set = crate::universe::FailureUniverse::of(&net);
-        let indices: Vec<usize> = crate::scenario::ScenarioSet::all_indices(&set);
-        let mut ws = ev.acquire_workspace();
-        let floors: Vec<LexCost> = indices
-            .iter()
-            .map(|&i| ev.scenario_floor(&mut ws, set.scenario(i)))
-            .collect();
-        ev.release_workspace(ws);
-        // Soundness: every floor bounds its scenario's exact cost, and
-        // the congestion component is exactly 0.
-        let exact = evaluate_set(&ev, &w, &set, &indices, 1);
-        for (f, c) in floors.iter().zip(&exact) {
-            assert!(f.lambda <= c.lambda, "floor {f} exceeds exact {c}");
-            assert_eq!(f.phi, 0.0);
-        }
-        let total = sum_set_costs(&ev, &w, &set, &indices, 1);
-        let order: Vec<u32> = (0..indices.len() as u32).collect();
-        let mut scratch = SweepScratch::new();
-        // Beatable incumbent: the floored sweep must still complete with
-        // the exact bit-for-bit total.
-        let above = LexCost::new(total.lambda + 1.0, total.phi);
-        let got = sum_set_costs_bounded(
-            &ev,
-            &w,
-            &set,
-            &indices,
-            &above,
-            &order,
-            Some(&floors),
-            None,
-            &mut scratch,
-        );
-        assert_eq!(got, SetSweep::Complete(total));
-        // An incumbent below the summed floors is unbeatable from
-        // position zero: the floored sweep cuts at its first check, and
-        // the cut is attributed to the floors whenever the evaluated
-        // subset alone would not have proven it.
-        let floor_sum: f64 = floors.iter().map(|f| f.lambda).sum();
-        assert!(floor_sum > 0.0, "testbed floors are degenerate");
-        let below_floors = LexCost::new(floor_sum * 0.5, 0.0);
-        match sum_set_costs_bounded(
-            &ev,
-            &w,
-            &set,
-            &indices,
-            &below_floors,
-            &order,
-            Some(&floors),
-            None,
-            &mut scratch,
-        ) {
-            SetSweep::Cut { evaluated, .. } => assert!(evaluated < indices.len()),
-            SetSweep::Complete(c) => assert!(!c.better_than(&below_floors)),
-        }
+        assert_eq!(got, SetSweep::Cut { evaluated: 1 });
     }
 
     #[test]
     fn bounded_sweep_cut_is_sound_for_every_incumbent_prefix() {
-        // For incumbents slightly below the true total, the sweep must
-        // cut; for incumbents above it, it must complete with the exact
-        // sum — under any evaluation order.
+        // An incumbent equal to the index-order fold of the first `k`
+        // positions of the evaluation order is beaten by every shorter
+        // prefix and tied by that one, so the sweep cuts after exactly
+        // `k` evaluations; an incumbent above the total lets it complete
+        // with the exact sum. Checked on a uniform set and on a
+        // probability-weighted one, whose rounded weighted terms are
+        // what the robust phase folds on weighted ensembles.
+        fn check<S: ScenarioSet + Sync + ?Sized>(ev: &Evaluator<'_>, w: &WeightSetting, set: &S) {
+            let indices = set.all_indices();
+            let n = indices.len();
+            let costs = evaluate_set(ev, w, set, &indices, 1);
+            assert!(costs.iter().all(|c| c.phi > 0.0), "degenerate testbed");
+            let total = sum_set_costs(ev, w, set, &indices, 1);
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.reverse();
+            let mut scratch = SweepScratch::new();
+            for k in 1..=n {
+                let mut prefix = LexCost::ZERO;
+                for (pos, (c, &i)) in costs.iter().zip(&indices).enumerate() {
+                    if order[..k].contains(&(pos as u32)) {
+                        prefix.add_scaled_assign(c, set.weight(i));
+                    }
+                }
+                let got = sum_set_costs_bounded(
+                    ev,
+                    w,
+                    set,
+                    &indices,
+                    &prefix,
+                    &order,
+                    None,
+                    &mut scratch,
+                );
+                if k < n {
+                    assert_eq!(got, SetSweep::Cut { evaluated: k }, "prefix {k}");
+                } else {
+                    assert_eq!(prefix, total);
+                    assert_eq!(got, SetSweep::Complete(total));
+                }
+            }
+            let above = LexCost::new(total.lambda + 1.0, total.phi);
+            let got =
+                sum_set_costs_bounded(ev, w, set, &indices, &above, &order, None, &mut scratch);
+            assert_eq!(got, SetSweep::Complete(total));
+        }
         let (net, tm) = setup(7);
         let ev = Evaluator::new(&net, &tm, CostParams::default());
         let w = WeightSetting::uniform(net.num_links(), 20);
-        let set = crate::universe::FailureUniverse::of(&net);
-        let indices: Vec<usize> = crate::scenario::ScenarioSet::all_indices(&set);
-        let total = sum_set_costs(&ev, &w, &set, &indices, 1);
-        let mut order: Vec<u32> = (0..indices.len() as u32).collect();
-        order.reverse();
-        let mut scratch = SweepScratch::new();
-        let below = LexCost::new(total.lambda, total.phi * 0.5);
-        match sum_set_costs_bounded(
-            &ev,
-            &w,
-            &set,
-            &indices,
-            &below,
-            &order,
-            None,
-            None,
-            &mut scratch,
-        ) {
-            SetSweep::Cut { evaluated, .. } => assert!(evaluated <= indices.len()),
-            SetSweep::Complete(c) => {
-                // Completing is allowed (the cut is opportunistic), but
-                // the sum must be exact and not better.
-                assert_eq!(c, total);
-                assert!(!c.better_than(&below));
-            }
-        }
-        let above = LexCost::new(total.lambda + 1.0, total.phi);
-        let got = sum_set_costs_bounded(
-            &ev,
-            &w,
-            &set,
-            &indices,
-            &above,
-            &order,
-            None,
-            None,
-            &mut scratch,
-        );
-        assert_eq!(got, SetSweep::Complete(total));
+        let universe = crate::universe::FailureUniverse::of(&net);
+        check(&ev, &w, &universe);
+        let scenarios = universe.scenarios();
+        let p: Vec<f64> = (0..scenarios.len()).map(|i| 0.1 + 0.3 * i as f64).collect();
+        check(&ev, &w, &SliceSet::new(&scenarios, Some(&p)));
     }
 
     #[test]

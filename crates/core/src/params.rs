@@ -110,9 +110,10 @@ pub struct Params {
     /// value; this only changes wall-clock.
     pub threads: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
-    /// robust phase, which stand each scenario's Λ floor
-    /// (`dtr_cost::Engine::scenario_floor`) in for the scenarios not yet
-    /// evaluated. The cutoff is a float-exact proof of rejection (see
+    /// robust phase, which abandon a candidate once the scenarios
+    /// evaluated so far prove it cannot beat the incumbent, and run
+    /// through the delta-state scenario cache. The cutoff is a
+    /// float-exact proof of rejection (see
     /// [`crate::parallel::sum_set_costs_bounded`]), so accepted moves,
     /// their costs, and the full accept/reject sequence are identical
     /// with it on or off; only losing sweeps get cheaper.

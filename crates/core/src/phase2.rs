@@ -236,6 +236,7 @@ mod tests {
     use super::*;
     use crate::parallel;
     use crate::phase1;
+    use crate::scenario::DoubleLink;
     use crate::universe::FailureUniverse;
     use dtr_cost::CostParams;
     use dtr_net::{Network, NetworkBuilder, Point};
@@ -287,6 +288,20 @@ mod tests {
         // Reported kfail must be truthful.
         let recheck = parallel::sum_failure_costs(&ev, &p2.best, &scenarios, 1);
         assert_eq!(recheck, p2.best_kfail);
+    }
+
+    #[test]
+    fn full_double_link_set_reports_a_truthful_kfail() {
+        // The brute-force `Ec = E` search over a non-universe set: every
+        // scenario of a sampled double-link set is critical.
+        let (net, tm) = setup();
+        let ev = Evaluator::new(&net, &tm, CostParams::default());
+        let set = DoubleLink::sampled(&net, 6, 1);
+        let params = Params::quick(4);
+        let p1 = phase1::run(&ev, set.universe(), &params);
+        let out = run(&ev, &set, &set.all_indices(), &params, &p1);
+        let recheck = parallel::sum_failure_costs(&ev, &out.best, &set.scenarios(), 1);
+        assert_eq!(recheck, out.best_kfail);
     }
 
     #[test]
@@ -448,9 +463,10 @@ mod tests {
             "cutoff never fired on a quick run with sweep rejections"
         );
         // Per-cause attribution partitions the legacy counter exactly.
+        assert_eq!(on.stats.skipped_floor, 0);
         assert_eq!(
             on.stats.scenario_evals_skipped,
-            on.stats.skipped_floor + on.stats.skipped_cache + on.stats.skipped_cutoff
+            on.stats.skipped_cache + on.stats.skipped_cutoff
         );
     }
 

@@ -27,11 +27,15 @@
 //! One that survives pays the critical-set failure sweep. With the
 //! cutoff on, that sweep is a **monotone early-cutoff sweep**:
 //! [`parallel::sum_set_costs_bounded`] abandons it as soon as the
-//! partial fold *proves* the candidate cannot beat the incumbent
-//! `K̄fail` (scenarios are evaluated costliest-under-the-incumbent first
-//! to make that proof fire early), and evaluates every scenario through
-//! the engine's delta-state scenario cache; a cache whose byte budget
-//! holds no resident scenario evaluates everything on the plain path.
+//! index-order fold over the scenarios evaluated so far *proves* the
+//! candidate cannot beat the incumbent `K̄fail` — the scenarios left
+//! can only add non-negative costs. Scenarios are evaluated
+//! costliest-under-the-incumbent first to make that proof fire early,
+//! each through the engine's delta-state scenario cache; a cache whose
+//! byte budget holds no resident scenario evaluates everything on the
+//! plain path. A cut's skipped scenarios count as `skipped_cache` when
+//! the cache held a resident scenario and as `skipped_cutoff`
+//! otherwise.
 //!
 //! The cutoff is float-exact: accepted moves always complete their
 //! sweep (whose index-order reduction is bit-for-bit the plain
@@ -65,7 +69,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::parallel::{self, cost_of, SetSweep, SweepScratch};
+use crate::parallel::{self, SetSweep, SweepScratch};
 use crate::params::{replica_seed, PortfolioParams};
 use crate::scenario::ScenarioSet;
 use crate::search::{
@@ -295,76 +299,42 @@ impl<'a> RunControl<'a> {
     }
 }
 
-/// The per-position floors that stand in for scenarios a bounded sweep
-/// has not reached yet, computed once per run and shared by every chain;
-/// empty when the cutoff, their only reader, is off. Floors depend only
-/// on (topology, traffic, mask, cost parameters) — never on the weights
-/// under search — so one computation stays valid for the whole run, its
-/// portfolio replicas and its restores. Their one-off cost is on the
-/// order of a single failure sweep.
-fn scenario_floors<E: RobustEngine, S: ScenarioSet + ?Sized>(
-    ev: &E,
-    set: &S,
-    indices: &[usize],
-    knobs: &RobustKnobs,
-) -> Vec<E::Cost> {
-    if !knobs.cutoff {
-        return Vec::new();
-    }
-    let eng = ev.engine();
-    let mut ws = eng.acquire_workspace();
-    let floors = indices
-        .iter()
-        .map(|&i| cost_of(eng.scenario_floor(&mut ws, set.scenario(i))))
-        .collect();
-    eng.release_workspace(ws);
-    floors
-}
-
 /// Evaluation-order state of the cutoff sweeps: positions into the
 /// `indices` slice, costliest-under-the-incumbent first, the shared
-/// per-position cost scratch, the per-position floors that stand in for
-/// scenarios a bounded sweep has not reached yet, and the delta-state
-/// scenario cache.
+/// per-position cost scratch, and the delta-state scenario cache.
 struct SweepState<E: RobustEngine> {
     order: Vec<u32>,
     scratch: SweepScratch<E::Cost>,
-    floors: Vec<E::Cost>,
     cache: ScenarioCache,
 }
 
 impl<E: RobustEngine> SweepState<E> {
-    /// Sweep state over the `indices` positions and the run's shared
-    /// `floors` (see [`scenario_floors`]).
-    fn new(indices: &[usize], floors: &[E::Cost], knobs: &RobustKnobs) -> Self {
+    /// Sweep state over the `indices` positions.
+    fn new(indices: &[usize], knobs: &RobustKnobs) -> Self {
         SweepState {
             order: (0..indices.len() as u32).collect(),
             scratch: SweepScratch::new(),
-            floors: floors.to_vec(),
             cache: ScenarioCache::with_budget(knobs.cache_budget_bytes),
         }
     }
 
     /// Re-sort the evaluation order by the incumbent's per-scenario
-    /// (weighted) **excess over its floor**, component by component in
-    /// precedence order, descending, ties by position — so the order,
-    /// and therefore the deterministic skip accounting, is fully pinned.
-    /// The floors already stand in for unevaluated scenarios, so what
-    /// advances a bounded sweep's partial fold toward the incumbent is
-    /// exactly each evaluated scenario's excess; front-loading the
-    /// scenarios where the incumbent's excess is largest makes a losing
-    /// candidate's proof fire as early as possible.
+    /// (weighted) cost, component by component in precedence order,
+    /// descending, ties by position — so the order, and therefore the
+    /// deterministic skip accounting, is fully pinned. A bounded sweep's
+    /// partial fold advances toward the incumbent by each evaluated
+    /// scenario's weighted cost, so front-loading the scenarios that
+    /// cost the incumbent most makes a losing candidate's proof fire as
+    /// early as possible.
     fn refresh<S: ScenarioSet + ?Sized>(&mut self, set: &S, indices: &[usize]) {
         let costs = &self.scratch.costs;
-        let floors = &self.floors;
         let p = |pos: u32| set.weight(indices[pos as usize]);
         self.order.sort_by(|&a, &b| {
             let (ca, cb) = (&costs[a as usize], &costs[b as usize]);
-            let (fa, fb) = (&floors[a as usize], &floors[b as usize]);
             let (pa, pb) = (p(a), p(b));
             for i in 0..ca.arity() {
-                let xa = (ca.component(i) - fa.component(i)) * pa;
-                let xb = (cb.component(i) - fb.component(i)) * pb;
+                let xa = ca.component(i) * pa;
+                let xb = cb.component(i) * pb;
                 let o = xb.total_cmp(&xa);
                 if o.is_ne() {
                     return o;
@@ -490,13 +460,12 @@ impl<E: RobustEngine> Chain<E> {
         ev: &E,
         set: &S,
         indices: &[usize],
-        floors: &[E::Cost],
         knobs: RobustKnobs,
         archive: &Archive<E::Weights, E::Cost>,
     ) -> Self {
         let rng = StdRng::seed_from_u64(knobs.seed ^ 0x2545_f491_4f6c_dd1d);
         let mut stats = SearchStats::default();
-        let mut st = SweepState::new(indices, floors, &knobs);
+        let mut st = SweepState::new(indices, &knobs);
         let archive = archive.clone();
         let (current, current_normal) = archive
             .best()
@@ -537,8 +506,7 @@ impl<E: RobustEngine> Chain<E> {
 // current incumbent, so restore rebuilds them with a capture sweep that
 // is bit-identical to the refreshed cache it replaces (pinned by the
 // cache equivalence suites); the per-position cost scratch and the
-// evaluation order fall out of the same sweep, and the floors are
-// weight-independent and recomputed once for the resumed run.
+// evaluation order fall out of the same sweep.
 
 const SEC_CONFIG: u32 = 0x10;
 const SEC_CHAIN: u32 = 0x20;
@@ -667,7 +635,6 @@ fn decode_chain<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
     set: &S,
     indices: &[usize],
-    floors: &[E::Cost],
     knobs: RobustKnobs,
 ) -> Result<Chain<E>, SnapshotError> {
     rd.section(SEC_CHAIN)?;
@@ -728,11 +695,10 @@ fn decode_chain<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     // Rebuild the evaluation-order state. The delta-state cache is a
     // pure function of the restored incumbent: a capture sweep over
     // `current` reproduces, bit for bit, the entries and per-position
-    // costs the refreshed cache held at the checkpoint, and the run's
-    // floors are weight-independent. The physical re-evaluations are
-    // attributed to `cache_rebuild_evals`, never to the logical
-    // `evaluations`.
-    let mut st = SweepState::new(indices, floors, &knobs);
+    // costs the refreshed cache held at the checkpoint. The physical
+    // re-evaluations are attributed to `cache_rebuild_evals`, never to
+    // the logical `evaluations`.
+    let mut st = SweepState::new(indices, &knobs);
     if knobs.cutoff && !indices.is_empty() {
         rebuild_cache(ev, set, indices, &current, &mut st);
         stats.cache_rebuild_evals += indices.len();
@@ -1088,7 +1054,6 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                     indices,
                     current_kfail,
                     &st.order,
-                    Some(&st.floors),
                     Some(&st.cache),
                     &mut st.scratch,
                 );
@@ -1141,15 +1106,10 @@ fn chain_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
                     }
                     Decision::Reject
                 }
-                SetSweep::Cut {
-                    evaluated,
-                    floor_cut,
-                } => {
+                SetSweep::Cut { evaluated } => {
                     let skips = indices.len() - evaluated;
                     stats.scenario_evals_skipped += skips;
-                    if floor_cut {
-                        stats.skipped_floor += skips;
-                    } else if st.cache.resident_scenarios() == 0 {
+                    if st.cache.resident_scenarios() == 0 {
                         // Every evaluation ran on the plain path.
                         stats.skipped_cutoff += skips;
                     } else {
@@ -1199,7 +1159,6 @@ fn build_chains<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
     set: &S,
     indices: &[usize],
-    floors: &[E::Cost],
     knobs: &RobustKnobs,
     archive: &Archive<E::Weights, E::Cost>,
 ) -> Vec<Chain<E>> {
@@ -1207,7 +1166,7 @@ fn build_chains<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
         .map(|r| (knobs.replica(r), None))
         .collect();
     parallel::scoped_fanout(&mut slots, knobs.threads, |(k, slot)| {
-        *slot = Some(Chain::new(ev, set, indices, floors, *k, archive));
+        *slot = Some(Chain::new(ev, set, indices, *k, archive));
     });
     slots
         .into_iter()
@@ -1249,8 +1208,7 @@ pub fn run_controlled<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ctl: &mut RunControl<'_>,
 ) -> Result<RobustOutput<E::Weights, E::Cost>, SnapshotError> {
     check_weights(set, indices);
-    let floors = scenario_floors(ev, set, indices, knobs);
-    let chains = build_chains(ev, set, indices, &floors, knobs, archive);
+    let chains = build_chains(ev, set, indices, knobs, archive);
     let run = Run {
         ev,
         set_len: indices.len(),
@@ -1289,17 +1247,9 @@ pub fn resume<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     check_weights(set, indices);
     let mut rd = dtr_persist::open(snapshot, E::SNAPSHOT_KIND)?;
     let (stored, boundary) = decode_config(&mut rd, ev, knobs, indices.len(), benchmark, gate)?;
-    let floors = scenario_floors(ev, set, indices, knobs);
     let mut chains = Vec::with_capacity(knobs.portfolio.replicas);
     for r in 0..knobs.portfolio.replicas {
-        chains.push(decode_chain(
-            &mut rd,
-            ev,
-            set,
-            indices,
-            &floors,
-            knobs.replica(r),
-        )?);
+        chains.push(decode_chain(&mut rd, ev, set, indices, knobs.replica(r))?);
     }
     rd.finish()?;
     let run = Run {

@@ -97,20 +97,19 @@ pub struct SearchStats {
     /// Failure-scenario evaluations (already counted in `evaluations`)
     /// that the incumbent-bounded sweep proved unnecessary and skipped —
     /// the observable win of the early cutoff. Always the exact sum of
-    /// the three per-cause counters below (kept for trace
+    /// `skipped_cache` and `skipped_cutoff` (kept for trace
     /// compatibility).
     pub scenario_evals_skipped: usize,
-    /// Skips from cuts that *needed* the Λ floor stand-ins: the
-    /// evaluated subset alone would not have proven the rejection
-    /// (`SetSweep::Cut::floor_cut`).
+    /// Always 0: a bounded sweep folds only the scenarios it has
+    /// evaluated, so no cut has a third cause. Kept, with its snapshot
+    /// slot, for the benchmark reports that read it.
     pub skipped_floor: usize,
-    /// Skips from cuts the evaluated subset proved on its own, on a
-    /// sweep whose delta-state scenario cache held at least one resident
-    /// scenario.
+    /// Skips from cuts on a sweep whose delta-state scenario cache held
+    /// at least one resident scenario.
     pub skipped_cache: usize,
-    /// Skips from cuts the evaluated subset proved on its own, on a
-    /// sweep whose cache held no resident scenario (every evaluation on
-    /// the plain path, e.g. `cache_budget_bytes: 0`).
+    /// Skips from cuts on a sweep whose cache held no resident scenario
+    /// (every evaluation on the plain path, e.g. `cache_budget_bytes:
+    /// 0`).
     pub skipped_cutoff: usize,
     /// Always 0: the move loop evaluates each proposal once, in draw
     /// order. Kept, with its snapshot slot, for the benchmark reports

@@ -65,12 +65,13 @@
 //! 6. **Per-class floors** ([`Engine::scenario_floor`]): the
 //!    propagation-delay Λ floor of each SLA class, a routing-independent
 //!    lower bound of its cost under a scenario; congestion classes get
-//!    0. Compound failure costs are non-negative sums, so the
-//!    incumbent-bounded sweep `dtr_core::parallel::sum_set_costs_bounded`
-//!    can stand a floor in for every scenario it has not reached yet: a
-//!    partial fold that stops beating the incumbent *proves* the
-//!    candidate will be rejected. Floors are weight-independent, so they
-//!    are computed once per search.
+//!    0. No search calls them: the incumbent-bounded sweep
+//!    `dtr_core::parallel::sum_set_costs_bounded` folds only the
+//!    scenarios it has evaluated, since standing a floor in for the rest
+//!    cut too few sweeps to pay for one float Dijkstra per demand
+//!    destination per critical scenario. They stay for the benchmark
+//!    probe that times them (perfbench's `cost.floor_us`) and their
+//!    soundness tests, and leave together with that probe.
 //! 7. **Repair-seeded routing everywhere**: the plain
 //!    [`Engine::cost_with`]/`cost_scenario` path — capture sweeps,
 //!    reference anchors, every uncached failure sweep — seeds
@@ -1063,20 +1064,13 @@ impl<'a> Engine<'a> {
     /// under every routing. Summing those per-pair floors therefore
     /// bounds `Λ_k` from below for **every** weight setting.
     ///
-    /// Incumbent-bounded sweeps use these floors as stand-ins for
-    /// scenarios not yet evaluated, which tightens the rejection proof
-    /// from "the remaining scenarios cost at least nothing" to "at least
-    /// their physical minimum" — on SLA-stressed workloads that is most
-    /// of the incumbent's cost, so losing candidates are cut after a
-    /// handful of scenarios instead of nearly all of them.
-    ///
     /// The returned value is shaved by a relative `1e-9` guard so that
     /// floating-point evaluation-order effects (the floor and the real
     /// evaluation accumulate in different expression orders) can never
     /// lift the floor above an achievable `Λ_k`; the guard is orders of
     /// magnitude above the worst-case rounding slop and orders of
     /// magnitude below [`crate::LAMBDA_EPS`]'s resolution of genuine
-    /// cost differences. Cold path (once per search): allocates.
+    /// cost differences. Cold path: allocates.
     fn lambda_floor(&self, scenario: Scenario, k: usize) -> f64 {
         let mask = scenario.mask(self.net);
         let excluded = scenario.excluded_node().map(|v| v.index());
@@ -1101,11 +1095,14 @@ impl<'a> Engine<'a> {
     /// The routing-independent per-scenario lower bound of every cost
     /// component: the Λ floor of each SLA class, and 0 for each
     /// congestion class. Each component bounds its cost component from
-    /// below for **every** weight setting, so incumbent-bounded sweeps
-    /// can stand the floors in for scenarios not yet evaluated. Floors
-    /// depend only on the topology, traffic, mask and cost parameters —
-    /// never on weights — so one computation per search is valid for its
-    /// whole lifetime.
+    /// below for **every** weight setting; floors depend only on the
+    /// topology, traffic, mask and cost parameters, never on weights.
+    ///
+    /// No search calls this: the robust phase's bounded sweep folds only
+    /// the scenarios it has evaluated (module doc, item 6). It stays for
+    /// the benchmark probe that times it (perfbench's `cost.floor_us`)
+    /// and its soundness tests in `tests/scenario_engine_equivalence.rs`,
+    /// and leaves together with that probe.
     pub fn scenario_floor<'w>(&self, ws: &'w mut EvalWorkspace, scenario: Scenario) -> &'w [f64] {
         self.bind(ws);
         for (k, model) in self.models.iter().enumerate() {

@@ -220,7 +220,9 @@ impl<'a> Evaluator<'a> {
         lex(self.engine.cost_with(ws, w, sc))
     }
 
-    /// [`Engine::scenario_floor`] as `⟨Λ floor, 0⟩`.
+    /// [`Engine::scenario_floor`] as `⟨Λ floor, 0⟩`. No search calls
+    /// it; perfbench's `cost.floor_us` probe times it, and it leaves
+    /// together with that probe.
     pub fn scenario_floor(&self, ws: &mut EvalWorkspace, scenario: Scenario) -> LexCost {
         lex(self.engine.scenario_floor(ws, scenario))
     }

@@ -58,10 +58,9 @@ pub struct MtrParams {
     /// robust phase, run through the delta-state scenario cache
     /// (`dtr_cost::ScenarioCache`; float-exact rejection proof, see
     /// `dtr_core::parallel::sum_set_costs_bounded`; the trajectory is
-    /// identical with it on or off). Scenarios not yet evaluated stand
-    /// in as their per-class Λ floors (0 for congestion classes; see
-    /// `dtr_cost::Engine::scenario_floor`). A `cache_budget_bytes` of 0
-    /// keeps the cutoff and drops the cache.
+    /// identical with it on or off). The proof folds only the scenarios
+    /// evaluated so far. A `cache_budget_bytes` of 0 keeps the cutoff
+    /// and drops the cache.
     pub cutoff: bool,
     /// Record the per-proposal accept/reject trace into the phase
     /// outputs (`dtr_core::search::MoveOutcome`). Off by default.

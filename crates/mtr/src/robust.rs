@@ -557,17 +557,8 @@ mod tests {
         let mut scratch = SweepScratch::new();
         for weighting in [None, Some(weights.as_slice())] {
             let set = SliceSet::new(&scenarios, weighting);
-            let got = sum_set_costs_bounded(
-                &ev,
-                &w,
-                &set,
-                &idx,
-                &never,
-                &order,
-                None,
-                None,
-                &mut scratch,
-            );
+            let got =
+                sum_set_costs_bounded(&ev, &w, &set, &idx, &never, &order, None, &mut scratch);
             let want = sum_set_costs(&ev, &w, &set, &idx, 1);
             assert_eq!(got, SetSweep::Complete(want));
             // Per-position costs match the plain sweep.
@@ -591,90 +582,9 @@ mod tests {
             &VecCost::zeros(3),
             &order,
             None,
-            None,
             &mut scratch,
         );
-        assert_eq!(
-            got,
-            SetSweep::Cut {
-                evaluated: 1,
-                floor_cut: false
-            }
-        );
-    }
-
-    #[test]
-    fn floors_hasten_cuts_without_changing_completions() {
-        let (net, tms) = testbed(3);
-        // A 5 ms voice bound: nodes 1 and 4 are three 2 ms hops apart
-        // under every scenario that keeps both, so the voice Λ floors
-        // are positive.
-        let config = MtrConfig::new(vec![
-            ClassSpec::sla("voice", 5e-3),
-            ClassSpec::sla("video", 50e-3).relaxed(0.1),
-            ClassSpec::congestion("bulk").relaxed(0.2),
-        ]);
-        let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
-        let scenarios = scenario_zoo(&net);
-        let set = SliceSet::new(&scenarios, None);
-        let idx = positions(scenarios.len());
-        let mut ws = ev.acquire_workspace();
-        let floors: Vec<VecCost> = scenarios
-            .iter()
-            .map(|&sc| VecCost::new(ev.engine().scenario_floor(&mut ws, sc).to_vec()))
-            .collect();
-        MtrEvaluator::release_workspace(&ev, ws);
-        // Sanity: the Λ floors are non-trivial on this testbed, and the
-        // congestion class's floor is exactly 0.
-        let mut floor_sum = VecCost::zeros(3);
-        for f in &floors {
-            floor_sum.add_assign(f);
-            assert_eq!(f.components()[2], 0.0);
-        }
-        assert!(floor_sum.components()[0] > 0.0);
-        // Per-component soundness: every floor bounds its scenario's
-        // exact cost from below.
-        let exact = evaluate_set(&ev, &w, &set, &idx, 1);
-        for ((f, c), sc) in floors.iter().zip(&exact).zip(&scenarios) {
-            for (fk, ck) in f.components().iter().zip(c.components()) {
-                assert!(fk <= ck, "floor exceeds exact component under {sc}");
-            }
-        }
-        let order: Vec<u32> = (0..scenarios.len() as u32).collect();
-        let mut scratch = SweepScratch::new();
-        // Beatable incumbent: floors never change a completed sweep.
-        let never = VecCost::new(vec![f64::MAX; 3]);
-        let got = sum_set_costs_bounded(
-            &ev,
-            &w,
-            &set,
-            &idx,
-            &never,
-            &order,
-            Some(&floors),
-            None,
-            &mut scratch,
-        );
-        let want = sum_set_costs(&ev, &w, &set, &idx, 1);
-        assert_eq!(got, SetSweep::Complete(want));
-        // An incumbent below the summed floors is cut without finishing.
-        let below = floor_sum.scale(0.5);
-        let got = sum_set_costs_bounded(
-            &ev,
-            &w,
-            &set,
-            &idx,
-            &below,
-            &order,
-            Some(&floors),
-            None,
-            &mut scratch,
-        );
-        assert!(
-            matches!(got, SetSweep::Cut { .. }),
-            "expected a cut, got {got:?}"
-        );
+        assert_eq!(got, SetSweep::Cut { evaluated: 1 });
     }
 
     #[test]

@@ -129,8 +129,9 @@ pub(crate) fn settle_order_to_descending(dist: &[u64], order: &mut [u32]) {
 /// unreachable. Used with propagation delays as costs, this yields the
 /// physically best possible end-to-end delay of each pair under a
 /// failure mask — the load- and routing-independent floor behind the
-/// incumbent-bounded sweeps' Λ lower bounds (the engine's Λ floor in
-/// `dtr-cost`).
+/// engine's Λ lower bound (`Engine::scenario_floor` in `dtr-cost`). No
+/// search reads that bound any more; it leaves together with the
+/// benchmark probe that times it (perfbench's `cost.floor_us`).
 ///
 /// # Panics
 /// Panics (debug) if `costs` has the wrong length or holds a negative

@@ -262,14 +262,13 @@ fn steady_state_sparse_demand_sweeps_allocate_nothing() {
     );
 }
 
-/// The floored incumbent-bounded sweep stays allocation-free in steady
-/// state: after warm-up, a full bounded sweep *and* a floor-hastened
-/// cutting sweep over the per-scenario Λ floors perform **zero** heap
-/// allocations. This pins the floored `fold_bound` path of
-/// `sum_set_costs_bounded` (registered in
+/// The incumbent-bounded sweep stays allocation-free in steady state:
+/// after warm-up, a full bounded sweep *and* a cutting sweep perform
+/// **zero** heap allocations. This pins `sum_set_costs_bounded` and its
+/// index-order `fold_bound` over the evaluated positions (registered in
 /// crates/analysis/hot_paths.toml).
 #[test]
-fn steady_state_floored_bounded_sweep_allocates_nothing() {
+fn steady_state_bounded_sweep_allocates_nothing() {
     use dtr::core::parallel::{self, SetSweep, SweepScratch};
     use dtr::core::scenario::ScenarioSet;
 
@@ -281,32 +280,15 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
     let universe = FailureUniverse::of(&net);
     let indices = universe.all_indices();
     let order: Vec<u32> = (0..indices.len() as u32).collect();
-    let mut floors = vec![LexCost::ZERO; indices.len()];
     let mut scratch = SweepScratch::new();
     let never = LexCost::new(f64::MAX, f64::MAX);
 
-    let mut ws = ev.acquire_workspace();
-    // The floors are cold-path (computed once per search, allocating);
-    // only the sweep itself must hold the steady-state zero-allocation
-    // bar.
-    for (pos, &i) in indices.iter().enumerate() {
-        floors[pos] = ev.scenario_floor(&mut ws, universe.scenario(i));
-    }
-    ev.release_workspace(ws);
-    let run = |floors: &[LexCost], scratch: &mut SweepScratch| -> f64 {
-        let mut checksum: f64 = floors.iter().map(|f| f.lambda + f.phi).sum();
-        // Full sweep (unbeatable incumbent) and floor-hastened cut
-        // (zero incumbent) both stay allocation-free once warm.
+    let run = |scratch: &mut SweepScratch| -> f64 {
+        let mut checksum = 0.0f64;
+        // Full sweep (unbeatable incumbent) and cut (zero incumbent)
+        // both stay allocation-free once warm.
         match parallel::sum_set_costs_bounded(
-            &ev,
-            &w,
-            &universe,
-            &indices,
-            &never,
-            &order,
-            Some(floors),
-            None,
-            scratch,
+            &ev, &w, &universe, &indices, &never, &order, None, scratch,
         ) {
             SetSweep::Complete(c) => checksum += c.lambda + c.phi,
             SetSweep::Cut { .. } => unreachable!("nothing beats the never-cut incumbent"),
@@ -318,12 +300,11 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
             &indices,
             &LexCost::ZERO,
             &order,
-            Some(floors),
             None,
             scratch,
         ) {
             SetSweep::Complete(_) => panic!("a zero incumbent must cut"),
-            SetSweep::Cut { evaluated, .. } => checksum += evaluated as f64,
+            SetSweep::Cut { evaluated } => checksum += evaluated as f64,
         }
         checksum
     };
@@ -332,18 +313,18 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
     // cost/done vectors — reach its high-water capacity.
     let mut checksum = 0.0f64;
     for _ in 0..2 {
-        checksum += run(&floors, &mut scratch);
+        checksum += run(&mut scratch);
     }
 
     let before = allocations();
-    checksum += run(&floors, &mut scratch);
+    checksum += run(&mut scratch);
     let after = allocations();
 
     assert!(checksum.is_finite());
     assert_eq!(
         after - before,
         0,
-        "steady-state floored bounded sweep of {} scenarios performed {} heap allocations",
+        "steady-state bounded sweep of {} scenarios performed {} heap allocations",
         indices.len(),
         after - before
     );

@@ -437,9 +437,9 @@ proptest! {
     /// exact cost componentwise — `lambda ≤ Λ`, and `phi` is exactly
     /// 0 — for every scenario kind of the taxonomy, under multiple
     /// random weight settings (the floors are weight-independent, the
-    /// costs are not). This is the exact property the bounded sweeps
-    /// lean on: a floor that ever exceeded a true component could cut a
-    /// sweep the full fold would have completed.
+    /// costs are not). No search reads the floors; this pins what
+    /// perfbench's `cost.floor_us` probe times, and both tests leave
+    /// together with that probe.
     #[test]
     fn scenario_floors_bound_every_cost_componentwise(
         (nodes, extra, seed) in (10usize..15, 2usize..10, 0u64..1_000_000)

@@ -230,10 +230,11 @@ fn phase2_trajectory_is_invariant_on_the_single_link_universe() {
         let out = phase2::run(&ev, &universe, &all, &params_for(7, *cfg), &p1);
         assert_phase2_equal(&anchor, &out, &format!("{cfg:?}"));
         runs.push((cfg.0, cfg.1, out.stats));
-        // The per-cause skip counters partition the total exactly.
+        // The two per-cause skip counters partition the total exactly.
+        assert_eq!(out.stats.skipped_floor, 0, "{cfg:?}");
         assert_eq!(
             out.stats.scenario_evals_skipped,
-            out.stats.skipped_floor + out.stats.skipped_cache + out.stats.skipped_cutoff,
+            out.stats.skipped_cache + out.stats.skipped_cutoff,
             "{cfg:?}: skip counters do not partition the total"
         );
         saw_skip |= out.stats.scenario_evals_skipped > 0;
@@ -681,9 +682,10 @@ fn mtr_robust_trajectory_is_invariant() {
         );
         assert_eq!(anchor.trace, out.trace, "{cfg}");
         assert_eq!(anchor.stats.evaluations, out.stats.evaluations, "{cfg}");
+        assert_eq!(out.stats.skipped_floor, 0, "{cfg}");
         assert_eq!(
             out.stats.scenario_evals_skipped,
-            out.stats.skipped_floor + out.stats.skipped_cache + out.stats.skipped_cutoff,
+            out.stats.skipped_cache + out.stats.skipped_cutoff,
             "{cfg}: skip counters do not partition the total"
         );
         saw_skip |= out.stats.scenario_evals_skipped > 0;
