@@ -19,13 +19,16 @@
 //! Manufactured samples are embarrassingly parallel — no acceptance, no
 //! state mutation between evaluations. Each round is drawn whole first,
 //! in RNG order, as `(failure index, archive member, move)` triples.
-//! It is then evaluated grouped by archive member, in a stable sort, so
-//! a draw's workspace baseline is usually the same member with one other
-//! link moved: its baseline repair covers at most two duplex links, not
-//! the diff between two members. The member-ordered round is split into
-//! contiguous chunks over `threads` workers
+//! It is then evaluated grouped by archive member, in a stable sort. The
+//! member-ordered round is split into up to `threads` contiguous chunks
 //! ([`crate::parallel::parallel_map`]), each with one pooled workspace
-//! and one weight buffer. The samples are recorded in draw order. A cost
+//! and one weight buffer. At the first draw of each member group in a
+//! chunk the workspace baseline moves onto the member
+//! ([`dtr_cost::Engine::ensure_baseline`]); after that a draw differs
+//! from the baseline's member on one duplex link only, so its baseline
+//! repair covers that link, and the next draw's baseline first swaps
+//! the records that repair replaced back (the engine's undo) and then
+//! repairs its own link. The samples are recorded in draw order. A cost
 //! has the same bits from any workspace baseline, so the recorded
 //! samples are bit-for-bit (and in the same order as) the serial loop's
 //! for every thread count.
@@ -108,8 +111,9 @@ pub fn top_up<E: RobustEngine>(
         }
 
         // Evaluate grouped by member (the stable sort keeps draw order
-        // within a group), so each candidate's baseline is usually the
-        // same member with one other link moved.
+        // within a group). The baseline moves onto each member once per
+        // group, so a draw diffs one duplex link against its member and
+        // the next draw undoes back to it.
         let mut by_member: Vec<usize> = (0..round.len()).collect();
         by_member.sort_by_key(|&d| round[d].1);
         let members = phase1.archive.entries();
@@ -117,11 +121,16 @@ pub fn top_up<E: RobustEngine>(
             let eng = ev.engine();
             let mut ws = eng.acquire_workspace();
             let mut w = members[0].0.clone();
+            let mut baseline_at = None;
             let costs = part
                 .iter()
                 .map(|&d| {
                     let (fi, member, ref mv) = round[d];
                     let rep = universe.failable[fi];
+                    if baseline_at != Some(member) {
+                        eng.ensure_baseline(&mut ws, &members[member].0);
+                        baseline_at = Some(member);
+                    }
                     w.clone_from(&members[member].0);
                     ev.apply_move(&mut w, rep, mv);
                     debug_assert!(w.emulates_failure(rep, knobs.q));

@@ -47,6 +47,12 @@
 //!    their previous routing ([`route_destination_reweight`]: orphans
 //!    of the rising links re-settled, then a Dijkstra from the tails of
 //!    the falling ones), not re-routed — bit-equal to a full route.
+//!    A local search rejects most moves, so the next candidate is
+//!    usually one link off the setting *before* the last one: each
+//!    class baseline keeps the records its last change replaced, and
+//!    when the new weights differ from the previous setting on fewer
+//!    links than from the current one, it swaps those records back
+//!    (an undo, no routing) and repairs only the shorter diff.
 //!    The workspace baseline is the only no-failure routing the engine
 //!    repairs; the scenario cache's incumbent baseline copies from it.
 //! 5. **Delta-state scenario cache across moves × scenarios**
@@ -79,11 +85,13 @@
 //!    no-failure baseline (orphan detection + boundary Dijkstra); it
 //!    never runs a from-scratch Dijkstra per flow-affected destination.
 //!    Weight moves are repaired the same way: the workspace baseline
-//!    (`ensure_baseline`) runs the weight-move kernel
-//!    ([`route_destination_reweight`]), and [`route_destination`] runs
-//!    only where no previous routing exists; the cache's incumbent
-//!    baseline copies the records an accepted move really changed from
-//!    such a workspace baseline (the close of [`Engine::cache_refresh`]).
+//!    ([`Engine::ensure_baseline`]) runs the weight-move kernel
+//!    ([`route_destination_reweight`]) into the destination's spare
+//!    record and swaps it in, keeping the replaced record for an undo,
+//!    and [`route_destination`] runs only where no previous routing
+//!    exists; the cache's incumbent baseline copies the records an
+//!    accepted move really changed from such a workspace baseline (the
+//!    close of [`Engine::cache_refresh`]).
 //!    Integer distances make every repair bit-equal to the full route,
 //!    so repair changes only the time an evaluation takes.
 //!
@@ -534,7 +542,16 @@ impl ScenarioCache {
 }
 
 /// The cached no-failure routing of one traffic class under the
-/// workspace's current weight setting.
+/// workspace's current weight setting, plus what undoes its last weight
+/// change.
+///
+/// A repair writes into the destination's `spare` and swaps it in, so
+/// after a change `spare[di]` holds, for every slot in `changed`, the
+/// record it replaced: with `prev`, the baseline of the setting before
+/// the change. Every other destination's record is exact under both
+/// settings (the change provably left its distances and DAG alone), so
+/// swapping `changed` back restores that baseline bit for bit. A record
+/// only ever swaps with its own destination's spare.
 #[derive(Debug, Default)]
 struct ClassBaseline {
     /// Weights this baseline was computed with (diffed on every reuse).
@@ -542,12 +559,25 @@ struct ClassBaseline {
     /// One replayable record per demand destination, aligned with the
     /// engine's per-class demand-destination list.
     state: Vec<DestRouting>,
+    /// One spare record per demand destination: a repair's target, and
+    /// for the slots in `changed` the record the last change replaced.
+    /// Sized lazily (see [`DestRouting::reserve_capacity_of`]).
+    spare: Vec<DestRouting>,
+    /// Slots the last weight change repaired, ascending.
+    changed: Vec<u32>,
+    /// Weights before the last weight change; empty when there is none
+    /// to undo (a fresh full route).
+    prev: Vec<u32>,
     valid: bool,
 }
 
 /// Per-thread scratch for the engine. Acquire one from
 /// [`Engine::acquire_workspace`] and reuse it: all buffers reach
-/// steady-state capacity after the first evaluation.
+/// steady-state capacity after warm-up. Besides scratch it
+/// holds, per class, the no-failure baseline of the last weight setting
+/// it evaluated and the records that undo that setting's last change
+/// (see [`Engine::ensure_baseline`]), so consecutive evaluations of
+/// nearby settings pay only for their diff.
 #[derive(Debug, Default)]
 pub struct EvalWorkspace {
     /// Identity of the engine whose baselines this workspace holds; 0 =
@@ -585,9 +615,6 @@ pub struct EvalWorkspace {
     /// The k cost components (or floors) of the last evaluation — what
     /// the kernels return a slice of.
     costs: Vec<f64>,
-    /// Repair target of `ensure_baseline` (written back with
-    /// `clone_from`).
-    refresh_tmp: DestRouting,
     /// Commit scratch: the previous affected list of the entry being
     /// committed (drained back into the entry; capacity converges).
     refresh_list: Vec<(u32, DestRouting)>,
@@ -765,8 +792,18 @@ impl<'a> Engine<'a> {
 
     /// Make `ws`'s per-class baselines describe the no-failure routing of
     /// `w`, re-routing only destinations whose distance field the weight
-    /// diff can actually touch.
-    fn ensure_baseline<W: ClassWeights>(&self, ws: &mut EvalWorkspace, w: &W) {
+    /// diff can actually touch. Every evaluation starts here; a caller
+    /// that evaluates many neighbours of one setting may call it on that
+    /// setting first, so each neighbour diffs against it alone.
+    ///
+    /// Per class, `w` is diffed against the baseline's weights. When it
+    /// differs on fewer links from the weights before the baseline's
+    /// last change (the next candidate after a rejected one), the
+    /// records that change replaced are swapped back first and only
+    /// that shorter diff is repaired. Each flagged destination is
+    /// repaired from its current record into its spare, bit-equal to a
+    /// full route, and the two swap.
+    pub fn ensure_baseline<W: ClassWeights>(&self, ws: &mut EvalWorkspace, w: &W) {
         assert_eq!(
             w.num_classes(),
             self.num_classes(),
@@ -784,7 +821,6 @@ impl<'a> Engine<'a> {
             mask,
             diff,
             base,
-            refresh_tmp: tmp,
             ..
         } = ws;
         for (k, b) in base.iter_mut().enumerate() {
@@ -796,11 +832,34 @@ impl<'a> Engine<'a> {
                 if diff.is_empty() {
                     continue;
                 }
-                // Repair each flagged destination from its previous
-                // routing (bit-equal to a full route), writing back with
-                // `clone_from` so every record keeps its own buffers.
+                let closer_to_prev = b.prev.len() == weights.len()
+                    && b.prev
+                        .iter()
+                        .zip(weights)
+                        .filter(|(x, y)| x != y)
+                        .take(diff.len())
+                        .count()
+                        < diff.len();
+                if closer_to_prev {
+                    // Undo the last change: its records go back, its
+                    // replacements wait in the spares, and `prev` names
+                    // the setting just left, so undoing is symmetric.
+                    for &di in &b.changed {
+                        let di = di as usize;
+                        std::mem::swap(&mut b.state[di], &mut b.spare[di]);
+                    }
+                    std::mem::swap(&mut b.weights, &mut b.prev);
+                    weight_diff(&b.weights, weights, diff);
+                    if diff.is_empty() {
+                        continue;
+                    }
+                }
+                b.spare.resize_with(dests.len(), DestRouting::default);
+                b.changed.clear();
                 for (di, &t) in dests.iter().enumerate() {
                     if weight_change_affects(self.net, &b.state[di].dist, diff) {
+                        let spare = &mut b.spare[di];
+                        spare.reserve_capacity_of(&b.state[di]);
                         route_destination_reweight(
                             self.net,
                             &b.weights,
@@ -811,12 +870,15 @@ impl<'a> Engine<'a> {
                             t as usize,
                             &b.state[di],
                             spf,
-                            tmp,
+                            spare,
                         );
-                        b.state[di].clone_from(tmp);
+                        std::mem::swap(&mut b.state[di], spare);
+                        b.changed.push(di as u32);
                     }
                 }
-                b.weights.copy_from_slice(weights);
+                std::mem::swap(&mut b.weights, &mut b.prev);
+                b.weights.clear();
+                b.weights.extend_from_slice(weights);
             } else {
                 b.state.resize_with(dests.len(), DestRouting::default);
                 for (di, &t) in dests.iter().enumerate() {
@@ -832,6 +894,7 @@ impl<'a> Engine<'a> {
                 }
                 b.weights.clear();
                 b.weights.extend_from_slice(weights);
+                b.prev.clear();
                 b.valid = true;
             }
         }
@@ -1520,5 +1583,114 @@ impl<'a> Engine<'a> {
             inc.weights[k].extend_from_slice(w.class_weights(k));
         }
         inc.generation = next_engine_id();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Evaluator;
+    use dtr_net::{NetworkBuilder, Point};
+    use dtr_routing::{Class, WeightSetting};
+    use dtr_traffic::ClassMatrices;
+
+    /// A six-node ring with the chord 0–3, every pair demanding.
+    fn testbed() -> (Network, ClassMatrices) {
+        let mut b = NetworkBuilder::new();
+        let n: Vec<_> = (0..6)
+            .map(|i| b.add_node(Point::new(i as f64, (i % 2) as f64)))
+            .collect();
+        for i in 0..6 {
+            b.add_duplex_link(n[i], n[(i + 1) % 6], 1e6, 2e-3).unwrap();
+        }
+        b.add_duplex_link(n[0], n[3], 1e6, 2e-3).unwrap();
+        let net = b.build().unwrap();
+        let mut tm = ClassMatrices::zeros(6);
+        for s in 0..6 {
+            for t in (0..6).filter(|&t| t != s) {
+                tm.delay.set(s, t, 1e3 * (1 + s + t) as f64);
+                tm.throughput.set(s, t, 2e3 * (1 + s * t) as f64);
+            }
+        }
+        (net, tm)
+    }
+
+    /// Where each record's buffers live, per class and destination.
+    fn buffers(ws: &EvalWorkspace) -> Vec<Vec<[usize; 3]>> {
+        ws.base
+            .iter()
+            .map(|b| {
+                b.state
+                    .iter()
+                    .map(|r| {
+                        [
+                            r.dist.as_ptr() as usize,
+                            r.order.as_ptr() as usize,
+                            r.load_adds().as_ptr() as usize,
+                        ]
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A → B → A: the second step undoes the first by swapping, so every
+    /// record B replaced is back in its original buffers, bit for bit
+    /// A's routing, and nothing was repaired.
+    #[test]
+    fn undo_swaps_back_the_records_a_move_replaced() {
+        let (net, tm) = testbed();
+        let ev = Evaluator::new(&net, &tm, CostParams::default());
+        let eng = ev.engine();
+        let mut ws = eng.acquire_workspace();
+        let a = WeightSetting::uniform(net.num_links(), 20);
+        let mut b = a.clone();
+        let chord = net
+            .links()
+            .find(|&l| net.link(l).src.index() == 0 && net.link(l).dst.index() == 3)
+            .unwrap();
+        for class in Class::ALL {
+            b.set(class, chord, 20);
+            b.set(class, net.reverse_link(chord).unwrap(), 20);
+        }
+
+        eng.ensure_baseline(&mut ws, &a);
+        let at_a = buffers(&ws);
+        let records_a: Vec<Vec<DestRouting>> = ws.base.iter().map(|c| c.state.clone()).collect();
+
+        eng.ensure_baseline(&mut ws, &b);
+        let changed: Vec<Vec<u32>> = ws.base.iter().map(|c| c.changed.clone()).collect();
+        let at_b = buffers(&ws);
+        for (k, list) in changed.iter().enumerate() {
+            assert!(!list.is_empty(), "class {k}: the chord carries flow");
+            for &di in list {
+                let di = di as usize;
+                assert_ne!(
+                    at_b[k][di], at_a[k][di],
+                    "class {k}: repaired into the spare"
+                );
+                assert_eq!(
+                    ws.base[k].spare[di].dist.as_ptr() as usize,
+                    at_a[k][di][0],
+                    "class {k}: A's record waits in the spare"
+                );
+            }
+        }
+
+        eng.ensure_baseline(&mut ws, &a);
+        assert_eq!(buffers(&ws), at_a, "every record is back in its buffers");
+        for (k, c) in ws.base.iter().enumerate() {
+            assert_eq!(c.state, records_a[k], "class {k}: A's routing");
+            assert_eq!(c.changed, changed[k], "class {k}: the undo is symmetric");
+            assert_eq!(c.weights, a.class_weights(k));
+            assert_eq!(c.prev, b.class_weights(k));
+        }
+        // And the undone baseline evaluates as a fresh one does.
+        let mut fresh = EvalWorkspace::default();
+        for sc in [Scenario::Normal, Scenario::Link(chord)] {
+            let undone = eng.cost_with(&mut ws, &a, sc).to_vec();
+            assert_eq!(undone, eng.cost_with(&mut fresh, &a, sc), "{sc}");
+        }
+        eng.release_workspace(ws);
     }
 }

@@ -32,6 +32,10 @@ impl LexCost {
 
     /// Strictly better than `other` in the paper's lexicographic order:
     /// lower `Λ`, or equal `Λ` (within [`LAMBDA_EPS`]) and lower `Φ`.
+    /// "Lower" and "higher" are the two one-sided tests `λ < λ' − ε` and
+    /// `λ > λ' + ε`, as `VecCost::better_than` in `dtr-mtr` decides each
+    /// component, so every `Λ` that is neither compares on `Φ`: no value
+    /// at the band's rounded edge falls between the two.
     ///
     /// # Monotone early-cutoff lemma
     ///
@@ -51,10 +55,10 @@ impl LexCost {
         if self.lambda < other.lambda - LAMBDA_EPS {
             return true;
         }
-        if (self.lambda - other.lambda).abs() <= LAMBDA_EPS {
-            return self.phi < other.phi;
+        if self.lambda > other.lambda + LAMBDA_EPS {
+            return false;
         }
-        false
+        self.phi < other.phi
     }
 
     /// Component-wise sum — used to accumulate `Kfail = Σ_l K_fail,l`
@@ -119,6 +123,22 @@ mod tests {
         let a = LexCost::new(100.0 + 1e-9, 5.0);
         let b = LexCost::new(100.0, 7.0);
         assert!(a.better_than(&b)); // Λ "equal", Φ smaller
+    }
+
+    #[test]
+    fn band_edge_compares_on_phi() {
+        // A Λ that rounds to exactly `Λ' - ε` lies on the band's edge:
+        // neither lower nor higher, so Φ decides, although `|Λ - Λ'|`
+        // rounds to 1.0000003e-6 here, above ε.
+        let incumbent = LexCost::new(22120.597021097314, 5.0);
+        let edge = LexCost::new(22120.597020097313, 4.0);
+        assert!(edge.lambda >= incumbent.lambda - LAMBDA_EPS);
+        assert!(edge.better_than(&incumbent));
+        assert!(!incumbent.better_than(&edge));
+        // Antitone at the edge: the same Λ with a higher Φ is not better,
+        // and any lower Λ is.
+        assert!(!LexCost::new(edge.lambda, 6.0).better_than(&incumbent));
+        assert!(LexCost::new(edge.lambda - 1e-9, 6.0).better_than(&incumbent));
     }
 
     #[test]

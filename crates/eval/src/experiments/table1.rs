@@ -18,6 +18,7 @@ use dtr_core::{Params, RobustOptimizer};
 
 use crate::metrics;
 use crate::render::Table;
+use crate::series::{self, Series};
 use crate::settings::{ExpConfig, Instance, LoadSpec, TopoSpec};
 
 /// Raw result for one (topology, fraction) cell, averaged over repeats.
@@ -42,17 +43,23 @@ impl std::fmt::Display for Table1 {
     }
 }
 
-/// The paper's Table I (avg util 0.43, fractions 5/10/15 %).
+/// The paper's Table I (avg util 0.43, fractions 5/10/15 %); with
+/// `cfg.out_dir` set it also writes the series `table1_critical_vs_full`.
 pub fn run(cfg: &ExpConfig) -> Table1 {
-    run_at(
+    let fractions = [0.05, 0.10, 0.15];
+    let out = run_at(
         cfg,
         LoadSpec::AvgUtil(0.43),
-        &[0.05, 0.10, 0.15],
+        &fractions,
         "Table I: critical vs full search (avg util 0.43)",
-    )
+    );
+    write_csv(cfg, "table1_critical_vs_full", fractions.len(), &out);
+    out
 }
 
-/// §IV-E1's high-load variant (RandTopo only, max util 0.9).
+/// §IV-E1's high-load variant (RandTopo only, max util 0.9); with
+/// `cfg.out_dir` set it also writes the series
+/// `table1_high_load_critical_vs_full`.
 pub fn run_high_load(cfg: &ExpConfig) -> Table1 {
     let scale = cfg.scale;
     let n = scale.nodes(30);
@@ -60,13 +67,21 @@ pub fn run_high_load(cfg: &ExpConfig) -> Table1 {
         format!("RandTopo [{},{}] @ max util 0.9", n, n * 6),
         TopoSpec::Synth(dtr_topogen::TopoKind::Rand, n, n * 3),
     )];
-    run_on(
+    let fractions = [0.10, 0.20, 0.25];
+    let out = run_on(
         cfg,
         topos,
         LoadSpec::MaxUtil(0.9),
-        &[0.10, 0.20, 0.25],
+        &fractions,
         "Table I (high load): critical vs full search (max util 0.9)",
-    )
+    );
+    write_csv(
+        cfg,
+        "table1_high_load_critical_vs_full",
+        fractions.len(),
+        &out,
+    );
+    out
 }
 
 fn run_at(cfg: &ExpConfig, load: LoadSpec, fractions: &[f64], title: &str) -> Table1 {
@@ -160,6 +175,38 @@ pub fn run_on(
     }
 
     Table1 { cells, table }
+}
+
+/// Write `t`'s cells at full precision as the series `name`, one row per
+/// (topology, fraction), the topology as its index in the run's list
+/// (cells come topology-major, `fractions` per topology).
+fn write_csv(cfg: &ExpConfig, name: &str, fractions: usize, t: &Table1) {
+    let mut out = Series::new(
+        name,
+        &[
+            "topology",
+            "fraction",
+            "beta_full_mean",
+            "beta_full_std",
+            "beta_crt_mean",
+            "beta_crt_std",
+            "beta_phi_pct_mean",
+            "beta_phi_pct_std",
+        ],
+    );
+    for (i, c) in t.cells.iter().enumerate() {
+        out.push(vec![
+            (i / fractions) as f64,
+            c.fraction,
+            c.beta_full.0,
+            c.beta_full.1,
+            c.beta_crt.0,
+            c.beta_crt.1,
+            c.beta_phi_pct.0,
+            c.beta_phi_pct.1,
+        ]);
+    }
+    series::write_all(&[out], cfg.out_dir.as_deref());
 }
 
 #[cfg(test)]

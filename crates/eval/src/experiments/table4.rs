@@ -6,6 +6,7 @@ use dtr_topogen::{SynthConfig, TopoKind};
 use crate::experiments::common::OptimizedPair;
 use crate::metrics;
 use crate::render::Table;
+use crate::series::{self, Series};
 use crate::settings::{ExpConfig, Instance, LoadSpec, TopoSpec};
 
 #[derive(Clone, Debug)]
@@ -28,11 +29,27 @@ impl std::fmt::Display for Table4 {
     }
 }
 
+/// Table IV; with `cfg.out_dir` set it also writes the rows at full
+/// precision as the series `table4_sla_violations_vs_degree`.
 pub fn run(cfg: &ExpConfig) -> Table4 {
     let n = cfg.scale.nodes(30);
     let mut table = Table::new(
         format!("Table IV: SLA violations in {n}-node RandTopo vs mean degree"),
         &["mean degree", "avg R", "avg NR", "top-10% R", "top-10% NR"],
+    );
+    let mut out = Series::new(
+        "table4_sla_violations_vs_degree",
+        &[
+            "mean_degree",
+            "avg_r_mean",
+            "avg_r_std",
+            "avg_nr_mean",
+            "avg_nr_std",
+            "top10_r_mean",
+            "top10_r_std",
+            "top10_nr_mean",
+            "top10_nr_std",
+        ],
     );
     let mut rows = Vec::new();
 
@@ -71,8 +88,20 @@ pub fn run(cfg: &ExpConfig) -> Table4 {
             Table::mean_std_cell(row.top10_robust.0, row.top10_robust.1),
             Table::mean_std_cell(row.top10_regular.0, row.top10_regular.1),
         ]);
+        out.push(vec![
+            deg,
+            row.avg_robust.0,
+            row.avg_robust.1,
+            row.avg_regular.0,
+            row.avg_regular.1,
+            row.top10_robust.0,
+            row.top10_robust.1,
+            row.top10_regular.0,
+            row.top10_regular.1,
+        ]);
         rows.push(row);
     }
+    series::write_all(&[out], cfg.out_dir.as_deref());
     Table4 { rows, table }
 }
 

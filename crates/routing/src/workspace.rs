@@ -237,6 +237,24 @@ impl DestRouting {
             + self.dropped_adds.len() * size_of::<f64>()
     }
 
+    /// Grow every buffer to at least `other`'s capacity, exactly (no
+    /// amortized doubling). Two records that take turns as a kernel's
+    /// target and its result both reach the larger capacity once, so a
+    /// pair that alternates stops allocating after its first round;
+    /// without it the smaller record would regrow every time it fell
+    /// short of the contents its partner had held.
+    pub fn reserve_capacity_of(&mut self, other: &DestRouting) {
+        fn grow<T>(v: &mut Vec<T>, cap: usize) {
+            if v.capacity() < cap {
+                v.reserve_exact(cap - v.len());
+            }
+        }
+        grow(&mut self.dist, other.dist.capacity());
+        grow(&mut self.order, other.order.capacity());
+        grow(&mut self.load_adds, other.load_adds.capacity());
+        grow(&mut self.dropped_adds, other.dropped_adds.capacity());
+    }
+
     /// Replay the recorded accumulations into global per-link loads and
     /// the dropped-demand accumulator. Bit-for-bit identical to the adds
     /// a fresh [`route_destination`] performs.

@@ -318,6 +318,135 @@ fn mtr_cache_chain(net: &Network, tm: &ClassMatrices, seed: u64) {
     ev.release_workspace(ws);
 }
 
+/// The hub-demand twin of [`testbed`]: every class sends only to three
+/// hub destinations, so a weight move repairs few records and most
+/// destinations never enter a baseline's undo list.
+fn hub_testbed(nodes: usize, duplex: usize, seed: u64) -> (Network, ClassMatrices) {
+    let (net, mut tm) = testbed(nodes, duplex, seed);
+    hubs_only(&mut tm.delay);
+    hubs_only(&mut tm.throughput);
+    (net, tm)
+}
+
+/// Zero every demand whose destination is not one of three hubs.
+fn hubs_only(m: &mut dtr::traffic::TrafficMatrix) {
+    let n = m.num_nodes();
+    let hubs = [0, n / 2, n - 1];
+    for s in 0..n {
+        for t in (0..n).filter(|t| *t != s && !hubs.contains(t)) {
+            m.set(s, t, 0.0);
+        }
+    }
+}
+
+/// Walk one workspace through the reject and accept chains of a local
+/// search, from the incumbent `A`: `A+m₁` (rejected), `A+m₂` (the
+/// baseline undoes `m₁` back to `A`, then repairs `m₂`), `A` itself (a
+/// pure undo), `A+m₂+m₃` (undo to `A+m₂`, repair `m₃`), and then, half
+/// the time, accept `A+m₂+m₃` as the next incumbent. `check` evaluates
+/// each setting on that one workspace.
+fn undo_walk<W: Clone>(
+    start: W,
+    rng: &mut StdRng,
+    mut mv: impl FnMut(&mut W, &mut StdRng),
+    mut check: impl FnMut(&W, usize),
+) {
+    let mut inc = start;
+    for step in 0..6 {
+        let mut m1 = inc.clone();
+        mv(&mut m1, rng);
+        check(&m1, step);
+        let mut m2 = inc.clone();
+        mv(&mut m2, rng);
+        check(&m2, step);
+        check(&inc, step);
+        let mut m23 = m2.clone();
+        mv(&mut m23, rng);
+        check(&m23, step);
+        if rng.gen_bool(0.5) {
+            inc = m23;
+        }
+    }
+}
+
+/// [`undo_walk`] at k = 2 (DTR) and k = 3 (two SLA classes and a
+/// congestion class): every `cost_with` on the walked workspace equals
+/// the reference `evaluate` bit for bit, under every scenario of
+/// [`scenario_zoo`] (every link and node failure among them).
+fn undo_chains(net: &Network, tm: &ClassMatrices, hubs: bool, seed: u64) {
+    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+
+    let reps = net.duplex_representatives();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0d0);
+    let scenarios = scenario_zoo(net, &mut rng);
+
+    let ev = Evaluator::new(net, tm, CostParams::default());
+    let mut ws = ev.acquire_workspace();
+    let start = WeightSetting::random(net.num_links(), 20, &mut rng);
+    let mv = |w: &mut WeightSetting, rng: &mut StdRng| {
+        let rep = reps[rng.gen_range(0..reps.len())];
+        for class in Class::ALL {
+            let v = rng.gen_range(1..=20);
+            w.set(class, rep, v);
+            if let Some(r) = net.reverse_link(rep) {
+                w.set(class, r, v);
+            }
+        }
+    };
+    undo_walk(start, &mut rng, mv, |w, step| {
+        for &sc in &scenarios {
+            let engine = ev.cost_with(&mut ws, w, sc);
+            let reference = ev.evaluate(w, sc).cost;
+            prop_assert_eq!(
+                (engine.lambda.to_bits(), engine.phi.to_bits()),
+                (reference.lambda.to_bits(), reference.phi.to_bits()),
+                "k = 2, step {}, scenario {}, hubs {}, seed {}",
+                step,
+                sc,
+                hubs,
+                seed
+            );
+        }
+    });
+    ev.release_workspace(ws);
+
+    let n = net.num_nodes();
+    let mut matrices = dtr::eval::experiments::mtr3::three_class_traffic(n, seed, n as f64 * 1e9);
+    if hubs {
+        matrices.iter_mut().for_each(hubs_only);
+    }
+    let config = MtrConfig::new(vec![
+        ClassSpec::sla("voice", 25e-3),
+        ClassSpec::sla("video", 60e-3).relaxed(0.1),
+        ClassSpec::congestion("bulk"),
+    ]);
+    let ev = MtrEvaluator::new(net, &matrices, config).unwrap();
+    let eng = ev.engine();
+    let mut ws = ev.acquire_workspace();
+    let start = MtrWeightSetting::random_symmetric(3, net, 20, &mut rng);
+    let mv = |w: &mut MtrWeightSetting, rng: &mut StdRng| {
+        let rep = reps[rng.gen_range(0..reps.len())];
+        for k in 0..3 {
+            w.set_duplex(net, k, rep, rng.gen_range(1..=20));
+        }
+    };
+    undo_walk(start, &mut rng, mv, |w, step| {
+        for &sc in &scenarios {
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(eng.cost_with(&mut ws, w, sc)),
+                bits(ev.evaluate(w, sc).cost.components()),
+                "k = 3, step {}, scenario {}, hubs {}, seed {}",
+                step,
+                sc,
+                hubs,
+                seed
+            );
+        }
+    });
+    ev.release_workspace(ws);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -390,6 +519,18 @@ proptest! {
             }
         }
         ev.release_workspace(ws);
+    }
+
+    /// The workspace baseline's undo is invisible to the bits: see
+    /// [`undo_chains`], on gravity and on hub demand.
+    #[test]
+    fn undo_chain_stays_bit_identical(
+        (nodes, extra, seed) in (10usize..14, 2usize..8, 0u64..1_000_000)
+    ) {
+        let (net, tm) = testbed(nodes, nodes + extra, seed);
+        undo_chains(&net, &tm, false, seed);
+        let (net, tm) = hub_testbed(nodes, nodes + extra, seed);
+        undo_chains(&net, &tm, true, seed);
     }
 
     /// The delta-state scenario cache is invisible to the bits: see
