@@ -58,37 +58,30 @@
 //!    only (Eq. 7), constrained to keep normal-conditions performance
 //!    (Eqs. 5–6).
 //!
-//! Every phase is written once for any number of traffic classes: the
-//! 1a/1b drivers ([`phase1::harvest`], [`phase1b::top_up`]) and the
-//! robust search ([`robust`]) are generic over [`robust::RobustEngine`],
-//! and the sample store, rank tracker, criticality and Algorithm 1 hold
-//! one list per class. DTR's `phase1::run`, `phase1b::run` and
-//! `phase2::run` are the two-class instantiations; `dtr_mtr` supplies
-//! the k-class ones.
+//! Every phase is written once for any number of traffic classes, on one
+//! weight setting (`dtr_routing::WeightSetting`, one vector per class):
+//! the 1a/1b drivers ([`phase1::harvest`], [`phase1b::top_up`]), the
+//! robust search ([`robust`]) and the pipeline ([`pipeline::Optimizer`])
+//! are generic over [`robust::RobustEngine`], which also projects each
+//! front door's parameter block onto the knobs they share; the sample
+//! store, rank tracker, criticality and Algorithm 1 hold one list per
+//! class. DTR's `phase1::run`, `phase1b::run`, `phase2::run` and
+//! [`RobustOptimizer`] are the two-class instantiations; `dtr_mtr`
+//! supplies the k-class ones (`MtrOptimizer` is the same optimizer).
 //!
-//! [`pipeline::RobustOptimizer`] runs the whole thing, and its
-//! [`optimize_full`](pipeline::RobustOptimizer::optimize_full) is the
+//! [`RobustOptimizer`] runs the whole thing, and its
+//! [`optimize_full`](pipeline::Optimizer::optimize_full) is the
 //! brute-force `Ec = E` baseline;
 //! [`baselines`] implements the prior-art critical-link selectors the
-//! paper compares against (§IV-C); [`ext`] carries the scenario-set
-//! constructors for the extensions sketched in the paper's conclusion.
-//!
-//! ## Migration from the pre-builder API
-//!
-//! The scattered per-extension entry points were removed in favor of the
-//! builder; every old call has a direct replacement:
-//!
-//! | removed | replacement |
-//! |---|---|
-//! | `ext::srlg::optimize_robust_srlg(ev, u, crit, cat, p, p1)` | `RobustOptimizer::builder(&ev).scenarios(Srlg::from_catalog(net, cat)).params(p).build().optimize()` |
-//! | `ext::probabilistic::optimize(ev, u, p, p1, model)` | `RobustOptimizer::builder(&ev).scenarios(Probabilistic::with_model(net, model)).params(p).build().optimize()` |
-//! | `ext::probabilistic::select_critical(p1, model, u, p, n)` | `selection::select_for_set(&Probabilistic::with_model(net, model), &ev, &p1, &p, Selector::MeanLeftTail)` |
-//! | `ext::multi_failure::double_failures(ev, u, cap, seed)` | `DoubleLink::all(&net)` / `DoubleLink::sampled(&net, cap, seed)` + `.scenarios()` |
-//! | `phase2::run(ev, u, idx, p, p1, Some(w))` | `phase2::run(ev, &set, idx, p, p1)` — the set carries the weights |
+//! paper compares against (§IV-C, run through
+//! [`optimize_with_selector`](pipeline::Optimizer::optimize_with_selector));
+//! [`ext`] carries the scenario-set constructors for the extensions
+//! sketched in the paper's conclusion.
 //!
 //! Determinism: all randomness flows from [`Params::seed`]; the builder
-//! path reproduces the removed entry points bit-for-bit on equal seeds
-//! (pinned by `tests/scenario_equivalence.rs` at the workspace root).
+//! path equals its stages called one by one bit for bit on equal seeds
+//! (pinned by `tests/pipeline_stages.rs` and
+//! `tests/scenario_equivalence.rs` at the workspace root).
 //! Parallelism: [`Params::threads`] caps the workers of Phase 1b's
 //! rounds and of a portfolio's replicas ([`parallel`]); every robust
 //! chain runs on one thread, and `threads = 1` gives a fully serial

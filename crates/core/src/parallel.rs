@@ -31,7 +31,7 @@
 //! `thread::scope` sites.
 
 use dtr_cost::{Engine, EvalWorkspace, Evaluator, LexCost, ScenarioCache};
-use dtr_routing::{ClassWeights, Scenario, WeightSetting};
+use dtr_routing::{Scenario, WeightSetting};
 
 use crate::robust::RobustEngine;
 use crate::scenario::{ScenarioSet, SliceSet};
@@ -141,7 +141,7 @@ pub fn sum_failure_costs(
 /// probabilistically weighted ensembles) and at any class count.
 pub fn evaluate_set<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
-    w: &E::Weights,
+    w: &WeightSetting,
     set: &S,
     indices: &[usize],
     threads: usize,
@@ -162,7 +162,7 @@ pub fn evaluate_set<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 /// sweep around it) — callers own the output buffer.
 fn sweep_chunk<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
-    w: &E::Weights,
+    w: &WeightSetting,
     set: &S,
     part: &[usize],
     dst: &mut [E::Cost],
@@ -273,7 +273,7 @@ fn fold_bound<C: SearchCost, S: ScenarioSet + ?Sized>(
 #[allow(clippy::too_many_arguments)]
 pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + ?Sized>(
     ev: &E,
-    w: &E::Weights,
+    w: &WeightSetting,
     set: &S,
     indices: &[usize],
     incumbent: &E::Cost,
@@ -325,10 +325,10 @@ pub fn sum_set_costs_bounded<E: RobustEngine, S: ScenarioSet + ?Sized>(
 /// The components of `w` under the scenario at sweep position `pos`:
 /// through the delta-state `cache` when the position is resident, on the
 /// plain repair-seeded path otherwise — the same bits either way.
-fn scenario_cost<'w, W: ClassWeights>(
+fn scenario_cost<'w>(
     eng: &Engine<'_>,
     ws: &'w mut EvalWorkspace,
-    w: &W,
+    w: &WeightSetting,
     sc: Scenario,
     cache: Option<&ScenarioCache>,
     pos: usize,
@@ -346,7 +346,7 @@ fn scenario_cost<'w, W: ClassWeights>(
 /// per-scenario accumulation.
 pub fn sum_set_costs<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
-    w: &E::Weights,
+    w: &WeightSetting,
     set: &S,
     indices: &[usize],
     threads: usize,

@@ -41,22 +41,20 @@ use crate::params::Params;
 use crate::ranking::RankTracker;
 use crate::robust::{RobustEngine, RobustKnobs};
 use crate::samples::SampleStore;
-use crate::search::{
-    sweep, Archive, ClassWeights, Decision, MoveOutcome, SearchCost, SearchStats, StopRule,
-};
+use crate::search::{sweep, Archive, Decision, MoveOutcome, SearchCost, SearchStats, StopRule};
 use crate::universe::FailureUniverse;
 
-/// Everything Phase 1 hands to the rest of the pipeline (DTR's types by
+/// Everything Phase 1 hands to the rest of the pipeline (DTR's cost by
 /// default; `dtr_mtr::MtrRegularOutput` is the k-class instance).
 #[derive(Clone, Debug)]
-pub struct Phase1Output<W = WeightSetting, C = LexCost> {
+pub struct Phase1Output<C = LexCost> {
     /// Best weight setting found for normal conditions.
-    pub best: W,
+    pub best: WeightSetting,
     /// Its cost — the benchmarks `Λ*normal`, `Φ*normal` of Eqs. (5)–(6).
     pub best_cost: C,
     /// Acceptable settings collected along the way (Phase-2 start points;
     /// always contains `best`).
-    pub archive: Archive<W, C>,
+    pub archive: Archive<C>,
     /// Failure-cost samples per (class, failable link).
     pub store: SampleStore,
     /// Rank tracker (carried into Phase 1b if needed).
@@ -77,8 +75,7 @@ pub fn acceptable(cost: &LexCost, best: &LexCost, z: f64, chi: f64, b1: f64) -> 
 
 /// Run DTR's Phase 1a.
 pub fn run(ev: &Evaluator<'_>, universe: &FailureUniverse, params: &Params) -> Phase1Output {
-    params.validate();
-    harvest(ev, universe, &params.into(), &params.chi)
+    harvest(ev, universe, params)
 }
 
 /// Phase 1a for any [`RobustEngine`]: the regular search on the
@@ -87,9 +84,9 @@ pub fn run(ev: &Evaluator<'_>, universe: &FailureUniverse, params: &Params) -> P
 pub fn harvest<E: RobustEngine>(
     ev: &E,
     universe: &FailureUniverse,
-    knobs: &RobustKnobs,
-    gate: &E::GateParams,
-) -> Phase1Output<E::Weights, E::Cost> {
+    params: &E::Params,
+) -> Phase1Output<E::Cost> {
+    let (knobs, gate) = (&E::knobs(params), &E::gate(params));
     let mut rng = StdRng::seed_from_u64(knobs.seed ^ 0x9e37_79b9_7f4a_7c15);
 
     let mut store = SampleStore::with_classes(ev.engine().num_classes(), universe.len());
@@ -212,7 +209,7 @@ pub(crate) fn rank_check(
 
 /// The normal-conditions cost of `w`, through a pooled workspace of the
 /// engine.
-pub(crate) fn normal_cost<E: RobustEngine>(ev: &E, w: &E::Weights) -> E::Cost {
+pub(crate) fn normal_cost<E: RobustEngine>(ev: &E, w: &WeightSetting) -> E::Cost {
     let eng = ev.engine();
     let mut ws = eng.acquire_workspace();
     let cost = cost_of(eng.cost_with(&mut ws, w, Scenario::Normal));
@@ -223,10 +220,13 @@ pub(crate) fn normal_cost<E: RobustEngine>(ev: &E, w: &E::Weights) -> E::Cost {
 /// A symmetric random setting (diversification restart state): every
 /// directed link starts at weight 1, then each physical link gets one
 /// fresh move on both directions.
-pub(crate) fn random_setting<E: RobustEngine>(ev: &E, wmax: u32, rng: &mut StdRng) -> E::Weights {
+pub(crate) fn random_setting<E: RobustEngine>(
+    ev: &E,
+    wmax: u32,
+    rng: &mut StdRng,
+) -> WeightSetting {
     let net = ev.engine().net();
-    let ones = vec![vec![1; net.num_links()]; ev.engine().num_classes()];
-    let mut w = E::Weights::from_class_vecs(ones, wmax);
+    let mut w = WeightSetting::uniform_k(ev.engine().num_classes(), net.num_links(), wmax);
     for rep in net.duplex_representatives() {
         let mv = ev.draw_move(1, wmax, rng);
         ev.apply_move(&mut w, rep, &mv);
@@ -289,7 +289,7 @@ mod tests {
     fn rank_check_needs_every_class_converged() {
         let knobs = RobustKnobs {
             e: 0.5,
-            ..RobustKnobs::from(&Params::quick(1))
+            ..Evaluator::knobs(&Params::quick(1))
         };
         let mut store = SampleStore::new(3);
         let mut tracker = RankTracker::new();
@@ -316,8 +316,8 @@ mod tests {
         let w = random_setting(&ev, 20, &mut StdRng::seed_from_u64(3));
         for l in net.links() {
             let r = net.reverse_link(l).unwrap();
-            assert_eq!(w.class_weights(0)[l.index()], w.class_weights(0)[r.index()]);
-            assert_eq!(w.class_weights(1)[l.index()], w.class_weights(1)[r.index()]);
+            assert_eq!(w.weights(0)[l.index()], w.weights(0)[r.index()]);
+            assert_eq!(w.weights(1)[l.index()], w.weights(1)[r.index()]);
         }
     }
 

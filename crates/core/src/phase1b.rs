@@ -42,8 +42,8 @@ use rand::SeedableRng;
 use crate::parallel::{cost_of, parallel_map};
 use crate::params::Params;
 use crate::phase1::{rank_check, Phase1Output};
-use crate::robust::{RobustEngine, RobustKnobs};
-use crate::search::{emulation_floor, ClassWeights};
+use crate::robust::RobustEngine;
+use crate::search::emulation_floor;
 use crate::universe::FailureUniverse;
 
 /// Phase-1b accounting.
@@ -65,7 +65,7 @@ pub fn run(
     params: &Params,
     phase1: &mut Phase1Output,
 ) -> Phase1bStats {
-    top_up(ev, universe, &params.into(), phase1)
+    top_up(ev, universe, params, phase1)
 }
 
 /// Phase 1b for any [`RobustEngine`], in place on the Phase-1 output:
@@ -75,9 +75,10 @@ pub fn run(
 pub fn top_up<E: RobustEngine>(
     ev: &E,
     universe: &FailureUniverse,
-    knobs: &RobustKnobs,
-    phase1: &mut Phase1Output<E::Weights, E::Cost>,
+    params: &E::Params,
+    phase1: &mut Phase1Output<E::Cost>,
 ) -> Phase1bStats {
+    let knobs = &E::knobs(params);
     let mut stats = Phase1bStats {
         converged: phase1.converged,
         ..Default::default()

@@ -45,7 +45,7 @@ use crate::scenario::{ScenarioSet, SliceSet};
 use crate::search::{duplex_weights, set_duplex_weights};
 
 /// Result of the robust search.
-pub type Phase2Output = RobustOutput<WeightSetting, LexCost>;
+pub type Phase2Output = RobustOutput<LexCost>;
 
 /// Eq. (5)–(6) feasibility of a candidate's normal-conditions cost against
 /// the Phase-1 benchmarks. Λ must not degrade (ε-equality; improving on
@@ -59,7 +59,7 @@ pub fn feasible(normal: &LexCost, lambda_star: f64, phi_star: f64, chi: f64) -> 
 /// pair, and the Eq. 5–6 gate with Phase 1's `⟨Λ*, Φ*⟩` as benchmark
 /// and χ as its parameter.
 impl RobustEngine for Evaluator<'_> {
-    type Weights = WeightSetting;
+    type Params = Params;
     type Cost = LexCost;
     type Move = (u32, u32);
     type GateParams = f64;
@@ -67,6 +67,39 @@ impl RobustEngine for Evaluator<'_> {
     const SNAPSHOT_KIND: u32 = dtr_persist::KIND_DTR_PHASE2;
     const SET_SIZE_MISMATCH: &'static str = "critical-set size differs";
     const PROMOTE_RESTART: bool = false;
+
+    fn knobs(p: &Params) -> RobustKnobs {
+        p.validate();
+        RobustKnobs {
+            seed: p.seed,
+            wmax: p.wmax,
+            q: p.q,
+            z: p.z,
+            left_tail_fraction: p.left_tail_fraction,
+            critical_fraction: p.critical_fraction,
+            tau: p.tau,
+            e: p.e,
+            max_top_up_rounds: p.max_phase1b_rounds,
+            c: p.c,
+            p1: p.p1,
+            p2: p.p2,
+            div_interval_1: p.div_interval_1,
+            div_interval_2: p.div_interval_2,
+            archive_size: p.archive_size,
+            max_iterations: p.max_iterations,
+            threads: p.threads,
+            cutoff: p.cutoff,
+            record_trace: p.record_trace,
+            cache_budget_bytes: p.cache_budget_bytes,
+            portfolio: p.portfolio,
+            deadline_ms: p.deadline_ms,
+            checkpoint_every: p.checkpoint_every,
+        }
+    }
+
+    fn gate(p: &Params) -> f64 {
+        p.chi
+    }
 
     fn engine(&self) -> &Engine<'_> {
         Evaluator::engine(self)
@@ -101,35 +134,6 @@ impl RobustEngine for Evaluator<'_> {
             return Err(SnapshotError::Mismatch("chi differs"));
         }
         Ok(())
-    }
-}
-
-impl From<&Params> for RobustKnobs {
-    fn from(p: &Params) -> Self {
-        RobustKnobs {
-            seed: p.seed,
-            wmax: p.wmax,
-            q: p.q,
-            z: p.z,
-            left_tail_fraction: p.left_tail_fraction,
-            tau: p.tau,
-            e: p.e,
-            max_top_up_rounds: p.max_phase1b_rounds,
-            c: p.c,
-            p1: p.p1,
-            p2: p.p2,
-            div_interval_1: p.div_interval_1,
-            div_interval_2: p.div_interval_2,
-            archive_size: p.archive_size,
-            max_iterations: p.max_iterations,
-            threads: p.threads,
-            cutoff: p.cutoff,
-            record_trace: p.record_trace,
-            cache_budget_bytes: p.cache_budget_bytes,
-            portfolio: p.portfolio,
-            deadline_ms: p.deadline_ms,
-            checkpoint_every: p.checkpoint_every,
-        }
     }
 }
 
@@ -169,14 +173,12 @@ pub fn run_controlled<S: ScenarioSet + Sync + ?Sized>(
     phase1: &Phase1Output,
     ctl: &mut RunControl<'_>,
 ) -> Result<Phase2Output, SnapshotError> {
-    params.validate();
     robust::run_controlled(
         ev,
         set,
         indices,
-        &params.into(),
+        params,
         &phase1.best_cost,
-        &params.chi,
         &phase1.archive,
         ctl,
     )
@@ -201,17 +203,7 @@ pub fn resume<S: ScenarioSet + Sync + ?Sized>(
     snapshot: &[u8],
     ctl: &mut RunControl<'_>,
 ) -> Result<Phase2Output, SnapshotError> {
-    params.validate();
-    robust::resume(
-        ev,
-        set,
-        indices,
-        &params.into(),
-        None,
-        &params.chi,
-        snapshot,
-        ctl,
-    )
+    robust::resume(ev, set, indices, params, None, snapshot, ctl)
 }
 
 /// Run Phase 2 against an arbitrary scenario slice — e.g. all single node

@@ -1,13 +1,19 @@
 //! The complete robust-optimization pipeline (Fig. 1 of the paper),
-//! generalized over [`ScenarioSet`].
+//! written once for every class count and generalized over
+//! [`ScenarioSet`].
 //!
-//! One optimizer serves every failure model: the builder picks the
-//! ensemble, the phases stay the paper's. Every evaluation inside the
-//! phases flows through the pooled incremental engine of
-//! `dtr_cost::engine` (per-thread workspaces, replayed no-failure
-//! baselines, per-destination incremental SPF), so pipeline results are
-//! bit-for-bit those of the naive per-scenario evaluator at a fraction
-//! of the cost.
+//! One optimizer serves every failure model and every
+//! [`RobustEngine`]: the builder picks the ensemble, the phases stay the
+//! paper's. [`RobustOptimizer`] is its two-class (DTR) instance and
+//! `dtr_mtr::MtrOptimizer` its k-class one; both run Phase 1a
+//! ([`phase1::harvest`]) → 1b ([`phase1b::top_up`]) → 1c
+//! ([`selection::select_scenarios`]) → the robust search
+//! ([`robust::run_controlled`]) on the scenarios of the selected
+//! indices. Every evaluation inside the phases flows through the pooled
+//! incremental engine of `dtr_cost::engine` (per-thread workspaces,
+//! replayed no-failure baselines, per-destination incremental SPF), so
+//! pipeline results are bit-for-bit those of the naive per-scenario
+//! evaluator at a fraction of the cost.
 //!
 //! ```ignore
 //! // The paper's single-link pipeline:
@@ -28,10 +34,9 @@ use dtr_net::LinkId;
 use dtr_routing::{Scenario, WeightSetting};
 
 use crate::baselines::Selector;
-use crate::params::Params;
 use crate::phase1::{self, Phase1Output};
 use crate::phase1b::{self, Phase1bStats};
-use crate::phase2::{self, Phase2Output};
+use crate::robust::{self, RobustEngine, RobustKnobs, RunControl};
 use crate::scenario::ScenarioSet;
 use crate::search::SearchStats;
 use crate::selection;
@@ -40,27 +45,33 @@ use crate::universe::FailureUniverse;
 /// Timing and effort accounting of one pipeline run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PipelineStats {
+    /// Phase-1a search effort.
     pub phase1: SearchStats,
+    /// Phase-1b top-up rounds and evaluations.
     pub phase1b: Phase1bStats,
+    /// Robust-phase search effort.
     pub phase2: SearchStats,
+    /// Wall-clock of Phases 1a and 1b.
     pub phase1_time: Duration,
+    /// Wall-clock of the robust phase.
     pub phase2_time: Duration,
 }
 
-/// The pipeline's full product.
+/// The pipeline's full product, for the cost vector `C` of its engine.
 #[derive(Clone, Debug)]
-pub struct RobustReport {
+pub struct Report<C> {
     /// Phase-1 best: the "regular optimization" / "No Robust" solution.
     pub regular: WeightSetting,
-    /// Its normal-conditions cost `⟨Λ*, Φ*⟩`.
-    pub regular_cost: LexCost,
-    /// The robust solution of Phase 2.
+    /// Its normal-conditions cost (`⟨Λ*, Φ*⟩` for DTR, the per-class
+    /// benchmarks for MTR).
+    pub regular_cost: C,
+    /// The robust solution.
     pub robust: WeightSetting,
     /// Normal-conditions cost of the robust solution (Eqs. 5–6 hold).
-    pub robust_normal_cost: LexCost,
+    pub robust_normal_cost: C,
     /// Compound failure cost of the robust solution over the selected
     /// scenarios (probability-weighted for weighted sets).
-    pub kfail: LexCost,
+    pub kfail: C,
     /// Duplex representatives of the selected *single-link* scenarios
     /// (composite sets may select group/multi scenarios too — those have
     /// no single representative and appear only in `critical_indices`).
@@ -69,12 +80,17 @@ pub struct RobustReport {
     pub critical_indices: Vec<usize>,
     /// Failure-cost samples collected (total across links).
     pub samples: usize,
-    /// Whether the criticality ranking converged (Phase 1a or 1b).
+    /// Whether every class's criticality ranking converged (Phase 1a
+    /// or 1b).
     pub converged: bool,
+    /// Effort and wall-clock accounting.
     pub stats: PipelineStats,
 }
 
-impl RobustReport {
+/// The two-class pipeline's product.
+pub type RobustReport = Report<LexCost>;
+
+impl Report<LexCost> {
     /// Realized normal-conditions degradation of the throughput class:
     /// `Φrobust/Φ* − 1` (the paper reports this as "cost degradation of
     /// throughput-sensitive traffic", Table II last row).
@@ -87,28 +103,29 @@ impl RobustReport {
     }
 }
 
-/// Builds a [`RobustOptimizer`]: pick the scenario ensemble with
-/// [`scenarios`](RobustOptimizerBuilder::scenarios) (default: the
-/// network's single-link [`FailureUniverse`]), set the heuristic
-/// [`params`](RobustOptimizerBuilder::params) (required), optionally
-/// override the critical-link [`selector`](RobustOptimizerBuilder::selector).
-pub struct RobustOptimizerBuilder<'e, 'a, S: ScenarioSet = FailureUniverse> {
-    ev: &'e Evaluator<'a>,
+/// Builds an [`Optimizer`]: pick the scenario ensemble with
+/// [`scenarios`](OptimizerBuilder::scenarios) (default: the network's
+/// single-link [`FailureUniverse`]), set the heuristic
+/// [`params`](OptimizerBuilder::params) (required).
+pub struct OptimizerBuilder<'e, E: RobustEngine, S: ScenarioSet = FailureUniverse> {
+    ev: &'e E,
     set: S,
-    params: Option<Params>,
-    selector: Selector,
-    warm_start: Option<Phase1Output>,
+    params: Option<E::Params>,
+    warm_start: Option<Phase1Output<E::Cost>>,
 }
 
-impl<'e, 'a, S: ScenarioSet> RobustOptimizerBuilder<'e, 'a, S> {
+/// The two-class builder.
+pub type RobustOptimizerBuilder<'e, 'a, S = FailureUniverse> =
+    OptimizerBuilder<'e, Evaluator<'a>, S>;
+
+impl<'e, E: RobustEngine, S: ScenarioSet> OptimizerBuilder<'e, E, S> {
     /// Optimize against this scenario ensemble instead of the default
     /// single-link universe.
-    pub fn scenarios<T: ScenarioSet>(self, set: T) -> RobustOptimizerBuilder<'e, 'a, T> {
-        RobustOptimizerBuilder {
+    pub fn scenarios<T: ScenarioSet>(self, set: T) -> OptimizerBuilder<'e, E, T> {
+        OptimizerBuilder {
             ev: self.ev,
             set,
             params: self.params,
-            selector: self.selector,
             warm_start: self.warm_start,
         }
     }
@@ -120,22 +137,14 @@ impl<'e, 'a, S: ScenarioSet> RobustOptimizerBuilder<'e, 'a, S> {
     /// [`phase1::run`] (after [`phase1b::run`] if rank convergence
     /// matters); it must come from the same evaluator, universe and
     /// params, which the caller is trusted to guarantee.
-    pub fn warm_start(mut self, phase1: Phase1Output) -> Self {
+    pub fn warm_start(mut self, phase1: Phase1Output<E::Cost>) -> Self {
         self.warm_start = Some(phase1);
         self
     }
 
     /// Heuristic parameters (required before [`build`](Self::build)).
-    pub fn params(mut self, params: Params) -> Self {
+    pub fn params(mut self, params: E::Params) -> Self {
         self.params = Some(params);
-        self
-    }
-
-    /// Critical-link selection strategy (default: the paper's
-    /// [`Selector::MeanLeftTail`]; the alternatives exist for the §IV-C
-    /// ablation).
-    pub fn selector(mut self, selector: Selector) -> Self {
-        self.selector = selector;
         self
     }
 
@@ -144,143 +153,137 @@ impl<'e, 'a, S: ScenarioSet> RobustOptimizerBuilder<'e, 'a, S> {
     /// # Panics
     /// Panics if [`params`](Self::params) was never set, or the params are
     /// invalid.
-    pub fn build(self) -> RobustOptimizer<'e, 'a, S> {
+    pub fn build(self) -> Optimizer<'e, E, S> {
         let params = self
             .params
-            .expect("RobustOptimizer::builder requires .params(..) before .build()");
-        params.validate();
-        RobustOptimizer {
+            .expect("the optimizer builder requires .params(..) before .build()");
+        Optimizer {
             ev: self.ev,
             set: self.set,
+            knobs: E::knobs(&params),
             params,
-            selector: self.selector,
             warm_start: self.warm_start,
         }
     }
 }
 
-/// Orchestrates Phases 1a → 1b → 1c → 2 over any [`ScenarioSet`].
-pub struct RobustOptimizer<'e, 'a, S: ScenarioSet = FailureUniverse> {
-    ev: &'e Evaluator<'a>,
+/// Orchestrates Phases 1a → 1b → 1c → 2 over any [`ScenarioSet`], on
+/// any [`RobustEngine`].
+pub struct Optimizer<'e, E: RobustEngine, S: ScenarioSet = FailureUniverse> {
+    ev: &'e E,
     set: S,
-    params: Params,
-    selector: Selector,
-    warm_start: Option<Phase1Output>,
+    params: E::Params,
+    knobs: RobustKnobs,
+    warm_start: Option<Phase1Output<E::Cost>>,
 }
 
-impl<'e, 'a> RobustOptimizer<'e, 'a> {
+/// The two-class (DTR) optimizer.
+pub type RobustOptimizer<'e, 'a, S = FailureUniverse> = Optimizer<'e, Evaluator<'a>, S>;
+
+impl<'e, E: RobustEngine> Optimizer<'e, E> {
     /// Start building an optimizer. The default scenario set is the
     /// network's single-link [`FailureUniverse`] (analyzed here once).
-    pub fn builder(ev: &'e Evaluator<'a>) -> RobustOptimizerBuilder<'e, 'a, FailureUniverse> {
-        RobustOptimizerBuilder {
+    pub fn builder(ev: &'e E) -> OptimizerBuilder<'e, E> {
+        OptimizerBuilder {
             ev,
-            set: FailureUniverse::of(ev.net()),
+            set: FailureUniverse::of(ev.engine().net()),
             params: None,
-            selector: Selector::MeanLeftTail,
             warm_start: None,
         }
     }
 
-    /// Single-link optimizer with default selector — shorthand for
-    /// `RobustOptimizer::builder(ev).params(params).build()`.
-    pub fn new(ev: &'e Evaluator<'a>, params: Params) -> Self {
-        RobustOptimizer::builder(ev).params(params).build()
+    /// Single-link optimizer — shorthand for
+    /// `Optimizer::builder(ev).params(params).build()`.
+    pub fn new(ev: &'e E, params: E::Params) -> Self {
+        Optimizer::builder(ev).params(params).build()
     }
 }
 
-impl<'e, 'a, S: ScenarioSet + Sync> RobustOptimizer<'e, 'a, S> {
+impl<E: RobustEngine, S: ScenarioSet + Sync> Optimizer<'_, E, S> {
     /// The single-link failure universe backing Phase-1 sampling.
     pub fn universe(&self) -> &FailureUniverse {
         self.set.universe()
     }
 
-    /// The scenario ensemble Phase 2 optimizes against.
+    /// The scenario ensemble the robust phase optimizes against.
     pub fn scenario_set(&self) -> &S {
         &self.set
     }
 
-    pub fn params(&self) -> &Params {
+    /// The heuristic parameters.
+    pub fn params(&self) -> &E::Params {
         &self.params
     }
 
     /// Phase 1 only — the "regular optimization" baseline the paper labels
     /// "No Robust" / "NR".
-    pub fn regular_only(&self) -> Phase1Output {
-        phase1::run(self.ev, self.set.universe(), &self.params)
+    pub fn regular_only(&self) -> Phase1Output<E::Cost> {
+        phase1::harvest(self.ev, self.set.universe(), &self.params)
     }
 
-    /// Full pipeline with the configured selector.
-    pub fn optimize(&self) -> RobustReport {
-        self.optimize_with_selector(self.selector)
+    /// Full pipeline with the paper's critical-set selection
+    /// ([`selection::select_scenarios`]).
+    pub fn optimize(&self) -> Report<E::Cost> {
+        let (p1, p1b, phase1_time) = self.phase1(true);
+        let critical_indices = selection::select_scenarios(
+            &self.set,
+            &p1.store,
+            self.knobs.left_tail_fraction,
+            self.knobs.critical_fraction,
+        );
+        self.robust_phase(p1, p1b, phase1_time, critical_indices)
     }
 
-    /// Full pipeline with an explicit critical-link selector (for the
-    /// selector ablation).
-    pub fn optimize_with_selector(&self, selector: Selector) -> RobustReport {
+    /// Full-search variant: the robust phase over the complete scenario
+    /// set (`Ec = E`), the paper's accuracy yardstick. It needs no
+    /// criticality estimate, so Phase 1b is skipped (the paper's full
+    /// search has no Phase 1b/1c either).
+    pub fn optimize_full(&self) -> Report<E::Cost> {
+        let (p1, p1b, phase1_time) = self.phase1(false);
+        let all = self.set.all_indices();
+        self.robust_phase(p1, p1b, phase1_time, all)
+    }
+
+    /// Phases 1a and, with `top_up`, 1b — or the warm start, which
+    /// stands for both.
+    fn phase1(&self, top_up: bool) -> (Phase1Output<E::Cost>, Phase1bStats, Duration) {
         let t0 = Instant::now();
-        let (p1, p1b) = match &self.warm_start {
-            Some(shared) => {
-                // Warm start: the caller already ran (and paid for)
-                // Phases 1a/1b on this evaluator.
-                let p1 = shared.clone();
-                let p1b = Phase1bStats {
-                    converged: p1.converged,
-                    ..Default::default()
-                };
-                (p1, p1b)
-            }
-            None => {
-                let mut p1 = phase1::run(self.ev, self.set.universe(), &self.params);
-                let p1b = phase1b::run(self.ev, self.set.universe(), &self.params, &mut p1);
-                (p1, p1b)
-            }
-        };
-        let phase1_time = t0.elapsed();
-
-        let critical_indices =
-            selection::select_for_set(&self.set, self.ev, &p1, &self.params, selector);
-
-        let t1 = Instant::now();
-        let p2 = phase2::run(self.ev, &self.set, &critical_indices, &self.params, &p1);
-        let phase2_time = t1.elapsed();
-
-        self.report(p1, p1b, p2, critical_indices, phase1_time, phase2_time)
-    }
-
-    /// Full-search variant: Phase 2 over the complete scenario set
-    /// (`Ec = E`), the paper's accuracy yardstick.
-    pub fn optimize_full(&self) -> RobustReport {
-        let t0 = Instant::now();
-        // Full search needs no criticality estimate, but running Phase 1b
-        // anyway would waste evaluations: skip it (the paper's full search
-        // has no Phase 1b/1c either).
         let mut p1 = match &self.warm_start {
             Some(shared) => shared.clone(),
-            None => phase1::run(self.ev, self.set.universe(), &self.params),
+            None => phase1::harvest(self.ev, self.set.universe(), &self.params),
         };
-        let p1b = Phase1bStats {
-            converged: p1.converged,
-            ..Default::default()
+        let p1b = if top_up && self.warm_start.is_none() {
+            phase1b::top_up(self.ev, self.set.universe(), &self.params, &mut p1)
+        } else {
+            Phase1bStats {
+                converged: p1.converged,
+                ..Default::default()
+            }
         };
-        let phase1_time = t0.elapsed();
-        let critical_indices = self.set.all_indices();
-        let t1 = Instant::now();
-        let p2 = phase2::run(self.ev, &self.set, &critical_indices, &self.params, &p1);
-        let phase2_time = t1.elapsed();
-        // Phase 1b is skipped, so leave converged as Phase 1a reported it.
-        p1.converged = p1b.converged;
-        self.report(p1, p1b, p2, critical_indices, phase1_time, phase2_time)
+        (p1, p1b, t0.elapsed())
     }
 
-    fn report(
+    /// The robust phase over the scenarios of `critical_indices`, and
+    /// the report.
+    fn robust_phase(
         &self,
-        p1: Phase1Output,
+        p1: Phase1Output<E::Cost>,
         p1b: Phase1bStats,
-        p2: Phase2Output,
-        critical_indices: Vec<usize>,
         phase1_time: Duration,
-        phase2_time: Duration,
-    ) -> RobustReport {
+        critical_indices: Vec<usize>,
+    ) -> Report<E::Cost> {
+        let t1 = Instant::now();
+        let p2 = robust::run_controlled(
+            self.ev,
+            &self.set,
+            &critical_indices,
+            &self.params,
+            &p1.best_cost,
+            &p1.archive,
+            &mut RunControl::none(),
+        )
+        .expect("without a checkpoint sink no snapshot i/o can fail");
+        let phase2_time = t1.elapsed();
         let critical_links = critical_indices
             .iter()
             .filter_map(|&i| match self.set.scenario(i) {
@@ -288,7 +291,7 @@ impl<'e, 'a, S: ScenarioSet + Sync> RobustOptimizer<'e, 'a, S> {
                 _ => None,
             })
             .collect();
-        RobustReport {
+        Report {
             regular: p1.best,
             regular_cost: p1.best_cost,
             robust: p2.best,
@@ -309,9 +312,23 @@ impl<'e, 'a, S: ScenarioSet + Sync> RobustOptimizer<'e, 'a, S> {
     }
 }
 
+impl<S: ScenarioSet + Sync> RobustOptimizer<'_, '_, S> {
+    /// Full pipeline with an explicit critical-link selector (the §IV-C
+    /// selector ablation; [`Selector::MeanLeftTail`] is
+    /// [`optimize`](Optimizer::optimize)).
+    pub fn optimize_with_selector(&self, selector: Selector) -> RobustReport {
+        let (p1, p1b, phase1_time) = self.phase1(true);
+        let critical_indices =
+            selection::select_for_set(&self.set, self.ev, &p1, &self.params, selector);
+        self.robust_phase(p1, p1b, phase1_time, critical_indices)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Params;
+    use crate::phase2;
     use dtr_cost::CostParams;
     use dtr_net::{Network, NetworkBuilder, Point};
     use dtr_traffic::{gravity, ClassMatrices};
@@ -434,16 +451,11 @@ mod tests {
             let r = opt.optimize_with_selector(sel);
             assert!(!r.critical_indices.is_empty(), "{sel}");
         }
-        // And the builder's .selector() override reproduces the explicit
-        // per-call variant.
-        let via_builder = RobustOptimizer::builder(&ev)
-            .params(Params::quick(2))
-            .selector(Selector::Random)
-            .build()
-            .optimize();
-        let via_call = opt.optimize_with_selector(Selector::Random);
-        assert_eq!(via_builder.critical_indices, via_call.critical_indices);
-        assert_eq!(via_builder.robust, via_call.robust);
+        // The paper's selector is what `optimize` runs.
+        let paper = opt.optimize_with_selector(Selector::MeanLeftTail);
+        let plain = opt.optimize();
+        assert_eq!(paper.critical_indices, plain.critical_indices);
+        assert_eq!(paper.robust, plain.robust);
     }
 
     #[test]

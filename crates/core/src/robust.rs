@@ -12,11 +12,13 @@
 //! DTR is the k = 2 case of MTR (the paper's "most basic setting"):
 //! both robust phases evaluate on the one delta-state engine
 //! (`dtr_cost::Engine`) and differ only in their cost order, move
-//! encoding and gate. The search here is generic over [`RobustEngine`],
-//! which names exactly those; `dtr_core::phase2` instantiates it with
-//! `dtr_cost::Evaluator` and `dtr_mtr::robust` with `MtrEvaluator`.
-//! Dispatch is static: each instantiation compiles to its own
-//! monomorphic kernels, with no `dyn` on the sweep path.
+//! encoding and gate; both move the one `dtr_routing::WeightSetting`.
+//! The search here is generic over [`RobustEngine`], which names exactly
+//! those; `dtr_core::phase2` instantiates it with `dtr_cost::Evaluator`
+//! and `dtr_mtr::robust` with `MtrEvaluator`. Dispatch is static: each
+//! instantiation compiles its own search loop, with no `dyn` on the
+//! sweep path, over engine kernels that take the one weight setting and
+//! so compile once.
 //!
 //! # The move loop and its cutoff sweep
 //!
@@ -65,6 +67,7 @@ use std::time::{Duration, Instant};
 use dtr_cost::{Engine, ScenarioCache};
 use dtr_net::LinkId;
 use dtr_persist::{CheckpointSink, Decoder, Encoder, SnapshotError};
+use dtr_routing::WeightSetting;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -73,18 +76,21 @@ use crate::parallel::{self, SetSweep, SweepScratch};
 use crate::params::{replica_seed, PortfolioParams};
 use crate::scenario::ScenarioSet;
 use crate::search::{
-    sweep, Archive, ClassWeights, Decision, MoveOutcome, SearchCost, SearchStats, StopRule,
-    Terminated,
+    sweep, Archive, Decision, MoveOutcome, SearchCost, SearchStats, StopRule, Terminated,
 };
 
 /// What an instantiation of the search supplies besides the shared
-/// delta-state [`Engine`] it evaluates on: the cost type and its order,
-/// the move encoding, the two normal-conditions gates and the robust
-/// phase's snapshot parameters, the snapshot tags and one control-flow
-/// difference. One implementation serves both phases: Phase 1
-/// ([`crate::phase1::harvest`], [`crate::phase1b::top_up`]) and the
-/// robust search in this module.
+/// delta-state [`Engine`] it evaluates on and the one [`WeightSetting`]
+/// it moves: its parameter block, the cost type and its order, the move
+/// encoding, the two normal-conditions gates and the robust phase's
+/// snapshot parameters, the snapshot tags and one control-flow
+/// difference. One implementation serves every stage: Phase 1
+/// ([`crate::phase1::harvest`], [`crate::phase1b::top_up`]), the robust
+/// search in this module and the pipeline ([`crate::pipeline`]).
 ///
+/// * **Parameters** — [`Params`](Self::Params), validated and projected
+///   onto the shared [`RobustKnobs`] by [`knobs`](Self::knobs) and onto
+///   the gate's own parameters by [`gate`](Self::gate).
 /// * **Cost** — [`SearchCost`]. The two instantiations keep their own
 ///   order: `LexCost::better_than` compares Φ strictly once Λ ties
 ///   within `LAMBDA_EPS`, while `VecCost` compares every component
@@ -108,8 +114,9 @@ use crate::search::{
 /// trajectory. At k = 2 the order and the sample gate are the only
 /// Phase-1 difference left between the two instantiations.
 pub trait RobustEngine: Sync {
-    /// A full weight setting.
-    type Weights: ClassWeights;
+    /// The caller's parameter block (`Params` for DTR, `MtrParams` for
+    /// MTR).
+    type Params;
     /// The cost vector.
     type Cost: SearchCost;
     /// One duplex link's new class weights (`Sync`: Phase 1b draws a
@@ -128,15 +135,20 @@ pub trait RobustEngine: Sync {
     /// DTR never does (its best only advances on accepted moves).
     const PROMOTE_RESTART: bool;
 
+    /// Check `params` (panicking on an out-of-range value) and project
+    /// them onto the knobs every stage reads.
+    fn knobs(params: &Self::Params) -> RobustKnobs;
+    /// The gate parameters within `params`.
+    fn gate(params: &Self::Params) -> Self::GateParams;
     /// The delta-state engine every evaluation of the search runs on.
     fn engine(&self) -> &Engine<'_>;
     /// Draw a fresh move, one weight in `[lo, wmax]` per class, in class
     /// order.
     fn draw_move(&self, lo: u32, wmax: u32, rng: &mut StdRng) -> Self::Move;
     /// The move currently applied on `rep`.
-    fn read_move(&self, w: &Self::Weights, rep: LinkId) -> Self::Move;
+    fn read_move(&self, w: &WeightSetting, rep: LinkId) -> Self::Move;
     /// Apply `mv` to both directions of `rep`.
-    fn apply_move(&self, w: &mut Self::Weights, rep: LinkId, mv: &Self::Move);
+    fn apply_move(&self, w: &mut WeightSetting, rep: LinkId, mv: &Self::Move);
     /// §IV-D1's relaxed Eqs. 5–6 (Phase 1): is a setting of
     /// normal-conditions cost `cost` close enough to the best cost seen
     /// so far that a failure-emulating move from it yields a sample, and
@@ -163,9 +175,9 @@ pub trait RobustEngine: Sync {
     fn check_gate(gate: &Self::GateParams, rd: &mut Decoder<'_>) -> Result<(), SnapshotError>;
 }
 
-/// The search knobs both phases read, projected from `Params` (DTR) or
-/// `MtrParams` (MTR); the two parameter blocks share every one of these
-/// fields with the same meaning.
+/// The search knobs every stage reads, projected from `Params` (DTR) or
+/// `MtrParams` (MTR) by [`RobustEngine::knobs`]; the two parameter
+/// blocks share every one of these fields with the same meaning.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RobustKnobs {
     /// Master seed.
@@ -178,6 +190,8 @@ pub struct RobustKnobs {
     pub z: f64,
     /// Left-tail fraction of the criticality estimate.
     pub left_tail_fraction: f64,
+    /// Target critical-set size as a fraction of the failure universe.
+    pub critical_fraction: f64,
     /// Average new samples per link between rank re-checks (`τ`).
     pub tau: usize,
     /// Rank-change convergence threshold `e`.
@@ -232,9 +246,9 @@ impl RobustKnobs {
 /// Result of the robust search (`Phase2Output` and `MtrRobustOutput`
 /// are its two instantiations).
 #[derive(Clone, Debug)]
-pub struct RobustOutput<W, C> {
+pub struct RobustOutput<C> {
     /// The robust weight setting.
-    pub best: W,
+    pub best: WeightSetting,
     /// Its compound failure cost over the critical set.
     pub best_kfail: C,
     /// Its normal-conditions cost (satisfies Eqs. 5–6 against the
@@ -356,7 +370,7 @@ fn full_sweep<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     set: &S,
     indices: &[usize],
     knobs: &RobustKnobs,
-    w: &E::Weights,
+    w: &WeightSetting,
     stats: &mut SearchStats,
     st: &mut SweepState<E>,
 ) -> E::Cost {
@@ -392,7 +406,7 @@ fn rebuild_cache<E: RobustEngine, S: ScenarioSet + ?Sized>(
     ev: &E,
     set: &S,
     indices: &[usize],
-    w: &E::Weights,
+    w: &WeightSetting,
     st: &mut SweepState<E>,
 ) {
     let eng = ev.engine();
@@ -437,10 +451,10 @@ struct Chain<E: RobustEngine> {
     constraint_rejections: usize,
     trace: Vec<MoveOutcome>,
     st: SweepState<E>,
-    current: E::Weights,
+    current: WeightSetting,
     current_normal: E::Cost,
     current_kfail: E::Cost,
-    best: E::Weights,
+    best: WeightSetting,
     best_kfail: E::Cost,
     best_normal: E::Cost,
     stop: StopRule<E::Cost>,
@@ -449,7 +463,7 @@ struct Chain<E: RobustEngine> {
     /// Replica-local archive (a clone of the start archive):
     /// diversification restarts sample from it, and rendezvous merges
     /// offer the other replicas' elites into it in replica index order.
-    archive: Archive<E::Weights, E::Cost>,
+    archive: Archive<E::Cost>,
     done: bool,
 }
 
@@ -461,7 +475,7 @@ impl<E: RobustEngine> Chain<E> {
         set: &S,
         indices: &[usize],
         knobs: RobustKnobs,
-        archive: &Archive<E::Weights, E::Cost>,
+        archive: &Archive<E::Cost>,
     ) -> Self {
         let rng = StdRng::seed_from_u64(knobs.seed ^ 0x2545_f491_4f6c_dd1d);
         let mut stats = SearchStats::default();
@@ -526,18 +540,18 @@ fn take_cost<C: SearchCost>(rd: &mut Decoder<'_>, k: usize) -> Result<C, Snapsho
     C::from_components(v).ok_or(SnapshotError::Corrupt("cost component out of range"))
 }
 
-fn put_weights<W: ClassWeights>(enc: &mut Encoder, w: &W) {
+fn put_weights(enc: &mut Encoder, w: &WeightSetting) {
     for k in 0..w.num_classes() {
-        enc.put_slice_u32(w.class_weights(k));
+        enc.put_slice_u32(w.weights(k));
     }
 }
 
-fn take_weights<W: ClassWeights>(
+fn take_weights(
     rd: &mut Decoder<'_>,
     k: usize,
     wmax: u32,
     num_links: usize,
-) -> Result<W, SnapshotError> {
+) -> Result<WeightSetting, SnapshotError> {
     let mut per_class = Vec::with_capacity(k);
     for _ in 0..k {
         let v = rd.take_vec_u32()?;
@@ -549,7 +563,7 @@ fn take_weights<W: ClassWeights>(
         }
         per_class.push(v);
     }
-    Ok(W::from_class_vecs(per_class, wmax))
+    Ok(WeightSetting::from_class_vecs(per_class, wmax))
 }
 
 fn put_stats(enc: &mut Encoder, s: &SearchStats) {
@@ -889,7 +903,7 @@ fn drive<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     start_boundary: u64,
     restored: bool,
     ctl: &mut RunControl<'_>,
-) -> Result<RobustOutput<E::Weights, E::Cost>, SnapshotError> {
+) -> Result<RobustOutput<E::Cost>, SnapshotError> {
     let knobs = run.knobs;
     let deadline = knobs
         .deadline_ms
@@ -911,7 +925,7 @@ fn drive<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     // — happens in replica index order on the coordinating thread, so
     // the output depends only on `(seed, replicas, rendezvous_period)`,
     // never on thread count.
-    let mut elites: Vec<(E::Weights, E::Cost)> = Vec::new();
+    let mut elites: Vec<(WeightSetting, E::Cost)> = Vec::new();
     while !indices.is_empty() && chains.iter().any(|c| !c.done) {
         if let [ch] = chains.as_mut_slice() {
             chain_sweep(set, indices, run, ch);
@@ -1160,7 +1174,7 @@ fn build_chains<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     set: &S,
     indices: &[usize],
     knobs: &RobustKnobs,
-    archive: &Archive<E::Weights, E::Cost>,
+    archive: &Archive<E::Cost>,
 ) -> Vec<Chain<E>> {
     let mut slots: Vec<(RobustKnobs, Option<Chain<E>>)> = (0..knobs.portfolio.replicas)
         .map(|r| (knobs.replica(r), None))
@@ -1189,32 +1203,31 @@ fn check_weights<S: ScenarioSet + ?Sized>(set: &S, indices: &[usize]) {
 
 /// Run the robust search over the scenarios of `indices` drawn from
 /// `set`, starting from `archive`, under external control: checkpoints
-/// into `ctl.sink` every `knobs.checkpoint_every` boundaries and honours
-/// `ctl.kill_after` and `knobs.deadline_ms`. The only fallible step is
+/// into `ctl.sink` every `checkpoint_every` boundaries and honours
+/// `ctl.kill_after` and `deadline_ms`. The only fallible step is
 /// storing a snapshot.
 ///
 /// # Panics
-/// Panics if the archive is empty or a scenario weight is negative or
-/// not finite.
-#[allow(clippy::too_many_arguments)]
+/// Panics if `params` are invalid, the archive is empty or a scenario
+/// weight is negative or not finite.
 pub fn run_controlled<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
     set: &S,
     indices: &[usize],
-    knobs: &RobustKnobs,
+    params: &E::Params,
     benchmark: &E::Cost,
-    gate: &E::GateParams,
-    archive: &Archive<E::Weights, E::Cost>,
+    archive: &Archive<E::Cost>,
     ctl: &mut RunControl<'_>,
-) -> Result<RobustOutput<E::Weights, E::Cost>, SnapshotError> {
+) -> Result<RobustOutput<E::Cost>, SnapshotError> {
+    let (knobs, gate) = (E::knobs(params), E::gate(params));
     check_weights(set, indices);
-    let chains = build_chains(ev, set, indices, knobs, archive);
+    let chains = build_chains(ev, set, indices, &knobs, archive);
     let run = Run {
         ev,
         set_len: indices.len(),
-        knobs,
+        knobs: &knobs,
         benchmark,
-        gate,
+        gate: &gate,
     };
     drive(set, indices, &run, chains, 0, false, ctl)
 }
@@ -1232,18 +1245,18 @@ pub fn run_controlled<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
 /// time spent before the crash is not counted against it.
 ///
 /// # Panics
-/// Panics if a scenario weight is negative or not finite.
-#[allow(clippy::too_many_arguments)]
+/// Panics if `params` are invalid or a scenario weight is negative or
+/// not finite.
 pub fn resume<E: RobustEngine, S: ScenarioSet + Sync + ?Sized>(
     ev: &E,
     set: &S,
     indices: &[usize],
-    knobs: &RobustKnobs,
+    params: &E::Params,
     benchmark: Option<&E::Cost>,
-    gate: &E::GateParams,
     snapshot: &[u8],
     ctl: &mut RunControl<'_>,
-) -> Result<RobustOutput<E::Weights, E::Cost>, SnapshotError> {
+) -> Result<RobustOutput<E::Cost>, SnapshotError> {
+    let (knobs, gate) = (&E::knobs(params), &E::gate(params));
     check_weights(set, indices);
     let mut rd = dtr_persist::open(snapshot, E::SNAPSHOT_KIND)?;
     let (stored, boundary) = decode_config(&mut rd, ev, knobs, indices.len(), benchmark, gate)?;

@@ -20,7 +20,6 @@
 
 use dtr_cost::LexCost;
 use dtr_net::{LinkId, Network};
-pub use dtr_routing::ClassWeights;
 use dtr_routing::{Class, WeightSetting};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -32,12 +31,8 @@ use crate::robust::RobustEngine;
 /// `rep`, symmetrically on both directions (see
 /// [`crate::FailureUniverse`] for why symmetric).
 pub fn set_duplex_weights(w: &mut WeightSetting, net: &Network, rep: LinkId, wd: u32, wt: u32) {
-    w.set(Class::Delay, rep, wd);
-    w.set(Class::Throughput, rep, wt);
-    if let Some(r) = net.reverse_link(rep) {
-        w.set(Class::Delay, r, wd);
-        w.set(Class::Throughput, r, wt);
-    }
+    w.set_duplex(net, Class::Delay, rep, wd);
+    w.set_duplex(net, Class::Throughput, rep, wt);
 }
 
 /// Current class weights of the physical link (forward direction is
@@ -195,8 +190,8 @@ pub fn sweep<E: RobustEngine>(
     reps: &[LinkId],
     wmax: u32,
     rng: &mut StdRng,
-    current: &mut E::Weights,
-    mut process: impl FnMut(&E::Weights, LinkId, &E::Cost) -> Decision,
+    current: &mut WeightSetting,
+    mut process: impl FnMut(&WeightSetting, LinkId, &E::Cost) -> Decision,
 ) {
     for &rep in reps {
         let mv = ev.draw_move(1, wmax, rng);
@@ -358,10 +353,10 @@ impl<C: SearchCost> StopRule<C> {
 /// reject duplicates with one integer compare per entry instead of an
 /// O(links) vector scan; equal fingerprints fall back to full equality,
 /// so dedup behaviour is *identical* to the exact scan.
-pub fn weight_fingerprint<W: ClassWeights>(w: &W) -> u64 {
+pub fn weight_fingerprint(w: &WeightSetting) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for k in 0..w.num_classes() {
-        for &x in w.class_weights(k) {
+        for &x in w.weights(k) {
             h ^= u64::from(x);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -373,14 +368,14 @@ pub fn weight_fingerprint<W: ClassWeights>(w: &W) -> u64 {
 /// lexicographic cost. Phase 1 (and MTR's regular phase) feeds it with
 /// acceptable settings; the robust phase diversifies from it.
 #[derive(Clone, Debug)]
-pub struct Archive<W = WeightSetting, C = LexCost> {
-    entries: Vec<(W, C)>,
+pub struct Archive<C = LexCost> {
+    entries: Vec<(WeightSetting, C)>,
     /// Per-entry [`weight_fingerprint`], aligned with `entries`.
     fingerprints: Vec<u64>,
     cap: usize,
 }
 
-impl<W: ClassWeights, C: SearchCost> Archive<W, C> {
+impl<C: SearchCost> Archive<C> {
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 1);
         Archive {
@@ -393,7 +388,7 @@ impl<W: ClassWeights, C: SearchCost> Archive<W, C> {
     /// Offer a setting; kept if among the `cap` best seen (duplicates by
     /// exact weight equality are ignored — screened by fingerprint, so
     /// the common miss costs one integer compare per entry).
-    pub fn offer(&mut self, w: &W, cost: C) {
+    pub fn offer(&mut self, w: &WeightSetting, cost: C) {
         let f = weight_fingerprint(w);
         if self
             .fingerprints
@@ -425,12 +420,12 @@ impl<W: ClassWeights, C: SearchCost> Archive<W, C> {
         self.entries.is_empty()
     }
 
-    pub fn entries(&self) -> &[(W, C)] {
+    pub fn entries(&self) -> &[(WeightSetting, C)] {
         &self.entries
     }
 
     /// Uniformly random entry.
-    pub fn sample(&self, rng: &mut StdRng) -> Option<&(W, C)> {
+    pub fn sample(&self, rng: &mut StdRng) -> Option<&(WeightSetting, C)> {
         self.sample_index(rng).map(|i| &self.entries[i])
     }
 
@@ -445,7 +440,7 @@ impl<W: ClassWeights, C: SearchCost> Archive<W, C> {
     }
 
     /// Best entry.
-    pub fn best(&self) -> Option<&(W, C)> {
+    pub fn best(&self) -> Option<&(WeightSetting, C)> {
         self.entries.first()
     }
 }

@@ -116,26 +116,22 @@ pub fn select(crit: &Criticality, n: usize) -> CriticalSet {
 /// SRLG sets append their group scenarios). Sets without per-single-link
 /// structure (`supports_selection() == false`, e.g. double-link
 /// ensembles) get every scenario index.
-///
-/// Returns the (scaled) criticality next to the selected scenario
-/// indices.
 pub fn select_scenarios<S: ScenarioSet + ?Sized>(
     set: &S,
     store: &SampleStore,
     tail_fraction: f64,
     critical_fraction: f64,
-) -> (Criticality, Vec<usize>) {
+) -> Vec<usize> {
+    if !set.supports_selection() {
+        return set.all_indices();
+    }
     let crit = Criticality::estimate(store, tail_fraction);
     let crit = match set.criticality_scale() {
         Some(scale) => crit.scaled(scale),
         None => crit,
     };
-    if !set.supports_selection() {
-        return (crit, set.all_indices());
-    }
     let n = set.universe().target_size(critical_fraction);
-    let indices = set.critical_scenarios(&select(&crit, n).indices);
-    (crit, indices)
+    set.critical_scenarios(&select(&crit, n).indices)
 }
 
 /// DTR's Phase-1c for an arbitrary [`ScenarioSet`]: the scenario indices
@@ -164,8 +160,7 @@ pub fn select_for_set<S: ScenarioSet + ?Sized>(
             &phase1.store,
             params.left_tail_fraction,
             params.critical_fraction,
-        )
-        .1;
+        );
     }
     let universe = set.universe();
     let critical_failures = baselines::select(

@@ -219,7 +219,7 @@ use dtr_routing::workspace::{
     flow_uses_any, route_destination, route_destination_repair, route_destination_reweight,
     weight_change_affects, DestRouting, WeightChange,
 };
-use dtr_routing::{delay, ClassWeights, Scenario, SpfWorkspace};
+use dtr_routing::{delay, Scenario, SpfWorkspace, WeightSetting};
 use dtr_traffic::TrafficMatrix;
 
 use crate::params::{CostModel, CostParams, DelayAggregation};
@@ -779,10 +779,10 @@ impl<'a> Engine<'a> {
     /// The k cost components of one (weight setting, scenario) pair
     /// through the incremental engine, using the caller's workspace —
     /// bit-for-bit the reference evaluation's, for every scenario kind.
-    pub fn cost_with<'w, W: ClassWeights>(
+    pub fn cost_with<'w>(
         &self,
         ws: &'w mut EvalWorkspace,
-        w: &W,
+        w: &WeightSetting,
         scenario: Scenario,
     ) -> &'w [f64] {
         self.ensure_baseline(ws, w);
@@ -803,17 +803,13 @@ impl<'a> Engine<'a> {
     /// that shorter diff is repaired. Each flagged destination is
     /// repaired from its current record into its spare, bit-equal to a
     /// full route, and the two swap.
-    pub fn ensure_baseline<W: ClassWeights>(&self, ws: &mut EvalWorkspace, w: &W) {
+    pub fn ensure_baseline(&self, ws: &mut EvalWorkspace, w: &WeightSetting) {
         assert_eq!(
             w.num_classes(),
             self.num_classes(),
             "weight setting class count mismatch"
         );
-        assert_eq!(
-            w.class_weights(0).len(),
-            self.net.num_links(),
-            "weight size mismatch"
-        );
+        assert_eq!(w.num_links(), self.net.num_links(), "weight size mismatch");
         self.bind(ws);
         ws.mask.reset_all_up();
         let EvalWorkspace {
@@ -824,7 +820,7 @@ impl<'a> Engine<'a> {
             ..
         } = ws;
         for (k, b) in base.iter_mut().enumerate() {
-            let weights = w.class_weights(k);
+            let weights = w.weights(k);
             let tm = self.matrices[k];
             let dests = &self.demand_dests[k];
             if b.valid && b.weights.len() == weights.len() {
@@ -910,7 +906,7 @@ impl<'a> Engine<'a> {
     /// codes, recomputed routings, class loads, link delays, pair
     /// segments and the components in `ws.costs` (what
     /// [`commit`](Self::commit) captures).
-    fn cost_scenario<W: ClassWeights>(&self, ws: &mut EvalWorkspace, w: &W, scenario: Scenario) {
+    fn cost_scenario(&self, ws: &mut EvalWorkspace, w: &WeightSetting, scenario: Scenario) {
         // Node failures also remove the dead node's traffic; the mask
         // makes that self-enforcing for loads (see the module docs), and
         // the routing/SLA loops skip the node explicitly where the base
@@ -934,7 +930,7 @@ impl<'a> Engine<'a> {
         // baseline.
         let mut scratch_used = 0usize;
         for (k, dests) in self.demand_dests.iter().enumerate() {
-            let weights = w.class_weights(k);
+            let weights = w.weights(k);
             let map = &mut scratch_map[k];
             map.clear();
             map.resize(dests.len(), NOT_RECOMPUTED);
@@ -978,10 +974,10 @@ impl<'a> Engine<'a> {
     /// references' accumulation, verbatim); every link's delay follows
     /// from its total load; and the SLA pair pass runs over the result,
     /// reusing the cached `entry`'s segments where it can.
-    fn fold_resolved<W: ClassWeights>(
+    fn fold_resolved(
         &self,
         ws: &mut EvalWorkspace,
-        w: &W,
+        w: &WeightSetting,
         excluded: Option<usize>,
         entry: Option<&ScenarioEntry>,
     ) {
@@ -1036,10 +1032,10 @@ impl<'a> Engine<'a> {
     /// delay bits against the entry's copies its resident segment: the
     /// flow DP reads no other link. A record with a zero share (whose DP
     /// falls back to the arc scan) is always recomputed.
-    fn pair_segments<W: ClassWeights>(
+    fn pair_segments(
         &self,
         ws: &mut EvalWorkspace,
-        w: &W,
+        w: &WeightSetting,
         excluded: Option<usize>,
         entry: Option<&ScenarioEntry>,
     ) {
@@ -1059,7 +1055,7 @@ impl<'a> Engine<'a> {
             if matches!(model, CostModel::Congestion) {
                 continue;
             }
-            let weights = w.class_weights(k);
+            let weights = w.weights(k);
             let list = entry.map_or(&[][..], |e| &e.routed[k]);
             let (out, offs) = (&mut pairs[k], &mut pair_off[k]);
             out.clear();
@@ -1183,11 +1179,11 @@ impl<'a> Engine<'a> {
     /// then be (re-)captured with [`cost_capture`](Self::cost_capture)
     /// before candidates evaluate through
     /// [`cost_cached`](Self::cost_cached).
-    pub fn cache_rebuild_begin<W: ClassWeights>(
+    pub fn cache_rebuild_begin(
         &self,
         ws: &mut EvalWorkspace,
         cache: &mut ScenarioCache,
-        w: &W,
+        w: &WeightSetting,
         positions: usize,
     ) {
         // Route (or diff-update) the workspace baseline, then copy it
@@ -1200,7 +1196,7 @@ impl<'a> Engine<'a> {
         inc.diff.resize_with(kn, Vec::new);
         for k in 0..kn {
             inc.weights[k].clear();
-            inc.weights[k].extend_from_slice(w.class_weights(k));
+            inc.weights[k].extend_from_slice(w.weights(k));
             let dests = &self.demand_dests[k];
             inc.base[k].resize_with(dests.len(), DestRouting::default);
             for (di, slot) in inc.base[k].iter_mut().enumerate() {
@@ -1228,11 +1224,11 @@ impl<'a> Engine<'a> {
     /// cache's incumbent, preparing [`cost_cached`](Self::cost_cached)
     /// calls. Returns the total number of changed directed (class, link)
     /// slots.
-    pub fn cache_begin<W: ClassWeights>(&self, cache: &mut ScenarioCache, w: &W) -> usize {
+    pub fn cache_begin(&self, cache: &mut ScenarioCache, w: &WeightSetting) -> usize {
         let inc = &mut cache.inc;
         let mut changed = 0;
         for (k, diffk) in inc.diff.iter_mut().enumerate() {
-            let weights = w.class_weights(k);
+            let weights = w.weights(k);
             assert_eq!(
                 inc.weights[k].len(),
                 weights.len(),
@@ -1249,16 +1245,16 @@ impl<'a> Engine<'a> {
     /// full delta-state into `cache.entries[pos]` — the cache (re)build
     /// path, run over the incumbent setting. The returned components are
     /// bit-for-bit the plain evaluation's.
-    pub fn cost_capture<'w, W: ClassWeights>(
+    pub fn cost_capture<'w>(
         &self,
         ws: &'w mut EvalWorkspace,
-        w: &W,
+        w: &WeightSetting,
         scenario: Scenario,
         cache: &mut ScenarioCache,
         pos: usize,
     ) -> &'w [f64] {
         debug_assert!(
-            (0..self.num_classes()).all(|k| cache.inc.weights[k] == w.class_weights(k)),
+            (0..self.num_classes()).all(|k| cache.inc.weights[k] == w.weights(k)),
             "capture must run on the cache incumbent"
         );
         self.cost_capture_into(ws, w, scenario, &mut cache.entries[pos])
@@ -1266,10 +1262,10 @@ impl<'a> Engine<'a> {
 
     /// Entry-level form of [`cost_capture`](Self::cost_capture): a plain
     /// evaluation of the incumbent `w`, committed into `entry`.
-    fn cost_capture_into<'w, W: ClassWeights>(
+    fn cost_capture_into<'w>(
         &self,
         ws: &'w mut EvalWorkspace,
-        w: &W,
+        w: &WeightSetting,
         scenario: Scenario,
         entry: &mut ScenarioEntry,
     ) -> &'w [f64] {
@@ -1358,10 +1354,10 @@ impl<'a> Engine<'a> {
     /// [`cache_begin`](Self::cache_begin) for this exact `w`; the result
     /// is bit-for-bit [`cost_with`](Self::cost_with)'s (see the module
     /// docs for the exactness argument).
-    pub fn cost_cached<'w, W: ClassWeights>(
+    pub fn cost_cached<'w>(
         &self,
         ws: &'w mut EvalWorkspace,
-        w: &W,
+        w: &WeightSetting,
         scenario: Scenario,
         cache: &ScenarioCache,
         pos: usize,
@@ -1411,10 +1407,10 @@ impl<'a> Engine<'a> {
     /// incumbent `inc`, leaving its whole result in the workspace for
     /// [`commit`](Self::commit) — everything but the components, which
     /// [`fold_costs`](Self::fold_costs) adds.
-    fn eval_cached<W: ClassWeights>(
+    fn eval_cached(
         &self,
         ws: &mut EvalWorkspace,
-        w: &W,
+        w: &WeightSetting,
         scenario: Scenario,
         inc: &CacheIncumbent,
         entry: &ScenarioEntry,
@@ -1451,7 +1447,7 @@ impl<'a> Engine<'a> {
         // routing really moved. Fresh routings of every class persist in
         // the scratch pool for the load fold and the delay DP.
         for (k, dests) in self.demand_dests.iter().enumerate() {
-            let weights = w.class_weights(k);
+            let weights = w.weights(k);
             let diffk = &inc.diff[k];
             let list: &[(u32, DestRouting)] = &entry.routed[k];
             let map = &mut scratch_map[k];
@@ -1528,11 +1524,11 @@ impl<'a> Engine<'a> {
     /// fresh capture at `w` would hold — destinations entering or
     /// leaving a scenario's flow-affected set are spliced into or out of
     /// its entry — so no periodic full rebuild is needed.
-    pub fn cache_refresh<W: ClassWeights>(
+    pub fn cache_refresh(
         &self,
         ws: &mut EvalWorkspace,
         cache: &mut ScenarioCache,
-        w: &W,
+        w: &WeightSetting,
         scenario_at: impl Fn(usize) -> Scenario,
     ) {
         self.cache_begin(cache, w);
@@ -1547,10 +1543,10 @@ impl<'a> Engine<'a> {
     /// The per-entry stage of [`cache_refresh`](Self::cache_refresh):
     /// `w`'s cached evaluation against `entry`, committed into it. Call
     /// after [`cache_begin`](Self::cache_begin) for this `w`.
-    fn cache_refresh_entry<W: ClassWeights>(
+    fn cache_refresh_entry(
         &self,
         ws: &mut EvalWorkspace,
-        w: &W,
+        w: &WeightSetting,
         inc: &CacheIncumbent,
         scenario: Scenario,
         entry: &mut ScenarioEntry,
@@ -1564,11 +1560,11 @@ impl<'a> Engine<'a> {
     /// workspace baseline at `w` into the cache, adopt `w` as the
     /// incumbent and advance the generation stamp. Call once, after
     /// every entry's [`cache_refresh_entry`](Self::cache_refresh_entry).
-    fn cache_refresh_finish<W: ClassWeights>(
+    fn cache_refresh_finish(
         &self,
         ws: &mut EvalWorkspace,
         cache: &mut ScenarioCache,
-        w: &W,
+        w: &WeightSetting,
     ) {
         self.ensure_baseline(ws, w);
         let inc = &mut cache.inc;
@@ -1580,7 +1576,7 @@ impl<'a> Engine<'a> {
                 }
             }
             inc.weights[k].clear();
-            inc.weights[k].extend_from_slice(w.class_weights(k));
+            inc.weights[k].extend_from_slice(w.weights(k));
         }
         inc.generation = next_engine_id();
     }
@@ -1682,8 +1678,8 @@ mod tests {
         for (k, c) in ws.base.iter().enumerate() {
             assert_eq!(c.state, records_a[k], "class {k}: A's routing");
             assert_eq!(c.changed, changed[k], "class {k}: the undo is symmetric");
-            assert_eq!(c.weights, a.class_weights(k));
-            assert_eq!(c.prev, b.class_weights(k));
+            assert_eq!(c.weights, a.weights(k));
+            assert_eq!(c.prev, b.weights(k));
         }
         // And the undone baseline evaluates as a fresh one does.
         let mut fresh = EvalWorkspace::default();

@@ -144,7 +144,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Full evaluation of one (weight setting, scenario) pair.
+    ///
+    /// # Panics
+    /// Panics unless `w` is a two-class setting over the network's links.
     pub fn evaluate(&self, w: &WeightSetting, scenario: Scenario) -> CostBreakdown {
+        assert_eq!(w.num_classes(), 2, "a DTR weight setting has two classes");
         assert_eq!(w.num_links(), self.net.num_links(), "weight size mismatch");
         let mask = scenario.mask(self.net);
         let offered = scenario.offered_traffic(self.traffic);

@@ -95,8 +95,9 @@ pub fn run(cfg: &ExpConfig) -> Ablation {
 mod tests {
     #[test]
     fn selectors_are_all_compared() {
-        // Structure-only test; the actual runs are exercised by the bench
-        // and integration suite (they cost several optimizations each).
+        // Structure-only test; the actual runs are exercised by the repro
+        // binary and the integration suite (they cost several
+        // optimizations each).
         let names = ["mean-left-tail", "random", "load-based", "fluctuation"];
         for n in names {
             assert!(n.chars().all(|c| c.is_ascii_lowercase() || c == '-'));

@@ -37,6 +37,7 @@ pub type ExperimentRunner = fn(&ExpConfig) -> String;
 pub fn registry() -> Vec<(&'static str, ExperimentRunner)> {
     vec![
         ("table1", |c| table1::run(c).to_string()),
+        ("table1-high-load", |c| table1::run_high_load(c).to_string()),
         ("table2", |c| table2::run(c).to_string()),
         ("table3", |c| table3::run(c).to_string()),
         ("table4", |c| table4::run(c).to_string()),
@@ -68,6 +69,7 @@ mod tests {
         let names: Vec<&str> = registry().iter().map(|(n, _)| *n).collect();
         for expected in [
             "table1",
+            "table1-high-load",
             "table2",
             "table3",
             "table4",

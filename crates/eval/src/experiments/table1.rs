@@ -89,9 +89,8 @@ fn run_at(cfg: &ExpConfig, load: LoadSpec, fractions: &[f64], title: &str) -> Ta
     run_on(cfg, topos, load, fractions, title)
 }
 
-/// Core kernel: arbitrary topology list, load and fractions (public so
-/// benches can run a single-cell Table I without the full sweep).
-pub fn run_on(
+/// Core kernel: arbitrary topology list, load and fractions.
+fn run_on(
     cfg: &ExpConfig,
     topos: Vec<(String, TopoSpec)>,
     load: LoadSpec,
@@ -215,8 +214,8 @@ mod tests {
     use crate::scale::Scale;
 
     /// Tiny end-to-end smoke: a single topology, single fraction, to keep
-    /// the unit-test suite fast. Full Table I runs live in the bench and
-    /// the repro binary.
+    /// the unit-test suite fast. Full Table I runs live in the repro
+    /// binary.
     #[test]
     fn single_cell_smoke() {
         let cfg = ExpConfig::new(Scale::Smoke, 42);
@@ -237,5 +236,18 @@ mod tests {
         assert!(c.beta_crt.0.is_finite());
         assert!(c.beta_phi_pct.0 >= 0.0);
         assert!(out.table.render().contains("beta_crt"));
+    }
+
+    /// The high-load variant (registered as `table1-high-load`) runs
+    /// end to end: one topology, three fractions, finite cells.
+    #[test]
+    fn high_load_smoke() {
+        let out = run_high_load(&ExpConfig::new(Scale::Smoke, 42));
+        assert_eq!(out.cells.len(), 3);
+        for c in &out.cells {
+            assert!(c.beta_full.0.is_finite(), "{c:?}");
+            assert!(c.beta_crt.0.is_finite(), "{c:?}");
+            assert!(c.beta_phi_pct.0.is_finite(), "{c:?}");
+        }
     }
 }

@@ -21,12 +21,11 @@
 
 use dtr_cost::{congestion, delay_model, sla, DelayAggregation, Engine, EvalWorkspace, SlaSummary};
 use dtr_net::{LinkMask, Network};
-use dtr_routing::{delay, route_class, ClassRouting, Scenario};
+use dtr_routing::{delay, route_class, ClassRouting, Scenario, WeightSetting};
 use dtr_traffic::TrafficMatrix;
 
 use crate::class::{CostModel, MtrConfig};
 use crate::cost::VecCost;
-use crate::weights::MtrWeightSetting;
 
 /// Construction-time validation failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,7 +209,7 @@ impl<'a> MtrEvaluator<'a> {
     /// # Panics
     /// Panics if `w` disagrees with the configuration on class count or
     /// with the network on link count.
-    pub fn evaluate(&self, w: &MtrWeightSetting, scenario: Scenario) -> MtrBreakdown {
+    pub fn evaluate(&self, w: &WeightSetting, scenario: Scenario) -> MtrBreakdown {
         assert_eq!(
             w.num_classes(),
             self.num_classes(),
@@ -284,7 +283,7 @@ impl<'a> MtrEvaluator<'a> {
     /// Scalar-cost shortcut: bit-for-bit the cost of
     /// [`evaluate`](Self::evaluate), computed through a pooled workspace
     /// of the engine.
-    pub fn cost(&self, w: &MtrWeightSetting, scenario: Scenario) -> VecCost {
+    pub fn cost(&self, w: &WeightSetting, scenario: Scenario) -> VecCost {
         let mut ws = self.acquire_workspace();
         let cost = self.cost_with(&mut ws, w, scenario);
         self.release_workspace(ws);
@@ -294,7 +293,7 @@ impl<'a> MtrEvaluator<'a> {
     /// Scenario-batched costs of `w`, in input order — bit-for-bit what
     /// per-scenario [`cost`](Self::cost) reports, sharing one pooled
     /// workspace across the whole batch.
-    pub fn evaluate_all(&self, w: &MtrWeightSetting, scenarios: &[Scenario]) -> Vec<VecCost> {
+    pub fn evaluate_all(&self, w: &WeightSetting, scenarios: &[Scenario]) -> Vec<VecCost> {
         let mut ws = self.acquire_workspace();
         let out = scenarios
             .iter()
@@ -315,7 +314,7 @@ impl<'a> MtrEvaluator<'a> {
     }
 
     /// [`Engine::cost_with`] as a [`VecCost`].
-    pub fn cost_with(&self, ws: &mut EvalWorkspace, w: &MtrWeightSetting, sc: Scenario) -> VecCost {
+    pub fn cost_with(&self, ws: &mut EvalWorkspace, w: &WeightSetting, sc: Scenario) -> VecCost {
         VecCost::new(self.engine.cost_with(ws, w, sc).to_vec())
     }
 
@@ -338,7 +337,7 @@ impl<'a> MtrEvaluator<'a> {
 
     fn class_pair_delays(
         &self,
-        w: &MtrWeightSetting,
+        w: &WeightSetting,
         k: usize,
         mask: &LinkMask,
         routing: &ClassRouting,
@@ -411,7 +410,7 @@ mod tests {
     fn three_classes_route_and_score() {
         let (net, tms, config) = three_class_setup();
         let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let b = ev.evaluate(&w, Scenario::Normal);
         // Unit weights: all classes ride the direct link.
         let direct = link_between(&net, 0, 3);
@@ -433,7 +432,7 @@ mod tests {
     fn classes_steer_independently() {
         let (net, tms, config) = three_class_setup();
         let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-        let mut w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let mut w = WeightSetting::uniform_k(3, net.num_links(), 20);
         // Push only the bulk class off the direct link.
         w.set(2, link_between(&net, 0, 3), 20);
         let b = ev.evaluate(&w, Scenario::Normal);
@@ -447,7 +446,7 @@ mod tests {
     fn per_class_slas_use_their_own_theta() {
         let (net, tms, config) = three_class_setup();
         let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-        let mut w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let mut w = WeightSetting::uniform_k(3, net.num_links(), 20);
         // Force voice (θ=12ms) and video (θ=50ms) onto the 40 ms path.
         for (s, t) in [(0usize, 1usize), (1, 3), (0, 3)] {
             w.set_duplex(&net, 0, link_between(&net, s, t), 20);
@@ -466,7 +465,7 @@ mod tests {
     fn failure_scenario_reroutes_all_classes() {
         let (net, tms, config) = three_class_setup();
         let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let direct = link_between(&net, 0, 3);
         let b = ev.evaluate(&w, Scenario::Link(direct));
         assert_eq!(b.total_loads[direct.index()], 0.0);
@@ -485,7 +484,7 @@ mod tests {
         tms[0].set(1, 2, 3.0);
         tms[2].set(2, 0, 4.0);
         let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let b = ev.evaluate(&w, Scenario::Node(dtr_net::NodeId::new(1)));
         assert_eq!(b.dropped, 0.0);
         for &l in net.out_links(dtr_net::NodeId::new(1)) {
@@ -502,7 +501,7 @@ mod tests {
         tm.set(0, 3, 10.0);
         let config = MtrConfig::new(vec![ClassSpec::congestion("all")]);
         let ev = MtrEvaluator::new(&net, std::slice::from_ref(&tm), config).unwrap();
-        let w = MtrWeightSetting::uniform(1, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(1, net.num_links(), 20);
         let b = ev.evaluate(&w, Scenario::Normal);
         assert_eq!(b.cost.len(), 1);
         assert!(b.cost.component(0) > 0.0);
@@ -534,7 +533,7 @@ mod tests {
     fn cost_fast_path_matches_evaluate_bit_for_bit() {
         let (net, tms, config) = three_class_setup();
         let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-        let mut w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let mut w = WeightSetting::uniform_k(3, net.num_links(), 20);
         w.set(0, link_between(&net, 0, 3), 7);
         w.set(2, link_between(&net, 0, 1), 3);
         let mut scenarios = vec![Scenario::Normal, Scenario::Node(dtr_net::NodeId::new(2))];

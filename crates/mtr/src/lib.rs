@@ -9,9 +9,10 @@
 //!
 //! Everything the paper establishes for DTR carries over:
 //!
-//! * Each link carries one integer weight per class
-//!   ([`MtrWeightSetting`]); classes share link capacity through a common
-//!   FIFO queue, so per-link delays are driven by *total* load.
+//! * Each link carries one integer weight per class (dtr-routing's one
+//!   `WeightSetting`, named [`MtrWeightSetting`] here); classes share
+//!   link capacity through a common FIFO queue, so per-link delays are
+//!   driven by *total* load.
 //! * Classes are ordered by precedence. The global cost is the
 //!   k-component lexicographic vector [`VecCost`] — class `i` improvements
 //!   dominate any change in classes `> i`, the direct generalization of
@@ -27,19 +28,22 @@
 //! DTR is the k = 2 instantiation of dtr-cost's engine: every
 //! evaluation, DTR's and MTR's alike, runs on the one delta-state
 //! `dtr_cost::Engine`, built here from the class list of an
-//! [`MtrConfig`]. The search phases are dtr-core's, written once for
-//! every class count; this crate instantiates them.
+//! [`MtrConfig`], on the one weight setting. The search phases and the
+//! pipeline are dtr-core's, written once for every class count; this
+//! crate instantiates them.
 //!
 //! ## Modules
 //!
-//! [`class`], [`cost`], [`params`], [`weights`] and [`weights_io`] hold
-//! the class specs, the k-vector cost, the parameters, the k-class weight
-//! settings and their text format; [`evaluator`] is the k-class front
-//! door of the engine. [`search`] (MTR's sample gate and the regular
-//! phase and top-up over dtr-core's Phase 1), [`criticality`] (k-class
-//! names for dtr-core's criticality and Algorithm 1 — [`select_k`] is a
-//! re-export — and the sizing rule) and [`robust`] instantiate
-//! dtr-core's phases; [`pipeline`] chains them over any scenario set.
+//! [`class`], [`cost`], [`params`] and [`weights_io`] hold the class
+//! specs, the k-vector cost, the parameters and the k-class weights text
+//! format; [`evaluator`] is the k-class front door of the engine.
+//! [`search`] (MTR's sample gate and the regular phase and top-up over
+//! dtr-core's Phase 1), [`criticality`] (k-class names for dtr-core's
+//! criticality and Algorithm 1 — [`select_k`] is a re-export — and the
+//! sizing rule) and [`robust`] (the `RobustEngine` implementation of
+//! [`MtrEvaluator`]) instantiate dtr-core's phases. [`MtrOptimizer`] is
+//! dtr-core's one pipeline (`dtr_core::pipeline::Optimizer`) on that
+//! engine, chaining them over any scenario set.
 //!
 //! ## Quick tour
 //!
@@ -70,9 +74,14 @@
 //! tms[2].set(0, 1, 3e5);
 //!
 //! let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-//! let w = dtr_mtr::MtrWeightSetting::uniform(3, net.num_links(), 20);
+//! let w = dtr_mtr::MtrWeightSetting::uniform_k(3, net.num_links(), 20);
 //! let cost = ev.evaluate(&w, Scenario::Normal).cost;
 //! assert_eq!(cost.components().len(), 3);
+//!
+//! // The whole pipeline: regular phase, top-up, k-way selection and
+//! // the robust phase over the single-link universe.
+//! let report = dtr_mtr::MtrOptimizer::new(&ev, dtr_mtr::MtrParams::quick(7)).optimize();
+//! assert_eq!(report.kfail.len(), 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -83,10 +92,8 @@ pub mod cost;
 pub mod criticality;
 pub mod evaluator;
 pub mod params;
-pub mod pipeline;
 pub mod robust;
 pub mod search;
-pub mod weights;
 pub mod weights_io;
 
 pub use class::{ClassSpec, CostModel, MtrConfig, NormalConstraint};
@@ -94,7 +101,30 @@ pub use cost::{VecCost, COMPONENT_EPS};
 pub use criticality::{select_k, KWayCriticality, KWaySelection};
 pub use evaluator::{MtrBreakdown, MtrError, MtrEvaluator};
 pub use params::MtrParams;
-pub use pipeline::{MtrOptimizer, MtrOptimizerBuilder, MtrReport};
 pub use robust::MtrRobustOutput;
 pub use search::MtrRegularOutput;
-pub use weights::MtrWeightSetting;
+
+use dtr_core::pipeline::{Optimizer, OptimizerBuilder, Report};
+use dtr_core::FailureUniverse;
+
+/// The k-class weight setting: dtr-routing's one `WeightSetting`.
+pub type MtrWeightSetting = dtr_routing::WeightSetting;
+
+/// The k-class pipeline (regular → top-up → k-way selection → robust):
+/// dtr-core's one optimizer on [`MtrEvaluator`].
+///
+/// ```ignore
+/// let report = MtrOptimizer::builder(&ev)
+///     .scenarios(Srlg::geographic(&net, 0.08))   // any ScenarioSet
+///     .params(MtrParams::quick(7))
+///     .build()
+///     .optimize();
+/// ```
+pub type MtrOptimizer<'e, 'a, S = FailureUniverse> = Optimizer<'e, MtrEvaluator<'a>, S>;
+
+/// Builds an [`MtrOptimizer`].
+pub type MtrOptimizerBuilder<'e, 'a, S = FailureUniverse> =
+    OptimizerBuilder<'e, MtrEvaluator<'a>, S>;
+
+/// The k-class pipeline's product.
+pub type MtrReport = Report<VecCost>;

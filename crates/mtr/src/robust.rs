@@ -25,7 +25,7 @@ use dtr_core::{RunControl, SliceSet};
 use dtr_cost::Engine;
 use dtr_net::LinkId;
 use dtr_persist::{Decoder, Encoder, SnapshotError};
-use dtr_routing::Scenario;
+use dtr_routing::{Scenario, WeightSetting};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -34,10 +34,9 @@ use crate::cost::VecCost;
 use crate::evaluator::MtrEvaluator;
 use crate::params::MtrParams;
 use crate::search;
-use crate::weights::MtrWeightSetting;
 
 /// Result of the robust search.
-pub type MtrRobustOutput = RobustOutput<MtrWeightSetting, VecCost>;
+pub type MtrRobustOutput = RobustOutput<VecCost>;
 
 /// Per-class feasibility of a candidate's normal-conditions cost against
 /// the regular-phase benchmarks (the k-class Eqs. 5–6).
@@ -57,7 +56,7 @@ pub fn feasible(normal: &VecCost, benchmark: &VecCost, specs: &[ClassSpec]) -> b
 /// (the constraints live in the evaluator's class specs, so the gate
 /// carries no further parameters).
 impl RobustEngine for MtrEvaluator<'_> {
-    type Weights = MtrWeightSetting;
+    type Params = MtrParams;
     type Cost = VecCost;
     type Move = Vec<u32>;
     type GateParams = ();
@@ -66,49 +65,15 @@ impl RobustEngine for MtrEvaluator<'_> {
     const SET_SIZE_MISMATCH: &'static str = "scenario count differs";
     const PROMOTE_RESTART: bool = true;
 
-    fn engine(&self) -> &Engine<'_> {
-        MtrEvaluator::engine(self)
-    }
-
-    fn draw_move(&self, lo: u32, wmax: u32, rng: &mut StdRng) -> Vec<u32> {
-        (0..self.num_classes())
-            .map(|_| rng.gen_range(lo..=wmax))
-            .collect()
-    }
-
-    fn read_move(&self, w: &MtrWeightSetting, rep: LinkId) -> Vec<u32> {
-        (0..self.num_classes()).map(|c| w.get(c, rep)).collect()
-    }
-
-    fn apply_move(&self, w: &mut MtrWeightSetting, rep: LinkId, mv: &Vec<u32>) {
-        for (c, &v) in mv.iter().enumerate() {
-            w.set_duplex(MtrEvaluator::net(self), c, rep, v);
-        }
-    }
-
-    fn acceptable(&self, cost: &VecCost, best: &VecCost, z: f64, _gate: &()) -> bool {
-        search::acceptable(cost, best, &self.config().specs, z)
-    }
-
-    fn feasible(&self, normal: &VecCost, benchmark: &VecCost, _gate: &()) -> bool {
-        feasible(normal, benchmark, &self.config().specs)
-    }
-
-    fn put_gate(_gate: &(), _enc: &mut Encoder) {}
-
-    fn check_gate(_gate: &(), _rd: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-        Ok(())
-    }
-}
-
-impl From<&MtrParams> for RobustKnobs {
-    fn from(p: &MtrParams) -> Self {
+    fn knobs(p: &MtrParams) -> RobustKnobs {
+        p.validate();
         RobustKnobs {
             seed: p.seed,
             wmax: p.wmax,
             q: p.q,
             z: p.z,
             left_tail_fraction: p.left_tail_fraction,
+            critical_fraction: p.critical_fraction,
             tau: p.tau,
             e: p.e,
             max_top_up_rounds: p.max_sampling_rounds,
@@ -127,6 +92,42 @@ impl From<&MtrParams> for RobustKnobs {
             deadline_ms: p.deadline_ms,
             checkpoint_every: p.checkpoint_every,
         }
+    }
+
+    fn gate(_p: &MtrParams) {}
+
+    fn engine(&self) -> &Engine<'_> {
+        MtrEvaluator::engine(self)
+    }
+
+    fn draw_move(&self, lo: u32, wmax: u32, rng: &mut StdRng) -> Vec<u32> {
+        (0..self.num_classes())
+            .map(|_| rng.gen_range(lo..=wmax))
+            .collect()
+    }
+
+    fn read_move(&self, w: &WeightSetting, rep: LinkId) -> Vec<u32> {
+        (0..self.num_classes()).map(|c| w.get(c, rep)).collect()
+    }
+
+    fn apply_move(&self, w: &mut WeightSetting, rep: LinkId, mv: &Vec<u32>) {
+        for (c, &v) in mv.iter().enumerate() {
+            w.set_duplex(MtrEvaluator::net(self), c, rep, v);
+        }
+    }
+
+    fn acceptable(&self, cost: &VecCost, best: &VecCost, z: f64, _gate: &()) -> bool {
+        search::acceptable(cost, best, &self.config().specs, z)
+    }
+
+    fn feasible(&self, normal: &VecCost, benchmark: &VecCost, _gate: &()) -> bool {
+        feasible(normal, benchmark, &self.config().specs)
+    }
+
+    fn put_gate(_gate: &(), _enc: &mut Encoder) {}
+
+    fn check_gate(_gate: &(), _rd: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        Ok(())
     }
 }
 
@@ -149,7 +150,7 @@ pub fn run(
     scenarios: &[Scenario],
     params: &MtrParams,
     benchmark: &VecCost,
-    archive: &Archive<MtrWeightSetting, VecCost>,
+    archive: &Archive<VecCost>,
     scenario_weights: Option<&[f64]>,
 ) -> MtrRobustOutput {
     run_controlled(
@@ -179,23 +180,13 @@ pub fn run_controlled(
     scenarios: &[Scenario],
     params: &MtrParams,
     benchmark: &VecCost,
-    archive: &Archive<MtrWeightSetting, VecCost>,
+    archive: &Archive<VecCost>,
     scenario_weights: Option<&[f64]>,
     ctl: &mut RunControl<'_>,
 ) -> Result<MtrRobustOutput, SnapshotError> {
-    params.validate();
     let set = SliceSet::new(scenarios, scenario_weights);
     let indices: Vec<usize> = (0..scenarios.len()).collect();
-    robust::run_controlled(
-        ev,
-        &set,
-        &indices,
-        &params.into(),
-        benchmark,
-        &(),
-        archive,
-        ctl,
-    )
+    robust::run_controlled(ev, &set, &indices, params, benchmark, archive, ctl)
 }
 
 /// Restore a robust-phase run from `snapshot` bytes and continue it
@@ -220,19 +211,9 @@ pub fn resume(
     snapshot: &[u8],
     ctl: &mut RunControl<'_>,
 ) -> Result<MtrRobustOutput, SnapshotError> {
-    params.validate();
     let set = SliceSet::new(scenarios, scenario_weights);
     let indices: Vec<usize> = (0..scenarios.len()).collect();
-    robust::resume(
-        ev,
-        &set,
-        &indices,
-        &params.into(),
-        Some(benchmark),
-        &(),
-        snapshot,
-        ctl,
-    )
+    robust::resume(ev, &set, &indices, params, Some(benchmark), snapshot, ctl)
 }
 
 #[cfg(test)]
@@ -468,7 +449,7 @@ mod tests {
 
     // -----------------------------------------------------------------
     // The generic kernel and search state at k = 3: the shared bounded
-    // sweep, `StopRule<VecCost>` and `Archive<MtrWeightSetting, VecCost>`
+    // sweep, `StopRule<VecCost>` and `Archive<VecCost>`
     // instantiated with the k-class engine.
 
     fn k3_config() -> MtrConfig {
@@ -494,7 +475,7 @@ mod tests {
     fn parallel_equals_serial_bit_for_bit() {
         let (net, tms) = testbed(3);
         let ev = MtrEvaluator::new(&net, &tms, k3_config()).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let scenarios = scenario_zoo(&net);
         let set = SliceSet::new(&scenarios, None);
         let idx = positions(scenarios.len());
@@ -511,7 +492,7 @@ mod tests {
     fn batched_matches_reference_per_scenario() {
         let (net, tms) = testbed(3);
         let ev = MtrEvaluator::new(&net, &tms, k3_config()).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let scenarios = scenario_zoo(&net);
         let set = SliceSet::new(&scenarios, None);
         let costs = evaluate_set(&ev, &w, &set, &positions(scenarios.len()), 2);
@@ -524,7 +505,7 @@ mod tests {
     fn weighted_sum_scales_components() {
         let (net, tms) = testbed(3);
         let ev = MtrEvaluator::new(&net, &tms, k3_config()).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let scenarios = Scenario::all_link_failures(&net);
         let idx = positions(scenarios.len());
         let weights = vec![0.5; scenarios.len()];
@@ -539,7 +520,7 @@ mod tests {
     fn empty_scenarios_sum_to_zero() {
         let (net, tms) = testbed(3);
         let ev = MtrEvaluator::new(&net, &tms, k3_config()).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let set = SliceSet::new(&[], None);
         assert_eq!(sum_set_costs(&ev, &w, &set, &[], 4), VecCost::zeros(3));
     }
@@ -548,7 +529,7 @@ mod tests {
     fn bounded_sweep_completes_bit_for_bit_under_unbeatable_incumbent() {
         let (net, tms) = testbed(3);
         let ev = MtrEvaluator::new(&net, &tms, k3_config()).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let scenarios = Scenario::all_link_failures(&net);
         let idx = positions(scenarios.len());
         let weights = vec![0.5; scenarios.len()];
@@ -570,7 +551,7 @@ mod tests {
     fn bounded_sweep_cuts_against_a_zero_incumbent() {
         let (net, tms) = testbed(3);
         let ev = MtrEvaluator::new(&net, &tms, k3_config()).unwrap();
-        let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+        let w = WeightSetting::uniform_k(3, net.num_links(), 20);
         let scenarios = Scenario::all_link_failures(&net);
         let order: Vec<u32> = (0..scenarios.len() as u32).collect();
         let mut scratch = SweepScratch::new();
@@ -620,11 +601,11 @@ mod tests {
     #[test]
     fn archive_fingerprint_dedup_matches_exact_scan() {
         struct RefArchive {
-            entries: Vec<(MtrWeightSetting, VecCost)>,
+            entries: Vec<(WeightSetting, VecCost)>,
             cap: usize,
         }
         impl RefArchive {
-            fn offer(&mut self, w: &MtrWeightSetting, cost: VecCost) {
+            fn offer(&mut self, w: &WeightSetting, cost: VecCost) {
                 if self.entries.iter().any(|(e, _)| e == w) {
                     return;
                 }
@@ -647,12 +628,12 @@ mod tests {
             entries: Vec::new(),
             cap: 3,
         };
-        let mut seen: Vec<MtrWeightSetting> = Vec::new();
+        let mut seen: Vec<WeightSetting> = Vec::new();
         for i in 0..150 {
             let w = if i % 4 == 0 && !seen.is_empty() {
                 seen[i % seen.len()].clone()
             } else {
-                let w = MtrWeightSetting::random(3, 6, 20, &mut rng);
+                let w = WeightSetting::random_k(3, 6, 20, &mut rng);
                 seen.push(w.clone());
                 w
             };
@@ -674,7 +655,7 @@ mod tests {
     #[test]
     fn archive_orders_best_first_and_caps() {
         let mut a = Archive::new(2);
-        let w1 = MtrWeightSetting::uniform(3, 4, 20);
+        let w1 = WeightSetting::uniform_k(3, 4, 20);
         let mut w2 = w1.clone();
         w2.set(0, LinkId::new(0), 2);
         let mut w3 = w1.clone();

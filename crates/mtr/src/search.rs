@@ -18,7 +18,6 @@ use crate::class::ClassSpec;
 use crate::cost::VecCost;
 use crate::evaluator::MtrEvaluator;
 use crate::params::MtrParams;
-use crate::weights::MtrWeightSetting;
 
 /// Pre-perturbation acceptability (§IV-D1 relaxed, per class): each
 /// class's cost within its constraint-derived slack of the best seen.
@@ -39,7 +38,7 @@ pub fn acceptable(cost: &VecCost, best: &VecCost, specs: &[ClassSpec], z: f64) -
 
 /// Everything the regular phase hands to the rest of the pipeline: the
 /// k-class instance of dtr-core's Phase-1 output.
-pub type MtrRegularOutput = phase1::Phase1Output<MtrWeightSetting, VecCost>;
+pub type MtrRegularOutput = phase1::Phase1Output<VecCost>;
 
 /// Run the regular phase (Phase-1a analogue).
 pub fn regular(
@@ -47,8 +46,7 @@ pub fn regular(
     universe: &FailureUniverse,
     params: &MtrParams,
 ) -> MtrRegularOutput {
-    params.validate();
-    phase1::harvest(ev, universe, &params.into(), &())
+    phase1::harvest(ev, universe, params)
 }
 
 /// Targeted sample top-up (Phase-1b analogue): manufacture failure-
@@ -61,7 +59,7 @@ pub fn top_up_samples(
     params: &MtrParams,
     out: &mut MtrRegularOutput,
 ) -> (usize, usize) {
-    let stats = phase1b::top_up(ev, universe, &params.into(), out);
+    let stats = phase1b::top_up(ev, universe, params, out);
     (stats.rounds, stats.evaluations)
 }
 
@@ -70,7 +68,7 @@ mod tests {
     use super::*;
     use crate::class::{ClassSpec, MtrConfig};
     use dtr_net::{Network, NetworkBuilder, Point};
-    use dtr_routing::Scenario;
+    use dtr_routing::{Scenario, WeightSetting};
     use dtr_traffic::TrafficMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -119,7 +117,7 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(999);
         for _ in 0..10 {
-            let w = MtrWeightSetting::random_symmetric(3, &net, params.wmax, &mut rng);
+            let w = WeightSetting::random_symmetric(3, &net, params.wmax, &mut rng);
             let c = ev.cost(&w, Scenario::Normal);
             assert!(
                 !c.better_than(&out.best_cost),

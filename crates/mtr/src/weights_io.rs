@@ -21,15 +21,15 @@
 
 pub use dtr_routing::weights_io::ParseError;
 
-use crate::weights::MtrWeightSetting;
+use dtr_routing::WeightSetting;
 
 /// Serialize to the v1 text format.
-pub fn to_text(w: &MtrWeightSetting) -> String {
+pub fn to_text(w: &WeightSetting) -> String {
     dtr_routing::weights_io::write_text(w, "# dtr mtr-weights v1", true)
 }
 
 /// Parse the v1 text format.
-pub fn from_text(text: &str) -> Result<MtrWeightSetting, ParseError> {
+pub fn from_text(text: &str) -> Result<WeightSetting, ParseError> {
     dtr_routing::weights_io::parse(text, None)
 }
 
@@ -60,14 +60,14 @@ mod tests {
     #[test]
     fn round_trip_three_classes() {
         let mut rng = StdRng::seed_from_u64(4);
-        let w = MtrWeightSetting::random(3, 10, 20, &mut rng);
+        let w = WeightSetting::random_k(3, 10, 20, &mut rng);
         let back = from_text(&to_text(&w)).unwrap();
         assert_eq!(w, back);
     }
 
     #[test]
     fn text_layout_is_pinned() {
-        let w = MtrWeightSetting::from_vecs(vec![vec![3, 5], vec![17, 2], vec![1, 20]], 20);
+        let w = WeightSetting::from_class_vecs(vec![vec![3, 5], vec![17, 2], vec![1, 20]], 20);
         let text = "# dtr mtr-weights v1\nclasses 3\nwmax 20\nlinks 2\nw 0 3 17 1\nw 1 5 2 20\n";
         assert_eq!(to_text(&w), text);
     }
@@ -75,16 +75,19 @@ mod tests {
     #[test]
     fn round_trip_single_class() {
         let mut rng = StdRng::seed_from_u64(9);
-        let w = MtrWeightSetting::random(1, 5, 7, &mut rng);
+        let w = WeightSetting::random_k(1, 5, 7, &mut rng);
         assert_eq!(from_text(&to_text(&w)).unwrap(), w);
     }
 
+    /// A two-class setting reads back the same through either format.
     #[test]
-    fn dtr_projection_survives_round_trip() {
+    fn two_class_setting_round_trips_through_both_formats() {
         let mut rng = StdRng::seed_from_u64(2);
-        let w = MtrWeightSetting::random(2, 6, 20, &mut rng);
+        let w = WeightSetting::random_k(2, 6, 20, &mut rng);
         let back = from_text(&to_text(&w)).unwrap();
-        assert_eq!(w.to_dtr(), back.to_dtr());
+        let dtr_io = dtr_routing::weights_io::from_text(&dtr_routing::weights_io::to_text(&w));
+        assert_eq!(back, w);
+        assert_eq!(dtr_io.unwrap(), w);
     }
 
     #[test]
@@ -125,7 +128,7 @@ mod tests {
 
     #[test]
     fn larger_class_count_after_w_lines_is_an_error() {
-        // Used to trip `MtrWeightSetting::from_vecs`' length assert.
+        // Used to trip `WeightSetting::from_vecs`' length assert.
         let text = "classes 2\nwmax 20\nlinks 1\nw 0 1 1\nclasses 3\n";
         assert!(matches!(from_text(text), Err(ParseError::Malformed(5, _))));
     }

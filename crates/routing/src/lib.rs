@@ -10,8 +10,9 @@
 //!
 //! Contents:
 //!
-//! * [`WeightSetting`] — the optimization variable: two integer weights in
-//!   `[1, wmax]` per directed link.
+//! * [`WeightSetting`] — the optimization variable: one integer weight in
+//!   `[1, wmax]` per directed link and traffic class (two for DTR, k for
+//!   MTR); [`ClassIndex`] names a class by [`Class`] or by position.
 //! * [`spf`] — reverse Dijkstra per destination (integer weights).
 //! * [`router`] — ECMP load accumulation and the per-class
 //!   [`ClassRouting`] outcome (distances + link loads).
@@ -83,7 +84,7 @@ pub mod workspace;
 
 pub use failure::{LinkGroup, Scenario, MAX_GROUP_SIZE};
 pub use router::{route_class, route_class_with, ClassRouting};
-pub use weights::{Class, ClassWeights, WeightSetting};
+pub use weights::{Class, ClassIndex, WeightSetting};
 pub use workspace::SpfWorkspace;
 
 /// Distance value marking an unreachable node (no path to the destination

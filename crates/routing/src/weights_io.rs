@@ -21,7 +21,7 @@
 //! [`from_text`] refuses a `classes` header, and the k-class one requires
 //! it, so neither format is mistaken for the other.
 
-use crate::weights::{Class, ClassWeights, WeightSetting};
+use crate::weights::{Class, WeightSetting};
 
 /// Errors raised when parsing a weights text format.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,13 +53,14 @@ pub fn to_text(w: &WeightSetting) -> String {
     write_text(w, "# dtr weights v1", false)
 }
 
-/// Serialize any [`ClassWeights`]: the `comment` line, a `classes` header
-/// when `with_classes` (the k-class format), `wmax`, `links`, then one
-/// `w` line per link carrying its weights in class order.
-pub fn write_text<W: ClassWeights>(w: &W, comment: &str, with_classes: bool) -> String {
+/// Serialize a setting of any class count: the `comment` line, a
+/// `classes` header when `with_classes` (the k-class format), `wmax`,
+/// `links`, then one `w` line per link carrying its weights in class
+/// order.
+pub fn write_text(w: &WeightSetting, comment: &str, with_classes: bool) -> String {
     use std::fmt::Write as _;
     let k = w.num_classes();
-    let links = w.class_weights(0).len();
+    let links = w.num_links();
     let mut s = format!("{comment}\n");
     if with_classes {
         let _ = writeln!(s, "classes {k}");
@@ -69,7 +70,7 @@ pub fn write_text<W: ClassWeights>(w: &W, comment: &str, with_classes: bool) -> 
     for i in 0..links {
         let _ = write!(s, "w {i}");
         for c in 0..k {
-            let _ = write!(s, " {}", w.class_weights(c)[i]);
+            let _ = write!(s, " {}", w.weights(c)[i]);
         }
         s.push('\n');
     }
@@ -81,10 +82,10 @@ pub fn from_text(text: &str) -> Result<WeightSetting, ParseError> {
     parse(text, Some(Class::ALL.len()))
 }
 
-/// Parse a weights text into any [`ClassWeights`]. `classes: Some(k)`
-/// fixes the class count and refuses a `classes` header (the two-class
-/// format); `None` requires the header and takes k from it.
-pub fn parse<W: ClassWeights>(text: &str, classes: Option<usize>) -> Result<W, ParseError> {
+/// Parse a weights text. `classes: Some(k)` fixes the class count and
+/// refuses a `classes` header (the two-class format); `None` requires
+/// the header and takes k from it.
+pub fn parse(text: &str, classes: Option<usize>) -> Result<WeightSetting, ParseError> {
     let mut k = classes;
     let mut wmax: Option<u32> = None;
     let mut links: Option<usize> = None;
@@ -213,7 +214,7 @@ pub fn parse<W: ClassWeights>(text: &str, classes: Option<usize>) -> Result<W, P
             per_class[c].push(v);
         }
     }
-    Ok(W::from_class_vecs(per_class, wmax))
+    Ok(WeightSetting::from_class_vecs(per_class, wmax))
 }
 
 fn field<'a, T: std::str::FromStr>(

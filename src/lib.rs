@@ -34,20 +34,11 @@
 //! | [`net`] | `dtr-net` | directed network model, failure masks, bridges, connectivity, DOT export |
 //! | [`topogen`] | `dtr-topogen` | RandTopo / NearTopo / PLTopo / Waxman generators, ring-grid-torus lattices, ISP + GEANT-like backbones |
 //! | [`traffic`] | `dtr-traffic` | two-class gravity matrices, fluctuation and hot-spot uncertainty, load scaling |
-//! | [`routing`] | `dtr-routing` | per-class SPF + ECMP engine, delay DP, link/node/double/SRLG scenarios, weight I/O |
+//! | [`routing`] | `dtr-routing` | the one k-class weight setting, per-class SPF + ECMP engine, delay DP, link/node/double/SRLG scenarios, weight I/O |
 //! | [`cost`] | `dtr-cost` | Eq. 1 delay model, Eq. 2 SLA cost, Fortz–Thorup congestion, lexicographic `K`, the evaluator |
-//! | [`core`] | `dtr-core` | **the paper**: `ScenarioSet` + builder pipeline, Phases 1a/1b/1c + 2, criticality, Algorithm 1, baselines, `ext/` scenario-set constructors |
-//! | [`mtr`] | `dtr-mtr` | generalized k-topology MTR engine (k classes, vector cost, k-way Algorithm 1, same builder pattern) |
+//! | [`core`] | `dtr-core` | **the paper**: `ScenarioSet` + the one builder pipeline (any class count), Phases 1a/1b/1c + 2, criticality, Algorithm 1, baselines, `ext/` scenario-set constructors |
+//! | [`mtr`] | `dtr-mtr` | generalized k-topology MTR front door (k classes, vector cost, k-way Algorithm 1); `MtrOptimizer` is the core pipeline on its engine |
 //! | [`eval`] | `dtr-eval` | experiment drivers for every table/figure + extension studies, the `repro` binary |
-//!
-//! ## Migrating from the pre-builder API
-//!
-//! The per-extension free functions were removed; see the `dtr-core`
-//! crate docs for the full table. In short: `RobustOptimizer::new(&ev,
-//! params)` still works for the single-link pipeline, and every removed
-//! `ext::*` entry point became `RobustOptimizer::builder(&ev)
-//! .scenarios(<set>).params(params).build().optimize()` with the matching
-//! scenario set (`Srlg`, `Probabilistic`, `DoubleLink`).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 

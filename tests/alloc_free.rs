@@ -582,7 +582,8 @@ fn steady_state_delta_state_candidate_sweep_allocates_nothing() {
 /// components into the workspace at every k.
 #[test]
 fn steady_state_three_class_engine_allocates_nothing() {
-    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator};
+    use dtr::routing::WeightSetting;
     use rand::Rng;
 
     let _serial = serial();
@@ -611,9 +612,9 @@ fn steady_state_three_class_engine_allocates_nothing() {
         s
     };
     let mut rng = StdRng::seed_from_u64(17);
-    let inc = MtrWeightSetting::random_symmetric(3, &net, 20, &mut rng);
+    let inc = WeightSetting::random_symmetric(3, &net, 20, &mut rng);
     let reps = net.duplex_representatives();
-    let cands: Vec<MtrWeightSetting> = (0..4)
+    let cands: Vec<WeightSetting> = (0..4)
         .map(|_| {
             let rep = reps[rng.gen_range(0..reps.len())];
             let mut cand = inc.clone();
@@ -635,7 +636,7 @@ fn steady_state_three_class_engine_allocates_nothing() {
     // The accept path: re-point the cache at a one-move candidate.
     let accept = |ws: &mut dtr::cost::EvalWorkspace,
                   cache: &mut dtr::cost::ScenarioCache,
-                  w: &MtrWeightSetting| {
+                  w: &WeightSetting| {
         eng.cache_refresh(ws, cache, w, |pos| scenarios[pos]);
     };
     // One cycle: per candidate, a plain sweep and a cached sweep against

@@ -6,8 +6,9 @@ use dtr::core::ext::availability::{self};
 use dtr::core::ext::probabilistic::FailureModel;
 use dtr::core::{FailureUniverse, Params, RobustOptimizer};
 use dtr::cost::{CostParams, Evaluator};
-use dtr::mtr::{weights_io as mtr_io, MtrWeightSetting};
+use dtr::mtr::weights_io as mtr_io;
 use dtr::routing::weights_io as dtr_io;
+use dtr::routing::WeightSetting;
 use dtr::topogen::{rand_topo, SynthConfig, DEFAULT_CAPACITY, DEFAULT_THETA};
 use dtr::traffic::gravity::{self, GravityConfig};
 
@@ -97,7 +98,7 @@ fn mtr_weights_round_trip_preserves_evaluation() {
     let matrices = vec![tm.delay.clone(), tm.throughput.clone()];
     let ev = MtrEvaluator::new(&net, &matrices, MtrConfig::dtr(25e-3, 0.2)).unwrap();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4);
-    let w = MtrWeightSetting::random(2, net.num_links(), 20, &mut rng);
+    let w = WeightSetting::random_k(2, net.num_links(), 20, &mut rng);
     let back = mtr_io::from_text(&mtr_io::to_text(&w)).expect("round trip parses");
     assert_eq!(back, w);
     assert_eq!(
@@ -110,7 +111,7 @@ fn mtr_weights_round_trip_preserves_evaluation() {
 fn dtr_and_mtr_text_formats_are_distinguishable() {
     // The headers differ, so feeding one format to the other parser
     // fails loudly instead of mis-importing.
-    let w2 = MtrWeightSetting::uniform(2, 3, 20);
+    let w2 = WeightSetting::uniform_k(2, 3, 20);
     let mtr_text = mtr_io::to_text(&w2);
     assert!(mtr_io::from_text(&mtr_text).is_ok());
     assert!(dtr_io::from_text(&mtr_text).is_err());

@@ -20,8 +20,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use dtr::core::{phase1, phase2};
-use dtr::mtr::MtrWeightSetting;
 use dtr::prelude::*;
+use dtr::routing::WeightSetting;
 use dtr::traffic::gravity;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -213,7 +213,7 @@ proptest! {
     #[test]
     fn mtr_weights_text_decoder_never_panics(seed in any::<u64>(), links in 1usize..24) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let w = MtrWeightSetting::random(3, links, 20, &mut rng);
+        let w = WeightSetting::random_k(3, links, 20, &mut rng);
         let text = dtr::mtr::weights_io::to_text(&w);
         let bad = mutate_text(&text, &mut rng);
         prop_assert!(

@@ -1,7 +1,8 @@
 //! Smoke tests of the experiment harness: each driver runs at `Smoke`
 //! scale and produces structurally valid output. (The heavyweight drivers
-//! — table1, fig5..7 — are exercised by the benches and the repro binary;
-//! here we cover the fast ones plus the harness utilities end-to-end.)
+//! — table1, fig5..7 — are exercised by their own unit smoke tests in
+//! `dtr-eval` and by the repro binary; here we cover the fast ones plus
+//! the harness utilities end-to-end.)
 
 use dtr::eval::experiments::{fig3, fig4, timing};
 use dtr::eval::{ExpConfig, Scale};

@@ -12,9 +12,9 @@ use dtr::core::{phase1b, selection, FailureUniverse, Params, ScenarioSet, Select
 use dtr::cost::{CostParams, Evaluator, LexCost};
 use dtr::mtr::criticality::{select_k, target_size, KWayCriticality};
 use dtr::mtr::search::{self as mtr_search, MtrRegularOutput};
-use dtr::mtr::{MtrConfig, MtrEvaluator, MtrParams, MtrWeightSetting, VecCost};
+use dtr::mtr::{MtrConfig, MtrEvaluator, MtrParams, VecCost};
 use dtr::net::Network;
-use dtr::routing::{Class, Scenario, WeightSetting};
+use dtr::routing::{Scenario, WeightSetting};
 use dtr::topogen::{rand_topo, SynthConfig, DEFAULT_CAPACITY, DEFAULT_THETA};
 use dtr::traffic::{gravity, ClassMatrices};
 use rand::rngs::StdRng;
@@ -37,14 +37,14 @@ fn testbed(seed: u64) -> (Network, ClassMatrices) {
     (net, tm)
 }
 
-/// Random DTR weight setting and its 2-class MTR mirror.
-fn paired_weights(net: &Network, rng: &mut StdRng) -> (WeightSetting, MtrWeightSetting) {
+/// Random two-class weight setting: both front doors route the same
+/// setting, the delay class as MTR's class 0 and the throughput class
+/// as its class 1.
+fn random_weights(net: &Network, rng: &mut StdRng) -> WeightSetting {
     let m = net.num_links();
     let delay: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=20)).collect();
     let tput: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=20)).collect();
-    let dtr = WeightSetting::from_vecs(delay.clone(), tput.clone(), 20);
-    let mtr = MtrWeightSetting::from_vecs(vec![delay, tput], 20);
-    (dtr, mtr)
+    WeightSetting::from_vecs(delay, tput, 20)
 }
 
 #[test]
@@ -56,9 +56,9 @@ fn mtr_reproduces_dtr_costs_under_normal_conditions() {
 
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..20 {
-        let (wd, wm) = paired_weights(&net, &mut rng);
-        let d = dtr_ev.evaluate(&wd, Scenario::Normal);
-        let m = mtr_ev.evaluate(&wm, Scenario::Normal);
+        let w = random_weights(&net, &mut rng);
+        let d = dtr_ev.evaluate(&w, Scenario::Normal);
+        let m = mtr_ev.evaluate(&w, Scenario::Normal);
         assert_eq!(d.cost.lambda, m.cost.component(0), "Λ mismatch");
         assert_eq!(d.cost.phi, m.cost.component(1), "Φ mismatch");
         assert_eq!(d.total_loads, m.total_loads, "total load mismatch");
@@ -76,10 +76,10 @@ fn mtr_reproduces_dtr_costs_under_every_link_failure() {
     let mtr_ev = MtrEvaluator::new(&net, &matrices, MtrConfig::dtr(25e-3, 0.2)).unwrap();
 
     let mut rng = StdRng::seed_from_u64(11);
-    let (wd, wm) = paired_weights(&net, &mut rng);
+    let w = random_weights(&net, &mut rng);
     for sc in Scenario::all_link_failures(&net) {
-        let d = dtr_ev.evaluate(&wd, sc);
-        let m = mtr_ev.evaluate(&wm, sc);
+        let d = dtr_ev.evaluate(&w, sc);
+        let m = mtr_ev.evaluate(&w, sc);
         assert_eq!(d.cost.lambda, m.cost.component(0), "{sc}: Λ mismatch");
         assert_eq!(d.cost.phi, m.cost.component(1), "{sc}: Φ mismatch");
         assert_eq!(d.link_delays, m.link_delays, "{sc}: delay mismatch");
@@ -94,10 +94,10 @@ fn mtr_reproduces_dtr_costs_under_node_failures() {
     let mtr_ev = MtrEvaluator::new(&net, &matrices, MtrConfig::dtr(25e-3, 0.2)).unwrap();
 
     let mut rng = StdRng::seed_from_u64(13);
-    let (wd, wm) = paired_weights(&net, &mut rng);
+    let w = random_weights(&net, &mut rng);
     for sc in Scenario::all_node_failures(&net) {
-        let d = dtr_ev.evaluate(&wd, sc);
-        let m = mtr_ev.evaluate(&wm, sc);
+        let d = dtr_ev.evaluate(&w, sc);
+        let m = mtr_ev.evaluate(&w, sc);
         assert_eq!(d.cost.lambda, m.cost.component(0), "{sc}: Λ mismatch");
         assert_eq!(d.cost.phi, m.cost.component(1), "{sc}: Φ mismatch");
         assert_eq!(d.dropped, m.dropped, "{sc}: dropped mismatch");
@@ -115,12 +115,12 @@ fn lexicographic_decisions_agree() {
 
     let mut rng = StdRng::seed_from_u64(17);
     for _ in 0..15 {
-        let (wd_a, wm_a) = paired_weights(&net, &mut rng);
-        let (wd_b, wm_b) = paired_weights(&net, &mut rng);
-        let da = dtr_ev.cost(&wd_a, Scenario::Normal);
-        let db = dtr_ev.cost(&wd_b, Scenario::Normal);
-        let ma = mtr_ev.cost(&wm_a, Scenario::Normal);
-        let mb = mtr_ev.cost(&wm_b, Scenario::Normal);
+        let wa = random_weights(&net, &mut rng);
+        let wb = random_weights(&net, &mut rng);
+        let da = dtr_ev.cost(&wa, Scenario::Normal);
+        let db = dtr_ev.cost(&wb, Scenario::Normal);
+        let ma = mtr_ev.cost(&wa, Scenario::Normal);
+        let mb = mtr_ev.cost(&wb, Scenario::Normal);
         assert_eq!(da.better_than(&db), ma.better_than(&mb));
         assert_eq!(db.better_than(&da), mb.better_than(&ma));
     }
@@ -140,9 +140,9 @@ fn mean_aggregation_also_agrees() {
     let mtr_ev = MtrEvaluator::new(&net, &matrices, config).unwrap();
 
     let mut rng = StdRng::seed_from_u64(23);
-    let (wd, wm) = paired_weights(&net, &mut rng);
-    let d = dtr_ev.evaluate(&wd, Scenario::Normal);
-    let m = mtr_ev.evaluate(&wm, Scenario::Normal);
+    let w = random_weights(&net, &mut rng);
+    let d = dtr_ev.evaluate(&w, Scenario::Normal);
+    let m = mtr_ev.evaluate(&w, Scenario::Normal);
     assert_eq!(d.cost.lambda, m.cost.component(0));
     assert_eq!(d.cost.phi, m.cost.component(1));
 }
@@ -176,35 +176,21 @@ fn mtr_params_of(p: &Params) -> MtrParams {
     }
 }
 
-/// DTR's Phase-1 output in MTR's weight and cost types. The sample
-/// store and the rank tracker are one type, so they carry over as they
-/// are; the archive is re-offered entry by entry and must keep its
-/// order.
+/// DTR's Phase-1 output in MTR's cost type. The weight setting, the
+/// sample store and the rank tracker are one type, so they carry over
+/// as they are; the archive is re-offered entry by entry and must keep
+/// its order.
 fn mirror(p1: &Phase1Output, archive_size: usize) -> MtrRegularOutput {
-    let weights = |w: &WeightSetting| {
-        MtrWeightSetting::from_vecs(
-            vec![
-                w.weights(Class::Delay).to_vec(),
-                w.weights(Class::Throughput).to_vec(),
-            ],
-            w.wmax(),
-        )
-    };
     let cost = |c: &LexCost| VecCost::new(vec![c.lambda, c.phi]);
     let mut archive = Archive::new(archive_size);
     for (w, c) in p1.archive.entries() {
-        archive.offer(&weights(w), cost(c));
+        archive.offer(w, cost(c));
     }
-    let order: Vec<WeightSetting> = archive.entries().iter().map(|(w, _)| w.to_dtr()).collect();
-    let dtr_order: Vec<WeightSetting> = p1
-        .archive
-        .entries()
-        .iter()
-        .map(|(w, _)| w.clone())
-        .collect();
+    let order: Vec<&WeightSetting> = archive.entries().iter().map(|(w, _)| w).collect();
+    let dtr_order: Vec<&WeightSetting> = p1.archive.entries().iter().map(|(w, _)| w).collect();
     assert_eq!(order, dtr_order, "mirrored archive keeps its order");
     Phase1Output {
-        best: weights(&p1.best),
+        best: p1.best.clone(),
         best_cost: cost(&p1.best_cost),
         archive,
         store: p1.store.clone(),

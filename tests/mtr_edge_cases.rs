@@ -2,9 +2,10 @@
 //! degenerate traffic, partitioning failures, saturated links, and
 //! higher class counts — the inputs a release library must survive.
 
-use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator};
 use dtr::net::{LinkId, Network, NetworkBuilder, Point};
 use dtr::routing::Scenario;
+use dtr::routing::WeightSetting;
 use dtr::traffic::TrafficMatrix;
 
 /// Two nodes joined by one duplex link (a bridge), plus a 3-cycle hanging
@@ -32,7 +33,7 @@ fn zero_traffic_evaluates_to_zero_cost() {
     let net = bridged();
     let tms = vec![TrafficMatrix::zeros(4); 3];
     let ev = MtrEvaluator::new(&net, &tms, config3()).unwrap();
-    let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+    let w = WeightSetting::uniform_k(3, net.num_links(), 20);
     let b = ev.evaluate(&w, Scenario::Normal);
     for c in 0..3 {
         assert_eq!(b.cost.component(c), 0.0, "class {c} cost must be zero");
@@ -49,7 +50,7 @@ fn bridge_failure_charges_disconnection_not_panic() {
     tms[0].set(0, 3, 10.0); // voice crossing the bridge
     tms[2].set(0, 2, 20.0); // bulk crossing the bridge
     let ev = MtrEvaluator::new(&net, &tms, config3()).unwrap();
-    let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+    let w = WeightSetting::uniform_k(3, net.num_links(), 20);
 
     let bridge = LinkId::new(0);
     let b = ev.evaluate(&w, Scenario::Link(bridge));
@@ -69,7 +70,7 @@ fn saturated_link_stays_finite_via_linearization() {
     // Offer 3x the bridge capacity of bulk traffic.
     tms[2].set(0, 1, 3e6);
     let ev = MtrEvaluator::new(&net, &tms, config3()).unwrap();
-    let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+    let w = WeightSetting::uniform_k(3, net.num_links(), 20);
     let b = ev.evaluate(&w, Scenario::Normal);
     assert!(
         b.cost.component(2).is_finite(),
@@ -95,7 +96,7 @@ fn four_class_evaluation_is_consistent_with_pairwise_sums() {
         ClassSpec::congestion("d"),
     ]);
     let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
-    let w = MtrWeightSetting::uniform(4, net.num_links(), 20);
+    let w = WeightSetting::uniform_k(4, net.num_links(), 20);
     let b = ev.evaluate(&w, Scenario::Normal);
     for l in 0..net.num_links() {
         let sum: f64 = (0..4).map(|k| b.class_loads[k][l]).sum();
@@ -118,7 +119,7 @@ fn node_failure_of_isolated_source_zeroes_its_class() {
     let mut tms = vec![TrafficMatrix::zeros(4); 3];
     tms[1].set(0, 2, 5e4); // only node 0 sources traffic, class video
     let ev = MtrEvaluator::new(&net, &tms, config3()).unwrap();
-    let w = MtrWeightSetting::uniform(3, net.num_links(), 20);
+    let w = WeightSetting::uniform_k(3, net.num_links(), 20);
     let b = ev.evaluate(&w, Scenario::Node(dtr::net::NodeId::new(0)));
     assert_eq!(b.dropped, 0.0);
     assert!(b.total_loads.iter().all(|&x| x == 0.0));

@@ -3,8 +3,8 @@
 //! Algorithm 1 merge.
 
 use dtr::core::samples::SampleStore;
-use dtr::mtr::{select_k, KWayCriticality, MtrWeightSetting, VecCost};
-use dtr::routing::ClassWeights;
+use dtr::mtr::{select_k, KWayCriticality, VecCost};
+use dtr::routing::WeightSetting;
 use proptest::prelude::*;
 
 fn cost_vec(k: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -68,7 +68,7 @@ proptest! {
     ) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let w = MtrWeightSetting::random(classes, links, 20, &mut rng);
+        let w = WeightSetting::random_k(classes, links, 20, &mut rng);
         for k in 0..classes {
             prop_assert!(w.weights(k).iter().all(|&x| (1..=20).contains(&x)));
         }
@@ -81,9 +81,9 @@ proptest! {
     ) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a = MtrWeightSetting::random(2, links, 20, &mut rng);
-        let b = MtrWeightSetting::random(2, links, 20, &mut rng);
-        let c = MtrWeightSetting::random(2, links, 20, &mut rng);
+        let a = WeightSetting::random_k(2, links, 20, &mut rng);
+        let b = WeightSetting::random_k(2, links, 20, &mut rng);
+        let c = WeightSetting::random_k(2, links, 20, &mut rng);
         // Identity, symmetry, triangle inequality.
         prop_assert_eq!(a.hamming_distance(&a), 0);
         prop_assert_eq!(a.hamming_distance(&b), b.hamming_distance(&a));
@@ -100,7 +100,7 @@ proptest! {
     ) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let w = MtrWeightSetting::random(3, 10, 20, &mut rng);
+        let w = WeightSetting::random_k(3, 10, 20, &mut rng);
         for l in 0..10 {
             let l = dtr::net::LinkId::new(l);
             // Emulating at the tighter (higher) q implies emulating at the

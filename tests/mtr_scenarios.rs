@@ -32,7 +32,11 @@ fn config() -> MtrConfig {
     MtrConfig::dtr(25e-3, 0.2)
 }
 
-fn kfail(ev: &MtrEvaluator<'_>, w: &dtr::mtr::MtrWeightSetting, scenarios: &[Scenario]) -> VecCost {
+fn kfail(
+    ev: &MtrEvaluator<'_>,
+    w: &dtr::routing::WeightSetting,
+    scenarios: &[Scenario],
+) -> VecCost {
     let mut acc = VecCost::zeros(ev.num_classes());
     for &sc in scenarios {
         acc = acc.add(&ev.cost(w, sc));

@@ -225,7 +225,8 @@ fn scenario_cache_chain(net: &Network, tm: &ClassMatrices, seed: u64) {
 /// stay bit-identical to the reference `evaluate` for every scenario
 /// kind.
 fn mtr_cache_chain(net: &Network, tm: &ClassMatrices, seed: u64) {
-    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator};
+    use dtr::routing::WeightSetting;
 
     let matrices = [tm.delay.clone(), tm.throughput.clone()];
     let config = MtrConfig::new(vec![
@@ -236,14 +237,14 @@ fn mtr_cache_chain(net: &Network, tm: &ClassMatrices, seed: u64) {
     let reps = net.duplex_representatives();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x317e);
     let scenarios = scenario_zoo(net, &mut rng);
-    let mut inc = MtrWeightSetting::random_symmetric(2, net, 20, &mut rng);
+    let mut inc = WeightSetting::random_symmetric(2, net, 20, &mut rng);
 
     let eng = ev.engine();
     let mut ws = ev.acquire_workspace();
     let mut cache = dtr::cost::ScenarioCache::new();
     let capture_all = |ws: &mut dtr::cost::EvalWorkspace,
                        cache: &mut dtr::cost::ScenarioCache,
-                       inc: &MtrWeightSetting| {
+                       inc: &WeightSetting| {
         eng.cache_rebuild_begin(ws, cache, inc, scenarios.len());
         for (pos, &sc) in scenarios.iter().enumerate() {
             let captured = eng.cost_capture(ws, inc, sc, cache, pos);
@@ -374,7 +375,8 @@ fn undo_walk<W: Clone>(
 /// the reference `evaluate` bit for bit, under every scenario of
 /// [`scenario_zoo`] (every link and node failure among them).
 fn undo_chains(net: &Network, tm: &ClassMatrices, hubs: bool, seed: u64) {
-    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator};
+    use dtr::routing::WeightSetting;
 
     let reps = net.duplex_representatives();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0d0);
@@ -423,8 +425,8 @@ fn undo_chains(net: &Network, tm: &ClassMatrices, hubs: bool, seed: u64) {
     let ev = MtrEvaluator::new(net, &matrices, config).unwrap();
     let eng = ev.engine();
     let mut ws = ev.acquire_workspace();
-    let start = MtrWeightSetting::random_symmetric(3, net, 20, &mut rng);
-    let mv = |w: &mut MtrWeightSetting, rng: &mut StdRng| {
+    let start = WeightSetting::random_symmetric(3, net, 20, &mut rng);
+    let mv = |w: &mut WeightSetting, rng: &mut StdRng| {
         let rep = reps[rng.gen_range(0..reps.len())];
         for k in 0..3 {
             w.set_duplex(net, k, rep, rng.gen_range(1..=20));
@@ -622,7 +624,8 @@ proptest! {
     fn mtr_scenario_floors_bound_every_class_component(
         (nodes, extra, seed) in (10usize..13, 2usize..7, 0u64..1_000_000)
     ) {
-        use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+        use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator};
+        use dtr::routing::WeightSetting;
 
         let (net, tm) = testbed(nodes, nodes + extra, seed);
         let matrices = [tm.delay.clone(), tm.throughput.clone()];
@@ -640,7 +643,7 @@ proptest! {
             .map(|&sc| ev.engine().scenario_floor(&mut ws, sc).to_vec())
             .collect();
         for round in 0..3 {
-            let w = MtrWeightSetting::random_symmetric(2, &net, 20, &mut rng);
+            let w = WeightSetting::random_symmetric(2, &net, 20, &mut rng);
             for (&sc, fl) in scenarios.iter().zip(&floors) {
                 let c = ev.cost_with(&mut ws, &w, sc);
                 for (k, (&f, &x)) in fl.iter().zip(c.components()).enumerate() {

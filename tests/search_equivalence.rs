@@ -1273,7 +1273,7 @@ fn absolute_phase1b_pins() {
         reg.archive.len()
     );
     reg.converged = false;
-    let stats = phase1b::top_up(&mev, &universe, &(&params).into(), &mut reg);
+    let stats = phase1b::top_up(&mev, &universe, &params, &mut reg);
     assert!(stats.rounds >= 1);
     got.push(("mtr top-up", phase1b_pin(&stats, &reg.store)));
 

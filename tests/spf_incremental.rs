@@ -513,7 +513,7 @@ proptest! {
         (nodes, extra, seed) in (6usize..12, 2usize..8, 0u64..1_000_000)
     ) {
         use dtr::cost::{CostParams, Evaluator};
-        use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+        use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator};
         use dtr::routing::{Scenario, WeightSetting};
         use dtr::traffic::ClassMatrices;
 
@@ -546,7 +546,7 @@ proptest! {
         let m_repair = MtrEvaluator::new(&net, &matrices, config).unwrap();
         let mut ws = m_repair.acquire_workspace();
         for _ in 0..2 {
-            let w = MtrWeightSetting::random_symmetric(2, &net, 20, &mut rng);
+            let w = WeightSetting::random_symmetric(2, &net, 20, &mut rng);
             for &sc in &scenarios {
                 let a = m_repair.cost_with(&mut ws, &w, sc);
                 prop_assert_eq!(a, m_repair.evaluate(&w, sc).cost, "{}", sc);
